@@ -70,14 +70,20 @@ def check_theta_lb(ch: ThetaCharacteristic, Z: PeriodMatrix,
                           passed=bool(val >= bound - ctx.tol), rule=rule)
 
 
+def chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
+    """The (sharp, weak) lemma lower bounds for |chi10(Z)| on F2."""
+    with ctx.work():
+        y11, y12, y22 = Z.im_entries()
+        pref = CHI10_C0 * min(mp.mpf(1), ctx.pi * abs(Z.z12)) ** 2
+        return (pref * mp.exp(-2 * ctx.pi * (y11 + y22 - y12)),
+                pref * mp.exp(-2 * ctx.pi * (y11 + y22)))
+
+
 def check_chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
     """Sharp and weak chi10 lower bounds; pass iff value >= sharp bound."""
     _require_f2(Z, ctx)
     with ctx.work():
-        y11, y12, y22 = Z.im_entries()
-        pref = CHI10_C0 * min(mp.mpf(1), ctx.pi * abs(Z.z12)) ** 2
-        sharp = pref * mp.exp(-2 * ctx.pi * (y11 + y22 - y12))
-        weak = pref * mp.exp(-2 * ctx.pi * (y11 + y22))
+        sharp, weak = chi10_lb(Z, ctx)
         val = abs(chi10(Z, ctx))
         return BoundCheck(bound=+sharp, value=+val,
                           passed=bool(val >= sharp - ctx.tol), rule="chi10 sharp"), \
@@ -141,10 +147,7 @@ def verify_bounds(n: int, seed: int, ctx: PrecisionContext):
             c = mp.mpc(1)
             for tv in vals:
                 c *= tv * tv
-            y11, y12, y22 = Z.im_entries()
-            pref = CHI10_C0 * min(mp.mpf(1), ctx.pi * abs(Z.z12)) ** 2
-            sharp = pref * mp.exp(-2 * ctx.pi * (y11 + y22 - y12))
-            weak = pref * mp.exp(-2 * ctx.pi * (y11 + y22))
+            sharp, weak = chi10_lb(Z, ctx)
             checks += 2
             if not abs(c) >= sharp - ctx.tol:
                 failures.append(("chi10 sharp bound", repr(Z)))

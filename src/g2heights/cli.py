@@ -17,7 +17,7 @@ import mpmath as mp
 
 from . import bounds, cmperiod, siegel
 from .colmez import CharacterError, char_from_spec, char_weighted_sum, colmez_height
-from .exact import IntPolynomial
+from .exact import IntPolynomial, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext
@@ -30,6 +30,10 @@ _COMPLEX_RE = re.compile(
 
 class JobError(ValueError):
     pass
+
+
+JOB_KEYS = {"curve_P", "curve_Q", "delta_F", "f_K", "tau_poly", "tau_values",
+            "character_table", "character_gen", "precision", "degree", "tolerance"}
 
 
 def parse_complex(s: str):
@@ -53,8 +57,10 @@ def parse_job(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise JobError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            job[key.strip()] = val.strip()
+            key, val = (t.strip() for t in line.split("=", 1))
+            if key not in JOB_KEYS:
+                raise JobError(f"{path}:{lineno}: unknown key {key!r}")
+            job[key] = val
     return job
 
 
@@ -71,8 +77,8 @@ def job_curve(job):
 
 
 def job_ctx(job, args):
-    bits = int(job.get("precision", 0)) or args.precision_bits
-    return PrecisionContext(bits)
+    """--precision-bits if given, else the job's precision, else 256 bits."""
+    return PrecisionContext(args.precision_bits or int(job.get("precision", 256)))
 
 
 def job_character(job):
@@ -112,11 +118,6 @@ def job_periods(job, ctx, swap=False):
     else:
         raise JobError("job lacks tau_poly / tau_values")
     return [cmperiod.period_matrix(t1, t2, delta, ctx)]
-
-
-def _job_primes(job, args):
-    s = args.primes or job.get("primes", "")
-    return tuple(int(p) for p in s.split(",") if p.strip()) if s else ()
 
 
 def _fmt(x, digits=30):
@@ -167,7 +168,7 @@ def cmd_reduce(args):
     if len(entries) != 3:
         print("matrix file must list z11, z12, z22 (one per line)", file=sys.stderr)
         return 1
-    ctx = PrecisionContext(args.precision_bits)
+    ctx = job_ctx({}, args)
     with ctx.work():
         vals = []
         for e in entries:
@@ -199,11 +200,11 @@ def cmd_height_local(args):
     ctx = job_ctx(job, args)
     eq = job_curve(job)
     periods = job_periods(job, ctx)
-    hb = height_local(eq, periods, int(job.get("degree", 1)), ctx,
-                      extra_primes=_job_primes(job, args))
+    hb = height_local(eq, periods, int(job.get("degree", 1)), ctx)
     print("finite_part =", _fmt(hb.finite_part))
     for p in hb.local_ledger:
-        print(f"  p={p.p} iota={p.iota} ord_min_disc={p.ord_min_disc} "
+        mark = "" if is_prime(p.p) else " (unfactored)"
+        print(f"  p={p.p}{mark} iota={p.iota} ord_min_disc={p.ord_min_disc} "
               f"term={_fmt(p.height_term)}")
     for lbl, v in hb.arch_terms:
         print(f"arch[{lbl}] =", _fmt(v))
@@ -223,7 +224,7 @@ def cmd_compare(args):
     for swap in orderings:
         periods = job_periods(job, ctx, swap=swap)
         rep = compare(eq, periods, int(job.get("degree", 1)), chi, ctx,
-                      tolerance=tol, extra_primes=_job_primes(job, args))
+                      tolerance=tol)
         label = "swapped" if swap else "canonical"
         print(f"[{label} tau ordering]")
         print("engine=local   total =", _fmt(rep.local.total))
@@ -239,7 +240,7 @@ def cmd_compare(args):
 
 
 def cmd_verify_bounds(args):
-    ctx = PrecisionContext(args.precision_bits)
+    ctx = job_ctx({}, args)
     failures, checks = bounds.verify_bounds(args.samples, args.seed, ctx)
     print(f"samples = {args.samples}")
     print(f"seed = {args.seed}")
@@ -257,9 +258,8 @@ def _print_notes():
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="g2heights")
-    ap.add_argument("--precision-bits", type=int, default=256)
-    ap.add_argument("--primes", default="",
-                    help="extra candidate primes for the finite part")
+    ap.add_argument("--precision-bits", type=int,
+                    help="working precision (default: the job's, else 256)")
     ap.add_argument("--both-orderings", action="store_true",
                     help="also report the swapped tau ordering")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -20,10 +20,6 @@ _UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 _UNIT_NAMES = {"1": 0, "i": 1, "-1": 2, "-i": 3}
 
 
-def _gmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 class CharacterError(ValueError):
     pass
 

@@ -32,7 +32,6 @@ HYPOTHESES = (
 class HeightBreakdown:
     finite_part: object
     arch_terms: list  # (label, value) pairs; values include 2^8 pi^10
-    normalization_offset: object
     total: object
     error_bound: object
     notes: tuple = HYPOTHESES
@@ -40,12 +39,13 @@ class HeightBreakdown:
 
 
 def height_local(curve: WeierstrassEquation, periods, degree: int,
-                 ctx: PrecisionContext, extra_primes=()) -> HeightBreakdown:
-    if degree < 1 or len(periods) == 0:
-        raise ValueError("need degree >= 1 and at least one period matrix")
+                 ctx: PrecisionContext) -> HeightBreakdown:
+    if degree < 1 or len(periods) != degree:
+        raise ValueError(f"degree = {degree} needs that many period matrices, "
+                         f"got {len(periods)}")
     with ctx.work():
         inv = igusa_invariants(curve)
-        fin, ledger = finite_height_part(inv, ctx, extra_primes)
+        fin, ledger = finite_height_part(inv, ctx)
         arch = []
         for idx, Z in enumerate(periods):
             _, zred = siegel.reduce(Z, ctx)
@@ -54,7 +54,6 @@ def height_local(curve: WeierstrassEquation, periods, degree: int,
         return HeightBreakdown(
             finite_part=fin / degree,
             arch_terms=[(lbl, v / degree) for lbl, v in arch],
-            normalization_offset=mp.mpf(0),
             total=+total,
             error_bound=ctx.tol * (len(arch) + 2),
             local_ledger=ledger,
@@ -74,9 +73,9 @@ class ComparisonReport:
 
 def compare(curve: WeierstrassEquation, periods, degree: int,
             chi: DirichletCharacter, ctx: PrecisionContext,
-            tolerance=1e-9, extra_primes=()) -> ComparisonReport:
+            tolerance=1e-9) -> ComparisonReport:
     with ctx.work():
-        local = height_local(curve, periods, degree, ctx, extra_primes)
+        local = height_local(curve, periods, degree, ctx)
         hc = colmez_height(chi, ctx)
         disc = abs(local.total - hc)
         tol = mp.mpf(tolerance)

@@ -13,9 +13,10 @@ I10 is the binary-sextic discriminant a0^10 prod (r_i - r_j)^2.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import mpmath as mp
 
@@ -59,7 +60,7 @@ class IgusaInvariants:
 
 @dataclass
 class LocalContribution:
-    p: int
+    p: int  # a prime, or a cofactor the ledger could not split
     iota: int
     ord_min_disc: int
     height_term: object  # mpf
@@ -159,17 +160,13 @@ def iota(p: int) -> int:
     return 1
 
 
-def _j2iota(inv: IgusaInvariants, i: int) -> Fraction:
-    return {1: inv.J2, 3: inv.J6, 4: inv.J8}[i]
-
-
 def minimal_disc_order(inv: IgusaInvariants, p: int) -> int:
     """(1/iota) max{0, -ord_p(J10^-iota * J_{2iota}^5)}.
 
     Assumes good reduction of the jacobian at p (caller's hypothesis).
     """
     i = iota(p)
-    Ji = _j2iota(inv, i)
+    Ji = {1: inv.J2, 3: inv.J6, 4: inv.J8}[i]
     if Ji == 0:
         # |J10^-iota * J_{2iota}^5|_p = 0, so log max{1, .} = 0
         return 0
@@ -182,56 +179,59 @@ def minimal_disc_order(inv: IgusaInvariants, p: int) -> int:
     return m // i
 
 
-def _factor_trial(n: int, bound: int = 10 ** 6, extra_primes=()):
-    n = abs(n)
-    out = {}
-    for p in extra_primes:
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    d = 2
-    while d * d <= n and d <= bound:
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n by Pollard-Brent rho, or 1 when
+    none shows within about 2^19 steps."""
+    for c in (1, 2, 3):
+        y, r, g = 2, 1, 1
+        while g == 1 and r <= 1 << 18:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g < n:
+            return g
+    return 1
+
+
+def _factor_trial(n: int) -> Counter:
+    """{p: e} with prod p^e = n > 0 by trial division below 1000, then
+    Pollard-Brent rho; a composite that rho cannot split stays one key."""
+    out = Counter()
+    for d in range(2, 1000):
         while n % d == 0:
             n //= d
-            out[d] = out.get(d, 0) + 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        if is_prime(n):
-            out[n] = out.get(n, 0) + 1
+            out[d] += 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        g = 1 if is_prime(m) else _rho(m)
+        if g == 1:
+            out[m] += 1
         else:
-            raise ArithmeticError(
-                f"cofactor {n} not factored by trial division up to {bound}; "
-                "supply candidate primes explicitly"
-            )
+            stack += [g, m // g]
     return out
 
 
-def candidate_primes(inv: IgusaInvariants, extra_primes=()):
-    """Primes that can contribute: divisors of the denominators of the
-    three ratios J_{2iota}^5 / J10^iota, plus 2 and 3 unconditionally."""
-    cands = {2, 3}
-    for i in (1, 3, 4):
-        Ji = _j2iota(inv, i)
-        if Ji == 0:
-            continue
-        r = Ji ** 5 / inv.J10 ** i
-        cands.update(_factor_trial(r.denominator, extra_primes=extra_primes))
-    return sorted(cands)
-
-
-def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext,
-                       extra_primes=()):
+def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
     """(1/60) sum_p (1/iota(p)) max{0, -ord_p(J10^-iota J_{2iota}^5)} log p,
-    returned with the per-prime ledger."""
-    ledger = []
+    returned with the per-prime ledger.
+
+    iota(p) = 1 for p >= 5, so those terms add up to log D, where D is the
+    denominator of J2^5/J10 with its factors 2 and 3 removed (D = 1 when
+    J2 = 0): the total needs no factoring.  The ledger factors D only for
+    display, and a cofactor it cannot split appears as one row."""
+    orders = {p: minimal_disc_order(inv, p) for p in (2, 3)}
+    den = (inv.J2 ** 5 / inv.J10).denominator if inv.J2 else 1
+    fac = _factor_trial(den)
+    D = den // (2 ** fac.pop(2, 0) * 3 ** fac.pop(3, 0))
     with ctx.work():
-        total = mp.mpf(0)
-        for p in candidate_primes(inv, extra_primes):
-            m = minimal_disc_order(inv, p)
-            if m == 0:
-                continue
-            term = mp.mpf(m) / 60 * mp.log(p)
-            ledger.append(LocalContribution(p=p, iota=iota(p),
-                                            ord_min_disc=m, height_term=term))
-            total += term
+        total = (orders[2] * mp.log(2) + orders[3] * mp.log(3) + mp.log(D)) / 60
+        ledger = [LocalContribution(p=p, iota=iota(p) if p < 5 else 1,
+                                    ord_min_disc=m,
+                                    height_term=mp.mpf(m) / 60 * mp.log(p))
+                  for p, m in sorted({**orders, **fac}.items()) if m]
         return +total, ledger

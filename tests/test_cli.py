@@ -82,3 +82,31 @@ def test_tau_digit_guard(tmp_path, capsys):
         "character_table = 1=1, 2=i, 3=-i, 4=-1\n")
     code, _ = run_cli(capsys, "compare", str(job))
     assert code == 1
+
+
+def _ex3_with(tmp_path, extra):
+    job = tmp_path / "ex3plus.job"
+    with open(os.path.join(JOBS, "ex3.job")) as fh:
+        job.write_text(fh.read() + extra)
+    return str(job)
+
+
+def test_degree_must_match_periods(tmp_path, capsys):
+    code = main(["height-local", _ex3_with(tmp_path, "degree = 2\n")])
+    assert code == 1
+    assert "degree = 2" in capsys.readouterr().err
+
+
+def test_unknown_job_key(tmp_path, capsys):
+    path = _ex3_with(tmp_path, "primes = 7\n")
+    with pytest.raises(JobError, match=r"ex3plus\.job:10: unknown key 'primes'"):
+        parse_job(path)
+    assert main(["compare", path]) == 1
+
+
+def test_precision_flag_overrides_job(capsys):
+    code, out = run_cli(capsys, "--precision-bits", "128",
+                        "compare", os.path.join(JOBS, "ex3.job"))
+    assert code == 0
+    assert "precision_bits = 128" in out
+    assert "result = PASS" in out

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from g2heights.exact import IntPolynomial
+from g2heights.exact import IntPolynomial, is_prime
 from g2heights.igusa import (SingularCurveError, WeierstrassEquation,
-                             discriminant, finite_height_part,
+                             _factor_trial, discriminant, finite_height_part,
                              igusa_invariants, iota, minimal_disc_order)
 
 EX1 = WeierstrassEquation(IntPolynomial([-1, 0, 0, 0, 0, 1]), IntPolynomial([0]))
@@ -14,6 +14,24 @@ EX2 = WeierstrassEquation(
     IntPolynomial([-40824, -103680, 67608, 197944, 17574, -41271, -103615]),
     IntPolynomial([0]))
 EX3 = WeierstrassEquation(IntPolynomial([1, -3, -6, 2, 3, -1]), IntPolynomial([0]))
+# the J6 and J8 ratio denominators of this curve hold 18518681089^3
+BIG = WeierstrassEquation(IntPolynomial([6, -4, -9, -8, 3, 3, -8]),
+                          IntPolynomial([-2, -3, 1]))
+
+
+def corpus(seed, n):
+    """n smooth curves with P coefficients in [-10, 10], Q in [-3, 3]."""
+    rng = random.Random(seed)
+    while n:
+        cs = [rng.randint(-10, 10) for _ in range(7)]
+        qs = [rng.randint(-3, 3) for _ in range(4)]
+        try:
+            eq = WeierstrassEquation(IntPolynomial(cs), IntPolynomial(qs))
+            inv = igusa_invariants(eq)
+        except (SingularCurveError, ValueError):
+            continue
+        yield inv
+        n -= 1
 
 
 def test_discriminant_restricted():
@@ -101,18 +119,8 @@ def test_finite_parts(ctx):
 
 
 def test_j8_relation_corpus():
-    rng = random.Random(41)
-    done = 0
-    while done < 50:
-        cs = [rng.randint(-10, 10) for _ in range(7)]
-        qs = [rng.randint(-3, 3) for _ in range(4)]
-        try:
-            eq = WeierstrassEquation(IntPolynomial(cs), IntPolynomial(qs))
-            inv = igusa_invariants(eq)
-        except (SingularCurveError, ValueError):
-            continue
+    for inv in corpus(41, 50):
         assert inv.J8 == (inv.J2 * inv.J6 - inv.J4 ** 2) / 4
-        done += 1
 
 
 def test_unit_scaling_preserves_order():
@@ -123,3 +131,60 @@ def test_unit_scaling_preserves_order():
     inv_s = igusa_invariants(scaled)
     assert minimal_disc_order(inv_s, 5) == minimal_disc_order(inv, 5)
     assert minimal_disc_order(inv_s, 41) == minimal_disc_order(inv, 41)
+
+
+def test_finite_part_large_cofactor(ctx):
+    f, led = finite_height_part(igusa_invariants(BIG), ctx)
+    assert [(l.p, l.ord_min_disc) for l in led] == \
+        [(13, 1), (53, 1), (353, 1), (18518681089, 1)]
+    with ctx.work():
+        target = mp.fsum(mp.log(p) for p in (13, 53, 353, 18518681089)) / 60
+        assert abs(f - target) < ctx.tol
+
+
+def test_factor_best_effort():
+    assert _factor_trial(18518681089 ** 3) == {18518681089: 3}
+    assert _factor_trial(2 ** 8 * 10007 ** 2 * 10009) == {2: 8, 10007: 2, 10009: 1}
+    # two primes of 27 and 33 digits: rho gives up and keeps the product
+    hard = (2 ** 89 - 1) * (2 ** 107 - 1)
+    assert _factor_trial(hard) == {hard: 1}
+
+
+def test_finite_part_corpus(ctx):
+    done = 0
+    for inv in corpus(7, 200):
+        try:
+            f, led = finite_height_part(inv, ctx)
+        except ArithmeticError as exc:
+            assert str(exc).startswith(
+                ("non-integral minimal discriminant order at p=2:",
+                 "non-integral minimal discriminant order at p=3:"))
+            continue
+        assert all(is_prime(l.p) for l in led)
+        with ctx.work():
+            assert abs(f - mp.fsum(l.height_term for l in led)) < ctx.tol
+        done += 1
+    assert done >= 100
+
+
+def test_finite_part_matches_per_prime_definition(ctx):
+    sympy = pytest.importorskip("sympy")
+    curves = [igusa_invariants(c) for c in (EX2, EX3, BIG)] + list(corpus(7, 200))
+    checked = 0
+    for inv in curves:
+        primes = {2, 3}
+        for Ji, i in ((inv.J2, 1), (inv.J6, 3), (inv.J8, 4)):
+            if Ji != 0:
+                primes.update(sympy.factorint((Ji ** 5 / inv.J10 ** i).denominator))
+        try:
+            orders = {p: minimal_disc_order(inv, p) for p in sorted(primes)}
+        except ArithmeticError:
+            continue
+        f, led = finite_height_part(inv, ctx)
+        assert [(l.p, l.ord_min_disc) for l in led] == \
+            [(p, m) for p, m in orders.items() if m]
+        with ctx.work():
+            target = mp.fsum(m * mp.log(p) for p, m in orders.items()) / 60
+            assert abs(f - target) < ctx.tol
+        checked += 1
+    assert checked >= 100
