@@ -15,7 +15,8 @@ import mpmath as mp
 
 from . import siegel
 from .prec import PrecisionContext
-from .theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, chi10, theta_all
+from .theta import (EVEN_CHARS, PeriodMatrix, ThetaCharacteristic,
+                    _chi10_from_thetas, chi10, theta_all)
 
 CHI10_C0 = mp.mpf(8) / 10 ** 5
 
@@ -144,9 +145,7 @@ def verify_bounds(n: int, seed: int, ctx: PrecisionContext):
                 checks += 1
                 if not abs(tv) >= bound - ctx.tol:
                     failures.append((f"theta bound {rule} ch={ch}", repr(Z)))
-            c = mp.mpc(1)
-            for tv in vals:
-                c *= tv * tv
+            c = _chi10_from_thetas(vals)
             sharp, weak = chi10_lb(Z, ctx)
             checks += 2
             if not abs(c) >= sharp - ctx.tol:

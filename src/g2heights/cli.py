@@ -21,7 +21,8 @@ from .exact import IntPolynomial, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext
-from .theta import EVEN_CHARS, PeriodMatrix, archimedean_term, chi10, theta_all
+from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_thetas,
+                    _ellipsoid_rows, theta_all)
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
@@ -82,6 +83,8 @@ def job_ctx(job, args):
 
 
 def job_character(job):
+    if "f_K" not in job:
+        raise JobError("job lacks f_K")
     f = int(job["f_K"])
     if "character_table" in job:
         table = dict(tok.split("=") for tok in
@@ -95,6 +98,8 @@ def job_character(job):
 
 
 def job_periods(job, ctx, swap=False):
+    if "delta_F" not in job:
+        raise JobError("job lacks delta_F")
     delta = int(job["delta_F"])
     if "tau_poly" in job:
         poly = IntPolynomial(_rat_list(job["tau_poly"]))
@@ -150,11 +155,16 @@ def cmd_theta(args):
             _, zred = siegel.reduce(Z, ctx)
             label = "swapped" if swap else "canonical"
             print(f"[{label} tau ordering]")
-            for ch, v in zip(EVEN_CHARS, theta_all(zred, ctx)):
+            radius_sq, rows = _ellipsoid_rows(zred, ctx)
+            print("theta_radius_sq =", _fmt(radius_sq, 12))
+            print("theta_terms =", sum(hi - lo + 1 for _, lo, hi in rows))
+            vals = theta_all(zred, ctx)
+            for ch, v in zip(EVEN_CHARS, vals):
                 print(f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}] =", _fmt(v))
-            print("chi10 =", _fmt(chi10(zred, ctx)))
-            print("arch_term_bare =", _fmt(archimedean_term(zred, ctx, bare=True)))
-            print("arch_term =", _fmt(archimedean_term(zred, ctx)))
+            c = _chi10_from_thetas(vals)
+            print("chi10 =", _fmt(c))
+            print("arch_term_bare =", _fmt(_arch_from_chi10(c, zred, ctx, bare=True)))
+            print("arch_term =", _fmt(_arch_from_chi10(c, zred, ctx, bare=False)))
     return 0
 
 

@@ -27,8 +27,9 @@ def select_tau(spec, ctx: PrecisionContext, swap: bool = False):
 
     spec: either an IntPolynomial (integer quartic with exactly two roots in
     the upper half plane) or an explicit pair of complex values.  Canonical
-    order is ascending real part, ties broken by imaginary part; swap=True
-    gives the other ordering.
+    order is ascending real part, ties broken by imaginary part; real parts
+    within 2^-(prec/2) count as tied, so root-finder noise cannot decide the
+    order.  swap=True gives the other ordering.
     """
     with ctx.work():
         if isinstance(spec, IntPolynomial):
@@ -40,8 +41,9 @@ def select_tau(spec, ctx: PrecisionContext, swap: bool = False):
                 raise TauSelectionError(
                     f"expected exactly 2 upper-half-plane roots, got {len(upper)}"
                 )
-            upper.sort(key=lambda r: (mp.re(r), mp.im(r)))
-            t1, t2 = upper
+            gap = abs(mp.re(upper[0]) - mp.re(upper[1]))
+            tied = gap <= mp.mpf(2) ** (-(ctx.prec // 2))
+            t1, t2 = sorted(upper, key=mp.im if tied else mp.re)
         else:
             t1, t2 = (mp.mpc(spec[0]), mp.mpc(spec[1]))
             if not (mp.im(t1) > 0 and mp.im(t2) > 0):

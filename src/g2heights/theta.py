@@ -7,10 +7,15 @@ Characteristics are stored doubled (entries 0/1), so all exponent bookkeeping
 stays integral until the final complex exponential.  Substituting m = 2n + 2a
 turns the sum into
     sum_{m = 2a mod 2}  u^(m1^2) v^(m1 m2) w^(m2^2) i^(m1*2b1 + m2*2b2)
-with u = e^(i pi z11/4), v = e^(i pi z12/2), w = e^(i pi z22/4); the lattice
-part is shared by all ten characteristics, so one pass over the box fills the
+with u = e^(i pi z11/4), v = e^(i pi z12/2), w = e^(i pi z22/4).  The
+lattice part is shared by all ten characteristics, so one pass fills the
 sixteen (m1 mod 4, m2 mod 4) accumulators and every theta constant is a short
-signed combination of those.
+signed combination of those.  The pass covers the ellipsoid
+pi m^T (Im Z) m / 4 <= R^2, with R from the tail bound of Deconinck, Heil,
+Bobenko, van Hoeij and Schmies, "Computing Riemann theta functions", Math.
+Comp. 73 (2004).  Since the lattice part is even in m, it walks only the half
+lattice {m1 > 0} or {m1 = 0, m2 >= 0}, row by row, and credits each term to
+the residue class of -m as well.
 """
 
 from __future__ import annotations
@@ -77,53 +82,82 @@ class PeriodMatrix:
         return f"PeriodMatrix({self.z11}, {self.z12}, {self.z22})"
 
 
-def _radius(Z: PeriodMatrix, ctx: PrecisionContext) -> int:
-    # tail sum_{||n+a||_inf > R} e^(-pi lam ||n+a||^2) < 2^-workbits
-    lam = Z.lambda_min()
-    bits = ctx.workbits + 16
-    R = int(mp.ceil(mp.sqrt(bits * ctx.log2 / (ctx.pi * lam)))) + 2
-    return max(R, 4)
+def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
+    """R^2 and the rows (m1, lo, hi) of the half lattice {m1 > 0} or
+    {m1 = 0, m2 >= 0} that lie in the ellipsoid pi m^T Y m / 4 <= R^2.
 
-
-def theta_all(Z: PeriodMatrix, ctx: PrecisionContext, radius: int | None = None):
-    """All ten even theta constants in the fixed EVEN_CHARS order."""
+    R is the radius of Deconinck et al. (2004), Theorem 2, at genus 2: the
+    terms outside it sum to at most (2/rho)^2 Gamma(1, (R - rho/2)^2)
+    = (2/rho)^2 e^-(R - rho/2)^2, and R makes that 2^-(workbits + 16).  The
+    theorem holds for any rho up to the shortest nonzero lattice vector, so
+    rho^2 = pi lambda_min(Y) / 4 serves every positive-definite Y = Im Z.
+    R - rho/2 is kept at least 1, above the theorem's hypothesis
+    R >= (sqrt(2) + rho) / 2.
+    """
     with ctx.work():
-        R = radius if radius is not None else _radius(Z, ctx)
-        M = 2 * R + 1  # box |m_i| <= M in the doubled lattice
+        _, y12, y22 = Z.im_entries()
+        det = Z.det_im()
+        rho = mp.sqrt(ctx.pi * Z.lambda_min() / 4)
+        x = (ctx.workbits + 16) * ctx.log2 + 2 * mp.log(2 / rho)
+        R = rho / 2 + mp.sqrt(max(x, 1))
+        s = 4 * R * R / ctx.pi  # the ellipsoid is m^T Y m <= s
+        rows = []
+        for m1 in range(int(mp.sqrt(s * y22 / det)) + 1):
+            c = -y12 * m1 / y22
+            h = mp.sqrt(max((s - m1 * m1 * det / y22) / y22, 0))
+            lo = 0 if m1 == 0 else int(mp.ceil(c - h))
+            hi = int(mp.floor(c + h))
+            if lo <= hi:
+                rows.append((m1, lo, hi))
+        return +(R * R), rows
+
+
+def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
+    """All ten even theta constants in the fixed EVEN_CHARS order."""
+    _, rows = _ellipsoid_rows(Z, ctx)
+    K = max(max(-lo, hi) for _, lo, hi in rows)  # largest |m2|
+    # Terms are built by chains of up to n = m1max + 4K rounded products
+    # (the tables, then the walk along a row), whose relative errors add up
+    # to order n^2 ulps, so the sum runs 2 log2(n) + 2 bits above workbits.
+    n = rows[-1][0] + 4 * K
+    with mp.workprec(ctx.workbits + 2 * n.bit_length() + 2):
         u = mp.expjpi(Z.z11 / 4)
         v = mp.expjpi(Z.z12 / 2)
         w = mp.expjpi(Z.z22 / 4)
-        usq = [mp.mpc(1)]
+        w2 = w * w
+        # wodd[K + k] = w^(2k+1) and wsq[k] = w^(k^2), for |k| <= K
+        wodd = [w ** (1 - 2 * K)]
+        for _ in range(2 * K):
+            wodd.append(wodd[-1] * w2)
         wsq = [mp.mpc(1)]
-        # k^2 = (k-1)^2 + 2k - 1: incremental squares
-        uk, urun = mp.mpc(1), mp.mpc(1)
-        wk, wrun = mp.mpc(1), mp.mpc(1)
-        u2, w2 = u * u, w * w
-        for _ in range(M):
-            urun *= u2
-            uk *= urun / u
-            usq.append(uk)
-            wrun *= w2
-            wk *= wrun / w
-            wsq.append(wk)
-        # accumulators by (m1 mod 4, m2 mod 4)
-        acc = [[mp.mpc(0)] * 4 for _ in range(4)]
-        vm1 = mp.mpc(1)  # v^m1 for the current m1 >= 0
-        for m1 in range(0, M + 1):
-            row = usq[m1]
-            for mm1 in ({0} if m1 == 0 else (m1, -m1)):
-                vfac = vm1 if mm1 > 0 else 1 / vm1 if mm1 < 0 else mp.mpc(1)
-                arow = acc[mm1 % 4]
-                arow[0] += row  # m2 = 0, v^0, w^0
-                qp = mp.mpc(1)  # v^(mm1 * m2)
-                qm = mp.mpc(1)  # v^(-mm1 * m2)
-                for m2 in range(1, M + 1):
-                    qp *= vfac
-                    qm /= vfac
-                    t = row * wsq[m2]
-                    arow[m2 % 4] += t * qp
-                    arow[(-m2) % 4] += t * qm
-            vm1 *= v
+        for k in range(K):
+            wsq.append(wsq[-1] * wodd[K + k])
+        # half[r1][r2] sums the half-lattice terms with m = (r1, r2) mod 4
+        half = [[mp.mpc(0)] * 4 for _ in range(4)]
+        urow, ustep, u2 = mp.mpc(1), u, u * u  # u^(m1^2), u^(2 m1 + 1)
+        vm = mp.mpc(1)  # v^m1
+        m1 = 0
+        for r, lo, hi in rows:
+            while m1 < r:
+                urow *= ustep
+                ustep *= u2
+                vm *= v
+                m1 += 1
+            # t = u^(m1^2) v^(m1 m2) w^(m2^2), stepped along m2 by
+            # g = t(m2 + 1) / t(m2) = v^m1 w^(2 m2 + 1)
+            t = urow * wsq[abs(lo)] * vm ** lo
+            g = vm * wodd[K + lo]
+            hrow = half[m1 & 3]
+            for m2 in range(lo, hi):
+                hrow[m2 & 3] += t
+                t *= g
+                g *= w2
+            hrow[hi & 3] += t
+        # the lattice part is even in m: each term also stands for -m, except
+        # the origin, which is its own mirror
+        acc = [[half[r1][r2] + half[-r1 % 4][-r2 % 4] for r2 in range(4)]
+               for r1 in range(4)]
+        acc[0][0] -= 1
         ipow = (mp.mpc(1), mp.mpc(0, 1), mp.mpc(-1), mp.mpc(0, -1))
         out = []
         for ch in EVEN_CHARS:
@@ -131,8 +165,9 @@ def theta_all(Z: PeriodMatrix, ctx: PrecisionContext, radius: int | None = None)
             for r1 in range(ch.a1 % 2, 4, 2):
                 for r2 in range(ch.a2 % 2, 4, 2):
                     s += ipow[(r1 * ch.b1 + r2 * ch.b2) % 4] * acc[r1][r2]
-            out.append(+s)
-        return out
+            out.append(s)
+    with ctx.work():
+        return [+s for s in out]
 
 
 def theta_constant(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):
@@ -145,13 +180,19 @@ def theta_constant(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionConte
         raise ValueError("characteristic not among the ten even ones") from None
 
 
+def _chi10_from_thetas(vals):
+    """chi10 = prod of theta^2 over the ten even theta constants vals; call
+    at the working precision."""
+    p = mp.mpc(1)
+    for t in vals:
+        p *= t * t
+    return +p
+
+
 def chi10(Z: PeriodMatrix, ctx: PrecisionContext):
     """chi10(Z) = prod over the ten even characteristics of theta^2."""
     with ctx.work():
-        p = mp.mpc(1)
-        for t in theta_all(Z, ctx):
-            p *= t * t
-        return +p
+        return _chi10_from_thetas(theta_all(Z, ctx))
 
 
 # the five base characteristics for the Theta product, doubled [a1,a2,b1,b2]
@@ -192,8 +233,12 @@ def archimedean_term(Z: PeriodMatrix, ctx: PrecisionContext, bare: bool = False)
     With bare=True the 2^8 pi^10 normalization is dropped (the raw invariant
     -(1/10) log(|chi10| det(Im Z)^5)).
     """
+    return _arch_from_chi10(chi10(Z, ctx), Z, ctx, bare)
+
+
+def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
+    """archimedean_term(Z, ctx, bare) given c = chi10(Z)."""
     with ctx.work():
-        c = chi10(Z, ctx)
         ac = abs(c)
         if ac < mp.mpf(2) ** (-ctx.prec):
             raise Chi10NearZeroError(

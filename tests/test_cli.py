@@ -110,3 +110,30 @@ def test_precision_flag_overrides_job(capsys):
     assert code == 0
     assert "precision_bits = 128" in out
     assert "result = PASS" in out
+
+
+def _ex3_without(tmp_path, key):
+    job = tmp_path / "ex3minus.job"
+    with open(os.path.join(JOBS, "ex3.job")) as fh:
+        job.write_text("".join(line for line in fh if not line.startswith(key)))
+    return str(job)
+
+
+def test_missing_f_K_exit1(tmp_path, capsys):
+    assert main(["compare", _ex3_without(tmp_path, "f_K")]) == 1
+    assert "job lacks f_K" in capsys.readouterr().err
+
+
+def test_missing_delta_F_exit1(tmp_path, capsys):
+    assert main(["height-local", _ex3_without(tmp_path, "delta_F")]) == 1
+    assert "job lacks delta_F" in capsys.readouterr().err
+
+
+def test_theta_reports_truncation(capsys):
+    code, out = run_cli(capsys, "theta", os.path.join(JOBS, "ex1.job"))
+    assert code == 0
+    # R^2 of the Deconinck et al. bound on the reduced ex1 matrix, and the
+    # half-lattice points summed (the square box summed 3025)
+    assert "theta_radius_sq = 222.904692553\n" in out
+    assert "theta_terms = 506\n" in out
+    assert "arch_term = -1.4525092396456" in out

@@ -4,6 +4,7 @@ import pytest
 from g2heights.cmperiod import (TauSelectionError, check_lemma_easy, cusp_mu,
                                 period_matrix, select_tau)
 from g2heights.exact import IntPolynomial, QuadElement
+from g2heights.prec import PrecisionContext
 
 
 def test_select_tau_biquadratic(ctx):
@@ -16,6 +17,20 @@ def test_select_tau_biquadratic(ctx):
         # swap flag gives the other ordering
         u1, u2 = select_tau(IntPolynomial([128, 0, 32, 0, 1]), ctx, swap=True)
         assert abs(u1 - t2) < ctx.tol and abs(u2 - t1) < ctx.tol
+
+
+def test_select_tau_order_stable_across_precision(ctx):
+    # ex3's two roots are purely imaginary: the order must not follow the
+    # root finder's rounding noise in their real parts
+    poly = IntPolynomial([128, 0, 32, 0, 1])
+    ref = select_tau(poly, ctx)
+    with ctx.work():
+        assert mp.im(ref[0]) < mp.im(ref[1])
+    for bits in (512, 1024):
+        taus = select_tau(poly, PrecisionContext(bits))
+        with ctx.work():
+            for a, b in zip(taus, ref):
+                assert abs(a - b) < ctx.tol, bits
 
 
 def test_select_tau_passthrough(ctx):

@@ -1,10 +1,12 @@
 import mpmath as mp
 import pytest
 
-from g2heights import cmperiod
+from g2heights import cmperiod, siegel
+from g2heights.prec import PrecisionContext
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
-                             ThetaCharacteristic, archimedean_term, chi10,
-                             theta_all, theta_big, theta_constant)
+                             ThetaCharacteristic, _ellipsoid_rows,
+                             archimedean_term, chi10, theta_all, theta_big,
+                             theta_constant)
 
 
 def theta1d(a, b, tau, R=40):
@@ -98,12 +100,68 @@ def test_theta_big_is_chi10_fourth(ctx):
         assert abs(theta_big(Z, ctx) - c ** 4) < ctx.tol * abs(c) ** 4
 
 
-def test_truncation_soundness(ctx):
-    from g2heights.theta import _radius
+def _box_oracle(Z, bits):
+    """The ten theta constants from a square box |m_i| <= M, built from
+    exponentials taken per row, at `bits` bits with a tail below 2^-bits:
+    m^T Y m >= lambda_min |m|_inf^2, so the tail is at most
+    sum_{k > M} 8k e^(-a k^2), a = pi lambda_min / 4, which is below twice
+    its first term once consecutive terms shrink by half."""
+    with mp.workprec(bits + 16):
+        a = mp.pi * Z.lambda_min() / 4
+        M = 1
+        while (16 * (M + 1) * mp.exp(-a * (M + 1) ** 2) >= mp.mpf(2) ** -bits
+               or (M + 2) * mp.exp(-a * (2 * M + 3)) > (M + 1) / 2):
+            M += 1
+        S = [[mp.mpc(0)] * 4 for _ in range(4)]
+        W = [mp.expjpi(k * k * Z.z22 / 4) for k in range(M + 1)]
+        for m1 in range(-M, M + 1):
+            um = mp.expjpi(m1 * m1 * Z.z11 / 4)
+            vm = mp.expjpi(m1 * Z.z12 / 2)
+            vpow = mp.expjpi(-M * m1 * Z.z12 / 2)  # v^(m1 m2) at m2 = -M
+            for m2 in range(-M, M + 1):
+                S[m1 % 4][m2 % 4] += um * W[abs(m2)] * vpow
+                vpow *= vm
+        return [mp.fsum(mp.expjpi(mp.mpf(r1 * ch.b1 + r2 * ch.b2) / 2) * S[r1][r2]
+                        for r1 in range(ch.a1, 4, 2) for r2 in range(ch.a2, 4, 2))
+                for ch in EVEN_CHARS]
+
+
+def _truncation_cases(ctx):
     with ctx.work():
-        Z = _example1_Z(ctx)
-        R = _radius(Z, ctx)
-        a = theta_all(Z, ctx, radius=R)
-        b = theta_all(Z, ctx, radius=R + 2)
-        for x, y in zip(a, b):
-            assert abs(x - y) < mp.mpf(2) ** (-ctx.workbits + 8)
+        Z = _example1_Z(ctx)  # the period matrix itself, before reduction
+        return {"ex1": siegel.reduce(Z, ctx)[1],
+                "im z22 = 60": PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"),
+                                            mp.mpc("-0.3", "60")),
+                "im z22 = 35": PeriodMatrix(mp.mpc("0.3", "0.98"), mp.mpc("-0.1", "0.4"),
+                                            mp.mpc("0.45", "35")),
+                "ex1 unreduced": Z}
+
+
+def test_truncation_soundness():
+    # the ellipsoid against a box whose tail is below 2^-(workbits + 64)
+    for bits in (256, 1024):
+        ctx = PrecisionContext(bits)
+        for name, Z in _truncation_cases(ctx).items():
+            vals = theta_all(Z, ctx)
+            ref = _box_oracle(Z, ctx.workbits + 64)
+            with mp.workprec(ctx.workbits + 64):
+                for ch, x, y in zip(EVEN_CHARS, vals, ref):
+                    assert abs(x - y) < mp.mpf(2) ** (-ctx.workbits + 8), (bits, name, ch)
+
+
+def test_ellipsoid_rows_ex1(ctx):
+    # the rows and their mirrors are exactly the lattice points of the
+    # ellipsoid, and on ex1 they are at most a fifth of the 55 x 55 box
+    # that the square truncation summed
+    Z = _truncation_cases(ctx)["ex1"]
+    R2, rows = _ellipsoid_rows(Z, ctx)
+    half = {(m1, m2) for m1, lo, hi in rows for m2 in range(lo, hi + 1)}
+    assert len(half) <= 3025 // 5
+    with ctx.work():
+        y11, y12, y22 = Z.im_entries()
+        box = [(m1, m2) for m1 in range(-40, 41) for m2 in range(-40, 41)]
+        inside = {(m1, m2) for m1, m2 in box
+                  if ctx.pi * (y11 * m1 * m1 + 2 * y12 * m1 * m2 + y22 * m2 * m2) <= 4 * R2}
+    assert max(max(abs(m1), abs(m2)) for m1, m2 in inside) < 40
+    assert half | {(-m1, -m2) for m1, m2 in half} == inside
+    assert len(half) == (len(inside) + 1) // 2
