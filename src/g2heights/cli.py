@@ -34,7 +34,7 @@ class JobError(ValueError):
 
 
 JOB_KEYS = {"curve_P", "curve_Q", "delta_F", "f_K", "tau_poly", "tau_values",
-            "character_table", "character_gen", "precision", "degree", "tolerance"}
+            "character_table", "character_gen", "precision", "tolerance"}
 
 
 def parse_complex(s: str):
@@ -97,13 +97,13 @@ def job_character(job):
     raise JobError("job lacks character_table / character_gen")
 
 
-def job_periods(job, ctx, swap=False):
+def job_periods(job, ctx):
     if "delta_F" not in job:
         raise JobError("job lacks delta_F")
     delta = int(job["delta_F"])
     if "tau_poly" in job:
         poly = IntPolynomial(_rat_list(job["tau_poly"]))
-        t1, t2 = cmperiod.select_tau(poly, ctx, swap=swap)
+        t1, t2 = cmperiod.select_tau(poly, ctx)
     elif "tau_values" in job:
         parts = [p.strip() for p in job["tau_values"].split(",")]
         if len(parts) != 2:
@@ -119,7 +119,7 @@ def job_periods(job, ctx, swap=False):
                         f"required at {ctx.prec}-bit precision"
                     )
                 vals.append(mp.mpc(mp.mpf(re_s), mp.mpf(im_s)))
-        t1, t2 = cmperiod.select_tau(tuple(vals), ctx, swap=swap)
+        t1, t2 = cmperiod.select_tau(tuple(vals), ctx)
     else:
         raise JobError("job lacks tau_poly / tau_values")
     return [cmperiod.period_matrix(t1, t2, delta, ctx)]
@@ -148,23 +148,19 @@ def cmd_igusa(args):
 def cmd_theta(args):
     job = parse_job(args.job)
     ctx = job_ctx(job, args)
-    orderings = (False, True) if args.both_orderings else (False,)
-    for swap in orderings:
-        Z = job_periods(job, ctx, swap=swap)[0]
-        with ctx.work():
-            _, zred = siegel.reduce(Z, ctx)
-            label = "swapped" if swap else "canonical"
-            print(f"[{label} tau ordering]")
-            radius_sq, rows = _ellipsoid_rows(zred, ctx)
-            print("theta_radius_sq =", _fmt(radius_sq, 12))
-            print("theta_terms =", sum(hi - lo + 1 for _, lo, hi in rows))
-            vals = theta_all(zred, ctx)
-            for ch, v in zip(EVEN_CHARS, vals):
-                print(f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}] =", _fmt(v))
-            c = _chi10_from_thetas(vals)
-            print("chi10 =", _fmt(c))
-            print("arch_term_bare =", _fmt(_arch_from_chi10(c, zred, ctx, bare=True)))
-            print("arch_term =", _fmt(_arch_from_chi10(c, zred, ctx, bare=False)))
+    Z = job_periods(job, ctx)[0]
+    with ctx.work():
+        _, zred = siegel.reduce(Z, ctx)
+        radius_sq, rows = _ellipsoid_rows(zred, ctx)
+        print("theta_radius_sq =", _fmt(radius_sq, 12))
+        print("theta_terms =", sum(hi - lo + 1 for _, lo, hi in rows))
+        vals = theta_all(zred, ctx)
+        for ch, v in zip(EVEN_CHARS, vals):
+            print(f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}] =", _fmt(v))
+        c = _chi10_from_thetas(vals)
+        print("chi10 =", _fmt(c))
+        print("arch_term_bare =", _fmt(_arch_from_chi10(c, zred, ctx, bare=True)))
+        print("arch_term =", _fmt(_arch_from_chi10(c, zred, ctx, bare=False)))
     return 0
 
 
@@ -210,7 +206,7 @@ def cmd_height_local(args):
     ctx = job_ctx(job, args)
     eq = job_curve(job)
     periods = job_periods(job, ctx)
-    hb = height_local(eq, periods, int(job.get("degree", 1)), ctx)
+    hb = height_local(eq, periods, len(periods), ctx)
     print("finite_part =", _fmt(hb.finite_part))
     for p in hb.local_ledger:
         mark = "" if is_prime(p.p) else " (unfactored)"
@@ -229,24 +225,16 @@ def cmd_compare(args):
     eq = job_curve(job)
     chi = job_character(job)
     tol = job.get("tolerance", "1e-9")
-    orderings = (False, True) if args.both_orderings else (False,)
-    status = 0
-    for swap in orderings:
-        periods = job_periods(job, ctx, swap=swap)
-        rep = compare(eq, periods, int(job.get("degree", 1)), chi, ctx,
-                      tolerance=tol)
-        label = "swapped" if swap else "canonical"
-        print(f"[{label} tau ordering]")
-        print("engine=local   total =", _fmt(rep.local.total))
-        print("engine=colmez  total =", _fmt(rep.colmez))
-        print("discrepancy =", _fmt(rep.discrepancy, 8))
-        print("tolerance =", tol)
-        print("precision_bits =", rep.precision_bits)
-        print("result =", "PASS" if rep.passed else "FAIL")
-        if not rep.passed and not swap:
-            status = 2
+    periods = job_periods(job, ctx)
+    rep = compare(eq, periods, len(periods), chi, ctx, tolerance=tol)
+    print("engine=local   total =", _fmt(rep.local.total))
+    print("engine=colmez  total =", _fmt(rep.colmez))
+    print("discrepancy =", _fmt(rep.discrepancy, 8))
+    print("tolerance =", tol)
+    print("precision_bits =", rep.precision_bits)
+    print("result =", "PASS" if rep.passed else "FAIL")
     _print_notes()
-    return status
+    return 0 if rep.passed else 2
 
 
 def cmd_verify_bounds(args):
@@ -270,8 +258,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(prog="g2heights")
     ap.add_argument("--precision-bits", type=int,
                     help="working precision (default: the job's, else 256)")
-    ap.add_argument("--both-orderings", action="store_true",
-                    help="also report the swapped tau ordering")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn, needs_job in (
         ("igusa", cmd_igusa, True),

@@ -22,14 +22,14 @@ class TauSelectionError(ValueError):
     pass
 
 
-def select_tau(spec, ctx: PrecisionContext, swap: bool = False):
+def select_tau(spec, ctx: PrecisionContext):
     """Resolve a tau specification to the two upper-half-plane values.
 
     spec: either an IntPolynomial (integer quartic with exactly two roots in
     the upper half plane) or an explicit pair of complex values.  Canonical
     order is ascending real part, ties broken by imaginary part; real parts
     within 2^-(prec/2) count as tied, so root-finder noise cannot decide the
-    order.  swap=True gives the other ordering.
+    order.  The local height does not depend on the order.
     """
     with ctx.work():
         if isinstance(spec, IntPolynomial):
@@ -48,8 +48,6 @@ def select_tau(spec, ctx: PrecisionContext, swap: bool = False):
             t1, t2 = (mp.mpc(spec[0]), mp.mpc(spec[1]))
             if not (mp.im(t1) > 0 and mp.im(t2) > 0):
                 raise TauSelectionError("explicit tau values must lie in H")
-        if swap:
-            t1, t2 = t2, t1
         return t1, t2
 
 

@@ -8,6 +8,7 @@ Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 
@@ -216,9 +217,7 @@ def disc_n(p: IntPolynomial, n: int) -> Fraction:
     if d > n:
         raise ValueError("polynomial degree exceeds declared binary-form degree")
     if d == n:
-        lead = p.coeffs[-1]
-        res = resultant(p.coeffs, p.derivative().coeffs)
-        return Fraction((-1) ** (n * (n - 1) // 2)) * res / lead
+        return _disc_exact(p)
     if d == n - 1:
         # one root at infinity: disc_n(F) = lc^2 * disc_{n-1}(F)
         lead = p.coeffs[-1]
@@ -245,7 +244,6 @@ class QuadElement:
             raise ValueError("zero denominator")
         if w < 0:
             u, v, w = -u, -v, -w
-        from math import gcd
         g = gcd(gcd(abs(u), abs(v)), w)
         if g > 1:
             u, v, w = u // g, v // g, w // g
@@ -289,14 +287,10 @@ def module_norm(m: QuadModule) -> Fraction:
         raise RankDeficientError("no nonzero generators")
     den = 1
     for a, b in rows:
-        den = den * a.denominator // _gcd(den, a.denominator)
-        den = den * b.denominator // _gcd(den, b.denominator)
+        den = den * a.denominator // gcd(den, a.denominator)
+        den = den * b.denominator // gcd(den, b.denominator)
     ints = [(int(a * den), int(b * den)) for a, b in rows]
     # HNF of a set of integer row vectors in Z^2 via gcd elimination
-    import math
-    g1 = 0
-    for a, _ in ints:
-        g1 = math.gcd(g1, a)
     # reduce to two pivot rows
     rows2 = [list(r) for r in ints]
     # eliminate first column
@@ -316,11 +310,7 @@ def module_norm(m: QuadModule) -> Fraction:
         raise RankDeficientError("generators span a rank <= 1 module")
     g2 = 0
     for b in rest:
-        g2 = math.gcd(g2, b)
+        g2 = gcd(g2, b)
     det = abs(pivot1[0] * g2)
     return Fraction(det, den * den)
 
-
-def _gcd(a: int, b: int) -> int:
-    import math
-    return math.gcd(a, b)

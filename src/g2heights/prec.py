@@ -1,18 +1,21 @@
 """High-precision kernel: precision contexts, log-Gamma on (0,1], and
 complex polynomial roots.
 
-mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi);
-log_gamma and the root finder are implemented here so their error behaviour
-is under our control.
+mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi)
+and the starting values of the roots (mpmath.polyroots).  log_gamma, the
+Newton polish of the roots, their residual check and the check that no two
+roots coincide are implemented here so their error behaviour is under our
+control.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 
 from .exact import IntPolynomial
+
+GUARD_BITS = 32
 
 
 class PrecisionContext:
@@ -22,12 +25,12 @@ class PrecisionContext:
     bits and results are trusted to ~2^(-prec + guard).
     """
 
-    def __init__(self, prec_bits: int = 256, guard_bits: int = 32):
+    def __init__(self, prec_bits: int = 256):
         if prec_bits < 64:
             raise ValueError("precision below 64 bits not supported")
         self.prec = prec_bits
-        self.guard = guard_bits
-        self.workbits = prec_bits + guard_bits
+        self.guard = GUARD_BITS
+        self.workbits = prec_bits + GUARD_BITS
         with mp.workprec(self.workbits):
             self.pi = +mp.pi
             self.log2 = mp.log(2)
@@ -42,7 +45,7 @@ class PrecisionContext:
             return mp.mpf(2) ** (-self.prec + self.guard)
 
     def __repr__(self):
-        return f"PrecisionContext(prec_bits={self.prec}, guard_bits={self.guard})"
+        return f"PrecisionContext(prec_bits={self.prec})"
 
 
 _bernoulli_cache: dict[int, list] = {}
@@ -96,8 +99,14 @@ def log_gamma(x, ctx: PrecisionContext):
 
 
 def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
-    """All complex roots of a squarefree polynomial, Aberth-Ehrlich
-    iteration plus Newton polish, sorted by (Re, Im)."""
+    """All complex roots of a squarefree polynomial, sorted by (Re, Im).
+
+    mpmath.polyroots gives starting values to half the working precision,
+    computing at workbits + 32 like the polish so that a close pair of roots
+    stays apart; Newton's method then polishes each one.  Raises
+    ArithmeticError if the seeding fails, a residual is too large, or two
+    polished roots coincide to within 2^-(workbits/2) |z|.
+    """
     if p.gcd_degree_with_derivative() != 0:
         raise ValueError("polynomial is not squarefree")
     deg = p.degree
@@ -107,65 +116,44 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
         coeffs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
         lead = coeffs[-1]
         cn = [c / lead for c in coeffs]  # monic, ascending
-
-        def ev(z):
-            r = mp.mpc(0)
-            for c in reversed(cn):
-                r = r * z + c
-            return r
-
         dcoef = [i * c for i, c in enumerate(cn)][1:]
 
-        def evd(z):
+        def horner(cs, z):
             r = mp.mpc(0)
-            for c in reversed(dcoef):
+            for c in reversed(cs):
                 r = r * z + c
             return r
 
-        # Cauchy-style radius, perturbed-circle start
-        radius = 1 + max(abs(c) for c in cn[:-1])
-        roots = [radius * mp.expjpi(mp.mpf(2 * k) / deg + mp.mpf(1) / (2 * deg + 1))
-                 for k in range(deg)]
+        # cleanup=False: a seed rounded onto the real axis would keep the
+        # real Newton iteration there.  Durand-Kerner needs more than
+        # mpmath's default 50 steps to separate a close pair of roots.
+        half = ctx.workbits // 2
+        try:
+            with mp.workprec(half):
+                seeds = mp.polyroots(cn[::-1], maxsteps=200, cleanup=False,
+                                     extraprec=ctx.workbits + 32 - half)
+        except NoConvergence as exc:
+            raise ArithmeticError(f"root seeding did not converge: {exc}") from exc
         target = mp.mpf(2) ** (-ctx.workbits)
-        for _ in range(200):
-            maxcorr = mp.mpf(0)
-            new = []
-            for i, zi in enumerate(roots):
-                fz = ev(zi)
-                dz = evd(zi)
-                if dz == 0:
-                    new.append(zi + mp.mpf(1) / 1000)
-                    maxcorr = mp.mpf(1)
-                    continue
-                ratio = fz / dz
-                rep = mp.mpc(0)
-                for j, zj in enumerate(roots):
-                    if j != i:
-                        rep += 1 / (zi - zj)
-                denom = 1 - ratio * rep
-                corr = ratio / denom if denom != 0 else ratio
-                new.append(zi - corr)
-                maxcorr = max(maxcorr, abs(corr))
-            roots = new
-            if maxcorr < mp.mpf(2) ** (-ctx.workbits // 2):
-                break
-        else:
-            raise ArithmeticError("Aberth iteration did not converge")
-        # Newton polish at full precision
         polished = []
-        for z in roots:
+        for z in seeds:
+            z = mp.mpc(z)
             for _ in range(int(mp.log(ctx.workbits, 2)) + 6):
-                fz = ev(z)
-                dz = evd(z)
-                step = fz / dz
+                step = horner(cn, z) / horner(dcoef, z)
                 z = z - step
                 if abs(step) < target * max(1, abs(z)):
                     break
-            resid = abs(ev(z))
+            resid = abs(horner(cn, z))
             scale = max(abs(z), 1) ** deg
             if resid > mp.mpf(2) ** (-ctx.prec) * scale:
                 raise ArithmeticError(f"root residual too large: {resid}")
             polished.append(z)
+        apart = mp.mpf(2) ** -half
+        for i, zi in enumerate(polished):
+            for zj in polished[i + 1:]:
+                if abs(zi - zj) <= apart * max(1, abs(zi)):
+                    raise ArithmeticError(
+                        f"two roots coincide to {half} bits near {zi}")
         polished.sort(key=lambda z: (mp.re(z), mp.im(z)))
     with ctx.work():
         return [+z for z in polished]

@@ -160,13 +160,24 @@ def in_fundamental_domain(Z: PeriodMatrix, tol) -> bool:
     return True
 
 
-def reduce(Z: PeriodMatrix, ctx: PrecisionContext, max_iter: int = 2000):
-    """Returns (gamma, Z_red) with Z_red = act(gamma, Z) in F2 (within tol)."""
+MAX_ITER = 2000
+
+# Z -> diag(1, -1) Z diag(1, -1): flips the sign of z12 and keeps Z in F2
+_FLIP_Z12 = SymplecticMatrix.embed_gl2([[1, 0], [0, -1]])
+
+
+def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
+    """Returns (gamma, Z_red) with Z_red = act(gamma, Z) in F2 (within tol).
+
+    When Im z12 of the result is zero within tol, the sign flip on z12 that
+    Minkowski reduction applies follows rounding noise; Re z12 >= 0 is then
+    chosen, so the word does not depend on the precision.
+    """
     with ctx.work():
         tol = mp.mpf(2) ** (-ctx.prec // 2)
         total = SymplecticMatrix.identity()
         cur = Z
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             # Minkowski-reduce Im Z (Lagrange-Gauss with sign fix)
             U = _minkowski_unimodular(cur)
             if U is not None:
@@ -191,6 +202,9 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext, max_iter: int = 2000):
                     best, bestabs = gamma, a
             if best is None:
                 if in_fundamental_domain(cur, 2 * tol):
+                    if abs(mp.im(cur.z12)) <= tol and mp.re(cur.z12) < -tol:
+                        cur = act(_FLIP_Z12, cur)
+                        total = _FLIP_Z12 * total
                     return total, cur
                 continue
             cur = act(best, cur)

@@ -38,9 +38,6 @@ class ThetaCharacteristic:
     def is_even(self) -> bool:
         return (self.a1 * self.b1 + self.a2 * self.b2) % 2 == 0
 
-    def a_half(self):
-        return (self.a1, self.a2)
-
 
 THETA1 = [ThetaCharacteristic(0, 0, 0, 0), ThetaCharacteristic(0, 0, 0, 1),
           ThetaCharacteristic(0, 0, 1, 0), ThetaCharacteristic(0, 0, 1, 1)]

@@ -1,7 +1,9 @@
 import os
 import sys
 
+import mpmath as mp
 import pytest
+from mpmath.libmp import NoConvergence
 
 from g2heights.cli import main, parse_complex, parse_job, JobError
 
@@ -92,9 +94,12 @@ def _ex3_with(tmp_path, extra):
 
 
 def test_degree_must_match_periods(tmp_path, capsys):
-    code = main(["height-local", _ex3_with(tmp_path, "degree = 2\n")])
-    assert code == 1
-    assert "degree = 2" in capsys.readouterr().err
+    # a job has one period matrix, so its degree is not a job key
+    path = _ex3_with(tmp_path, "degree = 2\n")
+    with pytest.raises(JobError, match=r"ex3plus\.job:10: unknown key 'degree'"):
+        parse_job(path)
+    assert main(["height-local", path]) == 1
+    assert "unknown key 'degree'" in capsys.readouterr().err
 
 
 def test_unknown_job_key(tmp_path, capsys):
@@ -137,3 +142,11 @@ def test_theta_reports_truncation(capsys):
     assert "theta_radius_sq = 222.904692553\n" in out
     assert "theta_terms = 506\n" in out
     assert "arch_term = -1.4525092396456" in out
+
+
+def test_compare_reports_failed_root_seeding(monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("no convergence")
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    assert main(["compare", os.path.join(JOBS, "ex2.job")]) == 1
+    assert "error: root seeding did not converge" in capsys.readouterr().err

@@ -1,13 +1,16 @@
+import os
 import random
 
 import mpmath as mp
 import pytest
 
-from g2heights import cmperiod, siegel
+from g2heights import cli, cmperiod, siegel
 from g2heights.colmez import char_from_spec
 from g2heights.exact import IntPolynomial
 from g2heights.heights import (compare, convert_normalization, height_local)
 from g2heights.igusa import WeierstrassEquation
+
+JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
 
 def example1_inputs(ctx):
@@ -48,6 +51,25 @@ def test_height_local_symplectic_invariance(ctx):
             Zg = siegel.act(g, Z)
             h = height_local(eq, [Zg], 1, ctx).total
             assert abs(h - base) < mp.mpf(2) ** (-ctx.prec // 2)
+
+
+def test_height_local_degree_mismatch(ctx):
+    eq, Z = example1_inputs(ctx)
+    with pytest.raises(ValueError, match="degree = 2"):
+        height_local(eq, [Z], 2, ctx)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_height_local_tau_order_invariant(ctx, name, monkeypatch):
+    job = cli.parse_job(os.path.join(JOBS, f"{name}.job"))
+    eq = cli.job_curve(job)
+    a = height_local(eq, cli.job_periods(job, ctx), 1, ctx)
+    in_order = cmperiod.period_matrix
+    monkeypatch.setattr(cmperiod, "period_matrix",
+                        lambda t1, t2, delta, c: in_order(t2, t1, delta, c))
+    b = height_local(eq, cli.job_periods(job, ctx), 1, ctx)
+    with ctx.work():
+        assert abs(a.total - b.total) < ctx.tol
 
 
 def test_compare_example1(ctx):

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import NoConvergence
 
 from g2heights.exact import IntPolynomial
 from g2heights.prec import PrecisionContext, log_gamma, poly_roots
@@ -97,6 +99,43 @@ def test_roots_sum_product(ctx):
             for r in roots:
                 prod *= r
             assert abs(prod - (-1) ** 5 * mp.mpf(cs[0]) / cs[5]) < mp.mpf(2) ** (-190)
+
+
+def _close_pair(e):
+    # (x - 1)(x - 1 - 2^-e)(x^2 + 1)
+    a = 1 + Fraction(1, 2 ** e)
+    return (IntPolynomial([-1, 1]) * IntPolynomial([-a, 1])
+            * IntPolynomial([1, 0, 1]))
+
+
+def test_roots_close_pair_resolved(ctx):
+    roots = poly_roots(_close_pair(60), ctx)
+    assert len(roots) == 4
+    with ctx.work():
+        expect = [mp.mpc(1), 1 + mp.mpf(2) ** -60, mp.mpc(0, 1), mp.mpc(0, -1)]
+        for e in expect:
+            assert min(abs(r - e) for r in roots) < ctx.tol
+
+
+def test_roots_collapsed_pair_raises(ctx):
+    with pytest.raises(ArithmeticError):
+        poly_roots(_close_pair(200), ctx)
+
+
+def test_roots_coincident_seeds_raise(ctx, monkeypatch):
+    # both seeds polish to i: the coincidence check must catch it
+    monkeypatch.setattr(mp, "polyroots",
+                        lambda coeffs, **kw: [mp.mpc(0, 1), mp.mpc("0.01", 1)])
+    with pytest.raises(ArithmeticError, match="coincide"):
+        poly_roots(IntPolynomial([1, 0, 1]), ctx)
+
+
+def test_roots_seeding_failure_is_arithmetic_error(ctx, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("no convergence")
+    monkeypatch.setattr(mp, "polyroots", no_convergence)
+    with pytest.raises(ArithmeticError, match="seeding"):
+        poly_roots(IntPolynomial([1, 0, 1]), ctx)
 
 
 def test_roots_nonsquarefree(ctx):

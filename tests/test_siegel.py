@@ -1,12 +1,16 @@
+import os
 import random
 
 import mpmath as mp
 import pytest
 
-from g2heights import cmperiod
+from g2heights import cli, cmperiod
+from g2heights.prec import PrecisionContext
 from g2heights.siegel import (GOTTSCHLING, SymplecticMatrix, act,
                               in_fundamental_domain, reduce)
 from g2heights.theta import PeriodMatrix, chi10
+
+JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
 J_MAT = SymplecticMatrix.from_blocks([[0, 0], [0, 0]], [[-1, 0], [0, -1]],
                                      [[1, 0], [0, 1]], [[0, 0], [0, 0]])
@@ -140,3 +144,18 @@ def test_reduce_preserves_chi10_invariant(ctx):
         a = abs(chi10(Z, ctx)) * Z.det_im() ** 5
         b = abs(chi10(zr, ctx)) * zr.det_im() ** 5
         assert abs(a - b) / a < mp.mpf(2) ** (-ctx.prec + 40)
+
+
+def test_reduce_word_stable_across_precision(ctx):
+    # ex3's reduced matrix has Im z12 = 0 exactly: the word must not follow
+    # the rounding noise in it
+    job = cli.parse_job(os.path.join(JOBS, "ex3.job"))
+    results = []
+    for bits in (256, 512, 1024):
+        c = PrecisionContext(bits)
+        results.append(reduce(cli.job_periods(job, c)[0], c))
+    gamma, zr = results[0]
+    with ctx.work():
+        for g, z in results[1:]:
+            assert g == gamma
+            assert all(abs(u - v) < ctx.tol for u, v in zip(z.entries(), zr.entries()))
