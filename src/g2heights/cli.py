@@ -16,11 +16,12 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import bounds, cmperiod, siegel
-from .colmez import CharacterError, char_from_spec, char_weighted_sum, colmez_height
+from .colmez import (CharacterError, char_from_spec, char_weighted_sum, colmez_height,
+                     half_residues)
 from .exact import IntPolynomial, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
-from .prec import PrecisionContext
+from .prec import PrecisionContext, stirling_plan
 from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_thetas,
                     _ellipsoid_rows, theta_all)
 
@@ -197,6 +198,10 @@ def cmd_height_colmez(args):
     print("f_K =", chi.f)
     print("char_weighted_sum =", f"{w[0]}{w[1]:+d}*i")
     print("height =", _fmt(h))
+    plan = stirling_plan(ctx)
+    print("stirling_shift =", plan.shift)
+    print("stirling_terms =", plan.terms)
+    print("log_gamma_calls =", len(half_residues(chi)))
     _print_notes()
     return 0
 

@@ -9,6 +9,7 @@ all character algebra is exact.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
@@ -109,19 +110,29 @@ def char_weighted_sum(chi: DirichletCharacter):
     return (a, b)
 
 
+def half_residues(chi: DirichletCharacter) -> list[int]:
+    """The units m < f/2 mod f: the arguments m/f colmez_height passes to
+    log_gamma."""
+    return [m for m in range(1, (chi.f + 1) // 2) if chi.value(m) != (0, 0)]
+
+
 def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
+    """chi is odd, chi(f - m) = -chi(m), and log Gamma(1 - x) = log pi -
+    log sin(pi x) - log Gamma(x), so the sum over m < f runs over m < f/2:
+
+        sum_m chi(m) log Gamma(m/f)
+          = sum_{m<f/2} chi(m) (2 log Gamma(m/f) - log pi + log sin(pi m/f)).
+    """
     f = chi.f
     wa, wb = char_weighted_sum(chi)
     if (wa, wb) == (0, 0):
         raise CharacterError("vanishing weighted character sum")
     with ctx.work():
+        log_pi = mp.log(ctx.pi)
         s = mp.mpc(0)
-        for m in range(1, f):
-            va, vb = chi.value(m)
-            if (va, vb) == (0, 0):
-                continue
-            lg = log_gamma(mp.mpf(m) / f, ctx)
-            s += mp.mpc(va, vb) * lg
+        for m in half_residues(chi):
+            lg = log_gamma(Fraction(m, f), ctx)
+            s += mp.mpc(*chi.value(m)) * (2 * lg - log_pi + mp.log(mp.sinpi(mp.mpf(m) / f)))
         w = mp.mpc(wa, wb)
         return +(mp.log(f) / 2 + f * mp.re(s / w))
 

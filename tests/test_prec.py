@@ -6,7 +6,8 @@ import pytest
 from mpmath.libmp import NoConvergence
 
 from g2heights.exact import IntPolynomial
-from g2heights.prec import PrecisionContext, log_gamma, poly_roots
+from g2heights.prec import (SERIES_BITS, PrecisionContext, log_gamma, poly_roots,
+                            stirling_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -23,6 +24,7 @@ def test_log_gamma_half(ctx):
 def test_log_gamma_one(ctx):
     with ctx.work():
         assert log_gamma(mp.mpf(1), ctx) == 0
+    assert log_gamma(Fraction(1), ctx) == 0
 
 
 def test_log_gamma_fifth(ctx):
@@ -35,6 +37,9 @@ def test_log_gamma_domain(ctx):
         log_gamma(mp.mpf(2), ctx)
     with pytest.raises(ValueError):
         log_gamma(mp.mpf(0), ctx)
+    for x in (Fraction(0), Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError):
+            log_gamma(x, ctx)
 
 
 def test_log_gamma_reflection(ctx):
@@ -55,6 +60,51 @@ def test_log_gamma_precision_consistency():
         va = log_gamma(x, a)
         vb = log_gamma(x, b)
         assert abs(va - vb) < a.tol
+
+
+def _oracle_log_gamma(x, ctx):
+    with mp.workprec(ctx.workbits + 96):
+        if isinstance(x, Fraction):
+            x = mp.mpf(x.numerator) / x.denominator
+        return mp.loggamma(x)
+
+
+def _log_gamma_args():
+    """Every m/f for f in {5, 16, 61}, and seeded random rationals near 0,
+    1/2 and 1."""
+    xs = [Fraction(m, f) for f in (5, 16, 61) for m in range(1, f + 1)]
+    rng = random.Random(31)
+    for _ in range(6):
+        d = Fraction(1, rng.randint(2, 10 ** rng.randint(3, 40)))
+        xs += [d, Fraction(1, 2) - d / 2, Fraction(1, 2) + d / 2, 1 - d]
+    return xs
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_log_gamma_against_oracle(bits):
+    ctx = PrecisionContext(bits)
+    for x in _log_gamma_args():
+        ref = _oracle_log_gamma(x, ctx)
+        with ctx.work():
+            x_mpf = mp.mpf(x.numerator) / x.denominator
+        for v in (log_gamma(x, ctx), log_gamma(x_mpf, ctx)):
+            with mp.workprec(ctx.workbits + 96):
+                assert abs(v - ref) < mp.mpf(2) ** (8 - ctx.workbits) * max(1, abs(ref)), x
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+def test_stirling_plan_first_omitted_term(bits):
+    # |B_2n| / (2n (2n-1) N^(2n-1)) is the n-th term at z = N, exactly
+    def term(n, shift):
+        num, den = mp.bernfrac(2 * n)
+        return Fraction(abs(num), den * 2 * n * (2 * n - 1) * shift ** (2 * n - 1))
+
+    ctx = PrecisionContext(bits)
+    plan = stirling_plan(ctx)
+    K, N = plan.terms, plan.shift
+    cut = Fraction(1, 2 ** (ctx.workbits + SERIES_BITS))
+    assert term(K + 1, N) < term(K, N) < cut
+    assert term(K - 1, N) >= cut  # K is the first term below the cut
 
 
 def test_roots_quadratic(ctx):
@@ -113,6 +163,21 @@ def test_roots_close_pair_resolved(ctx):
     assert len(roots) == 4
     with ctx.work():
         expect = [mp.mpc(1), 1 + mp.mpf(2) ** -60, mp.mpc(0, 1), mp.mpc(0, -1)]
+        for e in expect:
+            assert min(abs(r - e) for r in roots) < ctx.tol
+
+
+@pytest.mark.parametrize("k", [60, 100, 120])
+def test_roots_close_nondyadic_pair(ctx, k):
+    # (3x - 1)(3x - 1 - 3 2^-k)(x^2 + 1): the pair 1/3, 1/3 + 2^-k is not
+    # dyadic, so the monic coefficients would not be exact
+    p = (IntPolynomial([-1, 3]) * IntPolynomial([-1 - Fraction(3, 2 ** k), 3])
+         * IntPolynomial([1, 0, 1]))
+    roots = poly_roots(p, ctx)
+    assert len(roots) == 4
+    with mp.workprec(3 * ctx.workbits):
+        third = mp.mpf(1) / 3
+        expect = [third, third + mp.mpf(2) ** -k, mp.mpc(0, 1), mp.mpc(0, -1)]
         for e in expect:
             assert min(abs(r - e) for r in roots) < ctx.tol
 
