@@ -122,17 +122,27 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
 
         sum_m chi(m) log Gamma(m/f)
           = sum_{m<f/2} chi(m) (2 log Gamma(m/f) - log pi + log sin(pi m/f)).
+
+    The sines are grouped by the value i^k of chi(m): each of the at most
+    four groups takes one log of the product of its sines, and log pi is
+    multiplied once by sum_{m<f/2} chi(m).
     """
     f = chi.f
     wa, wb = char_weighted_sum(chi)
     if (wa, wb) == (0, 0):
         raise CharacterError("vanishing weighted character sum")
     with ctx.work():
-        log_pi = mp.log(ctx.pi)
         s = mp.mpc(0)
+        ca = cb = 0  # sum_{m<f/2} chi(m) = ca + cb i
+        sines = [mp.mpf(1)] * 4  # prod of sin(pi m/f) over chi(m) = i^k
         for m in half_residues(chi):
-            lg = log_gamma(Fraction(m, f), ctx)
-            s += mp.mpc(*chi.value(m)) * (2 * lg - log_pi + mp.log(mp.sinpi(mp.mpf(m) / f)))
+            va, vb = chi.value(m)
+            s += mp.mpc(va, vb) * (2 * log_gamma(Fraction(m, f), ctx))
+            ca, cb = ca + va, cb + vb
+            sines[chi.table[m]] *= mp.sinpi(mp.mpf(m) / f)
+        s -= mp.mpc(ca, cb) * mp.log(ctx.pi)
+        for unit, p in zip(_UNITS, sines):
+            s += mp.mpc(*unit) * mp.log(p)
         w = mp.mpc(wa, wb)
         return +(mp.log(f) / 2 + f * mp.re(s / w))
 

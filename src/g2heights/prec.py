@@ -159,8 +159,9 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     integer coefficients, and the polish at workbits + 32 + log2(1/gap),
     gap the smallest distance between two seeds: a root of a pair that
     close is known to about 2^-precision / gap.  Raises ArithmeticError if
-    the seeding fails, a residual is too large, or two polished roots
-    coincide to within 2^-(workbits/2) |z|.
+    the seeding fails, a Newton polish uses up its log2(workbits) + 6 steps
+    before a step falls below 2^-workbits |z|, a residual is too large, or
+    two polished roots coincide to within 2^-(workbits/2) |z|.
     """
     if p.gcd_degree_with_derivative() != 0:
         raise ValueError("polynomial is not squarefree")
@@ -202,6 +203,8 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
                 z = z - step
                 if abs(step) < target * max(1, abs(z)):
                     break
+            else:
+                raise ArithmeticError(f"Newton polish did not converge near {z}")
             resid = abs(horner(cs, z))
             scale = abs(cs[-1]) * max(abs(z), 1) ** deg
             if resid > mp.mpf(2) ** (-ctx.prec) * scale:

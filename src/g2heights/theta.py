@@ -16,6 +16,20 @@ Bobenko, van Hoeij and Schmies, "Computing Riemann theta functions", Math.
 Comp. 73 (2004).  Since the lattice part is even in m, it walks only the half
 lattice {m1 > 0} or {m1 = 0, m2 >= 0}, row by row, and credits each term to
 the residue class of -m as well.
+
+The walk runs on Python ints at the fixed scale 2^-W: a term is an int pair
+(re, im), one step is t = (t g) >> W and g = (g w^2) >> W, and the powers of
+i become swaps and negations.  Only the tables (powers of u, v and w), one
+start term and two step factors per row are mpc values; each of the ten
+constants becomes an mpc once, at the end.  A fixed-point error is absolute,
+so each row is walked outward from its peak, the integer nearest
+-Im z12 m1 / Im z22 (clamped to the row): every step factor then has modulus
+at most 1, and an error carried along the row never grows.  W is the
+floating sum precision, workbits + 2 log2(n) + 2 for chains of n rounded
+products, plus e bits: with y = max(Im z11, Im z22, Im z11 + Im z22 -
+2 |Im z12|), the leading terms of the THETA2 constants are at least
+e^(-pi y / 4) > 2^-e in modulus, so those small constants keep the relative
+precision of the others.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .prec import PrecisionContext
 
@@ -109,15 +124,40 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
         return +(R * R), rows
 
 
+def _power(z, k):
+    """z^k for an int k >= 0 by repeated squaring; mpc ** k goes through
+    exp and log once k times the precision passes 10^4 bits."""
+    r = mp.mpc(1)
+    while k:
+        if k & 1:
+            r *= z
+        k >>= 1
+        if k:
+            z *= z
+    return r
+
+
+def _fixed(z, W):
+    """The mpc z as an int pair (re, im) at scale 2^-W, rounded down."""
+    return to_fixed(z.real._mpf_, W), to_fixed(z.imag._mpf_, W)
+
+
 def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
     """All ten even theta constants in the fixed EVEN_CHARS order."""
     _, rows = _ellipsoid_rows(Z, ctx)
     K = max(max(-lo, hi) for _, lo, hi in rows)  # largest |m2|
     # Terms are built by chains of up to n = m1max + 4K rounded products
-    # (the tables, then the walk along a row), whose relative errors add up
-    # to order n^2 ulps, so the sum runs 2 log2(n) + 2 bits above workbits.
+    # (the tables, then the walk along a row), whose errors add up to order
+    # n^2 ulps, so the sum runs 2 log2(n) + 2 bits above workbits.  The walk
+    # is in fixed point, where an error is absolute, so it keeps e more bits:
+    # the leading term of each THETA2 constant is above 2^-e in modulus.
     n = rows[-1][0] + 4 * K
-    with mp.workprec(ctx.workbits + 2 * n.bit_length() + 2):
+    prec = ctx.workbits + 2 * n.bit_length() + 2
+    with mp.workprec(prec):
+        y11, y12, y22 = Z.im_entries()
+        e = int(mp.ceil(mp.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
+                        / (4 * mp.ln2))) + 1
+        W = prec + e
         u = mp.expjpi(Z.z11 / 4)
         v = mp.expjpi(Z.z12 / 2)
         w = mp.expjpi(Z.z22 / 4)
@@ -129,42 +169,66 @@ def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
         wsq = [mp.mpc(1)]
         for k in range(K):
             wsq.append(wsq[-1] * wodd[K + k])
-        # half[r1][r2] sums the half-lattice terms with m = (r1, r2) mod 4
-        half = [[mp.mpc(0)] * 4 for _ in range(4)]
+        # half_re[4 r1 + r2] + i half_im[4 r1 + r2] sums the half-lattice
+        # terms with m = (r1, r2) mod 4, at scale 2^-W
+        half_re, half_im = [0] * 16, [0] * 16
+        qr, qi = _fixed(w2, W)
         urow, ustep, u2 = mp.mpc(1), u, u * u  # u^(m1^2), u^(2 m1 + 1)
-        vm = mp.mpc(1)  # v^m1
+        vm, vinv, vm_inv = mp.mpc(1), 1 / v, mp.mpc(1)  # v^m1, v^-1, v^-m1
+        peak = -y12 / y22
         m1 = 0
         for r, lo, hi in rows:
             while m1 < r:
                 urow *= ustep
                 ustep *= u2
                 vm *= v
+                vm_inv *= vinv
                 m1 += 1
-            # t = u^(m1^2) v^(m1 m2) w^(m2^2), stepped along m2 by
-            # g = t(m2 + 1) / t(m2) = v^m1 w^(2 m2 + 1)
-            t = urow * wsq[abs(lo)] * vm ** lo
-            g = vm * wodd[K + lo]
-            hrow = half[m1 & 3]
-            for m2 in range(lo, hi):
-                hrow[m2 & 3] += t
-                t *= g
-                g *= w2
-            hrow[hi & 3] += t
-        # the lattice part is even in m: each term also stands for -m, except
-        # the origin, which is its own mirror
-        acc = [[half[r1][r2] + half[-r1 % 4][-r2 % 4] for r2 in range(4)]
-               for r1 in range(4)]
-        acc[0][0] -= 1
-        ipow = (mp.mpc(1), mp.mpc(0, 1), mp.mpc(-1), mp.mpc(0, -1))
-        out = []
+            # t = u^(m1^2) v^(m1 m2) w^(m2^2) is largest at m2 = -y12 m1 / y22.
+            # From the nearest integer p in [lo, hi], the step factors
+            # t(m2 + 1) / t(m2) = v^m1 w^(2 m2 + 1) for m2 >= p and
+            # t(m2 - 1) / t(m2) = v^-m1 w^(1 - 2 m2) for m2 <= p have modulus
+            # at most 1, and each is multiplied by w^2 per step
+            p = min(max(int(mp.nint(peak * m1)), lo), hi)
+            vp = _power(vm if p > 0 else vm_inv, abs(p))  # v^(m1 p)
+            tr, ti = _fixed(urow * wsq[abs(p)] * vp, W)
+            base = 4 * (m1 & 3)
+            k = base + (p & 3)
+            half_re[k] += tr
+            half_im[k] += ti
+            for sgn, g, stop in ((1, vm * wodd[K + p], hi),
+                                 (-1, vm_inv * wodd[K - p], lo)):
+                ar, ai = tr, ti
+                gr, gi = _fixed(g, W)
+                for m2 in range(p + sgn, stop + sgn, sgn):
+                    ar, ai = (ar * gr - ai * gi) >> W, (ar * gi + ai * gr) >> W
+                    gr, gi = (gr * qr - gi * qi) >> W, (gr * qi + gi * qr) >> W
+                    k = base + (m2 & 3)
+                    half_re[k] += ar
+                    half_im[k] += ai
+    # the lattice part is even in m: each term also stands for -m, except
+    # the origin, which is its own mirror
+    acc = [(half_re[4 * r1 + r2] + half_re[4 * (-r1 % 4) + (-r2 % 4)],
+            half_im[4 * r1 + r2] + half_im[4 * (-r1 % 4) + (-r2 % 4)])
+           for r1 in range(4) for r2 in range(4)]
+    acc[0] = (acc[0][0] - (1 << W), acc[0][1])
+    out = []
+    with ctx.work():
         for ch in EVEN_CHARS:
-            s = mp.mpc(0)
+            sr = si = 0
             for r1 in range(ch.a1 % 2, 4, 2):
                 for r2 in range(ch.a2 % 2, 4, 2):
-                    s += ipow[(r1 * ch.b1 + r2 * ch.b2) % 4] * acc[r1][r2]
-            out.append(s)
-    with ctx.work():
-        return [+s for s in out]
+                    # multiply by i^k: each power of i is a swap and a negation
+                    ar, ai = acc[4 * r1 + r2]
+                    k = (r1 * ch.b1 + r2 * ch.b2) % 4
+                    if k & 1:
+                        ar, ai = -ai, ar
+                    if k & 2:
+                        ar, ai = -ar, -ai
+                    sr += ar
+                    si += ai
+            out.append(mp.mpc(mp.mpf((sr, -W)), mp.mpf((si, -W))))
+    return out
 
 
 def theta_constant(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):

@@ -195,6 +195,17 @@ def test_roots_coincident_seeds_raise(ctx, monkeypatch):
         poly_roots(IntPolynomial([1, 0, 1]), ctx)
 
 
+def test_roots_unconverged_polish_raises(ctx, monkeypatch):
+    # seeds 2^-130 outside the pair 1, 1 + 2^-140: near a close pair Newton
+    # only halves its distance per step, so it uses up its log2(workbits) + 6
+    # steps about 2^-163 from a root, where the residual check still passes
+    p = IntPolynomial([-1, 1]) * IntPolynomial([-1 - Fraction(1, 2 ** 140), 1])
+    monkeypatch.setattr(mp, "polyroots", lambda coeffs, **kw: [
+        1 - mp.mpf(2) ** -130, 1 + mp.mpf(2) ** -140 + mp.mpf(2) ** -130])
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        poly_roots(p, ctx)
+
+
 def test_roots_seeding_failure_is_arithmetic_error(ctx, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise NoConvergence("no convergence")

@@ -3,6 +3,7 @@ import pytest
 
 from g2heights import cmperiod, siegel
 from g2heights.prec import PrecisionContext
+from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
                              ThetaCharacteristic, _ellipsoid_rows,
                              archimedean_term, chi10, theta_all, theta_big,
@@ -134,11 +135,22 @@ def _truncation_cases(ctx):
                                             mp.mpc("-0.3", "60")),
                 "im z22 = 35": PeriodMatrix(mp.mpc("0.3", "0.98"), mp.mpc("-0.1", "0.4"),
                                             mp.mpc("0.45", "35")),
-                "ex1 unreduced": Z}
+                # row peaks m2 = -Im z12 m1 / Im z22 far from m2 = 0, where
+                # the fixed-point walk must start each row at its peak: ex1
+                # unreduced (ratio -0.36), and a matrix moved by the Sp4(Z)
+                # word T(1, 0, -1) diag(A, A^-T), A = (1 1; 0 1) (ratio 1.2)
+                "ex1 unreduced": Z,
+                "scrambled": siegel.act(
+                    SymplecticMatrix.translation(1, 0, -1)
+                    * SymplecticMatrix.embed_gl2([[1, 1], [0, 1]]),
+                    PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"),
+                                 mp.mpc("-0.3", "1.5")))}
 
 
 def test_truncation_soundness():
-    # the ellipsoid against a box whose tail is below 2^-(workbits + 64)
+    # the ellipsoid against a box whose tail is below 2^-(workbits + 64); on
+    # the cases with far row peaks this is also the absolute error of the
+    # fixed-point walk
     for bits in (256, 1024):
         ctx = PrecisionContext(bits)
         for name, Z in _truncation_cases(ctx).items():
@@ -165,3 +177,36 @@ def test_ellipsoid_rows_ex1(ctx):
     assert max(max(abs(m1), abs(m2)) for m1, m2 in inside) < 40
     assert half | {(-m1, -m2) for m1, m2 in half} == inside
     assert len(half) == (len(inside) + 1) // 2
+
+
+def _rows_oracle(Z, ctx, bits):
+    """The ten theta constants summed over exactly the half-lattice rows of
+    _ellipsoid_rows and their mirrors, one exponential per term, at `bits`
+    bits: the same truncation as theta_all, with no rounding to speak of."""
+    _, rows = _ellipsoid_rows(Z, ctx)
+    with mp.workprec(bits):
+        S = [[mp.mpc(0)] * 4 for _ in range(4)]
+        for m1, lo, hi in rows:
+            for m2 in range(lo, hi + 1):
+                t = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * m2 * Z.z12 + m2 * m2 * Z.z22) / 4)
+                S[m1 % 4][m2 % 4] += t
+                if (m1, m2) != (0, 0):
+                    S[-m1 % 4][-m2 % 4] += t
+        return [mp.fsum(mp.expjpi(mp.mpf(r1 * ch.b1 + r2 * ch.b2) / 2) * S[r1][r2]
+                        for r1 in range(ch.a1, 4, 2) for r2 in range(ch.a2, 4, 2))
+                for ch in EVEN_CHARS]
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_fixed_point_walk_relative_error(bits):
+    # at large Im z22 the THETA2 constants are as small as 2^-108; the e
+    # extra bits of the fixed-point scale keep their relative precision
+    ctx = PrecisionContext(bits)
+    cases = [PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "60")),
+             PeriodMatrix(mp.mpc("-0.2", "1.05"), mp.mpc("0.35", "0.25"), mp.mpc("0.15", "95"))]
+    for Z in cases:
+        vals = theta_all(Z, ctx)
+        ref = _rows_oracle(Z, ctx, ctx.workbits + 64)
+        with mp.workprec(ctx.workbits + 64):
+            for ch, x, y in zip(EVEN_CHARS, vals, ref):
+                assert abs(x - y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y), (Z, ch)
