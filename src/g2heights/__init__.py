@@ -5,8 +5,7 @@ CM fields, and the local decomposition through exact Igusa invariants plus
 the theta-constant archimedean term.
 """
 
-from .exact import (IntPolynomial, QuadElement, QuadModule, disc_n,
-                    module_norm, valuation)
+from .exact import IntPolynomial, disc_n, valuation
 from .prec import PrecisionContext, log_gamma, poly_roots
 from .igusa import (IgusaInvariants, WeierstrassEquation, discriminant,
                     finite_height_part, igusa_invariants, iota,
@@ -14,9 +13,9 @@ from .igusa import (IgusaInvariants, WeierstrassEquation, discriminant,
 from .theta import (EVEN_CHARS, PeriodMatrix, ThetaCharacteristic,
                     archimedean_term, chi10, theta_big, theta_constant)
 from .siegel import SymplecticMatrix, act, in_fundamental_domain, reduce
-from .cmperiod import check_lemma_easy, cusp_mu, period_matrix, select_tau
+from .cmperiod import check_lemma_easy, period_matrix, select_tau
 from .colmez import (DirichletCharacter, char_from_spec, char_weighted_sum,
-                     colmez_height, discriminant_relation)
+                     colmez_height)
 from .heights import (HeightBreakdown, compare, convert_normalization,
                       height_local)
 

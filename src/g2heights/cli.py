@@ -28,6 +28,7 @@ from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_thet
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
 )
+_RESIDUE_RE = re.compile(r"^\s*[+-]?\d+\s*$")
 
 
 class JobError(ValueError):
@@ -83,18 +84,24 @@ def job_ctx(job, args):
     return PrecisionContext(args.precision_bits or int(job.get("precision", 256)))
 
 
+def _char_pairs(job, key):
+    """The comma-separated `m=v` tokens of a character key, as {m: v}."""
+    pairs = {}
+    for tok in (t.strip() for t in job[key].split(",")):
+        m, sep, v = tok.partition("=")
+        if not sep or not _RESIDUE_RE.match(m):
+            raise JobError(f"{key}: bad token {tok!r} (want residue=value)")
+        pairs[int(m)] = v
+    return pairs
+
+
 def job_character(job):
     if "f_K" not in job:
         raise JobError("job lacks f_K")
     f = int(job["f_K"])
-    if "character_table" in job:
-        table = dict(tok.split("=") for tok in
-                     (t.strip() for t in job["character_table"].split(",")))
-        return char_from_spec(f, {"table": {int(k): v for k, v in table.items()}})
-    if "character_gen" in job:
-        gens = dict(tok.split("=") for tok in
-                    (t.strip() for t in job["character_gen"].split(",")))
-        return char_from_spec(f, {"gen": {int(k): v for k, v in gens.items()}})
+    for key, kind in (("character_table", "table"), ("character_gen", "gen")):
+        if key in job:
+            return char_from_spec(f, {kind: _char_pairs(job, key)})
     raise JobError("job lacks character_table / character_gen")
 
 

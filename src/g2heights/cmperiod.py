@@ -1,5 +1,5 @@
 """Period matrices of CM abelian surfaces over a real quadratic field F,
-cusp distances, and the numeric norm identity check.
+and the numeric norm identity check.
 
 The period matrix for CM type (tau1, tau2) and discriminant D is
     Z = (1/D) [[tau1 + tau2,              -tau1 th' - tau2 th],
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import IntPolynomial, QuadElement, QuadModule, module_norm
+from .exact import IntPolynomial
 from .prec import PrecisionContext, poly_roots
 from .theta import PeriodMatrix
 
@@ -52,8 +52,9 @@ def select_tau(spec, ctx: PrecisionContext):
 
 
 def period_matrix(tau1, tau2, delta: int, ctx: PrecisionContext) -> PeriodMatrix:
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if delta <= 0 or delta % 4 not in (0, 1):
+        raise ValueError(f"delta_F = {delta} is not a real quadratic "
+                         "discriminant (positive, and 0 or 1 mod 4)")
     with ctx.work():
         tau1, tau2 = mp.mpc(tau1), mp.mpc(tau2)
         if not (mp.im(tau1) > 0 and mp.im(tau2) > 0):
@@ -65,49 +66,6 @@ def period_matrix(tau1, tau2, delta: int, ctx: PrecisionContext) -> PeriodMatrix
         z12 = (-tau1 * thp - tau2 * th) / delta
         z22 = (tau1 * thp ** 2 + tau2 * th ** 2) / delta
         return PeriodMatrix(z11, z12, z22)  # raises if Im Z not pos. def.
-
-
-def _quad_mul(x: QuadElement, y: QuadElement) -> QuadElement:
-    D = x.delta
-    u = x.u * y.u + x.v * y.v * D
-    v = x.u * y.v + x.v * y.u
-    return QuadElement(u, v, x.w * y.w, D)
-
-
-def _div_sqrt(x: QuadElement) -> QuadElement:
-    # (u + v sqrt D)/(w sqrt D) = (v D + u sqrt D)/(w D)
-    return QuadElement(x.v * x.delta, x.u, x.w * x.delta, x.delta)
-
-
-def cusp_mu(alpha: QuadElement, beta: QuadElement, taus, delta: int,
-            ctx: PrecisionContext):
-    """mu(eta, tau) = N(alpha O_F + beta d^-1)^2 prod_l Im tau_l
-    / prod_l |phi_l(alpha) - phi_l(beta) tau_l|^2, with d the different."""
-    if alpha.is_zero() and beta.is_zero():
-        raise ValueError("(alpha, beta) must be nonzero")
-    theta = QuadElement(delta, 1, 2, delta)  # (D + sqrt D)/2
-    gens = []
-    for g in (alpha, _div_sqrt(beta) if not beta.is_zero() else beta):
-        if not g.is_zero():
-            gens.append(g)
-            gens.append(_quad_mul(g, theta))
-    n = module_norm(QuadModule(gens, delta))
-    with ctx.work():
-        sd = mp.sqrt(delta)
-        num = mp.mpf(n.numerator) / n.denominator
-        num = num * num
-        for t in taus:
-            num *= mp.im(mp.mpc(t))
-        den = mp.mpf(1)
-        for t, s in zip(taus, (sd, -sd)):
-            d = alpha.embed(s) - beta.embed(s) * mp.mpc(t)
-            a2 = mp.re(d) ** 2 + mp.im(d) ** 2
-            if a2 == 0:
-                raise ZeroDivisionError(
-                    "boundary degeneracy: tau equals a real ratio alpha/beta"
-                )
-            den *= a2
-        return +(num / den)
 
 
 def check_lemma_easy(norm_omega1, im_taus, ideal_norm: Fraction, delta_K: int,

@@ -145,10 +145,3 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
             s += mp.mpc(*unit) * mp.log(p)
         w = mp.mpc(wa, wb)
         return +(mp.log(f) / 2 + f * mp.re(s / w))
-
-
-def discriminant_relation(f: int, delta_F: int) -> int:
-    """Delta_K = f^2 Delta_F."""
-    if delta_F <= 0 or delta_F % 4 not in (0, 1):
-        raise ValueError("delta_F must be a positive fundamental discriminant")
-    return f * f * delta_F

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: p-adic valuations, binary-form discriminants,
-and norms of rank-2 Z-modules in a real quadratic field.
+"""Exact rational arithmetic: primality, p-adic valuations, polynomials and
+binary-form discriminants.
 
 Everything in this module is exact; no floating point enters.  Rationals are
 Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
@@ -8,12 +8,7 @@ Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
-
-
-class RankDeficientError(ValueError):
-    """Generator set does not span a rank-2 Z-module."""
 
 
 def is_prime(n: int) -> bool:
@@ -231,86 +226,3 @@ def _disc_exact(p: IntPolynomial) -> Fraction:
     lead = p.coeffs[-1]
     res = resultant(p.coeffs, p.derivative().coeffs)
     return Fraction((-1) ** (d * (d - 1) // 2)) * res / lead
-
-
-class QuadElement:
-    """(u + v*sqrt(D))/w with integer u, v and w >= 1, in the real quadratic
-    field of fundamental discriminant D > 0."""
-
-    def __init__(self, u: int, v: int, w: int, delta: int):
-        if delta <= 0 or delta % 4 not in (0, 1):
-            raise ValueError("delta must be a positive discriminant (0 or 1 mod 4)")
-        if w == 0:
-            raise ValueError("zero denominator")
-        if w < 0:
-            u, v, w = -u, -v, -w
-        g = gcd(gcd(abs(u), abs(v)), w)
-        if g > 1:
-            u, v, w = u // g, v // g, w // g
-        self.u, self.v, self.w, self.delta = u, v, w, delta
-
-    def coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates over the integral basis (1, theta), theta = (D+sqrt(D))/2,
-        using sqrt(D) = 2*theta - D."""
-        # (u + v sqrt D)/w = (u - v D)/w * 1 + (2v/w) * theta
-        return (Fraction(self.u - self.v * self.delta, self.w),
-                Fraction(2 * self.v, self.w))
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
-    def embed(self, sqrt_delta):
-        """Numeric image under the embedding sending sqrt(D) to +sqrt_delta."""
-        return (self.u + self.v * sqrt_delta) / self.w
-
-    def __repr__(self):
-        return f"QuadElement(({self.u}+{self.v}*sqrt({self.delta}))/{self.w})"
-
-
-class QuadModule:
-    """Z-module in a real quadratic field, given by a finite generator list."""
-
-    def __init__(self, generators: Sequence[QuadElement], delta: int):
-        if any(g.delta != delta for g in generators):
-            raise ValueError("mixed ambient discriminants")
-        self.generators = list(generators)
-        self.delta = delta
-
-
-def module_norm(m: QuadModule) -> Fraction:
-    """|det B| where B is a Z-basis of the module in the basis (1, theta) of O_F.
-
-    Uses exact Hermite reduction on the generator coordinate matrix.
-    """
-    rows = [g.coords() for g in m.generators if not g.is_zero()]
-    if not rows:
-        raise RankDeficientError("no nonzero generators")
-    den = 1
-    for a, b in rows:
-        den = den * a.denominator // gcd(den, a.denominator)
-        den = den * b.denominator // gcd(den, b.denominator)
-    ints = [(int(a * den), int(b * den)) for a, b in rows]
-    # HNF of a set of integer row vectors in Z^2 via gcd elimination
-    # reduce to two pivot rows
-    rows2 = [list(r) for r in ints]
-    # eliminate first column
-    while True:
-        nz = [r for r in rows2 if r[0] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        p = nz[0]
-        for r in nz[1:]:
-            q = r[0] // p[0]
-            r[0] -= q * p[0]
-            r[1] -= q * p[1]
-    pivot1 = next((r for r in rows2 if r[0] != 0), None)
-    rest = [r[1] for r in rows2 if r[0] == 0 and r[1] != 0]
-    if pivot1 is None or not rest:
-        raise RankDeficientError("generators span a rank <= 1 module")
-    g2 = 0
-    for b in rest:
-        g2 = gcd(g2, b)
-    det = abs(pivot1[0] * g2)
-    return Fraction(det, den * den)
-

@@ -48,7 +48,8 @@ class WeierstrassEquation:
         if f.degree not in (5, 6):
             raise SingularCurveError("4P + Q^2 must have degree 5 or 6")
         self.sextic4 = IntPolynomial(f.coeffs, 6)  # 4P + Q^2 as a binary sextic
-        if disc_n(self.sextic4, 6) == 0:
+        self.disc6 = disc_n(self.sextic4, 6)  # the I10 of 4P + Q^2
+        if self.disc6 == 0:
             raise SingularCurveError("vanishing discriminant")
 
 
@@ -118,6 +119,7 @@ def _transvectant(f: _BF, g: _BF, k: int) -> _BF:
 
 
 def _igusa_clebsch(sextic: IntPolynomial):
+    """(I2, I4, I6) of the sextic; I10 is its discriminant disc_6."""
     # sextic given lowest degree first; _BF wants x-descending
     cs = list(sextic.coeffs) + [Fraction(0)] * (7 - len(sextic.coeffs))
     f = _BF(list(reversed(cs)), 6)
@@ -129,16 +131,12 @@ def _igusa_clebsch(sextic: IntPolynomial):
     I2 = -120 * A
     I4 = -720 * A ** 2 + 6750 * B
     I6 = 8640 * A ** 3 - 108000 * A * B + 202500 * C
-    I10 = disc_n(sextic, 6)
-    return I2, I4, I6, I10
+    return I2, I4, I6
 
 
 def discriminant(eq: WeierstrassEquation) -> Fraction:
     """Delta_E = 2^-12 disc_6(4P + Q^2)."""
-    d = disc_n(eq.sextic4, 6)
-    if d == 0:
-        raise SingularCurveError("vanishing discriminant")
-    return d / 2 ** 12
+    return eq.disc6 / 2 ** 12
 
 
 def igusa_invariants(eq: WeierstrassEquation) -> IgusaInvariants:
@@ -146,14 +144,12 @@ def igusa_invariants(eq: WeierstrassEquation) -> IgusaInvariants:
 
     J10 = 2^-12 disc_6(f) = discriminant(eq) / 2^20.
     """
-    I2, I4, I6, I10 = _igusa_clebsch(eq.sextic4)
-    if I10 == 0:
-        raise SingularCurveError("vanishing discriminant")
+    I2, I4, I6 = _igusa_clebsch(eq.sextic4)
     J2 = I2 / 8
     J4 = (4 * J2 ** 2 - I4) / 96
     J6 = (8 * J2 ** 3 - 160 * J2 * J4 - I6) / 576
     J8 = (J2 * J6 - J4 ** 2) / 4
-    J10 = Fraction(I10, 4096)
+    J10 = eq.disc6 / 4096
     # 4P + Q^2 = 4f: J_{2k}(uf) = u^(2k) J_{2k}(f), so divide by 4^(2k)
     return IgusaInvariants(J2 / 4 ** 2, J4 / 4 ** 4, J6 / 4 ** 6,
                            J8 / 4 ** 8, J10 / 4 ** 10)

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import NoConvergence
 
-from g2heights.cli import main, parse_complex, parse_job, JobError
+from g2heights.cli import JobError, job_character, main, parse_complex, parse_job
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
@@ -107,6 +107,32 @@ def test_unknown_job_key(tmp_path, capsys):
     with pytest.raises(JobError, match=r"ex3plus\.job:10: unknown key 'primes'"):
         parse_job(path)
     assert main(["compare", path]) == 1
+
+
+def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
+    # 7 is 3 mod 4, so no real quadratic field has it as discriminant; the
+    # appended line overrides the job's delta_F = 8
+    assert main(["compare", _ex3_with(tmp_path, "delta_F = 7\n")]) == 1
+    assert ("delta_F = 7 is not a real quadratic discriminant"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key,value,token", [
+    ("character_table", "1", "'1'"),
+    ("character_table", "1=1, 3", "'3'"),
+    ("character_gen", "x=i", "'x=i'"),
+], ids=["no-equals", "bare-residue", "non-integer-residue"])
+def test_bad_character_token_exit1(tmp_path, capsys, key, value, token):
+    path = tmp_path / "badchar.job"
+    with open(os.path.join(JOBS, "ex3.job")) as fh:
+        path.write_text("".join(line for line in fh
+                                if not line.startswith("character_table"))
+                        + f"{key} = {value}\n")
+    path = str(path)
+    with pytest.raises(JobError, match=f"{key}: bad token {token}"):
+        job_character(parse_job(path))
+    assert main(["height-colmez", path]) == 1
+    assert f"error: {key}: bad token {token}" in capsys.readouterr().err
 
 
 def test_precision_flag_overrides_job(capsys):

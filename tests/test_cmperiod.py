@@ -1,9 +1,9 @@
 import mpmath as mp
 import pytest
 
-from g2heights.cmperiod import (TauSelectionError, check_lemma_easy, cusp_mu,
+from g2heights.cmperiod import (TauSelectionError, check_lemma_easy,
                                 period_matrix, select_tau)
-from g2heights.exact import IntPolynomial, QuadElement
+from g2heights.exact import IntPolynomial
 from g2heights.prec import PrecisionContext
 
 
@@ -68,34 +68,11 @@ def test_period_matrix_swap_exchanges_theta(ctx):
         assert abs(B.z12 - z12_swapped) < ctx.tol
 
 
-def test_cusp_mu_infinity(ctx):
-    # eta = [1:0]: mu = Im tau1 * Im tau2
-    with ctx.work():
-        alpha = QuadElement(1, 0, 1, 5)
-        beta = QuadElement(0, 0, 1, 5)
-        taus = (mp.mpc("0.5", "1.7"), mp.mpc("-0.3", "2.2"))
-        mu = cusp_mu(alpha, beta, taus, 5, ctx)
-        assert abs(mu - mp.mpf("1.7") * mp.mpf("2.2")) < ctx.tol
-        taus_i = (mp.mpc(0, 1), mp.mpc(0, 1))
-        assert abs(cusp_mu(alpha, beta, taus_i, 5, ctx) - 1) < ctx.tol
-
-
-def test_cusp_mu_scaling_invariance(ctx):
-    with ctx.work():
-        taus = (mp.mpc("0.5", "1.7"), mp.mpc("-0.3", "2.2"))
-        alpha = QuadElement(3, 1, 1, 5)
-        beta = QuadElement(1, -1, 1, 5)
-        a2 = QuadElement(6, 2, 1, 5)
-        b2 = QuadElement(2, -2, 1, 5)
-        m1 = cusp_mu(alpha, beta, taus, 5, ctx)
-        m2 = cusp_mu(a2, b2, taus, 5, ctx)
-        assert abs(m1 - m2) < ctx.tol * max(1, m1)
-
-
-def test_cusp_mu_zero_pair(ctx):
-    with pytest.raises(ValueError):
-        cusp_mu(QuadElement(0, 0, 1, 5), QuadElement(0, 0, 1, 5),
-                (mp.mpc(0, 1), mp.mpc(0, 1)), 5, ctx)
+@pytest.mark.parametrize("delta", [0, -3, 2, 3, 6, 7])
+def test_period_matrix_rejects_non_discriminant(ctx, delta):
+    # a real quadratic discriminant is positive and 0 or 1 mod 4
+    with pytest.raises(ValueError, match="not a real quadratic discriminant"):
+        period_matrix(mp.mpc(0, 1), mp.mpc(0, 2), delta, ctx)
 
 
 def test_lemma_easy_example1(ctx):

@@ -5,8 +5,7 @@ import pytest
 
 from g2heights import colmez
 from g2heights.colmez import (CharacterError, char_from_spec,
-                              char_weighted_sum, colmez_height,
-                              discriminant_relation, half_residues)
+                              char_weighted_sum, colmez_height, half_residues)
 from g2heights.prec import PrecisionContext, log_gamma
 
 CHI5 = {"table": {1: "1", 2: "i", 3: "-i", 4: "-1"}}
@@ -116,11 +115,3 @@ def test_reflection_halves_log_gamma_calls(ctx, monkeypatch, f, spec, calls):
     colmez_height(chi, ctx)
     assert seen == [Fraction(m, f) for m in half_residues(chi)]
     assert len(seen) == calls
-
-
-def test_discriminant_relation():
-    assert discriminant_relation(5, 5) == 125
-    assert discriminant_relation(61, 61) == 61 ** 3
-    assert discriminant_relation(16, 8) == 2 ** 11
-    with pytest.raises(ValueError):
-        discriminant_relation(5, 6)

@@ -3,9 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2heights.exact import (IntPolynomial, QuadElement, QuadModule,
-                             RankDeficientError, disc_n, module_norm,
-                             valuation)
+from g2heights.exact import IntPolynomial, disc_n, valuation
 
 
 def test_valuation_examples():
@@ -61,47 +59,3 @@ def test_disc_shift_invariance():
         p = IntPolynomial(cs, 6)
         c = rng.randint(-3, 3)
         assert disc_n(p.shift(c), 6) == disc_n(p, 6)
-
-
-def test_module_norm_examples():
-    D = 5
-    one = QuadElement(1, 0, 1, D)
-    theta = QuadElement(D, 1, 2, D)
-    assert module_norm(QuadModule([one, theta], D)) == 1
-    two = QuadElement(2, 0, 1, D)
-    twotheta = QuadElement(2 * D, 2, 2, D)
-    assert module_norm(QuadModule([two, twotheta], D)) == 4
-    # d^-1 = (1/sqrt(D)) O_F has norm 1/D
-    inv_sqrt = QuadElement(0, 1, D, D)
-    theta_over = QuadElement(1, 1, 2, D)  # theta/sqrt(D) = (1+sqrt(5))/2
-    assert module_norm(QuadModule([inv_sqrt, theta_over], D)) == F(1, D)
-
-
-def test_module_norm_unimodular_invariance():
-    D = 13
-    rng = random.Random(2)
-    g1 = QuadElement(3, 1, 2, D)
-    g2 = QuadElement(-1, 2, 1, D)
-    base = module_norm(QuadModule([g1, g2], D))
-    for _ in range(10):
-        # random SL2(Z) combination
-        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        c = rng.randint(-3, 3)
-        d = (1 + b * c) // a if a != 0 and (1 + b * c) % a == 0 else None
-        if d is None:
-            a, b, c, d = 1, rng.randint(-5, 5), 0, 1
-        h1 = QuadElement(a * g1.u * g2.w + b * g2.u * g1.w,
-                         a * g1.v * g2.w + b * g2.v * g1.w,
-                         g1.w * g2.w, D)
-        h2 = QuadElement(c * g1.u * g2.w + d * g2.u * g1.w,
-                         c * g1.v * g2.w + d * g2.v * g1.w,
-                         g1.w * g2.w, D)
-        assert module_norm(QuadModule([h1, h2], D)) == base
-
-
-def test_module_norm_rank_deficient():
-    D = 5
-    g = QuadElement(3, 1, 1, D)
-    g2 = QuadElement(6, 2, 1, D)
-    with pytest.raises(RankDeficientError):
-        module_norm(QuadModule([g, g2], D))
