@@ -2,8 +2,10 @@
 per-characteristic theta bounds (0.44 / 0.75 / 1.12 rules), the chi10 lower
 bound with c0 = 8e-5, and the elementary complex-exponential inequalities.
 
-These are theorems on F2; any violation (beyond tracked error) is an
-implementation bug, so the sampling harness treats a single failure as fatal.
+check_bounds tests every lemma bound at one Z in F2 from a single theta_all
+call; verify_bounds runs it over deterministic samples of F2.  These are
+theorems on F2; any violation (beyond tracked error) is an implementation
+bug, so the sampling harness treats a single failure as fatal.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import mpmath as mp
 from . import siegel
 from .prec import PrecisionContext
 from .theta import (EVEN_CHARS, PeriodMatrix, ThetaCharacteristic,
-                    _chi10_from_thetas, chi10, theta_all)
+                    _chi10_from_thetas, theta_all)
 
 CHI10_C0 = mp.mpf(8) / 10 ** 5
 
@@ -59,18 +61,6 @@ def theta_lb(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):
         return mp.mpf("1.12") * factor * expo, "a=(1/2,1/2)"
 
 
-def check_theta_lb(ch: ThetaCharacteristic, Z: PeriodMatrix,
-                   ctx: PrecisionContext) -> BoundCheck:
-    _require_f2(Z, ctx)
-    if not ch.is_even():
-        raise ValueError("odd characteristic")
-    with ctx.work():
-        bound, rule = theta_lb(ch, Z, ctx)
-        val = abs(theta_all(Z, ctx)[EVEN_CHARS.index(ch)])
-        return BoundCheck(bound=+bound, value=+val,
-                          passed=bool(val >= bound - ctx.tol), rule=rule)
-
-
 def chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
     """The (sharp, weak) lemma lower bounds for |chi10(Z)| on F2."""
     with ctx.work():
@@ -80,16 +70,19 @@ def chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
                 pref * mp.exp(-2 * ctx.pi * (y11 + y22)))
 
 
-def check_chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
-    """Sharp and weak chi10 lower bounds; pass iff value >= sharp bound."""
+def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:
+    """Every lemma bound at Z in F2, from one theta_all: the ten theta bounds
+    in EVEN_CHARS order, then the sharp and the weak chi10 bound."""
     _require_f2(Z, ctx)
     with ctx.work():
+        vals = theta_all(Z, ctx)
+        cases = [(abs(v), *theta_lb(ch, Z, ctx)) for ch, v in zip(EVEN_CHARS, vals)]
+        c = abs(_chi10_from_thetas(vals))
         sharp, weak = chi10_lb(Z, ctx)
-        val = abs(chi10(Z, ctx))
-        return BoundCheck(bound=+sharp, value=+val,
-                          passed=bool(val >= sharp - ctx.tol), rule="chi10 sharp"), \
-               BoundCheck(bound=+weak, value=+val,
-                          passed=bool(val >= weak - ctx.tol), rule="chi10 weak")
+        cases += [(c, sharp, "chi10 sharp"), (c, weak, "chi10 weak")]
+        return [BoundCheck(bound=+bound, value=+val,
+                           passed=bool(val >= bound - ctx.tol), rule=rule)
+                for val, bound, rule in cases]
 
 
 def check_exp_ineq(z, ctx: PrecisionContext) -> bool:
@@ -132,26 +125,22 @@ def sample_fundamental_domain(n: int, seed: int, ctx: PrecisionContext):
 
 
 def verify_bounds(n: int, seed: int, ctx: PrecisionContext):
-    """Run every lemma bound over n sampled matrices; returns (failures, total
+    """Run check_bounds over n sampled matrices; returns (failures, total
     checks).  failures is a list of (description, serialized Z) for replay."""
     failures = []
     checks = 0
     samples = sample_fundamental_domain(n, seed, ctx)
     with ctx.work():
         for Z in samples:
-            vals = theta_all(Z, ctx)
-            for ch, tv in zip(EVEN_CHARS, vals):
-                bound, rule = theta_lb(ch, Z, ctx)
-                checks += 1
-                if not abs(tv) >= bound - ctx.tol:
-                    failures.append((f"theta bound {rule} ch={ch}", repr(Z)))
-            c = _chi10_from_thetas(vals)
-            sharp, weak = chi10_lb(Z, ctx)
-            checks += 2
-            if not abs(c) >= sharp - ctx.tol:
-                failures.append(("chi10 sharp bound", repr(Z)))
-            if not abs(c) >= weak - ctx.tol:
-                failures.append(("chi10 weak bound", repr(Z)))
-            if weak > sharp + ctx.tol:
+            results = check_bounds(Z, ctx)
+            checks += len(results)
+            for ch, r in zip(EVEN_CHARS, results):
+                if not r.passed:
+                    failures.append((f"theta bound {r.rule} ch={ch}", repr(Z)))
+            sharp, weak = results[len(EVEN_CHARS):]
+            for r in (sharp, weak):
+                if not r.passed:
+                    failures.append((f"{r.rule} bound", repr(Z)))
+            if weak.bound > sharp.bound + ctx.tol:
                 failures.append(("weak bound exceeds sharp bound", repr(Z)))
     return failures, checks

@@ -16,8 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import bounds, cmperiod, siegel
-from .colmez import (CharacterError, char_from_spec, char_weighted_sum, colmez_height,
-                     half_residues)
+from .colmez import char_from_spec, char_weighted_sum, colmez_height, half_residues
 from .exact import IntPolynomial, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
@@ -79,9 +78,23 @@ def job_curve(job):
     return WeierstrassEquation(P, Q)
 
 
+def _int_key(job, key, default=None):
+    """The job's integer value for key, else default if one is given."""
+    if key not in job:
+        if default is None:
+            raise JobError(f"job lacks {key}")
+        return default
+    try:
+        return int(job[key])
+    except ValueError:
+        raise JobError(f"{key}: not an integer: {job[key]!r}") from None
+
+
 def job_ctx(job, args):
-    """--precision-bits if given, else the job's precision, else 256 bits."""
-    return PrecisionContext(args.precision_bits or int(job.get("precision", 256)))
+    """--precision-bits if given, else the job's precision, else 256 bits.
+    The job's precision is checked either way."""
+    bits = _int_key(job, "precision", 256)
+    return PrecisionContext(args.precision_bits or bits)
 
 
 def _char_pairs(job, key):
@@ -96,9 +109,7 @@ def _char_pairs(job, key):
 
 
 def job_character(job):
-    if "f_K" not in job:
-        raise JobError("job lacks f_K")
-    f = int(job["f_K"])
+    f = _int_key(job, "f_K")
     for key, kind in (("character_table", "table"), ("character_gen", "gen")):
         if key in job:
             return char_from_spec(f, {kind: _char_pairs(job, key)})
@@ -106,9 +117,7 @@ def job_character(job):
 
 
 def job_periods(job, ctx):
-    if "delta_F" not in job:
-        raise JobError("job lacks delta_F")
-    delta = int(job["delta_F"])
+    delta = _int_key(job, "delta_F")
     if "tau_poly" in job:
         poly = IntPolynomial(_rat_list(job["tau_poly"]))
         t1, t2 = cmperiod.select_tau(poly, ctx)
@@ -291,8 +300,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (JobError, CharacterError, ValueError, OSError,
-            ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print("error:", exc, file=sys.stderr)
         return 1
 

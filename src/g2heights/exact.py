@@ -118,32 +118,6 @@ class IntPolynomial:
             out[0] = c * prev[0] + a
         return IntPolynomial(out, self.formal_degree)
 
-    def gcd_degree_with_derivative(self) -> int:
-        """Degree of gcd(p, p'); 0 means squarefree."""
-        a = list(self.coeffs)
-        b = [i * c for i, c in enumerate(self.coeffs)][1:]
-        while b and any(v != 0 for v in b):
-            a, b = b, _poly_mod(a, b)
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return len(a) - 1
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b.pop()
-    while len(a) >= len(b) and any(v != 0 for v in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i in range(len(b)):
-            a[off + i] -= q * b[i]
-        a.pop()
-    return a
-
 
 def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
     """Sylvester resultant of two polynomials given lowest-degree-first,

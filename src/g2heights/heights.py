@@ -4,9 +4,9 @@ and conversion between height normalizations.
 The local route:  h = (1/[k:Q]) [ finite part from the Igusa invariants
 + sum over embeddings of -(1/10) log(2^8 pi^10 |chi10(Z_red)| det(Im Z_red)^5) ].
 
-Hypotheses restated on every report: the jacobian has good reduction
-everywhere, and (for the CM comparison) its endomorphism ring is the full
-ring of integers of the CM field.
+HYPOTHESES, printed with every CLI height report: the jacobian has good
+reduction everywhere, and (for the CM comparison) its endomorphism ring is
+the full ring of integers of the CM field.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import siegel
 from .colmez import DirichletCharacter, colmez_height
 from .igusa import WeierstrassEquation, finite_height_part, igusa_invariants
 from .prec import PrecisionContext
-from .theta import PeriodMatrix, archimedean_term
+from .theta import archimedean_term
 
 HYPOTHESES = (
     "assumes the jacobian has good reduction at every finite place",
@@ -34,7 +34,6 @@ class HeightBreakdown:
     arch_terms: list  # (label, value) pairs; values include 2^8 pi^10
     total: object
     error_bound: object
-    notes: tuple = HYPOTHESES
     local_ledger: list = field(default_factory=list)
 
 
@@ -65,10 +64,8 @@ class ComparisonReport:
     local: HeightBreakdown
     colmez: object
     discrepancy: object
-    tolerance: object
     passed: bool
     precision_bits: int
-    notes: tuple = HYPOTHESES
 
 
 def compare(curve: WeierstrassEquation, periods, degree: int,
@@ -78,10 +75,9 @@ def compare(curve: WeierstrassEquation, periods, degree: int,
         local = height_local(curve, periods, degree, ctx)
         hc = colmez_height(chi, ctx)
         disc = abs(local.total - hc)
-        tol = mp.mpf(tolerance)
         return ComparisonReport(
-            local=local, colmez=hc, discrepancy=+disc, tolerance=tol,
-            passed=bool(disc < tol), precision_bits=ctx.prec,
+            local=local, colmez=hc, discrepancy=+disc,
+            passed=bool(disc < mp.mpf(tolerance)), precision_bits=ctx.prec,
         )
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import NoConvergence
 
-from .exact import IntPolynomial
+from .exact import IntPolynomial, resultant
 
 GUARD_BITS = 32
 
@@ -158,12 +158,13 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     Newton's method then polishes each one.  Horner runs on the exact
     integer coefficients, and the polish at workbits + 32 + log2(1/gap),
     gap the smallest distance between two seeds: a root of a pair that
-    close is known to about 2^-precision / gap.  Raises ArithmeticError if
-    the seeding fails, a Newton polish uses up its log2(workbits) + 6 steps
-    before a step falls below 2^-workbits |z|, a residual is too large, or
-    two polished roots coincide to within 2^-(workbits/2) |z|.
+    close is known to about 2^-precision / gap.  Raises ValueError if
+    Res(p, p') = 0, and ArithmeticError if the seeding fails, a Newton
+    polish uses up its log2(workbits) + 6 steps before a step falls below
+    2^-workbits |z|, a residual is too large, or two polished roots
+    coincide to within 2^-(workbits/2) |z|.
     """
-    if p.gcd_degree_with_derivative() != 0:
+    if resultant(p.coeffs, p.derivative().coeffs) == 0:
         raise ValueError("polynomial is not squarefree")
     deg = p.degree
     if deg == 0:

@@ -50,9 +50,6 @@ class ThetaCharacteristic:
     b1: int
     b2: int
 
-    def is_even(self) -> bool:
-        return (self.a1 * self.b1 + self.a2 * self.b2) % 2 == 0
-
 
 THETA1 = [ThetaCharacteristic(0, 0, 0, 0), ThetaCharacteristic(0, 0, 0, 1),
           ThetaCharacteristic(0, 0, 1, 0), ThetaCharacteristic(0, 0, 1, 1)]
@@ -229,16 +226,6 @@ def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
                     si += ai
             out.append(mp.mpc(mp.mpf((sr, -W)), mp.mpf((si, -W))))
     return out
-
-
-def theta_constant(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):
-    if not ch.is_even():
-        raise ValueError("odd characteristic")
-    vals = theta_all(Z, ctx)
-    try:
-        return vals[EVEN_CHARS.index(ch)]
-    except ValueError:
-        raise ValueError("characteristic not among the ten even ones") from None
 
 
 def _chi10_from_thetas(vals):

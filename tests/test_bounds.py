@@ -3,17 +3,22 @@ import random
 import mpmath as mp
 import pytest
 
-from g2heights.bounds import (check_chi10_lb, check_exp_ineq, check_theta_lb,
-                              sample_fundamental_domain, verify_bounds)
-from g2heights.theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic
+from g2heights import bounds
+from g2heights.bounds import (check_bounds, check_exp_ineq, sample_fundamental_domain,
+                              theta_lb, verify_bounds)
+from g2heights.theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, theta_all
 
 
 def iI():
     return PeriodMatrix(mp.mpc(0, 1), 0, mp.mpc(0, 1))
 
 
+def theta_check(ch, Z, ctx):
+    return check_bounds(Z, ctx)[EVEN_CHARS.index(ch)]
+
+
 def test_theta_lb_a0_iI(ctx):
-    r = check_theta_lb(ThetaCharacteristic(0, 0, 0, 0), iI(), ctx)
+    r = theta_check(ThetaCharacteristic(0, 0, 0, 0), iI(), ctx)
     with ctx.work():
         assert r.rule == "a=0"
         assert abs(r.bound - mp.mpf("0.44")) < ctx.tol
@@ -22,7 +27,7 @@ def test_theta_lb_a0_iI(ctx):
 
 
 def test_theta_lb_half_iI(ctx):
-    r = check_theta_lb(ThetaCharacteristic(1, 0, 0, 0), iI(), ctx)
+    r = theta_check(ThetaCharacteristic(1, 0, 0, 0), iI(), ctx)
     with ctx.work():
         assert abs(r.bound - mp.mpf("0.75") * mp.exp(-ctx.pi / 4)) < ctx.tol
         assert abs(r.value - mp.mpf("0.9925")) < 1e-3
@@ -31,7 +36,7 @@ def test_theta_lb_half_iI(ctx):
 
 def test_theta_lb_1100_diagonal_equality(ctx):
     # nu = 0 characteristic on a diagonal matrix: bound 0, value 0
-    r = check_theta_lb(ThetaCharacteristic(1, 1, 1, 1), iI(), ctx)
+    r = theta_check(ThetaCharacteristic(1, 1, 1, 1), iI(), ctx)
     with ctx.work():
         assert r.bound < ctx.tol
         assert r.value < ctx.tol
@@ -41,11 +46,11 @@ def test_theta_lb_1100_diagonal_equality(ctx):
 def test_theta_lb_requires_f2(ctx):
     bad = PeriodMatrix(mp.mpc(5, 1), 0, mp.mpc(0, 1))
     with pytest.raises(ValueError):
-        check_theta_lb(ThetaCharacteristic(0, 0, 0, 0), bad, ctx)
+        check_bounds(bad, ctx)
 
 
 def test_chi10_lb_iI(ctx):
-    sharp, weak = check_chi10_lb(iI(), ctx)
+    sharp, weak = check_bounds(iI(), ctx)[-2:]
     with ctx.work():
         assert sharp.bound < ctx.tol and sharp.passed
         assert weak.bound < ctx.tol and weak.passed
@@ -53,9 +58,29 @@ def test_chi10_lb_iI(ctx):
 
 def test_chi10_lb_sampled(ctx128):
     for Z in sample_fundamental_domain(5, 42, ctx128):
-        sharp, weak = check_chi10_lb(Z, ctx128)
+        sharp, weak = check_bounds(Z, ctx128)[-2:]
         assert sharp.passed and weak.passed
         assert weak.bound <= sharp.bound + ctx128.tol
+
+
+def test_check_bounds_order_and_one_theta_sum(monkeypatch, ctx128):
+    Z = sample_fundamental_domain(1, 42, ctx128)[0]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return theta_all(*args)
+    monkeypatch.setattr(bounds, "theta_all", counted)
+    results = check_bounds(Z, ctx128)
+    assert len(calls) == 1
+    assert [r.rule for r in results] == (
+        [theta_lb(ch, Z, ctx128)[1] for ch in EVEN_CHARS] + ["chi10 sharp", "chi10 weak"])
+    with ctx128.work():
+        vals = theta_all(Z, ctx128)
+        assert [r.value for r in results[:10]] == [abs(v) for v in vals]
+        assert [r.bound for r in results[:10]] == [theta_lb(ch, Z, ctx128)[0]
+                                                   for ch in EVEN_CHARS]
+        assert all(r.passed for r in results)
 
 
 def test_exp_ineq_examples(ctx):

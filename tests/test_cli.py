@@ -1,5 +1,4 @@
 import os
-import sys
 
 import mpmath as mp
 import pytest
@@ -158,6 +157,18 @@ def test_missing_f_K_exit1(tmp_path, capsys):
 def test_missing_delta_F_exit1(tmp_path, capsys):
     assert main(["height-local", _ex3_without(tmp_path, "delta_F")]) == 1
     assert "job lacks delta_F" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("f_K", "16.0", ["height-colmez"]),
+    ("delta_F", "eight", ["height-local"]),
+    ("precision", "abc", ["compare"]),
+    ("precision", "abc", ["--precision-bits", "128", "compare"]),
+], ids=["f_K", "delta_F", "precision", "precision-under-flag"])
+def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command):
+    # the appended line overrides the job's own value for key
+    assert main(command + [_ex3_with(tmp_path, f"{key} = {value}\n")]) == 1
+    assert f"error: {key}: not an integer: '{value}'" in capsys.readouterr().err
 
 
 def test_theta_reports_truncation(capsys):

@@ -6,8 +6,7 @@ from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
                              ThetaCharacteristic, _ellipsoid_rows,
-                             archimedean_term, chi10, theta_all, theta_big,
-                             theta_constant)
+                             archimedean_term, chi10, theta_all, theta_big)
 
 
 def theta1d(a, b, tau, R=40):
@@ -32,7 +31,7 @@ def test_posdef_required():
 
 def test_theta00_iI(ctx):
     with ctx.work():
-        v = theta_constant(ThetaCharacteristic(0, 0, 0, 0), iI(), ctx)
+        v = theta_all(iI(), ctx)[EVEN_CHARS.index(ThetaCharacteristic(0, 0, 0, 0))]
         oracle = theta1d(0, 0, mp.mpc(0, 1)) ** 2
         assert abs(v - oracle) < ctx.tol
         assert abs(v - mp.mpf("1.180340599016096226")) < 1e-15
@@ -40,14 +39,9 @@ def test_theta00_iI(ctx):
 
 def test_theta_half0_iI(ctx):
     with ctx.work():
-        v = theta_constant(ThetaCharacteristic(1, 0, 0, 0), iI(), ctx)
+        v = theta_all(iI(), ctx)[EVEN_CHARS.index(ThetaCharacteristic(1, 0, 0, 0))]
         oracle = theta1d(1, 0, mp.mpc(0, 1)) * theta1d(0, 0, mp.mpc(0, 1))
         assert abs(v - oracle) < ctx.tol
-
-
-def test_odd_char_rejected(ctx):
-    with pytest.raises(ValueError):
-        theta_constant(ThetaCharacteristic(1, 1, 1, 0), iI(), ctx)
 
 
 def test_diagonal_factorization_all(ctx):
