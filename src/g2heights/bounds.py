@@ -33,7 +33,7 @@ class BoundCheck:
 
 def _require_f2(Z: PeriodMatrix, ctx: PrecisionContext):
     with ctx.work():
-        if not siegel.in_fundamental_domain(Z, mp.mpf(2) ** (-ctx.prec // 2)):
+        if not siegel.in_fundamental_domain(Z, siegel.f2_tol(ctx)):
             raise ValueError("Z is not in the fundamental domain")
 
 
@@ -116,11 +116,9 @@ def sample_fundamental_domain(n: int, seed: int, ctx: PrecisionContext):
             try:
                 Z = PeriodMatrix(mp.mpc(x11, y11), mp.mpc(x12, y12),
                                  mp.mpc(x22, y22))
-                _, zred = siegel.reduce(Z, ctx)
+                out.append(siegel.reduce(Z, ctx)[1])
             except (ValueError, ArithmeticError):
                 continue
-            if siegel.in_fundamental_domain(zred, mp.mpf(2) ** (-ctx.prec // 2)):
-                out.append(zred)
     return out
 
 

@@ -1,5 +1,8 @@
-"""Sp4(Z) action on the Siegel upper half-space H2, membership test for the
-fundamental domain F2, and the reduction algorithm.
+"""Sp4(Z) action on the Siegel upper half-space H2, and the reduction to
+the fundamental domain F2.
+
+F2 is written once, as the moves of _step: Z is in F2 when no reduction
+step applies, and reduce applies steps until none does.
 
 Condition (i) (det Im(gamma Z) <= det Im Z for all gamma) is enforced through
 a finite determinant test set.  We use a superset of Gottschling's 19
@@ -143,78 +146,74 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     return PeriodMatrix(w11, (w12 + w21) / 2, w22)
 
 
-def in_fundamental_domain(Z: PeriodMatrix, tol) -> bool:
-    tol = mp.mpf(tol)
-    z11, z12, z22 = Z.entries()
-    for z in (z11, z12, z22):
-        if abs(mp.re(z)) > mp.mpf(1) / 2 + tol:
-            return False
-    y11, y12, y22 = Z.im_entries()
-    # Minkowski-reduced with the sign condition: 0 <= 2 y12 <= y11 <= y22
-    if not (y12 >= -tol and 2 * y12 <= y11 + tol and y11 <= y22 + tol):
-        return False
-    for gamma in GOTTSCHLING:
-        m11, m12, m21, m22 = _cz_plus_d(gamma, Z)
-        if abs(m11 * m22 - m12 * m21) < 1 - tol:
-            return False
-    return True
+def f2_tol(ctx: PrecisionContext):
+    """The tolerance of the F2 conditions at ctx: 2^-(prec/2)."""
+    return mp.mpf(2) ** (-ctx.prec // 2)
 
-
-MAX_ITER = 2000
 
 # Z -> diag(1, -1) Z diag(1, -1): flips the sign of z12 and keeps Z in F2
 _FLIP_Z12 = SymplecticMatrix.embed_gl2([[1, 0], [0, -1]])
 
 
-def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
-    """Returns (gamma, Z_red) with Z_red = act(gamma, Z) in F2 (within tol).
+def _step(Z: PeriodMatrix, tol):
+    """The next move of the reduction at Z, or None when Z is in F2.
 
-    When Im z12 of the result is zero within tol, the sign flip on z12 that
-    Minkowski reduction applies follows rounding noise; Re z12 >= 0 is then
-    chosen, so the word does not depend on the precision.
+    In order: the GL2 change that Minkowski-reduces Im Z; the translation
+    by -nint(Re Z); the Gottschling matrix with the smallest |det(CZ + D)|
+    below 1 - tol; and, when Im z12 is zero within tol, the z12 flip that
+    makes Re z12 >= -tol.
+    """
+    U = _minkowski_unimodular(Z, tol)
+    if U is not None:
+        return SymplecticMatrix.embed_gl2(U)
+    b = [-int(mp.nint(mp.re(z))) for z in Z.entries()]
+    if any(b):
+        return SymplecticMatrix.translation(*b)
+    dets = [abs(m11 * m22 - m12 * m21)
+            for m11, m12, m21, m22 in (_cz_plus_d(g, Z) for g in GOTTSCHLING)]
+    least = min(range(len(dets)), key=dets.__getitem__)
+    if dets[least] < 1 - tol:
+        return GOTTSCHLING[least]
+    if abs(mp.im(Z.z12)) <= tol and mp.re(Z.z12) < -tol:
+        return _FLIP_Z12
+    return None
+
+
+def in_fundamental_domain(Z: PeriodMatrix, tol) -> bool:
+    """Z is in F2 within tol: no reduction step applies.  Only the bound
+    |det(CZ + D)| >= 1 - tol and the signs of Im z12 and Re z12 are read
+    within tol.  |Re| <= 1/2, 2 |y12| <= y11 and y11 <= y22 are exact, so
+    Re z11 = 1/2 + eps and y22 = y11 - eps are outside F2 for every eps > 0,
+    however small against tol."""
+    return _step(Z, tol) is None
+
+
+MAX_ITER = 2000
+
+
+def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
+    """Returns (gamma, Z_red) with Z_red = act(gamma, Z) in F2: the moves of
+    _step at tol = f2_tol(ctx), applied until none is left.  So Z comes back
+    unchanged, with the identity word, exactly when it is in F2 at that tol.
+    Where Im z12 is zero within tol, Re z12 >= -tol is chosen, so the word
+    does not follow the rounding noise in Im z12.
     """
     with ctx.work():
-        tol = mp.mpf(2) ** (-ctx.prec // 2)
+        tol = f2_tol(ctx)
         total = SymplecticMatrix.identity()
         cur = Z
         for _ in range(MAX_ITER):
-            # Minkowski-reduce Im Z (Lagrange-Gauss with sign fix)
-            U = _minkowski_unimodular(cur)
-            if U is not None:
-                g = SymplecticMatrix.embed_gl2(U)
-                cur = act(g, cur)
-                total = g * total
-            # translate Re into [-1/2, 1/2]
-            x11, x12, x22 = (mp.re(cur.z11), mp.re(cur.z12), mp.re(cur.z22))
-            b11, b12, b22 = (-int(mp.nint(x11)), -int(mp.nint(x12)),
-                             -int(mp.nint(x22)))
-            if (b11, b12, b22) != (0, 0, 0):
-                g = SymplecticMatrix.translation(b11, b12, b22)
-                cur = act(g, cur)
-                total = g * total
-            # det-increasing step
-            best = None
-            bestabs = 1 - tol
-            for gamma in GOTTSCHLING:
-                m11, m12, m21, m22 = _cz_plus_d(gamma, cur)
-                a = abs(m11 * m22 - m12 * m21)
-                if a < bestabs:
-                    best, bestabs = gamma, a
-            if best is None:
-                if in_fundamental_domain(cur, 2 * tol):
-                    if abs(mp.im(cur.z12)) <= tol and mp.re(cur.z12) < -tol:
-                        cur = act(_FLIP_Z12, cur)
-                        total = _FLIP_Z12 * total
-                    return total, cur
-                continue
-            cur = act(best, cur)
-            total = best * total
+            g = _step(cur, tol)
+            if g is None:
+                return total, cur
+            cur = act(g, cur)
+            total = g * total
         raise ArithmeticError("reduction did not terminate; raise precision")
 
 
-def _minkowski_unimodular(Z: PeriodMatrix):
+def _minkowski_unimodular(Z: PeriodMatrix, tol):
     """Unimodular U with U (Im Z) U^T Minkowski-reduced and the transformed
-    Im z12 >= 0; None if Z is already in shape."""
+    Im z12 >= -tol; None if Z is already in shape."""
     o11, o12, o22 = Z.im_entries()
 
     def transformed(U):
@@ -240,7 +239,7 @@ def _minkowski_unimodular(Z: PeriodMatrix):
             continue
         break
     y11, y12, y22 = transformed(U)
-    if y12 < 0:
+    if y12 < -tol:
         U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
         changed = True
     return U if changed else None

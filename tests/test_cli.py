@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 
 import mpmath as mp
@@ -198,3 +200,41 @@ def test_compare_reports_failed_root_seeding(monkeypatch, capsys):
     monkeypatch.setattr(mp, "polyroots", no_convergence)
     assert main(["compare", os.path.join(JOBS, "ex2.job")]) == 1
     assert "error: root seeding did not converge" in capsys.readouterr().err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_CASES = [
+    [cmd, os.path.join(JOBS, f"ex{n}.job")]
+    for n in (1, 2, 3)
+    for cmd in ("igusa", "theta", "height-colmez", "height-local", "compare")
+] + [["verify-bounds", "--samples", "200", "--seed", "1"]]
+
+
+def _golden_name(argv):
+    return "_".join(os.path.basename(a).removesuffix(".job").lstrip("-")
+                    for a in argv) + ".txt"
+
+
+def _golden_record(argv):
+    """'exit = <code>' and then the stdout of `g2heights <argv>`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return f"exit = {code}\n" + buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", GOLDEN_CASES, ids=_golden_name)
+def test_golden_outputs(argv):
+    # the whole report and the exit code, byte for byte
+    with open(os.path.join(GOLDEN, _golden_name(argv)), encoding="utf-8") as fh:
+        assert _golden_record(argv) == fh.read()
+
+
+if __name__ == "__main__":
+    # rewrites tests/golden/ from the current code:
+    #   PYTHONPATH=src python3 tests/test_cli.py
+    os.makedirs(GOLDEN, exist_ok=True)
+    for argv in GOLDEN_CASES:
+        with open(os.path.join(GOLDEN, _golden_name(argv)), "w",
+                  encoding="utf-8") as fh:
+            fh.write(_golden_record(argv))

@@ -4,9 +4,9 @@ import random
 import mpmath as mp
 import pytest
 
-from g2heights import cli, cmperiod
+from g2heights import bounds, cli, cmperiod
 from g2heights.prec import PrecisionContext
-from g2heights.siegel import (GOTTSCHLING, SymplecticMatrix, act,
+from g2heights.siegel import (GOTTSCHLING, SymplecticMatrix, act, f2_tol,
                               in_fundamental_domain, reduce)
 from g2heights.theta import PeriodMatrix, chi10
 
@@ -86,10 +86,39 @@ def test_act_composition(ctx):
 
 def test_membership(ctx):
     with ctx.work():
-        tol = mp.mpf(2) ** (-ctx.prec // 2)
+        tol = f2_tol(ctx)
         assert in_fundamental_domain(iI(), tol)
         shifted = PeriodMatrix(mp.mpc(5, 1), 0, mp.mpc(0, 1))
         assert not in_fundamental_domain(shifted, tol)
+
+
+def _near_boundary(ctx):
+    """Matrices 2^-200 off the boundary of F2, each from the same interior
+    point, at ctx's precision."""
+    with ctx.work():
+        eps = mp.mpf(2) ** -200
+        z11, z12, z22 = mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5")
+        return {
+            "Re z11 = 1/2 + eps": PeriodMatrix(mp.mpc(mp.mpf(1) / 2 + eps, "1.2"), z12, z22),
+            "Im z12 = -eps": PeriodMatrix(z11, mp.mpc("0.2", -eps), z22),
+            "y22 = y11 - eps": PeriodMatrix(z11, z12, mp.mpc("-0.3", mp.mpf("1.2") - eps)),
+            "Im z12 = 0, Re z12 = -0.3": PeriodMatrix(z11, mp.mpc("-0.3", 0), z22),
+        }
+
+
+def test_membership_iff_identity_word(ctx):
+    # in F2 exactly when reduce has nothing to do, at reduce's own tolerance
+    near = _near_boundary(ctx)
+    samples = bounds.sample_fundamental_domain(10, 3, ctx)
+    tol = f2_tol(ctx)
+    with ctx.work():
+        for label, Z in [*near.items(), *(("sample", Z) for Z in samples)]:
+            gamma, zr = reduce(Z, ctx)
+            untouched = gamma == SymplecticMatrix.identity() and zr.entries() == Z.entries()
+            assert in_fundamental_domain(Z, tol) == untouched, label
+        # of the four, only Im z12 = -eps is inside: its sign is read within tol
+        assert [in_fundamental_domain(Z, tol) for Z in near.values()] == [
+            False, True, False, False]
 
 
 def test_example1_printed_not_reduced(ctx):
@@ -97,7 +126,7 @@ def test_example1_printed_not_reduced(ctx):
         zeta = mp.expjpi(mp.mpf(2) / 5)
         s5 = mp.sqrt(5)
         Z = cmperiod.period_matrix(s5 * zeta, -s5 * zeta ** 3, 5, ctx)
-        assert not in_fundamental_domain(Z, mp.mpf(2) ** (-ctx.prec // 2))
+        assert not in_fundamental_domain(Z, f2_tol(ctx))
 
 
 def test_reduce_already_reduced(ctx):
@@ -111,13 +140,13 @@ def test_reduce_translation(ctx):
     with ctx.work():
         Z = PeriodMatrix(mp.mpc(3, 1), mp.mpc(2, 0), mp.mpc(-4, 1))
         gamma, zr = reduce(Z, ctx)
-        assert in_fundamental_domain(zr, 2 * mp.mpf(2) ** (-ctx.prec // 2))
+        assert in_fundamental_domain(zr, 2 * f2_tol(ctx))
 
 
 def test_reduce_properties(ctx):
     rng = random.Random(77)
     with ctx.work():
-        tol = mp.mpf(2) ** (-ctx.prec // 2)
+        tol = f2_tol(ctx)
         for _ in range(10):
             Z = PeriodMatrix(
                 mp.mpc(rng.uniform(-2, 2), rng.uniform(0.2, 2)),
@@ -146,16 +175,30 @@ def test_reduce_preserves_chi10_invariant(ctx):
         assert abs(a - b) / a < mp.mpf(2) ** (-ctx.prec + 40)
 
 
+# the reduction words of the shipped jobs, by (job, precision).  ex2's
+# reduced matrix has Re z11 = Re z12 = 1/2 exactly, and at 1024 bits the
+# rounding noise puts Re z12 at -1/2, one translation away.
+_W_EX1 = [[1, 0, 0, 0], [3, 1, 0, 0], [2, 1, 1, -3], [-2, -1, 0, 1]]
+_W_EX2 = [[1, 0, 0, -2], [-34, -1, 2, -56], [0, 0, 1, -34], [0, 0, 0, -1]]
+_W_EX2_1024 = [[1, 0, 0, -1], [-34, -1, 1, -22], [0, 0, 1, -34], [0, 0, 0, -1]]
+_W_EX3 = [[0, 0, -1, 5], [5, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+EX_WORDS = {("ex1", 256): _W_EX1,
+            ("ex2", 256): _W_EX2, ("ex2", 512): _W_EX2, ("ex2", 1024): _W_EX2_1024,
+            ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3}
+
+
 def test_reduce_word_stable_across_precision(ctx):
     # ex3's reduced matrix has Im z12 = 0 exactly: the word must not follow
-    # the rounding noise in it
-    job = cli.parse_job(os.path.join(JOBS, "ex3.job"))
-    results = []
-    for bits in (256, 512, 1024):
+    # the rounding noise in it.  ex1's tau_values carry only enough digits
+    # for 256 bits.
+    reduced = {}
+    for (name, bits), word in EX_WORDS.items():
         c = PrecisionContext(bits)
-        results.append(reduce(cli.job_periods(job, c)[0], c))
-    gamma, zr = results[0]
+        job = cli.parse_job(os.path.join(JOBS, f"{name}.job"))
+        gamma, reduced[name, bits] = reduce(cli.job_periods(job, c)[0], c)
+        assert gamma.m == word, (name, bits)
+    zr = reduced["ex3", 256]
     with ctx.work():
-        for g, z in results[1:]:
-            assert g == gamma
+        for bits in (512, 1024):
+            z = reduced["ex3", bits]
             assert all(abs(u - v) < ctx.tol for u, v in zip(z.entries(), zr.entries()))
