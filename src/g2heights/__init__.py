@@ -16,7 +16,6 @@ from .siegel import SymplecticMatrix, act, in_fundamental_domain, reduce
 from .cmperiod import check_lemma_easy, period_matrix, select_tau
 from .colmez import (DirichletCharacter, char_from_spec, char_weighted_sum,
                      colmez_height)
-from .heights import (HeightBreakdown, compare, convert_normalization,
-                      height_local)
+from .heights import HeightBreakdown, compare, height_local
 
 __version__ = "0.1.0"

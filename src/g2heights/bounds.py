@@ -1,6 +1,6 @@
 """Verifier for the archimedean lower bounds on the fundamental domain:
-per-characteristic theta bounds (0.44 / 0.75 / 1.12 rules), the chi10 lower
-bound with c0 = 8e-5, and the elementary complex-exponential inequalities.
+per-characteristic theta bounds (0.44 / 0.75 / 1.12 rules) and the chi10
+lower bound with c0 = 8e-5.
 
 check_bounds tests every lemma bound at one Z in F2 from a single theta_all
 call; verify_bounds runs it over deterministic samples of F2.  These are
@@ -83,19 +83,6 @@ def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:
         return [BoundCheck(bound=+bound, value=+val,
                            passed=bool(val >= bound - ctx.tol), rule=rule)
                 for val, bound, rule in cases]
-
-
-def check_exp_ineq(z, ctx: PrecisionContext) -> bool:
-    """|e^{iz/2} + 1| >= 1 and |e^{iz} - 1| >= (1 - 1/e) min{1, |z|}
-    for |Re z| <= pi."""
-    with ctx.work():
-        z = mp.mpc(z)
-        if abs(mp.re(z)) > ctx.pi + ctx.tol:
-            raise ValueError("requires |Re z| <= pi")
-        one = abs(mp.exp(mp.mpc(0, 1) * z / 2) + 1) >= 1 - ctx.tol
-        rhs = (1 - mp.exp(mp.mpf(-1))) * min(mp.mpf(1), abs(z))
-        two = abs(mp.exp(mp.mpc(0, 1) * z) - 1) >= rhs - ctx.tol
-        return bool(one and two)
 
 
 def sample_fundamental_domain(n: int, seed: int, ctx: PrecisionContext):

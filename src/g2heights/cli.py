@@ -108,25 +108,32 @@ def _char_pairs(job, key):
     return pairs
 
 
+def _one_of(job, a, b):
+    """Whichever of the keys a and b the job gives; it must give exactly one."""
+    given = [k for k in (a, b) if k in job]
+    if len(given) != 1:
+        raise JobError(f"job gives both {a} and {b}" if given
+                       else f"job lacks {a} / {b}")
+    return given[0]
+
+
 def job_character(job):
     f = _int_key(job, "f_K")
-    for key, kind in (("character_table", "table"), ("character_gen", "gen")):
-        if key in job:
-            return char_from_spec(f, {kind: _char_pairs(job, key)})
-    raise JobError("job lacks character_table / character_gen")
+    key = _one_of(job, "character_table", "character_gen")
+    return char_from_spec(f, {key.removeprefix("character_"): _char_pairs(job, key)})
 
 
 def job_periods(job, ctx):
     delta = _int_key(job, "delta_F")
-    if "tau_poly" in job:
+    if _one_of(job, "tau_poly", "tau_values") == "tau_poly":
         poly = IntPolynomial(_rat_list(job["tau_poly"]))
-        t1, t2 = cmperiod.select_tau(poly, ctx)
-    elif "tau_values" in job:
+        taus = cmperiod.select_tau(poly, ctx)
+    else:
         parts = [p.strip() for p in job["tau_values"].split(",")]
         if len(parts) != 2:
             raise JobError("tau_values must list exactly two complex numbers")
         need = ctx.prec // 3
-        vals = []
+        taus = []
         with ctx.work():
             for p in parts:
                 re_s, im_s = parse_complex(p)
@@ -135,11 +142,8 @@ def job_periods(job, ctx):
                         f"tau_values carry fewer than {need} significant digits "
                         f"required at {ctx.prec}-bit precision"
                     )
-                vals.append(mp.mpc(mp.mpf(re_s), mp.mpf(im_s)))
-        t1, t2 = cmperiod.select_tau(tuple(vals), ctx)
-    else:
-        raise JobError("job lacks tau_poly / tau_values")
-    return [cmperiod.period_matrix(t1, t2, delta, ctx)]
+                taus.append(mp.mpc(mp.mpf(re_s), mp.mpf(im_s)))
+    return [cmperiod.period_matrix(*taus, delta, ctx)]
 
 
 def _fmt(x, digits=30):
@@ -280,12 +284,12 @@ def main(argv=None):
     ap.add_argument("--precision-bits", type=int,
                     help="working precision (default: the job's, else 256)")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, needs_job in (
-        ("igusa", cmd_igusa, True),
-        ("theta", cmd_theta, True),
-        ("height-colmez", cmd_height_colmez, True),
-        ("height-local", cmd_height_local, True),
-        ("compare", cmd_compare, True),
+    for name, fn in (
+        ("igusa", cmd_igusa),
+        ("theta", cmd_theta),
+        ("height-colmez", cmd_height_colmez),
+        ("height-local", cmd_height_local),
+        ("compare", cmd_compare),
     ):
         p = sub.add_parser(name)
         p.add_argument("job")

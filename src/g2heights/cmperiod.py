@@ -22,33 +22,24 @@ class TauSelectionError(ValueError):
     pass
 
 
-def select_tau(spec, ctx: PrecisionContext):
-    """Resolve a tau specification to the two upper-half-plane values.
+def select_tau(poly: IntPolynomial, ctx: PrecisionContext):
+    """The two upper-half-plane roots of an integer quartic (the CM type).
 
-    spec: either an IntPolynomial (integer quartic with exactly two roots in
-    the upper half plane) or an explicit pair of complex values.  Canonical
-    order is ascending real part, ties broken by imaginary part; real parts
-    within 2^-(prec/2) count as tied, so root-finder noise cannot decide the
-    order.  The local height does not depend on the order.
+    Canonical order is ascending real part, ties broken by imaginary part;
+    real parts within 2^-(prec/2) count as tied, so root-finder noise cannot
+    decide the order.  The local height does not depend on the order.
     """
+    if poly.degree != 4:
+        raise TauSelectionError("tau polynomial must be an exact quartic")
     with ctx.work():
-        if isinstance(spec, IntPolynomial):
-            if spec.degree != 4:
-                raise TauSelectionError("tau polynomial must be an exact quartic")
-            roots = poly_roots(spec, ctx)
-            upper = [r for r in roots if mp.im(r) > 0]
-            if len(upper) != 2:
-                raise TauSelectionError(
-                    f"expected exactly 2 upper-half-plane roots, got {len(upper)}"
-                )
-            gap = abs(mp.re(upper[0]) - mp.re(upper[1]))
-            tied = gap <= mp.mpf(2) ** (-(ctx.prec // 2))
-            t1, t2 = sorted(upper, key=mp.im if tied else mp.re)
-        else:
-            t1, t2 = (mp.mpc(spec[0]), mp.mpc(spec[1]))
-            if not (mp.im(t1) > 0 and mp.im(t2) > 0):
-                raise TauSelectionError("explicit tau values must lie in H")
-        return t1, t2
+        upper = [r for r in poly_roots(poly, ctx) if mp.im(r) > 0]
+        if len(upper) != 2:
+            raise TauSelectionError(
+                f"expected exactly 2 upper-half-plane roots, got {len(upper)}"
+            )
+        gap = abs(mp.re(upper[0]) - mp.re(upper[1]))
+        tied = gap <= mp.mpf(2) ** (-(ctx.prec // 2))
+        return tuple(sorted(upper, key=mp.im if tied else mp.re))
 
 
 def period_matrix(tau1, tau2, delta: int, ctx: PrecisionContext) -> PeriodMatrix:

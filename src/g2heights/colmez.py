@@ -62,16 +62,14 @@ class DirichletCharacter:
 
 
 def char_from_spec(f: int, spec) -> DirichletCharacter:
-    """spec: {'table': {m: v}} or {'gen': {g: v}} with v in {1, i, -1, -i}
-    (strings or unit indices).  Generator specs are extended multiplicatively
-    and must determine chi on all of (Z/f)^*."""
+    """spec: {'table': {m: v}} or {'gen': {g: v}} with v one of the names
+    '1', 'i', '-1', '-i'.  Generator specs are extended multiplicatively and
+    must determine chi on all of (Z/f)^*."""
     def unit_index(v):
-        if isinstance(v, int) and 0 <= v <= 3:
-            return v
         try:
-            return _UNIT_NAMES[str(v).strip()]
-        except KeyError:
-            raise CharacterError(f"character value {v!r} not a power of i") from None
+            return _UNIT_NAMES[v.strip()]
+        except (KeyError, AttributeError):
+            raise CharacterError(f"character value {v!r} is not 1, i, -1 or -i") from None
 
     if "table" in spec:
         table = {int(m) % f: unit_index(v) for m, v in spec["table"].items()}

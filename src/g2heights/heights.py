@@ -1,5 +1,5 @@
-"""Assembly of the local-decomposition height, the two-engine comparison,
-and conversion between height normalizations.
+"""Assembly of the local-decomposition height and the two-engine
+comparison.
 
 The local route:  h = (1/[k:Q]) [ finite part from the Igusa invariants
 + sum over embeddings of -(1/10) log(2^8 pi^10 |chi10(Z_red)| det(Im Z_red)^5) ].
@@ -79,22 +79,3 @@ def compare(curve: WeierstrassEquation, periods, degree: int,
             local=local, colmez=hc, discrepancy=+disc,
             passed=bool(disc < mp.mpf(tolerance)), precision_bits=ctx.prec,
         )
-
-
-# offsets of each convention relative to h = h_Deligne, in units of
-# (g/2): h_deligne = h_colmez + (g/2) log 2pi = h_faltings + (g/2) log pi
-#        = h_fplus - (g/2) log 2pi
-_OFFSETS = {"deligne": (0, 0), "colmez": (1, 1), "faltings": (0, 1),
-            "fplus": (-1, -1)}  # (multiple of log 2, multiple of log pi)
-
-
-def convert_normalization(h, frm: str, to: str, g: int, ctx: PrecisionContext):
-    if frm not in _OFFSETS or to not in _OFFSETS:
-        raise ValueError(f"unknown normalization tag: {frm!r} or {to!r}")
-    with ctx.work():
-        c2f, cpf = _OFFSETS[frm]
-        c2t, cpt = _OFFSETS[to]
-        half_g = mp.mpf(g) / 2
-        return +(mp.mpf(h)
-                 + half_g * ((c2f - c2t) * ctx.log2
-                             + (cpf - cpt) * mp.log(ctx.pi)))

@@ -7,10 +7,10 @@ the Bernoulli numbers (mpmath.bernfrac) and the starting values of the roots
 residual check and the check that no two roots coincide are implemented
 here so their error behaviour is under our control.
 
-log_gamma is the Stirling series at z = x + N.  Its callers halve the work
-by the reflection log Gamma(1-x) = log pi - log sin(pi x) - log Gamma(x)
-(colmez.colmez_height evaluates only m/f < 1/2).  The shift back from z to x
-is one log of one product, which for x = m/f is the exact integer
+log_gamma takes a rational x = m/f and is the Stirling series at z = x + N.
+Its callers halve the work by the reflection log Gamma(1-x) = log pi -
+log sin(pi x) - log Gamma(x) (colmez.colmez_height evaluates only
+m/f < 1/2).  The shift back from z to x is one log of the exact integer
 prod_{j<N} (m + j f) over f^N.  The shift N and the term count K are planned
 once per working precision so that the first omitted term, which for real
 z > 0 bounds the remainder, is below 2^-(workbits+16).
@@ -103,12 +103,11 @@ def stirling_plan(ctx: PrecisionContext) -> StirlingPlan:
 
 
 def log_gamma(x, ctx: PrecisionContext):
-    """log Gamma(x) for real x in (0, 1], given as a Fraction or an mpf.
+    """log Gamma(x) for a rational x = m/f in (0, 1], a Fraction or an int.
 
     Shift: Gamma(x) = Gamma(z) / (x (x+1) ... (x+N-1)) with z = x + N, and
-    the shift costs one log of one product.  For x = m/f that product is
-    the exact integer prod_j (m + j f) over f^N; for an mpf x it is an mpf
-    product at workbits + 16.
+    the shift costs one log of one product, the exact integer
+    prod_j (m + j f) over f^N.
 
     Series: log Gamma(z) = (z - 1/2) log z - z + (1/2) log(2 pi)
     + sum_{n<=K} c_n / z^(2n-1), summed by Horner in 1/z^2 at
@@ -120,26 +119,18 @@ def log_gamma(x, ctx: PrecisionContext):
     """
     plan = stirling_plan(ctx)
     N = plan.shift
+    x = Fraction(x)
+    if not (0 < x <= 1):
+        raise ValueError("log_gamma requires x in (0, 1]")
+    if x == 1:
+        return mp.mpf(0)
+    m, f = x.numerator, x.denominator
+    prod = 1
+    for j in range(N):
+        prod *= m + j * f
     with mp.workprec(ctx.workbits + SERIES_BITS):
-        exact = isinstance(x, (int, Fraction))
-        x = Fraction(x) if exact else mp.mpf(x)
-        if not (0 < x <= 1):
-            raise ValueError("log_gamma requires x in (0, 1]")
-        if x == 1:
-            return mp.mpf(0)
-        if exact:
-            m, f = x.numerator, x.denominator
-            prod = 1
-            for j in range(N):
-                prod *= m + j * f
-            log_shift = mp.log(mp.mpf(prod) / mp.mpf(f ** N))
-            z = mp.mpf(m + N * f) / f
-        else:
-            prod = x
-            for j in range(1, N):
-                prod *= x + j
-            log_shift = mp.log(prod)
-            z = x + N
+        log_shift = mp.log(mp.mpf(prod) / mp.mpf(f ** N))
+        z = mp.mpf(m + N * f) / f
         w = 1 / (z * z)
         series = mp.mpf(0)
         for c in reversed(plan.coeffs):

@@ -1,11 +1,9 @@
-import random
-
 import mpmath as mp
 import pytest
 
 from g2heights import bounds
-from g2heights.bounds import (check_bounds, check_exp_ineq, sample_fundamental_domain,
-                              theta_lb, verify_bounds)
+from g2heights.bounds import (check_bounds, sample_fundamental_domain, theta_lb,
+                              verify_bounds)
 from g2heights.theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, theta_all
 
 
@@ -81,22 +79,6 @@ def test_check_bounds_order_and_one_theta_sum(monkeypatch, ctx128):
         assert [r.bound for r in results[:10]] == [theta_lb(ch, Z, ctx128)[0]
                                                    for ch in EVEN_CHARS]
         assert all(r.passed for r in results)
-
-
-def test_exp_ineq_examples(ctx):
-    with ctx.work():
-        assert check_exp_ineq(mp.mpc(0), ctx)
-        assert check_exp_ineq(mp.mpc(mp.pi), ctx)
-    with pytest.raises(ValueError):
-        check_exp_ineq(mp.mpc(4, 0), ctx)
-
-
-def test_exp_ineq_sampled(ctx128):
-    rng = random.Random(5)
-    with ctx128.work():
-        for _ in range(1000):
-            z = mp.mpc(rng.uniform(-3.14159, 3.14159), rng.uniform(-3, 3))
-            assert check_exp_ineq(z, ctx128)
 
 
 def test_sampling_membership_and_determinism(ctx128):

@@ -118,6 +118,33 @@ def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def _ex1_line(key):
+    with open(os.path.join(JOBS, "ex1.job")) as fh:
+        return next(line for line in fh if line.startswith(key))
+
+
+@pytest.mark.parametrize("extra,keys", [
+    (_ex1_line("tau_values"), ("tau_poly", "tau_values")),
+    ("character_gen = 3=i\n", ("character_table", "character_gen")),
+], ids=["tau", "character"])
+def test_conflicting_job_keys_exit1(tmp_path, capsys, extra, keys):
+    # ex3 gives tau_poly and character_table; a second source for the same
+    # value must not be ignored in favour of whichever is read first
+    assert main(["compare", _ex3_with(tmp_path, extra)]) == 1
+    assert f"job gives both {keys[0]} and {keys[1]}" in capsys.readouterr().err
+
+
+def test_tau_values_outside_h_exit1(tmp_path, capsys):
+    # ex1 with Im tau1 negated
+    path = tmp_path / "lower.job"
+    with open(os.path.join(JOBS, "ex1.job")) as fh:
+        text = fh.read()
+    assert text.count("+2.1266") == 1
+    path.write_text(text.replace("+2.1266", "-2.1266"))
+    assert main(["compare", str(path)]) == 1
+    assert "upper half plane" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value,token", [
     ("character_table", "1", "'1'"),
     ("character_table", "1=1, 3", "'3'"),

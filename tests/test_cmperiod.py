@@ -30,15 +30,6 @@ def test_select_tau_order_stable_across_precision(ctx):
                 assert abs(a - b) < ctx.tol, bits
 
 
-def test_select_tau_passthrough(ctx):
-    with ctx.work():
-        pair = (mp.mpc(1, 2), mp.mpc(-1, 3))
-        t1, t2 = select_tau(pair, ctx)
-        assert t1 == pair[0] and t2 == pair[1]
-        with pytest.raises(TauSelectionError):
-            select_tau((mp.mpc(1, -2), mp.mpc(0, 1)), ctx)
-
-
 def test_select_tau_wrong_degree(ctx):
     with pytest.raises(TauSelectionError):
         select_tau(IntPolynomial([1, 0, 1]), ctx)
@@ -73,6 +64,12 @@ def test_period_matrix_rejects_non_discriminant(ctx, delta):
     # a real quadratic discriminant is positive and 0 or 1 mod 4
     with pytest.raises(ValueError, match="not a real quadratic discriminant"):
         period_matrix(mp.mpc(0, 1), mp.mpc(0, 2), delta, ctx)
+
+
+def test_period_matrix_rejects_tau_outside_h(ctx):
+    for pair in ((mp.mpc(1, -2), mp.mpc(0, 1)), (mp.mpc(0, 1), mp.mpc(3, 0))):
+        with pytest.raises(ValueError, match="upper half plane"):
+            period_matrix(*pair, 5, ctx)
 
 
 def test_lemma_easy_example1(ctx):

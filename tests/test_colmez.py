@@ -29,6 +29,8 @@ def test_char_invalid_specs():
         char_from_spec(5, {"gen": {4: "i"}})  # 4 does not generate, and chi(4)=i
     with pytest.raises(CharacterError):
         char_from_spec(5, {"table": {1: "1", 2: "i", 4: "-1"}})  # incomplete
+    with pytest.raises(CharacterError, match="value 0 is not 1, i, -1 or -i"):
+        char_from_spec(5, {"table": {1: 0, 2: 1, 3: 3, 4: 2}})  # unit indices
 
 
 def test_weighted_sums():
@@ -69,7 +71,7 @@ def test_closed_form_f5(ctx):
     with ctx.work():
         chi = char_from_spec(5, CHI5)
         h = colmez_height(chi, ctx)
-        lg = [log_gamma(mp.mpf(k) / 5, ctx) for k in range(1, 5)]
+        lg = [log_gamma(Fraction(k, 5), ctx) for k in range(1, 5)]
         closed = mp.log(5) / 2 + (-3 * lg[0] - lg[1] + lg[2] + 3 * lg[3]) / 2
         assert abs(h - closed) < ctx.tol
 

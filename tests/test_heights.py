@@ -7,7 +7,7 @@ import pytest
 from g2heights import cli, cmperiod, siegel
 from g2heights.colmez import char_from_spec
 from g2heights.exact import IntPolynomial
-from g2heights.heights import (compare, convert_normalization, height_local)
+from g2heights.heights import compare, height_local
 from g2heights.igusa import WeierstrassEquation
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
@@ -79,27 +79,6 @@ def test_compare_example1(ctx):
     assert rep.passed
     with ctx.work():
         assert rep.discrepancy < mp.mpf("1e-10")
-
-
-def test_convert_roundtrip(ctx):
-    with ctx.work():
-        h = mp.mpf("0.731")
-        for frm in ("deligne", "colmez", "faltings", "fplus"):
-            for to in ("deligne", "colmez", "faltings", "fplus"):
-                back = convert_normalization(
-                    convert_normalization(h, frm, to, 2, ctx), to, frm, 2, ctx)
-                assert abs(back - h) < ctx.tol
-
-
-def test_convert_examples(ctx):
-    with ctx.work():
-        assert convert_normalization(1, "deligne", "deligne", 2, ctx) == 1
-        v = convert_normalization(0, "colmez", "deligne", 2, ctx)
-        assert abs(v - mp.log(2 * ctx.pi)) < ctx.tol
-        v = convert_normalization(0, "faltings", "deligne", 2, ctx)
-        assert abs(v - mp.log(ctx.pi)) < ctx.tol
-    with pytest.raises(ValueError):
-        convert_normalization(0, "deligne", "bogus", 2, ctx)
 
 
 def test_height_invariant_under_model_change(ctx):

@@ -28,3 +28,25 @@ def test_no_unused_imports():
              if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
     unused = [hit for p in paths for hit in _unused_imports(p)]
     assert unused == []
+
+
+def _used_names(path):
+    """Every identifier that path reads, as a Name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_module_function_has_a_caller():
+    # a library function that only its unit tests call is dead code; the
+    # acceptance gate and the benchmark count as callers
+    src = sorted((ROOT / "src" / "g2heights").glob("*.py"))
+    callers = src + [ROOT / "tests" / "test_acceptance.py"] + sorted(
+        (ROOT / "benchmarks").glob("*.py"))
+    used = set().union(*map(_used_names, callers))
+    uncalled = [f"{p.relative_to(ROOT)}:{node.lineno}: {node.name}"
+                for p in src if p.name != "__init__.py"
+                for node in ast.parse(p.read_text()).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in used]
+    assert uncalled == []
