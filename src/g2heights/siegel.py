@@ -4,6 +4,14 @@ the fundamental domain F2.
 F2 is written once, as the moves of _step: Z is in F2 when no reduction
 step applies, and reduce applies steps until none does.
 
+A move is chosen by sign and rounding decisions: the Minkowski conditions
+on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
+and the signs of Im z12 and Re z12.  Each is made on the doubles of the
+working-precision entries when they clear its threshold by MARGIN times the
+sum of the absolute values of its terms (see _sure), and on the mpf/mpc
+values otherwise.  So every decision is the one the working-precision
+values give, and the move is applied by act at the working precision.
+
 Condition (i) (det Im(gamma Z) <= det Im Z for all gamma) is enforced through
 a finite determinant test set.  We use a superset of Gottschling's 19
 matrices: the two partial inversions plus all gamma = [[0,-I],[I,D]] with D
@@ -16,6 +24,9 @@ Fundamentalbereiches der Modulgruppe zweiten Grades." Math. Ann. 138 (1959).
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import mpmath as mp
 
@@ -48,7 +59,10 @@ class SymplecticMatrix:
         return a, b, c, d
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        return SymplecticMatrix(_mat4_mul(self.m, other.m))
+        # a product of symplectic matrices is symplectic: no re-check
+        prod = object.__new__(SymplecticMatrix)
+        prod.m = _mat4_mul(self.m, other.m)
+        return prod
 
     def __eq__(self, other):
         return isinstance(other, SymplecticMatrix) and self.m == other.m
@@ -94,6 +108,10 @@ def _mat4_mul(a, b):
             for i in range(4)]
 
 
+def _abs2(M):
+    return [[abs(v) for v in row] for row in M]
+
+
 def _gottschling_set():
     out = []
     # partial inversions: invert one variable
@@ -112,11 +130,15 @@ def _gottschling_set():
 
 
 GOTTSCHLING = _gottschling_set()
+# (C, D, |C|, |D|) of each Gottschling matrix, entrywise absolute values last
+_GOTTSCHLING_CD = [(c, d, _abs2(c), _abs2(d))
+                   for c, d in (g.blocks()[2:] for g in GOTTSCHLING)]
 
 
-def _cz_plus_d(gamma: SymplecticMatrix, Z: PeriodMatrix):
-    _, _, c, d = gamma.blocks()
-    z11, z12, z22 = Z.entries()
+def _cz_plus_d(c, d, z):
+    """The entries m11, m12, m21, m22 of C Z + D, Z = (z11, z12, z22).  On
+    |C|, |D| and |z| they are the sums of the absolute values of the terms."""
+    z11, z12, z22 = z
     m11 = c[0][0] * z11 + c[0][1] * z12 + d[0][0]
     m12 = c[0][0] * z12 + c[0][1] * z22 + d[0][1]
     m21 = c[1][0] * z11 + c[1][1] * z12 + d[1][0]
@@ -126,13 +148,13 @@ def _cz_plus_d(gamma: SymplecticMatrix, Z: PeriodMatrix):
 
 def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     """gamma Z = (alpha Z + beta)(lam Z + mu)^-1."""
-    a, b, _, _ = gamma.blocks()
+    a, b, c, d = gamma.blocks()
     z11, z12, z22 = Z.entries()
     n11 = a[0][0] * z11 + a[0][1] * z12 + b[0][0]
     n12 = a[0][0] * z12 + a[0][1] * z22 + b[0][1]
     n21 = a[1][0] * z11 + a[1][1] * z12 + b[1][0]
     n22 = a[1][0] * z12 + a[1][1] * z22 + b[1][1]
-    m11, m12, m21, m22 = _cz_plus_d(gamma, Z)
+    m11, m12, m21, m22 = _cz_plus_d(c, d, (z11, z12, z22))
     det = m11 * m22 - m12 * m21
     if abs(det) == 0:
         raise ZeroDivisionError("lam Z + mu is singular")
@@ -154,6 +176,74 @@ def f2_tol(ctx: PrecisionContext):
 # Z -> diag(1, -1) Z diag(1, -1): flips the sign of z12 and keeps Z in F2
 _FLIP_Z12 = SymplecticMatrix.embed_gl2([[1, 0], [0, -1]])
 
+# A decision is made on doubles when its double clears the threshold by
+# MARGIN times the sum of the absolute values of its terms (see _sure).
+MARGIN = 2.0 ** -40
+# that sum must exceed _SIZE_MIN, far above the subnormal doubles
+_SIZE_MIN = 2.0 ** -960
+_NAN3 = (complex(math.nan, math.nan),) * 3
+
+
+def _doubles(Z: PeriodMatrix):
+    """z11, z12, z22 as complex doubles.  When a part overflows, or an
+    imaginary part is nonzero and underflows to 0 or a subnormal, all three
+    are nan instead: no margin test passes, and every decision of the step
+    is made at the working precision.
+
+    So each imaginary part is within 2^-53 of its working-precision value,
+    relatively, and so is each real part unless it underflows.  One that
+    does is off by less than 2^-1075.  It enters a decision only next to
+    1/2 (nint), next to tol (the flip), or in |det(CZ + D)|: there it is
+    part of z11 + d or z22 + d, whose moduli are at least the normal
+    Im z11 and Im z22, or of z12 + d, which enters squared.  So its error is
+    below 2^-53 of the sum of the absolute values of the terms, or, next to
+    a tol below 2^-1022, below 2^-1075 against a sum above _SIZE_MIN."""
+    out = []
+    for z in Z.entries():
+        w = complex(z)
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or (
+                abs(w.imag) < sys.float_info.min and z.imag != 0):
+            return _NAN3
+        out.append(w)
+    return out
+
+
+def _sure(v, size):
+    """Whether the double v has the sign of the value v* it stands for, a
+    polynomial in the entries of Z with small integer coefficients whose
+    terms have absolute values summing to at most size: |v| > MARGIN size.
+
+    The argument: the input doubles carry errors below 2^-53 of the terms
+    they enter (_doubles).  v is formed from them by at most 16 rounded
+    operations, each adding an error of at most 2^-53 times the sum of the
+    absolute values of the terms it combines (2^-51.5 for a complex
+    product).  These add up to less than 2^-48.9 size.  v* itself, computed
+    in the same few operations at 53 bits or more, is within 2^-48.9 size
+    of the exact value.  So when |v| > 2^-40 size, v, v* and the exact
+    value have one sign.  A rounding in the subnormal range adds at most
+    2^-1075, far below 2^-49 size once size > _SIZE_MIN.  A nan or an
+    infinity passes no test."""
+    return abs(v) > MARGIN * size and size > _SIZE_MIN
+
+
+def _decide(v, size, exact):
+    """v* > 0: decided on the double v when _sure(v, size), else exact(),
+    the same comparison on the working-precision values."""
+    return v > 0 if _sure(v, size) else exact()
+
+
+def _nint(x, size, exact):
+    """nint(x*) for the value x* the double x stands for, whose terms have
+    absolute values summing to at most size.  round(x) when x - t +- 1/2,
+    t = round(x), clears 0 by MARGIN times its terms, size + |t| + 1/2; the
+    subtraction is exact, so _sure's argument applies.  Otherwise
+    int(exact()), the rounding at the working precision."""
+    if size < 2.0 ** 40:  # False for nan and infinity
+        t = round(x)
+        if abs(x - t) + MARGIN * (size + abs(t) + 0.5) < 0.5:
+            return t
+    return int(exact())
+
 
 def _step(Z: PeriodMatrix, tol):
     """The next move of the reduction at Z, or None when Z is in F2.
@@ -161,20 +251,25 @@ def _step(Z: PeriodMatrix, tol):
     In order: the GL2 change that Minkowski-reduces Im Z; the translation
     by -nint(Re Z); the Gottschling matrix with the smallest |det(CZ + D)|
     below 1 - tol; and, when Im z12 is zero within tol, the z12 flip that
-    makes Re z12 >= -tol.
+    makes Re z12 >= -tol.  Each comparison is made on the doubles of Z when
+    they decide it with a margin, else on Z itself (see the module
+    docstring).
     """
-    U = _minkowski_unimodular(Z, tol)
+    zd = _doubles(Z)
+    td = float(tol)
+    U = _minkowski_unimodular(Z, zd, tol, td)
     if U is not None:
         return SymplecticMatrix.embed_gl2(U)
-    b = [-int(mp.nint(mp.re(z))) for z in Z.entries()]
+    b = [-_nint(w.real, abs(w.real), lambda z=z: mp.nint(mp.re(z)))
+         for z, w in zip(Z.entries(), zd)]
     if any(b):
         return SymplecticMatrix.translation(*b)
-    dets = [abs(m11 * m22 - m12 * m21)
-            for m11, m12, m21, m22 in (_cz_plus_d(g, Z) for g in GOTTSCHLING)]
-    least = min(range(len(dets)), key=dets.__getitem__)
-    if dets[least] < 1 - tol:
-        return GOTTSCHLING[least]
-    if abs(mp.im(Z.z12)) <= tol and mp.re(Z.z12) < -tol:
+    g = _gottschling_move(Z, zd, tol, td)
+    if g is not None:
+        return g
+    x12, y12 = zd[1].real, zd[1].imag
+    if (_decide(td - abs(y12), td + abs(y12), lambda: abs(mp.im(Z.z12)) <= tol)
+            and _decide(-td - x12, td + abs(x12), lambda: mp.re(Z.z12) < -tol)):
         return _FLIP_Z12
     return None
 
@@ -197,6 +292,11 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
     unchanged, with the identity word, exactly when it is in F2 at that tol.
     Where Im z12 is zero within tol, Re z12 >= -tol is chosen, so the word
     does not follow the rounding noise in Im z12.
+
+    Each move is decided on doubles where they settle it with a margin, and
+    on the working-precision values where they do not; so the word is the
+    one working-precision decisions give.  Each move is applied by act at
+    the working precision, one at a time.
     """
     with ctx.work():
         tol = f2_tol(ctx)
@@ -211,35 +311,81 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
         raise ArithmeticError("reduction did not terminate; raise precision")
 
 
-def _minkowski_unimodular(Z: PeriodMatrix, tol):
+def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
+    """The Gottschling matrix with the smallest |det(CZ + D)|, the first of
+    equal ones, when that is below 1 - tol; else None.  zd and td are the
+    doubles of Z and tol."""
+    za = [abs(w) for w in zd]
+    one = 1 - td
+    near = []  # (index, |det|, the sum of the absolute values of its terms)
+    for i, (c, d, ca, da) in enumerate(_GOTTSCHLING_CD):
+        m11, m12, m21, m22 = _cz_plus_d(c, d, zd)
+        a11, a12, a21, a22 = _cz_plus_d(ca, da, za)
+        v, s = abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21
+        if not (v > one and _sure(v - one, s + 1 + td)):
+            near.append((i, v, s))
+    # the others are surely at least 1 - tol, so none of them is the move
+    if not near:
+        return None
+    least, v, s = min(near, key=lambda e: e[1])
+    if v < one and _sure(v - one, s + 1 + td) and all(
+            i == least or _sure(w - v, s + t) for i, w, t in near):
+        return GOTTSCHLING[least]
+    exact = {}
+    for i, _, _ in near:
+        c, d, _, _ = _GOTTSCHLING_CD[i]
+        m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
+        exact[i] = abs(m11 * m22 - m12 * m21)
+    least = min(exact, key=exact.__getitem__)
+    return GOTTSCHLING[least] if exact[least] < 1 - tol else None
+
+
+def _gram(U, o):
+    """The entries (y11, y12, y22) of U Y U^T, Y = (o11 o12; o12 o22).  On
+    |U| and |o| they are the sums of the absolute values of the terms."""
+    (a, b), (c, d) = U
+    o11, o12, o22 = o
+    return (a * a * o11 + 2 * a * b * o12 + b * b * o22,
+            a * c * o11 + (a * d + b * c) * o12 + b * d * o22,
+            c * c * o11 + 2 * c * d * o12 + d * d * o22)
+
+
+def _minkowski_unimodular(Z: PeriodMatrix, zd, tol, td):
     """Unimodular U with U (Im Z) U^T Minkowski-reduced and the transformed
-    Im z12 >= -tol; None if Z is already in shape."""
-    o11, o12, o22 = Z.im_entries()
-
-    def transformed(U):
-        a, b = U[0]
-        c, d = U[1]
-        return (a * a * o11 + 2 * a * b * o12 + b * b * o22,
-                a * c * o11 + (a * d + b * c) * o12 + b * d * o22,
-                c * c * o11 + 2 * c * d * o12 + d * d * o22)
-
+    Im z12 >= -tol; None if Z is already in shape.  zd and td are the
+    doubles of Z and tol."""
+    o = Z.im_entries()
+    od = [w.imag for w in zd]
+    oa = [abs(v) for v in od]
     U = [[1, 0], [0, 1]]
+
+    def exact_nint():
+        y11, y12, _ = _gram(U, o)
+        return mp.nint(y12 / y11)
+
+    def exact_swap():
+        y11, _, y22 = _gram(U, o)
+        return y22 < y11
+
     changed = False
     for _ in range(200):
-        y11, y12, y22 = transformed(U)
-        t = int(mp.nint(y12 / y11))
+        (y11, y12, y22), (s11, s12, s22) = _gram(U, od), _gram(_abs2(U), oa)
+        if not (y11 > 0 and _sure(y11, s11)):
+            y11 = math.nan  # so that the error of y12 / y11 stays first order
+        q = y12 / y11
+        t = _nint(q, (s12 + abs(q) * s11) / y11, exact_nint)
         if t != 0:
             # row op: e2 -> e2 - t e1
             U = [U[0], [U[1][0] - t * U[0][0], U[1][1] - t * U[0][1]]]
             changed = True
             continue
-        if y22 < y11:
+        if _decide(y11 - y22, s11 + s22, exact_swap):
             U = [U[1], U[0]]
             changed = True
             continue
         break
-    y11, y12, y22 = transformed(U)
-    if y12 < -tol:
+    (_, y12, _), (_, s12, _) = _gram(U, od), _gram(_abs2(U), oa)
+    if _decide(-td - y12, s12 + td, lambda: _gram(U, o)[1] < -tol):
         U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
         changed = True
     return U if changed else None

@@ -4,7 +4,7 @@ import random
 import mpmath as mp
 import pytest
 
-from g2heights import bounds, cli, cmperiod
+from g2heights import bounds, cli, cmperiod, siegel
 from g2heights.prec import PrecisionContext
 from g2heights.siegel import (GOTTSCHLING, SymplecticMatrix, act, f2_tol,
                               in_fundamental_domain, reduce)
@@ -154,6 +154,8 @@ def test_reduce_properties(ctx):
                 mp.mpc(rng.uniform(-2, 2), rng.uniform(0.5, 2.5)))
             gamma, zr = reduce(Z, ctx)
             assert in_fundamental_domain(zr, 2 * tol)
+            # products are built without the symplectic check: still symplectic
+            assert gamma._is_symplectic()
             # gamma really maps Z to zr
             W = act(gamma, Z)
             assert abs(W.z11 - zr.z11) + abs(W.z12 - zr.z12) + abs(
@@ -202,3 +204,169 @@ def test_reduce_word_stable_across_precision(ctx):
         for bits in (512, 1024):
             z = reduced["ex3", bits]
             assert all(abs(u - v) < ctx.tol for u, v in zip(z.entries(), zr.entries()))
+
+
+# ---- the decisions on doubles against a working-precision oracle ----------
+
+def _oracle_minkowski(Z, tol):
+    o11, o12, o22 = Z.im_entries()
+
+    def transformed(U):
+        a, b = U[0]
+        c, d = U[1]
+        return (a * a * o11 + 2 * a * b * o12 + b * b * o22,
+                a * c * o11 + (a * d + b * c) * o12 + b * d * o22,
+                c * c * o11 + 2 * c * d * o12 + d * d * o22)
+
+    U = [[1, 0], [0, 1]]
+    changed = False
+    for _ in range(200):
+        y11, y12, y22 = transformed(U)
+        t = int(mp.nint(y12 / y11))
+        if t != 0:
+            U = [U[0], [U[1][0] - t * U[0][0], U[1][1] - t * U[0][1]]]
+            changed = True
+            continue
+        if y22 < y11:
+            U = [U[1], U[0]]
+            changed = True
+            continue
+        break
+    y11, y12, y22 = transformed(U)
+    if y12 < -tol:
+        U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
+        changed = True
+    return U if changed else None
+
+
+def _oracle_step(Z, tol):
+    """The reduction step with every comparison on the working-precision
+    values: the reference that the decisions on doubles must reproduce."""
+    U = _oracle_minkowski(Z, tol)
+    if U is not None:
+        return SymplecticMatrix.embed_gl2(U)
+    b = [-int(mp.nint(mp.re(z))) for z in Z.entries()]
+    if any(b):
+        return SymplecticMatrix.translation(*b)
+    z11, z12, z22 = Z.entries()
+    dets = []
+    for g in GOTTSCHLING:
+        _, _, c, d = g.blocks()
+        m11 = c[0][0] * z11 + c[0][1] * z12 + d[0][0]
+        m12 = c[0][0] * z12 + c[0][1] * z22 + d[0][1]
+        m21 = c[1][0] * z11 + c[1][1] * z12 + d[1][0]
+        m22 = c[1][0] * z12 + c[1][1] * z22 + d[1][1]
+        dets.append(abs(m11 * m22 - m12 * m21))
+    least = min(range(len(dets)), key=dets.__getitem__)
+    if dets[least] < 1 - tol:
+        return GOTTSCHLING[least]
+    if abs(mp.im(z12)) <= tol and mp.re(z12) < -tol:
+        return SymplecticMatrix.embed_gl2([[1, 0], [0, -1]])
+    return None
+
+
+def _oracle_reduce(Z, ctx):
+    with ctx.work():
+        tol = f2_tol(ctx)
+        total, cur = SymplecticMatrix.identity(), Z
+        while True:
+            g = _oracle_step(cur, tol)
+            if g is None:
+                return total, cur
+            cur = act(g, cur)
+            total = g * total
+
+
+def _assert_same_as_oracle(Z, ctx, label):
+    gamma, zr = reduce(Z, ctx)
+    gamma_ref, zr_ref = _oracle_reduce(Z, ctx)
+    assert gamma.m == gamma_ref.m, label
+    assert zr.entries() == zr_ref.entries(), label
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_reduce_matches_oracle_on_scrambles(bits):
+    c = PrecisionContext(bits)
+    rng = random.Random(bits)
+    with c.work():
+        for k in range(12):
+            y11 = rng.uniform(0.9, 2)
+            Z0 = PeriodMatrix(mp.mpc(rng.uniform(-0.5, 0.5), y11),
+                              mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0, y11 / 2)),
+                              mp.mpc(rng.uniform(-0.5, 0.5), y11 * rng.uniform(1, 20)))
+            _assert_same_as_oracle(act(random_word(rng, rng.randint(2, 12)), Z0), c, k)
+
+
+def _boundary_points(ctx):
+    """(label, Z) at distance 0, +-2^-45 and +-2^-200 from each boundary of
+    F2, at ctx's precision: Re z_ij = +-1/2, y22 = y11, 2 |y12| = y11,
+    Im z12 = 0 and |det(CZ + D)| = 1.  The last also at points whose
+    entries are not dyadic, where a double can fall on either side."""
+    out = []
+    with ctx.work():
+        x = [mp.mpf("0.1"), mp.mpf("0.2"), mp.mpf("-0.3")]
+        y = [mp.mpf("1.2"), mp.mpf("0.3"), mp.mpf("1.5")]
+
+        def at(xs, ys):
+            return PeriodMatrix(*(mp.mpc(u, v) for u, v in zip(xs, ys)))
+
+        for eps in (0, 2 ** -45, -2 ** -45, 2 ** -200, -2 ** -200):
+            eps = mp.mpf(eps)
+            for k in range(3):
+                for half in (mp.mpf(1) / 2, -mp.mpf(1) / 2):
+                    xs = list(x)
+                    xs[k] = half + eps
+                    out.append((f"Re z{k} = {half} + {eps}", at(xs, y)))
+            out.append((f"y22 = y11 + {eps}", at(x, [y[0], y[1], y[0] + eps])))
+            for sign in (1, -1):
+                out.append((f"y12 = {sign} (y11/2 + {eps})",
+                            at(x, [y[0], sign * (y[0] / 2 + eps), y[2]])))
+            for x12 in (mp.mpf("0.2"), mp.mpf("-0.3")):
+                out.append((f"Im z12 = {eps}, Re z12 = {x12}",
+                            at([x[0], x12, x[2]], [y[0], eps, y[2]])))
+            s = 1 + eps
+            out.append((f"(1 + {eps}) iI", PeriodMatrix(mp.mpc(0, s), 0, mp.mpc(0, s))))
+            # |e^{ti}| rounds to 1 - 2^-53 in doubles at t = 1.83 and 1.995
+            for t1, t2 in (("1.3", "1.7"), ("1.1", "1.9"), ("1.83", "1.7"), ("1.995", "1.5")):
+                z11, z22 = s * mp.expj(mp.mpf(t1)), s * mp.expj(mp.mpf(t2))
+                out.append((f"(1 + {eps}) diag(e^{t1}i, e^{t2}i)", PeriodMatrix(z11, 0, z22)))
+                out.append((f"|z11| = 1 + {eps} at e^{t1}i",
+                            PeriodMatrix(z11, mp.mpc(x[1], y[1]), mp.mpc(x[2], y[2]))))
+    return out
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_reduce_matches_oracle_on_boundaries(bits):
+    c = PrecisionContext(bits)
+    for label, Z in _boundary_points(c):
+        _assert_same_as_oracle(Z, c, label)
+
+
+def test_reduce_far_entries_decided_at_working_precision():
+    # Im z22 = 10^400 has no double, nor has z12 = 10^-400 (1 + i): every
+    # decision of such a step is made on the working-precision values
+    c = PrecisionContext(1024)
+    with c.work():
+        huge = PeriodMatrix(mp.mpc("0.1", "1.2"), 0, mp.mpc("0.3", mp.mpf(10) ** 400))
+        tiny = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc(mp.mpf(10) ** -400, mp.mpf(10) ** -400),
+                            mp.mpc("-0.3", "1.5"))
+        # J T(1, 0, 2) and the swap keep z12 a product, so it stays near 10^-400
+        scramble = (J_MAT * SymplecticMatrix.translation(1, 0, 2)
+                    * SymplecticMatrix.embed_gl2([[0, 1], [1, 0]]))
+        for label, Z in (("huge", huge), ("huge scrambled", act(scramble, huge)),
+                         ("tiny", tiny), ("tiny scrambled", act(scramble, tiny))):
+            assert all(mp.isnan(w) for w in siegel._doubles(Z)), label
+            _assert_same_as_oracle(Z, c, label)
+        _, zr = reduce(act(scramble, tiny), c)
+        assert 0 < abs(zr.z12) < mp.mpf(10) ** -399
+
+
+def test_step_subnormal_parts_decided_at_working_precision(ctx):
+    # as doubles, y12 / y11 is 1012 / 2025 < 1/2, but it is above 1/2
+    with ctx.work():
+        e = mp.mpf(2) ** -1074
+        Z = PeriodMatrix(mp.mpc("0.1", e * mp.mpf("2024.6")), mp.mpc(0, e * mp.mpf("1012.45")),
+                         mp.mpc("0.2", "1.5"))
+        tol = f2_tol(ctx)
+        assert siegel._step(Z, tol) == _oracle_step(Z, tol)
+        assert siegel._step(Z, tol) == SymplecticMatrix.embed_gl2([[1, 0], [-1, 1]])
