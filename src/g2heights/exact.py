@@ -8,6 +8,7 @@ Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -121,7 +122,12 @@ class IntPolynomial:
 
 def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
     """Sylvester resultant of two polynomials given lowest-degree-first,
-    taken at their actual degrees."""
+    taken at their actual degrees.
+
+    The rows are scaled to integers, P = dp p and Q = dq q with dp and dq
+    the common denominators, so Res(p, q) = Res(P, Q) / (dp^n dq^m) for
+    degrees m and n, and Res(P, Q) is the determinant of an integer matrix
+    by fraction-free Bareiss elimination."""
     p = list(p)
     q = list(q)
     while len(p) > 1 and p[-1] == 0:
@@ -130,43 +136,33 @@ def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
         q.pop()
     m, n = len(p) - 1, len(q) - 1
     if m == 0:
-        return p[0] ** n
+        return Fraction(p[0]) ** n
     if n == 0:
-        return q[0] ** m
+        return Fraction(q[0]) ** m
+    dp = lcm(*(Fraction(c).denominator for c in p))
+    dq = lcm(*(Fraction(c).denominator for c in q))
+    P = [int(c * dp) for c in reversed(p)]
+    Q = [int(c * dq) for c in reversed(q)]
     size = m + n
-    mat = [[Fraction(0)] * size for _ in range(size)]
-    for row in range(n):
-        for i, c in enumerate(reversed(p)):
-            mat[row][row + i] = c
-    for row in range(m):
-        for i, c in enumerate(reversed(q)):
-            mat[n + row][row + i] = c
-    return _det_fraction(mat)
-
-
-def _det_fraction(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] == 0:
-                continue
-            f = mat[r][col] * inv
-            for c in range(col, n):
-                mat[r][c] -= f * mat[col][c]
-    return det
+    mat = [[0] * row + P + [0] * (n - 1 - row) for row in range(n)]
+    mat += [[0] * row + Q + [0] * (m - 1 - row) for row in range(m)]
+    # Bareiss: after step k every entry below row k is a k+1 minor, and the
+    # division by the previous pivot is exact
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if mat[k][k] == 0:
+            r = next((r for r in range(k + 1, size) if mat[r][k]), None)
+            if r is None:
+                return Fraction(0)
+            mat[k], mat[r] = mat[r], mat[k]
+            sign = -sign
+        pivot, top = mat[k][k], mat[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * mat[-1][-1], dp ** n * dq ** m)
 
 
 def disc_n(p: IntPolynomial, n: int) -> Fraction:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm, perm
 
 import mpmath as mp
 
@@ -73,61 +73,52 @@ class LocalContribution:
     height_term: object  # mpf
 
 
-# ---- binary sextic transvectants, exact -----------------------------------
+# ---- binary sextic transvectants, exact ----------------------------------
+# A binary form of order n is the list c of its integer coefficients,
+# c[k] that of x^(n-k) y^k.
 
-class _BF:
-    # coeffs c[k] = coefficient of x^(n-k) y^k
-    def __init__(self, coeffs, order):
-        self.c = [Fraction(v) for v in coeffs]
-        self.n = order
-
-    def dx(self):
-        return _BF([(self.n - k) * self.c[k] for k in range(self.n)], self.n - 1)
-
-    def dy(self):
-        return _BF([(k + 1) * self.c[k + 1] for k in range(self.n)], self.n - 1)
-
-    def mul(self, other):
-        n = self.n + other.n
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.c):
-            for j, b in enumerate(other.c):
-                out[i + j] += a * b
-        return _BF(out, n)
+def _partials(c, a, b):
+    """d^a/dx^a d^b/dy^b of the form c: x^(n-k) y^k goes to
+    (n-k)!/(n-k-a)! k!/(k-b)! x^(n-k-a) y^(k-b)."""
+    n = len(c) - 1
+    return [c[k] * perm(n - k, a) * perm(k, b) for k in range(b, n - a + 1)]
 
 
-def _transvectant(f: _BF, g: _BF, k: int) -> _BF:
-    m, n = f.n, g.n
-    pre = Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-    total = None
+def _transvectant(f, g, k):
+    """The k-th transvectant of the forms f and g of orders m and n, times
+    m! n! / ((m-k)! (n-k)!): sum_j (-1)^j C(k, j) times the product of
+    d^(k-j)/dx d^j/dy f and d^j/dx d^(k-j)/dy g, on integers."""
+    out = [0] * (len(f) + len(g) - 1 - 2 * k)
     for j in range(k + 1):
-        df = f
-        for _ in range(k - j):
-            df = df.dx()
-        for _ in range(j):
-            df = df.dy()
-        dg = g
-        for _ in range(j):
-            dg = dg.dx()
-        for _ in range(k - j):
-            dg = dg.dy()
-        term = df.mul(dg)
-        sgn = (-1) ** j * comb(k, j)
-        tc = [sgn * v for v in term.c]
-        total = tc if total is None else [a + b for a, b in zip(total, tc)]
-    return _BF([pre * v for v in total], m + n - 2 * k)
+        w = (-1) ** j * comb(k, j)
+        dg = _partials(g, j, k - j)
+        for s, u in enumerate(_partials(f, k - j, j)):
+            for t, v in enumerate(dg):
+                out[s + t] += w * u * v
+    return out
+
+
+def _prefactor(m, n, k):
+    """(m-k)! (n-k)! / (m! n!), the factor _transvectant leaves out."""
+    return Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
 
 
 def _igusa_clebsch(sextic: IntPolynomial):
-    """(I2, I4, I6) of the sextic; I10 is its discriminant disc_6."""
-    # sextic given lowest degree first; _BF wants x-descending
+    """(I2, I4, I6) of the sextic; I10 is its discriminant disc_6.
+
+    The transvectants run on the integer form F = d f, d the common
+    denominator; each is bilinear, so every factorial prefactor and power of
+    d enters once, as a Fraction, at the end."""
     cs = list(sextic.coeffs) + [Fraction(0)] * (7 - len(sextic.coeffs))
-    f = _BF(list(reversed(cs)), 6)
-    A = _transvectant(f, f, 6).c[0]
-    i4 = _transvectant(f, f, 4)
-    B = _transvectant(i4, i4, 4).c[0]
-    D2 = _transvectant(i4, i4, 2)
-    C = _transvectant(i4, D2, 4).c[0]
+    d = lcm(*(c.denominator for c in cs))
+    F = [int(c * d) for c in reversed(cs)]  # x-descending
+    i4 = _transvectant(F, F, 4)  # i = (f, f)_4 = p4 i4
+    p4 = _prefactor(6, 6, 4) / d ** 2
+    A = _prefactor(6, 6, 6) / d ** 2 * _transvectant(F, F, 6)[0]
+    B = _prefactor(4, 4, 4) * p4 ** 2 * _transvectant(i4, i4, 4)[0]
+    # C = (i, (i, i)_2)_4, and (i, i)_2 has order 4 like i
+    C = (_prefactor(4, 4, 4) * _prefactor(4, 4, 2) * p4 ** 3
+         * _transvectant(i4, _transvectant(i4, i4, 2), 4)[0])
     I2 = -120 * A
     I4 = -720 * A ** 2 + 6750 * B
     I6 = 8640 * A ** 3 - 108000 * A * B + 202500 * C

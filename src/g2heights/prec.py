@@ -1,11 +1,19 @@
 """High-precision kernel: precision contexts, log-Gamma on (0,1], and
 complex polynomial roots.
 
-mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi),
-the Bernoulli numbers (mpmath.bernfrac) and the starting values of the roots
-(mpmath.polyroots).  log_gamma, the Newton polish of the roots, their
-residual check and the check that no two roots coincide are implemented
-here so their error behaviour is under our control.
+mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi)
+and the Bernoulli numbers (mpmath.bernfrac).  log_gamma, the seeds of the
+roots, their Newton lift and polish, their residual check and the check that
+no two roots coincide are implemented here so their error behaviour is under
+our control.
+
+The roots are decided on doubles, else at the working precision: an
+Aberth-Ehrlich iteration in Python complex numbers seeds them to about 40
+bits of the root scale, and Newton's method lifts each seed at doubling
+precisions to the polish precision (the MPSolve scheme of Bini and
+Fiorentino, Numer. Algorithms 23, 2000).  Where the doubles cannot decide,
+for a close pair of roots or an iteration that does not converge,
+mpmath.polyroots at the working precision gives the seeds instead.
 
 log_gamma takes a rational x = m/f and is the Stirling series at z = x + N.
 Its callers halve the work by the reflection log Gamma(1-x) = log pi -
@@ -18,6 +26,7 @@ z > 0 bounds the remainder, is below 2^-(workbits+16).
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import ceil, lcm
 from typing import NamedTuple
@@ -141,19 +150,90 @@ def log_gamma(x, ctx: PrecisionContext):
         return +s
 
 
+# The double seeds of poly_roots (see _double_seeds): at most SEED_STEPS
+# Aberth-Ehrlich sweeps, converged when every correction is below SEED_TOL,
+# and no two seeds within SEED_GAP, both in units of the root scale 2^s.  A
+# converged seed is trusted to SEED_BITS bits of that scale.
+SEED_STEPS = 100
+SEED_TOL = 2.0 ** -40
+SEED_GAP = 2.0 ** -20
+SEED_BITS = 40
+
+
+def _double_seeds(cs):
+    """Starting values for the roots of sum_k cs[k] x^k, integers lowest
+    degree first, as mpc values of doubles; None when the doubles do not
+    decide them.
+
+    With x = 2^s y and 2^s at least the Fujiwara bound
+    2 max_k |cs[n-k] / cs[n]|^(1/k), taken from bit lengths, every
+    coefficient of the monic q(y) = p(2^s y) / (cs[n] 2^(sn)) is at most 1/2
+    in modulus, so all roots of q lie in |y| <= 1.  Each coefficient is one
+    division of integers, correctly rounded, and none overflows.  The
+    Aberth-Ehrlich sweeps start on the unit circle about the centroid of the
+    roots, turned off the real axis.  None when an iterate is not finite or
+    a division by zero occurs, when SEED_STEPS sweeps do not bring every
+    correction below SEED_TOL, or when two seeds are within SEED_GAP.
+    """
+    n = len(cs) - 1
+    lead = cs[-1]
+    lb = abs(lead).bit_length()
+    # |cs[n-k] / lead| < 2^e with e = bits(cs[n-k]) - bits(lead) + 1, and
+    # 2^(s k) >= 2^(k + e) for s = 1 + ceil(e / k) = 1 - floor(-e / k)
+    s = max((1 - (lb - 1 - abs(c).bit_length()) // k
+             for k, c in enumerate(reversed(cs[:-1]), 1) if c), default=0)
+    q = [c / (lead << e) if e >= 0 else (c << -e) / lead
+         for c, e in ((c, s * (n - k)) for k, c in enumerate(cs))]
+    ys = [-q[n - 1] / n + cmath.rect(1, 2 * cmath.pi * k / n + 0.4)
+          for k in range(n)]
+    try:
+        for _ in range(SEED_STEPS):
+            worst = 0.0
+            for i, y in enumerate(ys):
+                v, dv = 1.0, 0.0
+                for c in reversed(q[:-1]):
+                    dv = dv * y + v
+                    v = v * y + c
+                ratio = v / dv
+                corr = ratio / (1 - ratio * sum(1 / (y - w) for j, w in enumerate(ys)
+                                                if j != i))
+                if not cmath.isfinite(corr):
+                    return None
+                ys[i] = y - corr
+                worst = max(worst, abs(corr))
+            if worst < SEED_TOL:
+                break
+        else:
+            return None
+        if min((abs(a - b) for i, a in enumerate(ys) for b in ys[i + 1:]),
+               default=1) < SEED_GAP:
+            return None
+    except (ZeroDivisionError, OverflowError):
+        return None
+    return [mp.mpc(mp.ldexp(y.real, s), mp.ldexp(y.imag, s)) for y in ys]
+
+
 def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     """All complex roots of a squarefree polynomial, sorted by (Re, Im).
 
-    mpmath.polyroots gives starting values to half the working precision,
-    computing at workbits + 32 so that a close pair of roots stays apart;
-    Newton's method then polishes each one.  Horner runs on the exact
-    integer coefficients, and the polish at workbits + 32 + log2(1/gap),
-    gap the smallest distance between two seeds: a root of a pair that
-    close is known to about 2^-precision / gap.  Raises ValueError if
-    Res(p, p') = 0, and ArithmeticError if the seeding fails, a Newton
-    polish uses up its log2(workbits) + 6 steps before a step falls below
-    2^-workbits |z|, a residual is too large, or two polished roots
-    coincide to within 2^-(workbits/2) |z|.
+    Seeds: _double_seeds, an Aberth-Ehrlich iteration in complex doubles on
+    the integer coefficients scaled to put every root in the unit disk, gives
+    starting values to about SEED_BITS bits of the root scale.  Each is
+    lifted by one Newton step at each of the doubling precisions below the
+    polish precision.  When the doubles do not decide (an iterate not
+    finite, no convergence in SEED_STEPS sweeps, or two seeds within
+    SEED_GAP of the root scale: a close pair), mpmath.polyroots gives the
+    starting values instead, to half the working precision, computing at
+    workbits + 32 so that a close pair of roots stays apart.
+
+    Polish: Newton's method at workbits + 32 + log2(1/gap), gap the smallest
+    distance between two seeds: a root of a pair that close is known to
+    about 2^-precision / gap.  Horner runs on the exact integer
+    coefficients.  Raises ValueError if Res(p, p') = 0, and ArithmeticError
+    if the mpmath seeding fails, a Newton polish uses up its
+    log2(workbits) + 6 steps before a step falls below 2^-workbits |z|, a
+    residual is too large, or two polished roots coincide to within
+    2^-(workbits/2) |z|.
     """
     if resultant(p.coeffs, p.derivative().coeffs) == 0:
         raise ValueError("polynomial is not squarefree")
@@ -170,26 +250,39 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
             r = r * z + c
         return r
 
-    # cleanup=False: a seed rounded onto the real axis would keep the
-    # real Newton iteration there.  Durand-Kerner needs more than
-    # mpmath's default 50 steps to separate a close pair of roots.
     half = ctx.workbits // 2
-    try:
-        with mp.workprec(half):
-            seeds = mp.polyroots(cs[::-1], maxsteps=200, cleanup=False,
-                                 extraprec=ctx.workbits + 32 - half)
-    except NoConvergence as exc:
-        raise ArithmeticError(f"root seeding did not converge: {exc}") from exc
+    seeds = _double_seeds(cs)
+    lifted = seeds is not None
+    if not lifted:
+        # cleanup=False: a seed rounded onto the real axis would keep the
+        # real Newton iteration there.  Durand-Kerner needs more than
+        # mpmath's default 50 steps to separate a close pair of roots.
+        try:
+            with mp.workprec(half):
+                seeds = mp.polyroots(cs[::-1], maxsteps=200, cleanup=False,
+                                     extraprec=ctx.workbits + 32 - half)
+        except NoConvergence as exc:
+            raise ArithmeticError(f"root seeding did not converge: {exc}") from exc
     # a pair closer than 2^-half fails the coincidence check below anyway
     with mp.workprec(half):
         gap = min((abs(a - b) for i, a in enumerate(seeds) for b in seeds[i + 1:]),
                   default=1)
         extra = half if gap < mp.mpf(2) ** -half else max(0, ceil(-mp.log(gap, 2)))
-    with mp.workprec(ctx.workbits + 32 + extra):
+    top = ctx.workbits + 32 + extra
+    # the lift of a double seed: one Newton step at each of the precisions
+    # top/2^k, ..., top/4, top/2 that are at least 2 SEED_BITS
+    rungs, bits = [], (top + 1) // 2
+    while lifted and bits >= 2 * SEED_BITS:
+        rungs.append(bits)
+        bits = (bits + 1) // 2
+    with mp.workprec(top):
         target = mp.mpf(2) ** (-ctx.workbits)
         polished = []
         for z in seeds:
             z = mp.mpc(z)
+            for bits in reversed(rungs):
+                with mp.workprec(bits):
+                    z = z - horner(cs, z) / horner(dcs, z)
             for _ in range(int(mp.log(ctx.workbits, 2)) + 6):
                 step = horner(cs, z) / horner(dcs, z)
                 z = z - step

@@ -314,25 +314,31 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
 def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
     """The Gottschling matrix with the smallest |det(CZ + D)|, the first of
     equal ones, when that is below 1 - tol; else None.  zd and td are the
-    doubles of Z and tol."""
-    za = [abs(w) for w in zd]
-    one = 1 - td
-    near = []  # (index, |det|, the sum of the absolute values of its terms)
-    for i, (c, d, ca, da) in enumerate(_GOTTSCHLING_CD):
-        m11, m12, m21, m22 = _cz_plus_d(c, d, zd)
-        a11, a12, a21, a22 = _cz_plus_d(ca, da, za)
-        v, s = abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21
-        if not (v > one and _sure(v - one, s + 1 + td)):
-            near.append((i, v, s))
-    # the others are surely at least 1 - tol, so none of them is the move
-    if not near:
-        return None
-    least, v, s = min(near, key=lambda e: e[1])
-    if v < one and _sure(v - one, s + 1 + td) and all(
-            i == least or _sure(w - v, s + t) for i, w, t in near):
-        return GOTTSCHLING[least]
+    doubles of Z and tol.  Nan doubles (_NAN3) decide nothing, so every
+    determinant is then taken at the working precision; the doubles are not
+    touched, since abs of a nan complex raises OverflowError when errno is
+    left at ERANGE by the underflow that made them nan."""
+    near = range(len(_GOTTSCHLING_CD))
+    if zd is not _NAN3:
+        za = [abs(w) for w in zd]
+        one = 1 - td
+        cands = []  # (index, |det|, the sum of the absolute values of its terms)
+        for i, (c, d, ca, da) in enumerate(_GOTTSCHLING_CD):
+            m11, m12, m21, m22 = _cz_plus_d(c, d, zd)
+            a11, a12, a21, a22 = _cz_plus_d(ca, da, za)
+            v, s = abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21
+            if not (v > one and _sure(v - one, s + 1 + td)):
+                cands.append((i, v, s))
+        # the others are surely at least 1 - tol, so none of them is the move
+        if not cands:
+            return None
+        least, v, s = min(cands, key=lambda e: e[1])
+        if v < one and _sure(v - one, s + 1 + td) and all(
+                i == least or _sure(w - v, s + t) for i, w, t in cands):
+            return GOTTSCHLING[least]
+        near = [i for i, _, _ in cands]
     exact = {}
-    for i, _, _ in near:
+    for i in near:
         c, d, _, _ = _GOTTSCHLING_CD[i]
         m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
         exact[i] = abs(m11 * m22 - m12 * m21)

@@ -224,6 +224,7 @@ def test_height_colmez_reports_stirling_plan(capsys):
 def test_compare_reports_failed_root_seeding(monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise NoConvergence("no convergence")
+    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
     monkeypatch.setattr(mp, "polyroots", no_convergence)
     assert main(["compare", os.path.join(JOBS, "ex2.job")]) == 1
     assert "error: root seeding did not converge" in capsys.readouterr().err

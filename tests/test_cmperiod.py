@@ -1,6 +1,9 @@
+import os
+
 import mpmath as mp
 import pytest
 
+from g2heights.cli import parse_complex, parse_job
 from g2heights.cmperiod import (TauSelectionError, check_lemma_easy,
                                 period_matrix, select_tau)
 from g2heights.exact import IntPolynomial
@@ -28,6 +31,18 @@ def test_select_tau_order_stable_across_precision(ctx):
         with ctx.work():
             for a, b in zip(taus, ref):
                 assert abs(a - b) < ctx.tol, bits
+
+
+def test_select_tau_example1_reproduces_job_values():
+    # the minimal polynomial of sqrt(5) e^(2 pi i/5) against the 105 digits
+    # that jobs/ex1.job ships as tau_values
+    job = parse_job(os.path.join(os.path.dirname(__file__), "..", "jobs", "ex1.job"))
+    ctx = PrecisionContext(384)
+    taus = select_tau(IntPolynomial([25, -25, 15, -5, 1]), ctx)
+    with ctx.work():
+        for tau, lit in zip(taus, job["tau_values"].split(",")):
+            re_s, im_s = parse_complex(lit)
+            assert abs(tau - mp.mpc(re_s, im_s)) < mp.mpf(10) ** -104
 
 
 def test_select_tau_wrong_degree(ctx):

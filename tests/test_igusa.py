@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction as F
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
 
-from g2heights.exact import IntPolynomial, is_prime
+from g2heights.exact import IntPolynomial, is_prime, resultant
 from g2heights.igusa import (SingularCurveError, WeierstrassEquation,
-                             _factor_trial, discriminant, finite_height_part,
-                             igusa_invariants, iota, minimal_disc_order)
+                             _factor_trial, _igusa_clebsch, discriminant,
+                             finite_height_part, igusa_invariants, iota,
+                             minimal_disc_order)
 
 EX1 = WeierstrassEquation(IntPolynomial([-1, 0, 0, 0, 0, 1]), IntPolynomial([0]))
 EX2 = WeierstrassEquation(
@@ -19,7 +21,7 @@ BIG = WeierstrassEquation(IntPolynomial([6, -4, -9, -8, 3, 3, -8]),
                           IntPolynomial([-2, -3, 1]))
 
 
-def corpus(seed, n):
+def curves(seed, n):
     """n smooth curves with P coefficients in [-10, 10], Q in [-3, 3]."""
     rng = random.Random(seed)
     while n:
@@ -27,11 +29,15 @@ def corpus(seed, n):
         qs = [rng.randint(-3, 3) for _ in range(4)]
         try:
             eq = WeierstrassEquation(IntPolynomial(cs), IntPolynomial(qs))
-            inv = igusa_invariants(eq)
         except (SingularCurveError, ValueError):
             continue
-        yield inv
+        yield eq
         n -= 1
+
+
+def corpus(seed, n):
+    """The invariants of curves(seed, n)."""
+    return (igusa_invariants(eq) for eq in curves(seed, n))
 
 
 def test_discriminant_restricted():
@@ -195,3 +201,76 @@ def test_finite_part_matches_per_prime_definition(ctx):
             assert abs(f - target) < ctx.tol
         checked += 1
     assert checked >= 100
+
+
+# ---- the integer kernels against a Fraction transcription -----------------
+
+def _frac_transvectant(f, g, k):
+    """(f, g)_k of binary forms given as Fraction lists, f[i] the
+    coefficient of x^(m-i) y^i, straight from the definition."""
+    def dx(c):
+        return [(len(c) - 1 - i) * v for i, v in enumerate(c[:-1])]
+
+    def dy(c):
+        return [(i + 1) * v for i, v in enumerate(c[1:])]
+
+    m, n = len(f) - 1, len(g) - 1
+    total = [F(0)] * (m + n - 2 * k + 1)
+    for j in range(k + 1):
+        df, dg = f, g
+        for _ in range(k - j):
+            df, dg = dx(df), dy(dg)
+        for _ in range(j):
+            df, dg = dy(df), dx(dg)
+        for s, u in enumerate(df):
+            for t, v in enumerate(dg):
+                total[s + t] += (-1) ** j * comb(k, j) * u * v
+    pre = F(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+    return [pre * v for v in total]
+
+
+def _frac_igusa_clebsch(sextic):
+    f = (list(sextic.coeffs) + [F(0)] * (7 - len(sextic.coeffs)))[::-1]
+    A = _frac_transvectant(f, f, 6)[0]
+    i = _frac_transvectant(f, f, 4)
+    B = _frac_transvectant(i, i, 4)[0]
+    C = _frac_transvectant(i, _frac_transvectant(i, i, 2), 4)[0]
+    return (-120 * A, -720 * A ** 2 + 6750 * B,
+            8640 * A ** 3 - 108000 * A * B + 202500 * C)
+
+
+def _frac_resultant(p, q):
+    """The determinant of the Sylvester matrix by Gaussian elimination over
+    the rationals; p and q lowest degree first, at their actual degrees."""
+    m, n = len(p) - 1, len(q) - 1
+    size = m + n
+    mat = [[F(0)] * row + list(p[::-1]) + [F(0)] * (n - 1 - row) for row in range(n)]
+    mat += [[F(0)] * row + list(q[::-1]) + [F(0)] * (m - 1 - row) for row in range(m)]
+    det = F(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        for r in range(col + 1, size):
+            f = mat[r][col] / mat[col][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
+    return det
+
+
+def test_integer_kernels_match_fraction_transcription():
+    # rational coefficients exercise the common denominators; EX1's sparse
+    # Sylvester matrix needs four row swaps
+    rational = [WeierstrassEquation(IntPolynomial([F(1, 3), F(-5, 2), 0, F(7, 4), 1, 0,
+                                                   F(2, 3)]),
+                                    IntPolynomial([F(1, 2), F(-2, 3)])),
+                WeierstrassEquation(IntPolynomial([F(-2, 9), 0, F(5, 7), 0, 0, F(3, 5)]),
+                                    IntPolynomial([0]))]
+    for eq in [EX1, EX2, EX3, BIG] + rational + list(curves(3, 100)):
+        f = eq.sextic4
+        assert _igusa_clebsch(f) == _frac_igusa_clebsch(f), f.coeffs
+        fp = f.derivative()
+        assert resultant(f.coeffs, fp.coeffs) == _frac_resultant(f.coeffs, fp.coeffs)

@@ -6,8 +6,8 @@ import pytest
 from mpmath.libmp import NoConvergence
 
 from g2heights.exact import IntPolynomial, resultant
-from g2heights.prec import (SERIES_BITS, PrecisionContext, log_gamma, poly_roots,
-                            stirling_plan)
+from g2heights.prec import (SERIES_BITS, PrecisionContext, _double_seeds, log_gamma,
+                            poly_roots, stirling_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -125,14 +125,19 @@ def test_roots_example2_quartic(ctx):
     assert len(upper) == 2
 
 
-def test_roots_sum_product(ctx):
+def _random_quintics():
+    """The squarefree ones among ten seeded quintics with small coefficients."""
     rng = random.Random(23)
+    for _ in range(10):
+        cs = [rng.randint(-9, 9) for _ in range(5)] + [rng.randint(1, 5)]
+        p = IntPolynomial(cs, 5)
+        if resultant(p.coeffs, p.derivative().coeffs) != 0:
+            yield cs, p
+
+
+def test_roots_sum_product(ctx):
     with ctx.work():
-        for _ in range(10):
-            cs = [rng.randint(-9, 9) for _ in range(5)] + [rng.randint(1, 5)]
-            p = IntPolynomial(cs, 5)
-            if resultant(p.coeffs, p.derivative().coeffs) == 0:
-                continue
+        for cs, p in _random_quintics():
             roots = poly_roots(p, ctx)
             s = mp.fsum(mp.re(r) for r in roots) + mp.mpc(0, 1) * mp.fsum(
                 mp.im(r) for r in roots)
@@ -181,6 +186,7 @@ def test_roots_collapsed_pair_raises(ctx):
 
 def test_roots_coincident_seeds_raise(ctx, monkeypatch):
     # both seeds polish to i: the coincidence check must catch it
+    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
     monkeypatch.setattr(mp, "polyroots",
                         lambda coeffs, **kw: [mp.mpc(0, 1), mp.mpc("0.01", 1)])
     with pytest.raises(ArithmeticError, match="coincide"):
@@ -201,9 +207,42 @@ def test_roots_unconverged_polish_raises(ctx, monkeypatch):
 def test_roots_seeding_failure_is_arithmetic_error(ctx, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise NoConvergence("no convergence")
+    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
     monkeypatch.setattr(mp, "polyroots", no_convergence)
     with pytest.raises(ArithmeticError, match="seeding"):
         poly_roots(IntPolynomial([1, 0, 1]), ctx)
+
+
+# the tau quartics of jobs/ex1.job (tau_values there), ex2.job and ex3.job
+TAU_QUARTICS = [[25, -25, 15, -5, 1], [889319, -137677, 6039, -61, 1],
+                [128, 0, 32, 0, 1]]
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+def test_roots_double_seeds_agree_with_mpmath_seeds(bits, monkeypatch):
+    ctx = PrecisionContext(bits)
+    polys = [IntPolynomial(cs) for cs in TAU_QUARTICS]
+    polys += [p for _, p in _random_quintics()]
+    for p in polys:
+        assert _double_seeds([int(c) for c in p.coeffs]) is not None, p.coeffs
+    lifted = [poly_roots(p, ctx) for p in polys]
+    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
+    with ctx.work():
+        for p, roots in zip(polys, lifted):
+            ref = poly_roots(p, ctx)
+            assert len(roots) == len(ref) == p.degree
+            # conjugate roots share a real part, so the sort may differ
+            for b in ref:
+                assert min(abs(a - b) for a in roots) < ctx.tol * max(1, abs(b)), p.coeffs
+
+
+def test_roots_huge_constant_term(ctx):
+    # x^2 + 10^400: the coefficients overflow a double, the scaled ones do not
+    roots = poly_roots(IntPolynomial([10 ** 400, 0, 1]), ctx)
+    with ctx.work():
+        r = mp.mpf(10) ** 200
+        assert abs(roots[0] + mp.mpc(0, r)) < ctx.tol * r
+        assert abs(roots[1] - mp.mpc(0, r)) < ctx.tol * r
 
 
 def test_roots_nonsquarefree(ctx):

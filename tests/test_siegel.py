@@ -361,6 +361,19 @@ def test_reduce_far_entries_decided_at_working_precision():
         assert 0 < abs(zr.z12) < mp.mpf(10) ** -399
 
 
+@pytest.mark.parametrize("bits", [3072, 4096])
+def test_reduce_ex3_with_underflowed_doubles(bits):
+    # ex3's Im z12 underflows a double on the way, and the conversion leaves
+    # errno at ERANGE: the nan doubles of that step must reach no complex
+    # abs, which would then raise OverflowError
+    c = PrecisionContext(bits)
+    job = cli.parse_job(os.path.join(JOBS, "ex3.job"))
+    gamma, zr = reduce(cli.job_periods(job, c)[0], c)
+    assert gamma.m == _W_EX3
+    with c.work():
+        assert in_fundamental_domain(zr, f2_tol(c))
+
+
 def test_step_subnormal_parts_decided_at_working_precision(ctx):
     # as doubles, y12 / y11 is 1012 / 2025 < 1/2, but it is above 1/2
     with ctx.work():
