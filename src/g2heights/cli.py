@@ -34,7 +34,7 @@ class JobError(ValueError):
     pass
 
 
-JOB_KEYS = {"curve_P", "curve_Q", "delta_F", "f_K", "tau_poly", "tau_values",
+JOB_KEYS = {"curve_P", "curve_Q", "delta_F", "f_K", "tau_poly",
             "character_table", "character_gen", "precision", "tolerance"}
 
 
@@ -44,10 +44,6 @@ def parse_complex(s: str):
     if not m:
         raise JobError(f"bad complex literal: {s!r} (want re+im*i)")
     return m.group(1), m.group(2)
-
-
-def _sig_digits(dec: str) -> int:
-    return len(dec.lstrip("+-0.").replace(".", ""))
 
 
 def parse_job(path: str) -> dict:
@@ -108,41 +104,21 @@ def _char_pairs(job, key):
     return pairs
 
 
-def _one_of(job, a, b):
-    """Whichever of the keys a and b the job gives; it must give exactly one."""
-    given = [k for k in (a, b) if k in job]
-    if len(given) != 1:
-        raise JobError(f"job gives both {a} and {b}" if given
-                       else f"job lacks {a} / {b}")
-    return given[0]
-
-
 def job_character(job):
     f = _int_key(job, "f_K")
-    key = _one_of(job, "character_table", "character_gen")
+    given = [k for k in ("character_table", "character_gen") if k in job]
+    if len(given) != 1:
+        raise JobError("job gives both character_table and character_gen" if given
+                       else "job lacks character_table / character_gen")
+    key, = given
     return char_from_spec(f, {key.removeprefix("character_"): _char_pairs(job, key)})
 
 
 def job_periods(job, ctx):
     delta = _int_key(job, "delta_F")
-    if _one_of(job, "tau_poly", "tau_values") == "tau_poly":
-        poly = IntPolynomial(_rat_list(job["tau_poly"]))
-        taus = cmperiod.select_tau(poly, ctx)
-    else:
-        parts = [p.strip() for p in job["tau_values"].split(",")]
-        if len(parts) != 2:
-            raise JobError("tau_values must list exactly two complex numbers")
-        need = ctx.prec // 3
-        taus = []
-        with ctx.work():
-            for p in parts:
-                re_s, im_s = parse_complex(p)
-                if _sig_digits(re_s) < need or _sig_digits(im_s) < need:
-                    raise JobError(
-                        f"tau_values carry fewer than {need} significant digits "
-                        f"required at {ctx.prec}-bit precision"
-                    )
-                taus.append(mp.mpc(mp.mpf(re_s), mp.mpf(im_s)))
+    if "tau_poly" not in job:
+        raise JobError("job lacks tau_poly")
+    taus = cmperiod.select_tau(IntPolynomial(_rat_list(job["tau_poly"])), ctx)
     return [cmperiod.period_matrix(*taus, delta, ctx)]
 
 

@@ -11,9 +11,10 @@ The roots are decided on doubles, else at the working precision: an
 Aberth-Ehrlich iteration in Python complex numbers seeds them to about 40
 bits of the root scale, and Newton's method lifts each seed at doubling
 precisions to the polish precision (the MPSolve scheme of Bini and
-Fiorentino, Numer. Algorithms 23, 2000).  Where the doubles cannot decide,
-for a close pair of roots or an iteration that does not converge,
-mpmath.polyroots at the working precision gives the seeds instead.
+Fiorentino, Numer. Algorithms 23, 2000); of a conjugate pair, only the seed
+above the real axis.  Where the doubles cannot decide, for a close pair of
+roots or an iteration that does not converge, mpmath.polyroots at the
+working precision gives the seeds instead.
 
 log_gamma takes a rational x = m/f and is the Stirling series at z = x + N.
 Its callers halve the work by the reflection log Gamma(1-x) = log pi -
@@ -162,8 +163,9 @@ SEED_BITS = 40
 
 def _double_seeds(cs):
     """Starting values for the roots of sum_k cs[k] x^k, integers lowest
-    degree first, as mpc values of doubles; None when the doubles do not
-    decide them.
+    degree first, as mpc values of doubles in descending Im, and the number
+    m of conjugate pairs: the first m seeds are above the real axis and the
+    last m below.  None when the doubles do not decide them.
 
     With x = 2^s y and 2^s at least the Fujiwara bound
     2 max_k |cs[n-k] / cs[n]|^(1/k), taken from bit lengths, every
@@ -173,7 +175,10 @@ def _double_seeds(cs):
     Aberth-Ehrlich sweeps start on the unit circle about the centroid of the
     roots, turned off the real axis.  None when an iterate is not finite or
     a division by zero occurs, when SEED_STEPS sweeps do not bring every
-    correction below SEED_TOL, or when two seeds are within SEED_GAP.
+    correction below SEED_TOL, when two seeds are within SEED_GAP, or when
+    the seeds SEED_GAP/2 or more above the real axis and those as far
+    below it differ in number.  A seed nearer the axis is a real root's: a non-real root would have its
+    conjugate's seed as near.
     """
     n = len(cs) - 1
     lead = cs[-1]
@@ -210,7 +215,11 @@ def _double_seeds(cs):
             return None
     except (ZeroDivisionError, OverflowError):
         return None
-    return [mp.mpc(mp.ldexp(y.real, s), mp.ldexp(y.imag, s)) for y in ys]
+    ys.sort(key=lambda y: -y.imag)
+    pairs = sum(y.imag >= SEED_GAP / 2 for y in ys)
+    if pairs != sum(y.imag <= -SEED_GAP / 2 for y in ys):
+        return None
+    return [mp.mpc(mp.ldexp(y.real, s), mp.ldexp(y.imag, s)) for y in ys], pairs
 
 
 def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
@@ -221,10 +230,14 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     starting values to about SEED_BITS bits of the root scale.  Each is
     lifted by one Newton step at each of the doubling precisions below the
     polish precision.  When the doubles do not decide (an iterate not
-    finite, no convergence in SEED_STEPS sweeps, or two seeds within
-    SEED_GAP of the root scale: a close pair), mpmath.polyroots gives the
-    starting values instead, to half the working precision, computing at
-    workbits + 32 so that a close pair of roots stays apart.
+    finite, no convergence in SEED_STEPS sweeps, two seeds within SEED_GAP
+    of the root scale: a close pair, or unpaired seeds off the real axis),
+    mpmath.polyroots gives the starting values instead, to half the working
+    precision, computing at workbits + 32 so that a close pair of roots
+    stays apart.  Of a conjugate pair of double seeds only the upper one is
+    lifted and polished, and its root is returned with its exact conjugate:
+    with real coefficients, rounding to nearest commutes with conjugation,
+    so the lower seed's Newton steps and residual would be the conjugates.
 
     Polish: Newton's method at workbits + 32 + log2(1/gap), gap the smallest
     distance between two seeds: a root of a pair that close is known to
@@ -251,7 +264,7 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
         return r
 
     half = ctx.workbits // 2
-    seeds = _double_seeds(cs)
+    seeds, pairs = _double_seeds(cs) or (None, 0)
     lifted = seeds is not None
     if not lifted:
         # cleanup=False: a seed rounded onto the real axis would keep the
@@ -278,7 +291,7 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     with mp.workprec(top):
         target = mp.mpf(2) ** (-ctx.workbits)
         polished = []
-        for z in seeds:
+        for z in seeds[:deg - pairs]:
             z = mp.mpc(z)
             for bits in reversed(rungs):
                 with mp.workprec(bits):
@@ -295,6 +308,7 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
             if resid > mp.mpf(2) ** (-ctx.prec) * scale:
                 raise ArithmeticError(f"root residual too large: {resid}")
             polished.append(z)
+        polished += [mp.conj(z) for z in polished[:pairs]]
         apart = mp.mpf(2) ** -half
         for i, zi in enumerate(polished):
             for zj in polished[i + 1:]:

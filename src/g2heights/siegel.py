@@ -26,7 +26,6 @@ Fundamentalbereiches der Modulgruppe zweiten Grades." Math. Ann. 138 (1959).
 from __future__ import annotations
 
 import math
-import sys
 
 import mpmath as mp
 
@@ -185,26 +184,24 @@ _NAN3 = (complex(math.nan, math.nan),) * 3
 
 
 def _doubles(Z: PeriodMatrix):
-    """z11, z12, z22 as complex doubles.  When a part overflows, or an
-    imaginary part is nonzero and underflows to 0 or a subnormal, all three
-    are nan instead: no margin test passes, and every decision of the step
-    is made at the working precision.
+    """z11, z12, z22 as complex doubles.  When a part overflows, or Im z11
+    or Im z22 is below the normal doubles, all three are nan instead: no
+    margin test passes, and every decision of the step is made at the
+    working precision.
 
-    So each imaginary part is within 2^-53 of its working-precision value,
-    relatively, and so is each real part unless it underflows.  One that
-    does is off by less than 2^-1075.  It enters a decision only next to
-    1/2 (nint), next to tol (the flip), or in |det(CZ + D)|: there it is
-    part of z11 + d or z22 + d, whose moduli are at least the normal
-    Im z11 and Im z22, or of z12 + d, which enters squared.  So its error is
-    below 2^-53 of the sum of the absolute values of the terms, or, next to
-    a tol below 2^-1022, below 2^-1075 against a sum above _SIZE_MIN."""
-    out = []
-    for z in Z.entries():
-        w = complex(z)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or (
-                abs(w.imag) < sys.float_info.min and z.imag != 0):
-            return _NAN3
-        out.append(w)
+    So each part is within 2^-53 of its working-precision value,
+    relatively, unless it underflows, as a real part or Im z12 (zero up to
+    rounding on ex3) may.  One that does is off by less than 2^-1075.  It
+    enters a decision only next to 1/2 (nint), next to tol (the flip), with
+    a small integer coefficient in a Gram entry of Im Z, or in
+    |det(CZ + D)|: there it is part of z11 + d or z22 + d, whose moduli are
+    at least the normal Im z11 and Im z22, or of z12 + d, which enters
+    squared.  So its error is below 2^-53 of the sum of the absolute values
+    of the terms, or below 2^-1075 against a sum above _SIZE_MIN."""
+    out = [complex(z) for z in Z.entries()]
+    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in out) or (
+            min(out[0].imag, out[2].imag) < 2.0 ** -1022):
+        return _NAN3
     return out
 
 
@@ -317,7 +314,7 @@ def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
     doubles of Z and tol.  Nan doubles (_NAN3) decide nothing, so every
     determinant is then taken at the working precision; the doubles are not
     touched, since abs of a nan complex raises OverflowError when errno is
-    left at ERANGE by the underflow that made them nan."""
+    left at ERANGE by an underflow in the conversion of another part."""
     near = range(len(_GOTTSCHLING_CD))
     if zd is not _NAN3:
         za = [abs(w) for w in zd]

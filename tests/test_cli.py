@@ -76,15 +76,23 @@ def test_verify_bounds_cli(capsys):
     assert "failures = 0" in out
 
 
-def test_tau_digit_guard(tmp_path, capsys):
-    job = tmp_path / "short.job"
+def test_tau_values_is_unknown_key(tmp_path, capsys):
+    # a job gives its tau pair only as the roots in H of tau_poly
+    job = tmp_path / "values.job"
     job.write_text(
         "precision = 256\ndelta_F = 5\nf_K = 5\n"
         "curve_P = -1, 0, 0, 0, 0, 1\ncurve_Q = 0\n"
         "tau_values = 0.69+2.12*i, 1.80+1.31*i\n"
         "character_table = 1=1, 2=i, 3=-i, 4=-1\n")
-    code, _ = run_cli(capsys, "compare", str(job))
-    assert code == 1
+    assert main(["compare", str(job)]) == 1
+    assert "unknown key 'tau_values'" in capsys.readouterr().err
+
+
+def test_compare_example1_at_1024_bits(capsys):
+    code, out = run_cli(capsys, "--precision-bits", "1024",
+                        "compare", os.path.join(JOBS, "ex1.job"))
+    assert code == 0
+    assert "result = PASS" in out
 
 
 def _ex3_with(tmp_path, extra):
@@ -118,31 +126,23 @@ def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def _ex1_line(key):
+def test_conflicting_job_keys_exit1(tmp_path, capsys):
+    # ex3 gives character_table; a second source for the same character
+    # must not be ignored in favour of whichever is read first
+    assert main(["compare", _ex3_with(tmp_path, "character_gen = 3=i\n")]) == 1
+    assert ("job gives both character_table and character_gen"
+            in capsys.readouterr().err)
+
+
+def test_tau_poly_without_pair_in_h_exit1(tmp_path, capsys):
+    # (x^2 - 1)(x^2 - 4) has four real roots, so no tau pair in H
+    path = tmp_path / "real.job"
     with open(os.path.join(JOBS, "ex1.job")) as fh:
-        return next(line for line in fh if line.startswith(key))
-
-
-@pytest.mark.parametrize("extra,keys", [
-    (_ex1_line("tau_values"), ("tau_poly", "tau_values")),
-    ("character_gen = 3=i\n", ("character_table", "character_gen")),
-], ids=["tau", "character"])
-def test_conflicting_job_keys_exit1(tmp_path, capsys, extra, keys):
-    # ex3 gives tau_poly and character_table; a second source for the same
-    # value must not be ignored in favour of whichever is read first
-    assert main(["compare", _ex3_with(tmp_path, extra)]) == 1
-    assert f"job gives both {keys[0]} and {keys[1]}" in capsys.readouterr().err
-
-
-def test_tau_values_outside_h_exit1(tmp_path, capsys):
-    # ex1 with Im tau1 negated
-    path = tmp_path / "lower.job"
-    with open(os.path.join(JOBS, "ex1.job")) as fh:
-        text = fh.read()
-    assert text.count("+2.1266") == 1
-    path.write_text(text.replace("+2.1266", "-2.1266"))
+        path.write_text("".join(line for line in fh if not line.startswith("tau_poly"))
+                        + "tau_poly = 4, 0, -5, 0, 1\n")
     assert main(["compare", str(path)]) == 1
-    assert "upper half plane" in capsys.readouterr().err
+    assert ("expected exactly 2 upper-half-plane roots, got 0"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key,value,token", [

@@ -3,7 +3,7 @@ import os
 import mpmath as mp
 import pytest
 
-from g2heights.cli import parse_complex, parse_job
+from g2heights.cli import parse_job
 from g2heights.cmperiod import (TauSelectionError, check_lemma_easy,
                                 period_matrix, select_tau)
 from g2heights.exact import IntPolynomial
@@ -34,15 +34,15 @@ def test_select_tau_order_stable_across_precision(ctx):
 
 
 def test_select_tau_example1_reproduces_job_values():
-    # the minimal polynomial of sqrt(5) e^(2 pi i/5) against the 105 digits
-    # that jobs/ex1.job ships as tau_values
+    # the roots in H of ex1's tau_poly, the minimal polynomial of
+    # sqrt(5) zeta_5, against the closed form
     job = parse_job(os.path.join(os.path.dirname(__file__), "..", "jobs", "ex1.job"))
     ctx = PrecisionContext(384)
-    taus = select_tau(IntPolynomial([25, -25, 15, -5, 1]), ctx)
+    taus = select_tau(IntPolynomial([int(c) for c in job["tau_poly"].split(",")]), ctx)
     with ctx.work():
-        for tau, lit in zip(taus, job["tau_values"].split(",")):
-            re_s, im_s = parse_complex(lit)
-            assert abs(tau - mp.mpc(re_s, im_s)) < mp.mpf(10) ** -104
+        s5, zeta = mp.sqrt(5), mp.expjpi(mp.mpf(2) / 5)
+        for tau, ref in zip(taus, (s5 * zeta, -s5 * zeta ** 3)):
+            assert abs(tau - ref) < ctx.tol
 
 
 def test_select_tau_wrong_degree(ctx):

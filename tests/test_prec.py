@@ -213,9 +213,29 @@ def test_roots_seeding_failure_is_arithmetic_error(ctx, monkeypatch):
         poly_roots(IntPolynomial([1, 0, 1]), ctx)
 
 
-# the tau quartics of jobs/ex1.job (tau_values there), ex2.job and ex3.job
+# the tau quartics of jobs/ex1.job, ex2.job and ex3.job
 TAU_QUARTICS = [[25, -25, 15, -5, 1], [889319, -137677, 6039, -61, 1],
                 [128, 0, 32, 0, 1]]
+# 16 T_5(x) - 1, T_5 the Chebyshev polynomial: five real roots
+# cos((t + 2 pi k)/5) with cos t = 1/16
+REAL_QUINTIC = [-1, 80, 0, -320, 0, 256]
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+@pytest.mark.parametrize("cs,n_real", [(cs, 0) for cs in TAU_QUARTICS] + [(REAL_QUINTIC, 5)],
+                         ids=["ex1", "ex2", "ex3", "real-quintic"])
+def test_roots_conjugate_pairs_exact(bits, cs, n_real):
+    # each non-real root comes with its exact conjugate, and a real root
+    # with none
+    ctx = PrecisionContext(bits)
+    roots = poly_roots(IntPolynomial(cs), ctx)
+    assert len(roots) == len(cs) - 1
+    with ctx.work():
+        real = [z for z in roots if abs(mp.im(z)) < ctx.tol]
+        assert len(real) == n_real
+        for z in roots:
+            if z not in real:
+                assert roots.count(mp.conj(z)) == 1, z
 
 
 @pytest.mark.parametrize("bits", [256, 1024, 4096])

@@ -179,20 +179,21 @@ def test_reduce_preserves_chi10_invariant(ctx):
 
 # the reduction words of the shipped jobs, by (job, precision).  ex2's
 # reduced matrix has Re z11 = Re z12 = 1/2 exactly, and at 1024 bits the
-# rounding noise puts Re z12 at -1/2, one translation away.
+# rounding noise puts Re z12 at -1/2, one translation away; ex1's word
+# changes on the same tie between 256 and 512 bits.
 _W_EX1 = [[1, 0, 0, 0], [3, 1, 0, 0], [2, 1, 1, -3], [-2, -1, 0, 1]]
+_W_EX1_512 = [[1, 0, -1, 2], [2, 1, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1]]
 _W_EX2 = [[1, 0, 0, -2], [-34, -1, 2, -56], [0, 0, 1, -34], [0, 0, 0, -1]]
 _W_EX2_1024 = [[1, 0, 0, -1], [-34, -1, 1, -22], [0, 0, 1, -34], [0, 0, 0, -1]]
 _W_EX3 = [[0, 0, -1, 5], [5, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
-EX_WORDS = {("ex1", 256): _W_EX1,
+EX_WORDS = {("ex1", 256): _W_EX1, ("ex1", 512): _W_EX1_512, ("ex1", 1024): _W_EX1_512,
             ("ex2", 256): _W_EX2, ("ex2", 512): _W_EX2, ("ex2", 1024): _W_EX2_1024,
             ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3}
 
 
 def test_reduce_word_stable_across_precision(ctx):
     # ex3's reduced matrix has Im z12 = 0 exactly: the word must not follow
-    # the rounding noise in it.  ex1's tau_values carry only enough digits
-    # for 256 bits.
+    # the rounding noise in it
     reduced = {}
     for (name, bits), word in EX_WORDS.items():
         c = PrecisionContext(bits)
@@ -343,8 +344,9 @@ def test_reduce_matches_oracle_on_boundaries(bits):
 
 
 def test_reduce_far_entries_decided_at_working_precision():
-    # Im z22 = 10^400 has no double, nor has z12 = 10^-400 (1 + i): every
-    # decision of such a step is made on the working-precision values
+    # Im z22 = 10^400 has no double: every decision of such a step is made
+    # on the working-precision values.  z12 = 10^-400 (1 + i) underflows to
+    # 0, off by less than 2^-1075, and the doubles decide where they can
     c = PrecisionContext(1024)
     with c.work():
         huge = PeriodMatrix(mp.mpc("0.1", "1.2"), 0, mp.mpc("0.3", mp.mpf(10) ** 400))
@@ -353,9 +355,12 @@ def test_reduce_far_entries_decided_at_working_precision():
         # J T(1, 0, 2) and the swap keep z12 a product, so it stays near 10^-400
         scramble = (J_MAT * SymplecticMatrix.translation(1, 0, 2)
                     * SymplecticMatrix.embed_gl2([[0, 1], [1, 0]]))
-        for label, Z in (("huge", huge), ("huge scrambled", act(scramble, huge)),
-                         ("tiny", tiny), ("tiny scrambled", act(scramble, tiny))):
+        for label, Z in (("huge", huge), ("huge scrambled", act(scramble, huge))):
             assert all(mp.isnan(w) for w in siegel._doubles(Z)), label
+            _assert_same_as_oracle(Z, c, label)
+        for label, Z in (("tiny", tiny), ("tiny scrambled", act(scramble, tiny))):
+            zd = siegel._doubles(Z)
+            assert zd[1] == 0 and zd == [complex(z) for z in Z.entries()], label
             _assert_same_as_oracle(Z, c, label)
         _, zr = reduce(act(scramble, tiny), c)
         assert 0 < abs(zr.z12) < mp.mpf(10) ** -399
@@ -364,8 +369,7 @@ def test_reduce_far_entries_decided_at_working_precision():
 @pytest.mark.parametrize("bits", [3072, 4096])
 def test_reduce_ex3_with_underflowed_doubles(bits):
     # ex3's Im z12 underflows a double on the way, and the conversion leaves
-    # errno at ERANGE: the nan doubles of that step must reach no complex
-    # abs, which would then raise OverflowError
+    # errno at ERANGE: a complex abs of a nan would then raise OverflowError
     c = PrecisionContext(bits)
     job = cli.parse_job(os.path.join(JOBS, "ex3.job"))
     gamma, zr = reduce(cli.job_periods(job, c)[0], c)
