@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Job files are flat key = value text; lists comma-separated; complex numbers
-as "re+im*i" decimals.  Reports are deterministic for fixed job, precision
-and seed.  Exit codes: 0 success/pass, 1 computation or input error, 2
-verification failure.
+Job files are flat key = value text; lists comma-separated.  Reports are
+deterministic for fixed job, precision and seed.  Exit codes: 0 success/pass,
+1 computation or input error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class JobError(ValueError):
 
 
 JOB_KEYS = {"curve_P", "curve_Q", "delta_F", "f_K", "tau_poly",
-            "character_table", "character_gen", "precision", "tolerance"}
+            "character_table", "character_gen"}
 
 
 def parse_complex(s: str):
@@ -74,12 +73,10 @@ def job_curve(job):
     return WeierstrassEquation(P, Q)
 
 
-def _int_key(job, key, default=None):
-    """The job's integer value for key, else default if one is given."""
+def _int_key(job, key):
+    """The job's integer value for key."""
     if key not in job:
-        if default is None:
-            raise JobError(f"job lacks {key}")
-        return default
+        raise JobError(f"job lacks {key}")
     try:
         return int(job[key])
     except ValueError:
@@ -87,10 +84,8 @@ def _int_key(job, key, default=None):
 
 
 def job_ctx(job, args):
-    """--precision-bits if given, else the job's precision, else 256 bits.
-    The job's precision is checked either way."""
-    bits = _int_key(job, "precision", 256)
-    return PrecisionContext(args.precision_bits or bits)
+    """The context of --precision-bits; a job states no precision."""
+    return PrecisionContext(args.precision_bits)
 
 
 def _char_pairs(job, key):
@@ -171,7 +166,7 @@ def cmd_reduce(args):
     if len(entries) != 3:
         print("matrix file must list z11, z12, z22 (one per line)", file=sys.stderr)
         return 1
-    ctx = job_ctx({}, args)
+    ctx = PrecisionContext(args.precision_bits)
     with ctx.work():
         vals = []
         for e in entries:
@@ -225,21 +220,20 @@ def cmd_compare(args):
     ctx = job_ctx(job, args)
     eq = job_curve(job)
     chi = job_character(job)
-    tol = job.get("tolerance", "1e-9")
     periods = job_periods(job, ctx)
-    rep = compare(eq, periods, len(periods), chi, ctx, tolerance=tol)
+    rep = compare(eq, periods, len(periods), chi, ctx)
     print("engine=local   total =", _fmt(rep.local.total))
     print("engine=colmez  total =", _fmt(rep.colmez))
     print("discrepancy =", _fmt(rep.discrepancy, 8))
-    print("tolerance =", tol)
-    print("precision_bits =", rep.precision_bits)
+    print("tolerance =", _fmt(rep.tolerance, 8))
+    print("precision_bits =", ctx.prec)
     print("result =", "PASS" if rep.passed else "FAIL")
     _print_notes()
     return 0 if rep.passed else 2
 
 
 def cmd_verify_bounds(args):
-    ctx = job_ctx({}, args)
+    ctx = PrecisionContext(args.precision_bits)
     failures, checks = bounds.verify_bounds(args.samples, args.seed, ctx)
     print(f"samples = {args.samples}")
     print(f"seed = {args.seed}")
@@ -257,8 +251,9 @@ def _print_notes():
 
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="g2heights")
-    ap.add_argument("--precision-bits", type=int,
-                    help="working precision (default: the job's, else 256)")
+    ap.add_argument("--precision-bits", type=int, default=256,
+                    help="working precision (default 256); compare passes "
+                         "when the engines agree to 2^-(N-32)")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn in (
         ("igusa", cmd_igusa),

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from . import siegel
 from .exact import IntPolynomial
 from .prec import PrecisionContext, poly_roots
 from .theta import PeriodMatrix
@@ -26,8 +27,9 @@ def select_tau(poly: IntPolynomial, ctx: PrecisionContext):
     """The two upper-half-plane roots of an integer quartic (the CM type).
 
     Canonical order is ascending real part, ties broken by imaginary part;
-    real parts within 2^-(prec/2) count as tied, so root-finder noise cannot
-    decide the order.  The local height does not depend on the order.
+    real parts within the F2 tolerance siegel.f2_tol count as tied, so
+    root-finder noise cannot decide the order.  The local height does not
+    depend on the order.
     """
     if poly.degree != 4:
         raise TauSelectionError("tau polynomial must be an exact quartic")
@@ -38,7 +40,7 @@ def select_tau(poly: IntPolynomial, ctx: PrecisionContext):
                 f"expected exactly 2 upper-half-plane roots, got {len(upper)}"
             )
         gap = abs(mp.re(upper[0]) - mp.re(upper[1]))
-        tied = gap <= mp.mpf(2) ** (-(ctx.prec // 2))
+        tied = gap <= siegel.f2_tol(ctx)
         return tuple(sorted(upper, key=mp.im if tied else mp.re))
 
 

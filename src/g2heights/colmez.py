@@ -71,6 +71,8 @@ def char_from_spec(f: int, spec) -> DirichletCharacter:
         except (KeyError, AttributeError):
             raise CharacterError(f"character value {v!r} is not 1, i, -1 or -i") from None
 
+    if f < 3:
+        raise CharacterError(f"character modulus {f} is below 3")
     if "table" in spec:
         table = {int(m) % f: unit_index(v) for m, v in spec["table"].items()}
         return DirichletCharacter(f, table)

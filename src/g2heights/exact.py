@@ -80,12 +80,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __call__(self, x):
-        r = 0
-        for c in reversed(self.coeffs):
-            r = r * x + c
-        return r
-
     def derivative(self) -> "IntPolynomial":
         if self.degree == 0:
             return IntPolynomial([0])

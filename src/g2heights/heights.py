@@ -33,7 +33,6 @@ class HeightBreakdown:
     finite_part: object
     arch_terms: list  # (label, value) pairs; values include 2^8 pi^10
     total: object
-    error_bound: object
     local_ledger: list = field(default_factory=list)
 
 
@@ -54,7 +53,6 @@ def height_local(curve: WeierstrassEquation, periods, degree: int,
             finite_part=fin / degree,
             arch_terms=[(lbl, v / degree) for lbl, v in arch],
             total=+total,
-            error_bound=ctx.tol * (len(arch) + 2),
             local_ledger=ledger,
         )
 
@@ -65,17 +63,20 @@ class ComparisonReport:
     colmez: object
     discrepancy: object
     passed: bool
-    precision_bits: int
+    tolerance: object  # the threshold the discrepancy was held to
 
 
 def compare(curve: WeierstrassEquation, periods, degree: int,
             chi: DirichletCharacter, ctx: PrecisionContext,
-            tolerance=1e-9) -> ComparisonReport:
+            tolerance=None) -> ComparisonReport:
+    """Both engines' heights; they pass when they differ by less than
+    tolerance, by default ctx.tol, the accuracy ctx claims for each."""
     with ctx.work():
         local = height_local(curve, periods, degree, ctx)
         hc = colmez_height(chi, ctx)
         disc = abs(local.total - hc)
+        tol = ctx.tol if tolerance is None else mp.mpf(tolerance)
         return ComparisonReport(
             local=local, colmez=hc, discrepancy=+disc,
-            passed=bool(disc < mp.mpf(tolerance)), precision_bits=ctx.prec,
+            passed=bool(disc < tol), tolerance=tol,
         )

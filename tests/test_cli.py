@@ -6,7 +6,9 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import NoConvergence
 
+from g2heights import heights
 from g2heights.cli import JobError, job_character, main, parse_complex, parse_job
+from g2heights.prec import PrecisionContext
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
 
@@ -80,7 +82,7 @@ def test_tau_values_is_unknown_key(tmp_path, capsys):
     # a job gives its tau pair only as the roots in H of tau_poly
     job = tmp_path / "values.job"
     job.write_text(
-        "precision = 256\ndelta_F = 5\nf_K = 5\n"
+        "delta_F = 5\nf_K = 5\n"
         "curve_P = -1, 0, 0, 0, 0, 1\ncurve_Q = 0\n"
         "tau_values = 0.69+2.12*i, 1.80+1.31*i\n"
         "character_table = 1=1, 2=i, 3=-i, 4=-1\n")
@@ -88,11 +90,27 @@ def test_tau_values_is_unknown_key(tmp_path, capsys):
     assert "unknown key 'tau_values'" in capsys.readouterr().err
 
 
-def test_compare_example1_at_1024_bits(capsys):
-    code, out = run_cli(capsys, "--precision-bits", "1024",
-                        "compare", os.path.join(JOBS, "ex1.job"))
+@pytest.mark.parametrize("bits", [64, 1024])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_compare_passes_at_ctx_tol(capsys, name, bits):
+    # PASS means agreement to ctx.tol = 2^-(bits-32); 64 bits is the loosest
+    code, out = run_cli(capsys, "--precision-bits", str(bits),
+                        "compare", os.path.join(JOBS, f"{name}.job"))
     assert code == 0
+    assert f"tolerance = {mp.nstr(PrecisionContext(bits).tol, 8)}\n" in out
     assert "result = PASS" in out
+
+
+@pytest.mark.parametrize("moved_by,code,result", [(2, 2, "FAIL"), (0.5, 0, "PASS")])
+def test_compare_fails_beyond_ctx_tol(monkeypatch, capsys, moved_by, code, result):
+    # the Colmez value moved by a multiple of ctx.tol at the default 256 bits
+    tol = PrecisionContext(256).tol
+    colmez_height = heights.colmez_height
+    monkeypatch.setattr(heights, "colmez_height",
+                        lambda chi, ctx: colmez_height(chi, ctx) + moved_by * tol)
+    got, out = run_cli(capsys, "compare", os.path.join(JOBS, "ex1.job"))
+    assert got == code
+    assert f"result = {result}\n" in out
 
 
 def _ex3_with(tmp_path, extra):
@@ -105,7 +123,7 @@ def _ex3_with(tmp_path, extra):
 def test_degree_must_match_periods(tmp_path, capsys):
     # a job has one period matrix, so its degree is not a job key
     path = _ex3_with(tmp_path, "degree = 2\n")
-    with pytest.raises(JobError, match=r"ex3plus\.job:10: unknown key 'degree'"):
+    with pytest.raises(JobError, match=r"ex3plus\.job:8: unknown key 'degree'"):
         parse_job(path)
     assert main(["height-local", path]) == 1
     assert "unknown key 'degree'" in capsys.readouterr().err
@@ -113,9 +131,13 @@ def test_degree_must_match_periods(tmp_path, capsys):
 
 def test_unknown_job_key(tmp_path, capsys):
     path = _ex3_with(tmp_path, "primes = 7\n")
-    with pytest.raises(JobError, match=r"ex3plus\.job:10: unknown key 'primes'"):
+    with pytest.raises(JobError, match=r"ex3plus\.job:8: unknown key 'primes'"):
         parse_job(path)
     assert main(["compare", path]) == 1
+    # a job states only the mathematics; --precision-bits sets the precision
+    for key, value in (("precision", "256"), ("tolerance", "1e-9")):
+        assert main(["compare", _ex3_with(tmp_path, f"{key} = {value}\n")]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
@@ -163,12 +185,15 @@ def test_bad_character_token_exit1(tmp_path, capsys, key, value, token):
     assert f"error: {key}: bad token {token}" in capsys.readouterr().err
 
 
-def test_precision_flag_overrides_job(capsys):
+def test_precision_flag_sets_precision(capsys):
     code, out = run_cli(capsys, "--precision-bits", "128",
                         "compare", os.path.join(JOBS, "ex3.job"))
     assert code == 0
     assert "precision_bits = 128" in out
     assert "result = PASS" in out
+    # 0 is a precision, not a request for the default
+    assert main(["--precision-bits", "0", "compare", os.path.join(JOBS, "ex3.job")]) == 1
+    assert "precision below 64 bits" in capsys.readouterr().err
 
 
 def _ex3_without(tmp_path, key):
@@ -191,13 +216,17 @@ def test_missing_delta_F_exit1(tmp_path, capsys):
 @pytest.mark.parametrize("key,value,command", [
     ("f_K", "16.0", ["height-colmez"]),
     ("delta_F", "eight", ["height-local"]),
-    ("precision", "abc", ["compare"]),
-    ("precision", "abc", ["--precision-bits", "128", "compare"]),
-], ids=["f_K", "delta_F", "precision", "precision-under-flag"])
+], ids=["f_K", "delta_F"])
 def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command):
     # the appended line overrides the job's own value for key
     assert main(command + [_ex3_with(tmp_path, f"{key} = {value}\n")]) == 1
     assert f"error: {key}: not an integer: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", [0, 1, 2, -5])
+def test_modulus_below_3_exit1(tmp_path, capsys, f):
+    assert main(["height-colmez", _ex3_with(tmp_path, f"f_K = {f}\n")]) == 1
+    assert f"error: character modulus {f} is below 3" in capsys.readouterr().err
 
 
 def test_theta_reports_truncation(capsys):
