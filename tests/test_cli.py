@@ -213,14 +213,21 @@ def test_missing_delta_F_exit1(tmp_path, capsys):
     assert "job lacks delta_F" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value,command", [
-    ("f_K", "16.0", ["height-colmez"]),
-    ("delta_F", "eight", ["height-local"]),
-], ids=["f_K", "delta_F"])
-def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command):
+@pytest.mark.parametrize("key,value,command,error", [
+    ("f_K", "16.0", ["height-colmez"], "error: f_K: not an integer: '16.0'"),
+    ("delta_F", "eight", ["height-local"],
+     "error: delta_F: not an integer: 'eight'"),
+    # precision is not a job key, so its line fails before its value is read,
+    # with or without --precision-bits
+    ("precision", "abc", ["compare"], "unknown key 'precision'"),
+    ("precision", "abc", ["--precision-bits", "128", "compare"],
+     "unknown key 'precision'"),
+], ids=["f_K", "delta_F", "precision", "precision-under-flag"])
+def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command,
+                                   error):
     # the appended line overrides the job's own value for key
     assert main(command + [_ex3_with(tmp_path, f"{key} = {value}\n")]) == 1
-    assert f"error: {key}: not an integer: '{value}'" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("f", [0, 1, 2, -5])
