@@ -57,6 +57,8 @@ def parse_job(path: str) -> dict:
             key, val = (t.strip() for t in line.split("=", 1))
             if key not in JOB_KEYS:
                 raise JobError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in job:
+                raise JobError(f"{path}:{lineno}: key {key!r} given twice")
             job[key] = val
     return job
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import siegel
 from .exact import IntPolynomial
 from .prec import PrecisionContext, poly_roots
 from .theta import PeriodMatrix
@@ -24,24 +23,15 @@ class TauSelectionError(ValueError):
 
 
 def select_tau(poly: IntPolynomial, ctx: PrecisionContext):
-    """The two upper-half-plane roots of an integer quartic (the CM type).
-
-    Canonical order is ascending real part, ties broken by imaginary part;
-    real parts within the F2 tolerance siegel.f2_tol count as tied, so
-    root-finder noise cannot decide the order.  The local height does not
-    depend on the order.
+    """The two upper-half-plane roots of a CM quartic (the CM type), whose
+    roots are two conjugate pairs.  Canonical order is ascending real part,
+    ties broken by imaginary part; poly_roots decides it exactly, from the
+    split of the quartic over F.  The local height does not depend on the
+    order.
     """
     if poly.degree != 4:
         raise TauSelectionError("tau polynomial must be an exact quartic")
-    with ctx.work():
-        upper = [r for r in poly_roots(poly, ctx) if mp.im(r) > 0]
-        if len(upper) != 2:
-            raise TauSelectionError(
-                f"expected exactly 2 upper-half-plane roots, got {len(upper)}"
-            )
-        gap = abs(mp.re(upper[0]) - mp.re(upper[1]))
-        tied = gap <= siegel.f2_tol(ctx)
-        return tuple(sorted(upper, key=mp.im if tied else mp.re))
+    return tuple(r for r in poly_roots(poly, ctx) if mp.im(r) > 0)
 
 
 def period_matrix(tau1, tau2, delta: int, ctx: PrecisionContext) -> PeriodMatrix:

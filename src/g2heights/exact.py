@@ -8,7 +8,7 @@ Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Sequence
 
 
@@ -157,6 +157,44 @@ def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
     return Fraction(sign * mat[-1][-1], dp ** n * dq ** m)
+
+
+def cubic_integer_roots(b2: int, b1: int, b0: int) -> list[int]:
+    """The distinct integer roots, ascending, of y^3 + b2 y^2 + b1 y + b0.
+
+    The critical points (-b2 -+ sqrt(b2^2 - 3 b1)) / 3, rounded outward by
+    isqrt, cut [-M, M], M = 1 + max |b_k| the Cauchy bound, into pieces on
+    which the cubic is monotone; each piece holds at most one root, found by
+    bisection on the integers.  With b2^2 < 3 b1 the cubic is monotone."""
+    def g(y):
+        return ((y + b2) * y + b1) * y + b0
+
+    M = 1 + max(abs(b2), abs(b1), abs(b0))
+    d = b2 * b2 - 3 * b1
+    if d < 0:
+        pieces = [(-M, M)]
+    else:
+        r = isqrt(d)
+        rc = r + (r * r != d)  # ceil(sqrt d)
+        pieces = [(-M, (-b2 - rc) // 3), (-((b2 + r) // 3), (r - b2) // 3),
+                  (-((b2 - rc) // 3), M)]
+    roots = set()
+    for lo, hi in pieces:
+        if lo > hi:
+            continue
+        sign = -1 if g(lo) > g(hi) else 1
+        if sign * g(hi) < 0:
+            continue
+        # the least y in [lo, hi] with sign g(y) >= 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * g(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if g(lo) == 0:
+            roots.add(lo)
+    return sorted(roots)
 
 
 def disc_n(p: IntPolynomial, n: int) -> Fraction:

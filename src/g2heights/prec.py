@@ -1,20 +1,14 @@
-"""High-precision kernel: precision contexts, log-Gamma on (0,1], and
-complex polynomial roots.
+"""High-precision kernel: precision contexts, log-Gamma on (0,1], and the
+roots of a CM quartic.
 
-mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi)
-and the Bernoulli numbers (mpmath.bernfrac).  log_gamma, the seeds of the
-roots, their Newton lift and polish, their residual check and the check that
-no two roots coincide are implemented here so their error behaviour is under
-our control.
+mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi,
+sqrt) and the Bernoulli numbers (mpmath.bernfrac).  log_gamma and the
+roots are implemented here so their error behaviour is under our control.
 
-The roots are decided on doubles, else at the working precision: an
-Aberth-Ehrlich iteration in Python complex numbers seeds them to about 40
-bits of the root scale, and Newton's method lifts each seed at doubling
-precisions to the polish precision (the MPSolve scheme of Bini and
-Fiorentino, Numer. Algorithms 23, 2000); of a conjugate pair, only the seed
-above the real axis.  Where the doubles cannot decide, for a close pair of
-roots or an iteration that does not converge, mpmath.polyroots at the
-working precision gives the seeds instead.
+The roots need no root finder: a quartic whose roots are two conjugate
+pairs splits over its resolvent cubic into two real quadratics, decided in
+integers (exact.cubic_integer_roots), and each pair then takes two square
+roots of sums whose cancellation is bounded in advance.
 
 log_gamma takes a rational x = m/f and is the Stirling series at z = x + N.
 Its callers halve the work by the reflection log Gamma(1-x) = log pi -
@@ -27,15 +21,13 @@ z > 0 bounds the remainder, is below 2^-(workbits+16).
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import NoConvergence
 
-from .exact import IntPolynomial, resultant
+from .exact import IntPolynomial, cubic_integer_roots
 
 GUARD_BITS = 32
 
@@ -151,170 +143,71 @@ def log_gamma(x, ctx: PrecisionContext):
         return +s
 
 
-# The double seeds of poly_roots (see _double_seeds): at most SEED_STEPS
-# Aberth-Ehrlich sweeps, converged when every correction is below SEED_TOL,
-# and no two seeds within SEED_GAP, both in units of the root scale 2^s.  A
-# converged seed is trusted to SEED_BITS bits of that scale.
-SEED_STEPS = 100
-SEED_TOL = 2.0 ** -40
-SEED_GAP = 2.0 ** -20
-SEED_BITS = 40
-
-
-def _double_seeds(cs):
-    """Starting values for the roots of sum_k cs[k] x^k, integers lowest
-    degree first, as mpc values of doubles in descending Im, and the number
-    m of conjugate pairs: the first m seeds are above the real axis and the
-    last m below.  None when the doubles do not decide them.
-
-    With x = 2^s y and 2^s at least the Fujiwara bound
-    2 max_k |cs[n-k] / cs[n]|^(1/k), taken from bit lengths, every
-    coefficient of the monic q(y) = p(2^s y) / (cs[n] 2^(sn)) is at most 1/2
-    in modulus, so all roots of q lie in |y| <= 1.  Each coefficient is one
-    division of integers, correctly rounded, and none overflows.  The
-    Aberth-Ehrlich sweeps start on the unit circle about the centroid of the
-    roots, turned off the real axis.  None when an iterate is not finite or
-    a division by zero occurs, when SEED_STEPS sweeps do not bring every
-    correction below SEED_TOL, when two seeds are within SEED_GAP, or when
-    the seeds SEED_GAP/2 or more above the real axis and those as far
-    below it differ in number.  A seed nearer the axis is a real root's: a non-real root would have its
-    conjugate's seed as near.
-    """
-    n = len(cs) - 1
-    lead = cs[-1]
-    lb = abs(lead).bit_length()
-    # |cs[n-k] / lead| < 2^e with e = bits(cs[n-k]) - bits(lead) + 1, and
-    # 2^(s k) >= 2^(k + e) for s = 1 + ceil(e / k) = 1 - floor(-e / k)
-    s = max((1 - (lb - 1 - abs(c).bit_length()) // k
-             for k, c in enumerate(reversed(cs[:-1]), 1) if c), default=0)
-    q = [c / (lead << e) if e >= 0 else (c << -e) / lead
-         for c, e in ((c, s * (n - k)) for k, c in enumerate(cs))]
-    ys = [-q[n - 1] / n + cmath.rect(1, 2 * cmath.pi * k / n + 0.4)
-          for k in range(n)]
-    try:
-        for _ in range(SEED_STEPS):
-            worst = 0.0
-            for i, y in enumerate(ys):
-                v, dv = 1.0, 0.0
-                for c in reversed(q[:-1]):
-                    dv = dv * y + v
-                    v = v * y + c
-                ratio = v / dv
-                corr = ratio / (1 - ratio * sum(1 / (y - w) for j, w in enumerate(ys)
-                                                if j != i))
-                if not cmath.isfinite(corr):
-                    return None
-                ys[i] = y - corr
-                worst = max(worst, abs(corr))
-            if worst < SEED_TOL:
-                break
-        else:
-            return None
-        if min((abs(a - b) for i, a in enumerate(ys) for b in ys[i + 1:]),
-               default=1) < SEED_GAP:
-            return None
-    except (ZeroDivisionError, OverflowError):
-        return None
-    ys.sort(key=lambda y: -y.imag)
-    pairs = sum(y.imag >= SEED_GAP / 2 for y in ys)
-    if pairs != sum(y.imag <= -SEED_GAP / 2 for y in ys):
-        return None
-    return [mp.mpc(mp.ldexp(y.real, s), mp.ldexp(y.imag, s)) for y in ys], pairs
-
-
 def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
-    """All complex roots of a squarefree polynomial, sorted by (Re, Im).
+    """The four roots of a quartic whose roots are two conjugate pairs of
+    non-real numbers, sorted by (Re, Im).  Raises ValueError for any other
+    polynomial.
 
-    Seeds: _double_seeds, an Aberth-Ehrlich iteration in complex doubles on
-    the integer coefficients scaled to put every root in the unit disk, gives
-    starting values to about SEED_BITS bits of the root scale.  Each is
-    lifted by one Newton step at each of the doubling precisions below the
-    polish precision.  When the doubles do not decide (an iterate not
-    finite, no convergence in SEED_STEPS sweeps, two seeds within SEED_GAP
-    of the root scale: a close pair, or unpaired seeds off the real axis),
-    mpmath.polyroots gives the starting values instead, to half the working
-    precision, computing at workbits + 32 so that a close pair of roots
-    stays apart.  Of a conjugate pair of double seeds only the upper one is
-    lifted and polished, and its root is returned with its exact conjugate:
-    with real coefficients, rounding to nearest commutes with conjugation,
-    so the lower seed's Newton steps and residual would be the conjugates.
+    Exact part: with denominators cleared and c4 > 0, y = c4 x turns p into
+    the monic integer quartic y^4 + a3 y^3 + a2 y^2 + a1 y + a0, a3 = c3,
+    a2 = c2 c4, a1 = c1 c4^2, a0 = c0 c4^3.  Its roots are {t1, t1'} and
+    {t2, t2'}, so it factors as (y^2 - T1 y + N1)(y^2 - T2 y + N2) with
+    T_i = t_i + t_i' and N_i = t_i t_i' real, and the pairing is stable
+    under the Galois group.  So s = N1 + N2 is a rational, hence integer,
+    root of the resolvent cubic y^3 - a2 y^2 + (a1 a3 - 4 a0) y
+    + 4 a0 a2 - a1^2 - a0 a3^2 (Kappe and Warren, Amer. Math. Monthly 96,
+    1989).  The T_i are the roots of t^2 + a3 t + (a2 - s), of discriminant
+    dT, the N_i those of n^2 - s n + a0, of discriminant dN, and
+    (T1 - T2)(N1 - N2) = 2 a1 - a3 s, whose square is dT dN.  The roots are
+    non-real when w_i = 4 N_i - T_i^2 > 0, that is when sigma = w1 + w2
+    = 2 (s + a2) - a3^2 and pi = w1 w2 = 16 a0 - 4 (a1 a3 - (a2 - s) s)
+    + (a2 - s)^2 are both positive.  Exactly one integer resolvent root s
+    gives dT >= 0, dN >= 0, sigma > 0 and pi > 0: real T_i and N_i make
+    real factors, and a real factor with non-real roots holds a conjugate
+    pair.  dT = dN = 0 makes p a square.  The order is exact: ascending T
+    (T1 < T2 when dT > 0), else ascending N.
 
-    Polish: Newton's method at workbits + 32 + log2(1/gap), gap the smallest
-    distance between two seeds: a root of a pair that close is known to
-    about 2^-precision / gap.  Horner runs on the exact integer
-    coefficients.  Raises ValueError if Res(p, p') = 0, and ArithmeticError
-    if the mpmath seeding fails, a Newton polish uses up its
-    log2(workbits) + 6 steps before a step falls below 2^-workbits |z|, a
-    residual is too large, or two polished roots coincide to within
-    2^-(workbits/2) |z|.
+    Numeric part: w_i = sigma/2 + 2 delta_i sqrt(dN) + eps_i (a3/2) sqrt(dT)
+    with eps_i = sign(T_i - T_j) and delta_i = sign(N_i - N_j).  Each term
+    is below 2^L, L taken from bit lengths, and w_i = pi / w_j >= pi / sigma,
+    so the sum cancels at most e = L + bits(sigma) - bits(pi) + 1 bits.
+    T_i = (eps_i sqrt(dT) - a3) / 2 cancels less: where it cancels,
+    2^e >~ a3^2 / w_i >= (a3 / 2 t_i)^2.  So at workbits + 32 + e the root
+    t_i / c4 in H, (T_i + i sqrt(w_i)) / (2 c4), is known to about
+    2^-(workbits+32) of its size and, but for rare ties, rounds to workbits
+    as the exact root would; the Siegel reduction, whose word on a boundary
+    follows the last bits, then does not depend on how it was computed.
     """
-    if resultant(p.coeffs, p.derivative().coeffs) == 0:
-        raise ValueError("polynomial is not squarefree")
-    deg = p.degree
-    if deg == 0:
-        return []
-    den = lcm(*(c.denominator for c in p.coeffs))
-    cs = [int(c * den) for c in p.coeffs]  # ascending
-    dcs = [i * c for i, c in enumerate(cs)][1:]
-
-    def horner(coeffs, z):
-        r = mp.mpc(0)
-        for c in reversed(coeffs):
-            r = r * z + c
-        return r
-
-    half = ctx.workbits // 2
-    seeds, pairs = _double_seeds(cs) or (None, 0)
-    lifted = seeds is not None
-    if not lifted:
-        # cleanup=False: a seed rounded onto the real axis would keep the
-        # real Newton iteration there.  Durand-Kerner needs more than
-        # mpmath's default 50 steps to separate a close pair of roots.
-        try:
-            with mp.workprec(half):
-                seeds = mp.polyroots(cs[::-1], maxsteps=200, cleanup=False,
-                                     extraprec=ctx.workbits + 32 - half)
-        except NoConvergence as exc:
-            raise ArithmeticError(f"root seeding did not converge: {exc}") from exc
-    # a pair closer than 2^-half fails the coincidence check below anyway
-    with mp.workprec(half):
-        gap = min((abs(a - b) for i, a in enumerate(seeds) for b in seeds[i + 1:]),
-                  default=1)
-        extra = half if gap < mp.mpf(2) ** -half else max(0, ceil(-mp.log(gap, 2)))
-    top = ctx.workbits + 32 + extra
-    # the lift of a double seed: one Newton step at each of the precisions
-    # top/2^k, ..., top/4, top/2 that are at least 2 SEED_BITS
-    rungs, bits = [], (top + 1) // 2
-    while lifted and bits >= 2 * SEED_BITS:
-        rungs.append(bits)
-        bits = (bits + 1) // 2
-    with mp.workprec(top):
-        target = mp.mpf(2) ** (-ctx.workbits)
-        polished = []
-        for z in seeds[:deg - pairs]:
-            z = mp.mpc(z)
-            for bits in reversed(rungs):
-                with mp.workprec(bits):
-                    z = z - horner(cs, z) / horner(dcs, z)
-            for _ in range(int(mp.log(ctx.workbits, 2)) + 6):
-                step = horner(cs, z) / horner(dcs, z)
-                z = z - step
-                if abs(step) < target * max(1, abs(z)):
-                    break
-            else:
-                raise ArithmeticError(f"Newton polish did not converge near {z}")
-            resid = abs(horner(cs, z))
-            scale = abs(cs[-1]) * max(abs(z), 1) ** deg
-            if resid > mp.mpf(2) ** (-ctx.prec) * scale:
-                raise ArithmeticError(f"root residual too large: {resid}")
-            polished.append(z)
-        polished += [mp.conj(z) for z in polished[:pairs]]
-        apart = mp.mpf(2) ** -half
-        for i, zi in enumerate(polished):
-            for zj in polished[i + 1:]:
-                if abs(zi - zj) <= apart * max(1, abs(zi)):
-                    raise ArithmeticError(
-                        f"two roots coincide to {half} bits near {zi}")
-        polished.sort(key=lambda z: (mp.re(z), mp.im(z)))
+    if p.degree != 4:
+        raise ValueError(f"poly_roots takes a quartic, not degree {p.degree}")
+    den = lcm(*(c.denominator for c in p.coeffs)) * (1 if p.coeffs[-1] > 0 else -1)
+    c0, c1, c2, c3, c4 = (int(c * den) for c in p.coeffs)
+    a3, a2, a1, a0 = c3, c2 * c4, c1 * c4 ** 2, c0 * c4 ** 3
+    for s in cubic_integer_roots(-a2, a1 * a3 - 4 * a0,
+                                 4 * a0 * a2 - a1 * a1 - a0 * a3 * a3):
+        dT, dN = a3 * a3 - 4 * (a2 - s), s * s - 4 * a0
+        if dT == dN == 0:
+            raise ValueError("polynomial is not squarefree")
+        sigma = 2 * (s + a2) - a3 * a3
+        pi = 16 * a0 - 4 * (a1 * a3 - (a2 - s) * s) + (a2 - s) ** 2
+        if dT >= 0 and dN >= 0 and sigma > 0 and pi > 0:
+            break
+    else:
+        raise ValueError("quartic is not two conjugate pairs split over "
+                         "its resolvent cubic")
+    # the sign of N1 - N2, with T1 <= T2, and N1 < N2 when T1 = T2
+    d = 1 if dT and 2 * a1 - a3 * s < 0 else -1
+    L = max(sigma.bit_length(), ((4 * dN).bit_length() + 1) // 2,
+            ((a3 * a3 * dT).bit_length() + 1) // 2)
+    e = L + sigma.bit_length() - pi.bit_length() + 1
+    with mp.workprec(ctx.workbits + 32 + e):
+        rT, rN = mp.sqrt(dT), mp.sqrt(dN)
+        upper = []
+        for eps, delta in ((-1, d), (1, -d)):
+            w = mp.mpf(sigma) / 2 + 2 * delta * rN + eps * a3 * rT / 2
+            upper.append(mp.mpc(eps * rT - a3, 2 * mp.sqrt(w)) / (4 * c4))
+        t1, t2 = upper
+        roots = ([mp.conj(t1), t1, mp.conj(t2), t2] if dT
+                 else [mp.conj(t2), mp.conj(t1), t1, t2])
     with ctx.work():
-        return [+z for z in polished]
+        return [+z for z in roots]

@@ -4,7 +4,6 @@ import os
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import NoConvergence
 
 from g2heights import heights
 from g2heights.cli import JobError, job_character, main, parse_complex, parse_job
@@ -120,6 +119,14 @@ def _ex3_with(tmp_path, extra):
     return str(job)
 
 
+def _ex3_setting(tmp_path, key, value):
+    """ex3.job with its line for key replaced by `key = value`."""
+    path = _ex3_without(tmp_path, key)
+    with open(path, "a") as fh:
+        fh.write(f"{key} = {value}\n")
+    return path
+
+
 def test_degree_must_match_periods(tmp_path, capsys):
     # a job has one period matrix, so its degree is not a job key
     path = _ex3_with(tmp_path, "degree = 2\n")
@@ -141,9 +148,8 @@ def test_unknown_job_key(tmp_path, capsys):
 
 
 def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
-    # 7 is 3 mod 4, so no real quadratic field has it as discriminant; the
-    # appended line overrides the job's delta_F = 8
-    assert main(["compare", _ex3_with(tmp_path, "delta_F = 7\n")]) == 1
+    # 7 is 3 mod 4, so no real quadratic field has it as discriminant
+    assert main(["compare", _ex3_setting(tmp_path, "delta_F", 7)]) == 1
     assert ("delta_F = 7 is not a real quadratic discriminant"
             in capsys.readouterr().err)
 
@@ -154,17 +160,28 @@ def test_conflicting_job_keys_exit1(tmp_path, capsys):
     assert main(["compare", _ex3_with(tmp_path, "character_gen = 3=i\n")]) == 1
     assert ("job gives both character_table and character_gen"
             in capsys.readouterr().err)
+    # nor may a second line for the same key replace the first: ex1's
+    # tau_poly after ex3's
+    path = _ex3_with(tmp_path, "tau_poly = 25, -25, 15, -5, 1\n")
+    with pytest.raises(JobError, match=r"ex3plus\.job:8: key 'tau_poly' given twice"):
+        parse_job(path)
+    assert main(["height-local", path]) == 1
+    assert "key 'tau_poly' given twice" in capsys.readouterr().err
 
 
-def test_tau_poly_without_pair_in_h_exit1(tmp_path, capsys):
-    # (x^2 - 1)(x^2 - 4) has four real roots, so no tau pair in H
-    path = tmp_path / "real.job"
+@pytest.mark.parametrize("quartic", ["4, 0, -5, 0, 1", "1, 1, 0, 0, 1"],
+                         ids=["four-real-roots", "galois-S4"])
+def test_tau_poly_without_pair_in_h_exit1(tmp_path, capsys, quartic):
+    # (x^2 - 1)(x^2 - 4) has four real roots; x^4 + x + 1 has none, but its
+    # Galois group is S4, so its resolvent cubic has no rational root
+    path = tmp_path / "notcm.job"
     with open(os.path.join(JOBS, "ex1.job")) as fh:
         path.write_text("".join(line for line in fh if not line.startswith("tau_poly"))
-                        + "tau_poly = 4, 0, -5, 0, 1\n")
-    assert main(["compare", str(path)]) == 1
-    assert ("expected exactly 2 upper-half-plane roots, got 0"
-            in capsys.readouterr().err)
+                        + f"tau_poly = {quartic}\n")
+    for command in ("height-local", "compare"):
+        assert main([command, str(path)]) == 1
+        assert ("quartic is not two conjugate pairs split over its resolvent cubic"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("key,value,token", [
@@ -225,14 +242,13 @@ def test_missing_delta_F_exit1(tmp_path, capsys):
 ], ids=["f_K", "delta_F", "precision", "precision-under-flag"])
 def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command,
                                    error):
-    # the appended line overrides the job's own value for key
-    assert main(command + [_ex3_with(tmp_path, f"{key} = {value}\n")]) == 1
+    assert main(command + [_ex3_setting(tmp_path, key, value)]) == 1
     assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("f", [0, 1, 2, -5])
 def test_modulus_below_3_exit1(tmp_path, capsys, f):
-    assert main(["height-colmez", _ex3_with(tmp_path, f"f_K = {f}\n")]) == 1
+    assert main(["height-colmez", _ex3_setting(tmp_path, "f_K", f)]) == 1
     assert f"error: character modulus {f} is below 3" in capsys.readouterr().err
 
 
@@ -255,15 +271,6 @@ def test_height_colmez_reports_stirling_plan(capsys):
     assert "stirling_terms = 28\n" in out
     assert "log_gamma_calls = 30\n" in out
     assert "height = 0.268865172331348356482945814572\n" in out
-
-
-def test_compare_reports_failed_root_seeding(monkeypatch, capsys):
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("no convergence")
-    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
-    monkeypatch.setattr(mp, "polyroots", no_convergence)
-    assert main(["compare", os.path.join(JOBS, "ex2.job")]) == 1
-    assert "error: root seeding did not converge" in capsys.readouterr().err
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -11,12 +12,16 @@ from g2heights.prec import PrecisionContext
 
 
 def test_select_tau_biquadratic(ctx):
+    # x^4 + 32x^2 + 128 and x^4 + 6x^2 + 1, whose resolvent cubic has three
+    # rational roots, 6, 2 and -2: the pairs on the imaginary axis, in
+    # ascending Im
     with ctx.work():
-        t1, t2 = select_tau(IntPolynomial([128, 0, 32, 0, 1]), ctx)
         s2 = mp.sqrt(2)
-        assert abs(t1 - mp.mpc(0, 1) * mp.sqrt(16 - 8 * s2)) < ctx.tol or \
-               abs(t1 - mp.mpc(0, 1) * mp.sqrt(16 + 8 * s2)) < ctx.tol
-        assert mp.im(t1) > 0 and mp.im(t2) > 0
+        for cs, pair in (([128, 0, 32, 0, 1], (mp.sqrt(16 - 8 * s2), mp.sqrt(16 + 8 * s2))),
+                         ([1, 0, 6, 0, 1], (s2 - 1, s2 + 1))):
+            taus = select_tau(IntPolynomial(cs), ctx)
+            for tau, im in zip(taus, pair):
+                assert abs(tau - mp.mpc(0, im)) < ctx.tol, cs
 
 
 def test_select_tau_order_stable_across_precision(ctx):
@@ -33,12 +38,15 @@ def test_select_tau_order_stable_across_precision(ctx):
                 assert abs(a - b) < ctx.tol, bits
 
 
-def test_select_tau_example1_reproduces_job_values():
+@pytest.mark.parametrize("scale", ["1", "-1", "3", "1/2"])
+def test_select_tau_example1_reproduces_job_values(scale):
     # the roots in H of ex1's tau_poly, the minimal polynomial of
-    # sqrt(5) zeta_5, against the closed form
+    # sqrt(5) zeta_5, against the closed form, from rational multiples of
+    # the quartic
     job = parse_job(os.path.join(os.path.dirname(__file__), "..", "jobs", "ex1.job"))
     ctx = PrecisionContext(384)
-    taus = select_tau(IntPolynomial([int(c) for c in job["tau_poly"].split(",")]), ctx)
+    poly = IntPolynomial([Fraction(scale) * int(c) for c in job["tau_poly"].split(",")])
+    taus = select_tau(poly, ctx)
     with ctx.work():
         s5, zeta = mp.sqrt(5), mp.expjpi(mp.mpf(2) / 5)
         for tau, ref in zip(taus, (s5 * zeta, -s5 * zeta ** 3)):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2heights.exact import IntPolynomial, disc_n, valuation
+from g2heights.exact import IntPolynomial, cubic_integer_roots, disc_n, valuation
 
 
 def test_valuation_examples():
@@ -59,3 +59,32 @@ def test_disc_shift_invariance():
         p = IntPolynomial(cs, 6)
         c = rng.randint(-3, 3)
         assert disc_n(p.shift(c), 6) == disc_n(p, 6)
+
+
+
+def test_cubic_integer_roots():
+    for b, expect in [
+        ((-6, -4, 24), [-2, 2, 6]),    # (y - 6)(y^2 - 4), x^4 + 6x^2 + 1's resolvent
+        ((-2, -4, 8), [-2, 2]),        # (y - 2)^2 (y + 2): a root at a critical point
+        ((-15, 75, -125), [5]),        # (y - 5)^3: b2^2 = 3 b1
+        ((-15, 25, 250), [10]),        # ex1's resolvent
+        ((-1, 1, -1), [1]),            # (y - 1)(y^2 + 1): monotone
+        ((0, -4, -1), []),             # x^4 + x + 1's resolvent: no rational root
+        ((0, 0, -2), []),
+        ((-(10 ** 300 + 1), 1, -(10 ** 300 + 1)), [10 ** 300 + 1]),
+        ((-1, -(10 ** 600), 10 ** 600), [-(10 ** 300), 1, 10 ** 300]),
+    ]:
+        assert cubic_integer_roots(*b) == expect, b
+
+
+def test_cubic_integer_roots_against_search():
+    # (y - r)(y^2 + p y + q); every integer root lies within the Cauchy
+    # bound 1 + max |b_k|
+    rng = random.Random(7)
+    for _ in range(300):
+        r, p, q = (rng.randint(-20, 20) for _ in range(3))
+        b2, b1, b0 = p - r, q - r * p, -r * q
+        bound = 1 + max(abs(b2), abs(b1), abs(b0))
+        expect = [y for y in range(-bound, bound + 1)
+                  if y ** 3 + b2 * y * y + b1 * y + b0 == 0]
+        assert cubic_integer_roots(b2, b1, b0) == expect, (b2, b1, b0)

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import NoConvergence
 
-from g2heights.exact import IntPolynomial, resultant
-from g2heights.prec import (SERIES_BITS, PrecisionContext, _double_seeds, log_gamma,
-                            poly_roots, stirling_plan)
+from g2heights.exact import IntPolynomial
+from g2heights.prec import (SERIES_BITS, PrecisionContext, log_gamma, poly_roots,
+                            stirling_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -100,10 +99,9 @@ def test_stirling_plan_first_omitted_term(bits):
 
 
 def test_roots_quadratic(ctx):
-    roots = poly_roots(IntPolynomial([1, 0, 1]), ctx)
-    with ctx.work():
-        assert abs(roots[0] + mp.mpc(0, 1)) < ctx.tol
-        assert abs(roots[1] - mp.mpc(0, 1)) < ctx.tol
+    # only a quartic splits as two conjugate pairs
+    with pytest.raises(ValueError, match="takes a quartic, not degree 2"):
+        poly_roots(IntPolynomial([1, 0, 1]), ctx)
 
 
 def test_roots_biquadratic(ctx):
@@ -125,149 +123,87 @@ def test_roots_example2_quartic(ctx):
     assert len(upper) == 2
 
 
-def _random_quintics():
-    """The squarefree ones among ten seeded quintics with small coefficients."""
-    rng = random.Random(23)
-    for _ in range(10):
-        cs = [rng.randint(-9, 9) for _ in range(5)] + [rng.randint(1, 5)]
-        p = IntPolynomial(cs, 5)
-        if resultant(p.coeffs, p.derivative().coeffs) != 0:
-            yield cs, p
-
-
-def test_roots_sum_product(ctx):
-    with ctx.work():
-        for cs, p in _random_quintics():
-            roots = poly_roots(p, ctx)
-            s = mp.fsum(mp.re(r) for r in roots) + mp.mpc(0, 1) * mp.fsum(
-                mp.im(r) for r in roots)
-            assert abs(s + mp.mpf(cs[4]) / cs[5]) < mp.mpf(2) ** (-200)
-            prod = mp.mpc(1)
-            for r in roots:
-                prod *= r
-            assert abs(prod - (-1) ** 5 * mp.mpf(cs[0]) / cs[5]) < mp.mpf(2) ** (-190)
-
-
-def _close_pair(e):
-    # (x - 1)(x - 1 - 2^-e)(x^2 + 1)
-    a = 1 + Fraction(1, 2 ** e)
-    return (IntPolynomial([-1, 1]) * IntPolynomial([-a, 1])
-            * IntPolynomial([1, 0, 1]))
-
-
-def test_roots_close_pair_resolved(ctx):
-    roots = poly_roots(_close_pair(60), ctx)
-    assert len(roots) == 4
-    with ctx.work():
-        expect = [mp.mpc(1), 1 + mp.mpf(2) ** -60, mp.mpc(0, 1), mp.mpc(0, -1)]
-        for e in expect:
-            assert min(abs(r - e) for r in roots) < ctx.tol
-
-
-@pytest.mark.parametrize("k", [60, 100, 120])
-def test_roots_close_nondyadic_pair(ctx, k):
-    # (3x - 1)(3x - 1 - 3 2^-k)(x^2 + 1): the pair 1/3, 1/3 + 2^-k is not
-    # dyadic, so the monic coefficients would not be exact
-    p = (IntPolynomial([-1, 3]) * IntPolynomial([-1 - Fraction(3, 2 ** k), 3])
-         * IntPolynomial([1, 0, 1]))
-    roots = poly_roots(p, ctx)
-    assert len(roots) == 4
-    with mp.workprec(3 * ctx.workbits):
-        third = mp.mpf(1) / 3
-        expect = [third, third + mp.mpf(2) ** -k, mp.mpc(0, 1), mp.mpc(0, -1)]
-        for e in expect:
-            assert min(abs(r - e) for r in roots) < ctx.tol
-
-
-def test_roots_collapsed_pair_raises(ctx):
-    with pytest.raises(ArithmeticError):
-        poly_roots(_close_pair(200), ctx)
-
-
-def test_roots_coincident_seeds_raise(ctx, monkeypatch):
-    # both seeds polish to i: the coincidence check must catch it
-    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
-    monkeypatch.setattr(mp, "polyroots",
-                        lambda coeffs, **kw: [mp.mpc(0, 1), mp.mpc("0.01", 1)])
-    with pytest.raises(ArithmeticError, match="coincide"):
-        poly_roots(IntPolynomial([1, 0, 1]), ctx)
-
-
-def test_roots_unconverged_polish_raises(ctx, monkeypatch):
-    # seeds 2^-130 outside the pair 1, 1 + 2^-140: near a close pair Newton
-    # only halves its distance per step, so it uses up its log2(workbits) + 6
-    # steps about 2^-163 from a root, where the residual check still passes
-    p = IntPolynomial([-1, 1]) * IntPolynomial([-1 - Fraction(1, 2 ** 140), 1])
-    monkeypatch.setattr(mp, "polyroots", lambda coeffs, **kw: [
-        1 - mp.mpf(2) ** -130, 1 + mp.mpf(2) ** -140 + mp.mpf(2) ** -130])
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        poly_roots(p, ctx)
-
-
-def test_roots_seeding_failure_is_arithmetic_error(ctx, monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("no convergence")
-    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
-    monkeypatch.setattr(mp, "polyroots", no_convergence)
-    with pytest.raises(ArithmeticError, match="seeding"):
-        poly_roots(IntPolynomial([1, 0, 1]), ctx)
-
-
 # the tau quartics of jobs/ex1.job, ex2.job and ex3.job
 TAU_QUARTICS = [[25, -25, 15, -5, 1], [889319, -137677, 6039, -61, 1],
                 [128, 0, 32, 0, 1]]
-# 16 T_5(x) - 1, T_5 the Chebyshev polynomial: five real roots
-# cos((t + 2 pi k)/5) with cos t = 1/16
-REAL_QUINTIC = [-1, 80, 0, -320, 0, 256]
+
+
+def test_roots_sum_product(ctx):
+    # Vieta: the elementary symmetric functions of the roots are
+    # (-1)^k c_(4-k) / c_4; ex2's quartic at -x pairs T and N the other way
+    for cs in TAU_QUARTICS + [[889319, 137677, 6039, 61, 1]]:
+        roots = poly_roots(IntPolynomial(cs), ctx)
+        with ctx.work():
+            e = [mp.mpc(1), 0, 0, 0, 0]
+            for r in roots:
+                e = [e[0]] + [e[k] + e[k - 1] * r for k in range(1, 5)]
+            for k in range(1, 5):
+                expect = (-1) ** k * mp.mpf(cs[4 - k]) / cs[4]
+                assert abs(e[k] - expect) < ctx.tol * max(1, abs(expect)), (cs, k)
 
 
 @pytest.mark.parametrize("bits", [256, 1024, 4096])
-@pytest.mark.parametrize("cs,n_real", [(cs, 0) for cs in TAU_QUARTICS] + [(REAL_QUINTIC, 5)],
-                         ids=["ex1", "ex2", "ex3", "real-quintic"])
-def test_roots_conjugate_pairs_exact(bits, cs, n_real):
-    # each non-real root comes with its exact conjugate, and a real root
-    # with none
+@pytest.mark.parametrize("cs", TAU_QUARTICS, ids=["ex1", "ex2", "ex3"])
+def test_roots_conjugate_pairs_exact(bits, cs):
+    # each root comes with its exact conjugate, and none is real
     ctx = PrecisionContext(bits)
     roots = poly_roots(IntPolynomial(cs), ctx)
-    assert len(roots) == len(cs) - 1
+    assert len(roots) == 4
     with ctx.work():
-        real = [z for z in roots if abs(mp.im(z)) < ctx.tol]
-        assert len(real) == n_real
         for z in roots:
-            if z not in real:
-                assert roots.count(mp.conj(z)) == 1, z
+            assert abs(mp.im(z)) > ctx.tol
+            assert roots.count(mp.conj(z)) == 1, z
 
 
-@pytest.mark.parametrize("bits", [256, 1024, 4096])
-def test_roots_double_seeds_agree_with_mpmath_seeds(bits, monkeypatch):
-    ctx = PrecisionContext(bits)
-    polys = [IntPolynomial(cs) for cs in TAU_QUARTICS]
-    polys += [p for _, p in _random_quintics()]
-    for p in polys:
-        assert _double_seeds([int(c) for c in p.coeffs]) is not None, p.coeffs
-    lifted = [poly_roots(p, ctx) for p in polys]
-    monkeypatch.setattr("g2heights.prec._double_seeds", lambda cs: None)
+def test_roots_close_pair_resolved(ctx):
+    # (x^2 + 1)(x^2 + 2^-60 x + 1): two roots in H 2^-61 apart, told apart
+    # and ordered by the exact split, T = -2^-60 before T = 0
+    p = IntPolynomial([1, 0, 1]) * IntPolynomial([1, Fraction(1, 2 ** 60), 1])
+    roots = poly_roots(p, ctx)
     with ctx.work():
-        for p, roots in zip(polys, lifted):
-            ref = poly_roots(p, ctx)
-            assert len(roots) == len(ref) == p.degree
-            # conjugate roots share a real part, so the sort may differ
-            for b in ref:
-                assert min(abs(a - b) for a in roots) < ctx.tol * max(1, abs(b)), p.coeffs
+        h = mp.mpf(2) ** -61
+        near = mp.mpc(-h, mp.sqrt(1 - h * h))
+        for z, e in zip(roots, (mp.conj(near), near, mp.mpc(0, -1), mp.mpc(0, 1))):
+            assert abs(z - e) < ctx.tol
+
+
+def test_roots_after_cancellation(ctx):
+    # the roots (R -+ sqrt 2)/2 + i, R = 10^40, and their conjugates: w = 4
+    # is a sum of terms near 2^134, and Im is still known to ctx.tol
+    R = 10 ** 40
+    p = IntPolynomial([Fraction(R ** 4 + 4 * R ** 2 + 36, 16), Fraction(-R * (R * R + 2), 2),
+                       Fraction(3 * R * R + 2, 2), -2 * R, 1])
+    roots = poly_roots(p, ctx)
+    with ctx.work():
+        s2 = mp.sqrt(2)
+        for z, re, im in zip(roots, ((R - s2) / 2, (R - s2) / 2, (R + s2) / 2, (R + s2) / 2),
+                             (-1, 1, -1, 1)):
+            assert abs(mp.re(z) - re) < ctx.tol * re
+            assert abs(mp.im(z) - im) < ctx.tol
+    # y^4 - R y^3 + (R^2 - 1) y^2 - R y + 1, R = 3^200: the roots T_i e^(+-i pi/3)
+    # with T1 T2 = 1 and T1 + T2 = R, so T1 = (R - sqrt(R^2 - 4)) / 2 cancels
+    # 634 bits, and each root is still known relative to its size
+    R = 3 ** 200
+    roots = poly_roots(IntPolynomial([1, -R, R * R - 1, -R, 1]), ctx)
+    with mp.workprec(4 * ctx.workbits + 2000):
+        t1 = (R - mp.sqrt(R * R - 4)) / 2
+        z = mp.expjpi(mp.mpf(1) / 3)
+        for got, ref in zip(roots, (t1 * mp.conj(z), t1 * z, (R - t1) * mp.conj(z), (R - t1) * z)):
+            assert abs(got - ref) < ctx.tol * abs(ref)
 
 
 def test_roots_huge_constant_term(ctx):
-    # x^2 + 10^400: the coefficients overflow a double, the scaled ones do not
-    roots = poly_roots(IntPolynomial([10 ** 400, 0, 1]), ctx)
+    # (x^2 + 10^400)(x^2 + 1): the coefficients overflow a double
+    roots = poly_roots(IntPolynomial([10 ** 400, 0, 10 ** 400 + 1, 0, 1]), ctx)
     with ctx.work():
         r = mp.mpf(10) ** 200
-        assert abs(roots[0] + mp.mpc(0, r)) < ctx.tol * r
-        assert abs(roots[1] - mp.mpc(0, r)) < ctx.tol * r
+        for z, e in zip(roots, (-r, -1, 1, r)):
+            assert abs(z - mp.mpc(0, e)) < ctx.tol * abs(e)
 
 
 def test_roots_nonsquarefree(ctx):
-    with pytest.raises(ValueError):
-        poly_roots(IntPolynomial([0, 0, 1]), ctx)  # x^2
+    with pytest.raises(ValueError, match="not squarefree"):
+        poly_roots(IntPolynomial([1, 0, 2, 0, 1]), ctx)  # (x^2 + 1)^2
 
 
 def test_context_minimum():
