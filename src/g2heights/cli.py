@@ -91,13 +91,18 @@ def job_ctx(job, args):
 
 
 def _char_pairs(job, key):
-    """The comma-separated `m=v` tokens of a character key, as {m: v}."""
+    """The comma-separated `m=v` tokens of a character key, as {m: v}; a
+    residue written twice raises (char_from_spec catches two residues that
+    agree mod f)."""
     pairs = {}
     for tok in (t.strip() for t in job[key].split(",")):
         m, sep, v = tok.partition("=")
         if not sep or not _RESIDUE_RE.match(m):
             raise JobError(f"{key}: bad token {tok!r} (want residue=value)")
-        pairs[int(m)] = v
+        r = int(m)
+        if r in pairs:
+            raise JobError(f"{key}: residue {r} given twice")
+        pairs[r] = v
     return pairs
 
 

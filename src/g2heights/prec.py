@@ -16,7 +16,12 @@ log sin(pi x) - log Gamma(x) (colmez.colmez_height evaluates only
 m/f < 1/2).  The shift back from z to x is one log of the exact integer
 prod_{j<N} (m + j f) over f^N.  The shift N and the term count K are planned
 once per working precision so that the first omitted term, which for real
-z > 0 bounds the remainder, is below 2^-(workbits+16).
+z > 0 bounds the remainder, is below 2^-(workbits+16).  Since z = (m + N f)/f
+is a ratio of small integers, the series is summed by Horner in
+1/z^2 = f^2/(m + N f)^2 on Python ints at the fixed scale 2^-(workbits+16):
+each step is a product and a quotient by small integers, not a
+full-precision product (Brent and Zimmermann, Modern Computer Arithmetic,
+ch. 4).
 """
 
 from __future__ import annotations
@@ -68,7 +73,9 @@ SERIES_BITS = 16
 
 class StirlingPlan(NamedTuple):
     """The Stirling series for one workbits: the argument shift N, the term
-    count K and the coefficients c_n = B_2n / (2n (2n-1)), n = 1..K."""
+    count K and the coefficients c_n = B_2n / (2n (2n-1)), n = 1..K, as
+    integers at the scale 2^-W, W = workbits + SERIES_BITS, each rounded to
+    nearest."""
 
     shift: int
     coeffs: tuple
@@ -84,41 +91,54 @@ _plans: dict[int, StirlingPlan] = {}
 
 def stirling_plan(ctx: PrecisionContext) -> StirlingPlan:
     """The plan for ctx.workbits, built once.  N = workbits/2 + 8 and K is
-    the first n whose term c_n / N^(2n-1) is below 2^-(workbits+16); the
-    comparison is made in integers on the exact B_2n."""
+    the first n whose term c_n / N^(2n-1) is below 2^-W; the comparison is
+    made in integers on the exact B_2n."""
     wb = ctx.workbits
     plan = _plans.get(wb)
     if plan is None:
+        W = wb + SERIES_BITS
         shift = wb // 2 + 8
         coeffs = []
-        with mp.workprec(wb + SERIES_BITS):
-            while True:
-                n = len(coeffs) + 1
-                num, den = mp.bernfrac(2 * n)
-                den *= 2 * n * (2 * n - 1)
-                coeffs.append(mp.mpf(num) / den)
-                if abs(num) << (wb + SERIES_BITS) < den * shift ** (2 * n - 1):
-                    break
+        while True:
+            n = len(coeffs) + 1
+            num, den = mp.bernfrac(2 * n)
+            den *= 2 * n * (2 * n - 1)
+            coeffs.append(((num << (W + 1)) + den) // (2 * den))
+            if abs(num) << W < den * shift ** (2 * n - 1):
+                break
+        with mp.workprec(W):
             plan = StirlingPlan(shift, tuple(coeffs), mp.log(2 * mp.pi) / 2)
         _plans[wb] = plan
     return plan
 
 
 def log_gamma(x, ctx: PrecisionContext):
-    """log Gamma(x) for a rational x = m/f in (0, 1], a Fraction or an int.
+    """log Gamma(x) for a rational x = m/f in (0, 1], a Fraction or an int;
+    any other type, bool and float included, raises TypeError.
 
     Shift: Gamma(x) = Gamma(z) / (x (x+1) ... (x+N-1)) with z = x + N, and
     the shift costs one log of one product, the exact integer
     prod_j (m + j f) over f^N.
 
     Series: log Gamma(z) = (z - 1/2) log z - z + (1/2) log(2 pi)
-    + sum_{n<=K} c_n / z^(2n-1), summed by Horner in 1/z^2 at
-    workbits + 16 with the plan of stirling_plan.  For real z > 0 the
-    remainder of the series has the sign of the first omitted term and is
-    smaller in size (DLMF 5.11(ii)).  The plan puts the K-th term at z = N
-    below 2^-(workbits+16), and the first omitted term, c_(K+1) / z^(2K+1),
-    is smaller still at every z >= N.
+    + sum_{n<=K} c_n / z^(2n-1) with the plan of stirling_plan.  For real
+    z > 0 the remainder of the series has the sign of the first omitted
+    term and is smaller in size (DLMF 5.11(ii)).  The plan puts the K-th
+    term at z = N below 2^-W, W = workbits + 16, and the first omitted term,
+    c_(K+1) / z^(2K+1), is smaller still at every z >= N.
+
+    The sum is a Horner in 1/z^2 = f^2 / D^2, D = m + N f, on integers at
+    the scale 2^-W: acc <- round(acc f^2 / D^2) + c_n from n = K down to 1,
+    then round(acc f / D) is the sum times 2^W.  Each rounding, of a step
+    or of a coefficient, is at most 1/2 ulp of 2^-W, and every later step
+    multiplies an error by f^2 / D^2 <= 1/N^2, so the error before the last
+    division is below (1/(1 - 1/N^2)) ulp, and after it, with 1/z <= 1/N
+    and its own rounding, below 2 ulps: 2^-(workbits+15), inside
+    SERIES_BITS with the truncation.  The rest of the formula is evaluated
+    in mpf at workbits + 16.
     """
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"log_gamma takes a Fraction or an int, not {type(x).__name__}")
     plan = stirling_plan(ctx)
     N = plan.shift
     x = Fraction(x)
@@ -130,14 +150,17 @@ def log_gamma(x, ctx: PrecisionContext):
     prod = 1
     for j in range(N):
         prod *= m + j * f
-    with mp.workprec(ctx.workbits + SERIES_BITS):
+    D = m + N * f
+    f2, D2 = f * f, D * D
+    acc = 0
+    for c in reversed(plan.coeffs):
+        acc = (2 * acc * f2 + D2) // (2 * D2) + c
+    W = ctx.workbits + SERIES_BITS
+    with mp.workprec(W):
         log_shift = mp.log(mp.mpf(prod) / mp.mpf(f ** N))
-        z = mp.mpf(m + N * f) / f
-        w = 1 / (z * z)
-        series = mp.mpf(0)
-        for c in reversed(plan.coeffs):
-            series = series * w + c
-        s = (z - mp.mpf(1) / 2) * mp.log(z) - z + plan.half_log_2pi + series / z
+        z = mp.mpf(D) / f
+        series = mp.ldexp((2 * acc * f + D) // (2 * D), -W)
+        s = (z - mp.mpf(1) / 2) * mp.log(z) - z + plan.half_log_2pi + series
         s -= log_shift
     with ctx.work():
         return +s

@@ -202,6 +202,25 @@ def test_bad_character_token_exit1(tmp_path, capsys, key, value, token):
     assert f"error: {key}: bad token {token}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table,message", [
+    # the conjugate character, then the second half of ex1's own table
+    ("1=1, 2=-i, 3=i, 4=-1, 2=i, 3=-i", "character_table: residue 2 given twice"),
+    # 7 = 2 mod 5
+    ("1=1, 2=i, 3=-i, 4=-1, 7=-i", "residue 2 mod 5 given twice"),
+], ids=["same-residue", "same-residue-mod-f"])
+def test_repeated_character_residue_exit1(tmp_path, capsys, table, message):
+    path = tmp_path / "twice.job"
+    with open(os.path.join(JOBS, "ex1.job")) as fh:
+        path.write_text("".join(line for line in fh
+                                if not line.startswith("character_table"))
+                        + f"character_table = {table}\n")
+    path = str(path)
+    with pytest.raises(ValueError, match=message):
+        job_character(parse_job(path))
+    assert main(["height-colmez", path]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_precision_flag_sets_precision(capsys):
     code, out = run_cli(capsys, "--precision-bits", "128",
                         "compare", os.path.join(JOBS, "ex3.job"))

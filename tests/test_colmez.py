@@ -31,6 +31,11 @@ def test_char_invalid_specs():
         char_from_spec(5, {"table": {1: "1", 2: "i", 4: "-1"}})  # incomplete
     with pytest.raises(CharacterError, match="value 0 is not 1, i, -1 or -i"):
         char_from_spec(5, {"table": {1: 0, 2: 1, 3: 3, 4: 2}})  # unit indices
+    # 7 = 2 mod 5: the second value must not replace the first
+    with pytest.raises(CharacterError, match="residue 2 mod 5 given twice"):
+        char_from_spec(5, {"table": {1: "1", 2: "i", 3: "-i", 4: "-1", 7: "-i"}})
+    with pytest.raises(CharacterError, match="residue 2 mod 5 given twice"):
+        char_from_spec(5, {"gen": {2: "i", 7: "i"}})
 
 
 def test_weighted_sums():
@@ -94,6 +99,21 @@ def test_height_against_oracle_1024(f, spec):
     h = colmez_height(chi, ctx)
     with mp.workprec(ctx.workbits + 96):
         assert abs(h - _oracle_height(chi, ctx.workbits + 96)) < ctx.tol
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("f", [13, 29, 37, 53, 101])
+def test_height_against_oracle_past_61(f, bits):
+    # p = 5 mod 8 with 2 a primitive root: chi(2) = i has order 4 and
+    # chi(-1) = i^((p-1)/2) = -1; f = 101 walks the sine chain 50 steps.
+    # The bound is 2^12 ulps of workbits, not ctx.tol = 2^64 ulps, so that
+    # guard bits lost in the sine chain or the int Horner show here
+    ctx = PrecisionContext(bits)
+    chi = char_from_spec(f, CHI61)
+    h = colmez_height(chi, ctx)
+    with mp.workprec(ctx.workbits + 96):
+        err = abs(h - _oracle_height(chi, ctx.workbits + 96))
+        assert err < mp.mpf(2) ** (12 - ctx.workbits)
 
 
 def test_height_4096_agrees_with_1024():

@@ -36,6 +36,13 @@ def test_log_gamma_domain(ctx):
             log_gamma(x, ctx)
 
 
+def test_log_gamma_rejects_non_rationals(ctx):
+    # a float is a binary number, not the rational it was written as
+    for x in (0.5, 0.1, mp.mpf(1) / 3, True):
+        with pytest.raises(TypeError, match="takes a Fraction or an int"):
+            log_gamma(x, ctx)
+
+
 def test_log_gamma_reflection(ctx):
     rng = random.Random(17)
     with ctx.work():
@@ -62,21 +69,35 @@ def _oracle_log_gamma(x, ctx):
         return mp.loggamma(mp.mpf(x.numerator) / x.denominator)
 
 
+def _near_ends(d):
+    """The rationals d, 1/2 - d/2, 1/2 + d/2 and 1 - d."""
+    return [d, Fraction(1, 2) - d / 2, Fraction(1, 2) + d / 2, 1 - d]
+
+
+# f near 10^40 makes 1/z^2 = f^2/(m + N f)^2 a ratio of integers near 2^270
+TINY = Fraction(1, 10 ** 40)
+
+
 def _log_gamma_args():
     """Every m/f for f in {5, 16, 61}, and seeded random rationals near 0,
-    1/2 and 1."""
+    1/2 and 1, and the same at distance 10^-40."""
     xs = [Fraction(m, f) for f in (5, 16, 61) for m in range(1, f + 1)]
     rng = random.Random(31)
     for _ in range(6):
-        d = Fraction(1, rng.randint(2, 10 ** rng.randint(3, 40)))
-        xs += [d, Fraction(1, 2) - d / 2, Fraction(1, 2) + d / 2, 1 - d]
-    return xs
+        xs += _near_ends(Fraction(1, rng.randint(2, 10 ** rng.randint(3, 40))))
+    return xs + _near_ends(TINY)
 
 
-@pytest.mark.parametrize("bits", [256, 1024])
-def test_log_gamma_against_oracle(bits):
+@pytest.mark.parametrize("bits,args", [
+    (64, _log_gamma_args()),
+    (256, _log_gamma_args()),
+    (1024, _log_gamma_args()),
+    # K = 372 terms; m/61 as ex2 uses them
+    (4096, [Fraction(m, 61) for m in range(1, 31)] + _near_ends(TINY)),
+], ids=["64", "256", "1024", "4096"])
+def test_log_gamma_against_oracle(bits, args):
     ctx = PrecisionContext(bits)
-    for x in _log_gamma_args():
+    for x in args:
         ref = _oracle_log_gamma(x, ctx)
         v = log_gamma(x, ctx)
         with mp.workprec(ctx.workbits + 96):
