@@ -1,10 +1,13 @@
 """Gamma-value route to the height of a CM jacobian with cyclic quartic CM
-field: order-4 odd Dirichlet characters and the closed formula
+field: the primitive odd order-4 Dirichlet character chi of the field, of
+conductor f, and the closed formula
 
     h(A) = (1/2) log f  +  f * Re( sum_m chi(m) log Gamma(m/f) / sum_m chi(m) m ).
 
-Character values live in Z[i] and are stored as integer pairs (a, b) = a + bi;
-all character algebra is exact.
+chi is built in one way: from its values on residues that generate
+(Z/f)^*, extended multiplicatively; a full value table is the case where
+every unit is given.  Character values live in Z[i] and are stored as
+integer pairs (a, b) = a + bi; all character algebra is exact.
 """
 
 from __future__ import annotations
@@ -26,87 +29,75 @@ class CharacterError(ValueError):
 
 
 class DirichletCharacter:
-    """Order-4 odd character mod f; values are powers of i on units,
-    zero elsewhere.  table maps residue -> unit index (power of i)."""
+    """The primitive odd order-4 character mod f with chi(m) = i^k for each
+    pair (m, k) of values, whose residues m must generate (Z/f)^*.
 
-    def __init__(self, f: int, table: dict[int, int]):
-        self.f = f
-        self.table = dict(table)
-        self._validate()
+    One multiplicative closure from chi(1) = 1 builds chi and is its only
+    multiplicativity check: a unit reached with two values means no
+    character takes the given values, and a unit never reached means they
+    do not generate.  Then chi must have order 4, be odd, and have
+    conductor f: the least d | f with chi trivial on the units = 1 mod d.
+    table maps each unit to its power of i; chi is zero elsewhere."""
 
-    def _validate(self):
-        f = self.f
-        units = [m for m in range(1, f) if gcd(m, f) == 1]
-        if sorted(self.table) != units:
-            raise CharacterError("value table does not cover (Z/f)^* exactly")
-        if self.table.get(1 % f) != 0:
-            raise CharacterError("chi(1) != 1")
-        for a in units:
-            for b in units:
-                if (self.table[a] + self.table[b]) % 4 != self.table[a * b % f]:
-                    raise CharacterError(
-                        f"multiplicativity fails at ({a}, {b}) mod {self.f}"
-                    )
-        if not any(k % 2 == 1 for k in self.table.values()):
+    def __init__(self, f: int, values):
+        if f < 3:
+            raise CharacterError(f"character modulus {f} is below 3")
+        given = {}
+        for m, k in values:
+            r = m % f
+            if r in given:
+                raise CharacterError(f"residue {r} mod {f} given twice")
+            if gcd(r, f) != 1:
+                raise CharacterError(f"residue {r} is not a unit mod {f}")
+            given[r] = k
+        table, frontier = {1: 0}, [1]
+        while frontier:
+            reached = []
+            for m in frontier:
+                for g, k in given.items():
+                    t, v = m * g % f, (table[m] + k) % 4
+                    if t not in table:
+                        table[t] = v
+                        reached.append(t)
+                    elif table[t] != v:
+                        raise CharacterError(f"no character mod {f} takes these values")
+            frontier = reached
+        if len(table) != sum(gcd(m, f) == 1 for m in range(1, f)):
+            raise CharacterError(f"the given residues do not generate (Z/{f})^*")
+        if not any(k % 2 for k in table.values()):
             raise CharacterError("character order is not 4")
-        if self.table[f - 1] != 2:
+        if table[f - 1] != 2:
             raise CharacterError("character is not odd (chi(-1) != -1)")
+        conductor = next(d for d in range(1, f + 1) if f % d == 0
+                        and all(table.get(m, 0) == 0 for m in range(1, f, d)))
+        if conductor != f:
+            raise CharacterError(f"character mod {f} has conductor {conductor}: "
+                                 "f_K must be the conductor of chi")
+        self.f, self.table = f, table
 
     def value(self, m: int):
         """chi(m) as a Gaussian-integer pair; (0,0) off the units."""
         k = self.table.get(m % self.f)
         return (0, 0) if k is None else _UNITS[k]
 
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.f, {m: (-k) % 4 for m, k in self.table.items()})
-
 
 def char_from_spec(f: int, spec) -> DirichletCharacter:
     """spec: {'table': {m: v}} or {'gen': {g: v}} with v one of the names
-    '1', 'i', '-1', '-i'.  Generator specs are extended multiplicatively and
-    must determine chi on all of (Z/f)^*.  Two keys that agree mod f raise
-    CharacterError, whatever their values."""
-    def unit_index(v):
+    '1', 'i', '-1', '-i'.  Both are built by DirichletCharacter; a table
+    must also give every unit of (Z/f)^*."""
+    kind = next((k for k in ("table", "gen") if k in spec), None)
+    if kind is None:
+        raise CharacterError("spec must contain 'table' or 'gen'")
+    values = []
+    for m, v in spec[kind].items():
         try:
-            return _UNIT_NAMES[v.strip()]
+            values.append((int(m), _UNIT_NAMES[v.strip()]))
         except (KeyError, AttributeError):
             raise CharacterError(f"character value {v!r} is not 1, i, -1 or -i") from None
-
-    def by_residue(values):
-        out = {}
-        for m, v in values.items():
-            r = int(m) % f
-            if r in out:
-                raise CharacterError(f"residue {r} mod {f} given twice")
-            out[r] = unit_index(v)
-        return out
-
-    if f < 3:
-        raise CharacterError(f"character modulus {f} is below 3")
-    if "table" in spec:
-        return DirichletCharacter(f, by_residue(spec["table"]))
-    if "gen" in spec:
-        assign = by_residue(spec["gen"])
-        table = {1 % f: 0}
-        frontier = [1 % f]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g, k in assign.items():
-                    t = m * g % f
-                    val = (table[m] + k) % 4
-                    if t in table:
-                        if table[t] != val:
-                            raise CharacterError("inconsistent generator assignment")
-                    else:
-                        table[t] = val
-                        nxt.append(t)
-            frontier = nxt
-        units = [m for m in range(1, f) if gcd(m, f) == 1]
-        if sorted(table) != units:
-            raise CharacterError("generators do not generate (Z/f)^*")
-        return DirichletCharacter(f, table)
-    raise CharacterError("spec must contain 'table' or 'gen'")
+    chi = DirichletCharacter(f, values)
+    if kind == "table" and len(values) != len(chi.table):
+        raise CharacterError("value table does not cover (Z/f)^* exactly")
+    return chi
 
 
 def char_weighted_sum(chi: DirichletCharacter):
@@ -143,11 +134,13 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     absolute error, and zeta^m is off by less than 3 m 2^-p < 2 f 2^-p for
     m < f/2.  There sin(pi m/f) >= 2/f, so each sine keeps a relative error
     below f^2 2^-p < 2^-(workbits+2).
+
+    The divisor never vanishes: sum_m chi(m) m = f B_{1,chi} = -f L(0, chi),
+    and L(0, chi) != 0 for a primitive odd chi, by the functional equation
+    and L(1, conj chi) != 0.
     """
     f = chi.f
     wa, wb = char_weighted_sum(chi)
-    if (wa, wb) == (0, 0):
-        raise CharacterError("vanishing weighted character sum")
     residues = half_residues(chi)
     with mp.workprec(ctx.workbits + 2 * f.bit_length() + 2):
         zeta, power, sin = mp.expjpi(mp.mpf(1) / f), mp.mpc(1), {}

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+from math import gcd
 
 import mpmath as mp
 import pytest
@@ -269,6 +270,23 @@ def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command,
 def test_modulus_below_3_exit1(tmp_path, capsys, f):
     assert main(["height-colmez", _ex3_setting(tmp_path, "f_K", f)]) == 1
     assert f"error: character modulus {f} is below 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f", [10, 15, 20, 25])
+def test_imprimitive_character_exit1(tmp_path, capsys, f):
+    # ex1's character mod 5 lifted to mod f: the field is still Q(zeta_5),
+    # so f is not its conductor, and at f = 20 and 25 the formula's extra
+    # Euler factors would move the height
+    chi5 = {1: "1", 2: "i", 3: "-i", 4: "-1"}
+    table = ", ".join(f"{m}={chi5[m % 5]}" for m in range(1, f) if gcd(m, f) == 1)
+    path = tmp_path / "lifted.job"
+    with open(os.path.join(JOBS, "ex1.job")) as fh:
+        path.write_text("".join(line for line in fh
+                                if not line.startswith(("character_table", "f_K")))
+                        + f"f_K = {f}\ncharacter_table = {table}\n")
+    assert main(["height-colmez", str(path)]) == 1
+    assert (f"error: character mod {f} has conductor 5: f_K must be the conductor"
+            in capsys.readouterr().err)
 
 
 def test_theta_reports_truncation(capsys):

@@ -14,6 +14,13 @@ CHI16 = {"table": {1: "1", 3: "i", 5: "i", 7: "1", 9: "-1", 11: "-i",
                    13: "-i", 15: "-1"}}
 
 
+def _conjugate(spec):
+    """The spec of the conjugate character: the names i and -i swapped."""
+    swap = {"i": "-i", "-i": "i"}
+    (kind, values), = spec.items()
+    return {kind: {m: swap.get(v, v) for m, v in values.items()}}
+
+
 def test_char_examples_valid():
     char_from_spec(5, CHI5)
     char_from_spec(61, CHI61)
@@ -36,6 +43,29 @@ def test_char_invalid_specs():
         char_from_spec(5, {"table": {1: "1", 2: "i", 3: "-i", 4: "-1", 7: "-i"}})
     with pytest.raises(CharacterError, match="residue 2 mod 5 given twice"):
         char_from_spec(5, {"gen": {2: "i", 7: "i"}})
+    # a residue that shares a factor with f is named before any other check
+    with pytest.raises(CharacterError, match="residue 2 is not a unit mod 16"):
+        char_from_spec(16, {"gen": {2: "i"}})
+    with pytest.raises(CharacterError, match="residue 0 is not a unit mod 5"):
+        char_from_spec(5, {"gen": {0: "1", 2: "i"}})
+    with pytest.raises(CharacterError, match="residue 0 is not a unit mod 5"):
+        char_from_spec(5, {"table": {1: "1", 2: "i", 3: "-i", 4: "-1", 0: "1"}})
+
+
+def test_two_generators_give_ex3_table():
+    # (Z/16)^* = <3> x <15> is not cyclic, so a gen spec needs both
+    chi = char_from_spec(16, {"gen": {3: "i", 15: "-1"}})
+    ex3 = char_from_spec(16, CHI16)
+    assert chi.table == ex3.table
+    ctx = PrecisionContext(256)
+    assert colmez_height(chi, ctx) == colmez_height(ex3, ctx)
+
+
+def test_full_table_is_a_generator_assignment():
+    # ex2's table written out on every unit: chi(2^j) = i^j mod 61
+    names = ["1", "i", "-1", "-i"]
+    table = {pow(2, j, 61): names[j % 4] for j in range(60)}
+    assert char_from_spec(61, {"table": table}).table == char_from_spec(61, CHI61).table
 
 
 def test_weighted_sums():
@@ -58,7 +88,7 @@ def test_orthogonality():
 def test_conjugate_sum_real():
     chi = char_from_spec(61, CHI61)
     w = char_weighted_sum(chi)
-    wbar = char_weighted_sum(chi.conjugate())
+    wbar = char_weighted_sum(char_from_spec(61, _conjugate(CHI61)))
     assert w[1] + wbar[1] == 0
     assert w[0] == wbar[0]
 
@@ -67,7 +97,7 @@ def test_conjugate_height_equal(ctx):
     with ctx.work():
         chi = char_from_spec(16, CHI16)
         h = colmez_height(chi, ctx)
-        hbar = colmez_height(chi.conjugate(), ctx)
+        hbar = colmez_height(char_from_spec(16, _conjugate(CHI16)), ctx)
         assert abs(h - hbar) < ctx.tol
 
 
