@@ -63,15 +63,21 @@ def parse_job(path: str) -> dict:
     return job
 
 
-def _rat_list(s: str):
-    return [Fraction(tok.strip()) for tok in s.split(",")]
+def _rat_list(key: str, s: str):
+    out = []
+    for tok in map(str.strip, s.split(",")):
+        try:
+            out.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise JobError(f"{key}: bad coefficient {tok!r}") from None
+    return out
 
 
 def job_curve(job):
     if "curve_P" not in job:
         raise JobError("job lacks curve_P")
-    P = IntPolynomial(_rat_list(job["curve_P"]))
-    Q = IntPolynomial(_rat_list(job.get("curve_Q", "0")))
+    P = IntPolynomial(_rat_list("curve_P", job["curve_P"]))
+    Q = IntPolynomial(_rat_list("curve_Q", job.get("curve_Q", "0")))
     return WeierstrassEquation(P, Q)
 
 
@@ -120,7 +126,7 @@ def job_periods(job, ctx):
     delta = _int_key(job, "delta_F")
     if "tau_poly" not in job:
         raise JobError("job lacks tau_poly")
-    taus = cmperiod.select_tau(IntPolynomial(_rat_list(job["tau_poly"])), ctx)
+    taus = cmperiod.select_tau(IntPolynomial(_rat_list("tau_poly", job["tau_poly"])), ctx)
     return [cmperiod.period_matrix(*taus, delta, ctx)]
 
 

@@ -18,19 +18,13 @@ from .prec import PrecisionContext, poly_roots
 from .theta import PeriodMatrix
 
 
-class TauSelectionError(ValueError):
-    pass
-
-
 def select_tau(poly: IntPolynomial, ctx: PrecisionContext):
     """The two upper-half-plane roots of a CM quartic (the CM type), whose
     roots are two conjugate pairs.  Canonical order is ascending real part,
     ties broken by imaginary part; poly_roots decides it exactly, from the
     split of the quartic over F.  The local height does not depend on the
-    order.
+    order.  poly_roots rejects any polynomial but such a quartic.
     """
-    if poly.degree != 4:
-        raise TauSelectionError("tau polynomial must be an exact quartic")
     return tuple(r for r in poly_roots(poly, ctx) if mp.im(r) > 0)
 
 

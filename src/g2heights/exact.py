@@ -1,14 +1,17 @@
 """Exact rational arithmetic: primality, p-adic valuations, polynomials and
-binary-form discriminants.
+binary forms.
 
 Everything in this module is exact; no floating point enters.  Rationals are
 Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
+Binary forms live here alone: binary_form clears a polynomial to an integer
+form, partials differentiates it, resultant is its Sylvester determinant, and
+the discriminant is Res(F_x, F_y) on the same form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, perm
 from typing import Sequence
 
 
@@ -58,8 +61,8 @@ class IntPolynomial:
     """Polynomial with rational coefficients and a declared formal degree.
 
     Coefficients are stored lowest degree first.  The formal degree may
-    exceed the actual degree; it fixes the homogenization used when the
-    polynomial is treated as a binary form.
+    exceed the actual degree; binary_form takes the order of the binary
+    form as its own argument.
     """
 
     def __init__(self, coeffs: Sequence[Fraction | int | str], formal_degree: int | None = None):
@@ -73,17 +76,7 @@ class IntPolynomial:
 
     @property
     def degree(self) -> int:
-        if self.coeffs == [Fraction(0)]:
-            return 0
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial([0])
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -101,42 +94,34 @@ class IntPolynomial:
     def scale(self, u) -> "IntPolynomial":
         return IntPolynomial([Fraction(u) * c for c in self.coeffs], self.formal_degree)
 
-    def shift(self, c) -> "IntPolynomial":
-        """p(x + c), same formal degree."""
-        c = Fraction(c)
-        out = [Fraction(0)] * len(self.coeffs)
-        for a in reversed(self.coeffs):
-            # multiply accumulated polynomial by (x + c), then add a
-            prev = list(out)
-            for i in range(len(out) - 1, 0, -1):
-                out[i] = prev[i - 1] + c * prev[i]
-            out[0] = c * prev[0] + a
-        return IntPolynomial(out, self.formal_degree)
+
+# ---- binary forms, on integers --------------------------------------------
+# A binary form of order n is the list c of its integer coefficients,
+# c[k] that of x^(n-k) y^k.
+
+def binary_form(p: IntPolynomial, n: int) -> tuple[list[int], int]:
+    """(F, d): p, of degree at most n, homogenized to order n and cleared to
+    integers, F = d p with d > 0 the common denominator of p's coefficients.
+    This is the one place where a polynomial's coefficients become integers.
+    """
+    cs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
+    d = lcm(*(c.denominator for c in cs))
+    return [int(c * d) for c in reversed(cs)], d
 
 
-def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
-    """Sylvester resultant of two polynomials given lowest-degree-first,
-    taken at their actual degrees.
+def partials(c, a, b):
+    """d^a/dx^a d^b/dy^b of the form c: x^(n-k) y^k goes to
+    (n-k)!/(n-k-a)! k!/(k-b)! x^(n-k-a) y^(k-b)."""
+    n = len(c) - 1
+    return [c[k] * perm(n - k, a) * perm(k, b) for k in range(b, n - a + 1)]
 
-    The rows are scaled to integers, P = dp p and Q = dq q with dp and dq
-    the common denominators, so Res(p, q) = Res(P, Q) / (dp^n dq^m) for
-    degrees m and n, and Res(P, Q) is the determinant of an integer matrix
-    by fraction-free Bareiss elimination."""
-    p = list(p)
-    q = list(q)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
-    m, n = len(p) - 1, len(q) - 1
-    if m == 0:
-        return Fraction(p[0]) ** n
-    if n == 0:
-        return Fraction(q[0]) ** m
-    dp = lcm(*(Fraction(c).denominator for c in p))
-    dq = lcm(*(Fraction(c).denominator for c in q))
-    P = [int(c * dp) for c in reversed(p)]
-    Q = [int(c * dq) for c in reversed(q)]
+
+def resultant(P: list[int], Q: list[int]) -> int:
+    """Res(P, Q) of two integer binary forms at their orders m and n: the
+    determinant of their Sylvester matrix, by fraction-free Bareiss
+    elimination.  It vanishes exactly when P and Q share a root on P^1,
+    infinity (both leading coefficients 0) included."""
+    m, n = len(P) - 1, len(Q) - 1
     size = m + n
     mat = [[0] * row + P + [0] * (n - 1 - row) for row in range(n)]
     mat += [[0] * row + Q + [0] * (m - 1 - row) for row in range(m)]
@@ -147,7 +132,7 @@ def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
         if mat[k][k] == 0:
             r = next((r for r in range(k + 1, size) if mat[r][k]), None)
             if r is None:
-                return Fraction(0)
+                return 0
             mat[k], mat[r] = mat[r], mat[k]
             sign = -sign
         pivot, top = mat[k][k], mat[k]
@@ -156,7 +141,28 @@ def resultant(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
             for j in range(k + 1, size):
                 row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    return Fraction(sign * mat[-1][-1], dp ** n * dq ** m)
+    return sign * mat[-1][-1]
+
+
+def disc_n(p: IntPolynomial, n: int) -> Fraction:
+    """Discriminant of p homogenized to a binary form of order n.
+
+    For a form F of order n, Res(F_x, F_y) = (-1)^(n(n-1)/2) n^(n-2) disc(F)
+    (Gelfand, Kapranov and Zelevinsky, Discriminants, Resultants and
+    Multidimensional Determinants, ch. 12), and on F = d p each partial
+    carries a factor d.  At actual degree n, disc = (-1)^(n(n-1)/2) Res(p, p')
+    / a; one root at infinity contributes the square of the leading
+    coefficient, two make it 0.  So 2^8 disc_5(P) = 2^-12 disc_6(4P) for
+    monic quintics P."""
+    if n not in (5, 6):
+        raise ValueError("only degree-5 and degree-6 binary forms supported")
+    if not any(p.coeffs):
+        raise ValueError("discriminant of the zero form")
+    if p.degree > n:
+        raise ValueError("polynomial degree exceeds declared binary-form degree")
+    F, d = binary_form(p, n)
+    res = resultant(partials(F, 1, 0), partials(F, 0, 1))
+    return Fraction((-1) ** (n * (n - 1) // 2) * res, n ** (n - 2) * d ** (2 * n - 2))
 
 
 def cubic_integer_roots(b2: int, b1: int, b0: int) -> list[int]:
@@ -195,36 +201,3 @@ def cubic_integer_roots(b2: int, b1: int, b0: int) -> list[int]:
         if g(lo) == 0:
             roots.add(lo)
     return sorted(roots)
-
-
-def disc_n(p: IntPolynomial, n: int) -> Fraction:
-    """Discriminant of p homogenized to a binary form of degree n.
-
-    Normalized so that for actual degree n with leading coefficient a,
-    disc = (-1)^(n(n-1)/2) Res(p, p') / a, and a degree drop by one
-    (root at infinity, allowed for n = 6 only) contributes the square of
-    the new leading coefficient.  This fixes 2^8 disc_5(P) = 2^-12 disc_6(4P)
-    for monic quintics P.
-    """
-    if n not in (5, 6):
-        raise ValueError("only degree-5 and degree-6 binary forms supported")
-    if p.is_zero():
-        raise ValueError("discriminant of the zero form")
-    d = p.degree
-    if d > n:
-        raise ValueError("polynomial degree exceeds declared binary-form degree")
-    if d == n:
-        return _disc_exact(p)
-    if d == n - 1:
-        # one root at infinity: disc_n(F) = lc^2 * disc_{n-1}(F)
-        lead = p.coeffs[-1]
-        return lead ** 2 * _disc_exact(p)
-    # two or more roots at infinity
-    return Fraction(0)
-
-
-def _disc_exact(p: IntPolynomial) -> Fraction:
-    d = p.degree
-    lead = p.coeffs[-1]
-    res = resultant(p.coeffs, p.derivative().coeffs)
-    return Fraction((-1) ** (d * (d - 1) // 2)) * res / lead

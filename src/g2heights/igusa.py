@@ -8,7 +8,9 @@ below were solved for exactly against the symmetric-function definitions
     I2 = -120*(f,f)_6
     I4 = -720*A^2 + 6750*B,   B = (i,i)_4, i = (f,f)_4
     I6 = 8640*A^3 - 108000*A*B + 202500*C,   C = (i,(i,i)_2)_4
-I10 is the binary-sextic discriminant a0^10 prod (r_i - r_j)^2.
+I10 is the binary-sextic discriminant a0^10 prod (r_i - r_j)^2, which
+exact.disc_n takes as Res(F_x, F_y) on the integer form F the transvectants
+use.
 
 Normalisation: J10 = 2^-12 disc_6(P + Q^2/4).  The discriminant Delta_E =
 2^-12 disc_6(4P + Q^2) that `discriminant` returns is Liu's J10; since
@@ -22,11 +24,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from math import comb, factorial, gcd
 
 import mpmath as mp
 
-from .exact import IntPolynomial, disc_n, is_prime, valuation
+from .exact import (IntPolynomial, binary_form, disc_n, is_prime, partials,
+                    valuation)
 from .prec import PrecisionContext
 
 
@@ -74,15 +77,7 @@ class LocalContribution:
 
 
 # ---- binary sextic transvectants, exact ----------------------------------
-# A binary form of order n is the list c of its integer coefficients,
-# c[k] that of x^(n-k) y^k.
-
-def _partials(c, a, b):
-    """d^a/dx^a d^b/dy^b of the form c: x^(n-k) y^k goes to
-    (n-k)!/(n-k-a)! k!/(k-b)! x^(n-k-a) y^(k-b)."""
-    n = len(c) - 1
-    return [c[k] * perm(n - k, a) * perm(k, b) for k in range(b, n - a + 1)]
-
+# on the integer forms of exact.binary_form
 
 def _transvectant(f, g, k):
     """The k-th transvectant of the forms f and g of orders m and n, times
@@ -91,8 +86,8 @@ def _transvectant(f, g, k):
     out = [0] * (len(f) + len(g) - 1 - 2 * k)
     for j in range(k + 1):
         w = (-1) ** j * comb(k, j)
-        dg = _partials(g, j, k - j)
-        for s, u in enumerate(_partials(f, k - j, j)):
+        dg = partials(g, j, k - j)
+        for s, u in enumerate(partials(f, k - j, j)):
             for t, v in enumerate(dg):
                 out[s + t] += w * u * v
     return out
@@ -109,9 +104,7 @@ def _igusa_clebsch(sextic: IntPolynomial):
     The transvectants run on the integer form F = d f, d the common
     denominator; each is bilinear, so every factorial prefactor and power of
     d enters once, as a Fraction, at the end."""
-    cs = list(sextic.coeffs) + [Fraction(0)] * (7 - len(sextic.coeffs))
-    d = lcm(*(c.denominator for c in cs))
-    F = [int(c * d) for c in reversed(cs)]  # x-descending
+    F, d = binary_form(sextic, 6)
     i4 = _transvectant(F, F, 4)  # i = (f, f)_4 = p4 i4
     p4 = _prefactor(6, 6, 4) / d ** 2
     A = _prefactor(6, 6, 6) / d ** 2 * _transvectant(F, F, 6)[0]

@@ -27,12 +27,11 @@ ch. 4).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 import mpmath as mp
 
-from .exact import IntPolynomial, cubic_integer_roots
+from .exact import IntPolynomial, binary_form, cubic_integer_roots
 
 GUARD_BITS = 32
 
@@ -203,8 +202,8 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     """
     if p.degree != 4:
         raise ValueError(f"poly_roots takes a quartic, not degree {p.degree}")
-    den = lcm(*(c.denominator for c in p.coeffs)) * (1 if p.coeffs[-1] > 0 else -1)
-    c0, c1, c2, c3, c4 = (int(c * den) for c in p.coeffs)
+    F, _ = binary_form(p, 4)
+    c4, c3, c2, c1, c0 = F if F[0] > 0 else [-c for c in F]
     a3, a2, a1, a0 = c3, c2 * c4, c1 * c4 ** 2, c0 * c4 ** 3
     for s in cubic_integer_roots(-a2, a1 * a3 - 4 * a0,
                                  4 * a0 * a2 - a1 * a1 - a0 * a3 * a3):

@@ -266,6 +266,18 @@ def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command,
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,command,token", [
+    ("curve_P", "1, x, 3, 0, 0, 1", "igusa", "'x'"),
+    ("tau_poly", "128, 0, 32,, 1", "height-local", "''"),
+    ("curve_Q", "1.5e", "compare", "'1.5e'"),
+    ("curve_P", "1/0, 0, 0, 0, 0, 1", "height-local", "'1/0'"),
+], ids=["letter", "empty", "exponent", "zero-denominator"])
+def test_bad_coefficient_names_key_exit1(tmp_path, capsys, key, value, command,
+                                         token):
+    assert main([command, _ex3_setting(tmp_path, key, value)]) == 1
+    assert f"error: {key}: bad coefficient {token}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("f", [0, 1, 2, -5])
 def test_modulus_below_3_exit1(tmp_path, capsys, f):
     assert main(["height-colmez", _ex3_setting(tmp_path, "f_K", f)]) == 1

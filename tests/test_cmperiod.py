@@ -5,8 +5,7 @@ import mpmath as mp
 import pytest
 
 from g2heights.cli import parse_job
-from g2heights.cmperiod import (TauSelectionError, check_lemma_easy,
-                                period_matrix, select_tau)
+from g2heights.cmperiod import check_lemma_easy, period_matrix, select_tau
 from g2heights.exact import IntPolynomial
 from g2heights.prec import PrecisionContext
 
@@ -54,7 +53,7 @@ def test_select_tau_example1_reproduces_job_values(scale):
 
 
 def test_select_tau_wrong_degree(ctx):
-    with pytest.raises(TauSelectionError):
+    with pytest.raises(ValueError, match="takes a quartic, not degree 2"):
         select_tau(IntPolynomial([1, 0, 1]), ctx)
 
 

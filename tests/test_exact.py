@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2heights.exact import IntPolynomial, cubic_integer_roots, disc_n, valuation
+from g2heights.exact import (IntPolynomial, binary_form, cubic_integer_roots, disc_n,
+                             valuation)
 
 
 def test_valuation_examples():
@@ -27,6 +28,20 @@ def test_valuation_additive():
         y = F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
         for p in (2, 3, 7):
             assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
+
+
+def _shift(p, c):
+    """p(x + c), by Horner's rule in x + c."""
+    out = IntPolynomial([0])
+    for a in reversed(p.coeffs):
+        out = out * IntPolynomial([c, 1]) + IntPolynomial([a])
+    return out
+
+
+def test_binary_form_homogenizes_and_clears():
+    # 1/2 - x^2/3 as a form of order 4: -2 x^2 y^2 + 3 y^4, times 6
+    assert binary_form(IntPolynomial([F(1, 2), 0, F(-1, 3)]), 4) == ([0, 0, -2, 0, 3], 6)
+    assert binary_form(IntPolynomial([-1, 0, 0, 0, 0, 1]), 6) == ([0, 1, 0, 0, 0, 0, -1], 1)
 
 
 def test_disc5_quintic():
@@ -58,8 +73,7 @@ def test_disc_shift_invariance():
         cs = [rng.randint(-6, 6) for _ in range(6)] + [rng.randint(1, 4)]
         p = IntPolynomial(cs, 6)
         c = rng.randint(-3, 3)
-        assert disc_n(p.shift(c), 6) == disc_n(p, 6)
-
+        assert disc_n(_shift(p, c), 6) == disc_n(p, 6)
 
 
 def test_cubic_integer_roots():

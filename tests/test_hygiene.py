@@ -42,8 +42,8 @@ def test_every_module_function_has_a_caller():
     # acceptance gate and the benchmark count as callers.  The same holds
     # for each method of a top-level class, dunders aside.  The scan works
     # on names, so a method passes when any caller reads its name, also as
-    # another class's attribute: IntPolynomial.shift passes on
-    # StirlingPlan.shift
+    # an attribute of another class; a dead method whose name another class
+    # shares goes unseen
     src = sorted((ROOT / "src" / "g2heights").glob("*.py"))
     callers = src + [ROOT / "tests" / "test_acceptance.py"] + sorted(
         (ROOT / "benchmarks").glob("*.py"))

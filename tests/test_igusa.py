@@ -5,7 +5,8 @@ from math import comb, factorial
 import mpmath as mp
 import pytest
 
-from g2heights.exact import IntPolynomial, is_prime, resultant
+from g2heights.exact import (IntPolynomial, binary_form, disc_n, is_prime, partials,
+                             resultant)
 from g2heights.igusa import (SingularCurveError, WeierstrassEquation,
                              _factor_trial, _igusa_clebsch, discriminant,
                              finite_height_part, igusa_invariants, iota,
@@ -35,6 +36,14 @@ def curves(seed, n):
         n -= 1
 
 
+def _shift(p, c):
+    """p(x + c), by Horner's rule in x + c."""
+    out = IntPolynomial([0])
+    for a in reversed(p.coeffs):
+        out = out * IntPolynomial([c, 1]) + IntPolynomial([a])
+    return out
+
+
 def corpus(seed, n):
     """The invariants of curves(seed, n)."""
     return (igusa_invariants(eq) for eq in curves(seed, n))
@@ -52,7 +61,7 @@ def test_discriminant_singular():
 def test_discriminant_shift_invariance():
     eq = WeierstrassEquation(IntPolynomial([-1, 0, 0, 0, 0, 1]),
                              IntPolynomial([0, 0, 0, 1]))
-    shifted = WeierstrassEquation(eq.P.shift(1), eq.Q.shift(1))
+    shifted = WeierstrassEquation(_shift(eq.P, 1), _shift(eq.Q, 1))
     assert discriminant(eq) == discriminant(shifted)
 
 
@@ -241,11 +250,12 @@ def _frac_igusa_clebsch(sextic):
 
 def _frac_resultant(p, q):
     """The determinant of the Sylvester matrix by Gaussian elimination over
-    the rationals; p and q lowest degree first, at their actual degrees."""
+    the rationals; p and q lowest degree first, at degrees len - 1."""
     m, n = len(p) - 1, len(q) - 1
     size = m + n
-    mat = [[F(0)] * row + list(p[::-1]) + [F(0)] * (n - 1 - row) for row in range(n)]
-    mat += [[F(0)] * row + list(q[::-1]) + [F(0)] * (m - 1 - row) for row in range(m)]
+    p, q = [F(c) for c in p[::-1]], [F(c) for c in q[::-1]]
+    mat = [[F(0)] * row + p + [F(0)] * (n - 1 - row) for row in range(n)]
+    mat += [[F(0)] * row + q + [F(0)] * (m - 1 - row) for row in range(m)]
     det = F(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
@@ -272,5 +282,37 @@ def test_integer_kernels_match_fraction_transcription():
     for eq in [EX1, EX2, EX3, BIG] + rational + list(curves(3, 100)):
         f = eq.sextic4
         assert _igusa_clebsch(f) == _frac_igusa_clebsch(f), f.coeffs
-        fp = f.derivative()
-        assert resultant(f.coeffs, fp.coeffs) == _frac_resultant(f.coeffs, fp.coeffs)
+        Fx, Fy = (partials(binary_form(f, 6)[0], a, 1 - a) for a in (1, 0))
+        assert resultant(Fx, Fy) == _frac_resultant(Fx[::-1], Fy[::-1])
+
+
+def _disc_oracle(p, n):
+    """disc_n(p, n) from the polynomial p: (-1)^(d(d-1)/2) Res(p, p') / a at
+    the actual degree d and leading coefficient a, times a^2 for one root
+    at infinity, and 0 for two or more."""
+    d, a = p.degree, p.coeffs[-1]
+    if d < n - 1:
+        return F(0)
+    dp = [k * c for k, c in enumerate(p.coeffs)][1:]
+    disc = (-1) ** (d * (d - 1) // 2) * _frac_resultant(p.coeffs, dp) / a
+    return disc * a ** 2 if d == n - 1 else disc
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_disc_n_matches_polynomial_resultant(n):
+    # rational p with 0 to 3 roots at infinity, a third of them with a
+    # forced repeated root (x - r)^2
+    rng = random.Random(n)
+    nonzero = 0
+    for _ in range(300):
+        deg = n - rng.randint(0, 3)
+        cs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+        p = IntPolynomial(cs + [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))])
+        if rng.random() < 1 / 3:
+            r = F(rng.randint(-3, 3), rng.randint(1, 3))
+            p = IntPolynomial(p.coeffs[2:]) * IntPolynomial([r * r, -2 * r, 1])
+        assert p.degree == deg
+        disc = disc_n(p, n)
+        assert disc == _disc_oracle(p, n), (n, p.coeffs)
+        nonzero += disc != 0
+    assert nonzero >= 75
