@@ -32,9 +32,8 @@ class BoundCheck:
 
 
 def _require_f2(Z: PeriodMatrix, ctx: PrecisionContext):
-    with ctx.work():
-        if not siegel.in_fundamental_domain(Z, siegel.f2_tol(ctx)):
-            raise ValueError("Z is not in the fundamental domain")
+    if not siegel.in_fundamental_domain(Z, ctx):
+        raise ValueError("Z is not in the fundamental domain")
 
 
 def _a_quadform(ch: ThetaCharacteristic, Z: PeriodMatrix):

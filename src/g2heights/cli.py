@@ -141,12 +141,10 @@ def cmd_igusa(args):
     print("discriminant =", discriminant(eq))
     for name, v in zip(("J2", "J4", "J6", "J8", "J10"), inv.as_tuple()):
         print(f"{name} = {v}")
-    if inv.J2 != 0:
-        print("J2^5/J10 =", inv.J2 ** 5 / inv.J10)
-    if inv.J6 != 0:
-        print("J6^5/J10^3 =", inv.J6 ** 5 / inv.J10 ** 3)
-    if inv.J8 != 0:
-        print("J8^5/J10^4 =", inv.J8 ** 5 / inv.J10 ** 4)
+    for i in (1, 3, 4):
+        r = inv.ratio(i)
+        if r is not None:
+            print(f"J{2 * i}^5/J10{f'^{i}' if i > 1 else ''} =", r)
     return 0
 
 
@@ -285,7 +283,14 @@ def main(argv=None):
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=cmd_verify_bounds)
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise  # --help
+        # argparse has printed the usage error; it is an input error, and
+        # exit 2 means a failed verification
+        return 1
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError, OSError) as exc:

@@ -10,6 +10,7 @@ with th = (D + sqrt D)/2, th' = (D - sqrt D)/2.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 
@@ -29,9 +30,9 @@ def select_tau(poly: IntPolynomial, ctx: PrecisionContext):
 
 
 def period_matrix(tau1, tau2, delta: int, ctx: PrecisionContext) -> PeriodMatrix:
-    if delta <= 0 or delta % 4 not in (0, 1):
+    if delta <= 0 or delta % 4 not in (0, 1) or isqrt(delta) ** 2 == delta:
         raise ValueError(f"delta_F = {delta} is not a real quadratic "
-                         "discriminant (positive, and 0 or 1 mod 4)")
+                         "discriminant (positive, 0 or 1 mod 4, and not a square)")
     with ctx.work():
         tau1, tau2 = mp.mpc(tau1), mp.mpc(tau2)
         if not (mp.im(tau1) > 0 and mp.im(tau2) > 0):

@@ -1,11 +1,12 @@
-"""Exact rational arithmetic: primality, p-adic valuations, polynomials and
-binary forms.
+"""Exact rational arithmetic: proven primality, p-adic valuations,
+polynomials and binary forms.
 
 Everything in this module is exact; no floating point enters.  Rationals are
 Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
 Binary forms live here alone: binary_form clears a polynomial to an integer
 form, partials differentiates it, resultant is its Sylvester determinant, and
-the discriminant is Res(F_x, F_y) on the same form.
+the discriminant is Res(F_x, F_y) on the same form.  is_prime says True only
+where Miller-Rabin is a proof, below PSI13.
 """
 
 from __future__ import annotations
@@ -15,18 +16,28 @@ from math import isqrt, lcm, perm
 from typing import Sequence
 
 
+# psi_13 (OEIS A014233): the least strong pseudoprime to all thirteen prime
+# bases 2..41, 1287836182261 * 2575672364521
+PSI13 = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is proven prime.  Miller-Rabin to the thirteen prime bases
+    2..41 is a proof below PSI13, the least strong pseudoprime to all of
+    them; at or above PSI13 no proof is made, and the answer is False."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin, valid for n < 3.3e24
+    if n >= PSI13:
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -58,21 +69,19 @@ def valuation(x: Fraction | int, p: int) -> int:
 
 
 class IntPolynomial:
-    """Polynomial with rational coefficients and a declared formal degree.
+    """Polynomial with rational coefficients, stored lowest degree first.
 
-    Coefficients are stored lowest degree first.  The formal degree may
-    exceed the actual degree; binary_form takes the order of the binary
-    form as its own argument.
+    max_degree, when given, is checked as a bound on the degree; binary_form
+    and disc_n take the order of the binary form as their own argument.
     """
 
-    def __init__(self, coeffs: Sequence[Fraction | int | str], formal_degree: int | None = None):
+    def __init__(self, coeffs: Sequence[Fraction | int | str], max_degree: int | None = None):
         cs = [Fraction(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
-        self.formal_degree = formal_degree if formal_degree is not None else self.degree
-        if self.formal_degree < self.degree:
-            raise ValueError("formal degree below actual degree")
+        if max_degree is not None and self.degree > max_degree:
+            raise ValueError(f"degree {self.degree} above the bound {max_degree}")
 
     @property
     def degree(self) -> int:
@@ -92,7 +101,7 @@ class IntPolynomial:
         return IntPolynomial([x + y for x, y in zip(a, b)])
 
     def scale(self, u) -> "IntPolynomial":
-        return IntPolynomial([Fraction(u) * c for c in self.coeffs], self.formal_degree)
+        return IntPolynomial([Fraction(u) * c for c in self.coeffs])
 
 
 # ---- binary forms, on integers --------------------------------------------

@@ -12,9 +12,9 @@ I10 is the binary-sextic discriminant a0^10 prod (r_i - r_j)^2, which
 exact.disc_n takes as Res(F_x, F_y) on the integer form F the transvectants
 use.
 
-Normalisation: J10 = 2^-12 disc_6(P + Q^2/4).  The discriminant Delta_E =
-2^-12 disc_6(4P + Q^2) that `discriminant` returns is Liu's J10; since
-disc_6 has degree 10 in the coefficients, Delta_E = 2^20 J10.  The ratios
+Normalisation (Liu, Math. Ann. 295, 1993): the J's are those of f itself,
+with J10 = 2^-12 disc_6(f).  The discriminant that `discriminant` returns is
+Delta_E = 2^20 J10 = 2^8 disc_6(f), the J10 of the sextic 4f.  The ratios
 J_{2i}^5 / J10^i have weight 0, so the finite part does not see this factor.
 For y^2 = x^5 - 1 it is why J10 = 5^5/2^12 while Delta_E = 2^8 5^5 = 800000.
 """
@@ -47,11 +47,10 @@ class WeierstrassEquation:
             raise ValueError("deg Q > 3")
         self.P = P
         self.Q = Q
-        f = P.scale(4) + Q * Q
-        if f.degree not in (5, 6):
-            raise SingularCurveError("4P + Q^2 must have degree 5 or 6")
-        self.sextic4 = IntPolynomial(f.coeffs, 6)  # 4P + Q^2 as a binary sextic
-        self.disc6 = disc_n(self.sextic4, 6)  # the I10 of 4P + Q^2
+        self.sextic = P + Q * Q.scale(Fraction(1, 4))  # f = P + Q^2/4
+        if self.sextic.degree not in (5, 6):
+            raise SingularCurveError("P + Q^2/4 must have degree 5 or 6")
+        self.disc6 = disc_n(self.sextic, 6)  # disc_6(f)
         if self.disc6 == 0:
             raise SingularCurveError("vanishing discriminant")
 
@@ -66,6 +65,12 @@ class IgusaInvariants:
 
     def as_tuple(self):
         return (self.J2, self.J4, self.J6, self.J8, self.J10)
+
+    def ratio(self, iota: int) -> Fraction | None:
+        """J_{2 iota}^5 / J10^iota, of weight 0, for iota = 1, 3 or 4; None
+        when J_{2 iota} = 0."""
+        J = self.as_tuple()[iota - 1]
+        return J ** 5 / self.J10 ** iota if J else None
 
 
 @dataclass
@@ -119,24 +124,18 @@ def _igusa_clebsch(sextic: IntPolynomial):
 
 
 def discriminant(eq: WeierstrassEquation) -> Fraction:
-    """Delta_E = 2^-12 disc_6(4P + Q^2)."""
-    return eq.disc6 / 2 ** 12
+    """Delta_E = 2^8 disc_6(f) = 2^20 J10."""
+    return eq.disc6 * 2 ** 8
 
 
 def igusa_invariants(eq: WeierstrassEquation) -> IgusaInvariants:
-    """Invariants of the sextic f = P + Q^2/4, exact.
-
-    J10 = 2^-12 disc_6(f) = discriminant(eq) / 2^20.
-    """
-    I2, I4, I6 = _igusa_clebsch(eq.sextic4)
+    """Invariants of the sextic f = P + Q^2/4, exact; J10 = 2^-12 disc_6(f)."""
+    I2, I4, I6 = _igusa_clebsch(eq.sextic)
     J2 = I2 / 8
     J4 = (4 * J2 ** 2 - I4) / 96
     J6 = (8 * J2 ** 3 - 160 * J2 * J4 - I6) / 576
     J8 = (J2 * J6 - J4 ** 2) / 4
-    J10 = eq.disc6 / 4096
-    # 4P + Q^2 = 4f: J_{2k}(uf) = u^(2k) J_{2k}(f), so divide by 4^(2k)
-    return IgusaInvariants(J2 / 4 ** 2, J4 / 4 ** 4, J6 / 4 ** 6,
-                           J8 / 4 ** 8, J10 / 4 ** 10)
+    return IgusaInvariants(J2, J4, J6, J8, eq.disc6 / 4096)
 
 
 def iota(p: int) -> int:
@@ -155,12 +154,9 @@ def minimal_disc_order(inv: IgusaInvariants, p: int) -> int:
     Assumes good reduction of the jacobian at p (caller's hypothesis).
     """
     i = iota(p)
-    Ji = {1: inv.J2, 3: inv.J6, 4: inv.J8}[i]
-    if Ji == 0:
-        # |J10^-iota * J_{2iota}^5|_p = 0, so log max{1, .} = 0
-        return 0
-    e = 5 * valuation(Ji, p) - i * valuation(inv.J10, p)
-    m = max(0, -e)
+    r = inv.ratio(i)
+    # r = 0 has |r|_p = 0, so log max{1, .} = 0
+    m = max(0, -valuation(r, p)) if r is not None else 0
     if m % i != 0:
         raise ArithmeticError(
             f"non-integral minimal discriminant order at p={p}: {m}/{i}"
@@ -210,11 +206,11 @@ def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
     returned with the per-prime ledger.
 
     iota(p) = 1 for p >= 5, so those terms add up to log D, where D is the
-    denominator of J2^5/J10 with its factors 2 and 3 removed (D = 1 when
-    J2 = 0): the total needs no factoring.  The ledger factors D only for
-    display, and a cofactor it cannot split appears as one row."""
+    denominator of the ratio J2^5/J10 with its factors 2 and 3 removed (D = 1
+    when J2 = 0): the total needs no factoring.  The ledger factors D only
+    for display, and a cofactor it cannot split appears as one row."""
     orders = {p: minimal_disc_order(inv, p) for p in (2, 3)}
-    den = (inv.J2 ** 5 / inv.J10).denominator if inv.J2 else 1
+    den = (inv.ratio(1) or 1).denominator
     fac = _factor_trial(den)
     D = den // (2 ** fac.pop(2, 0) * 3 ** fac.pop(3, 0))
     with ctx.work():

@@ -271,13 +271,15 @@ def _step(Z: PeriodMatrix, tol):
     return None
 
 
-def in_fundamental_domain(Z: PeriodMatrix, tol) -> bool:
-    """Z is in F2 within tol: no reduction step applies.  Only the bound
+def in_fundamental_domain(Z: PeriodMatrix, ctx: PrecisionContext) -> bool:
+    """Z is in F2 at ctx: no reduction step applies at tol = f2_tol(ctx) and
+    the working precision, the decisions reduce makes.  Only the bound
     |det(CZ + D)| >= 1 - tol and the signs of Im z12 and Re z12 are read
     within tol.  |Re| <= 1/2, 2 |y12| <= y11 and y11 <= y22 are exact, so
     Re z11 = 1/2 + eps and y22 = y11 - eps are outside F2 for every eps > 0,
     however small against tol."""
-    return _step(Z, tol) is None
+    with ctx.work():
+        return _step(Z, f2_tol(ctx)) is None
 
 
 MAX_ITER = 2000

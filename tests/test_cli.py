@@ -155,6 +155,33 @@ def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_square_delta_F_exit1(tmp_path, capsys):
+    # 9 is 1 mod 4 but a square: Q(sqrt 9) = Q is not a real quadratic field
+    assert main(["height-local", _ex3_setting(tmp_path, "delta_F", 9)]) == 1
+    assert ("delta_F = 9 is not a real quadratic discriminant"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--precision-bits", "abc", "compare", os.path.join(JOBS, "ex1.job")],
+    ["compare"],
+    ["no-such-command"],
+    ["verify-bounds", "--samples", "x"],
+], ids=["precision-not-int", "no-job", "unknown-command", "samples-not-int"])
+def test_usage_error_exit1(capsys, argv):
+    # exit 2 is a verification failure; a usage error is an input error
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: g2heights") and ": error: " in err
+
+
+def test_help_exit0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: g2heights" in capsys.readouterr().out
+
+
 def test_conflicting_job_keys_exit1(tmp_path, capsys):
     # ex3 gives character_table; a second source for the same character
     # must not be ignored in favour of whichever is read first

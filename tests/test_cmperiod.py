@@ -81,9 +81,10 @@ def test_period_matrix_swap_exchanges_theta(ctx):
         assert abs(B.z12 - z12_swapped) < ctx.tol
 
 
-@pytest.mark.parametrize("delta", [0, -3, 2, 3, 6, 7])
+@pytest.mark.parametrize("delta", [0, -3, 2, 3, 6, 7, 1, 4, 9, 16])
 def test_period_matrix_rejects_non_discriminant(ctx, delta):
-    # a real quadratic discriminant is positive and 0 or 1 mod 4
+    # a real quadratic discriminant is positive, 0 or 1 mod 4, and not a
+    # square
     with pytest.raises(ValueError, match="not a real quadratic discriminant"):
         period_matrix(mp.mpc(0, 1), mp.mpc(0, 2), delta, ctx)
 

@@ -3,8 +3,29 @@ from fractions import Fraction as F
 
 import pytest
 
-from g2heights.exact import (IntPolynomial, binary_form, cubic_integer_roots, disc_n,
-                             valuation)
+from g2heights.exact import (PSI13, IntPolynomial, binary_form, cubic_integer_roots,
+                             disc_n, is_prime, valuation)
+
+# OEIS A014233: psi_n, the least strong pseudoprime to the first n prime bases
+A014233 = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981]
+
+
+def test_is_prime_is_a_proof():
+    sympy = pytest.importorskip("sympy")
+    assert PSI13 == A014233[-1] == 1287836182261 * 2575672364521
+    # psi_12 = 399165290221 * 798330580441 passes the twelve bases 2..37
+    assert not is_prime(A014233[-2])
+    below, above = sympy.prevprime(PSI13), sympy.nextprime(PSI13)
+    cases = A014233 + [below, above, PSI13 - 2, PSI13 + 2, 2, 41, 43, 1849]
+    rng = random.Random(5)
+    cases += [rng.randrange(PSI13 // 2, 2 * PSI13) | 1 for _ in range(200)]
+    for n in cases:
+        # True exactly for the primes below PSI13; above, no proof is made
+        assert is_prime(n) == (sympy.isprime(n) and n < PSI13), n
+    assert is_prime(below) and not is_prime(above)
 
 
 def test_valuation_examples():

@@ -170,6 +170,10 @@ def test_factor_best_effort():
     # two primes of 27 and 33 digits: rho gives up and keeps the product
     hard = (2 ** 89 - 1) * (2 ** 107 - 1)
     assert _factor_trial(hard) == {hard: 1}
+    # psi_12 (OEIS A014233) is a strong pseudoprime to the bases 2..37, so it
+    # must not be taken for a prime
+    psi12 = 318665857834031151167461
+    assert _factor_trial(psi12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_finite_part_corpus(ctx):
@@ -280,7 +284,7 @@ def test_integer_kernels_match_fraction_transcription():
                 WeierstrassEquation(IntPolynomial([F(-2, 9), 0, F(5, 7), 0, 0, F(3, 5)]),
                                     IntPolynomial([0]))]
     for eq in [EX1, EX2, EX3, BIG] + rational + list(curves(3, 100)):
-        f = eq.sextic4
+        f = eq.sextic
         assert _igusa_clebsch(f) == _frac_igusa_clebsch(f), f.coeffs
         Fx, Fy = (partials(binary_form(f, 6)[0], a, 1 - a) for a in (1, 0))
         assert resultant(Fx, Fy) == _frac_resultant(Fx[::-1], Fy[::-1])
