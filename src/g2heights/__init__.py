@@ -11,7 +11,8 @@ from .igusa import (IgusaInvariants, WeierstrassEquation, discriminant,
                     finite_height_part, igusa_invariants, iota,
                     minimal_disc_order)
 from .theta import (EVEN_CHARS, PeriodMatrix, ThetaCharacteristic,
-                    archimedean_term, chi10, theta_all, theta_big)
+                    archimedean_term, chi10, theta_all, theta_big,
+                    theta_squares)
 from .siegel import SymplecticMatrix, act, in_fundamental_domain, reduce
 from .cmperiod import check_lemma_easy, period_matrix, select_tau
 from .colmez import (DirichletCharacter, char_from_spec, char_weighted_sum,

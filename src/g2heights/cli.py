@@ -20,8 +20,8 @@ from .exact import IntPolynomial, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext, stirling_plan
-from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_thetas,
-                    _ellipsoid_rows, theta_all)
+from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_squares,
+                    _ellipsoid_rows, _signed_roots, theta_squares)
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
@@ -154,13 +154,13 @@ def cmd_theta(args):
     Z = job_periods(job, ctx)[0]
     with ctx.work():
         _, zred = siegel.reduce(Z, ctx)
-        radius_sq, rows = _ellipsoid_rows(zred, ctx)
+        radius_sq, _, rows = _ellipsoid_rows(zred, ctx)
         print("theta_radius_sq =", _fmt(radius_sq, 12))
         print("theta_terms =", sum(hi - lo + 1 for _, lo, hi in rows))
-        vals = theta_all(zred, ctx)
-        for ch, v in zip(EVEN_CHARS, vals):
+        squares = theta_squares(zred, ctx)
+        for ch, v in zip(EVEN_CHARS, _signed_roots(zred, squares, ctx)):
             print(f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}] =", _fmt(v))
-        c = _chi10_from_thetas(vals)
+        c = _chi10_from_squares(squares)
         print("chi10 =", _fmt(c))
         print("arch_term_bare =", _fmt(_arch_from_chi10(c, zred, ctx, bare=True)))
         print("arch_term =", _fmt(_arch_from_chi10(c, zred, ctx, bare=False)))

@@ -6,7 +6,8 @@ Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
 Binary forms live here alone: binary_form clears a polynomial to an integer
 form, partials differentiates it, resultant is its Sylvester determinant, and
 the discriminant is Res(F_x, F_y) on the same form.  is_prime says True only
-where Miller-Rabin is a proof, below PSI13.
+where Miller-Rabin is a proof, below PSI13; valuation rejects p only when
+proven_not_prime finds a factor or a witness.
 """
 
 from __future__ import annotations
@@ -22,17 +23,14 @@ PSI13 = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_prime(n: int) -> bool:
-    """Whether n is proven prime.  Miller-Rabin to the thirteen prime bases
-    2..41 is a proof below PSI13, the least strong pseudoprime to all of
-    them; at or above PSI13 no proof is made, and the answer is False."""
+def proven_not_prime(n: int) -> bool:
+    """Whether n is proven not to be prime: n < 2, a factor among the
+    thirteen prime bases 2..41, or a Miller-Rabin witness among them."""
     if n < 2:
-        return False
+        return True
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
-    if n >= PSI13:
-        return False
+            return n != p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -46,13 +44,21 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is proven prime.  Miller-Rabin to the thirteen prime bases
+    2..41 is a proof below PSI13, the least strong pseudoprime to all of
+    them; at or above PSI13 no proof is made, and the answer is False."""
+    return n < PSI13 and not proven_not_prime(n)
 
 
 def valuation(x: Fraction | int, p: int) -> int:
-    """ord_p(x) for a nonzero rational x and a prime p."""
-    if not is_prime(p):
+    """ord_p(x) for a nonzero rational x and a prime p.  p is rejected only
+    when it is proven not prime, so a prime at or above PSI13 is taken."""
+    if proven_not_prime(p):
         raise ValueError(f"{p} is not prime")
     x = Fraction(x)
     if x == 0:

@@ -29,7 +29,7 @@ from math import comb, factorial, gcd
 import mpmath as mp
 
 from .exact import (IntPolynomial, binary_form, disc_n, is_prime, partials,
-                    valuation)
+                    proven_not_prime, valuation)
 from .prec import PrecisionContext
 
 
@@ -139,7 +139,9 @@ def igusa_invariants(eq: WeierstrassEquation) -> IgusaInvariants:
 
 
 def iota(p: int) -> int:
-    if not is_prime(p):
+    """4, 3 or 1 as the prime p is 2, 3 or at least 5; p is rejected only
+    when it is proven not prime."""
+    if proven_not_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         return 4

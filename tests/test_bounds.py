@@ -4,7 +4,7 @@ import pytest
 from g2heights import bounds
 from g2heights.bounds import (check_bounds, sample_fundamental_domain, theta_lb,
                               verify_bounds)
-from g2heights.theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, theta_all
+from g2heights.theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, theta_squares
 
 
 def iI():
@@ -67,15 +67,15 @@ def test_check_bounds_order_and_one_theta_sum(monkeypatch, ctx128):
 
     def counted(*args):
         calls.append(args)
-        return theta_all(*args)
-    monkeypatch.setattr(bounds, "theta_all", counted)
+        return theta_squares(*args)
+    monkeypatch.setattr(bounds, "theta_squares", counted)
     results = check_bounds(Z, ctx128)
     assert len(calls) == 1
     assert [r.rule for r in results] == (
         [theta_lb(ch, Z, ctx128)[1] for ch in EVEN_CHARS] + ["chi10 sharp", "chi10 weak"])
     with ctx128.work():
-        vals = theta_all(Z, ctx128)
-        assert [r.value for r in results[:10]] == [abs(v) for v in vals]
+        squares = theta_squares(Z, ctx128)
+        assert [r.value for r in results[:10]] == [mp.sqrt(abs(s)) for s in squares]
         assert [r.bound for r in results[:10]] == [theta_lb(ch, Z, ctx128)[0]
                                                    for ch in EVEN_CHARS]
         assert all(r.passed for r in results)

@@ -331,10 +331,12 @@ def test_imprimitive_character_exit1(tmp_path, capsys, f):
 def test_theta_reports_truncation(capsys):
     code, out = run_cli(capsys, "theta", os.path.join(JOBS, "ex1.job"))
     assert code == 0
-    # R^2 of the Deconinck et al. bound on the reduced ex1 matrix, and the
-    # half-lattice points summed (the square box summed 3025)
-    assert "theta_radius_sq = 222.904692553\n" in out
-    assert "theta_terms = 506\n" in out
+    # R^2 of the Deconinck et al. bound on 2Z for the reduced ex1 matrix Z,
+    # with the tail target 2^-(workbits + 16 + e), e = 4, and the
+    # half-lattice points summed (the direct sum over Z's ellipsoid summed
+    # 506, and the square box 3025)
+    assert "theta_radius_sq = 229.274070019\n" in out
+    assert "theta_terms = 261\n" in out
     assert "arch_term = -1.4525092396456" in out
 
 

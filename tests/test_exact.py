@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from g2heights.exact import (PSI13, IntPolynomial, binary_form, cubic_integer_roots,
-                             disc_n, is_prime, valuation)
+                             disc_n, is_prime, proven_not_prime, valuation)
 
 # OEIS A014233: psi_n, the least strong pseudoprime to the first n prime bases
 A014233 = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
@@ -26,6 +26,23 @@ def test_is_prime_is_a_proof():
         # True exactly for the primes below PSI13; above, no proof is made
         assert is_prime(n) == (sympy.isprime(n) and n < PSI13), n
     assert is_prime(below) and not is_prime(above)
+
+
+def test_proven_not_prime_is_sound():
+    # a factor or a Miller-Rabin witness is a proof of compositeness; below
+    # PSI13 its absence is a proof of primality, and PSI13 itself is the
+    # first composite it cannot refute
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(6)
+    cases = A014233 + [0, 1, 4, 9, 1849, sympy.nextprime(PSI13), PSI13 + 2]
+    cases += [rng.randrange(2, 2 * PSI13) for _ in range(300)]
+    for n in cases:
+        if n < PSI13:
+            assert proven_not_prime(n) == (not sympy.isprime(n)), n
+        elif proven_not_prime(n):
+            assert not sympy.isprime(n), n
+    assert not proven_not_prime(PSI13)
+    assert valuation(F(7, 3) * sympy.nextprime(PSI13) ** 3, sympy.nextprime(PSI13)) == 3
 
 
 def test_valuation_examples():

@@ -5,8 +5,8 @@ from math import comb, factorial
 import mpmath as mp
 import pytest
 
-from g2heights.exact import (IntPolynomial, binary_form, disc_n, is_prime, partials,
-                             resultant)
+from g2heights.exact import (PSI13, IntPolynomial, binary_form, disc_n, is_prime,
+                             partials, resultant)
 from g2heights.igusa import (SingularCurveError, WeierstrassEquation,
                              _factor_trial, _igusa_clebsch, discriminant,
                              finite_height_part, igusa_invariants, iota,
@@ -118,6 +118,18 @@ def test_iota():
     assert iota(41) == 1
     with pytest.raises(ValueError):
         iota(6)
+
+
+def test_prime_at_or_above_psi13_is_taken():
+    # iota depends only on whether p is 2, 3 or larger, and a prime with no
+    # primality proof is still a prime: only a proven composite is refused
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(PSI13)
+    assert iota(p) == 1
+    assert minimal_disc_order(igusa_invariants(EX3), p) == 0
+    for q in (1, 4, 9):
+        with pytest.raises(ValueError, match=f"{q} is not prime"):
+            minimal_disc_order(igusa_invariants(EX3), q)
 
 
 def test_minimal_disc_order():

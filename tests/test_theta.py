@@ -1,12 +1,15 @@
+import functools
+
 import mpmath as mp
 import pytest
 
-from g2heights import cmperiod, siegel
+from g2heights import cmperiod, siegel, theta
 from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
                              ThetaCharacteristic, _ellipsoid_rows,
-                             archimedean_term, chi10, theta_all, theta_big)
+                             archimedean_term, chi10, theta_all, theta_big,
+                             theta_squares)
 
 
 def theta1d(a, b, tau, R=40):
@@ -141,15 +144,42 @@ def _truncation_cases(ctx):
                                  mp.mpc("-0.3", "1.5")))}
 
 
+def _walk_cases(ctx):
+    # the truncation cases, and Im z22 = 95, where the THETA2 squares are
+    # as small as 2^-217
+    return {**_truncation_cases(ctx),
+            "im z22 = 95": PeriodMatrix(mp.mpc("-0.2", "1.05"), mp.mpc("0.35", "0.25"),
+                                        mp.mpc("0.15", "95"))}
+
+
+def _sign_cases(ctx):
+    # the walk cases, and two diagonal matrices, where theta[11;11] = 0
+    return {**_walk_cases(ctx), "iI": iI(),
+            "diagonal": PeriodMatrix(mp.mpc("0.3", "1.1"), 0, mp.mpc("-0.2", "1.7"))}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(name, prec_bits):
+    """(Z, the box oracle's ten constants) for a sign case at prec_bits: the
+    tail is below 2^-(workbits + 64 + k), where 2^-k is below the leading
+    term of every square, so each square is known to 2^-(workbits + 64)
+    relative."""
+    ctx = PrecisionContext(prec_bits)
+    Z = _sign_cases(ctx)[name]
+    y11, y12, y22 = Z.im_entries()
+    k = int(mp.pi * (y11 + y22 + 2 * abs(y12)) / (2 * mp.ln2)) + 1
+    return Z, _box_oracle(Z, ctx.workbits + 64 + k)
+
+
 def test_truncation_soundness():
     # the ellipsoid against a box whose tail is below 2^-(workbits + 64); on
     # the cases with far row peaks this is also the absolute error of the
     # fixed-point walk
     for bits in (256, 1024):
         ctx = PrecisionContext(bits)
-        for name, Z in _truncation_cases(ctx).items():
+        for name in _truncation_cases(ctx):
+            Z, ref = _oracle(name, bits)
             vals = theta_all(Z, ctx)
-            ref = _box_oracle(Z, ctx.workbits + 64)
             with mp.workprec(ctx.workbits + 64):
                 for ch, x, y in zip(EVEN_CHARS, vals, ref):
                     assert abs(x - y) < mp.mpf(2) ** (-ctx.workbits + 8), (bits, name, ch)
@@ -157,14 +187,14 @@ def test_truncation_soundness():
 
 def test_ellipsoid_rows_ex1(ctx):
     # the rows and their mirrors are exactly the lattice points of the
-    # ellipsoid, and on ex1 they are at most a fifth of the 55 x 55 box
-    # that the square truncation summed
+    # ellipsoid of 2Z, and on ex1 they are at most a fifth of the 55 x 55
+    # box that the square truncation summed
     Z = _truncation_cases(ctx)["ex1"]
-    R2, rows = _ellipsoid_rows(Z, ctx)
+    R2, _, rows = _ellipsoid_rows(Z, ctx)
     half = {(m1, m2) for m1, lo, hi in rows for m2 in range(lo, hi + 1)}
     assert len(half) <= 3025 // 5
     with ctx.work():
-        y11, y12, y22 = Z.im_entries()
+        y11, y12, y22 = (2 * y for y in Z.im_entries())
         box = [(m1, m2) for m1 in range(-40, 41) for m2 in range(-40, 41)]
         inside = {(m1, m2) for m1, m2 in box
                   if ctx.pi * (y11 * m1 * m1 + 2 * y12 * m1 * m2 + y22 * m2 * m2) <= 4 * R2}
@@ -173,34 +203,43 @@ def test_ellipsoid_rows_ex1(ctx):
     assert len(half) == (len(inside) + 1) // 2
 
 
-def _rows_oracle(Z, ctx, bits):
-    """The ten theta constants summed over exactly the half-lattice rows of
-    _ellipsoid_rows and their mirrors, one exponential per term, at `bits`
-    bits: the same truncation as theta_all, with no rounding to speak of."""
-    _, rows = _ellipsoid_rows(Z, ctx)
-    with mp.workprec(bits):
-        S = [[mp.mpc(0)] * 4 for _ in range(4)]
-        for m1, lo, hi in rows:
-            for m2 in range(lo, hi + 1):
-                t = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * m2 * Z.z12 + m2 * m2 * Z.z22) / 4)
-                S[m1 % 4][m2 % 4] += t
-                if (m1, m2) != (0, 0):
-                    S[-m1 % 4][-m2 % 4] += t
-        return [mp.fsum(mp.expjpi(mp.mpf(r1 * ch.b1 + r2 * ch.b2) / 2) * S[r1][r2]
-                        for r1 in range(ch.a1, 4, 2) for r2 in range(ch.a2, 4, 2))
-                for ch in EVEN_CHARS]
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_fixed_point_walk_relative_error(bits):
+    # every square from the walk over 2Z keeps workbits - 8 bits relative
+    # to its own size, down to the 2^-217 of the THETA2 squares at
+    # Im z22 = 95: the tail target and the scale both carry 2Z's e
+    ctx = PrecisionContext(bits)
+    for name in _walk_cases(ctx):
+        Z, ref = _oracle(name, bits)
+        squares = theta_squares(Z, ctx)
+        with mp.workprec(ctx.workbits + 64):
+            for ch, x, y in zip(EVEN_CHARS, squares, ref):
+                assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), \
+                    (bits, name, ch)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
-def test_fixed_point_walk_relative_error(bits):
-    # at large Im z22 the THETA2 constants are as small as 2^-108; the e
-    # extra bits of the fixed-point scale keep their relative precision
+def test_theta_all_signs(bits):
+    # the signed roots match the box oracle, sign included, to ctx.tol; on
+    # the diagonal cases theta[11;11]^2 is within its error of 0, so
+    # theta_squares gives 0 and theta_all gives 0 with no sign to choose
     ctx = PrecisionContext(bits)
-    cases = [PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "60")),
-             PeriodMatrix(mp.mpc("-0.2", "1.05"), mp.mpc("0.35", "0.25"), mp.mpc("0.15", "95"))]
-    for Z in cases:
+    for name in _sign_cases(ctx):
+        Z, ref = _oracle(name, bits)
         vals = theta_all(Z, ctx)
-        ref = _rows_oracle(Z, ctx, ctx.workbits + 64)
         with mp.workprec(ctx.workbits + 64):
             for ch, x, y in zip(EVEN_CHARS, vals, ref):
-                assert abs(x - y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y), (Z, ch)
+                assert abs(x - y) < ctx.tol, (bits, name, ch)
+    with ctx.work():
+        assert theta_squares(iI(), ctx)[EVEN_CHARS.index(ThetaCharacteristic(1, 1, 1, 1))] == 0
+
+
+def test_theta_all_undecided_sign_raises(ctx, monkeypatch):
+    # a sign that the leading terms do not decide is an error, not a guess:
+    # here L is made orthogonal to every root
+    def orthogonal(ch, z11, z12, z22):
+        return 1j * complex(roots[EVEN_CHARS.index(ch)])
+    roots = theta_all(iI(), ctx)
+    monkeypatch.setattr(theta, "_box_leading", orthogonal)
+    with pytest.raises(ArithmeticError, match="sign"):
+        theta_all(iI(), ctx)
