@@ -20,13 +20,17 @@ is its own mirror).  The ellipsoid is pi m^T (Im 2Z) m / 4 <= R^2, with R from
 the tail bound of Deconinck, Heil, Bobenko, van Hoeij and Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004), run on 2Z.
 
-The walk runs on Python ints at the fixed scale 2^-W: a term is an int pair
-(re, im), and one step is t = (t g) >> W and g = (g w^2) >> W.  Only the
-tables (powers of u, v and w), one start term and two step factors per row
-are mpc values.  A fixed-point error is absolute, so each row is walked
-outward from its peak, the integer nearest -Im z12 m1 / Im z22 (clamped to
-the row): every step factor then has modulus at most 1, and an error
-carried along the row never grows.
+The walk runs on Python ints: a term is an int pair (re, im) at the fixed
+scale 2^-W, and one step is t = (t g) >> V and g = (g w^2) >> V, with the
+step factor g and w^2 at a scale 2^-V that falls with the terms.  A
+fixed-point error is absolute, so each row is walked outward from its peak
+p, the integer nearest -Im z12 m1 / Im z22 (clamped to the row): every step
+factor then has modulus at most 1, the terms shrink monotonically, and an
+error carried along the row never grows.  The only mpc values are the
+constants u^2, v^(+-1), w^(+-2) and four values carried from row to row,
+each moved by one product per step of m1 or of p: the start term
+s = t(m1, p), the two first step factors v^m1 w^(2p+1) and v^-m1 w^(1-2p),
+and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p).
 
 Error argument.  Let e = ceil(pi y / (4 log 2)) + 1 with y = max(y11, y22,
 y11 + y22 - 2 |y12|) taken on Im 2Z = 2Y: the leading term of each T_c,
@@ -35,11 +39,32 @@ term 2 T_0 T_a of each square with a != 0 (the squares with a = 0 are near
 T_0^2, about 1).  The tail target and the scale both go down by e, so that
 every square keeps workbits bits relative to its own size:
   - R makes the terms outside the ellipsoid sum to less than
-    2^-(workbits + 16 + e);
-  - W = workbits + 2 log2(n) + 2 + e for chains of at most n rounded
-    products (the tables, then the walk along a row), whose errors add up to
-    order n^2 units of 2^-W, so each T_c is within about 2^-(workbits + e);
-  - each square is a sum of four products of two such sums, formed exactly
+    2^-(workbits + 16 + e).  R and the row bounds c +- h are computed at 64
+    bits from Im Z and from det(Im Z) and lambda_min(Im Z) taken at the
+    working precision, each within a few units of 2^-60 relative.  So while
+    |Im z12| < 2^6 sqrt(det Im Z) (on F2 it is below sqrt(det Im Z / 3))
+    the rows hold every point of the ellipsoid of radius R (1 - 2^-50),
+    whose tail is within a factor e^(2^-49 R^2) < 1 + 2^-30 of the target
+    for R^2 < 2^18; the 16 spare bits of the target cover that.
+  - The start term of a row comes from a chain of N rounded mpc products at
+    prec = W - e bits, N = max m1 + the total movement of p, since s, the
+    step factors and a move by one product per step of m1 or p.  Each of
+    the four carried values is then within about N 2^-prec of itself
+    relative, and s within about N^2 2^-prec.  n = max m1 + max(4 max |m2|,
+    that movement) is at least N and the length of a row.
+  - Along a row, with b the bit length of the term's larger part, so that
+    |t| < 2^(b + 1/2 - W), g and w^2 are kept at V = min(W, b + 24) bits
+    and cut to the current b + 24 whenever 64 or more bits can go
+    (STEP_GUARD_BITS and STEP_DROP_BITS); |t| only falls along the row, so
+    V >= min(W, b + 24) holds at every step.  g's modulus is at most 1 and
+    its error grows by a few units of the current 2^-V per step; it reaches
+    the next term multiplied by |t|.  So after j steps it adds at most
+    about j units of 2^-W near the peak, where V = W as in a walk at the
+    full scale, and j units of 2^-(W + 23) once the term is below 2^-24.
+    With the rounding of t itself, a row of at most n steps is within order
+    n^2 units of 2^-W, and W = workbits + 2 log2(n) + 2 + e makes each T_c
+    within about 2^-(workbits + e).
+  - Each square is a sum of four products of two such sums, formed exactly
     in ints at the scale 2^-2W and rounded once to working precision, so its
     error is a few times 2^-(workbits + e), about 2^-workbits relative to a
     square above 2^-e.
@@ -64,6 +89,11 @@ import mpmath as mp
 from mpmath.libmp import to_fixed
 
 from .prec import PrecisionContext
+
+# bits of a step factor below its term's lowest bit, and the least number of
+# bits worth dropping from a step factor at once (see the module docstring)
+STEP_GUARD_BITS = 24
+STEP_DROP_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -128,16 +158,20 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
     so rho^2 = pi lambda_min(Im 2Z) / 4 serves every positive-definite Y.
     R - rho/2 is kept at least 1, above the theorem's hypothesis
     R >= (sqrt(2) + rho) / 2.
+
+    det(Im Z) and lambda_min, which can cancel, are taken at the working
+    precision and everything else at 64 bits (see the module docstring).
     """
     with ctx.work():
+        det, lam = 4 * Z.det_im(), Z.lambda_min()
+    with mp.workprec(64):
         y11, y12, y22 = (2 * y for y in Z.im_entries())
-        det = 4 * Z.det_im()
-        e = int(mp.ceil(ctx.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
-                        / (4 * ctx.log2))) + 1
-        rho = mp.sqrt(ctx.pi * Z.lambda_min() / 2)  # lambda_min(Im 2Z) = 2 lambda_min(Y)
-        x = (ctx.workbits + 16 + e) * ctx.log2 + 2 * mp.log(2 / rho)
+        e = int(mp.ceil(mp.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
+                        / (4 * mp.ln2))) + 1
+        rho = mp.sqrt(mp.pi * lam / 2)  # lambda_min(Im 2Z) = 2 lambda_min(Y)
+        x = (ctx.workbits + 16 + e) * mp.ln2 + 2 * mp.log(2 / rho)
         R = rho / 2 + mp.sqrt(max(x, 1))
-        s = 4 * R * R / ctx.pi  # the ellipsoid is m^T (Im 2Z) m <= s
+        s = 4 * R * R / mp.pi  # the ellipsoid is m^T (Im 2Z) m <= s
         rows = []
         for m1 in range(int(mp.sqrt(s * y22 / det)) + 1):
             c = -y12 * m1 / y22
@@ -146,20 +180,7 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
             hi = int(mp.floor(c + h))
             if lo <= hi:
                 rows.append((m1, lo, hi))
-        return +(R * R), e, rows
-
-
-def _power(z, k):
-    """z^k for an int k >= 0 by repeated squaring; mpc ** k goes through
-    exp and log once k times the precision passes 10^4 bits."""
-    r = mp.mpc(1)
-    while k:
-        if k & 1:
-            r *= z
-        k >>= 1
-        if k:
-            z *= z
-    return r
+        return R * R, e, rows
 
 
 def _fixed(z, W):
@@ -171,59 +192,70 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
     theta[c;0](2Z) of one walk (see the module docstring)."""
     _, e, rows = _ellipsoid_rows(Z, ctx)
+    _, y12, y22 = Z.im_entries()
+    peak = float(-y12 / y22)
+    starts = [min(max(round(peak * m1), lo), hi) for m1, lo, hi in rows]
     K = max(max(-lo, hi) for _, lo, hi in rows)  # largest |m2|
-    n = rows[-1][0] + 4 * K
+    # the longest chain of rounded products: the steps of m1 and p that
+    # carry the start values, or a walk along a row
+    n = rows[-1][0] + max(4 * K, sum(abs(q - p) for p, q in zip([0] + starts, starts)))
     prec = ctx.workbits + 2 * n.bit_length() + 2
     W = prec + e
     with mp.workprec(prec):
-        _, y12, y22 = Z.im_entries()
         u = mp.expjpi(Z.z11 / 2)
         v = mp.expjpi(Z.z12)
         w = mp.expjpi(Z.z22 / 2)
-        w2 = w * w
-        # wodd[K + k] = w^(2k+1) and wsq[k] = w^(k^2), for |k| <= K
-        wodd = [w ** (1 - 2 * K)]
-        for _ in range(2 * K):
-            wodd.append(wodd[-1] * w2)
-        wsq = [mp.mpc(1)]
-        for k in range(K):
-            wsq.append(wsq[-1] * wodd[K + k])
+        u2, vinv, w2 = u * u, 1 / v, w * w
+        w2inv = 1 / w2
+        w2r, w2i = _fixed(w2, W)
         # half_re[2 c1 + c2] + i half_im[2 c1 + c2] sums the half-lattice
         # terms with m = (c1, c2) mod 2, at scale 2^-W
         half_re, half_im = [0] * 4, [0] * 4
-        qr, qi = _fixed(w2, W)
-        urow, ustep, u2 = mp.mpc(1), u, u * u  # u^(m1^2), u^(2 m1 + 1)
-        vm, vinv, vm_inv = mp.mpc(1), 1 / v, mp.mpc(1)  # v^m1, v^-1, v^-m1
-        peak = -y12 / y22
-        m1 = 0
-        for r, lo, hi in rows:
+        # t = u^(m1^2) v^(m1 m2) w^(m2^2) is largest at m2 = peak m1.
+        # From the nearest integer p in [lo, hi], the step factors
+        # t(m2 + 1) / t(m2) = v^m1 w^(2 m2 + 1) for m2 >= p and
+        # t(m2 - 1) / t(m2) = v^-m1 w^(1 - 2 m2) for m2 <= p have modulus at
+        # most 1, and each is multiplied by w^2 per step.  From row to row
+        # go s = t(m1, p), g_up = v^m1 w^(2p + 1), g_down = v^-m1 w^(1 - 2p)
+        # and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p), one product
+        # each per step of m1 or of p
+        s, g_up, g_down, a = mp.mpc(1), w, w, u
+        m1 = p = 0
+        for (r, lo, hi), target in zip(rows, starts):
             while m1 < r:
-                urow *= ustep
-                ustep *= u2
-                vm *= v
-                vm_inv *= vinv
+                s, a, g_up, g_down = s * a, a * u2, g_up * v, g_down * vinv
                 m1 += 1
-            # t = u^(m1^2) v^(m1 m2) w^(m2^2) is largest at m2 = -y12 m1 / y22.
-            # From the nearest integer p in [lo, hi], the step factors
-            # t(m2 + 1) / t(m2) = v^m1 w^(2 m2 + 1) for m2 >= p and
-            # t(m2 - 1) / t(m2) = v^-m1 w^(1 - 2 m2) for m2 <= p have modulus
-            # at most 1, and each is multiplied by w^2 per step
-            p = min(max(int(mp.nint(peak * m1)), lo), hi)
-            vp = _power(vm if p > 0 else vm_inv, abs(p))  # v^(m1 p)
-            tr, ti = _fixed(urow * wsq[abs(p)] * vp, W)
+            while p < target:
+                s, g_up, g_down, a = s * g_up, g_up * w2, g_down * w2inv, a * v
+                p += 1
+            while p > target:
+                s, g_down, g_up, a = s * g_down, g_down * w2, g_up * w2inv, a * vinv
+                p -= 1
+            tr, ti = _fixed(s, W)
             base = 2 * (m1 & 1)
             half_re[base + (p & 1)] += tr
             half_im[base + (p & 1)] += ti
-            for sgn, g, stop in ((1, vm * wodd[K + p], hi),
-                                 (-1, vm_inv * wodd[K - p], lo)):
-                ar, ai = tr, ti
-                gr, gi = _fixed(g, W)
+            # the step factor and w^2 run at the scale 2^-V: V = W, or
+            # STEP_GUARD_BITS above the bit length of a smaller term, and
+            # they drop STEP_DROP_BITS or more bits at once as the term falls
+            V0 = min(W, max(tr.bit_length(), ti.bit_length()) + STEP_GUARD_BITS)
+            for sgn, g, stop in ((1, g_up, hi), (-1, g_down, lo)):
+                ar, ai, V = tr, ti, V0
+                gr, gi = _fixed(g, V)
+                qr, qi = w2r >> (W - V), w2i >> (W - V)
+                lim = 1 << (V - STEP_GUARD_BITS - STEP_DROP_BITS) \
+                    if V >= STEP_GUARD_BITS + STEP_DROP_BITS else 0
                 for m2 in range(p + sgn, stop + sgn, sgn):
-                    ar, ai = (ar * gr - ai * gi) >> W, (ar * gi + ai * gr) >> W
-                    gr, gi = (gr * qr - gi * qi) >> W, (gr * qi + gi * qr) >> W
+                    ar, ai = (ar * gr - ai * gi) >> V, (ar * gi + ai * gr) >> V
+                    gr, gi = (gr * qr - gi * qi) >> V, (gr * qi + gi * qr) >> V
                     k = base + (m2 & 1)
                     half_re[k] += ar
                     half_im[k] += ai
+                    if -lim < ar < lim and -lim < ai < lim:
+                        d = V - STEP_GUARD_BITS - max(ar.bit_length(), ai.bit_length())
+                        gr, gi, qr, qi = gr >> d, gi >> d, qr >> d, qi >> d
+                        V -= d
+                        lim >>= d
     # theta[c;0](2Z): each half-lattice term also stands for -m, in the same
     # class mod 2, except the origin, which is its own mirror
     th = [(2 * re, 2 * im) for re, im in zip(half_re, half_im)]
@@ -247,31 +279,46 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     return out
 
 
-def _box_leading(ch: ThetaCharacteristic, z11, z12, z22):
-    """The sum of the terms of theta[ch](Z) with |n_i| <= 4 on complex
-    doubles, divided by the modulus of the largest of them."""
+def _box_classes(a1, a2, z11, z12, z22):
+    """The terms exp(i pi x^T Z x), x = n + a/2, |n_i| <= 4, on complex
+    doubles, divided by the modulus of the largest and summed by the class
+    2 (n1 mod 2) + (n2 mod 2): the table that every b of one a reads."""
     xs = []
     for n1 in range(-4, 5):
-        x1 = n1 + ch.a1 / 2
+        x1 = n1 + a1 / 2
         for n2 in range(-4, 5):
-            x2 = n2 + ch.a2 / 2
-            xs.append(1j * cmath.pi * (x1 * x1 * z11 + 2 * x1 * x2 * z12 + x2 * x2 * z22
-                                       + x1 * ch.b1 + x2 * ch.b2))
-    top = max(x.real for x in xs)
-    return sum(cmath.exp(x - top) for x in xs)
+            x2 = n2 + a2 / 2
+            xs.append((2 * (n1 & 1) + (n2 & 1),
+                       1j * cmath.pi * (x1 * x1 * z11 + 2 * x1 * x2 * z12 + x2 * x2 * z22)))
+    top = max(x.real for _, x in xs)
+    sums = [0j] * 4
+    for k, x in xs:
+        sums[k] += cmath.exp(x - top)
+    return sums
+
+
+def _box_leading(ch: ThetaCharacteristic, sums):
+    """The sum of the terms of theta[ch](Z) with |n_i| <= 4 on complex
+    doubles, divided by the modulus of the largest of them, from the
+    _box_classes table of ch's a: the term of n carries
+    exp(i pi x.b) = (-1)^(n.b) i^(a.b) over its value at b = 0."""
+    L = sum(-s if ((k >> 1) * ch.b1 + (k & 1) * ch.b2) & 1 else s
+            for k, s in enumerate(sums))
+    return L * 1j ** (ch.a1 * ch.b1 + ch.a2 * ch.b2)
 
 
 def _signed_roots(Z: PeriodMatrix, squares, ctx: PrecisionContext):
     """The ten theta[a;b](Z) from their squares, each sign chosen by the
     double-precision box sum L and checked (see the module docstring)."""
-    z11, z12, z22 = (complex(z) for z in Z.entries())
+    z = [complex(x) for x in Z.entries()]
+    boxes = {(a1, a2): _box_classes(a1, a2, *z) for a1 in (0, 1) for a2 in (0, 1)}
     out = []
     with ctx.work():
         for ch, sq in zip(EVEN_CHARS, squares):
             if not sq:
                 out.append(sq)
                 continue
-            L = _box_leading(ch, z11, z12, z22)
+            L = _box_leading(ch, boxes[ch.a1, ch.a2])
             r = mp.sqrt(sq)
             cos = (complex(r / abs(r)) * L.conjugate()).real / abs(L)
             if not abs(cos) > 0.5:
@@ -344,10 +391,22 @@ def archimedean_term(Z: PeriodMatrix, ctx: PrecisionContext, bare: bool = False)
 
 
 def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
-    """archimedean_term(Z, ctx, bare) given c = chi10(Z)."""
+    """archimedean_term(Z, ctx, bare) given c = chi10(Z).
+
+    Raises Chi10NearZeroError when |c| is not above its own error, which is
+    exactly when c == 0.  The error of a square is at most a few times
+    2^-(workbits + e), and theta_squares returns 0 for a square below
+    2^-(workbits + e - 8), so every nonzero square keeps workbits - 8 bits
+    relative when it is above 2^-e, and is within 2^-5 of itself relative
+    in any case.  chi10 is their product rounded at workbits, so a
+    nonzero chi10 is within (1 + 2^-5)^10 - 1 < 1/2 of itself relative:
+    above its error, however small (log2|chi10| is -539 at the F2 matrix
+    (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i)).  A square returned as 0 is
+    within 2^8 times its error bound of 0, and then chi10 is 0.
+    """
     with ctx.work():
         ac = abs(c)
-        if ac < mp.mpf(2) ** (-ctx.prec):
+        if not ac:
             raise Chi10NearZeroError(
                 "chi10 indistinguishable from 0: raise precision, or Z is on "
                 "the product-of-elliptic-curves locus"

@@ -185,11 +185,13 @@ def test_truncation_soundness():
                     assert abs(x - y) < mp.mpf(2) ** (-ctx.workbits + 8), (bits, name, ch)
 
 
-def test_ellipsoid_rows_ex1(ctx):
-    # the rows and their mirrors are exactly the lattice points of the
-    # ellipsoid of 2Z, and on ex1 they are at most a fifth of the 55 x 55
-    # box that the square truncation summed
-    Z = _truncation_cases(ctx)["ex1"]
+@pytest.mark.parametrize("name", ["ex1", "im z22 = 95"], ids=["ex1", "im_z22_95"])
+def test_ellipsoid_rows(ctx, name):
+    # the rows and their mirrors, bounded at 64 bits, are exactly the lattice
+    # points of the ellipsoid of 2Z at the working precision, also at
+    # Im z22 = 95, where e and so the radius are largest; on ex1 they are at
+    # most a fifth of the 55 x 55 box that the square truncation summed
+    Z = _walk_cases(ctx)[name]
     R2, _, rows = _ellipsoid_rows(Z, ctx)
     half = {(m1, m2) for m1, lo, hi in rows for m2 in range(lo, hi + 1)}
     assert len(half) <= 3025 // 5
@@ -218,6 +220,19 @@ def test_fixed_point_walk_relative_error(bits):
                     (bits, name, ch)
 
 
+def test_arch_term_tiny_chi10(ctx):
+    # log2|chi10| = -539.3 here, far below 2^-prec but far above its own
+    # error: the term is returned, and it is the box oracle's
+    Z, ref = _oracle("im z22 = 60", ctx.prec)
+    arch = archimedean_term(Z, ctx)
+    with mp.workprec(ctx.workbits + 64):
+        c = mp.fprod(y * y for y in ref)
+        assert -540 < mp.log(abs(c), 2) < -539
+        oracle = -(mp.log(2 ** 8 * mp.pi ** 10 * abs(c)) + 5 * mp.log(Z.det_im())) / 10
+        assert abs(arch - oracle) < ctx.tol
+        assert abs(arch - mp.mpf("33.586606725826124")) < 1e-14
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_theta_all_signs(bits):
     # the signed roots match the box oracle, sign included, to ctx.tol; on
@@ -237,7 +252,7 @@ def test_theta_all_signs(bits):
 def test_theta_all_undecided_sign_raises(ctx, monkeypatch):
     # a sign that the leading terms do not decide is an error, not a guess:
     # here L is made orthogonal to every root
-    def orthogonal(ch, z11, z12, z22):
+    def orthogonal(ch, sums):
         return 1j * complex(roots[EVEN_CHARS.index(ch)])
     roots = theta_all(iI(), ctx)
     monkeypatch.setattr(theta, "_box_leading", orthogonal)
