@@ -11,12 +11,13 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import mpmath as mp
 
 from . import bounds, cmperiod, siegel
 from .colmez import char_from_spec, char_weighted_sum, colmez_height, half_residues
-from .exact import IntPolynomial, is_prime
+from .exact import IntPolynomial, disc_n, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext, stirling_plan
@@ -33,8 +34,7 @@ class JobError(ValueError):
     pass
 
 
-JOB_KEYS = {"curve_P", "curve_Q", "delta_F", "f_K", "tau_poly",
-            "character_table", "character_gen"}
+JOB_KEYS = {"curve_P", "curve_Q", "f_K", "tau_poly", "character_table", "character_gen"}
 
 
 def parse_complex(s: str):
@@ -81,16 +81,6 @@ def job_curve(job):
     return WeierstrassEquation(P, Q)
 
 
-def _int_key(job, key):
-    """The job's integer value for key."""
-    if key not in job:
-        raise JobError(f"job lacks {key}")
-    try:
-        return int(job[key])
-    except ValueError:
-        raise JobError(f"{key}: not an integer: {job[key]!r}") from None
-
-
 def job_ctx(job, args):
     """The context of --precision-bits; a job states no precision."""
     return PrecisionContext(args.precision_bits)
@@ -113,7 +103,12 @@ def _char_pairs(job, key):
 
 
 def job_character(job):
-    f = _int_key(job, "f_K")
+    if "f_K" not in job:
+        raise JobError("job lacks f_K")
+    try:
+        f = int(job["f_K"])
+    except ValueError:
+        raise JobError(f"f_K: not an integer: {job['f_K']!r}") from None
     given = [k for k in ("character_table", "character_gen") if k in job]
     if len(given) != 1:
         raise JobError("job gives both character_table and character_gen" if given
@@ -123,11 +118,21 @@ def job_character(job):
 
 
 def job_periods(job, ctx):
-    delta = _int_key(job, "delta_F")
+    """The period matrix of the job's tau pair, over delta_F, the conductor
+    of chi^2.  tau_poly must fit chi: its discriminant is [O_K : Z[tau]]^2
+    Delta_K for an integral tau, and Delta_K = f_K^2 delta_F, so the
+    quotient must be a rational square (necessary, not sufficient)."""
+    chi = job_character(job)
     if "tau_poly" not in job:
         raise JobError("job lacks tau_poly")
-    taus = cmperiod.select_tau(IntPolynomial(_rat_list("tau_poly", job["tau_poly"])), ctx)
-    return [cmperiod.period_matrix(*taus, delta, ctx)]
+    poly = IntPolynomial(_rat_list("tau_poly", job["tau_poly"]))
+    taus = cmperiod.select_tau(poly, ctx)
+    disc_K = chi.f ** 2 * chi.delta_F
+    q = disc_n(poly, 4) / disc_K
+    if q <= 0 or any(isqrt(n) ** 2 != n for n in (q.numerator, q.denominator)):
+        raise JobError(f"tau_poly does not fit f_K = {chi.f}: its discriminant over "
+                       f"f_K^2 delta_F = {disc_K} is not a rational square")
+    return [cmperiod.period_matrix(*taus, chi.delta_F, ctx)]
 
 
 def _fmt(x, digits=30):

@@ -1,7 +1,8 @@
 """Period matrices of CM abelian surfaces over a real quadratic field F,
 and the numeric norm identity check.
 
-The period matrix for CM type (tau1, tau2) and discriminant D is
+The period matrix for CM type (tau1, tau2) and D = delta_F, the
+discriminant of F and the conductor of chi^2 (a job does not state it), is
     Z = (1/D) [[tau1 + tau2,              -tau1 th' - tau2 th],
                [-tau1 th' - tau2 th,  tau1 th'^2 + tau2 th^2]]
 with th = (D + sqrt D)/2, th' = (D - sqrt D)/2.

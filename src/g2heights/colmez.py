@@ -35,8 +35,10 @@ class DirichletCharacter:
     One multiplicative closure from chi(1) = 1 builds chi and is its only
     multiplicativity check: a unit reached with two values means no
     character takes the given values, and a unit never reached means they
-    do not generate.  Then chi must have order 4, be odd, and have
-    conductor f: the least d | f with chi trivial on the units = 1 mod d.
+    do not generate.  The conductor of chi^k is the least d | f with chi^k
+    trivial on the units = 1 mod d; chi must be odd and have conductor f,
+    and delta_F, the conductor of chi^2 (the character of the real quadratic
+    subfield F, so Delta_K = f^2 delta_F), must be above 1: chi has order 4.
     table maps each unit to its power of i; chi is zero elsewhere."""
 
     def __init__(self, f: int, values):
@@ -64,14 +66,14 @@ class DirichletCharacter:
             frontier = reached
         if len(table) != sum(gcd(m, f) == 1 for m in range(1, f)):
             raise CharacterError(f"the given residues do not generate (Z/{f})^*")
-        if not any(k % 2 for k in table.values()):
+        fchi, self.delta_F = (next(d for d in range(1, f + 1) if f % d == 0 and all(
+            table.get(m, 0) * k % 4 == 0 for m in range(1, f, d))) for k in (1, 2))
+        if self.delta_F == 1:
             raise CharacterError("character order is not 4")
         if table[f - 1] != 2:
             raise CharacterError("character is not odd (chi(-1) != -1)")
-        conductor = next(d for d in range(1, f + 1) if f % d == 0
-                        and all(table.get(m, 0) == 0 for m in range(1, f, d)))
-        if conductor != f:
-            raise CharacterError(f"character mod {f} has conductor {conductor}: "
+        if fchi != f:
+            raise CharacterError(f"character mod {f} has conductor {fchi}: "
                                  "f_K must be the conductor of chi")
         self.f, self.table = f, table
 

@@ -168,9 +168,7 @@ def disc_n(p: IntPolynomial, n: int) -> Fraction:
     carries a factor d.  At actual degree n, disc = (-1)^(n(n-1)/2) Res(p, p')
     / a; one root at infinity contributes the square of the leading
     coefficient, two make it 0.  So 2^8 disc_5(P) = 2^-12 disc_6(4P) for
-    monic quintics P."""
-    if n not in (5, 6):
-        raise ValueError("only degree-5 and degree-6 binary forms supported")
+    monic quintics P.  Any order n >= 2."""
     if not any(p.coeffs):
         raise ValueError("discriminant of the zero form")
     if p.degree > n:

@@ -82,7 +82,7 @@ def test_tau_values_is_unknown_key(tmp_path, capsys):
     # a job gives its tau pair only as the roots in H of tau_poly
     job = tmp_path / "values.job"
     job.write_text(
-        "delta_F = 5\nf_K = 5\n"
+        "f_K = 5\n"
         "curve_P = -1, 0, 0, 0, 0, 1\ncurve_Q = 0\n"
         "tau_values = 0.69+2.12*i, 1.80+1.31*i\n"
         "character_table = 1=1, 2=i, 3=-i, 4=-1\n")
@@ -142,24 +142,38 @@ def test_unknown_job_key(tmp_path, capsys):
     with pytest.raises(JobError, match=r"ex3plus\.job:8: unknown key 'primes'"):
         parse_job(path)
     assert main(["compare", path]) == 1
-    # a job states only the mathematics; --precision-bits sets the precision
-    for key, value in (("precision", "256"), ("tolerance", "1e-9")):
+    # a job states only the mathematics; --precision-bits sets the precision,
+    # and delta_F is the conductor of chi^2
+    for key, value in (("precision", "256"), ("tolerance", "1e-9"), ("delta_F", "5")):
         assert main(["compare", _ex3_with(tmp_path, f"{key} = {value}\n")]) == 1
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
-def test_delta_F_not_a_discriminant_exit1(tmp_path, capsys):
-    # 7 is 3 mod 4, so no real quadratic field has it as discriminant
-    assert main(["compare", _ex3_setting(tmp_path, "delta_F", 7)]) == 1
-    assert ("delta_F = 7 is not a real quadratic discriminant"
-            in capsys.readouterr().err)
+def _job_with_tau_poly(tmp_path, name, donor):
+    """jobs/<name>.job with the tau_poly line of jobs/<donor>.job."""
+    def lines(n):
+        with open(os.path.join(JOBS, f"{n}.job")) as fh:
+            return fh.readlines()
+    tau, = (line for line in lines(donor) if line.startswith("tau_poly"))
+    path = tmp_path / f"{name}_tau_{donor}.job"
+    path.write_text("".join(tau if line.startswith("tau_poly") else line
+                            for line in lines(name)))
+    return str(path)
 
 
-def test_square_delta_F_exit1(tmp_path, capsys):
-    # 9 is 1 mod 4 but a square: Q(sqrt 9) = Q is not a real quadratic field
-    assert main(["height-local", _ex3_setting(tmp_path, "delta_F", 9)]) == 1
-    assert ("delta_F = 9 is not a real quadratic discriminant"
-            in capsys.readouterr().err)
+@pytest.mark.parametrize("name,donor", [
+    ("ex3", "ex2"), ("ex2", "ex3"), ("ex1", "ex2"), ("ex1", "ex3"), ("ex2", "ex1"),
+    ("ex3", "ex1")])
+def test_swapped_tau_poly_exit1(tmp_path, capsys, name, donor):
+    # disc(tau_poly) over f_K^2 delta_F is not a rational square: the
+    # discriminants are 5^7, 21719477^2 226981 and 2^29, against 125, 226981
+    # and 2048; before the tie, ex3 with ex2's tau_poly printed a total and
+    # exited 0
+    path = _job_with_tau_poly(tmp_path, name, donor)
+    f = parse_job(path)["f_K"]
+    for command in ("height-local", "theta", "compare"):
+        assert main([command, path]) == 1
+        assert f"tau_poly does not fit f_K = {f}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,25 +282,20 @@ def _ex3_without(tmp_path, key):
 
 
 def test_missing_f_K_exit1(tmp_path, capsys):
-    assert main(["compare", _ex3_without(tmp_path, "f_K")]) == 1
-    assert "job lacks f_K" in capsys.readouterr().err
-
-
-def test_missing_delta_F_exit1(tmp_path, capsys):
-    assert main(["height-local", _ex3_without(tmp_path, "delta_F")]) == 1
-    assert "job lacks delta_F" in capsys.readouterr().err
+    # delta_F is the conductor of chi^2, so the period matrix needs chi too
+    for command in ("compare", "height-local", "theta"):
+        assert main([command, _ex3_without(tmp_path, "f_K")]) == 1
+        assert "job lacks f_K" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value,command,error", [
     ("f_K", "16.0", ["height-colmez"], "error: f_K: not an integer: '16.0'"),
-    ("delta_F", "eight", ["height-local"],
-     "error: delta_F: not an integer: 'eight'"),
     # precision is not a job key, so its line fails before its value is read,
     # with or without --precision-bits
     ("precision", "abc", ["compare"], "unknown key 'precision'"),
     ("precision", "abc", ["--precision-bits", "128", "compare"],
      "unknown key 'precision'"),
-], ids=["f_K", "delta_F", "precision", "precision-under-flag"])
+], ids=["f_K", "precision", "precision-under-flag"])
 def test_non_integer_job_key_exit1(tmp_path, capsys, key, value, command,
                                    error):
     assert main(command + [_ex3_setting(tmp_path, key, value)]) == 1

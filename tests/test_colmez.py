@@ -12,6 +12,7 @@ CHI5 = {"table": {1: "1", 2: "i", 3: "-i", 4: "-1"}}
 CHI61 = {"gen": {2: "i"}}
 CHI16 = {"table": {1: "1", 3: "i", 5: "i", 7: "1", 9: "-1", 11: "-i",
                    13: "-i", 15: "-1"}}
+EXAMPLES = ((5, CHI5), (61, CHI61), (16, CHI16))
 
 
 def _conjugate(spec):
@@ -22,9 +23,8 @@ def _conjugate(spec):
 
 
 def test_char_examples_valid():
-    char_from_spec(5, CHI5)
-    char_from_spec(61, CHI61)
-    char_from_spec(16, CHI16)
+    # delta_F is the conductor of chi^2: F = Q(sqrt 5), Q(sqrt 61), Q(sqrt 2)
+    assert [char_from_spec(f, spec).delta_F for f, spec in EXAMPLES] == [5, 61, 8]
 
 
 def test_char_invalid_specs():
@@ -111,9 +111,6 @@ def test_closed_form_f5(ctx):
         assert abs(h - closed) < ctx.tol
 
 
-EXAMPLES = ((5, CHI5), (61, CHI61), (16, CHI16))
-
-
 def _oracle_height(chi, bits):
     """The closed formula summed over all m < f with mpmath.loggamma."""
     with mp.workprec(bits):
@@ -140,6 +137,7 @@ def test_height_against_oracle_past_61(f, bits):
     # guard bits lost in the sine chain or the int Horner show here
     ctx = PrecisionContext(bits)
     chi = char_from_spec(f, CHI61)
+    assert chi.delta_F == f  # chi^2 is the Legendre symbol mod f
     h = colmez_height(chi, ctx)
     with mp.workprec(ctx.workbits + 96):
         err = abs(h - _oracle_height(chi, ctx.workbits + 96))

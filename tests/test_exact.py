@@ -1,8 +1,10 @@
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from g2heights.cli import parse_job
 from g2heights.exact import (PSI13, IntPolynomial, binary_form, cubic_integer_roots,
                              disc_n, is_prime, proven_not_prime, valuation)
 
@@ -93,6 +95,15 @@ def test_disc6_degree_drop():
 
 def test_disc_singular():
     assert disc_n(IntPolynomial([0, 0, 0, 0, 0, 1], 5), 5) == 0
+
+
+@pytest.mark.parametrize("name,disc", [
+    ("ex1", 78125), ("ex2", 107075036643909165949), ("ex3", 536870912)])
+def test_disc4_of_tau_poly(name, disc):
+    # 5^7 = 25^2 125, 21719477^2 226981 and 2^29 = 512^2 2048: an index
+    # squared times Delta_K = f_K^2 delta_F
+    job = parse_job(os.path.join(os.path.dirname(__file__), "..", "jobs", f"{name}.job"))
+    assert disc_n(IntPolynomial(job["tau_poly"].split(",")), 4) == disc
 
 
 def test_disc_identity_quintics():

@@ -1,5 +1,8 @@
 import ast
+import re
 from pathlib import Path
+
+from g2heights.cli import JOB_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +61,13 @@ def test_every_module_function_has_a_caller():
     uncalled = [f"{p.relative_to(ROOT)}:{d.lineno}: {name}"
                 for p, d, name in tops + methods if d.name not in used]
     assert uncalled == []
+
+
+def test_readme_lists_the_job_keys():
+    # each bullet of README's "Job files" opens with the keys it describes,
+    # `key`, `key`: ...; they must be exactly the keys parse_job takes
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Job files\n", 1)[1].split("\n## ", 1)[0]
+    listed = [key for head in re.findall(r"^- ([^:\n]*):", section, re.M)
+              for key in re.findall(r"`(\w+)`", head)]
+    assert sorted(listed) == sorted(JOB_KEYS)

@@ -314,14 +314,14 @@ def _disc_oracle(p, n):
     return disc * a ** 2 if d == n - 1 else disc
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_disc_n_matches_polynomial_resultant(n):
-    # rational p with 0 to 3 roots at infinity, a third of them with a
-    # forced repeated root (x - r)^2
+    # rational p with 0 to 3 roots at infinity (at most n - 2), a third of
+    # them with a forced repeated root (x - r)^2
     rng = random.Random(n)
     nonzero = 0
     for _ in range(300):
-        deg = n - rng.randint(0, 3)
+        deg = n - rng.randint(0, min(3, n - 2))
         cs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
         p = IntPolynomial(cs + [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))])
         if rng.random() < 1 / 3:
