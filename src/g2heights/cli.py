@@ -160,7 +160,7 @@ def cmd_theta(args):
     with ctx.work():
         _, zred = siegel.reduce(Z, ctx)
         radius_sq, _, rows = _ellipsoid_rows(zred, ctx)
-        print("theta_radius_sq =", _fmt(radius_sq, 12))
+        print("theta_radius_sq =", _fmt(mp.mpf(radius_sq), 12))
         print("theta_terms =", sum(hi - lo + 1 for _, lo, hi in rows))
         squares = theta_squares(zred, ctx)
         for ch, v in zip(EVEN_CHARS, _signed_roots(zred, squares, ctx)):

@@ -135,8 +135,9 @@ _GOTTSCHLING_CD = [(c, d, _abs2(c), _abs2(d))
 
 
 def _cz_plus_d(c, d, z):
-    """The entries m11, m12, m21, m22 of C Z + D, Z = (z11, z12, z22).  On
-    |C|, |D| and |z| they are the sums of the absolute values of the terms."""
+    """The entries m11, m12, m21, m22 of C Z + D, Z = (z11, z12, z22), and
+    so of A Z + B.  On |C|, |D| and |z| they are the sums of the absolute
+    values of the terms."""
     z11, z12, z22 = z
     m11 = c[0][0] * z11 + c[0][1] * z12 + d[0][0]
     m12 = c[0][0] * z12 + c[0][1] * z22 + d[0][1]
@@ -148,12 +149,8 @@ def _cz_plus_d(c, d, z):
 def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     """gamma Z = (alpha Z + beta)(lam Z + mu)^-1."""
     a, b, c, d = gamma.blocks()
-    z11, z12, z22 = Z.entries()
-    n11 = a[0][0] * z11 + a[0][1] * z12 + b[0][0]
-    n12 = a[0][0] * z12 + a[0][1] * z22 + b[0][1]
-    n21 = a[1][0] * z11 + a[1][1] * z12 + b[1][0]
-    n22 = a[1][0] * z12 + a[1][1] * z22 + b[1][1]
-    m11, m12, m21, m22 = _cz_plus_d(c, d, (z11, z12, z22))
+    n11, n12, n21, n22 = _cz_plus_d(a, b, Z.entries())
+    m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
     det = m11 * m22 - m12 * m21
     if abs(det) == 0:
         raise ZeroDivisionError("lam Z + mu is singular")

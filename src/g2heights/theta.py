@@ -39,13 +39,14 @@ term 2 T_0 T_a of each square with a != 0 (the squares with a = 0 are near
 T_0^2, about 1).  The tail target and the scale both go down by e, so that
 every square keeps workbits bits relative to its own size:
   - R makes the terms outside the ellipsoid sum to less than
-    2^-(workbits + 16 + e).  R and the row bounds c +- h are computed at 64
-    bits from Im Z and from det(Im Z) and lambda_min(Im Z) taken at the
-    working precision, each within a few units of 2^-60 relative.  So while
-    |Im z12| < 2^6 sqrt(det Im Z) (on F2 it is below sqrt(det Im Z / 3))
-    the rows hold every point of the ellipsoid of radius R (1 - 2^-50),
-    whose tail is within a factor e^(2^-49 R^2) < 1 + 2^-30 of the target
-    for R^2 < 2^18; the 16 spare bits of the target cover that.
+    2^-(workbits + 16 + e).  R and the row bounds c +- h are doubles, from
+    Im Z, from det(Im Z), which can cancel and is taken at the working
+    precision, and from lambda_min(Im Z) = det / lambda_max, which does not;
+    each is within a few units of 2^-52 relative.  So while |Im z12| <
+    2^6 sqrt(det Im Z) (on F2 it is below sqrt(det Im Z / 3)) the rows hold
+    every point of the ellipsoid of radius R (1 - 2^-42), whose tail is
+    within a factor e^(2^-41 R^2) < 1 + 2^-22 of the target for R^2 < 2^18;
+    the 16 spare bits of the target cover that.
   - The start term of a row comes from a chain of N rounded mpc products at
     prec = W - e bits, N = max m1 + the total movement of p, since s, the
     step factors and a move by one product per step of m1 or p.  Each of
@@ -83,6 +84,7 @@ its root is 0: near a zero, the root of a square is known only to about
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -131,13 +133,6 @@ class PeriodMatrix:
         y11, y12, y22 = self.im_entries()
         return y11 * y22 - y12 * y12
 
-    def lambda_min(self):
-        """Smallest eigenvalue of Im Z."""
-        y11, y12, y22 = self.im_entries()
-        t = (y11 + y22) / 2
-        d = mp.sqrt(((y11 - y22) / 2) ** 2 + y12 * y12)
-        return t - d
-
     def entries(self):
         return self.z11, self.z12, self.z22
 
@@ -159,28 +154,30 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
     R - rho/2 is kept at least 1, above the theorem's hypothesis
     R >= (sqrt(2) + rho) / 2.
 
-    det(Im Z) and lambda_min, which can cancel, are taken at the working
-    precision and everything else at 64 bits (see the module docstring).
+    All but det(Im Z), which can cancel, is on doubles, lambda_min as
+    det / lambda_max: the rows hold the ellipsoid of radius R (1 - 2^-42)
+    while |Im z12| < 2^6 sqrt(det Im Z) (see the module docstring).  Im Z
+    beyond the doubles raises an ArithmeticError.
     """
     with ctx.work():
-        det, lam = 4 * Z.det_im(), Z.lambda_min()
-    with mp.workprec(64):
-        y11, y12, y22 = (2 * y for y in Z.im_entries())
-        e = int(mp.ceil(mp.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
-                        / (4 * mp.ln2))) + 1
-        rho = mp.sqrt(mp.pi * lam / 2)  # lambda_min(Im 2Z) = 2 lambda_min(Y)
-        x = (ctx.workbits + 16 + e) * mp.ln2 + 2 * mp.log(2 / rho)
-        R = rho / 2 + mp.sqrt(max(x, 1))
-        s = 4 * R * R / mp.pi  # the ellipsoid is m^T (Im 2Z) m <= s
-        rows = []
-        for m1 in range(int(mp.sqrt(s * y22 / det)) + 1):
-            c = -y12 * m1 / y22
-            h = mp.sqrt(max((s - m1 * m1 * det / y22) / y22, 0))
-            lo = 0 if m1 == 0 else int(mp.ceil(c - h))
-            hi = int(mp.floor(c + h))
-            if lo <= hi:
-                rows.append((m1, lo, hi))
-        return R * R, e, rows
+        det = float(4 * Z.det_im())  # det(Im 2Z)
+    y11, y12, y22 = (2 * float(y) for y in Z.im_entries())
+    e = math.ceil(math.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
+                  / (4 * math.log(2))) + 1
+    lam = det / ((y11 + y22) / 2 + math.hypot((y11 - y22) / 2, y12))
+    rho = math.sqrt(math.pi * lam / 4)
+    x = (ctx.workbits + 16 + e) * math.log(2) + 2 * math.log(2 / rho)
+    R = rho / 2 + math.sqrt(max(x, 1))
+    s = 4 * R * R / math.pi  # the ellipsoid is m^T (Im 2Z) m <= s
+    rows = []
+    for m1 in range(int(math.sqrt(s * y22 / det)) + 1):
+        c = -y12 * m1 / y22
+        h = math.sqrt(max((s - m1 * m1 * det / y22) / y22, 0))
+        lo = 0 if m1 == 0 else math.ceil(c - h)
+        hi = math.floor(c + h)
+        if lo <= hi:
+            rows.append((m1, lo, hi))
+    return R * R, e, rows
 
 
 def _fixed(z, W):

@@ -4,6 +4,7 @@ import pytest
 from g2heights import bounds
 from g2heights.bounds import (check_bounds, sample_fundamental_domain, theta_lb,
                               verify_bounds)
+from g2heights.prec import PrecisionContext
 from g2heights.theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, theta_squares
 
 
@@ -95,3 +96,15 @@ def test_verify_bounds_small(ctx128):
     failures, checks = verify_bounds(10, 3, ctx128)
     assert failures == []
     assert checks == 10 * 12
+
+
+def test_verify_bounds_flags_swapped_chi10_bounds(monkeypatch):
+    # the weak chi10 bound above the sharp one is caught relative to their
+    # size: at 64 bits the sharp bound is below ctx.tol on almost every
+    # sample, where an absolute check could not fire
+    ctx = PrecisionContext(64)
+    chi10_lb = bounds.chi10_lb
+    monkeypatch.setattr(bounds, "chi10_lb", lambda Z, ctx: chi10_lb(Z, ctx)[::-1])
+    failures, _ = verify_bounds(20, 1, ctx)
+    # one entry per sample
+    assert [d for d, _ in failures] == ["weak bound exceeds sharp bound"] * 20

@@ -33,6 +33,23 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _literal_workprecs(path):
+    """`path:line` for each workprec(...) call in path whose precision is a
+    literal."""
+    tree = ast.parse(path.read_text())
+    return [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "workprec"
+            and node.args and isinstance(node.args[0], ast.Constant)]
+
+
+def test_every_precision_derives_from_ctx():
+    # an mpmath precision fixed by hand in the package is one that no
+    # PrecisionContext sizes; doubles serve where a few bits are enough
+    paths = sorted((ROOT / "src" / "g2heights").glob("*.py"))
+    assert [hit for p in paths for hit in _literal_workprecs(p)] == []
+
+
 def _used_names(path):
     """Every identifier that path reads, as a Name or as an attribute."""
     return {n.id if isinstance(n, ast.Name) else n.attr

@@ -105,7 +105,9 @@ def _box_oracle(Z, bits):
     sum_{k > M} 8k e^(-a k^2), a = pi lambda_min / 4, which is below twice
     its first term once consecutive terms shrink by half."""
     with mp.workprec(bits + 16):
-        a = mp.pi * Z.lambda_min() / 4
+        y11, y12, y22 = Z.im_entries()
+        lambda_min = (y11 + y22) / 2 - mp.sqrt(((y11 - y22) / 2) ** 2 + y12 * y12)
+        a = mp.pi * lambda_min / 4
         M = 1
         while (16 * (M + 1) * mp.exp(-a * (M + 1) ** 2) >= mp.mpf(2) ** -bits
                or (M + 2) * mp.exp(-a * (2 * M + 3)) > (M + 1) / 2):
@@ -185,12 +187,14 @@ def test_truncation_soundness():
                     assert abs(x - y) < mp.mpf(2) ** (-ctx.workbits + 8), (bits, name, ch)
 
 
-@pytest.mark.parametrize("name", ["ex1", "im z22 = 95"], ids=["ex1", "im_z22_95"])
+@pytest.mark.parametrize("name", ["ex1", "im z22 = 95", "ex1 unreduced", "scrambled"],
+                         ids=["ex1", "im_z22_95", "ex1_unreduced", "scrambled"])
 def test_ellipsoid_rows(ctx, name):
-    # the rows and their mirrors, bounded at 64 bits, are exactly the lattice
-    # points of the ellipsoid of 2Z at the working precision, also at
-    # Im z22 = 95, where e and so the radius are largest; on ex1 they are at
-    # most a fifth of the 55 x 55 box that the square truncation summed
+    # the rows and their mirrors, planned on doubles, are exactly the lattice
+    # points of the ellipsoid of 2Z at the working precision: at Im z22 = 95,
+    # where e and so the radius are largest, and on the unreduced matrices,
+    # where det(Im Z) can cancel and lambda_min is smallest; on ex1 they are
+    # at most a fifth of the 55 x 55 box that the square truncation summed
     Z = _walk_cases(ctx)[name]
     R2, _, rows = _ellipsoid_rows(Z, ctx)
     half = {(m1, m2) for m1, lo, hi in rows for m2 in range(lo, hi + 1)}
