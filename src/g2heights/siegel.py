@@ -10,7 +10,10 @@ and the signs of Im z12 and Re z12.  Each is made on the doubles of the
 working-precision entries when they clear its threshold by MARGIN times the
 sum of the absolute values of its terms (see _sure), and on the mpf/mpc
 values otherwise.  So every decision is the one the working-precision
-values give, and the move is applied by act at the working precision.
+values give.  The move is applied by act, with the bits of the general
+formula (AZ + B)(CZ + D)^-1 at the working precision but only the
+operations of it that can round: a translation and a GL2 change need no
+inverse, and a full inversion [[0, -I], [I, D]] needs only (Z + D)^-1.
 
 Condition (i) (det Im(gamma Z) <= det Im Z for all gamma) is enforced through
 a finite determinant test set.  We use a superset of Gottschling's 19
@@ -38,16 +41,23 @@ class SymplecticMatrix:
 
     def __init__(self, rows):
         self.m = [[int(v) for v in row] for row in rows]
-        if len(self.m) != 4 or any(len(r) != 4 for r in self.m):
+        if len(self.m) != 4 or any(len(r) != 4 for r in self.m) or any(
+                u != v for r, row in zip(self.m, rows) for u, v in zip(r, row)):
             raise ValueError("need a 4x4 integer matrix")
         if not self._is_symplectic():
             raise ValueError("matrix is not symplectic")
 
     def _is_symplectic(self) -> bool:
-        J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-        gt = [[self.m[r][c] for r in range(4)] for c in range(4)]
-        prod = _mat4_mul(_mat4_mul(gt, J), self.m)
-        return prod == J
+        """gamma^T J gamma = J, J = (0 I; -I 0), by its blocks: alpha^T lam
+        and beta^T mu are symmetric and alpha^T mu - lam^T beta = I."""
+        ((a11, a12, b11, b12), (a21, a22, b21, b22),
+         (c11, c12, d11, d12), (c21, c22, d21, d22)) = self.m
+        return (a11 * c12 + a21 * c22 == a12 * c11 + a22 * c21
+                and b11 * d12 + b21 * d22 == b12 * d11 + b22 * d21
+                and a11 * d11 + a21 * d21 - c11 * b11 - c21 * b21 == 1
+                and a11 * d12 + a21 * d22 - c11 * b12 - c21 * b22 == 0
+                and a12 * d11 + a22 * d21 - c12 * b11 - c22 * b21 == 0
+                and a12 * d12 + a22 * d22 - c12 * b12 - c22 * b22 == 1)
 
     def blocks(self):
         m = self.m
@@ -103,8 +113,9 @@ class SymplecticMatrix:
 
 
 def _mat4_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)]
+    cols = list(zip(*b))
+    return [[r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 for c1, c2, c3, c4 in cols]
+            for r1, r2, r3, r4 in a]
 
 
 def _abs2(M):
@@ -146,8 +157,62 @@ def _cz_plus_d(c, d, z):
     return m11, m12, m21, m22
 
 
+def _lin(c1, x1, c2, x2):
+    """c1 x1 + c2 x2 for integers c1, c2 not both 0, rounded as written,
+    with a term whose coefficient is 0 left out: that term is an exact 0,
+    and the sum of an exact 0 and a rounded product is exact."""
+    if not c2:
+        return c1 * x1
+    if not c1:
+        return c2 * x2
+    return c1 * x1 + c2 * x2
+
+
 def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
-    """gamma Z = (alpha Z + beta)(lam Z + mu)^-1."""
+    """gamma Z = (alpha Z + beta)(lam Z + mu)^-1 at the working precision,
+    with every entry rounded as the general formula (the last branch) rounds
+    it: N = alpha Z + beta and M = lam Z + mu by _cz_plus_d, M^-1 =
+    adj(M) / det M, W = N M^-1, and the symmetrized (w12 + w21) / 2.
+
+    Three shapes run only the operations of that formula that can round.
+    Z may carry more bits than the working precision, and the first product
+    by an entry of Z is what rounds it, so each branch keeps one product by
+    every entry it reads, also a product by 1.  The rest is exact: mpmath
+    has no signed zero, a product by 0 is 0, a sum of 0 and a rounded value
+    is that value, a product of a rounded value by an integer rounds the
+    same real product whether the integer is an int or an mpc, and rounding
+    to nearest commutes with negation.
+
+    - Translation, lam = 0 and alpha = I: mu = I, so M^-1 = I and W = N,
+      n_ij = 1 z_ij + beta_ij once its terms 0 z_kl are dropped; beta is
+      symmetric, so w12 = w21 and (w12 + w21) / 2 is exact.
+    - GL2 change, lam = beta = 0: mu = alpha^-T, so M^-1 = alpha^T, an
+      exact integer matrix; N = alpha Z and W = N alpha^T, each entry by
+      _lin.  No det and no division.
+    - Full inversion [[0, -I], [I, D]]: N = -I and M = Z + D, with m_ij =
+      1 z_ij + d_ij as in a translation, so m21 = m12.  Each w_ij is -1
+      times an entry of M^-1 plus an exact 0, and -((-m12) / det) =
+      m12 / det, so W = -M^-1 = (-m22, m12, -m11) / det.
+    """
+    ((a11, a12, b11, b12), (a21, a22, b21, b22),
+     (c11, c12, d11, d12), (c21, c22, d21, d22)) = gamma.m
+    z11, z12, z22 = Z.entries()
+    if not (c11 or c12 or c21 or c22):
+        if a11 == a22 == 1 and not (a12 or a21):
+            return PeriodMatrix(1 * z11 + b11, 1 * z12 + b12, 1 * z22 + b22)
+        if not (b11 or b12 or b21 or b22):
+            n11, n12 = _lin(a11, z11, a12, z12), _lin(a11, z12, a12, z22)
+            n21, n22 = _lin(a21, z11, a22, z12), _lin(a21, z12, a22, z22)
+            return PeriodMatrix(_lin(a11, n11, a12, n12),
+                                (_lin(a21, n11, a22, n12) + _lin(a11, n21, a12, n22)) / 2,
+                                _lin(a21, n21, a22, n22))
+    if (c11 == c22 == 1 and b11 == b22 == -1
+            and not (c12 or c21 or b12 or b21 or a11 or a12 or a21 or a22)):
+        m11, m12, m22 = 1 * z11 + d11, 1 * z12 + d12, 1 * z22 + d22
+        det = m11 * m22 - m12 * m12
+        if abs(det) == 0:
+            raise ZeroDivisionError("lam Z + mu is singular")
+        return PeriodMatrix(-(m22 / det), m12 / det, -(m11 / det))
     a, b, c, d = gamma.blocks()
     n11, n12, n21, n22 = _cz_plus_d(a, b, Z.entries())
     m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
@@ -316,13 +381,9 @@ def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
     left at ERANGE by an underflow in the conversion of another part."""
     near = range(len(_GOTTSCHLING_CD))
     if zd is not _NAN3:
-        za = [abs(w) for w in zd]
         one = 1 - td
         cands = []  # (index, |det|, the sum of the absolute values of its terms)
-        for i, (c, d, ca, da) in enumerate(_GOTTSCHLING_CD):
-            m11, m12, m21, m22 = _cz_plus_d(c, d, zd)
-            a11, a12, a21, a22 = _cz_plus_d(ca, da, za)
-            v, s = abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21
+        for i, (v, s) in enumerate(_gottschling_dets(zd)):
             if not (v > one and _sure(v - one, s + 1 + td)):
                 cands.append((i, v, s))
         # the others are surely at least 1 - tol, so none of them is the move
@@ -340,6 +401,27 @@ def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
         exact[i] = abs(m11 * m22 - m12 * m21)
     least = min(exact, key=exact.__getitem__)
     return GOTTSCHLING[least] if exact[least] < 1 - tol else None
+
+
+def _gottschling_dets(zd):
+    """|det(CZ + D)| and the sum of the absolute values of its terms, for
+    each Gottschling matrix in order, on the doubles zd of Z.  The full
+    inversions have C = I, so their C Z + D is Z + D: their 27 come from
+    the table of z11 + d11, z12 + d12 and z22 + d22, d in {-1, 0, 1}.
+    _cz_plus_d gives the same doubles, since its products by 1 and its
+    sums with a product by 0 are exact on finite doubles."""
+    za = [abs(w) for w in zd]
+    out = []
+    for c, d, ca, da in _GOTTSCHLING_CD[:2]:
+        m11, m12, m21, m22 = _cz_plus_d(c, d, zd)
+        a11, a12, a21, a22 = _cz_plus_d(ca, da, za)
+        out.append((abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21))
+    t11, t12, t22 = ([(w + d, a + abs(d)) for d in (-1, 0, 1)] for w, a in zip(zd, za))
+    for m11, a11 in t11:
+        for m22, a22 in t22:
+            for m12, a12 in t12:
+                out.append((abs(m11 * m22 - m12 * m12), a11 * a22 + a12 * a12))
+    return out
 
 
 def _gram(U, o):

@@ -1,5 +1,8 @@
+import itertools
+import math
 import os
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -38,12 +41,99 @@ def random_word(rng, n):
 def test_symplectic_check():
     with pytest.raises(ValueError):
         SymplecticMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]])
+    # non-integral entries are refused, not truncated to the identity
+    for half in (1.5, Fraction(3, 2), mp.mpf("1.5")):
+        with pytest.raises(ValueError):
+            SymplecticMatrix([[half, 0, 0, 0], [0, 1, 0, 0], [0, 0, half, 0], [0, 0, 0, 1]])
+    assert SymplecticMatrix([[1.0, 0, 0, 0], [0, Fraction(1), 0, 0], [0, 0, 1, 0],
+                             [0, 0, 0, 1]]) == SymplecticMatrix.identity()
+
+
+def test_symplectic_blocks_match_j_form():
+    # the block identities are gamma^T J gamma = J, on words and on
+    # small integer matrices, nearly all of them not symplectic
+    J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+
+    def j_form(m):
+        mt = [list(r) for r in zip(*m)]
+        return siegel._mat4_mul(siegel._mat4_mul(mt, J), m) == J
+
+    rng = random.Random(3)
+    words = [random_word(rng, rng.randint(1, 10)).m for _ in range(200)]
+    mats = words + [[[v + ((i, j) == (k // 4, k % 4)) for j, v in enumerate(r)]
+                     for i, r in enumerate(m)] for m in words for k in range(16)]
+    mats += [[[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)] for _ in range(2000)]
+    found = 0
+    for m in mats:
+        g = object.__new__(SymplecticMatrix)
+        g.m = m
+        expected = j_form(m)
+        assert g._is_symplectic() == expected, m
+        found += expected
+    assert 200 <= found < len(mats)
 
 
 def test_gottschling_all_symplectic():
     assert len(GOTTSCHLING) == 29
     for g in GOTTSCHLING:
         assert g._is_symplectic()
+
+
+def _act_general(gamma, Z):
+    """(alpha Z + beta)(lam Z + mu)^-1 for every gamma, with no shape taken
+    apart: the formula whose bits act must give."""
+    a, b, c, d = gamma.blocks()
+    n11, n12, n21, n22 = siegel._cz_plus_d(a, b, Z.entries())
+    m11, m12, m21, m22 = siegel._cz_plus_d(c, d, Z.entries())
+    det = m11 * m22 - m12 * m21
+    if abs(det) == 0:
+        raise ZeroDivisionError("lam Z + mu is singular")
+    i11, i12, i21, i22 = m22 / det, -m12 / det, -m21 / det, m11 / det
+    w11 = n11 * i11 + n12 * i21
+    w12 = n11 * i12 + n12 * i22
+    w21 = n21 * i11 + n22 * i21
+    w22 = n21 * i12 + n22 * i22
+    return PeriodMatrix(w11, (w12 + w21) / 2, w22)
+
+
+def _act_shapes(rng):
+    """Every Gottschling matrix, the translations with entries in -2..2,
+    GL2 changes, and general words."""
+    out = list(GOTTSCHLING)
+    out += [SymplecticMatrix.translation(*b) for b in itertools.product(range(-2, 3), repeat=3)]
+    gl2 = [[[1, 1], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 1]], [[1, 0], [0, -1]]]
+    while len(gl2) < 16:
+        U = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
+        if U[0][0] * U[1][1] - U[0][1] * U[1][0] in (1, -1):
+            gl2.append(U)
+    out += [SymplecticMatrix.embed_gl2(U) for U in gl2] + [siegel._FLIP_Z12]
+    out += [random_word(rng, rng.randint(2, 8)) for _ in range(16)]
+    # lam = 0 with beta != 0 and alpha != I takes the general branch
+    out.append(SymplecticMatrix.translation(1, -1, 2) * SymplecticMatrix.embed_gl2([[2, 1], [1, 1]]))
+    return out
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096, "workbits + 64"])
+def test_act_by_shape_is_the_general_formula_bit_for_bit(bits):
+    rng = random.Random(11)
+    if bits == "workbits + 64":
+        # more input bits than the working precision: the first product
+        # must round them, also a product by 1
+        c = PrecisionContext(256)
+        with mp.workprec(c.workbits + 64):
+            base = PeriodMatrix(mp.mpc(mp.mpf(1) / 3, mp.mpf(8) / 7),
+                                mp.mpc(mp.mpf(-1) / 5, mp.mpf(2) / 7), mp.mpc(mp.mpf(2) / 9, 3))
+            Zs = [act(random_word(rng, 6), base) for _ in range(3)]
+        assert all(z._mpc_[0][3] > c.workbits for Z in Zs for z in Z.entries())
+    else:
+        c = PrecisionContext(bits)
+        Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
+              for name in ("ex1", "ex2", "ex3")]
+    shapes = _act_shapes(rng)
+    with c.work():
+        for Z in Zs:
+            for g in shapes:
+                assert act(g, Z).entries() == _act_general(g, Z).entries(), g
 
 
 def test_act_identity(ctx):
@@ -201,6 +291,34 @@ EX_WORDS = {("ex1", 256): _W_EX1, ("ex1", 512): _W_EX1_512, ("ex1", 1024): _W_EX
             ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3}
 
 
+def test_reduce_applies_every_move_through_act(monkeypatch):
+    # the benchmark's tracer counts moves by wrapping the module attribute
+    # siegel.act: reduce must reach every move through it
+    c = PrecisionContext(256)
+    rng = random.Random(4)
+    Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
+          for name in ("ex1", "ex2", "ex3")]
+    with mp.workprec(c.workbits + 64):
+        base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
+        Zs += [act(random_word(rng, 8), base) for _ in range(4)]
+    moves = []
+
+    def recorder(g, Z):
+        moves.append((g, act(g, Z)))
+        return moves[-1][1]
+
+    monkeypatch.setattr(siegel, "act", recorder)
+    for k, Z in enumerate(Zs):
+        moves.clear()
+        gamma, zr = reduce(Z, c)
+        assert moves, k
+        product = SymplecticMatrix.identity()
+        for g, _ in moves:
+            product = g * product
+        assert product == gamma, k
+        assert moves[-1][1] is zr, k
+
+
 def test_reduce_word_stable_across_precision(ctx):
     # ex3's reduced matrix has Im z12 = 0 exactly: the word must not follow
     # the rounding noise in it
@@ -286,6 +404,29 @@ def _oracle_reduce(Z, ctx):
                 return total, cur
             cur = act(g, cur)
             total = g * total
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_gottschling_dets_from_the_table_are_cz_plus_d(bits):
+    # the 3x3 table of z + d gives the doubles of C Z + D bit for bit, so
+    # every decision on them is unchanged
+    c = PrecisionContext(bits)
+    rng = random.Random(bits + 1)
+    with c.work():
+        base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
+        Zs = [Z for _, Z in _boundary_points(c)]
+        Zs += [act(random_word(rng, rng.randint(1, 10)), base) for _ in range(40)]
+    for Z in Zs:
+        zd = siegel._doubles(Z)
+        if zd is siegel._NAN3:
+            continue
+        za = [abs(w) for w in zd]
+        expected = []
+        for cc, dd, ca, da in siegel._GOTTSCHLING_CD:
+            m11, m12, m21, m22 = siegel._cz_plus_d(cc, dd, zd)
+            a11, a12, a21, a22 = siegel._cz_plus_d(ca, da, za)
+            expected.append((abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21))
+        assert siegel._gottschling_dets(zd) == expected, Z
 
 
 def _assert_same_as_oracle(Z, ctx, label):
@@ -397,3 +538,42 @@ def test_step_subnormal_parts_decided_at_working_precision(ctx):
         tol = f2_tol(ctx)
         assert siegel._step(Z, tol) == _oracle_step(Z, tol)
         assert siegel._step(Z, tol) == SymplecticMatrix.embed_gl2([[1, 0], [-1, 1]])
+
+
+# ---- the invariant volume of F2 --------------------------------------------
+
+def _f2_volume(n, seed):
+    """Importance-sampling estimate of the invariant volume of F2 under
+    dX dY / det(Y)^3, and its standard error: X uniform in [-1/2, 1/2]^3,
+    y11 and y22 / y11 Pareto (alpha = 1.5) from sqrt(3)/2 and from 1, and
+    y12 uniform in [-y11/2, y11/2], which covers F2; a draw counts its
+    weight det(Y)^-3 / (proposal density) when in_fundamental_domain holds
+    at 64 bits."""
+    c = PrecisionContext(64)
+    rng = random.Random(seed)
+    y0, alpha = math.sqrt(3) / 2, 1.5
+    ws = []
+    for _ in range(n):
+        x11, x12, x22 = (rng.uniform(-0.5, 0.5) for _ in range(3))
+        y11 = y0 * rng.paretovariate(alpha)
+        r = rng.paretovariate(alpha)
+        y22, y12 = r * y11, rng.uniform(-y11 / 2, y11 / 2)
+        density = (alpha * y0 ** alpha / y11 ** (alpha + 1)) * (alpha / r ** (alpha + 1) / y11) / y11
+        Z = PeriodMatrix(mp.mpc(x11, y11), mp.mpc(x12, y12), mp.mpc(x22, y22))
+        ws.append((y11 * y22 - y12 * y12) ** -3 / density if in_fundamental_domain(Z, c) else 0.0)
+    mean = sum(ws) / n
+    return mean, math.sqrt(sum((w - mean) ** 2 for w in ws) / (n - 1) / n)
+
+
+def test_f2_volume_is_siegels(monkeypatch):
+    # Siegel (Amer. J. Math. 65, 1943): vol(F2) = 2 zeta(2) zeta(4) / pi^3
+    # = pi^3 / 270.  The estimate reads every F2 decision, the whole
+    # Gottschling scan included; without its first partial inversion F2
+    # grows by a quarter, some 13 standard errors
+    target = math.pi ** 3 / 270
+    vol, se = _f2_volume(8000, 1)
+    assert abs(vol - target) < 4 * se, (vol, se)
+    dets = siegel._gottschling_dets
+    monkeypatch.setattr(siegel, "_gottschling_dets", lambda zd: [(math.inf, 0.0)] + dets(zd)[1:])
+    vol, se = _f2_volume(8000, 1)
+    assert abs(vol - target) > 4 * se, (vol, se)
