@@ -208,7 +208,7 @@ def cmd_height_colmez(args):
     plan = stirling_plan(ctx)
     print("stirling_shift =", plan.shift)
     print("stirling_terms =", plan.terms)
-    print("log_gamma_calls =", len(half_residues(chi)))
+    print("log_gamma_args =", len(half_residues(chi)))
     _print_notes()
     return 0
 

@@ -125,9 +125,10 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
         sum_m chi(m) log Gamma(m/f)
           = sum_{m<f/2} chi(m) (2 log Gamma(m/f) - log pi + log sin(pi m/f)).
 
-    The sines are grouped by the value i^k of chi(m): each of the at most
-    four groups takes one log of the product of its sines, and log pi is
-    multiplied once by sum_{m<f/2} chi(m).
+    The residues are grouped by the value i^k of chi(m): each of the at
+    most four non-empty groups takes one log_gamma call, which sums its
+    log Gamma values with one log, one log of the product of its sines,
+    and log pi (ctx.log_pi) times its size.
 
     The sines come from one root of unity: sin(pi m/f) = Im zeta^m with
     zeta = exp(i pi/f), and zeta^m is walked by repeated products at
@@ -142,24 +143,22 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     and L(1, conj chi) != 0.
     """
     f = chi.f
-    wa, wb = char_weighted_sum(chi)
     residues = half_residues(chi)
     with mp.workprec(ctx.workbits + 2 * f.bit_length() + 2):
         zeta, power, sin = mp.expjpi(mp.mpf(1) / f), mp.mpc(1), {}
         for m in range(1, residues[-1] + 1):
             power *= zeta
             sin[m] = power.imag
+    groups = [[] for _ in _UNITS]  # the residues with chi(m) = i^k
+    for m in residues:
+        groups[chi.table[m]].append(m)
     with ctx.work():
         s = mp.mpc(0)
-        ca = cb = 0  # sum_{m<f/2} chi(m) = ca + cb i
-        sines = [mp.mpf(1)] * 4  # prod of sin(pi m/f) over chi(m) = i^k
-        for m in residues:
-            va, vb = chi.value(m)
-            s += mp.mpc(va, vb) * (2 * log_gamma(Fraction(m, f), ctx))
-            ca, cb = ca + va, cb + vb
-            sines[chi.table[m]] *= sin[m]
-        s -= mp.mpc(ca, cb) * mp.log(ctx.pi)
-        for unit, p in zip(_UNITS, sines):
-            s += mp.mpc(*unit) * mp.log(p)
-        w = mp.mpc(wa, wb)
+        for unit, ms in zip(_UNITS, groups):
+            if ms:
+                sines = mp.fprod(sin[m] for m in ms)
+                term = (2 * log_gamma([Fraction(m, f) for m in ms], ctx)
+                        - len(ms) * ctx.log_pi + mp.log(sines))
+                s += mp.mpc(*unit) * term
+        w = mp.mpc(*char_weighted_sum(chi))
         return +(mp.log(f) / 2 + f * mp.re(s / w))

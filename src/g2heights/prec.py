@@ -10,23 +10,34 @@ pairs splits over its resolvent cubic into two real quadratics, decided in
 integers (exact.cubic_integer_roots), and each pair then takes two square
 roots of sums whose cancellation is bounded in advance.
 
-log_gamma takes a rational x = m/f and is the Stirling series at z = x + N.
-Its callers halve the work by the reflection log Gamma(1-x) = log pi -
-log sin(pi x) - log Gamma(x) (colmez.colmez_height evaluates only
-m/f < 1/2).  The shift back from z to x is one log of the exact integer
-prod_{j<N} (m + j f) over f^N.  The shift N and the term count K are planned
-once per working precision so that the first omitted term, which for real
-z > 0 bounds the remainder, is below 2^-(workbits+16).  Since z = (m + N f)/f
-is a ratio of small integers, the series is summed by Horner in
-1/z^2 = f^2/(m + N f)^2 on Python ints at the fixed scale 2^-(workbits+16):
-each step is a product and a quotient by small integers, not a
-full-precision product (Brent and Zimmermann, Modern Computer Arithmetic,
-ch. 4).
+log_gamma takes rationals m/f that share one denominator f and returns
+the sum of their log Gamma, with one mpmath log per call; colmez.colmez_height
+calls it once per value of its character.  Its callers halve the work by the
+reflection log Gamma(1-x) = log pi - log sin(pi x) - log Gamma(x)
+(colmez_height evaluates only m/f < 1/2).  Each x = m/f is shifted to
+z = x + N = D/f, D = m + N f, where the Stirling series is summed; the shift
+N and the term count K are planned once per working precision so that the
+first omitted term, which for real z > 0 bounds the remainder, is below
+2^-W, W = workbits + 16.  With log z = log N + log(D/(N f)), the N log N in
+(z - 1/2) log z and in the log of the shift prod_{j<N} (m + j f) / f^N
+cancel in closed form, leaving (x - 1/2) log N.  Every other part is a
+ratio of small integers, and is summed on Python ints at the scale 2^-W
+(Brent and Zimmermann, Modern Computer Arithmetic, ch. 4): log(D/(N f)) is
+2 atanh(m/(2 N f + m)), a series in a square below 1/(4 N^2), and the
+Stirling series is a Horner in u = (N f/D)^2 < 1 on the coefficients
+c_n / N^(2n-2), which fall with n as the terms do, so the ints shrink as
+the Horner runs.  What is left is one log of the product of the group's
+shift products over (N f)^(N n), n residues, a number near e^(-N n).  Its
+size, about N n, against the 2^-W of the rest, is the log2 N bits that
+cancel between it and the -z of each residue; SERIES_BITS = 16 covers
+them and the few ulps of the int sums (see log_gamma).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
@@ -53,6 +64,12 @@ class PrecisionContext:
             self.pi = +mp.pi
             self.log2 = mp.log(2)
 
+    @cached_property
+    def log_pi(self):
+        """log pi at the working precision, taken once per context."""
+        with mp.workprec(self.workbits):
+            return mp.log(self.pi)
+
     def work(self):
         """Context manager setting mpmath to the working precision."""
         return mp.workprec(self.workbits)
@@ -71,14 +88,17 @@ SERIES_BITS = 16
 
 
 class StirlingPlan(NamedTuple):
-    """The Stirling series for one workbits: the argument shift N, the term
-    count K and the coefficients c_n = B_2n / (2n (2n-1)), n = 1..K, as
-    integers at the scale 2^-W, W = workbits + SERIES_BITS, each rounded to
-    nearest."""
+    """The Stirling series for one workbits, as integers at the scale 2^-W,
+    W = workbits + SERIES_BITS, each rounded to nearest: the argument
+    shift N, the term count K and the normalised coefficients
+    c_n / N^(2n-2), c_n = B_2n / (2n (2n-1)), n = 1..K; the coefficients
+    1/(2k+1) of atanh(t)/t for t <= 1/(2N+1); (1/2) log(2 pi) and log N."""
 
     shift: int
     coeffs: tuple
-    half_log_2pi: mp.mpf
+    atanh_coeffs: tuple
+    half_log_2pi: int
+    log_shift: int
 
     @property
     def terms(self) -> int:
@@ -90,79 +110,156 @@ _plans: dict[int, StirlingPlan] = {}
 
 def stirling_plan(ctx: PrecisionContext) -> StirlingPlan:
     """The plan for ctx.workbits, built once.  N = workbits/2 + 8 and K is
-    the first n whose term c_n / N^(2n-1) is below 2^-W; the comparison is
-    made in integers on the exact B_2n."""
+    the first n whose term c_n / N^(2n-1) is below 2^-W; the atanh series
+    stops at the first k whose term t^(2k) / (2k+1) at t = 1/(2N+1) is
+    below 2^-W.  Both comparisons are made in integers, the first on the
+    exact B_2n."""
     wb = ctx.workbits
     plan = _plans.get(wb)
     if plan is None:
         W = wb + SERIES_BITS
         shift = wb // 2 + 8
-        coeffs = []
+        coeffs, npow = [], 1  # npow = N^(2n-2)
         while True:
             n = len(coeffs) + 1
             num, den = mp.bernfrac(2 * n)
-            den *= 2 * n * (2 * n - 1)
-            coeffs.append(((num << (W + 1)) + den) // (2 * den))
-            if abs(num) << W < den * shift ** (2 * n - 1):
+            d = den * 2 * n * (2 * n - 1) * npow
+            coeffs.append(((num << (W + 1)) + d) // (2 * d))
+            if abs(num) << W < d * shift:
                 break
-        with mp.workprec(W):
-            plan = StirlingPlan(shift, tuple(coeffs), mp.log(2 * mp.pi) / 2)
+            npow *= shift * shift
+        atanh, t2 = [], (2 * shift + 1) ** 2
+        while True:
+            k = len(atanh)
+            atanh.append(((1 << (W + 1)) + 2 * k + 1) // (4 * k + 2))
+            if 1 << W < (2 * k + 3) * t2 ** (k + 1):
+                break
+        with mp.workprec(W + 8):
+            half_log_2pi, log_shift = (int(mp.nint(mp.ldexp(v, W))) for v in
+                                       (mp.log(2 * mp.pi) / 2, mp.log(shift)))
+        plan = StirlingPlan(shift, tuple(coeffs), tuple(atanh), half_log_2pi, log_shift)
         _plans[wb] = plan
     return plan
 
 
-def log_gamma(x, ctx: PrecisionContext):
-    """log Gamma(x) for a rational x = m/f in (0, 1], a Fraction or an int;
-    any other type, bool and float included, raises TypeError.
+def log_gamma(xs, ctx: PrecisionContext):
+    """sum_{x in xs} log Gamma(x) for a non-empty sequence of rationals
+    x = m/f in (0, 1] that share one denominator f (in lowest terms),
+    each a Fraction or an int; any other type, bool and float included,
+    raises TypeError, and an empty sequence or two denominators ValueError.
 
-    Shift: Gamma(x) = Gamma(z) / (x (x+1) ... (x+N-1)) with z = x + N, and
-    the shift costs one log of one product, the exact integer
-    prod_j (m + j f) over f^N.
+    Per x, with z = x + N = D/f, D = m + N f, and the plan of
+    stirling_plan:
 
-    Series: log Gamma(z) = (z - 1/2) log z - z + (1/2) log(2 pi)
-    + sum_{n<=K} c_n / z^(2n-1) with the plan of stirling_plan.  For real
-    z > 0 the remainder of the series has the sign of the first omitted
-    term and is smaller in size (DLMF 5.11(ii)).  The plan puts the K-th
-    term at z = N below 2^-W, W = workbits + 16, and the first omitted term,
-    c_(K+1) / z^(2K+1), is smaller still at every z >= N.
+        log Gamma(x) = log Gamma(z) - log(prod_{j<N} (m + j f) / f^N),
+        log Gamma(z) = (z - 1/2) log z - z + (1/2) log(2 pi) + S(z),
+        S(z) = sum_{n<=K} c_n / z^(2n-1) + remainder,
 
-    The sum is a Horner in 1/z^2 = f^2 / D^2, D = m + N f, on integers at
-    the scale 2^-W: acc <- round(acc f^2 / D^2) + c_n from n = K down to 1,
-    then round(acc f / D) is the sum times 2^W.  Each rounding, of a step
-    or of a coefficient, is at most 1/2 ulp of 2^-W, and every later step
-    multiplies an error by f^2 / D^2 <= 1/N^2, so the error before the last
-    division is below (1/(1 - 1/N^2)) ulp, and after it, with 1/z <= 1/N
-    and its own rounding, below 2 ulps: 2^-(workbits+15), inside
-    SERIES_BITS with the truncation.  The rest of the formula is evaluated
-    in mpf at workbits + 16.
+    and with log z = log N + L, L = log(D/(N f)) = 2 atanh(t),
+    t = m/(2 N f + m):
+
+        log Gamma(x) = (x - 1/2) log N + (z - 1/2) L - z + (1/2) log(2 pi)
+                       + S(z) - log(P / (N f)^N),  P = prod_{j<N} (m + j f).
+
+    All but the last term go into one int acc, at the scale 2^-W and
+    times 2f, so that every part is an integer: 2f (1/2) log(2 pi) and
+    (2m - f) log N from the plan, -2D exactly, (2D - f) L and 2f S(z).
+    acc / 2f is rounded once per call.  The last term is one mpmath log
+    per call, of the product of the group's P / (N f)^N.  The errors, in
+    ulps of 2^-W per x (an int step rounds down, by less than 1):
+
+    - S(z): for real z > 0 the remainder has the sign of the first
+      omitted term and is smaller in size (DLMF 5.11(ii)); the plan puts
+      the K-th term at z = N below 2^-W, and the first omitted term,
+      c_(K+1) / z^(2K+1), is smaller still at every z >= N: under 1.  The
+      sum is (f/D) H(u), H(u) = sum_n c'_n u^(n-1), c'_n = c_n / N^(2n-2),
+      u = (N f / D)^2 < 1, by the Horner h <- floor(h u) + c'_n from
+      n = K down to 1.  h has about as many bits as c'_n 2^W, which falls
+      from W to about bits(N) as n grows, so the early steps are short.
+      Each step and its rounded c'_n are off by less than 3/2, and a
+      later step multiplies an error by u < 1, so h is off by less than
+      3K/2; 2f S(z) = round(2 f^2 h / D), and f/D < 1/N and K < N/5 at
+      every precision, so S(z) is off by less than 0.3 + 1/4 + 1.
+    - (z - 1/2) L: atanh(t)/t = sum_k t^(2k) / (2k+1) by the Horner
+      a <- floor(a t^2) + round(2^W / (2k+1)) over the plan's atanh
+      terms.  t <= 1/(2N+1), so the omitted tail is below 1/(1 - t^2),
+      and each step's error, below 3/2, shrinks by t^2 with each later
+      step: a is off by less than (5/2)/(1 - t^2) < 2.51.  (2D - f) L =
+      round(2m (2D - f) a / (2N f + m)) multiplies that by less than 2m,
+      so after the division by 2f (z - 1/2) L is off by less than
+      2.51 m/f + 1/4 < 2.76.
+    - (x - 1/2) log N and (1/2) log(2 pi): each plan constant, taken at
+      W + 8 bits and rounded, is off by less than 0.57, and the factors
+      are at most 1/2 and 1: 0.86 per x.  The division by 2f rounds by
+      1/2 per call.
+    - The shift: each P is rounded down to W + 8 bits, and so is each
+      product of the P's, so their product is off by a factor within
+      (1 + 2^-(W+7))^(2n): n/64 on the log.  Its rounding to an mpf at W,
+      the power (N f)^(N n) and the quotient add about 2 2^-W relative,
+      so 2 per call.  The log of prod_{j<N} (x + j)/N lies in
+      [-N - log(N f), 0]: each term is at most 0, the first is at least
+      -log(N f), and N^(N-1) / (N-1)! <= e^N.  Rounded at W, the log of
+      the group's product is off by at most N + log(N f) per x.
+
+    That last error is the cancellation: the N log N in (z - 1/2) log z
+    and in the shift are gone in closed form, but the -z of each x and
+    the log of its shift, both about N in size, still cancel down to
+    log Gamma(x), so the ulp of the rounded log costs log2(N + log(N f))
+    bits.  The sum is off by less than n (N + log(N f) + 6) + 3 ulps of
+    2^-W.  With N = workbits/2 + 8, that is below n 2^-workbits for any
+    workbits below 2^16 and f below 2^1000, before the final rounding at
+    workbits: SERIES_BITS = 16 covers the cancellation and the int sums.
     """
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"log_gamma takes a Fraction or an int, not {type(x).__name__}")
-    plan = stirling_plan(ctx)
-    N = plan.shift
-    x = Fraction(x)
-    if not (0 < x <= 1):
+    xs = [_rational(x) for x in xs]
+    if not xs:
+        raise ValueError("log_gamma takes a non-empty sequence")
+    f = xs[0].denominator
+    if any(x.denominator != f for x in xs):
+        raise ValueError("log_gamma takes rationals with one denominator")
+    if not all(0 < x <= 1 for x in xs):
         raise ValueError("log_gamma requires x in (0, 1]")
-    if x == 1:
+    if f == 1:
         return mp.mpf(0)
-    m, f = x.numerator, x.denominator
-    prod = 1
-    for j in range(N):
-        prod *= m + j * f
-    D = m + N * f
-    f2, D2 = f * f, D * D
-    acc = 0
-    for c in reversed(plan.coeffs):
-        acc = (2 * acc * f2 + D2) // (2 * D2) + c
-    W = ctx.workbits + SERIES_BITS
+    plan = stirling_plan(ctx)
+    N, W, n = plan.shift, ctx.workbits + SERIES_BITS, len(xs)
+    Nf = N * f
+    Nf2, f2, f3 = Nf * Nf, 2 * f, 3 * f
+    M = sum(x.numerator for x in xs)
+    acc = (2 * f * n * plan.half_log_2pi + (2 * M - n * f) * plan.log_shift
+           - (2 * (M + n * Nf) << W))
+    q_man, q_exp = 1, 0  # the product of the P's, rounded down to W + 8 bits
+    for x in xs:
+        m = x.numerator
+        D = m + Nf
+        tail = m + N // 4 * 4 * f  # the factors past the last group of four
+        P = math.prod([a * (a + f) * (a + f2) * (a + f3) for a in range(m, tail, 4 * f)],
+                      start=math.prod(range(tail, D, f)))
+        cut = max(P.bit_length() - W - 8, 0)
+        q_man, q_exp = q_man * (P >> cut), q_exp + cut
+        cut = max(q_man.bit_length() - W - 8, 0)
+        q_man, q_exp = q_man >> cut, q_exp + cut
+        E = 2 * Nf + m
+        E2, m2, a = E * E, m * m, 0
+        for r in reversed(plan.atanh_coeffs):
+            a = a * m2 // E2 + r
+        acc += (4 * m * (2 * D - f) * a + E) // (2 * E)
+        D2, h = D * D, 0
+        for c in reversed(plan.coeffs):
+            h = h * Nf2 // D2 + c
+        acc += (4 * f * f * h + D) // (2 * D)
     with mp.workprec(W):
-        log_shift = mp.log(mp.mpf(prod) / mp.mpf(f ** N))
-        z = mp.mpf(D) / f
-        series = mp.ldexp((2 * acc * f + D) // (2 * D), -W)
-        s = (z - mp.mpf(1) / 2) * mp.log(z) - z + plan.half_log_2pi + series
-        s -= log_shift
+        shifted = mp.mpf((q_man, q_exp)) / mp.mpf(Nf) ** (N * n)
+        s = mp.ldexp((acc + f) // (2 * f), -W) - mp.log(shifted)
     with ctx.work():
         return +s
+
+
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"log_gamma takes a Fraction or an int, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def poly_roots(p: IntPolynomial, ctx: PrecisionContext):

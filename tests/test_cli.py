@@ -356,7 +356,7 @@ def test_height_colmez_reports_stirling_plan(capsys):
     # z = N is below 2^-(workbits+16); by reflection only m < 61/2 is evaluated
     assert "stirling_shift = 152\n" in out
     assert "stirling_terms = 28\n" in out
-    assert "log_gamma_calls = 30\n" in out
+    assert "log_gamma_args = 30\n" in out
     assert "height = 0.268865172331348356482945814572\n" in out
 
 

@@ -106,7 +106,7 @@ def test_closed_form_f5(ctx):
     with ctx.work():
         chi = char_from_spec(5, CHI5)
         h = colmez_height(chi, ctx)
-        lg = [log_gamma(Fraction(k, 5), ctx) for k in range(1, 5)]
+        lg = [log_gamma([Fraction(k, 5)], ctx) for k in range(1, 5)]
         closed = mp.log(5) / 2 + (-3 * lg[0] - lg[1] + lg[2] + 3 * lg[3]) / 2
         assert abs(h - closed) < ctx.tol
 
@@ -152,16 +152,35 @@ def test_height_4096_agrees_with_1024():
         assert abs(h_hi - h_lo) < lo.tol
 
 
-@pytest.mark.parametrize("f,spec,calls", [(5, CHI5, 2), (61, CHI61, 30), (16, CHI16, 4)])
+@pytest.mark.parametrize("f,spec,calls", [(5, CHI5, 2), (61, CHI61, 4), (16, CHI16, 2)])
 def test_reflection_halves_log_gamma_calls(ctx, monkeypatch, f, spec, calls):
+    # one call per non-empty group of chi(m) = i^k, over the residues m < f/2
     seen = []
 
-    def counted(x, c):
-        seen.append(x)
-        return log_gamma(x, c)
+    def counted(xs, c):
+        seen.append(xs)
+        return log_gamma(xs, c)
 
     monkeypatch.setattr(colmez, "log_gamma", counted)
     chi = char_from_spec(f, spec)
     colmez_height(chi, ctx)
-    assert seen == [Fraction(m, f) for m in half_residues(chi)]
+    assert sorted(x for xs in seen for x in xs) == [Fraction(m, f) for m in half_residues(chi)]
+    assert all(len({chi.value(x.numerator) for x in xs}) == 1 for xs in seen)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("f,spec,limit", [(5, CHI5, 5), (61, CHI61, 9), (16, CHI16, 5)])
+def test_colmez_height_mpmath_logs(monkeypatch, f, spec, limit):
+    # warm: one log per log_gamma call, one per sine group and log f / 2
+    ctx = PrecisionContext(256)
+    chi = char_from_spec(f, spec)
+    colmez_height(chi, ctx)
+    calls, log = [], mp.log
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "log", counted)
+    colmez_height(chi, ctx)
+    assert len(calls) <= limit

@@ -15,32 +15,32 @@ LG_1_2 = "0.57236494292470008707171367567652935582364740645766"
 
 def test_log_gamma_half(ctx):
     with ctx.work():
-        v = log_gamma(Fraction(1, 2), ctx)
+        v = log_gamma([Fraction(1, 2)], ctx)
         assert abs(v - mp.mpf(LG_1_2)) < mp.mpf(10) ** -48
         assert abs(v - mp.log(ctx.pi) / 2) < ctx.tol
 
 
 def test_log_gamma_one(ctx):
-    assert log_gamma(Fraction(1), ctx) == 0
-    assert log_gamma(1, ctx) == 0
+    assert log_gamma([Fraction(1)], ctx) == 0
+    assert log_gamma([1], ctx) == 0
 
 
 def test_log_gamma_fifth(ctx):
     with ctx.work():
-        assert abs(log_gamma(Fraction(1, 5), ctx) - mp.mpf(LG_1_5)) < mp.mpf(10) ** -48
+        assert abs(log_gamma([Fraction(1, 5)], ctx) - mp.mpf(LG_1_5)) < mp.mpf(10) ** -48
 
 
 def test_log_gamma_domain(ctx):
     for x in (2, 0, Fraction(0), Fraction(-1, 3), Fraction(4, 3)):
         with pytest.raises(ValueError):
-            log_gamma(x, ctx)
+            log_gamma([x], ctx)
 
 
 def test_log_gamma_rejects_non_rationals(ctx):
     # a float is a binary number, not the rational it was written as
     for x in (0.5, 0.1, mp.mpf(1) / 3, True):
         with pytest.raises(TypeError, match="takes a Fraction or an int"):
-            log_gamma(x, ctx)
+            log_gamma([x], ctx)
 
 
 def test_log_gamma_reflection(ctx):
@@ -49,9 +49,30 @@ def test_log_gamma_reflection(ctx):
         for _ in range(20):
             k = rng.randint(1, 9999)
             x = Fraction(k, 10000)
-            lhs = log_gamma(x, ctx) + log_gamma(1 - x, ctx)
+            lhs = log_gamma([x], ctx) + log_gamma([1 - x], ctx)
             rhs = mp.log(ctx.pi) - mp.log(mp.sin(ctx.pi * k / 10000))
             assert abs(lhs - rhs) < ctx.tol
+
+
+def test_log_gamma_sequences(ctx):
+    for xs in ([], [Fraction(1, 5), Fraction(2, 7)], [Fraction(1, 2), 1]):
+        with pytest.raises(ValueError):
+            log_gamma(xs, ctx)
+    for xs in ([Fraction(1, 5), 0.4], [True], [Fraction(1, 3), mp.mpf(1) / 3]):
+        with pytest.raises(TypeError, match="takes a Fraction or an int"):
+            log_gamma(xs, ctx)
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+def test_log_gamma_group_is_sum_of_singles(bits):
+    # ex2's groups: chi(2^j) = i^j mod 61, the residues m < 61/2 by j mod 4
+    ctx = PrecisionContext(bits)
+    for k in range(4):
+        xs = sorted(Fraction(m, 61) for j in range(k, 60, 4) if (m := pow(2, j, 61)) < 31)
+        group = log_gamma(xs, ctx)
+        singles = [log_gamma([x], ctx) for x in xs]
+        with mp.workprec(ctx.workbits + 96):
+            assert abs(group - mp.fsum(singles)) < mp.mpf(2) ** (12 - ctx.workbits)
 
 
 def test_log_gamma_precision_consistency():
@@ -59,8 +80,8 @@ def test_log_gamma_precision_consistency():
     b = PrecisionContext(256)
     with b.work():
         x = Fraction(3, 7)
-        va = log_gamma(x, a)
-        vb = log_gamma(x, b)
+        va = log_gamma([x], a)
+        vb = log_gamma([x], b)
         assert abs(va - vb) < a.tol
 
 
@@ -99,7 +120,7 @@ def test_log_gamma_against_oracle(bits, args):
     ctx = PrecisionContext(bits)
     for x in args:
         ref = _oracle_log_gamma(x, ctx)
-        v = log_gamma(x, ctx)
+        v = log_gamma([x], ctx)
         with mp.workprec(ctx.workbits + 96):
             assert abs(v - ref) < mp.mpf(2) ** (8 - ctx.workbits) * max(1, abs(ref)), x
 
@@ -117,6 +138,12 @@ def test_stirling_plan_first_omitted_term(bits):
     cut = Fraction(1, 2 ** (ctx.workbits + SERIES_BITS))
     assert term(K + 1, N) < term(K, N) < cut
     assert term(K - 1, N) >= cut  # K is the first term below the cut
+    assert 5 * K < N  # log_gamma's Horner error argument
+    # the atanh series stops at its first term t^(2k)/(2k+1) below the cut
+    # at t = 1/(2N+1), the largest t = m/(2Nf + m) for m <= f
+    k = len(plan.atanh_coeffs)
+    assert Fraction(1, (2 * k + 1) * (2 * N + 1) ** (2 * k)) < cut
+    assert Fraction(1, (2 * k - 1) * (2 * N + 1) ** (2 * k - 2)) >= cut
 
 
 def test_roots_quadratic(ctx):
