@@ -257,18 +257,26 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     # class mod 2, except the origin, which is its own mirror
     th = [(2 * re, 2 * im) for re, im in zip(half_re, half_im)]
     th[0] = (th[0][0] - (1 << W), th[0][1])
+    # the ten products T_c T_d, c <= d, each used by one or more squares
+    prods = {(c, d): (ar * br - ai * bi, ar * bi + ai * br)
+             for c, (ar, ai) in enumerate(th) for d, (br, bi) in enumerate(th) if c <= d}
     out = []
     with ctx.work():
         for ch in EVEN_CHARS:
+            # with k = 2 a1 + a2, the square is sum_c (-1)^(b.c) T_c T_(c xor k);
+            # for k != 0, c and c xor k give the same product with the same
+            # sign, since a.b is even, so each distinct product counts twice
+            k, b = 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2
             sr = si = 0
-            for c1 in range(2):
-                for c2 in range(2):
-                    (ar, ai), (br, bi) = th[2 * c1 + c2], th[2 * (c1 ^ ch.a1) + (c2 ^ ch.a2)]
-                    pr, pi = ar * br - ai * bi, ar * bi + ai * br
-                    if (c1 * ch.b1 + c2 * ch.b2) & 1:
+            for c in range(4):
+                if c <= c ^ k:
+                    pr, pi = prods[c, c ^ k]
+                    if bin(b & c).count("1") & 1:
                         pr, pi = -pr, -pi
                     sr += pr
                     si += pi
+            if k:
+                sr, si = 2 * sr, 2 * si
             # a square within 2^8 times its error bound of 0 is 0
             if max(abs(sr), abs(si)) >> (2 * W - ctx.workbits - e + 8) == 0:
                 sr = si = 0
