@@ -26,11 +26,15 @@ step factor g and w^2 at a scale 2^-V that falls with the terms.  A
 fixed-point error is absolute, so each row is walked outward from its peak
 p, the integer nearest -Im z12 m1 / Im z22 (clamped to the row): every step
 factor then has modulus at most 1, the terms shrink monotonically, and an
-error carried along the row never grows.  The only mpc values are the
-constants u^2, v^(+-1), w^(+-2) and four values carried from row to row,
-each moved by one product per step of m1 or of p: the start term
-s = t(m1, p), the two first step factors v^m1 w^(2p+1) and v^-m1 w^(1-2p),
-and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p).
+error carried along the row never grows.  Four values are carried from
+row to row, each moved by one product per step of m1 or of p: the start
+term s = t(m1, p), the two first step factors v^m1 w^(2p+1) and
+v^-m1 w^(1-2p), and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p).  They,
+and the constants u^2, v^(+-1), w^(+-2) they are multiplied by, are block
+floats: an int pair (re, im) with one shared exponent, cut back after each
+product to prec bits of its larger part.  A row's start term and first step
+factors reach the walk's scales 2^-W and 2^-V by a shift.  The only mpc
+work is u, v, w (three expjpi), u u, w w, 1/v and 1/w^2, once per call.
 
 Error argument.  Let e = ceil(pi y / (4 log 2)) + 1 with y = max(y11, y22,
 y11 + y22 - 2 |y12|) taken on Im 2Z = 2Y: the leading term of each T_c,
@@ -47,12 +51,20 @@ every square keeps workbits bits relative to its own size:
     every point of the ellipsoid of radius R (1 - 2^-42), whose tail is
     within a factor e^(2^-41 R^2) < 1 + 2^-22 of the target for R^2 < 2^18;
     the 16 spare bits of the target cover that.
-  - The start term of a row comes from a chain of N rounded mpc products at
-    prec = W - e bits, N = max m1 + the total movement of p, since s, the
-    step factors and a move by one product per step of m1 or p.  Each of
-    the four carried values is then within about N 2^-prec of itself
-    relative, and s within about N^2 2^-prec.  n = max m1 + max(4 max |m2|,
-    that movement) is at least N and the length of a row.
+  - The start term of a row comes from a chain of N block-float products
+    at prec = W - e bits, N = max m1 + the total movement of p, since s, the
+    step factors and a move by one product per step of m1 or p.  Cutting
+    both parts of a product to prec bits of the larger one, rounded down,
+    costs less than 2^(2 - prec) of its modulus; u and w are within about
+    2^(2 - prec) of themselves relative and the five constants, one or two
+    mpc operations further, within 2^(3 - prec).  So each of the four
+    carried values is within about (4 + 12 j) 2^-prec of itself relative
+    after j products, and s within about (6 N^2 + 2 N) 2^-prec <=
+    8 N^2 2^-prec, where a chain rounded to nearest would be within about
+    2.5 N^2 2^-prec.  n = max m1 + max(4 max |m2|, that movement) is at
+    least N and the length of a row, so with prec = workbits + 2 log2(n) + 4
+    s is within 2^-(workbits + 1) of itself relative, and within two more
+    units of 2^-W from its shift to the walk's scale.
   - Along a row, with b the bit length of the term's larger part, so that
     |t| < 2^(b + 1/2 - W), g and w^2 are kept at V = min(W, b + 24) bits
     and cut to the current b + 24 whenever 64 or more bits can go
@@ -63,12 +75,12 @@ every square keeps workbits bits relative to its own size:
     about j units of 2^-W near the peak, where V = W as in a walk at the
     full scale, and j units of 2^-(W + 23) once the term is below 2^-24.
     With the rounding of t itself, a row of at most n steps is within order
-    n^2 units of 2^-W, and W = workbits + 2 log2(n) + 2 + e makes each T_c
+    n^2 units of 2^-W, and W = workbits + 2 log2(n) + 4 + e makes each T_c
     within about 2^-(workbits + e).
-  - Each square is a sum of four products of two such sums, formed exactly
-    in ints at the scale 2^-2W and rounded once to working precision, so its
-    error is a few times 2^-(workbits + e), about 2^-workbits relative to a
-    square above 2^-e.
+  - Each square is a signed sum of the products T_c T_(c+a), formed exactly
+    in ints at the scale 2^-2W from the ten T_c T_d, c <= d, and rounded
+    once to working precision, so its error is a few times
+    2^-(workbits + e), about 2^-workbits relative to a square above 2^-e.
 
 The signed constants (theta_all) are square roots of the squares.  The sign
 of each root is the one with Re(root conj L) > 0, where L sums the terms of
@@ -180,14 +192,33 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
     return R * R, e, rows
 
 
-def _fixed(z, W):
-    """The mpc z as an int pair (re, im) at scale 2^-W, rounded down."""
-    return to_fixed(z.real._mpf_, W), to_fixed(z.imag._mpf_, W)
+def _block(z, prec):
+    """The mpc z as a block float (re, im, E), z ~ (re + i im) 2^E, with
+    prec bits in the larger part, rounded down."""
+    parts = z.real._mpf_, z.imag._mpf_
+    E = max(exp + bc for _, man, exp, bc in parts if man) - prec
+    return to_fixed(parts[0], -E), to_fixed(parts[1], -E), E
 
 
-def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
-    """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
-    theta[c;0](2Z) of one walk (see the module docstring)."""
+def _mul(x, y, prec):
+    """The block float x y, cut back to prec bits of its larger part."""
+    (ar, ai, ea), (br, bi, eb) = x, y
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    d = max(re.bit_length(), im.bit_length()) - prec
+    return (re >> d, im >> d, ea + eb + d) if d > 0 else (re, im, ea + eb)
+
+
+def _scaled(x, W):
+    """The block float x as an int pair at scale 2^-W, rounded down."""
+    re, im, E = x
+    k = E + W
+    return (re << k, im << k) if k >= 0 else (re >> -k, im >> -k)
+
+
+def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext):
+    """e, the precision prec of the chain, the rows (m1, lo, hi) of
+    _ellipsoid_rows and each row's peak p (see the module docstring); the
+    walk's scale is W = prec + e."""
     _, e, rows = _ellipsoid_rows(Z, ctx)
     _, y12, y22 = Z.im_entries()
     peak = float(-y12 / y22)
@@ -196,63 +227,82 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     # the longest chain of rounded products: the steps of m1 and p that
     # carry the start values, or a walk along a row
     n = rows[-1][0] + max(4 * K, sum(abs(q - p) for p, q in zip([0] + starts, starts)))
-    prec = ctx.workbits + 2 * n.bit_length() + 2
-    W = prec + e
+    return e, ctx.workbits + 2 * n.bit_length() + 4, rows, starts
+
+
+def _row_starts(Z: PeriodMatrix, prec, W, rows, starts):
+    """For each row (m1, lo, hi) and its peak p, the values the walk starts
+    from: (m1, p, s, V, g_up, g_down, q), with s = t(m1, p) at the scale
+    2^-W and the step factors g_up = v^m1 w^(2p + 1), g_down = v^-m1 w^(1 - 2p)
+    and q = w^2 at the scale 2^-V, V = min(W, b + STEP_GUARD_BITS) for b the
+    bit length of the larger part of s.
+
+    t = u^(m1^2) v^(m1 m2) w^(m2^2) is largest at m2 = peak m1.  From the
+    nearest integer p in [lo, hi], the step factors t(m2 + 1) / t(m2) =
+    v^m1 w^(2 m2 + 1) for m2 >= p and t(m2 - 1) / t(m2) = v^-m1 w^(1 - 2 m2)
+    for m2 <= p have modulus at most 1, and each is multiplied by w^2 per
+    step.  From row to row go s, g_up, g_down and a = u^(2 m1 + 1) v^p =
+    t(m1 + 1, p) / t(m1, p), one block-float product each per step of m1 or
+    of p (see the module docstring)."""
     with mp.workprec(prec):
         u = mp.expjpi(Z.z11 / 2)
         v = mp.expjpi(Z.z12)
         w = mp.expjpi(Z.z22 / 2)
-        u2, vinv, w2 = u * u, 1 / v, w * w
-        w2inv = 1 / w2
-        w2r, w2i = _fixed(w2, W)
-        # half_re[2 c1 + c2] + i half_im[2 c1 + c2] sums the half-lattice
-        # terms with m = (c1, c2) mod 2, at scale 2^-W
-        half_re, half_im = [0] * 4, [0] * 4
-        # t = u^(m1^2) v^(m1 m2) w^(m2^2) is largest at m2 = peak m1.
-        # From the nearest integer p in [lo, hi], the step factors
-        # t(m2 + 1) / t(m2) = v^m1 w^(2 m2 + 1) for m2 >= p and
-        # t(m2 - 1) / t(m2) = v^-m1 w^(1 - 2 m2) for m2 <= p have modulus at
-        # most 1, and each is multiplied by w^2 per step.  From row to row
-        # go s = t(m1, p), g_up = v^m1 w^(2p + 1), g_down = v^-m1 w^(1 - 2p)
-        # and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p), one product
-        # each per step of m1 or of p
-        s, g_up, g_down, a = mp.mpc(1), w, w, u
-        m1 = p = 0
-        for (r, lo, hi), target in zip(rows, starts):
-            while m1 < r:
-                s, a, g_up, g_down = s * a, a * u2, g_up * v, g_down * vinv
-                m1 += 1
-            while p < target:
-                s, g_up, g_down, a = s * g_up, g_up * w2, g_down * w2inv, a * v
-                p += 1
-            while p > target:
-                s, g_down, g_up, a = s * g_down, g_down * w2, g_up * w2inv, a * vinv
-                p -= 1
-            tr, ti = _fixed(s, W)
-            base = 2 * (m1 & 1)
-            half_re[base + (p & 1)] += tr
-            half_im[base + (p & 1)] += ti
-            # the step factor and w^2 run at the scale 2^-V: V = W, or
-            # STEP_GUARD_BITS above the bit length of a smaller term, and
-            # they drop STEP_DROP_BITS or more bits at once as the term falls
-            V0 = min(W, max(tr.bit_length(), ti.bit_length()) + STEP_GUARD_BITS)
-            for sgn, g, stop in ((1, g_up, hi), (-1, g_down, lo)):
-                ar, ai, V = tr, ti, V0
-                gr, gi = _fixed(g, V)
-                qr, qi = w2r >> (W - V), w2i >> (W - V)
-                lim = 1 << (V - STEP_GUARD_BITS - STEP_DROP_BITS) \
-                    if V >= STEP_GUARD_BITS + STEP_DROP_BITS else 0
-                for m2 in range(p + sgn, stop + sgn, sgn):
-                    ar, ai = (ar * gr - ai * gi) >> V, (ar * gi + ai * gr) >> V
-                    gr, gi = (gr * qr - gi * qi) >> V, (gr * qi + gi * qr) >> V
-                    k = base + (m2 & 1)
-                    half_re[k] += ar
-                    half_im[k] += ai
-                    if -lim < ar < lim and -lim < ai < lim:
-                        d = V - STEP_GUARD_BITS - max(ar.bit_length(), ai.bit_length())
-                        gr, gi, qr, qi = gr >> d, gi >> d, qr >> d, qi >> d
-                        V -= d
-                        lim >>= d
+        w2 = w * w
+        u2, v, vinv, w2, w2inv, u, w = (_block(x, prec)
+                                        for x in (u * u, v, 1 / v, w2, 1 / w2, u, w))
+    s, g_up, g_down, a = (1, 0, 0), w, w, u
+    m1 = p = 0
+    for (r, _, _), target in zip(rows, starts):
+        while m1 < r:
+            s, a = _mul(s, a, prec), _mul(a, u2, prec)
+            g_up, g_down = _mul(g_up, v, prec), _mul(g_down, vinv, prec)
+            m1 += 1
+        while p < target:
+            s, a = _mul(s, g_up, prec), _mul(a, v, prec)
+            g_up, g_down = _mul(g_up, w2, prec), _mul(g_down, w2inv, prec)
+            p += 1
+        while p > target:
+            s, a = _mul(s, g_down, prec), _mul(a, vinv, prec)
+            g_up, g_down = _mul(g_up, w2inv, prec), _mul(g_down, w2, prec)
+            p -= 1
+        tr, ti = _scaled(s, W)
+        V = min(W, max(tr.bit_length(), ti.bit_length()) + STEP_GUARD_BITS)
+        yield m1, p, (tr, ti), V, _scaled(g_up, V), _scaled(g_down, V), _scaled(w2, V)
+
+
+def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
+    """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
+    theta[c;0](2Z) of one walk (see the module docstring)."""
+    e, prec, rows, starts = _walk_plan(Z, ctx)
+    W = prec + e
+    # half_re[2 c1 + c2] + i half_im[2 c1 + c2] sums the half-lattice
+    # terms with m = (c1, c2) mod 2, at scale 2^-W
+    half_re, half_im = [0] * 4, [0] * 4
+    for (_, lo, hi), (m1, p, (tr, ti), V0, g_up, g_down, q) in \
+            zip(rows, _row_starts(Z, prec, W, rows, starts)):
+        base = 2 * (m1 & 1)
+        half_re[base + (p & 1)] += tr
+        half_im[base + (p & 1)] += ti
+        # the step factor and w^2 run at the scale 2^-V: V = W, or
+        # STEP_GUARD_BITS above the bit length of a smaller term, and
+        # they drop STEP_DROP_BITS or more bits at once as the term falls
+        for sgn, (gr, gi), stop in ((1, g_up, hi), (-1, g_down, lo)):
+            ar, ai, V = tr, ti, V0
+            qr, qi = q
+            lim = 1 << (V - STEP_GUARD_BITS - STEP_DROP_BITS) \
+                if V >= STEP_GUARD_BITS + STEP_DROP_BITS else 0
+            for m2 in range(p + sgn, stop + sgn, sgn):
+                ar, ai = (ar * gr - ai * gi) >> V, (ar * gi + ai * gr) >> V
+                gr, gi = (gr * qr - gi * qi) >> V, (gr * qi + gi * qr) >> V
+                k = base + (m2 & 1)
+                half_re[k] += ar
+                half_im[k] += ai
+                if -lim < ar < lim and -lim < ai < lim:
+                    d = V - STEP_GUARD_BITS - max(ar.bit_length(), ai.bit_length())
+                    gr, gi, qr, qi = gr >> d, gi >> d, qr >> d, qi >> d
+                    V -= d
+                    lim >>= d
     # theta[c;0](2Z): each half-lattice term also stands for -m, in the same
     # class mod 2, except the origin, which is its own mirror
     th = [(2 * re, 2 * im) for re, im in zip(half_re, half_im)]

@@ -1,15 +1,16 @@
 import functools
+import os
 
 import mpmath as mp
 import pytest
 
-from g2heights import cmperiod, siegel, theta
+from g2heights import cli, cmperiod, siegel, theta
 from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
-                             ThetaCharacteristic, _ellipsoid_rows,
-                             archimedean_term, chi10, theta_all, theta_big,
-                             theta_squares)
+                             ThetaCharacteristic, _ellipsoid_rows, _row_starts,
+                             _walk_plan, archimedean_term, chi10, theta_all,
+                             theta_big, theta_squares)
 
 
 def theta1d(a, b, tau, R=40):
@@ -222,6 +223,58 @@ def test_fixed_point_walk_relative_error(bits):
             for ch, x, y in zip(EVEN_CHARS, squares, ref):
                 assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), \
                     (bits, name, ch)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_chain_start_terms(bits):
+    # each row's start term s = t(m1, p), carried from row to row on block
+    # floats, is within 8 N^2 2^-prec of itself relative, N the products of
+    # the chain so far, and within two units of 2^-W more from the shift to
+    # the walk's scale (the module docstring's bound); on the cases with the
+    # longest chains
+    ctx = PrecisionContext(bits)
+    cases = _truncation_cases(ctx)
+    for name in ("ex1 unreduced", "scrambled"):
+        Z = cases[name]
+        e, prec, rows, starts = _walk_plan(Z, ctx)
+        W = prec + e
+        N = last_m1 = last_p = 0
+        for m1, p, (tr, ti), *_ in _row_starts(Z, prec, W, rows, starts):
+            N += m1 - last_m1 + abs(p - last_p)
+            last_m1, last_p = m1, p
+            with mp.workprec(ctx.workbits + 64):
+                # t(m1, p) in units of 2^-W
+                s = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * p * Z.z12 + p * p * Z.z22) / 2) * 2 ** W
+                assert abs(mp.mpc(tr, ti) - s) <= mp.ldexp(8 * N * N * abs(s), -prec) + 2, \
+                    (bits, name, m1)
+
+
+def _job_Z(name, ctx):
+    """The Siegel-reduced period matrix of jobs/<name>.job."""
+    job = cli.parse_job(os.path.join(os.path.dirname(__file__), "..", "jobs", f"{name}.job"))
+    with ctx.work():
+        return siegel.reduce(cli.job_periods(job, ctx)[0], ctx)[1]
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_theta_squares_mpc_products(bits, monkeypatch):
+    # the chain from row to row runs on ints: one theta_squares makes two mpc
+    # products (u^2 and w^2) at any precision and however many rows it walks
+    ctx = PrecisionContext(bits)
+    cases = {name: _job_Z(name, ctx) for name in ("ex1", "ex2", "ex3")}
+    cases["im z22 = 95"] = _walk_cases(ctx)["im z22 = 95"]
+    mul, calls = mp.mpc.__mul__, []
+
+    def counted(x, y):
+        calls.append(1)
+        return mul(x, y)
+    monkeypatch.setattr(mp.mpc, "__mul__", counted)
+    counts = []
+    for Z in cases.values():
+        calls.clear()
+        theta_squares(Z, ctx)
+        counts.append(len(calls))
+    assert counts == [2] * len(cases), counts
 
 
 def test_arch_term_tiny_chi10(ctx):
