@@ -17,7 +17,7 @@ from math import gcd
 
 import mpmath as mp
 
-from .prec import PrecisionContext, log_gamma
+from .prec import SERIES_BITS, PrecisionContext, log_gamma, stirling_plan
 
 # the four units of Z[i], index = power of i
 _UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -128,15 +128,20 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     The residues are grouped by the value i^k of chi(m): each of the at
     most four non-empty groups takes one log_gamma call, which sums its
     log Gamma values with one log, one log of the product of its sines,
-    and log pi (ctx.log_pi) times its size.
+    and log pi (from the Stirling plan) times its size.
 
-    The sines come from one root of unity: sin(pi m/f) = Im zeta^m with
-    zeta = exp(i pi/f), and zeta^m is walked by repeated products at
-    p = workbits + 2 bits(f) + 2.  |zeta| = 1, and zeta and each product
-    round each component once, so each step adds less than 3 2^-p to the
-    absolute error, and zeta^m is off by less than 3 m 2^-p < 2 f 2^-p for
-    m < f/2.  There sin(pi m/f) >= 2/f, so each sine keeps a relative error
-    below f^2 2^-p < 2^-(workbits+2).
+    The sines come from the Chebyshev recurrence s_(m+1) = 2 c s_m - s_(m-1),
+    s_m = sin(pi m/f), c = cos(pi/f), run on ints at the scale 2^-p,
+    p = workbits + 3 bits(f).  It starts from s_0 = 0 and from s_1 and
+    c, the parts of exp(i pi/f) taken with mpmath at p + 8 bits and
+    rounded, each off by less than 0.51 ulps.  A step rounds 2 c s_m down
+    and multiplies the error of c by 2 |s_m| <= 2, so it adds less than 2.1
+    ulps.  An error added at step k reaches step m multiplied by
+    U_(m-k)(c), of modulus |sin((m-k+1) pi/f) / sin(pi/f)| <= m - k + 1, so
+    s_m is off by less than 2.1 m^2/2 + 0.51 m < 1.05 m^2 + m ulps.  For
+    m < f/2, sin(pi m/f) >= 2m/f, so each sine keeps a relative error below
+    (1.05 m + 1) f/2 < f^2 ulps, that is 2^-(workbits + bits(f)), and the
+    logs of the at most f/2 sines sum to within 2^-(workbits+1).
 
     The divisor never vanishes: sum_m chi(m) m = f B_{1,chi} = -f L(0, chi),
     and L(0, chi) != 0 for a primitive odd chi, by the functional equation
@@ -144,21 +149,26 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     """
     f = chi.f
     residues = half_residues(chi)
-    with mp.workprec(ctx.workbits + 2 * f.bit_length() + 2):
-        zeta, power, sin = mp.expjpi(mp.mpf(1) / f), mp.mpc(1), {}
-        for m in range(1, residues[-1] + 1):
-            power *= zeta
-            sin[m] = power.imag
+    plan, W = stirling_plan(ctx), ctx.workbits + SERIES_BITS
+    p = ctx.workbits + 3 * f.bit_length()
+    with mp.workprec(p + 8):
+        zeta = mp.expjpi(mp.mpf(1) / f)
+        c, s1 = (int(mp.nint(mp.ldexp(v, p))) for v in (zeta.real, zeta.imag))
+    ints = [0, s1]
+    for _ in range(residues[-1] - 1):
+        ints.append((c * ints[-1] >> (p - 1)) - ints[-2])
+    with mp.workprec(p):
+        sin = [mp.mpf((v, -p)) for v in ints]
     groups = [[] for _ in _UNITS]  # the residues with chi(m) = i^k
     for m in residues:
         groups[chi.table[m]].append(m)
     with ctx.work():
-        s = mp.mpc(0)
+        log_pi, s = mp.ldexp(plan.log_pi, -W), mp.mpc(0)
         for unit, ms in zip(_UNITS, groups):
             if ms:
                 sines = mp.fprod(sin[m] for m in ms)
                 term = (2 * log_gamma([Fraction(m, f) for m in ms], ctx)
-                        - len(ms) * ctx.log_pi + mp.log(sines))
+                        - len(ms) * log_pi + mp.log(sines))
                 s += mp.mpc(*unit) * term
         w = mp.mpc(*char_weighted_sum(chi))
         return +(mp.log(f) / 2 + f * mp.re(s / w))

@@ -2,8 +2,8 @@
 roots of a CM quartic.
 
 mpmath supplies the big-float substrate (mpf/mpc arithmetic, exp, log, pi,
-sqrt) and the Bernoulli numbers (mpmath.bernfrac).  log_gamma and the
-roots are implemented here so their error behaviour is under our control.
+sqrt).  log_gamma, its Bernoulli numbers and the roots are implemented here
+so their error behaviour is under our control.
 
 The roots need no root finder: a quartic whose roots are two conjugate
 pairs splits over its resolvent cubic into two real quadratics, decided in
@@ -16,28 +16,30 @@ calls it once per value of its character.  Its callers halve the work by the
 reflection log Gamma(1-x) = log pi - log sin(pi x) - log Gamma(x)
 (colmez_height evaluates only m/f < 1/2).  Each x = m/f is shifted to
 z = x + N = D/f, D = m + N f, where the Stirling series is summed; the shift
-N and the term count K are planned once per working precision so that the
-first omitted term, which for real z > 0 bounds the remainder, is below
-2^-W, W = workbits + 16.  With log z = log N + log(D/(N f)), the N log N in
-(z - 1/2) log z and in the log of the shift prod_{j<N} (m + j f) / f^N
-cancel in closed form, leaving (x - 1/2) log N.  Every other part is a
-ratio of small integers, and is summed on Python ints at the scale 2^-W
-(Brent and Zimmermann, Modern Computer Arithmetic, ch. 4): log(D/(N f)) is
-2 atanh(m/(2 N f + m)), a series in a square below 1/(4 N^2), and the
-Stirling series is a Horner in u = (N f/D)^2 < 1 on the coefficients
-c_n / N^(2n-2), which fall with n as the terms do, so the ints shrink as
-the Horner runs.  What is left is one log of the product of the group's
-shift products over (N f)^(N n), n residues, a number near e^(-N n).  Its
-size, about N n, against the 2^-W of the rest, is the log2 N bits that
-cancel between it and the -z of each residue; SERIES_BITS = 16 covers
-them and the few ulps of the int sums (see log_gamma).
+N = workbits // 5 and the term count K are planned once per working
+precision so that the first omitted term, which for real z > 0 bounds the
+remainder, is below 2^-W, W = workbits + 16.  A smaller N makes the shift
+product shorter and the Stirling series longer (K is about 0.7 N); the
+exact B_2n it needs come from the tangent numbers, on Python ints, by the
+recurrence of Brent and Harvey (bernoulli_numbers).  With log z = log N +
+log(D/(N f)), the N log N in (z - 1/2) log z and in the log of the shift
+prod_{j<N} (m + j f) / f^N cancel in closed form, leaving (x - 1/2) log N.
+Every other part is a ratio of small integers, and is summed on Python
+ints at the scale 2^-W (Brent and Zimmermann, Modern Computer Arithmetic,
+ch. 4): log(D/(N f)) is 2 atanh(m/(2 N f + m)), a series in a square below
+1/(4 N^2), and the Stirling series is a Horner in u = (N f/D)^2 < 1 on the
+coefficients c_n / N^(2n-2), which fall with n as the terms do, so the ints
+shrink as the Horner runs.  What is left is one log of the product of the
+group's shift products over (N f)^(N n), n residues, a number near
+e^(-N n).  Its size, about N n, against the 2^-W of the rest, is the
+log2 N bits that cancel between it and the -z of each residue; SERIES_BITS
+= 16 covers them and the few ulps of the int sums (see log_gamma).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
@@ -64,12 +66,6 @@ class PrecisionContext:
             self.pi = +mp.pi
             self.log2 = mp.log(2)
 
-    @cached_property
-    def log_pi(self):
-        """log pi at the working precision, taken once per context."""
-        with mp.workprec(self.workbits):
-            return mp.log(self.pi)
-
     def work(self):
         """Context manager setting mpmath to the working precision."""
         return mp.workprec(self.workbits)
@@ -92,13 +88,15 @@ class StirlingPlan(NamedTuple):
     W = workbits + SERIES_BITS, each rounded to nearest: the argument
     shift N, the term count K and the normalised coefficients
     c_n / N^(2n-2), c_n = B_2n / (2n (2n-1)), n = 1..K; the coefficients
-    1/(2k+1) of atanh(t)/t for t <= 1/(2N+1); (1/2) log(2 pi) and log N."""
+    1/(2k+1) of atanh(t)/t for t <= 1/(2N+1); (1/2) log(2 pi), log N and
+    log pi."""
 
     shift: int
     coeffs: tuple
     atanh_coeffs: tuple
     half_log_2pi: int
     log_shift: int
+    log_pi: int
 
     @property
     def terms(self) -> int:
@@ -109,23 +107,22 @@ _plans: dict[int, StirlingPlan] = {}
 
 
 def stirling_plan(ctx: PrecisionContext) -> StirlingPlan:
-    """The plan for ctx.workbits, built once.  N = workbits/2 + 8 and K is
+    """The plan for ctx.workbits, built once.  N = workbits // 5 and K is
     the first n whose term c_n / N^(2n-1) is below 2^-W; the atanh series
     stops at the first k whose term t^(2k) / (2k+1) at t = 1/(2N+1) is
     below 2^-W.  Both comparisons are made in integers, the first on the
-    exact B_2n."""
+    exact B_2n, of which bernoulli_numbers makes as many as
+    _stirling_length bounds K by."""
     wb = ctx.workbits
     plan = _plans.get(wb)
     if plan is None:
         W = wb + SERIES_BITS
-        shift = wb // 2 + 8
+        shift = wb // 5
         coeffs, npow = [], 1  # npow = N^(2n-2)
-        while True:
-            n = len(coeffs) + 1
-            num, den = mp.bernfrac(2 * n)
-            d = den * 2 * n * (2 * n - 1) * npow
-            coeffs.append(((num << (W + 1)) + d) // (2 * d))
-            if abs(num) << W < d * shift:
+        for n, b in enumerate(bernoulli_numbers(_stirling_length(shift, W)), 1):
+            d = b.denominator * 2 * n * (2 * n - 1) * npow
+            coeffs.append(((b.numerator << (W + 1)) + d) // (2 * d))
+            if abs(b.numerator) << W < d * shift:
                 break
             npow *= shift * shift
         atanh, t2 = [], (2 * shift + 1) ** 2
@@ -135,11 +132,40 @@ def stirling_plan(ctx: PrecisionContext) -> StirlingPlan:
             if 1 << W < (2 * k + 3) * t2 ** (k + 1):
                 break
         with mp.workprec(W + 8):
-            half_log_2pi, log_shift = (int(mp.nint(mp.ldexp(v, W))) for v in
-                                       (mp.log(2 * mp.pi) / 2, mp.log(shift)))
-        plan = StirlingPlan(shift, tuple(coeffs), tuple(atanh), half_log_2pi, log_shift)
+            consts = [int(mp.nint(mp.ldexp(v, W))) for v in
+                      (mp.log(2 * mp.pi) / 2, mp.log(shift), mp.log(mp.pi))]
+        plan = StirlingPlan(shift, tuple(coeffs), tuple(atanh), *consts)
         _plans[wb] = plan
     return plan
+
+
+def _stirling_length(shift: int, W: int) -> int:
+    """The first n at which 4 (2n-2)! / ((2 pi)^(2n) N^(2n-1)), taken in
+    doubles, is below 2^-(W+1).  |B_2n| = 2 zeta(2n) (2n)! / (2 pi)^(2n)
+    (DLMF 25.6.2) and zeta(2n) < 2, so that is a bound on the term
+    c_n / N^(2n-1), which is below 2^-W there, and K <= n; the spare bit
+    covers the doubles' rounding."""
+    n, cut = 1, -(W + 1) * math.log(2)
+    while (math.lgamma(2 * n - 1) + math.log(4) - 2 * n * math.log(2 * math.pi)
+           - (2 * n - 1) * math.log(shift)) >= cut:
+        n += 1
+    return n
+
+
+def bernoulli_numbers(n: int) -> list[Fraction]:
+    """B_2, B_4, ..., B_2n, exact.  They come from the tangent numbers,
+    T_k = (-1)^(k-1) 4^k (4^k - 1) B_2k / 2k, which are positive integers:
+    the recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+    Tangent and Secant numbers", 2013, algorithm TangentNumbers) builds
+    T_1 .. T_n on Python ints in n^2/2 steps of two small-int products."""
+    t = [1]  # t[k-1] = T_k
+    for k in range(1, n):
+        t.append(k * t[-1])
+    for k in range(1, n):
+        for j in range(k, n):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction((-1) ** k * (2 * k + 2) * tk, 4 ** (k + 1) * (4 ** (k + 1) - 1))
+            for k, tk in enumerate(t)]
 
 
 def log_gamma(xs, ctx: PrecisionContext):
@@ -178,13 +204,16 @@ def log_gamma(xs, ctx: PrecisionContext):
       from W to about bits(N) as n grows, so the early steps are short.
       Each step and its rounded c'_n are off by less than 3/2, and a
       later step multiplies an error by u < 1, so h is off by less than
-      3K/2; 2f S(z) = round(2 f^2 h / D), and f/D < 1/N and K < N/5 at
-      every precision, so S(z) is off by less than 0.3 + 1/4 + 1.
+      3K/2; 2f S(z) = round(2 f^2 h / D), and f/D < 1/N and K < N at
+      every precision (K/N is 18/19, 44/57, 149/211 and 572/825 at 64,
+      256, 1024 and 4096 bits, peaks at 20/21 at 77 bits and tends to
+      about 0.7), so S(z) is off by less than 3K/(2N) + 1/4 + 1 < 11/4.
     - (z - 1/2) L: atanh(t)/t = sum_k t^(2k) / (2k+1) by the Horner
       a <- floor(a t^2) + round(2^W / (2k+1)) over the plan's atanh
-      terms.  t <= 1/(2N+1), so the omitted tail is below 1/(1 - t^2),
-      and each step's error, below 3/2, shrinks by t^2 with each later
-      step: a is off by less than (5/2)/(1 - t^2) < 2.51.  (2D - f) L =
+      terms.  t <= 1/(2N+1) <= 1/39 (N >= 19 from 64 bits up), so the
+      omitted tail is below 1/(1 - t^2), and each step's error, below
+      3/2, shrinks by t^2 with each later step: a is off by less than
+      (5/2)/(1 - t^2) < 2.51.  (2D - f) L =
       round(2m (2D - f) a / (2N f + m)) multiplies that by less than 2m,
       so after the division by 2f (z - 1/2) L is off by less than
       2.51 m/f + 1/4 < 2.76.
@@ -205,10 +234,13 @@ def log_gamma(xs, ctx: PrecisionContext):
     and in the shift are gone in closed form, but the -z of each x and
     the log of its shift, both about N in size, still cancel down to
     log Gamma(x), so the ulp of the rounded log costs log2(N + log(N f))
-    bits.  The sum is off by less than n (N + log(N f) + 6) + 3 ulps of
-    2^-W.  With N = workbits/2 + 8, that is below n 2^-workbits for any
-    workbits below 2^16 and f below 2^1000, before the final rounding at
-    workbits: SERIES_BITS = 16 covers the cancellation and the int sums.
+    bits.  Per x the other terms add less than 11/4 + 2.76 + 0.86 + 1/64
+    < 7, and per call 1/2 + 2 < 3, so the sum is off by less than
+    n (N + log(N f) + 7) + 3 ulps of 2^-W.  With N = workbits // 5, below
+    13,108 for any workbits below 2^16, and log(N f) below 705 for f below
+    2^1000, that is below n 2^16 ulps, that is n 2^-workbits, before the
+    final rounding at workbits: SERIES_BITS = 16 covers the cancellation
+    and the int sums.
     """
     xs = [_rational(x) for x in xs]
     if not xs:

@@ -129,10 +129,12 @@ def test_height_against_oracle_1024(f, spec):
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
-@pytest.mark.parametrize("f", [13, 29, 37, 53, 101])
+@pytest.mark.parametrize("f", [13, 29, 37, 53, 101, 661])
 def test_height_against_oracle_past_61(f, bits):
     # p = 5 mod 8 with 2 a primitive root: chi(2) = i has order 4 and
-    # chi(-1) = i^((p-1)/2) = -1; f = 101 walks the sine chain 50 steps.
+    # chi(-1) = i^((p-1)/2) = -1; f = 101 walks the sine chain 50 steps and
+    # f = 661 walks it 330, where the chain's error, which grows as m^2, is
+    # largest.
     # The bound is 2^12 ulps of workbits, not ctx.tol = 2^64 ulps, so that
     # guard bits lost in the sine chain or the int Horner show here
     ctx = PrecisionContext(bits)

