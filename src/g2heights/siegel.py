@@ -15,6 +15,13 @@ formula (AZ + B)(CZ + D)^-1 at the working precision but only the
 operations of it that can round: a translation and a GL2 change need no
 inverse, and a full inversion [[0, -I], [I, D]] needs only (Z + D)^-1.
 
+Each move keeps Z in H2: Im gamma Z = (CZ + D)^-* Im Z (CZ + D)^-1, so
+det Im gamma Z = det Im Z / |det(CZ + D)|^2 and Im gamma Z is positive
+definite with Im Z.  So act builds its images unchecked, and positivity is
+checked where a matrix enters the package (the PeriodMatrix constructor:
+cmperiod.period_matrix, the CLI, a matrix built by a caller) and once on
+the Z_red that reduce returns.
+
 Condition (i) (det Im(gamma Z) <= det Im Z for all gamma) is enforced through
 a finite determinant test set.  We use a superset of Gottschling's 19
 matrices: the two partial inversions plus all gamma = [[0,-I],[I,D]] with D
@@ -69,9 +76,7 @@ class SymplecticMatrix:
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         # a product of symplectic matrices is symplectic: no re-check
-        prod = object.__new__(SymplecticMatrix)
-        prod.m = _mat4_mul(self.m, other.m)
-        return prod
+        return _symplectic(_mat4_mul(self.m, other.m))
 
     def __eq__(self, other):
         return isinstance(other, SymplecticMatrix) and self.m == other.m
@@ -95,21 +100,34 @@ class SymplecticMatrix:
 
     @staticmethod
     def translation(b11, b12, b22) -> "SymplecticMatrix":
-        return SymplecticMatrix.from_blocks(
-            [[1, 0], [0, 1]], [[b11, b12], [b12, b22]],
-            [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+        return SymplecticMatrix(_translation_rows(b11, b12, b22))
 
     @staticmethod
     def embed_gl2(A) -> "SymplecticMatrix":
         """Z -> A Z A^T for A in GL2(Z): gamma = [[A, 0], [0, A^-T]]."""
-        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-        if det not in (1, -1):
+        if A[0][0] * A[1][1] - A[0][1] * A[1][0] not in (1, -1):
             raise ValueError("A must be unimodular")
-        # A^-T = adj(A)^T / det
-        ainvT = [[A[1][1] * det, -A[1][0] * det],
-                 [-A[0][1] * det, A[0][0] * det]]
-        return SymplecticMatrix.from_blocks(A, [[0, 0], [0, 0]],
-                                            [[0, 0], [0, 0]], ainvT)
+        return SymplecticMatrix(_gl2_rows(A))
+
+
+def _symplectic(m) -> SymplecticMatrix:
+    """The SymplecticMatrix of the int rows m, known to be symplectic by
+    construction: no check."""
+    g = object.__new__(SymplecticMatrix)
+    g.m = m
+    return g
+
+
+def _translation_rows(b11, b12, b22):
+    """The rows of [[I, B], [0, I]], B = (b11 b12; b12 b22)."""
+    return [[1, 0, b11, b12], [0, 1, b12, b22], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def _gl2_rows(A):
+    """The rows of [[A, 0], [0, A^-T]] for A of det +-1: A^-T = det adj(A)^T."""
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return [[a, b, 0, 0], [c, d, 0, 0], [0, 0, d * det, -c * det], [0, 0, -b * det, a * det]]
 
 
 def _mat4_mul(a, b):
@@ -193,31 +211,43 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
       1 z_ij + d_ij as in a translation, so m21 = m12.  Each w_ij is -1
       times an entry of M^-1 plus an exact 0, and -((-m12) / det) =
       m12 / det, so W = -M^-1 = (-m22, m12, -m11) / det.
+
+    Every entry comes out of an mpc operation at the ambient precision, so
+    it is an mpc rounded there, and the image is built with
+    PeriodMatrix._of: no re-wrap, and no positivity check.  gamma Z stays in
+    H2: Im gamma Z = (CZ + D)^-* Im Z (CZ + D)^-1, so det Im gamma Z =
+    det Im Z / |det(CZ + D)|^2 > 0, and Im gamma Z is positive definite
+    with Im Z.  The rounded image can leave H2 only where Im gamma Z is
+    within its rounding error of a singular matrix, that is, where the
+    precision cannot tell the point from the boundary of H2.  So positivity
+    is checked where a matrix enters the package (the PeriodMatrix
+    constructor, which cmperiod.period_matrix and the CLI call) and once on
+    the Z_red that reduce returns, not on every move.
     """
     ((a11, a12, b11, b12), (a21, a22, b21, b22),
      (c11, c12, d11, d12), (c21, c22, d21, d22)) = gamma.m
     z11, z12, z22 = Z.entries()
     if not (c11 or c12 or c21 or c22):
         if a11 == a22 == 1 and not (a12 or a21):
-            return PeriodMatrix(1 * z11 + b11, 1 * z12 + b12, 1 * z22 + b22)
+            return PeriodMatrix._of(1 * z11 + b11, 1 * z12 + b12, 1 * z22 + b22)
         if not (b11 or b12 or b21 or b22):
             n11, n12 = _lin(a11, z11, a12, z12), _lin(a11, z12, a12, z22)
             n21, n22 = _lin(a21, z11, a22, z12), _lin(a21, z12, a22, z22)
-            return PeriodMatrix(_lin(a11, n11, a12, n12),
-                                (_lin(a21, n11, a22, n12) + _lin(a11, n21, a12, n22)) / 2,
-                                _lin(a21, n21, a22, n22))
+            return PeriodMatrix._of(_lin(a11, n11, a12, n12),
+                                    (_lin(a21, n11, a22, n12) + _lin(a11, n21, a12, n22)) / 2,
+                                    _lin(a21, n21, a22, n22))
     if (c11 == c22 == 1 and b11 == b22 == -1
             and not (c12 or c21 or b12 or b21 or a11 or a12 or a21 or a22)):
         m11, m12, m22 = 1 * z11 + d11, 1 * z12 + d12, 1 * z22 + d22
         det = m11 * m22 - m12 * m12
-        if abs(det) == 0:
+        if not det:
             raise ZeroDivisionError("lam Z + mu is singular")
-        return PeriodMatrix(-(m22 / det), m12 / det, -(m11 / det))
+        return PeriodMatrix._of(-(m22 / det), m12 / det, -(m11 / det))
     a, b, c, d = gamma.blocks()
     n11, n12, n21, n22 = _cz_plus_d(a, b, Z.entries())
     m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
     det = m11 * m22 - m12 * m21
-    if abs(det) == 0:
+    if not det:
         raise ZeroDivisionError("lam Z + mu is singular")
     # inverse of (lam Z + mu)
     i11, i12, i21, i22 = m22 / det, -m12 / det, -m21 / det, m11 / det
@@ -226,7 +256,7 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     w21 = n21 * i11 + n22 * i21
     w22 = n21 * i12 + n22 * i22
     # symmetrize to kill roundoff skew
-    return PeriodMatrix(w11, (w12 + w21) / 2, w22)
+    return PeriodMatrix._of(w11, (w12 + w21) / 2, w22)
 
 
 def f2_tol(ctx: PrecisionContext):
@@ -312,17 +342,18 @@ def _step(Z: PeriodMatrix, tol):
     below 1 - tol; and, when Im z12 is zero within tol, the z12 flip that
     makes Re z12 >= -tol.  Each comparison is made on the doubles of Z when
     they decide it with a margin, else on Z itself (see the module
-    docstring).
+    docstring).  The GL2 change (its U is unimodular) and the translation
+    are symplectic by construction and built unchecked.
     """
     zd = _doubles(Z)
     td = float(tol)
     U = _minkowski_unimodular(Z, zd, tol, td)
     if U is not None:
-        return SymplecticMatrix.embed_gl2(U)
+        return _symplectic(_gl2_rows(U))
     b = [-_nint(w.real, abs(w.real), lambda z=z: mp.nint(mp.re(z)))
          for z, w in zip(Z.entries(), zd)]
     if any(b):
-        return SymplecticMatrix.translation(*b)
+        return _symplectic(_translation_rows(*b))
     g = _gottschling_move(Z, zd, tol, td)
     if g is not None:
         return g
@@ -357,7 +388,9 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
     Each move is decided on doubles where they settle it with a margin, and
     on the working-precision values where they do not; so the word is the
     one working-precision decisions give.  Each move is applied by act at
-    the working precision, one at a time.
+    the working precision, one at a time, with no positivity check (see
+    act); Z_red is checked once, by PeriodMatrix.check_im_positive, before
+    it is returned.
     """
     with ctx.work():
         tol = f2_tol(ctx)
@@ -366,6 +399,7 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
         for _ in range(MAX_ITER):
             g = _step(cur, tol)
             if g is None:
+                cur.check_im_positive()
                 return total, cur
             cur = act(g, cur)
             total = g * total
@@ -375,10 +409,24 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
 def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
     """The Gottschling matrix with the smallest |det(CZ + D)|, the first of
     equal ones, when that is below 1 - tol; else None.  zd and td are the
-    doubles of Z and tol.  Nan doubles (_NAN3) decide nothing, so every
-    determinant is then taken at the working precision; the doubles are not
-    touched, since abs of a nan complex raises OverflowError when errno is
-    left at ERANGE by an underflow in the conversion of another part."""
+    doubles of Z and tol.
+
+    On the doubles, a determinant surely at least 1 - tol is never the
+    move, and one surely above the least double v is not the least: _sure
+    gives the sign of |det_i| - |det_least| as it gives the sign of
+    |det| - (1 - tol).  So when the doubles leave the move undecided, the
+    working precision takes only the least and the candidates not surely
+    above it: the exact argmin is among them, and so is every determinant
+    equal to it, so the first of equal ones is found in index order.  When
+    the least over them is at least 1 - tol, so is every determinant.  The
+    full inversions have C = I, and their C Z + D is read from one table of
+    1 z_ij + d, d in {-1, 0, 1}: _cz_plus_d makes the same roundings, since
+    a product by 0 is an exact 0 and adding it to a rounded value is exact.
+
+    Nan doubles (_NAN3) decide nothing, so every determinant is then taken
+    at the working precision; the doubles are not touched, since abs of a
+    nan complex raises OverflowError when errno is left at ERANGE by an
+    underflow in the conversion of another part."""
     near = range(len(_GOTTSCHLING_CD))
     if zd is not _NAN3:
         one = 1 - td
@@ -390,15 +438,22 @@ def _gottschling_move(Z: PeriodMatrix, zd, tol, td):
         if not cands:
             return None
         least, v, s = min(cands, key=lambda e: e[1])
-        if v < one and _sure(v - one, s + 1 + td) and all(
-                i == least or _sure(w - v, s + t) for i, w, t in cands):
+        near = [i for i, w, t in cands if i == least or not _sure(w - v, s + t)]
+        if len(near) == 1 and v < one and _sure(v - one, s + 1 + td):
             return GOTTSCHLING[least]
-        near = [i for i, _, _ in cands]
+    entries = Z.entries()
+    table = None
     exact = {}
     for i in near:
         c, d, _, _ = _GOTTSCHLING_CD[i]
-        m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
-        exact[i] = abs(m11 * m22 - m12 * m21)
+        if c == [[1, 0], [0, 1]]:
+            if table is None:
+                table = [{e: w + e for e in (-1, 0, 1)} for w in (1 * z for z in entries)]
+            m11, m12, m22 = table[0][d[0][0]], table[1][d[0][1]], table[2][d[1][1]]
+            exact[i] = abs(m11 * m22 - m12 * m12)
+        else:
+            m11, m12, m21, m22 = _cz_plus_d(c, d, entries)
+            exact[i] = abs(m11 * m22 - m12 * m21)
     least = min(exact, key=exact.__getitem__)
     return GOTTSCHLING[least] if exact[least] < 1 - tol else None
 
@@ -437,18 +492,18 @@ def _gram(U, o):
 def _minkowski_unimodular(Z: PeriodMatrix, zd, tol, td):
     """Unimodular U with U (Im Z) U^T Minkowski-reduced and the transformed
     Im z12 >= -tol; None if Z is already in shape.  zd and td are the
-    doubles of Z and tol."""
-    o = Z.im_entries()
+    doubles of Z and tol; Im Z itself is read only by the fallbacks at the
+    working precision."""
     od = [w.imag for w in zd]
     oa = [abs(v) for v in od]
     U = [[1, 0], [0, 1]]
 
     def exact_nint():
-        y11, y12, _ = _gram(U, o)
+        y11, y12, _ = _gram(U, Z.im_entries())
         return mp.nint(y12 / y11)
 
     def exact_swap():
-        y11, _, y22 = _gram(U, o)
+        y11, _, y22 = _gram(U, Z.im_entries())
         return y22 < y11
 
     changed = False
@@ -469,7 +524,7 @@ def _minkowski_unimodular(Z: PeriodMatrix, zd, tol, td):
             continue
         break
     (_, y12, _), (_, s12, _) = _gram(U, od), _gram(_abs2(U), oa)
-    if _decide(-td - y12, s12 + td, lambda: _gram(U, o)[1] < -tol):
+    if _decide(-td - y12, s12 + td, lambda: _gram(U, Z.im_entries())[1] < -tol):
         U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
         changed = True
     return U if changed else None

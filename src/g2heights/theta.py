@@ -128,13 +128,28 @@ EVEN_CHARS = THETA1 + THETA2
 
 
 class PeriodMatrix:
-    """Symmetric 2x2 complex matrix with positive-definite imaginary part."""
+    """Symmetric 2x2 complex matrix with positive-definite imaginary part.
+    The constructor wraps each entry as an mpc and checks positivity;
+    siegel.act builds its images with _of, which does neither (see there)."""
 
     def __init__(self, z11, z12, z22):
         self.z11 = mp.mpc(z11)
         self.z12 = mp.mpc(z12)
         self.z22 = mp.mpc(z22)
-        y11, y12, y22 = mp.im(self.z11), mp.im(self.z12), mp.im(self.z22)
+        self.check_im_positive()
+
+    @classmethod
+    def _of(cls, z11, z12, z22):
+        """The matrix of the mpc values z11, z12, z22 as they are: no wrap,
+        no check."""
+        Z = object.__new__(cls)
+        Z.z11, Z.z12, Z.z22 = z11, z12, z22
+        return Z
+
+    def check_im_positive(self):
+        """Raise ValueError unless Im Z is positive definite at the ambient
+        precision: y11 > 0 and det Im Z > 0."""
+        y11, y12, y22 = self.im_entries()
         if not (y11 > 0 and y11 * y22 - y12 * y12 > 0):
             raise ValueError("Im Z is not positive definite")
 
@@ -468,5 +483,18 @@ def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
             )
         val = -(mp.log(ac) + 5 * mp.log(Z.det_im())) / 10
         if not bare:
-            val -= (8 * ctx.log2 + 10 * mp.log(ctx.pi)) / 10
+            val -= _normalization(ctx)
         return +val
+
+
+# (8 log 2 + 10 log pi) / 10 by workbits
+_norms: dict[int, mp.mpf] = {}
+
+
+def _normalization(ctx: PrecisionContext):
+    """(1/10) log(2^8 pi^10) = (8 log 2 + 10 log pi) / 10 at the working
+    precision, taken once per ctx.workbits; call at the working precision."""
+    norm = _norms.get(ctx.workbits)
+    if norm is None:
+        norm = _norms[ctx.workbits] = (8 * ctx.log2 + 10 * mp.log(ctx.pi)) / 10
+    return norm

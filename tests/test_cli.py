@@ -66,6 +66,16 @@ def test_reduce_identity(tmp_path, capsys):
     assert "gamma = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]" in out
 
 
+def test_reduce_not_positive_definite_exit1(tmp_path, capsys):
+    # det Im Z = 1 - 4 < 0: the matrix is refused where it enters
+    f = tmp_path / "m.mat"
+    f.write_text("0.0+1.0*i\n0.0+2.0*i\n0.0+1.0*i\n")
+    assert main(["reduce", "--matrix", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert "Im Z is not positive definite" in captured.err
+    assert "gamma" not in captured.out
+
+
 def test_missing_job_file_exit1(capsys):
     code, _ = run_cli(capsys, "compare", "/nonexistent.job")
     assert code == 1

@@ -319,6 +319,38 @@ def test_reduce_applies_every_move_through_act(monkeypatch):
         assert moves[-1][1] is zr, k
 
 
+def test_reduce_checks_only_z_red(monkeypatch):
+    # act builds its images unchecked: a reduction calls
+    # PeriodMatrix.__init__ zero times, returns PeriodMatrix objects, and
+    # checks Im Z_red once
+    c = PrecisionContext(256)
+    rng = random.Random(5)
+    with mp.workprec(c.workbits + 64):
+        base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
+        Zs = [act(random_word(rng, 8), base) for _ in range(4)]
+    inits, checks = [], []
+    init, check = PeriodMatrix.__init__, PeriodMatrix.check_im_positive
+
+    def counted_init(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    def counted_check(self):
+        checks.append(self)
+        check(self)
+
+    monkeypatch.setattr(PeriodMatrix, "__init__", counted_init)
+    monkeypatch.setattr(PeriodMatrix, "check_im_positive", counted_check)
+    for k, Z in enumerate(Zs):
+        checks.clear()
+        gamma, zr = reduce(Z, c)
+        assert gamma != SymplecticMatrix.identity(), k
+        assert type(zr) is PeriodMatrix, k
+        assert all(type(z) is mp.mpc for z in zr.entries()), k
+        assert checks == [zr], k
+    assert not inits
+
+
 def test_reduce_word_stable_across_precision(ctx):
     # ex3's reduced matrix has Im z12 = 0 exactly: the word must not follow
     # the rounding noise in it
@@ -427,6 +459,29 @@ def test_gottschling_dets_from_the_table_are_cz_plus_d(bits):
             a11, a12, a21, a22 = siegel._cz_plus_d(ca, da, za)
             expected.append((abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21))
         assert siegel._gottschling_dets(zd) == expected, Z
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_gottschling_move_pruned_is_the_full_scan(bits):
+    # when the doubles leave the move undecided, the working precision takes
+    # only the least candidate and those the doubles cannot separate from
+    # it; with _NAN3 it takes all 29 determinants.  ex1's Z_red lies on
+    # several |det(CZ + D)| = 1 walls
+    c = PrecisionContext(bits)
+    rng = random.Random(bits + 2)
+    Zs = [Z for _, Z in _boundary_points(c)]
+    Zs += [reduce(cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0], c)[1]
+           for name in ("ex1", "ex2", "ex3")]
+    walls = sum(abs(v - 1) < 1e-9 for v, _ in siegel._gottschling_dets(siegel._doubles(Zs[-3])))
+    assert walls >= 2, walls
+    with c.work():
+        base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
+        Zs += [act(random_word(rng, rng.randint(1, 10)), base) for _ in range(40)]
+        tol = f2_tol(c)
+        td = float(tol)
+        for Z in Zs:
+            pruned = siegel._gottschling_move(Z, siegel._doubles(Z), tol, td)
+            assert pruned is siegel._gottschling_move(Z, siegel._NAN3, tol, td), Z
 
 
 def _assert_same_as_oracle(Z, ctx, label):

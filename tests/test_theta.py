@@ -27,10 +27,15 @@ def iI():
 
 
 def test_posdef_required():
-    with pytest.raises(ValueError):
-        PeriodMatrix(mp.mpc(0, -1), 0, mp.mpc(0, 1))
-    with pytest.raises(ValueError):
-        PeriodMatrix(mp.mpc(0, 1), mp.mpc(0, 2), mp.mpc(0, 1))
+    # y11 < 0, det Im Z < 0, and det Im Z = 0 on y11 > 0
+    for entries in ((mp.mpc(0, -1), 0, mp.mpc(0, 1)),
+                    (mp.mpc(0, 1), mp.mpc(0, 2), mp.mpc(0, 1)),
+                    (mp.mpc("0.1", 2), mp.mpc("0.2", 1), mp.mpc("-0.3", "0.5"))):
+        with pytest.raises(ValueError, match="Im Z is not positive definite"):
+            PeriodMatrix(*entries)
+        # the unchecked matrix of siegel.act fails the same check
+        with pytest.raises(ValueError, match="Im Z is not positive definite"):
+            PeriodMatrix._of(*(mp.mpc(z) for z in entries)).check_im_positive()
 
 
 def test_theta00_iI(ctx):
@@ -288,6 +293,29 @@ def test_arch_term_tiny_chi10(ctx):
         oracle = -(mp.log(2 ** 8 * mp.pi ** 10 * abs(c)) + 5 * mp.log(Z.det_im())) / 10
         assert abs(arch - oracle) < ctx.tol
         assert abs(arch - mp.mpf("33.586606725826124")) < 1e-14
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_arch_term_mpmath_logs(bits, monkeypatch):
+    # warm: log |chi10| and log det Im Z; (8 log 2 + 10 log pi) / 10 is taken
+    # once per workbits, also for a new context of the same precision, as
+    # cli.job_ctx builds one per job.  Its bits are those of the expression
+    c = PrecisionContext(bits)
+    with c.work():
+        Z = _example1_Z(c)
+        archimedean_term(Z, c)
+        expected = -(mp.log(abs(chi10(Z, c))) + 5 * mp.log(Z.det_im())) / 10
+        expected = +(expected - (8 * c.log2 + 10 * mp.log(c.pi)) / 10)
+    fresh, calls, log = PrecisionContext(bits), [], mp.log
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "log", counted)
+    arch = archimedean_term(Z, fresh)
+    assert len(calls) <= 2
+    assert arch == expected
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
