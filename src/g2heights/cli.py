@@ -22,7 +22,7 @@ from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext, stirling_plan
 from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_squares,
-                    _ellipsoid_rows, _signed_roots, theta_squares)
+                    _signed_roots, _squares_of, _walk_plan)
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
@@ -159,10 +159,11 @@ def cmd_theta(args):
     Z = job_periods(job, ctx)[0]
     with ctx.work():
         _, zred = siegel.reduce(Z, ctx)
-        radius_sq, _, rows = _ellipsoid_rows(zred, ctx)
-        print("theta_radius_sq =", _fmt(mp.mpf(radius_sq), 12))
-        print("theta_terms =", sum(hi - lo + 1 for _, lo, hi in rows))
-        squares = theta_squares(zred, ctx)
+        plan = _walk_plan(zred, ctx)
+        print("theta_level =", plan.level)
+        print("theta_radius_sq =", _fmt(mp.mpf(plan.radius_sq), 12))
+        print("theta_terms =", plan.terms)
+        squares = _squares_of(plan, ctx)
         for ch, v in zip(EVEN_CHARS, _signed_roots(zred, squares, ctx)):
             print(f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}] =", _fmt(v))
         c = _chi10_from_squares(squares)

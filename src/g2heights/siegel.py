@@ -13,7 +13,8 @@ values otherwise.  So every decision is the one the working-precision
 values give.  The move is applied by act, with the bits of the general
 formula (AZ + B)(CZ + D)^-1 at the working precision but only the
 operations of it that can round: a translation and a GL2 change need no
-inverse, and a full inversion [[0, -I], [I, D]] needs only (Z + D)^-1.
+inverse, a full inversion [[0, -I], [I, D]] needs only (Z + D)^-1, and a
+partial inversion only 1 / z11 or 1 / z22.
 
 Each move keeps Z in H2: Im gamma Z = (CZ + D)^-* Im Z (CZ + D)^-1, so
 det Im gamma Z = det Im Z / |det(CZ + D)|^2 and Im gamma Z is positive
@@ -192,7 +193,7 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     it: N = alpha Z + beta and M = lam Z + mu by _cz_plus_d, M^-1 =
     adj(M) / det M, W = N M^-1, and the symmetrized (w12 + w21) / 2.
 
-    Three shapes run only the operations of that formula that can round.
+    Four shapes run only the operations of that formula that can round.
     Z may carry more bits than the working precision, and the first product
     by an entry of Z is what rounds it, so each branch keeps one product by
     every entry it reads, also a product by 1.  The rest is exact: mpmath
@@ -211,6 +212,13 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
       1 z_ij + d_ij as in a translation, so m21 = m12.  Each w_ij is -1
       times an entry of M^-1 plus an exact 0, and -((-m12) / det) =
       m12 / det, so W = -M^-1 = (-m22, m12, -m11) / det.
+    - Partial inversions, GOTTSCHLING[0] and [1]: with r_ij = 1 z_ij, the
+      first has N = ((-1, 0), (r12, r22)) and M = ((r11, r12), (0, 1)), so
+      det = r11 and M^-1 = ((1, -r12), (0, r11)) / r11; the second has
+      N = ((r11, r12), (0, -1)) and M = ((1, 0), (r12, r22)), det = r22
+      and M^-1 = ((r22, 0), (-r12, 1)) / r22.  Each w_ij keeps its products
+      by an r_ij and drops those by 0 and the exact products by -1, and the
+      quotients r11 / r11 and r22 / r22 stay, as they round.
 
     Every entry comes out of an mpc operation at the ambient precision, so
     it is an mpc rounded there, and the image is built with
@@ -243,6 +251,18 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
         if not det:
             raise ZeroDivisionError("lam Z + mu is singular")
         return PeriodMatrix._of(-(m22 / det), m12 / det, -(m11 / det))
+    if gamma.m == GOTTSCHLING[0].m:
+        r11, r12, r22 = 1 * z11, 1 * z12, 1 * z22
+        if not r11:
+            raise ZeroDivisionError("lam Z + mu is singular")
+        i11, i12, i22 = 1 / r11, -r12 / r11, r11 / r11
+        return PeriodMatrix._of(-i11, (-i12 + r12 * i11) / 2, r12 * i12 + r22 * i22)
+    if gamma.m == GOTTSCHLING[1].m:
+        r11, r12, r22 = 1 * z11, 1 * z12, 1 * z22
+        if not r22:
+            raise ZeroDivisionError("lam Z + mu is singular")
+        i11, i21, i22 = r22 / r22, -r12 / r22, 1 / r22
+        return PeriodMatrix._of(r11 * i11 + r12 * i21, (r12 * i22 - i21) / 2, -i22)
     a, b, c, d = gamma.blocks()
     n11, n12, n21, n22 = _cz_plus_d(a, b, Z.entries())
     m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())

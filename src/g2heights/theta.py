@@ -36,23 +36,51 @@ product to prec bits of its larger part.  A row's start term and first step
 factors reach the walk's scales 2^-W and 2^-V by a shift.  The only mpc
 work is u, v, w (three expjpi), u u, w w, 1/v and 1/w^2, once per call.
 
-Error argument.  Let e = ceil(pi y / (4 log 2)) + 1 with y = max(y11, y22,
-y11 + y22 - 2 |y12|) taken on Im 2Z = 2Y: the leading term of each T_c,
-c != 0, is at least e^(-pi y / 4) > 2^-e in modulus, and so is the leading
-term 2 T_0 T_a of each square with a != 0 (the squares with a = 0 are near
-T_0^2, about 1).  The tail target and the scale both go down by e, so that
-every square keeps workbits bits relative to its own size:
+Levels.  The same formula at 2^j Z with b = 0,
+    theta[c;0](2^j Z)^2 = sum_d T'_d T'_(d+c),  T'_d = theta[d;0](2^(j+1) Z),
+takes the four constants of level j + 1 to the squares of those of level
+j.  So theta_squares walks once, at 2^(k-1) Z, for the four
+theta[c;0](2^k Z), and comes back down to level 1 by k - 1 root steps:
+each forms the four b = 0 squares exactly in ints from the ten products of
+the level above, takes their roots with math.isqrt at the walk's scale
+(_isqrt) and signs them by the rule at the end.  A level up halves the
+walk's lattice for one root step.  k is the least level whose ellipsoid
+holds at most WALK_POINTS_MAX = 128 half-lattice points: on ex1-ex3 one
+root step and the plan of its level cost about as much as walking 40 to 70
+points, at 256 bits as at 4096, so a halving pays until the walk holds
+about twice that.  Measured on theta_squares, best of 15 to 40 runs on a
+2-core Intel Xeon, Python 3.11, mpmath 1.3 pure-python: 172
+-> 88 points saves 15 % at 256 bits, 134 -> 67 13 %, 88 -> 47 nothing;
+163 -> 85 saves 7 % at 1024 bits, 77 -> 42 nothing; 223 -> 112 saves 19 %
+at 4096 bits, 143 -> 77 nothing.  Two things stop the climb earlier: a
+level whose e is above workbits, where the scale grows by e per level while
+the walk no longer halves (Im z22 far above Im z11 leaves about
+sqrt(y22 / y11) rows of one point each), and a theta[c;0](2^j Z) that
+nearly vanishes (see the sign rule).  An input that stays at k = 1 plans
+one level and takes no root step and no sum on doubles.
+
+Error argument.  Let e_j = ceil(pi y / (4 log 2)) + 1 with y = max(y11,
+y22, y11 + y22 - 2 |y12|) taken on Im 2^j Z, and e = e_k for the walk's
+level: the leading term of each T_c = theta[c;0](2^k Z), c != 0, is at
+least e^(-pi y / 4) > 2^-e in modulus.  The tail target and the scale both
+go down by e + ROOT_STEP_BITS (k - 1), so that every constant of the walk
+keeps workbits + ROOT_STEP_BITS (k - 1) bits relative to its leading term,
+and the root steps, which spend up to ROOT_STEP_BITS bits each, leave
+workbits at level 1.  In the three items on the walk, Z stands for its
+matrix 2^(k-1) Z:
   - R makes the terms outside the ellipsoid sum to less than
-    2^-(workbits + 16 + e).  R and the row bounds c +- h are doubles, from
-    Im Z, from det(Im Z), which can cancel and is taken at the working
-    precision, and from lambda_min(Im Z) = det / lambda_max, which does not;
-    each is within a few units of 2^-52 relative.  So while |Im z12| <
-    2^6 sqrt(det Im Z) (on F2 it is below sqrt(det Im Z / 3)) the rows hold
-    every point of the ellipsoid of radius R (1 - 2^-42), whose tail is
-    within a factor e^(2^-41 R^2) < 1 + 2^-22 of the target for R^2 < 2^18;
-    the 16 spare bits of the target cover that.
+    2^-(workbits + 16 + e + ROOT_STEP_BITS (k - 1)).  R and the row
+    bounds c +- h are doubles, from Im Z, from det(Im Z), which can cancel
+    and is taken at the working precision, and from lambda_min(Im Z) =
+    det / lambda_max, which does not; each is within a few units of 2^-52
+    relative.  So while |Im z12| < 2^6 sqrt(det Im Z) (on F2 it is below
+    sqrt(det Im Z / 3)) the rows hold every point of the ellipsoid of
+    radius R (1 - 2^-42), whose tail is within a factor e^(2^-41 R^2) <
+    1 + 2^-22 of the target for R^2 < 2^18; the 16 spare bits of the target
+    cover that.  The tail is the same fraction of the walk's scale at every
+    level.
   - The start term of a row comes from a chain of N block-float products
-    at prec = W - e bits, N = max m1 + the total movement of p, since s, the
+    at prec bits, N = max m1 + the total movement of p, since s, the
     step factors and a move by one product per step of m1 or p.  Cutting
     both parts of a product to prec bits of the larger one, rounded down,
     costs less than 2^(2 - prec) of its modulus; u and w are within about
@@ -75,22 +103,51 @@ every square keeps workbits bits relative to its own size:
     about j units of 2^-W near the peak, where V = W as in a walk at the
     full scale, and j units of 2^-(W + 23) once the term is below 2^-24.
     With the rounding of t itself, a row of at most n steps is within order
-    n^2 units of 2^-W, and W = workbits + 2 log2(n) + 4 + e makes each T_c
-    within about 2^-(workbits + e).
-  - Each square is a signed sum of the products T_c T_(c+a), formed exactly
-    in ints at the scale 2^-2W from the ten T_c T_d, c <= d, and rounded
-    once to working precision, so its error is a few times
-    2^-(workbits + e), about 2^-workbits relative to a square above 2^-e.
+    n^2 units of 2^-W, and W = prec + e + ROOT_STEP_BITS (k - 1) makes each
+    T_c within about 2^-(workbits + e + ROOT_STEP_BITS (k - 1)).
+  - Root steps.  Let d_j bound the error of the four constants of level j,
+    all at the one scale 2^-W, so d_k is the walk's, rounding and tail,
+    with d_k 2^e_k about 2^-(workbits + ROOT_STEP_BITS (k - 1)).  The
+    b = 0 square S_c = theta[c;0](2^(j-1) Z)^2 is formed exactly from
+    products whose factors sum to about 3/2 in modulus at most (the
+    constant with c = 0 is near 1, the others are small), so it is within
+    about 3 d_j.  Its
+    leading term, the square of that of theta[c;0](2^(j-1) Z), is
+    e^(-pi m^T Im(2^j Z) m / 4) for the shortest m = c mod 2: the leading
+    term of T_c at level j, above 2^-e_j >= 2^-e for c != 0, and 1 for
+    c = 0.  So every S_c is at least 2^-e in the size of its leading
+    terms, and the plan makes each root at least half its own leading term
+    (see the sign rule), so |root| > 2^-(e_j / 2 + 1).  The root carries
+    the square's error over twice its modulus, and isqrt adds two units of
+    2^-W: d_(j-1) <= 3 d_j 2^(e_j / 2) + 2^(1 - W).  As e_(j-1) <= e_j / 2
+    + 1, d_(j-1) 2^e_(j-1) <= 6 d_j 2^e_j: a step costs at most
+    log2(6) < ROOT_STEP_BITS bits of the scale and of the tail alike, and
+    the four constants of level 1 are within about 2^-(workbits + e_1), as
+    the walk at Z would give them, for any k.
+  - Each square is a signed sum of the products T_c T_(c+a) of level 1,
+    formed exactly in ints at the scale 2^-2W from the ten T_c T_d, c <= d,
+    and rounded once to working precision, so its error is a few times
+    2^-(workbits + e_1), about 2^-workbits relative to a square above
+    2^-e_1: the leading term of each square with a != 0 is that of
+    2 T_0 T_a, above 2^-e_1, and the squares with a = 0 are near T_0^2,
+    about 1.
 
-The signed constants (theta_all) are square roots of the squares.  The sign
-of each root is the one with Re(root conj L) > 0, where L sums the terms of
-theta[a;b](Z) with |n_i| <= 4 in complex doubles, scaled by their largest
-term so that nothing underflows.  The cosine of the angle between the root
-and L must be above 1/2 in modulus, or ArithmeticError is raised: a sign is
-never guessed.  theta_squares returns 0 for a square below
-2^-(workbits + e - 8), which is within 2^8 times its error bound of 0, and
-its root is 0: near a zero, the root of a square is known only to about
-2^-(workbits + e)/2.
+The signed constants are square roots of squares, and a sign is never
+guessed.  The sign of each root is the one with Re(root conj L) > 0, where
+L sums the leading terms of the constant on complex doubles, scaled by the
+largest so that nothing underflows; the cosine of the angle between the
+root and L must be above 1/2 in modulus, or ArithmeticError is raised.
+For theta_all, L sums the terms of theta[a;b](Z) with |n_i| <= 4; for a
+root step, the terms of theta[c;0](2^j Z) in the ellipsoid whose tail is
+below 2^-(LEADING_BITS + 16) of its leading term (_leading).  The plan
+takes these L before the walk, and stops at level j when some |L| is
+below 1/2: that constant is then within a factor 2 of cancelling its
+leading terms, and its root would lose the bits it cancels.  At Im z12 = 0
+the terms m and (m1, -m2) of theta[11;0](2^j Z) cancel exactly where
+2^j Re z12 is odd.  theta_squares returns 0 for a square below
+2^-(workbits + e_1 - 8), which is within 2^8 times its error bound of 0,
+and its root is 0: near a zero, the root of a square is known only to about
+2^-(workbits + e_1)/2.
 """
 
 from __future__ import annotations
@@ -98,9 +155,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import mpf_shift, to_fixed
 
 from .prec import PrecisionContext
 
@@ -108,6 +166,13 @@ from .prec import PrecisionContext
 # bits worth dropping from a step factor at once (see the module docstring)
 STEP_GUARD_BITS = 24
 STEP_DROP_BITS = 64
+# the most half-lattice points theta_squares walks before it goes up a
+# level, and the bits the scale carries per root step (see the module
+# docstring)
+WALK_POINTS_MAX = 128
+ROOT_STEP_BITS = 3
+# the tail target, below workbits, of the sums that sign the root steps
+LEADING_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -167,15 +232,24 @@ class PeriodMatrix:
         return f"PeriodMatrix({self.z11}, {self.z12}, {self.z22})"
 
 
-def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
+def _im_doubles(Z: PeriodMatrix, ctx: PrecisionContext):
+    """det(Im 2Z), taken at the working precision, and the entries of
+    Im 2Z, on doubles (see _ellipsoid_rows)."""
+    with ctx.work():
+        det = float(4 * Z.det_im())
+    return (det, *(2 * float(y) for y in Z.im_entries()))
+
+
+def _ellipsoid_rows(im, bits, j=0):
     """R^2, e and the rows (m1, lo, hi) of the half lattice {m1 > 0} or
     {m1 = 0, m2 >= 0} that lie in the ellipsoid pi m^T (Im 2Z) m / 4 <= R^2,
-    the walk of theta_squares.
+    the walk at Z, for im = _im_doubles(Z, ctx) and the tail target bits;
+    at 2^j Z from Z's im, scaled exactly.
 
     e is the leading-term exponent of 2Z (see the module docstring).  R is
     the radius of Deconinck et al. (2004), Theorem 2, at genus 2 on 2Z: the
     terms outside it sum to at most (2/rho)^2 Gamma(1, (R - rho/2)^2)
-    = (2/rho)^2 e^-(R - rho/2)^2, and R makes that 2^-(workbits + 16 + e).
+    = (2/rho)^2 e^-(R - rho/2)^2, and R makes that 2^-(bits + 16 + e).
     The theorem holds for any rho up to the shortest nonzero lattice vector,
     so rho^2 = pi lambda_min(Im 2Z) / 4 serves every positive-definite Y.
     R - rho/2 is kept at least 1, above the theorem's hypothesis
@@ -186,14 +260,12 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
     while |Im z12| < 2^6 sqrt(det Im Z) (see the module docstring).  Im Z
     beyond the doubles raises an ArithmeticError.
     """
-    with ctx.work():
-        det = float(4 * Z.det_im())  # det(Im 2Z)
-    y11, y12, y22 = (2 * float(y) for y in Z.im_entries())
+    det, y11, y12, y22 = im[0] * 4 ** j, im[1] * 2 ** j, im[2] * 2 ** j, im[3] * 2 ** j
     e = math.ceil(math.pi * max(y11, y22, y11 + y22 - 2 * abs(y12))
                   / (4 * math.log(2))) + 1
     lam = det / ((y11 + y22) / 2 + math.hypot((y11 - y22) / 2, y12))
     rho = math.sqrt(math.pi * lam / 4)
-    x = (ctx.workbits + 16 + e) * math.log(2) + 2 * math.log(2 / rho)
+    x = (bits + 16 + e) * math.log(2) + 2 * math.log(2 / rho)
     R = rho / 2 + math.sqrt(max(x, 1))
     s = 4 * R * R / math.pi  # the ellipsoid is m^T (Im 2Z) m <= s
     rows = []
@@ -205,6 +277,98 @@ def _ellipsoid_rows(Z: PeriodMatrix, ctx: PrecisionContext):
         if lo <= hi:
             rows.append((m1, lo, hi))
     return R * R, e, rows
+
+
+def _terms(rows):
+    return sum(hi - lo + 1 for _, lo, hi in rows)
+
+
+def _doubled(Z: PeriodMatrix, j):
+    """2^j Z, exactly."""
+    if not j:
+        return Z
+    return PeriodMatrix._of(*(mp.make_mpc((mpf_shift(re, j), mpf_shift(im, j)))
+                              for re, im in (z._mpc_ for z in Z.entries())))
+
+
+class _WalkPlan(NamedTuple):
+    """The walk of theta_squares at Z (see the module docstring): at level k
+    it runs at matrix = 2^(k-1) Z over the ellipsoid of 2^k Z of radius^2
+    radius_sq, row by row from each row's peak, with a chain at prec bits
+    and terms at the scale 2^-W.  e1 is the e of 2Z, which the squares'
+    zero test reads, and leading[j - 1][c] the leading terms L of
+    theta[c;0](2^j Z), j < k, which sign the root steps."""
+    level: int
+    matrix: PeriodMatrix
+    radius_sq: float
+    rows: list
+    starts: list
+    e1: int
+    prec: int
+    W: int
+    leading: list
+
+    @property
+    def terms(self):
+        return _terms(self.rows)
+
+
+def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level=None):
+    """The plan of theta_squares at Z.  Its level k is the least one whose
+    ellipsoid holds at most WALK_POINTS_MAX half-lattice points, not one
+    whose e is above workbits, and not one above a level j where the
+    leading terms of some theta[c;0](2^j Z) sum to less than half of the
+    largest (see the module docstring).  level forces k, for tests."""
+    im = _im_doubles(Z, ctx)
+    # (R^2, e, rows) of the walk at 2^j Z, whose tail target carries the
+    # bits of its j root steps, as the scale does
+    levels = [_ellipsoid_rows(im, ctx.workbits)]
+    while (len(levels) < level if level
+           else _terms(levels[-1][2]) > WALK_POINTS_MAX):
+        j = len(levels)
+        up = _ellipsoid_rows(im, ctx.workbits + ROOT_STEP_BITS * j, j)
+        if not level and up[1] > ctx.workbits:
+            break
+        levels.append(up)
+    leading = []
+    for j in range(1, len(levels)):
+        L = _leading(Z, im, j)
+        if not level and not min(map(abs, L)) >= 0.5:
+            break
+        leading.append(L)
+    k = len(leading) + 1
+    R2, e, rows = levels[k - 1]
+    Zk = _doubled(Z, k - 1)
+    _, y12, y22 = Zk.im_entries()
+    peak = float(-y12 / y22)
+    starts = [min(max(round(peak * m1), lo), hi) for m1, lo, hi in rows]
+    K = max(max(-lo, hi) for _, lo, hi in rows)  # largest |m2|
+    # the longest chain of rounded products: the steps of m1 and p that
+    # carry the start values, or a walk along a row
+    n = rows[-1][0] + max(4 * K, sum(abs(q - p) for p, q in zip([0] + starts, starts)))
+    prec = ctx.workbits + 2 * n.bit_length() + 4
+    return _WalkPlan(k, Zk, R2, rows, starts, levels[0][1], prec,
+                     prec + e + ROOT_STEP_BITS * (k - 1), leading)
+
+
+def _leading(Z: PeriodMatrix, im, j):
+    """The leading terms L of the four theta[c;0](2^j Z), c = 2 c1 + c2,
+    for im = _im_doubles(Z, ctx): the terms exp(i pi 2^j m^T Z m / 4),
+    m = c mod 2, of the ellipsoid whose tail is below 2^-(LEADING_BITS + 16)
+    of each leading term, on complex doubles, each class divided by the
+    modulus of its largest."""
+    z11, z12, z22 = (2.0 ** (j - 2) * complex(x) for x in Z.entries())
+    xs = [[], [], [], []]
+    for m1, lo, hi in _ellipsoid_rows(im, LEADING_BITS, j - 1)[2]:
+        for m2 in range(lo, hi + 1):
+            xs[2 * (m1 & 1) + (m2 & 1)].append(
+                1j * cmath.pi * (m1 * m1 * z11 + 2 * m1 * m2 * z12 + m2 * m2 * z22))
+    # each half-lattice term also stands for -m, except the origin
+    out = []
+    for c, x in enumerate(xs):
+        top = max(t.real for t in x)
+        out.append(2 * sum(cmath.exp(t - top) for t in x) - (c == 0))
+    return out
 
 
 def _block(z, prec):
@@ -230,27 +394,12 @@ def _scaled(x, W):
     return (re << k, im << k) if k >= 0 else (re >> -k, im >> -k)
 
 
-def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext):
-    """e, the precision prec of the chain, the rows (m1, lo, hi) of
-    _ellipsoid_rows and each row's peak p (see the module docstring); the
-    walk's scale is W = prec + e."""
-    _, e, rows = _ellipsoid_rows(Z, ctx)
-    _, y12, y22 = Z.im_entries()
-    peak = float(-y12 / y22)
-    starts = [min(max(round(peak * m1), lo), hi) for m1, lo, hi in rows]
-    K = max(max(-lo, hi) for _, lo, hi in rows)  # largest |m2|
-    # the longest chain of rounded products: the steps of m1 and p that
-    # carry the start values, or a walk along a row
-    n = rows[-1][0] + max(4 * K, sum(abs(q - p) for p, q in zip([0] + starts, starts)))
-    return e, ctx.workbits + 2 * n.bit_length() + 4, rows, starts
-
-
-def _row_starts(Z: PeriodMatrix, prec, W, rows, starts):
-    """For each row (m1, lo, hi) and its peak p, the values the walk starts
-    from: (m1, p, s, V, g_up, g_down, q), with s = t(m1, p) at the scale
-    2^-W and the step factors g_up = v^m1 w^(2p + 1), g_down = v^-m1 w^(1 - 2p)
-    and q = w^2 at the scale 2^-V, V = min(W, b + STEP_GUARD_BITS) for b the
-    bit length of the larger part of s.
+def _row_starts(plan: _WalkPlan):
+    """For each row (m1, lo, hi) of the plan and its peak p, the values the
+    walk starts from: (m1, p, s, V, g_up, g_down, q), with s = t(m1, p) at
+    the scale 2^-W and the step factors g_up = v^m1 w^(2p + 1), g_down =
+    v^-m1 w^(1 - 2p) and q = w^2 at the scale 2^-V, V = min(W, b +
+    STEP_GUARD_BITS) for b the bit length of the larger part of s.
 
     t = u^(m1^2) v^(m1 m2) w^(m2^2) is largest at m2 = peak m1.  From the
     nearest integer p in [lo, hi], the step factors t(m2 + 1) / t(m2) =
@@ -259,6 +408,7 @@ def _row_starts(Z: PeriodMatrix, prec, W, rows, starts):
     step.  From row to row go s, g_up, g_down and a = u^(2 m1 + 1) v^p =
     t(m1 + 1, p) / t(m1, p), one block-float product each per step of m1 or
     of p (see the module docstring)."""
+    Z, prec, W = plan.matrix, plan.prec, plan.W
     with mp.workprec(prec):
         u = mp.expjpi(Z.z11 / 2)
         v = mp.expjpi(Z.z12)
@@ -268,7 +418,7 @@ def _row_starts(Z: PeriodMatrix, prec, W, rows, starts):
                                         for x in (u * u, v, 1 / v, w2, 1 / w2, u, w))
     s, g_up, g_down, a = (1, 0, 0), w, w, u
     m1 = p = 0
-    for (r, _, _), target in zip(rows, starts):
+    for (r, _, _), target in zip(plan.rows, plan.starts):
         while m1 < r:
             s, a = _mul(s, a, prec), _mul(a, u2, prec)
             g_up, g_down = _mul(g_up, v, prec), _mul(g_down, vinv, prec)
@@ -286,16 +436,14 @@ def _row_starts(Z: PeriodMatrix, prec, W, rows, starts):
         yield m1, p, (tr, ti), V, _scaled(g_up, V), _scaled(g_down, V), _scaled(w2, V)
 
 
-def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
-    """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
-    theta[c;0](2Z) of one walk (see the module docstring)."""
-    e, prec, rows, starts = _walk_plan(Z, ctx)
-    W = prec + e
+def _walk(plan: _WalkPlan):
+    """The four theta[c;0](2^k Z) of the plan's walk, as int pairs at the
+    scale 2^-W, in the order c = 2 c1 + c2."""
     # half_re[2 c1 + c2] + i half_im[2 c1 + c2] sums the half-lattice
     # terms with m = (c1, c2) mod 2, at scale 2^-W
     half_re, half_im = [0] * 4, [0] * 4
     for (_, lo, hi), (m1, p, (tr, ti), V0, g_up, g_down, q) in \
-            zip(rows, _row_starts(Z, prec, W, rows, starts)):
+            zip(plan.rows, _row_starts(plan)):
         base = 2 * (m1 & 1)
         half_re[base + (p & 1)] += tr
         half_im[base + (p & 1)] += ti
@@ -318,32 +466,99 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
                     gr, gi, qr, qi = gr >> d, gi >> d, qr >> d, qi >> d
                     V -= d
                     lim >>= d
-    # theta[c;0](2Z): each half-lattice term also stands for -m, in the same
-    # class mod 2, except the origin, which is its own mirror
+    # each half-lattice term also stands for -m, in the same class mod 2,
+    # except the origin, which is its own mirror
     th = [(2 * re, 2 * im) for re, im in zip(half_re, half_im)]
-    th[0] = (th[0][0] - (1 << W), th[0][1])
-    # the ten products T_c T_d, c <= d, each used by one or more squares
-    prods = {(c, d): (ar * br - ai * bi, ar * bi + ai * br)
-             for c, (ar, ai) in enumerate(th) for d, (br, bi) in enumerate(th) if c <= d}
-    out = []
+    th[0] = (th[0][0] - (1 << plan.W), th[0][1])
+    return th
+
+
+def _products(th):
+    """The ten products T_c T_d, c <= d, of four int pairs, exactly."""
+    return {(c, d): (ar * br - ai * bi, ar * bi + ai * br)
+            for c, (ar, ai) in enumerate(th) for d, (br, bi) in enumerate(th) if c <= d}
+
+
+def _square(prods, k, b):
+    """theta[a;b]^2 = sum_c (-1)^(b.c) T_c T_(c xor k), k = 2 a1 + a2 and b
+    likewise, from the _products table, exactly."""
+    # for k != 0, c and c xor k give the same product with the same sign,
+    # since a.b is even, so each distinct product counts twice
+    sr = si = 0
+    for c in range(4):
+        if c <= c ^ k:
+            pr, pi = prods[c, c ^ k]
+            if bin(b & c).count("1") & 1:
+                pr, pi = -pr, -pi
+            sr += pr
+            si += pi
+    return (2 * sr, 2 * si) if k else (sr, si)
+
+
+def _isqrt(sr, si):
+    """The square root of sr + i si with nonnegative real part, in ints,
+    within about two units: the larger of its parts is isqrt((|S| +- sr)
+    / 2) and the other si / 2 over it, so that nothing cancels.  |S| needs
+    only about half its bits: an error d in it moves that part by d / 4
+    over the part, at least sqrt(|S| / 2), so |S| is taken from sr and si
+    cut to b / 2 + 8 of their b bits, within 2^-5 sqrt|S|."""
+    h = max(max(abs(sr), abs(si)).bit_length() // 2 - 8, 0)
+    m = math.isqrt((sr >> h) ** 2 + (si >> h) ** 2) << h
+    if sr >= 0:
+        x = math.isqrt((m + sr) >> 1)
+        return x, (si // (2 * x) if x else 0)
+    y = math.isqrt((m - sr) >> 1)
+    y = -y if si < 0 else y
+    return si // (2 * y), y
+
+
+def _sign(r, L, name):
+    """1 or -1: the sign of the root r, a nonzero complex, that puts it on
+    the side of L, the leading terms of its theta constant.  The cosine of
+    the angle between them must be above 1/2 in modulus, or
+    ArithmeticError: a sign is never guessed."""
+    den = abs(r) * abs(L)
+    cos = (r * L.conjugate()).real / den if den else math.nan
+    if not abs(cos) > 0.5:
+        raise ArithmeticError(f"{name}: the sign of the root is not decided "
+                              f"by the leading terms (cosine {cos:.3g})")
+    return 1 if cos > 0 else -1
+
+
+def _root_steps(plan: _WalkPlan, th):
+    """The four theta[c;0](2Z) from the four theta[c;0](2^k Z) th of the
+    plan's walk, by k - 1 root steps, all as int pairs at the scale 2^-W:
+    each theta[c;0](2^j Z) is the root of its square, signed by its leading
+    terms (see the module docstring)."""
+    for j in range(plan.level - 1, 0, -1):
+        prods = _products(th)
+        th = []
+        for c, L in enumerate(plan.leading[j - 1]):
+            x, y = _isqrt(*_square(prods, c, 0))
+            if x or y:
+                m = max(abs(x), abs(y))
+                if _sign(complex(x / m, y / m), L, f"theta[{c >> 1}{c & 1};00](2^{j} Z)") < 0:
+                    x, y = -x, -y
+            th.append((x, y))
+    return th
+
+
+def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
+    """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
+    theta[c;0](2^k Z) of one walk and k - 1 root steps down to the four
+    theta[c;0](2Z) (see the module docstring)."""
+    return _squares_of(_walk_plan(Z, ctx), ctx)
+
+
+def _squares_of(plan: _WalkPlan, ctx: PrecisionContext):
+    """theta_squares at the Z of plan = _walk_plan(Z, ctx)."""
+    prods = _products(_root_steps(plan, _walk(plan)))
+    W, out = plan.W, []
     with ctx.work():
         for ch in EVEN_CHARS:
-            # with k = 2 a1 + a2, the square is sum_c (-1)^(b.c) T_c T_(c xor k);
-            # for k != 0, c and c xor k give the same product with the same
-            # sign, since a.b is even, so each distinct product counts twice
-            k, b = 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2
-            sr = si = 0
-            for c in range(4):
-                if c <= c ^ k:
-                    pr, pi = prods[c, c ^ k]
-                    if bin(b & c).count("1") & 1:
-                        pr, pi = -pr, -pi
-                    sr += pr
-                    si += pi
-            if k:
-                sr, si = 2 * sr, 2 * si
+            sr, si = _square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2)
             # a square within 2^8 times its error bound of 0 is 0
-            if max(abs(sr), abs(si)) >> (2 * W - ctx.workbits - e + 8) == 0:
+            if max(abs(sr), abs(si)) >> (2 * W - ctx.workbits - plan.e1 + 8) == 0:
                 sr = si = 0
             out.append(mp.mpc(mp.mpf((sr, -2 * W)), mp.mpf((si, -2 * W))))
     return out
@@ -388,14 +603,10 @@ def _signed_roots(Z: PeriodMatrix, squares, ctx: PrecisionContext):
             if not sq:
                 out.append(sq)
                 continue
-            L = _box_leading(ch, boxes[ch.a1, ch.a2])
             r = mp.sqrt(sq)
-            cos = (complex(r / abs(r)) * L.conjugate()).real / abs(L)
-            if not abs(cos) > 0.5:
-                raise ArithmeticError(
-                    f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}]: the sign of the root is "
-                    f"not decided by the leading terms (cosine {cos:.3g})")
-            out.append(r if cos > 0 else -r)
+            sign = _sign(complex(r / abs(r)), _box_leading(ch, boxes[ch.a1, ch.a2]),
+                         f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}]")
+            out.append(r if sign > 0 else -r)
     return out
 
 

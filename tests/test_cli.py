@@ -350,12 +350,14 @@ def test_imprimitive_character_exit1(tmp_path, capsys, f):
 def test_theta_reports_truncation(capsys):
     code, out = run_cli(capsys, "theta", os.path.join(JOBS, "ex1.job"))
     assert code == 0
-    # R^2 of the Deconinck et al. bound on 2Z for the reduced ex1 matrix Z,
-    # with the tail target 2^-(workbits + 16 + e), e = 4, and the
-    # half-lattice points summed (the direct sum over Z's ellipsoid summed
-    # 506, and the square box 3025)
-    assert "theta_radius_sq = 229.274070019\n" in out
-    assert "theta_terms = 261\n" in out
+    # the walk taken: at level 3, over the ellipsoid of 8Z for the reduced
+    # ex1 matrix Z, the R^2 of the Deconinck et al. bound with the tail
+    # target 2^-(workbits + 16 + e + 6), e = 12, for the bits of the two
+    # root steps, and the half-lattice points summed (261 on 2Z, the direct
+    # sum over Z's ellipsoid 506, and the square box 3025)
+    assert "theta_level = 3\n" in out
+    assert "theta_radius_sq = 252.912073012\n" in out
+    assert "theta_terms = 73\n" in out
     assert "arch_term = -1.4525092396456" in out
 
 

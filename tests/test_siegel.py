@@ -114,7 +114,7 @@ def _act_shapes(rng):
 
 
 @pytest.mark.parametrize("bits", [256, 1024, 4096, "workbits + 64"])
-def test_act_by_shape_is_the_general_formula_bit_for_bit(bits):
+def test_act_by_shape_is_the_general_formula_bit_for_bit(bits, monkeypatch):
     rng = random.Random(11)
     if bits == "workbits + 64":
         # more input bits than the working precision: the first product
@@ -134,6 +134,13 @@ def test_act_by_shape_is_the_general_formula_bit_for_bit(bits):
         for Z in Zs:
             for g in shapes:
                 assert act(g, Z).entries() == _act_general(g, Z).entries(), g
+    # the shapes take no C Z + D: the 29 Gottschling matrices, the two
+    # partial inversions among them, the translations and the GL2 changes
+    monkeypatch.setattr(siegel, "_cz_plus_d", None)
+    with c.work():
+        for Z in Zs:
+            for g in shapes[:len(GOTTSCHLING) + 125 + 17]:
+                act(g, Z)
 
 
 def test_act_identity(ctx):

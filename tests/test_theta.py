@@ -8,8 +8,8 @@ from g2heights import cli, cmperiod, siegel, theta
 from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
-                             ThetaCharacteristic, _ellipsoid_rows, _row_starts,
-                             _walk_plan, archimedean_term, chi10, theta_all,
+                             ThetaCharacteristic, _ellipsoid_rows, _im_doubles, _row_starts,
+                             _squares_of, _walk_plan, archimedean_term, chi10, theta_all,
                              theta_big, theta_squares)
 
 
@@ -202,7 +202,7 @@ def test_ellipsoid_rows(ctx, name):
     # where det(Im Z) can cancel and lambda_min is smallest; on ex1 they are
     # at most a fifth of the 55 x 55 box that the square truncation summed
     Z = _walk_cases(ctx)[name]
-    R2, _, rows = _ellipsoid_rows(Z, ctx)
+    R2, _, rows = _ellipsoid_rows(_im_doubles(Z, ctx), ctx.workbits)
     half = {(m1, m2) for m1, lo, hi in rows for m2 in range(lo, hi + 1)}
     assert len(half) <= 3025 // 5
     with ctx.work():
@@ -217,17 +217,19 @@ def test_ellipsoid_rows(ctx, name):
 
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_fixed_point_walk_relative_error(bits):
-    # every square from the walk over 2Z keeps workbits - 8 bits relative
-    # to its own size, down to the 2^-217 of the THETA2 squares at
-    # Im z22 = 95: the tail target and the scale both carry 2Z's e
+    # every square keeps workbits - 8 bits relative to its own size, down to
+    # the 2^-217 of the THETA2 squares at Im z22 = 95, whether the walk runs
+    # over 2Z or at any level k up to 5 with k - 1 root steps: the tail
+    # target and the scale both carry the e of the deepest level
     ctx = PrecisionContext(bits)
     for name in _walk_cases(ctx):
         Z, ref = _oracle(name, bits)
-        squares = theta_squares(Z, ctx)
-        with mp.workprec(ctx.workbits + 64):
-            for ch, x, y in zip(EVEN_CHARS, squares, ref):
-                assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), \
-                    (bits, name, ch)
+        for k in range(1, 6):
+            squares = _squares_of(_walk_plan(Z, ctx, level=k), ctx)
+            with mp.workprec(ctx.workbits + 64):
+                for ch, x, y in zip(EVEN_CHARS, squares, ref):
+                    assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), \
+                        (bits, name, k, ch)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -236,22 +238,23 @@ def test_chain_start_terms(bits):
     # floats, is within 8 N^2 2^-prec of itself relative, N the products of
     # the chain so far, and within two units of 2^-W more from the shift to
     # the walk's scale (the module docstring's bound); on the cases with the
-    # longest chains
+    # longest chains, walked at 2Z, as an input that stays at level 1 walks
+    # them, and at the level the plan chooses
     ctx = PrecisionContext(bits)
     cases = _truncation_cases(ctx)
     for name in ("ex1 unreduced", "scrambled"):
-        Z = cases[name]
-        e, prec, rows, starts = _walk_plan(Z, ctx)
-        W = prec + e
-        N = last_m1 = last_p = 0
-        for m1, p, (tr, ti), *_ in _row_starts(Z, prec, W, rows, starts):
-            N += m1 - last_m1 + abs(p - last_p)
-            last_m1, last_p = m1, p
-            with mp.workprec(ctx.workbits + 64):
-                # t(m1, p) in units of 2^-W
-                s = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * p * Z.z12 + p * p * Z.z22) / 2) * 2 ** W
-                assert abs(mp.mpc(tr, ti) - s) <= mp.ldexp(8 * N * N * abs(s), -prec) + 2, \
-                    (bits, name, m1)
+        for plan in (_walk_plan(cases[name], ctx, level=1), _walk_plan(cases[name], ctx)):
+            Z, prec, W = plan.matrix, plan.prec, plan.W
+            N = last_m1 = last_p = 0
+            for m1, p, (tr, ti), *_ in _row_starts(plan):
+                N += m1 - last_m1 + abs(p - last_p)
+                last_m1, last_p = m1, p
+                with mp.workprec(ctx.workbits + 64):
+                    # t(m1, p) in units of 2^-W
+                    s = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * p * Z.z12 + p * p * Z.z22) / 2) \
+                        * 2 ** W
+                    assert abs(mp.mpc(tr, ti) - s) <= mp.ldexp(8 * N * N * abs(s), -prec) + 2, \
+                        (bits, name, plan.level, m1)
 
 
 def _job_Z(name, ctx):
@@ -343,3 +346,42 @@ def test_theta_all_undecided_sign_raises(ctx, monkeypatch):
     monkeypatch.setattr(theta, "_box_leading", orthogonal)
     with pytest.raises(ArithmeticError, match="sign"):
         theta_all(iI(), ctx)
+
+
+def test_root_step_undecided_sign_raises(ctx, monkeypatch):
+    # a root step's sign that the leading terms do not decide is an error,
+    # not a guess: here every L is turned by a right angle
+    Z = _job_Z("ex1", ctx)
+    leading = theta._leading
+    monkeypatch.setattr(theta, "_leading", lambda *args: [1j * L for L in leading(*args)])
+    with pytest.raises(ArithmeticError, match=r"theta\[..;00\]\(2\^1 Z\): the sign"):
+        _squares_of(_walk_plan(Z, ctx, level=2), ctx)
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_walk_level(bits):
+    # the least level whose ellipsoid holds at most WALK_POINTS_MAX points:
+    # ex1 261 -> 134 -> 73 points at 256 bits, 878 -> 448 -> 230 -> 121 at
+    # 1024; ex2 and ex3 172 and 181 -> 89 and 100, and 563 and 608 -> ... ->
+    # 79 and 85.  Im z22 = 95 walks 40 and 96 points, and stays at 2Z
+    ctx = PrecisionContext(bits)
+    levels = [_walk_plan(_job_Z(name, ctx), ctx).level for name in ("ex1", "ex2", "ex3")]
+    assert levels == ([3, 2, 2] if bits == 256 else [4, 4, 4])
+    assert _walk_plan(_walk_cases(ctx)["im z22 = 95"], ctx).level == 1
+
+
+@pytest.mark.parametrize("z12, level", [("0.5", 1), ("0.25", 2)])
+def test_walk_level_stays_below_a_vanishing_theta(z12, level):
+    # at Im z12 = 0, theta[11;0](2^j Z) = 0 where 2^j Re z12 is odd: the
+    # terms m and (m1, -m2) cancel.  Its root would carry no bits, so the
+    # walk stops below that level, here at 2Z and 4Z where 655 points would
+    # take it to 16Z, and the squares keep workbits - 8 bits
+    ctx = PrecisionContext(1024)
+    Z = PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc(z12), mp.mpc("-0.3", "1.3"))
+    plan = _walk_plan(Z, ctx)
+    assert plan.level == level
+    assert abs(_walk_plan(Z, ctx, level=level + 1).leading[level - 1][3]) < 1e-12
+    ref = _box_oracle(Z, ctx.workbits + 64 + 12)
+    with mp.workprec(ctx.workbits + 64):
+        for ch, x, y in zip(EVEN_CHARS, _squares_of(plan, ctx), ref):
+            assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), ch
