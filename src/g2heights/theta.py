@@ -133,21 +133,24 @@ matrix 2^(k-1) Z:
     about 1.
 
 The signed constants are square roots of squares, and a sign is never
-guessed.  The sign of each root is the one with Re(root conj L) > 0, where
-L sums the leading terms of the constant on complex doubles, scaled by the
-largest so that nothing underflows; the cosine of the angle between the
-root and L must be above 1/2 in modulus, or ArithmeticError is raised.
-For theta_all, L sums the terms of theta[a;b](Z) with |n_i| <= 4; for a
-root step, the terms of theta[c;0](2^j Z) in the ellipsoid whose tail is
-below 2^-(LEADING_BITS + 16) of its leading term (_leading).  The plan
-takes these L before the walk, and stops at level j when some |L| is
-below 1/2: that constant is then within a factor 2 of cancelling its
-leading terms, and its root would lose the bits it cancels.  At Im z12 = 0
-the terms m and (m1, -m2) of theta[11;0](2^j Z) cancel exactly where
-2^j Re z12 is odd.  theta_squares returns 0 for a square below
-2^-(workbits + e_1 - 8), which is within 2^8 times its error bound of 0,
-and its root is 0: near a zero, the root of a square is known only to about
-2^-(workbits + e_1)/2.
+guessed.  One rule signs them all, at every level j >= 0: with m = 2n + a,
+    theta[a;b](2^j Z) = sum_{m = a mod 2} exp(i pi 2^j m^T Z m / 4) i^(m.b),
+and i^(m.b) = +-1, since m.b = a.b mod 2 is even.  The sign of each root
+is the one with Re(root conj L) > 0, where L (_leading) sums these terms
+on complex doubles over the ellipsoid whose tail is below
+2^-(LEADING_BITS + 16) of the leading term, scaled by the largest so that
+nothing underflows; the cosine of the angle between the root and L must be
+above 1/2 in modulus, or ArithmeticError is raised.  theta_all signs its
+ten roots by the L of level 0, every b of a class a from the same
+exponentials, one per point; a root step to level j signs its four by the
+b = 0 sums of level j.  The plan takes the root steps' L before the walk,
+and stops at level j when some |L| is below 1/2: that constant is then
+within a factor 2 of cancelling its leading terms, and its root would lose
+the bits it cancels.  At Im z12 = 0 the terms m and (m1, -m2) of
+theta[11;0](2^j Z) cancel exactly where 2^j Re z12 is odd.  theta_squares
+returns 0 for a square below 2^-(workbits + e_1 - 8), which is within 2^8
+times its error bound of 0, and its root is 0: near a zero, the root of a
+square is known only to about 2^-(workbits + e_1)/2.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import mpf_shift, to_fixed
+from mpmath.libmp import from_float, from_int, fzero, mpf_shift, to_fixed
 
 from .prec import PrecisionContext
 
@@ -190,17 +193,35 @@ THETA2 = [ThetaCharacteristic(1, 0, 0, 0), ThetaCharacteristic(0, 1, 0, 0),
           ThetaCharacteristic(1, 1, 0, 0), ThetaCharacteristic(0, 1, 1, 0),
           ThetaCharacteristic(1, 0, 0, 1), ThetaCharacteristic(1, 1, 1, 1)]
 EVEN_CHARS = THETA1 + THETA2
+# the four theta[c;0], c = 2 c1 + c2, of a root step
+_ROOT_CHARS = [ThetaCharacteristic(c >> 1, c & 1, 0, 0) for c in range(4)]
+
+
+def _exact(z):
+    """The entry z as an mpc with all of its bits (see PeriodMatrix)."""
+    if isinstance(z, mp.mpc):
+        return z
+    if isinstance(z, mp.mpf):
+        return mp.make_mpc((z._mpf_, fzero))
+    if isinstance(z, int):
+        return mp.make_mpc((from_int(z), fzero))
+    if isinstance(z, (float, complex)):
+        return mp.make_mpc((from_float(z.real), from_float(z.imag)))
+    raise TypeError(f"PeriodMatrix entry {z!r} is not an mpc, mpf, int, float or complex")
 
 
 class PeriodMatrix:
     """Symmetric 2x2 complex matrix with positive-definite imaginary part.
-    The constructor wraps each entry as an mpc and checks positivity;
-    siegel.act builds its images with _of, which does neither (see there)."""
+    The constructor keeps the bits of each entry, whatever the ambient
+    precision: an mpc or mpf as it is, an int, float or complex exactly; a
+    str, whose value hangs on the ambient precision, raises TypeError.  It
+    checks positivity; siegel.act builds its images with _of, which neither
+    converts nor checks (see there)."""
 
     def __init__(self, z11, z12, z22):
-        self.z11 = mp.mpc(z11)
-        self.z12 = mp.mpc(z12)
-        self.z22 = mp.mpc(z22)
+        self.z11 = _exact(z11)
+        self.z12 = _exact(z12)
+        self.z22 = _exact(z22)
         self.check_im_positive()
 
     @classmethod
@@ -296,8 +317,9 @@ class _WalkPlan(NamedTuple):
     it runs at matrix = 2^(k-1) Z over the ellipsoid of 2^k Z of radius^2
     radius_sq, row by row from each row's peak, with a chain at prec bits
     and terms at the scale 2^-W.  e1 is the e of 2Z, which the squares'
-    zero test reads, and leading[j - 1][c] the leading terms L of
-    theta[c;0](2^j Z), j < k, which sign the root steps."""
+    zero test reads, and leading[j - 1][c] = _leading(Z, im, j)[c], the
+    leading terms L of theta[c;0](2^j Z), j < k, which sign the root steps
+    by the rule that signs theta_all at level 0."""
     level: int
     matrix: PeriodMatrix
     radius_sq: float
@@ -351,23 +373,30 @@ def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level=None):
                      prec + e + ROOT_STEP_BITS * (k - 1), leading)
 
 
-def _leading(Z: PeriodMatrix, im, j):
-    """The leading terms L of the four theta[c;0](2^j Z), c = 2 c1 + c2,
-    for im = _im_doubles(Z, ctx): the terms exp(i pi 2^j m^T Z m / 4),
-    m = c mod 2, of the ellipsoid whose tail is below 2^-(LEADING_BITS + 16)
-    of each leading term, on complex doubles, each class divided by the
-    modulus of its largest."""
+def _leading(Z: PeriodMatrix, im, j, chars=_ROOT_CHARS):
+    """The leading terms L of theta[a;b](2^j Z) for each characteristic of
+    chars, by default the four [c;0] of a root step, for im =
+    _im_doubles(Z, ctx): the terms exp(i pi 2^j m^T Z m / 4) i^(m.b),
+    m = a mod 2, of the ellipsoid whose tail is below 2^-(LEADING_BITS + 16)
+    of each leading term, on complex doubles, each class a divided by the
+    modulus of its largest.  One exponential per point serves every b."""
     z11, z12, z22 = (2.0 ** (j - 2) * complex(x) for x in Z.entries())
     xs = [[], [], [], []]
     for m1, lo, hi in _ellipsoid_rows(im, LEADING_BITS, j - 1)[2]:
         for m2 in range(lo, hi + 1):
-            xs[2 * (m1 & 1) + (m2 & 1)].append(
-                1j * cmath.pi * (m1 * m1 * z11 + 2 * m1 * m2 * z12 + m2 * m2 * z22))
-    # each half-lattice term also stands for -m, except the origin
+            x = 1j * cmath.pi * (m1 * m1 * z11 + 2 * m1 * m2 * z12 + m2 * m2 * z22)
+            xs[2 * (m1 & 1) + (m2 & 1)].append((m1, m2, x))
+    terms = []
+    for pts in xs:
+        top = max(x.real for _, _, x in pts)
+        terms.append([(m1, m2, cmath.exp(x - top)) for m1, m2, x in pts])
+    # m.b = a.b = 0 mod 2, so i^(m.b) = (-1)^(m.b / 2), the same at -m: each
+    # half-lattice term also stands for -m, except the origin
     out = []
-    for c, x in enumerate(xs):
-        top = max(t.real for t in x)
-        out.append(2 * sum(cmath.exp(t - top) for t in x) - (c == 0))
+    for ch in chars:
+        L = sum(-t if (m1 * ch.b1 + m2 * ch.b2) & 2 else t
+                for m1, m2, t in terms[2 * ch.a1 + ch.a2])
+        out.append(2 * L - (ch.a1 == ch.a2 == 0))
     return out
 
 
@@ -564,49 +593,18 @@ def _squares_of(plan: _WalkPlan, ctx: PrecisionContext):
     return out
 
 
-def _box_classes(a1, a2, z11, z12, z22):
-    """The terms exp(i pi x^T Z x), x = n + a/2, |n_i| <= 4, on complex
-    doubles, divided by the modulus of the largest and summed by the class
-    2 (n1 mod 2) + (n2 mod 2): the table that every b of one a reads."""
-    xs = []
-    for n1 in range(-4, 5):
-        x1 = n1 + a1 / 2
-        for n2 in range(-4, 5):
-            x2 = n2 + a2 / 2
-            xs.append((2 * (n1 & 1) + (n2 & 1),
-                       1j * cmath.pi * (x1 * x1 * z11 + 2 * x1 * x2 * z12 + x2 * x2 * z22)))
-    top = max(x.real for _, x in xs)
-    sums = [0j] * 4
-    for k, x in xs:
-        sums[k] += cmath.exp(x - top)
-    return sums
-
-
-def _box_leading(ch: ThetaCharacteristic, sums):
-    """The sum of the terms of theta[ch](Z) with |n_i| <= 4 on complex
-    doubles, divided by the modulus of the largest of them, from the
-    _box_classes table of ch's a: the term of n carries
-    exp(i pi x.b) = (-1)^(n.b) i^(a.b) over its value at b = 0."""
-    L = sum(-s if ((k >> 1) * ch.b1 + (k & 1) * ch.b2) & 1 else s
-            for k, s in enumerate(sums))
-    return L * 1j ** (ch.a1 * ch.b1 + ch.a2 * ch.b2)
-
-
 def _signed_roots(Z: PeriodMatrix, squares, ctx: PrecisionContext):
     """The ten theta[a;b](Z) from their squares, each sign chosen by the
-    double-precision box sum L and checked (see the module docstring)."""
-    z = [complex(x) for x in Z.entries()]
-    boxes = {(a1, a2): _box_classes(a1, a2, *z) for a1 in (0, 1) for a2 in (0, 1)}
+    _leading terms of level 0 and checked (see the module docstring)."""
+    leading = _leading(Z, _im_doubles(Z, ctx), 0, EVEN_CHARS)
     out = []
     with ctx.work():
-        for ch, sq in zip(EVEN_CHARS, squares):
-            if not sq:
-                out.append(sq)
-                continue
+        for ch, sq, L in zip(EVEN_CHARS, squares, leading):
             r = mp.sqrt(sq)
-            sign = _sign(complex(r / abs(r)), _box_leading(ch, boxes[ch.a1, ch.a2]),
-                         f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}]")
-            out.append(r if sign > 0 else -r)
+            name = f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}]"
+            if sq and _sign(complex(r / abs(r)), L, name) < 0:
+                r = -r
+            out.append(r)
     return out
 
 

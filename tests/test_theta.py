@@ -339,13 +339,67 @@ def test_theta_all_signs(bits):
 
 def test_theta_all_undecided_sign_raises(ctx, monkeypatch):
     # a sign that the leading terms do not decide is an error, not a guess:
-    # here L is made orthogonal to every root
-    def orthogonal(ch, sums):
-        return 1j * complex(roots[EVEN_CHARS.index(ch)])
-    roots = theta_all(iI(), ctx)
-    monkeypatch.setattr(theta, "_box_leading", orthogonal)
-    with pytest.raises(ArithmeticError, match="sign"):
+    # here every L of level 0 is turned by a right angle, and the constants
+    # of iI are real, so L is orthogonal to them; the root steps' L are not
+    # turned, and the name of level 0 is pinned, so that no root step can
+    # raise in its place
+    def turned(Z, im, j, *args):
+        L = leading(Z, im, j, *args)
+        return [1j * x for x in L] if j == 0 else L
+    leading = theta._leading
+    monkeypatch.setattr(theta, "_leading", turned)
+    with pytest.raises(ArithmeticError, match=r"theta\[..;..\]: the sign"):
         theta_all(iI(), ctx)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_signed_roots_one_exponential_per_point(ctx, name, monkeypatch):
+    # the ten signs of theta_all come from one cmath.exp per point of the
+    # level-0 ellipsoid of _leading, shared by every b of a class a
+    Z = _job_Z(name, ctx)
+    squares = theta_squares(Z, ctx)
+    points = theta._terms(_ellipsoid_rows(_im_doubles(Z, ctx), theta.LEADING_BITS, -1)[2])
+    exp, calls = theta.cmath.exp, []
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(theta.cmath, "exp", counted)
+    theta._signed_roots(Z, squares, ctx)
+    assert len(calls) == points
+
+
+def test_period_matrix_keeps_its_bits(ctx):
+    # entries of 300 bits, given at the ambient 53, keep their bits: the
+    # squares are those of the matrix of the same entries that _of builds,
+    # bit for bit, and an mpf and an int keep all of their bits as well.  A
+    # str, whose value hangs on the ambient precision, is refused
+    with mp.workprec(300):
+        entries = (mp.mpc(mp.mpf(1) / 3, mp.mpf(8) / 7), mp.mpc(mp.mpf(1) / 5, mp.mpf(2) / 7),
+                   mp.mpc(-mp.mpf(2) / 7, mp.mpf(11) / 7))
+    with mp.workprec(53):
+        Z = PeriodMatrix(*entries)
+        assert PeriodMatrix(mp.mpc(0, 1), entries[0].real, 1j).z12.real == entries[0].real
+        assert PeriodMatrix(mp.mpc(0, 1), 3 ** 60, 1j).z12.real == 3 ** 60
+        with pytest.raises(TypeError):
+            PeriodMatrix("0.1+1.1j", *entries[1:])
+    assert Z.entries() == entries
+    assert theta_squares(Z, ctx) == theta_squares(PeriodMatrix._of(*entries), ctx)
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3"])
+def test_theta_all_signs_at_4096_bits(ctx, name):
+    # the ten signed constants at 4096 bits agree with those at 256 bits to
+    # 2^-250, so every sign of level 0 and of the root steps is the same at
+    # both.  ex1 is left out: its Z_red changes with the precision (the
+    # Re z12 = +-1/2 tie of the Siegel reduction), and at 4096 bits its
+    # constants come out permuted
+    hi = PrecisionContext(4096)
+    vals = theta_all(_job_Z(name, hi), hi)
+    with mp.workprec(300):
+        for ch, x, y in zip(EVEN_CHARS, vals, theta_all(_job_Z(name, ctx), ctx)):
+            assert abs(x - y) < mp.mpf(2) ** -250, ch
 
 
 def test_root_step_undecided_sign_raises(ctx, monkeypatch):
