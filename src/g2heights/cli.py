@@ -20,7 +20,7 @@ from .colmez import char_from_spec, char_weighted_sum, colmez_height, half_resid
 from .exact import IntPolynomial, disc_n, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
-from .prec import PrecisionContext, stirling_plan
+from .prec import PrecisionContext, taylor_plan
 from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_from_squares,
                     _signed_roots, _squares_of, _walk_plan)
 
@@ -206,9 +206,9 @@ def cmd_height_colmez(args):
     print("f_K =", chi.f)
     print("char_weighted_sum =", f"{w[0]}{w[1]:+d}*i")
     print("height =", _fmt(h))
-    plan = stirling_plan(ctx)
-    print("stirling_shift =", plan.shift)
-    print("stirling_terms =", plan.terms)
+    plan = taylor_plan(ctx)
+    print("taylor_shift =", plan.shift)
+    print("taylor_terms =", plan.terms)
     print("log_gamma_args =", len(half_residues(chi)))
     _print_notes()
     return 0
@@ -223,8 +223,10 @@ def cmd_height_local(args):
     print("finite_part =", _fmt(hb.finite_part))
     for p in hb.local_ledger:
         mark = "" if is_prime(p.p) else " (unfactored)"
+        with ctx.work():
+            term = p.height_term
         print(f"  p={p.p}{mark} iota={p.iota} ord_min_disc={p.ord_min_disc} "
-              f"term={_fmt(p.height_term)}")
+              f"term={_fmt(term)}")
     for lbl, v in hb.arch_terms:
         print(f"arch[{lbl}] =", _fmt(v))
     print("total =", _fmt(hb.total))

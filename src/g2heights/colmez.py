@@ -13,11 +13,11 @@ integer pairs (a, b) = a + bi; all character algebra is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import mpmath as mp
 
-from .prec import SERIES_BITS, PrecisionContext, log_gamma, stirling_plan
+from .prec import SERIES_BITS, PrecisionContext, log_gamma, taylor_plan
 
 # the four units of Z[i], index = power of i
 _UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -125,23 +125,42 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
         sum_m chi(m) log Gamma(m/f)
           = sum_{m<f/2} chi(m) (2 log Gamma(m/f) - log pi + log sin(pi m/f)).
 
-    The residues are grouped by the value i^k of chi(m): each of the at
-    most four non-empty groups takes one log_gamma call, which sums its
-    log Gamma values with one log, one log of the product of its sines,
-    and log pi (from the Stirling plan) times its size.
+    The residues are grouped by the value i^k of chi(m), and each of the at
+    most four non-empty groups G_k takes one log_gamma call.  The group's
+    term L_k is real, so with w = sum_m chi(m) m = a + bi,
+
+        Re(sum_k i^k L_k / w) = sum_k c_k L_k / |w|^2,  c_k = Re(i^k conj(w)),
+
+    that is c = (a, b, -a, -b), integers.  So log pi (from the Taylor plan)
+    enters sum_k c_k |G_k| times, and the sines' logs fold, with (1/2) log f,
+    into one log:
+
+        h = f / |w|^2 (sum_k c_k (2 LG_k - |G_k| log pi)
+                       + log((S_0 / S_2)^(q a) (S_1 / S_3)^(q b) f^(q |w|^2 / 2f)) / q),
+
+    LG_k the group's log_gamma sum, S_k the product of its sines (1 for an
+    empty group), and q = 2f / gcd(|w|^2, 2f) the least q that makes the
+    power of f an integer (1 on ex1-ex3).  The groups' sums come back at
+    W = workbits + 16 bits and h is summed at p = W + 3 bits(f), so it is
+    rounded once, at workbits.
 
     The sines come from the Chebyshev recurrence s_(m+1) = 2 c s_m - s_(m-1),
-    s_m = sin(pi m/f), c = cos(pi/f), run on ints at the scale 2^-p,
-    p = workbits + 3 bits(f).  It starts from s_0 = 0 and from s_1 and
-    c, the parts of exp(i pi/f) taken with mpmath at p + 8 bits and
-    rounded, each off by less than 0.51 ulps.  A step rounds 2 c s_m down
-    and multiplies the error of c by 2 |s_m| <= 2, so it adds less than 2.1
-    ulps.  An error added at step k reaches step m multiplied by
-    U_(m-k)(c), of modulus |sin((m-k+1) pi/f) / sin(pi/f)| <= m - k + 1, so
-    s_m is off by less than 2.1 m^2/2 + 0.51 m < 1.05 m^2 + m ulps.  For
-    m < f/2, sin(pi m/f) >= 2m/f, so each sine keeps a relative error below
-    (1.05 m + 1) f/2 < f^2 ulps, that is 2^-(workbits + bits(f)), and the
-    logs of the at most f/2 sines sum to within 2^-(workbits+1).
+    s_m = sin(pi m/f), c = cos(pi/f), run on ints at the scale 2^-p.  It
+    starts from s_0 = 0 and from s_1 and c, the parts of exp(i pi/f) taken
+    with mpmath at p + 8 bits and rounded, each off by less than 0.51 ulps.
+    A step rounds 2 c s_m down and multiplies the error of c by
+    2 |s_m| <= 2, so it adds less than 2.1 ulps.  An error added at step k
+    reaches step m multiplied by U_(m-k)(c), of modulus
+    |sin((m-k+1) pi/f) / sin(pi/f)| <= m - k + 1, so s_m is off by less than
+    2.1 m^2/2 + 0.51 m < 1.05 m^2 + m ulps.  For m < f/2,
+    sin(pi m/f) >= 2m/f, so each sine keeps a relative error below
+    (1.05 m + 1) f/2 < f^2 ulps, that is 2^-(W + bits(f)), and the logs of
+    the at most f/2 sines sum to within 2^-(W+1).  S_k is their exact int
+    product, rounded once.  The fold weights group k's by |c_k| <= |w|,
+    and h divides by |w|^2: the same f / |w| that the quotient by w gave.
+    The powers, their product and the log, taken at p bits, add less than
+    (f/2) |w| log(f) 2^-p + log(f) 2^-p before the factor f / |w|^2, below
+    2^-(W+1) as |w| >= 1.
 
     The divisor never vanishes: sum_m chi(m) m = f B_{1,chi} = -f L(0, chi),
     and L(0, chi) != 0 for a primitive odd chi, by the functional equation
@@ -149,26 +168,30 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     """
     f = chi.f
     residues = half_residues(chi)
-    plan, W = stirling_plan(ctx), ctx.workbits + SERIES_BITS
-    p = ctx.workbits + 3 * f.bit_length()
+    W = ctx.workbits + SERIES_BITS
+    p = W + 3 * f.bit_length()
     with mp.workprec(p + 8):
         zeta = mp.expjpi(mp.mpf(1) / f)
         c, s1 = (int(mp.nint(mp.ldexp(v, p))) for v in (zeta.real, zeta.imag))
     ints = [0, s1]
     for _ in range(residues[-1] - 1):
         ints.append((c * ints[-1] >> (p - 1)) - ints[-2])
-    with mp.workprec(p):
-        sin = [mp.mpf((v, -p)) for v in ints]
     groups = [[] for _ in _UNITS]  # the residues with chi(m) = i^k
     for m in residues:
         groups[chi.table[m]].append(m)
-    with ctx.work():
-        log_pi, s = mp.ldexp(plan.log_pi, -W), mp.mpc(0)
-        for unit, ms in zip(_UNITS, groups):
+    a, b = char_weighted_sum(chi)
+    weights = (a, b, -a, -b)  # c_k = Re(i^k conj(w))
+    w2 = a * a + b * b
+    q = 2 * f // gcd(w2, 2 * f)  # (1/2) log f = f / (q |w|^2) log f^(q |w|^2 / 2f)
+    with mp.workprec(p):
+        S = [mp.mpf((prod(ints[m] for m in ms), -p * len(ms))) for ms in groups]
+        s = mp.log((S[0] / S[2]) ** (q * a) * (S[1] / S[3]) ** (q * b)
+                   * mp.mpf(f) ** (q * w2 // (2 * f))) / q
+        s -= sum(c * len(ms) for c, ms in zip(weights, groups)) * mp.ldexp(
+            taylor_plan(ctx).log_pi, -W)
+        for c, ms in zip(weights, groups):
             if ms:
-                sines = mp.fprod(sin[m] for m in ms)
-                term = (2 * log_gamma([Fraction(m, f) for m in ms], ctx)
-                        - len(ms) * log_pi + mp.log(sines))
-                s += mp.mpc(*unit) * term
-        w = mp.mpc(*char_weighted_sum(chi))
-        return +(mp.log(f) / 2 + f * mp.re(s / w))
+                s += 2 * c * log_gamma([Fraction(m, f) for m in ms], ctx)
+        h = f * s / w2
+    with ctx.work():
+        return +h

@@ -78,7 +78,11 @@ class LocalContribution:
     p: int  # a prime, or a cofactor the ledger could not split
     iota: int
     ord_min_disc: int
-    height_term: object  # mpf
+
+    @property
+    def height_term(self):
+        """(ord_min_disc / 60) log p, at the ambient mpmath precision."""
+        return mp.mpf(self.ord_min_disc) / 60 * mp.log(self.p)
 
 
 # ---- binary sextic transvectants, exact ----------------------------------
@@ -186,9 +190,13 @@ def _rho(n: int) -> int:
 
 def _factor_trial(n: int) -> Counter:
     """{p: e} with prod p^e = n > 0 by trial division below 1000, then
-    Pollard-Brent rho; a composite that rho cannot split stays one key."""
+    Pollard-Brent rho; a composite that rho cannot split stays one key.
+    Trial division stops early once d^2 > n: what is left is then 1 or a
+    prime."""
     out = Counter()
     for d in range(2, 1000):
+        if d * d > n:
+            break
         while n % d == 0:
             n //= d
             out[d] += 1
@@ -209,16 +217,16 @@ def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
 
     iota(p) = 1 for p >= 5, so those terms add up to log D, where D is the
     denominator of the ratio J2^5/J10 with its factors 2 and 3 removed (D = 1
-    when J2 = 0): the total needs no factoring.  The ledger factors D only
-    for display, and a cofactor it cannot split appears as one row."""
+    when J2 = 0): the total is one log of 2^a 3^b D, a and b the orders at
+    2 and 3, and none when that is 1, and needs no factoring.  The ledger
+    factors D only for display, and a cofactor it cannot split appears as
+    one row; its terms are taken when read."""
     orders = {p: minimal_disc_order(inv, p) for p in (2, 3)}
     den = (inv.ratio(1) or 1).denominator
     fac = _factor_trial(den)
     D = den // (2 ** fac.pop(2, 0) * 3 ** fac.pop(3, 0))
+    ledger = [LocalContribution(p=p, iota=iota(p) if p < 5 else 1, ord_min_disc=m)
+              for p, m in sorted({**orders, **fac}.items()) if m]
     with ctx.work():
-        total = (orders[2] * mp.log(2) + orders[3] * mp.log(3) + mp.log(D)) / 60
-        ledger = [LocalContribution(p=p, iota=iota(p) if p < 5 else 1,
-                                    ord_min_disc=m,
-                                    height_term=mp.mpf(m) / 60 * mp.log(p))
-                  for p, m in sorted({**orders, **fac}.items()) if m]
-        return +total, ledger
+        n = 2 ** orders[2] * 3 ** orders[3] * D
+        return (mp.log(n) / 60 if n > 1 else mp.mpf(0)), ledger

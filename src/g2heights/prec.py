@@ -14,32 +14,34 @@ log_gamma takes rationals m/f that share one denominator f and returns
 the sum of their log Gamma, with one mpmath log per call; colmez.colmez_height
 calls it once per value of its character.  Its callers halve the work by the
 reflection log Gamma(1-x) = log pi - log sin(pi x) - log Gamma(x)
-(colmez_height evaluates only m/f < 1/2).  Each x = m/f is shifted to
-z = x + N = D/f, D = m + N f, where the Stirling series is summed; the shift
-N = workbits // 5 and the term count K are planned once per working
-precision so that the first omitted term, which for real z > 0 bounds the
-remainder, is below 2^-W, W = workbits + 16.  A smaller N makes the shift
-product shorter and the Stirling series longer (K is about 0.7 N); the
-exact B_2n it needs come from the tangent numbers, on Python ints, by the
-recurrence of Brent and Harvey (bernoulli_numbers).  With log z = log N +
-log(D/(N f)), the N log N in (z - 1/2) log z and in the log of the shift
-prod_{j<N} (m + j f) / f^N cancel in closed form, leaving (x - 1/2) log N.
-Every other part is a ratio of small integers, and is summed on Python
-ints at the scale 2^-W (Brent and Zimmermann, Modern Computer Arithmetic,
-ch. 4): log(D/(N f)) is 2 atanh(m/(2 N f + m)), a series in a square below
-1/(4 N^2), and the Stirling series is a Horner in u = (N f/D)^2 < 1 on the
-coefficients c_n / N^(2n-2), which fall with n as the terms do, so the ints
-shrink as the Horner runs.  What is left is one log of the product of the
-group's shift products over (N f)^(N n), n residues, a number near
-e^(-N n).  Its size, about N n, against the 2^-W of the rest, is the
-log2 N bits that cancel between it and the -z of each residue; SERIES_BITS
-= 16 covers them and the few ulps of the int sums (see log_gamma).
+(colmez_height evaluates only m/f < 1/2).  The sum is one Taylor series of
+log Gamma about a shift N = 2^a of about workbits / 5 (taylor_plan), whose
+coefficients t_1 = psi(N) and t_i = (-1)^i zeta(i, N) / i meet the exact
+power sums P_i = sum m^i of the numerators:
+
+    sum_x log Gamma(x) = sum_i t_i P_i / f^i - log prod_m R_m,
+    R_m = prod_(j<N) (m + j f) / (f^N (N-1)!).
+
+For x <= 1 the terms fall like N^-i and alternate in sign from i = 2 on, so
+the tail is below its first term, and the plan stops where that is below
+2^-W, W = workbits + 16, at x = 1.  Each T_i = t_i 2^W is an integer within
+1 of its value, and times P_i / f^i <= n it costs at most n ulps; the dot
+product is one Horner in 1/f on Python ints at the scale 2^-W (Brent and
+Zimmermann, Modern Computer Arithmetic, ch. 4), once per call, whatever
+the number of residues.  R_m, which lies in [x, N x], holds log Gamma(N)
+exactly in its (N-1)!, so its one log cancels nothing.  SERIES_BITS = 16
+covers the n I rounded T_i, the tails and the log's rounding (see
+log_gamma), and the plan's T_i come from Euler-Maclaurin on the exact
+B_2k, which bernoulli_numbers makes from the tangent numbers by the
+recurrence of Brent and Harvey.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat, zip_longest
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 import mpmath as mp
@@ -79,77 +81,133 @@ class PrecisionContext:
         return f"PrecisionContext(prec_bits={self.prec})"
 
 
-# bits beyond workbits at which the Stirling series is evaluated
+# bits beyond workbits at which the Taylor series of log Gamma is summed
 SERIES_BITS = 16
 
 
-class StirlingPlan(NamedTuple):
-    """The Stirling series for one workbits, as integers at the scale 2^-W,
-    W = workbits + SERIES_BITS, each rounded to nearest: the argument
-    shift N, the term count K and the normalised coefficients
-    c_n / N^(2n-2), c_n = B_2n / (2n (2n-1)), n = 1..K; the coefficients
-    1/(2k+1) of atanh(t)/t for t <= 1/(2N+1); (1/2) log(2 pi), log N and
-    log pi."""
+class TaylorPlan(NamedTuple):
+    """The Taylor series of log Gamma(N + x) about the shift N = 2^a for
+    one workbits, as integers at the scale 2^-W, W = workbits + SERIES_BITS:
+    T_i within 1 of t_i 2^W for i = 1..I, where t_1 = psi(N) and
+    t_i = (-1)^i zeta(i, N) / i; the number of Bernoulli numbers B_2k the
+    plan's Euler-Maclaurin sums took; log pi, rounded to nearest; and
+    (N-1)!, an mpf rounded to W bits."""
 
     shift: int
     coeffs: tuple
-    atanh_coeffs: tuple
-    half_log_2pi: int
-    log_shift: int
+    bernoulli: int
     log_pi: int
+    shift_factorial: object
 
     @property
     def terms(self) -> int:
         return len(self.coeffs)
 
 
-_plans: dict[int, StirlingPlan] = {}
+_plans: dict[int, TaylorPlan] = {}
 
 
-def stirling_plan(ctx: PrecisionContext) -> StirlingPlan:
-    """The plan for ctx.workbits, built once.  N = workbits // 5 and K is
-    the first n whose term c_n / N^(2n-1) is below 2^-W; the atanh series
-    stops at the first k whose term t^(2k) / (2k+1) at t = 1/(2N+1) is
-    below 2^-W.  Both comparisons are made in integers, the first on the
-    exact B_2n, of which bernoulli_numbers makes as many as
-    _stirling_length bounds K by."""
+def _shift_bits(workbits: int) -> int:
+    """a, the shift N = 2^a being the least power of two at or above
+    workbits / 5, times workbits // 2048 from 4096 workbits on."""
+    return (-(-workbits * max(1, workbits // 2048) // 5) - 1).bit_length()
+
+
+def _euler_maclaurin_counts(W: int, a: int, terms: int) -> list[int]:
+    """K_i for i = 1..terms: the least K such that the (K+1)-th
+    Euler-Maclaurin term of zeta(i, N) / i (of psi(N) for i = 1), bounded
+    with |B_2k| / (2k)! < 4 / (2 pi)^(2k) (DLMF 24.8.1, zeta(2k) < 2) and
+    taken in doubles with a spare bit, is below 2^-(W+3) once times
+    N^(1-i), N = 2^a.  The scaled terms fall as i grows, so K_i does."""
+    ln2, lg = math.log(2), math.lgamma
+
+    def below(k, i):  # log of 4 (i+2k-2)! / (i! (2 pi)^(2k) N^(2k+i-1))
+        return (math.log(4) - 2 * k * math.log(2 * math.pi) + lg(i + 2 * k - 1)
+                - lg(i + 1) - (2 * k + i - 1) * a * ln2 < -(W + 4) * ln2)
+
+    K = 0
+    while not below(K + 1, 1):
+        K += 1
+    counts = []
+    for i in range(1, terms + 1):
+        while K and below(K, i):
+            K -= 1
+        counts.append(K)
+    return counts
+
+
+def taylor_plan(ctx: PrecisionContext) -> TaylorPlan:
+    """The plan for ctx.workbits, built once.
+
+    I is the first i at which the bound (N^-(i+1) + N^-i / i) / (i+1) on
+    |t_(i+1)| falls below 2^-W, compared in integers, so the first omitted
+    term is below 2^-W at every x <= 1.  Each T_i comes from
+    Euler-Maclaurin (DLMF 2.10.2) on sum_(j>=0) (N+j)^-i:
+
+        zeta(i, N) / i = N^(1-i) (2N + i - 1) / (2 i (i-1) N) + E_i,  i >= 2,
+        psi(N) = a log 2 - 1/(2N) - E_1,
+        E_i = sum_(k=1..K_i) u_(k,i),
+        u_(k,i) = B_2k / (2k)! (i+1)(i+2)...(i+2k-2) N^(1-i-2k),
+
+    with K_i from _euler_maclaurin_counts.  The remainder after K_i terms
+    is the integral of (B_2K' - B~_2K'(x)) f^(2K')(x) / (2K')!, K' = K_i + 1,
+    f(x) = x^-i, whose first factor lies between 0 and 2 B_2K' and whose
+    second keeps its sign: it is at most twice the first omitted term,
+    below 1/4 at the scale 2^-W.
+
+    The u's run down the rows on ints at the scale 2^-(W+g),
+    g = bits(K_1) + 6: u_(k,1) = B_2k / (2k N^(2k)), from the exact
+    bernoulli_numbers, and u_(k,i+1) = floor(u_(k,i) (i+2k-1) / ((i+1) N)),
+    one pass of maps per row over the K_(i+1) columns it keeps.  A step
+    multiplies an error by r = (i+2k-1) / ((i+1) N) <= K_1 / N, and the
+    shift rule puts K_1 below 0.85 N, so each u is off by less than
+    1/2 + 1/(1 - 0.85) < 7.2 and E_i by less than 7.2 K_i < 2^g / 8.  With
+    the rational part rounded once (a log 2 taken at W + g + 16 bits for
+    i = 1) and the remainder, T_i is off by less than
+    1/2 + 1/8 + 1/64 + 1/4 < 1."""
     wb = ctx.workbits
     plan = _plans.get(wb)
     if plan is None:
         W = wb + SERIES_BITS
-        shift = wb // 5
-        coeffs, npow = [], 1  # npow = N^(2n-2)
-        for n, b in enumerate(bernoulli_numbers(_stirling_length(shift, W)), 1):
-            d = b.denominator * 2 * n * (2 * n - 1) * npow
-            coeffs.append(((b.numerator << (W + 1)) + d) // (2 * d))
-            if abs(b.numerator) << W < d * shift:
-                break
-            npow *= shift * shift
-        atanh, t2 = [], (2 * shift + 1) ** 2
-        while True:
-            k = len(atanh)
-            atanh.append(((1 << (W + 1)) + 2 * k + 1) // (4 * k + 2))
-            if 1 << W < (2 * k + 3) * t2 ** (k + 1):
-                break
+        a = _shift_bits(wb)
+        N = 1 << a
+        terms = 1
+        while (N + terms) << W >= (terms + 1) * terms << a * (terms + 1):
+            terms += 1
+        counts = _euler_maclaurin_counts(W, a, terms)
+        g = counts[0].bit_length() + 6
+        u = [_round_ratio(b.numerator, 2 * k * b.denominator, W + g - 2 * a * k)
+             for k, b in enumerate(bernoulli_numbers(counts[0]), 1)]
+        with mp.workprec(W + g + 16):
+            log_shift = int(mp.nint(mp.ldexp(a * mp.ln2, W + g)))
+        coeffs = []
+        for i, K in enumerate(counts, 1):
+            if i == 1:
+                x = log_shift - (1 << W + g - a - 1) - sum(u[:K])
+            else:
+                x = _round_ratio(2 * N + i - 1, i * (i - 1), W + g - a * i - 1) + sum(u[:K])
+            t = (x + (1 << g - 1)) >> g
+            coeffs.append(-t if i % 2 and i > 1 else t)
+            if i < terms:
+                k = counts[i]
+                u = list(map(floordiv, map(mul, u[:k], range(i + 1, i + 2 * k, 2)),
+                             repeat((i + 1) << a, k)))
         with mp.workprec(W + 8):
-            consts = [int(mp.nint(mp.ldexp(v, W))) for v in
-                      (mp.log(2 * mp.pi) / 2, mp.log(shift), mp.log(mp.pi))]
-        plan = StirlingPlan(shift, tuple(coeffs), tuple(atanh), *consts)
+            log_pi = int(mp.nint(mp.ldexp(mp.log(mp.pi), W)))
+        with mp.workprec(W):
+            shift_factorial = mp.mpf(math.factorial(N - 1))
+        plan = TaylorPlan(N, tuple(coeffs), counts[0], log_pi, shift_factorial)
         _plans[wb] = plan
     return plan
 
 
-def _stirling_length(shift: int, W: int) -> int:
-    """The first n at which 4 (2n-2)! / ((2 pi)^(2n) N^(2n-1)), taken in
-    doubles, is below 2^-(W+1).  |B_2n| = 2 zeta(2n) (2n)! / (2 pi)^(2n)
-    (DLMF 25.6.2) and zeta(2n) < 2, so that is a bound on the term
-    c_n / N^(2n-1), which is below 2^-W there, and K <= n; the spare bit
-    covers the doubles' rounding."""
-    n, cut = 1, -(W + 1) * math.log(2)
-    while (math.lgamma(2 * n - 1) + math.log(4) - 2 * n * math.log(2 * math.pi)
-           - (2 * n - 1) * math.log(shift)) >= cut:
-        n += 1
-    return n
+def _round_ratio(n: int, d: int, e: int) -> int:
+    """n 2^e / d rounded to nearest, d > 0."""
+    if e < 0:
+        d <<= -e
+    else:
+        n <<= e
+    return (2 * n + d) // (2 * d)
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -174,73 +232,47 @@ def log_gamma(xs, ctx: PrecisionContext):
     each a Fraction or an int; any other type, bool and float included,
     raises TypeError, and an empty sequence or two denominators ValueError.
 
-    Per x, with z = x + N = D/f, D = m + N f, and the plan of
-    stirling_plan:
+    With the plan of taylor_plan, N its shift, t_i its Taylor
+    coefficients, P_i = sum_m m^i the exact power sums of the numerators,
+    and R_m = prod_(j<N) (m + j f) / (f^N (N-1)!) = Gamma(N + x) /
+    (Gamma(N) Gamma(x)):
 
-        log Gamma(x) = log Gamma(z) - log(prod_{j<N} (m + j f) / f^N),
-        log Gamma(z) = (z - 1/2) log z - z + (1/2) log(2 pi) + S(z),
-        S(z) = sum_{n<=K} c_n / z^(2n-1) + remainder,
+        sum_x log Gamma(x) = sum_(i>=1) t_i P_i / f^i - log prod_m R_m.
 
-    and with log z = log N + L, L = log(D/(N f)) = 2 atanh(t),
-    t = m/(2 N f + m):
+    x = m/f keeps its terms up to I_x = min(I, floor((W + a) / log2(N f/m))
+    + 1), N = 2^a: past it 2^W N (m / (N f))^i, which bounds the i-th term
+    as |t_i| <= N^(1-i) for i >= 2, is below 1.  P_i sums the m with
+    I_x >= i, and the dot product is one Horner in 1/f on ints at the scale
+    2^-W, acc <- floor((acc + T_i P_i) / f) from the largest I_x down to 1.
+    The last term is one mpmath log per call.  The sum is returned at W
+    bits, so that a caller that adds several rounds once.  Its errors, in
+    ulps of 2^-W, for n values of x:
 
-        log Gamma(x) = (x - 1/2) log N + (z - 1/2) L - z + (1/2) log(2 pi)
-                       + S(z) - log(P / (N f)^N),  P = prod_{j<N} (m + j f).
+    - The Taylor tails: for i >= 2 the terms t_i x^i alternate in sign and
+      fall in size, since zeta(i+1, N) < zeta(i, N) / N and x <= 1, so the
+      omitted ones of each x sum to less than its first, which is below 1
+      at I_x and, by the plan, at I: less than n in all.
+    - Each T_i is off by less than 1 and P_i / f^i <= n, so the T_i add
+      less than n I; the Horner's floors add less than
+      sum_(j>=1) f^-j <= 1.
+    - log R: each R_m lies in [x, N x], so no cancellation is left: log
+      Gamma(N) is in the (N-1)! exactly, not in a log that the Taylor sum
+      must cancel.  The n N factors m + j f are multiplied exactly four at
+      a time and then in chunks whose product is below 2^W, and the running
+      product is rounded down to W + 8 bits after each chunk: fewer than
+      n N / 4 roundings, each within a factor 1 + 2^-(W+7): n N / 512 on
+      the log.  The mpf quotient at W bits by ((N-1)! f^N)^n adds less than
+      2n + 3 ulps relative: (N-1)! from the plan, f^N and their product are
+      each within an ulp, so ((N-1)! f^N)^n is within 2n + 1, and the
+      quotient and the product's rounding to W bits add one more.
+      |log prod_m R_m| <= n log(N f), so its rounding at W adds at most
+      n log(N f).
 
-    All but the last term go into one int acc, at the scale 2^-W and
-    times 2f, so that every part is an integer: 2f (1/2) log(2 pi) and
-    (2m - f) log N from the plan, -2D exactly, (2D - f) L and 2f S(z).
-    acc / 2f is rounded once per call.  The last term is one mpmath log
-    per call, of the product of the group's P / (N f)^N.  The errors, in
-    ulps of 2^-W per x (an int step rounds down, by less than 1):
-
-    - S(z): for real z > 0 the remainder has the sign of the first
-      omitted term and is smaller in size (DLMF 5.11(ii)); the plan puts
-      the K-th term at z = N below 2^-W, and the first omitted term,
-      c_(K+1) / z^(2K+1), is smaller still at every z >= N: under 1.  The
-      sum is (f/D) H(u), H(u) = sum_n c'_n u^(n-1), c'_n = c_n / N^(2n-2),
-      u = (N f / D)^2 < 1, by the Horner h <- floor(h u) + c'_n from
-      n = K down to 1.  h has about as many bits as c'_n 2^W, which falls
-      from W to about bits(N) as n grows, so the early steps are short.
-      Each step and its rounded c'_n are off by less than 3/2, and a
-      later step multiplies an error by u < 1, so h is off by less than
-      3K/2; 2f S(z) = round(2 f^2 h / D), and f/D < 1/N and K < N at
-      every precision (K/N is 18/19, 44/57, 149/211 and 572/825 at 64,
-      256, 1024 and 4096 bits, peaks at 20/21 at 77 bits and tends to
-      about 0.7), so S(z) is off by less than 3K/(2N) + 1/4 + 1 < 11/4.
-    - (z - 1/2) L: atanh(t)/t = sum_k t^(2k) / (2k+1) by the Horner
-      a <- floor(a t^2) + round(2^W / (2k+1)) over the plan's atanh
-      terms.  t <= 1/(2N+1) <= 1/39 (N >= 19 from 64 bits up), so the
-      omitted tail is below 1/(1 - t^2), and each step's error, below
-      3/2, shrinks by t^2 with each later step: a is off by less than
-      (5/2)/(1 - t^2) < 2.51.  (2D - f) L =
-      round(2m (2D - f) a / (2N f + m)) multiplies that by less than 2m,
-      so after the division by 2f (z - 1/2) L is off by less than
-      2.51 m/f + 1/4 < 2.76.
-    - (x - 1/2) log N and (1/2) log(2 pi): each plan constant, taken at
-      W + 8 bits and rounded, is off by less than 0.57, and the factors
-      are at most 1/2 and 1: 0.86 per x.  The division by 2f rounds by
-      1/2 per call.
-    - The shift: each P is rounded down to W + 8 bits, and so is each
-      product of the P's, so their product is off by a factor within
-      (1 + 2^-(W+7))^(2n): n/64 on the log.  Its rounding to an mpf at W,
-      the power (N f)^(N n) and the quotient add about 2 2^-W relative,
-      so 2 per call.  The log of prod_{j<N} (x + j)/N lies in
-      [-N - log(N f), 0]: each term is at most 0, the first is at least
-      -log(N f), and N^(N-1) / (N-1)! <= e^N.  Rounded at W, the log of
-      the group's product is off by at most N + log(N f) per x.
-
-    That last error is the cancellation: the N log N in (z - 1/2) log z
-    and in the shift are gone in closed form, but the -z of each x and
-    the log of its shift, both about N in size, still cancel down to
-    log Gamma(x), so the ulp of the rounded log costs log2(N + log(N f))
-    bits.  Per x the other terms add less than 11/4 + 2.76 + 0.86 + 1/64
-    < 7, and per call 1/2 + 2 < 3, so the sum is off by less than
-    n (N + log(N f) + 7) + 3 ulps of 2^-W.  With N = workbits // 5, below
-    13,108 for any workbits below 2^16, and log(N f) below 705 for f below
-    2^1000, that is below n 2^16 ulps, that is n 2^-workbits, before the
-    final rounding at workbits: SERIES_BITS = 16 covers the cancellation
-    and the int sums.
+    So the sum is off by less than n (I + log(N f) + N / 512 + 4) + 4 ulps
+    of 2^-W.  For any workbits below 2^16, I is below (W + a + 1) / a, under
+    2^12, and N / 512 at most 2^10, and log(N f) is below 2^10 for f below
+    2^1400, so that is below n 2^13 ulps: SERIES_BITS = 16 keeps it below
+    n 2^-workbits / 8.
     """
     xs = [_rational(x) for x in xs]
     if not xs:
@@ -248,42 +280,36 @@ def log_gamma(xs, ctx: PrecisionContext):
     f = xs[0].denominator
     if any(x.denominator != f for x in xs):
         raise ValueError("log_gamma takes rationals with one denominator")
-    if not all(0 < x <= 1 for x in xs):
+    ms = [x.numerator for x in xs]
+    if not all(0 < m <= f for m in ms):
         raise ValueError("log_gamma requires x in (0, 1]")
     if f == 1:
         return mp.mpf(0)
-    plan = stirling_plan(ctx)
+    plan = taylor_plan(ctx)
     N, W, n = plan.shift, ctx.workbits + SERIES_BITS, len(xs)
-    Nf = N * f
-    Nf2, f2, f3 = Nf * Nf, 2 * f, 3 * f
-    M = sum(x.numerator for x in xs)
-    acc = (2 * f * n * plan.half_log_2pi + (2 * M - n * f) * plan.log_shift
-           - (2 * (M + n * Nf) << W))
-    q_man, q_exp = 1, 0  # the product of the P's, rounded down to W + 8 bits
-    for x in xs:
-        m = x.numerator
-        D = m + Nf
-        tail = m + N // 4 * 4 * f  # the factors past the last group of four
-        P = math.prod([a * (a + f) * (a + f2) * (a + f3) for a in range(m, tail, 4 * f)],
-                      start=math.prod(range(tail, D, f)))
-        cut = max(P.bit_length() - W - 8, 0)
-        q_man, q_exp = q_man * (P >> cut), q_exp + cut
+    log_nf = math.log2(N * f)  # of ints, as f may be past a double's range
+    cuts = [min(plan.terms, int((W + N.bit_length() - 1) / (log_nf - math.log2(m))) + 1)
+            for m in ms]  # I_x
+    powers = [accumulate(repeat(m, k), mul) for m, k in zip(ms, cuts)]  # m, m^2, .. m^I_x
+    sums = list(map(sum, zip_longest(*powers, fillvalue=0)))
+    acc = 0
+    for t, p in zip(reversed(plan.coeffs[:len(sums)]), reversed(sums)):
+        acc = (acc + t * p) // f
+    Nf, f4 = N * f, 4 * f
+    us = []  # u = y (y + 3f) for y = m + 4 f j, and 4 | N
+    for m in ms:
+        us += map(mul, range(m, m + Nf, f4), range(m + 3 * f, m + Nf, f4))
+    # y (y + f) (y + 2f) (y + 3f) = u (u + 2f^2)
+    quads = list(map(mul, us, map(add, us, repeat(2 * f * f))))
+    chunk = max(1, W // (4 * Nf.bit_length()))  # quads whose product is below 2^W
+    q_man, q_exp = 1, 0  # prod_m prod_(j<N) (m + j f), rounded down to W + 8 bits
+    for k in range(0, len(quads), chunk):
+        q_man *= math.prod(quads[k:k + chunk])
         cut = max(q_man.bit_length() - W - 8, 0)
         q_man, q_exp = q_man >> cut, q_exp + cut
-        E = 2 * Nf + m
-        E2, m2, a = E * E, m * m, 0
-        for r in reversed(plan.atanh_coeffs):
-            a = a * m2 // E2 + r
-        acc += (4 * m * (2 * D - f) * a + E) // (2 * E)
-        D2, h = D * D, 0
-        for c in reversed(plan.coeffs):
-            h = h * Nf2 // D2 + c
-        acc += (4 * f * f * h + D) // (2 * D)
     with mp.workprec(W):
-        shifted = mp.mpf((q_man, q_exp)) / mp.mpf(Nf) ** (N * n)
-        s = mp.ldexp((acc + f) // (2 * f), -W) - mp.log(shifted)
-    with ctx.work():
-        return +s
+        R = mp.mpf((q_man, q_exp)) / (plan.shift_factorial * mp.mpf(f) ** N) ** n
+        return mp.ldexp(acc, -W) - mp.log(R)
 
 
 def _rational(x) -> Fraction:

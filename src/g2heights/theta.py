@@ -670,27 +670,28 @@ def archimedean_term(Z: PeriodMatrix, ctx: PrecisionContext, bare: bool = False)
 
 
 def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
-    """archimedean_term(Z, ctx, bare) given c = chi10(Z).
+    """archimedean_term(Z, ctx, bare) given c = chi10(Z), taken as
+    -log(|c|^2 det(Im Z)^10) / 20: one log, and no square root for |c|.
 
     Raises Chi10NearZeroError when |c| is not above its own error, which is
-    exactly when c == 0.  The error of a square is at most a few times
-    2^-(workbits + e), and theta_squares returns 0 for a square below
-    2^-(workbits + e - 8), so every nonzero square keeps workbits - 8 bits
-    relative when it is above 2^-e, and is within 2^-5 of itself relative
-    in any case.  chi10 is their product rounded at workbits, so a
+    exactly when c == 0, that is when |c|^2 == 0.  The error of a square is
+    at most a few times 2^-(workbits + e), and theta_squares returns 0 for a
+    square below 2^-(workbits + e - 8), so every nonzero square keeps
+    workbits - 8 bits relative when it is above 2^-e, and is within 2^-5 of
+    itself relative in any case.  chi10 is their product rounded at workbits, so a
     nonzero chi10 is within (1 + 2^-5)^10 - 1 < 1/2 of itself relative:
     above its error, however small (log2|chi10| is -539 at the F2 matrix
     (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i)).  A square returned as 0 is
     within 2^8 times its error bound of 0, and then chi10 is 0.
     """
     with ctx.work():
-        ac = abs(c)
-        if not ac:
+        c2 = c.real * c.real + c.imag * c.imag
+        if not c2:
             raise Chi10NearZeroError(
                 "chi10 indistinguishable from 0: raise precision, or Z is on "
                 "the product-of-elliptic-curves locus"
             )
-        val = -(mp.log(ac) + 5 * mp.log(Z.det_im())) / 10
+        val = -mp.log(c2 * Z.det_im() ** 10) / 20
         if not bare:
             val -= _normalization(ctx)
         return +val

@@ -364,10 +364,11 @@ def test_theta_reports_truncation(capsys):
 def test_height_colmez_reports_stirling_plan(capsys):
     code, out = run_cli(capsys, "height-colmez", os.path.join(JOBS, "ex2.job"))
     assert code == 0
-    # 256 bits: N = workbits // 5, and K = 44 is the first n whose term at
-    # z = N is below 2^-(workbits+16); by reflection only m < 61/2 is evaluated
-    assert "stirling_shift = 57\n" in out
-    assert "stirling_terms = 44\n" in out
+    # 256 bits: N = 64, the least power of two at or above workbits / 5, and
+    # the Taylor series about it stops before its first term below
+    # 2^-(workbits+16) at x = 1; by reflection only m < 61/2 is evaluated
+    assert "taylor_shift = 64\n" in out
+    assert "taylor_terms = 49\n" in out
     assert "log_gamma_args = 30\n" in out
     assert "height = 0.268865172331348356482945814572\n" in out
 

@@ -146,6 +146,24 @@ def test_height_against_oracle_past_61(f, bits):
         assert err < mp.mpf(2) ** (12 - ctx.workbits)
 
 
+def _least_primitive_root(p):
+    return next(g for g in range(2, p) if len({pow(g, k, p) for k in range(1, p)}) == p - 1)
+
+
+@pytest.mark.parametrize("f", [p for p in range(5, 200, 8) if all(p % d for d in range(2, p))])
+def test_height_against_oracle_primes_5_mod_8(f):
+    # chi(g) = i for the least primitive root g mod a prime f = 5 mod 8, so
+    # chi(-1) = i^((f-1)/2) = -1; up to f = 197 its groups hold up to 25
+    # residues, more than ex2's 8, and so their power sums and shift
+    # products are longer.  Bound as in test_height_against_oracle_past_61
+    ctx = PrecisionContext(256)
+    chi = char_from_spec(f, {"gen": {_least_primitive_root(f): "i"}})
+    h = colmez_height(chi, ctx)
+    with mp.workprec(ctx.workbits + 96):
+        err = abs(h - _oracle_height(chi, ctx.workbits + 96))
+        assert err < mp.mpf(2) ** (12 - ctx.workbits)
+
+
 def test_height_4096_agrees_with_1024():
     chi = char_from_spec(61, CHI61)
     lo, hi = PrecisionContext(1024), PrecisionContext(4096)
@@ -171,9 +189,9 @@ def test_reflection_halves_log_gamma_calls(ctx, monkeypatch, f, spec, calls):
     assert len(seen) == calls
 
 
-@pytest.mark.parametrize("f,spec,limit", [(5, CHI5, 5), (61, CHI61, 9), (16, CHI16, 5)])
+@pytest.mark.parametrize("f,spec,limit", [(5, CHI5, 3), (61, CHI61, 5), (16, CHI16, 3)])
 def test_colmez_height_mpmath_logs(monkeypatch, f, spec, limit):
-    # warm: one log per log_gamma call, one per sine group and log f / 2
+    # warm: one log per log_gamma call, and one for all the sines and log f
     ctx = PrecisionContext(256)
     chi = char_from_spec(f, spec)
     colmez_height(chi, ctx)

@@ -1,3 +1,4 @@
+import argparse
 import os
 import random
 
@@ -70,6 +71,32 @@ def test_height_local_tau_order_invariant(ctx, name, monkeypatch):
     b = height_local(eq, cli.job_periods(job, ctx), 1, ctx)
     with ctx.work():
         assert abs(a.total - b.total) < ctx.tol
+
+
+@pytest.mark.parametrize("name,logs", [("ex1", 5), ("ex2", 8), ("ex3", 6)])
+def test_compare_mpmath_logs(name, logs, monkeypatch):
+    # one warm compare, context built as the CLI builds it: log 2 for the
+    # context, one log per log_gamma call (a group of residues with one value
+    # of chi), one for all the sines and f, the finite part's one log of
+    # 2^a 3^b D (none for ex1, where that is 1) and the arch term's one log
+    job = cli.parse_job(os.path.join(JOBS, f"{name}.job"))
+    args = argparse.Namespace(precision_bits=256)
+
+    def run():
+        ctx = cli.job_ctx(job, args)
+        return compare(cli.job_curve(job), cli.job_periods(job, ctx), 1,
+                       cli.job_character(job), ctx)
+
+    run()
+    calls, log = [], mp.log
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return log(*a, **kw)
+
+    monkeypatch.setattr(mp, "log", counted)
+    assert run().passed
+    assert len(calls) == logs
 
 
 def test_compare_example1(ctx):

@@ -5,8 +5,9 @@ import mpmath as mp
 import pytest
 
 from g2heights.exact import IntPolynomial
-from g2heights.prec import (SERIES_BITS, PrecisionContext, bernoulli_numbers, log_gamma,
-                            poly_roots, stirling_plan)
+from g2heights.prec import (SERIES_BITS, PrecisionContext, _euler_maclaurin_counts,
+                            _shift_bits, bernoulli_numbers, log_gamma, poly_roots,
+                            taylor_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -125,31 +126,51 @@ def test_log_gamma_against_oracle(bits, args):
             assert abs(v - ref) < mp.mpf(2) ** (8 - ctx.workbits) * max(1, abs(ref)), x
 
 
-@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
-def test_stirling_plan_first_omitted_term(bits):
-    # |B_2n| / (2n (2n-1) N^(2n-1)) is the n-th term at z = N, exactly
-    def term(n, shift):
-        num, den = mp.bernfrac(2 * n)
-        return Fraction(abs(num), den * 2 * n * (2 * n - 1) * shift ** (2 * n - 1))
+def test_log_gamma_denominator_past_a_double():
+    # f = 2^1100 + 1 overflows a double; each x takes its Taylor cut from
+    # logs of ints
+    ctx = PrecisionContext(64)
+    f = 2 ** 1100 + 1
+    for m in (1, 2 ** 1099, f - 1):
+        x = Fraction(m, f)
+        ref = _oracle_log_gamma(x, ctx)
+        v = log_gamma([x], ctx)
+        with mp.workprec(ctx.workbits + 96):
+            assert abs(v - ref) < mp.mpf(2) ** (8 - ctx.workbits) * max(1, abs(ref)), m
 
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+def test_taylor_plan_coefficients(bits):
+    # each T_i within 1 of t_i 2^W, t_1 = psi(N) and t_i = (-1)^i zeta(i, N)/i
+    # (Hurwitz), taken by mpmath at W + 64 bits, as taylor_plan's docstring
+    # bounds them; the first omitted term is below 2^-W at x <= 1, and the
+    # last one kept is not.  At 4096 bits, where mpmath takes 0.07 s per
+    # zeta, the first eight, every 16th and the last
     ctx = PrecisionContext(bits)
-    plan = stirling_plan(ctx)
-    K, N = plan.terms, plan.shift
-    cut = Fraction(1, 2 ** (ctx.workbits + SERIES_BITS))
-    assert term(K + 1, N) < term(K, N) < cut
-    assert term(K - 1, N) >= cut  # K is the first term below the cut
-    assert K < N  # log_gamma's Horner error argument
-    # the atanh series stops at its first term t^(2k)/(2k+1) below the cut
-    # at t = 1/(2N+1), the largest t = m/(2Nf + m) for m <= f
-    k = len(plan.atanh_coeffs)
-    assert Fraction(1, (2 * k + 1) * (2 * N + 1) ** (2 * k)) < cut
-    assert Fraction(1, (2 * k - 1) * (2 * N + 1) ** (2 * k - 2)) >= cut
+    plan = taylor_plan(ctx)
+    N, W, I = plan.shift, ctx.workbits + SERIES_BITS, plan.terms
+    checked = (range(1, I + 1) if bits < 4096
+               else sorted({*range(1, 9), *range(1, I + 1, 16), I}))
+    with mp.workprec(W + 64):
+        for i in checked:
+            ref = mp.digamma(N) if i == 1 else (-1) ** i * mp.zeta(i, N) / i
+            assert abs(plan.coeffs[i - 1] - mp.ldexp(ref, W)) < 1, i
+        assert mp.ldexp(mp.zeta(I + 1, N) / (I + 1), W) < 1
+        assert abs(plan.coeffs[-1]) >= 1
+
+
+def test_shift_keeps_the_bernoulli_count_below_0_85_shift():
+    # taylor_plan's error bound on its Euler-Maclaurin columns takes
+    # K_1 < 0.85 N, for N = 2^a from the shift rule
+    for wb in range(96, 8200, 13):
+        a = _shift_bits(wb)
+        assert _euler_maclaurin_counts(wb + SERIES_BITS, a, 1)[0] < 0.85 * (1 << a), wb
 
 
 def test_bernoulli_numbers_are_mpmaths():
-    # every B_2n the plans use, up to the 4096-bit plan's K, against
+    # every B_2k the plans use, up to the 4096-bit plan's count, against
     # mpmath.bernfrac as exact fractions
-    K = stirling_plan(PrecisionContext(4096)).terms
+    K = taylor_plan(PrecisionContext(4096)).bernoulli
     assert [Fraction(*mp.bernfrac(2 * n)) for n in range(1, K + 1)] == bernoulli_numbers(K)
 
 
