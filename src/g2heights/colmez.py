@@ -17,7 +17,7 @@ from math import gcd, prod
 
 import mpmath as mp
 
-from .prec import SERIES_BITS, PrecisionContext, log_gamma, taylor_plan
+from .prec import SERIES_BITS, PrecisionContext, log_gamma
 
 # the four units of Z[i], index = power of i
 _UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -131,16 +131,17 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
 
         Re(sum_k i^k L_k / w) = sum_k c_k L_k / |w|^2,  c_k = Re(i^k conj(w)),
 
-    that is c = (a, b, -a, -b), integers.  So log pi (from the Taylor plan)
-    enters sum_k c_k |G_k| times, and the sines' logs fold, with (1/2) log f,
-    into one log:
+    that is c = (a, b, -a, -b), integers.  So log pi enters sum_k c_k |G_k|
+    times, and folds with the sines' logs and (1/2) log f into one log:
 
-        h = f / |w|^2 (sum_k c_k (2 LG_k - |G_k| log pi)
-                       + log((S_0 / S_2)^(q a) (S_1 / S_3)^(q b) f^(q |w|^2 / 2f)) / q),
+        h = f / |w|^2 (sum_k 2 c_k LG_k
+                       + log((S_0 / S_2)^(q a) (S_1 / S_3)^(q b) f^(q |w|^2 / 2f)
+                             pi^(-n_pi)) / q),
 
     LG_k the group's log_gamma sum, S_k the product of its sines (1 for an
-    empty group), and q = 2f / gcd(|w|^2, 2f) the least q that makes the
-    power of f an integer (1 on ex1-ex3).  The groups' sums come back at
+    empty group), q = 2f / gcd(|w|^2, 2f) the least q that makes the
+    power of f an integer (1 on ex1-ex3), and n_pi = q sum_k c_k |G_k|
+    (-4, -244 and -64 on ex1-ex3).  The groups' sums come back at
     W = workbits + 16 bits and h is summed at p = W + 3 bits(f), so it is
     rounded once, at workbits.
 
@@ -158,9 +159,11 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     the at most f/2 sines sum to within 2^-(W+1).  S_k is their exact int
     product, rounded once.  The fold weights group k's by |c_k| <= |w|,
     and h divides by |w|^2: the same f / |w| that the quotient by w gave.
-    The powers, their product and the log, taken at p bits, add less than
-    (f/2) |w| log(f) 2^-p + log(f) 2^-p before the factor f / |w|^2, below
-    2^-(W+1) as |w| >= 1.
+    pi at p bits is within 2^-p relative, so pi^(-n_pi) is within
+    (|n_pi| + 2) 2^-p, and |n_pi| <= q |w| f/2 (|c_k| <= |w|, at most f/2
+    residues).  The powers, their product and the log, taken at p bits, add
+    less than (f/2) |w| (log(f) + 1) 2^-p + (log(f) + 2) 2^-p before the
+    factor f / |w|^2, below 2^-(W+1) as |w| >= 1 and 2^p >= 2^W (f+1)^3.
 
     The divisor never vanishes: sum_m chi(m) m = f B_{1,chi} = -f L(0, chi),
     and L(0, chi) != 0 for a primitive odd chi, by the functional equation
@@ -183,12 +186,11 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     weights = (a, b, -a, -b)  # c_k = Re(i^k conj(w))
     w2 = a * a + b * b
     q = 2 * f // gcd(w2, 2 * f)  # (1/2) log f = f / (q |w|^2) log f^(q |w|^2 / 2f)
+    n_pi = q * sum(c * len(ms) for c, ms in zip(weights, groups))
     with mp.workprec(p):
         S = [mp.mpf((prod(ints[m] for m in ms), -p * len(ms))) for ms in groups]
         s = mp.log((S[0] / S[2]) ** (q * a) * (S[1] / S[3]) ** (q * b)
-                   * mp.mpf(f) ** (q * w2 // (2 * f))) / q
-        s -= sum(c * len(ms) for c, ms in zip(weights, groups)) * mp.ldexp(
-            taylor_plan(ctx).log_pi, -W)
+                   * mp.mpf(f) ** (q * w2 // (2 * f)) * mp.pi ** -n_pi) / q
         for c, ms in zip(weights, groups):
             if ms:
                 s += 2 * c * log_gamma([Fraction(m, f) for m in ms], ctx)

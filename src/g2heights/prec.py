@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
+from math import log2
 from operator import add, floordiv, mul
 from typing import NamedTuple
 
@@ -54,19 +55,21 @@ GUARD_BITS = 32
 class PrecisionContext:
     """Immutable working-precision handle.  All numeric routines take one.
 
-    prec is the target precision in bits; computations run at prec + guard
-    bits and results are trusted to ~2^(-prec + guard).
+    prec is the target precision in bits, an int of at least 64;
+    computations run at workbits = prec + GUARD_BITS, and results are
+    trusted to tol = 2^(-prec + GUARD_BITS).  It holds pi at workbits and
+    takes no log: each engine folds pi and 2 into its own one log.
     """
 
     def __init__(self, prec_bits: int = 256):
+        if isinstance(prec_bits, bool) or not isinstance(prec_bits, int):
+            raise TypeError(f"precision takes an int, not {type(prec_bits).__name__}")
         if prec_bits < 64:
             raise ValueError("precision below 64 bits not supported")
         self.prec = prec_bits
-        self.guard = GUARD_BITS
         self.workbits = prec_bits + GUARD_BITS
         with mp.workprec(self.workbits):
             self.pi = +mp.pi
-            self.log2 = mp.log(2)
 
     def work(self):
         """Context manager setting mpmath to the working precision."""
@@ -75,7 +78,7 @@ class PrecisionContext:
     @property
     def tol(self):
         with mp.workprec(self.workbits):
-            return mp.mpf(2) ** (-self.prec + self.guard)
+            return mp.mpf(2) ** (-self.prec + GUARD_BITS)
 
     def __repr__(self):
         return f"PrecisionContext(prec_bits={self.prec})"
@@ -89,14 +92,11 @@ class TaylorPlan(NamedTuple):
     """The Taylor series of log Gamma(N + x) about the shift N = 2^a for
     one workbits, as integers at the scale 2^-W, W = workbits + SERIES_BITS:
     T_i within 1 of t_i 2^W for i = 1..I, where t_1 = psi(N) and
-    t_i = (-1)^i zeta(i, N) / i; the number of Bernoulli numbers B_2k the
-    plan's Euler-Maclaurin sums took; log pi, rounded to nearest; and
-    (N-1)!, an mpf rounded to W bits."""
+    t_i = (-1)^i zeta(i, N) / i; and (N-1)!, an mpf rounded to W bits.
+    It is the only state kept per precision besides the context itself."""
 
     shift: int
     coeffs: tuple
-    bernoulli: int
-    log_pi: int
     shift_factorial: object
 
     @property
@@ -192,11 +192,9 @@ def taylor_plan(ctx: PrecisionContext) -> TaylorPlan:
                 k = counts[i]
                 u = list(map(floordiv, map(mul, u[:k], range(i + 1, i + 2 * k, 2)),
                              repeat((i + 1) << a, k)))
-        with mp.workprec(W + 8):
-            log_pi = int(mp.nint(mp.ldexp(mp.log(mp.pi), W)))
         with mp.workprec(W):
             shift_factorial = mp.mpf(math.factorial(N - 1))
-        plan = TaylorPlan(N, tuple(coeffs), counts[0], log_pi, shift_factorial)
+        plan = TaylorPlan(N, tuple(coeffs), shift_factorial)
         _plans[wb] = plan
     return plan
 
@@ -287,8 +285,8 @@ def log_gamma(xs, ctx: PrecisionContext):
         return mp.mpf(0)
     plan = taylor_plan(ctx)
     N, W, n = plan.shift, ctx.workbits + SERIES_BITS, len(xs)
-    log_nf = math.log2(N * f)  # of ints, as f may be past a double's range
-    cuts = [min(plan.terms, int((W + N.bit_length() - 1) / (log_nf - math.log2(m))) + 1)
+    log_nf = log2(N * f)  # of ints, as f may be past a double's range
+    cuts = [min(plan.terms, int((W + N.bit_length() - 1) / (log_nf - log2(m))) + 1)
             for m in ms]  # I_x
     powers = [accumulate(repeat(m, k), mul) for m, k in zip(ms, cuts)]  # m, m^2, .. m^I_x
     sums = list(map(sum, zip_longest(*powers, fillvalue=0)))

@@ -671,7 +671,9 @@ def archimedean_term(Z: PeriodMatrix, ctx: PrecisionContext, bare: bool = False)
 
 def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
     """archimedean_term(Z, ctx, bare) given c = chi10(Z), taken as
-    -log(|c|^2 det(Im Z)^10) / 20: one log, and no square root for |c|.
+    -log(2^16 pi^20 |c|^2 det(Im Z)^10) / 20: the docstring's formula
+    squared, in one log, with no square root for |c| and no log of a
+    constant; bare=True leaves out the 2^16 pi^20.
 
     Raises Chi10NearZeroError when |c| is not above its own error, which is
     exactly when c == 0, that is when |c|^2 == 0.  The error of a square is
@@ -683,6 +685,11 @@ def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
     above its error, however small (log2|chi10| is -539 at the F2 matrix
     (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i)).  A square returned as 0 is
     within 2^8 times its error bound of 0, and then chi10 is 0.
+
+    ctx.pi is within 2^-workbits of pi relative, so 2^16 pi^20, its power
+    rounded once, is within 21 2^-workbits; with the product's rounding the
+    log's argument moves by less than 23 2^-workbits relative, and the term
+    by less than 2^-(workbits - 1).
     """
     with ctx.work():
         c2 = c.real * c.real + c.imag * c.imag
@@ -691,20 +698,7 @@ def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
                 "chi10 indistinguishable from 0: raise precision, or Z is on "
                 "the product-of-elliptic-curves locus"
             )
-        val = -mp.log(c2 * Z.det_im() ** 10) / 20
+        x = c2 * Z.det_im() ** 10
         if not bare:
-            val -= _normalization(ctx)
-        return +val
-
-
-# (8 log 2 + 10 log pi) / 10 by workbits
-_norms: dict[int, mp.mpf] = {}
-
-
-def _normalization(ctx: PrecisionContext):
-    """(1/10) log(2^8 pi^10) = (8 log 2 + 10 log pi) / 10 at the working
-    precision, taken once per ctx.workbits; call at the working precision."""
-    norm = _norms.get(ctx.workbits)
-    if norm is None:
-        norm = _norms[ctx.workbits] = (8 * ctx.log2 + 10 * mp.log(ctx.pi)) / 10
-    return norm
+            x *= mp.ldexp(ctx.pi ** 20, 16)
+        return -mp.log(x) / 20

@@ -114,7 +114,7 @@ def _log_gamma_args():
     (64, _log_gamma_args()),
     (256, _log_gamma_args()),
     (1024, _log_gamma_args()),
-    # K = 572 terms; m/61 as ex2 uses them
+    # 376 Taylor terms at N = 2048; m/61 as ex2 uses them
     (4096, [Fraction(m, 61) for m in range(1, 31)] + _near_ends(TINY)),
 ], ids=["64", "256", "1024", "4096"])
 def test_log_gamma_against_oracle(bits, args):
@@ -170,7 +170,8 @@ def test_shift_keeps_the_bernoulli_count_below_0_85_shift():
 def test_bernoulli_numbers_are_mpmaths():
     # every B_2k the plans use, up to the 4096-bit plan's count, against
     # mpmath.bernfrac as exact fractions
-    K = taylor_plan(PrecisionContext(4096)).bernoulli
+    wb = PrecisionContext(4096).workbits
+    K = _euler_maclaurin_counts(wb + SERIES_BITS, _shift_bits(wb), 1)[0]
     assert [Fraction(*mp.bernfrac(2 * n)) for n in range(1, K + 1)] == bernoulli_numbers(K)
 
 
@@ -285,3 +286,11 @@ def test_roots_nonsquarefree(ctx):
 def test_context_minimum():
     with pytest.raises(ValueError):
         PrecisionContext(32)
+
+
+@pytest.mark.parametrize("bits", [256.0, 300.5, True, "256", mp.mpf(256)])
+def test_context_takes_an_int(bits):
+    # a float would give a float workbits, which the integer scales of the
+    # engines cannot shift by
+    with pytest.raises(TypeError, match=f"not {type(bits).__name__}"):
+        PrecisionContext(bits)

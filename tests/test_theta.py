@@ -300,24 +300,24 @@ def test_arch_term_tiny_chi10(ctx):
 
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_arch_term_mpmath_logs(bits, monkeypatch):
-    # warm: one log, of |chi10|^2 det(Im Z)^10; (8 log 2 + 10 log pi) / 10 is
-    # taken once per workbits, also for a new context of the same precision,
-    # as cli.job_ctx builds one per job.  Its bits are those of the expression
+    # warm: one log, of 2^16 pi^20 |chi10|^2 det(Im Z)^10, also with a new
+    # context built in the counted region, as cli.job_ctx builds one per
+    # job.  Its bits are those of the expression
     c = PrecisionContext(bits)
     with c.work():
         Z = _example1_Z(c)
         archimedean_term(Z, c)
         ch = chi10(Z, c)
-        expected = -mp.log((ch.real ** 2 + ch.imag ** 2) * Z.det_im() ** 10) / 20
-        expected = +(expected - (8 * c.log2 + 10 * mp.log(c.pi)) / 10)
-    fresh, calls, log = PrecisionContext(bits), [], mp.log
+        x = (ch.real ** 2 + ch.imag ** 2) * Z.det_im() ** 10 * mp.ldexp(c.pi ** 20, 16)
+        expected = -mp.log(x) / 20
+    calls, log = [], mp.log
 
     def counted(*args, **kwargs):
         calls.append(args)
         return log(*args, **kwargs)
 
     monkeypatch.setattr(mp, "log", counted)
-    arch = archimedean_term(Z, fresh)
+    arch = archimedean_term(Z, PrecisionContext(bits))
     assert len(calls) <= 1
     assert arch == expected
 
