@@ -125,25 +125,28 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
         sum_m chi(m) log Gamma(m/f)
           = sum_{m<f/2} chi(m) (2 log Gamma(m/f) - log pi + log sin(pi m/f)).
 
-    The residues are grouped by the value i^k of chi(m), and each of the at
-    most four non-empty groups G_k takes one log_gamma call.  The group's
-    term L_k is real, so with w = sum_m chi(m) m = a + bi,
+    The residues are grouped by the value i^k of chi(m) into at most four
+    groups G_k.  A group's term L_k is real, so with
+    w = sum_m chi(m) m = a + bi,
 
         Re(sum_k i^k L_k / w) = sum_k c_k L_k / |w|^2,  c_k = Re(i^k conj(w)),
 
     that is c = (a, b, -a, -b), integers.  So log pi enters sum_k c_k |G_k|
     times, and folds with the sines' logs and (1/2) log f into one log:
 
-        h = f / |w|^2 (sum_k 2 c_k LG_k
+        h = f / |w|^2 (sum_(m<f/2) 2 c_(k(m)) log Gamma(m/f)
                        + log((S_0 / S_2)^(q a) (S_1 / S_3)^(q b) f^(q |w|^2 / 2f)
                              pi^(-n_pi)) / q),
 
-    LG_k the group's log_gamma sum, S_k the product of its sines (1 for an
+    k(m) the group of m, S_k the product of group k's sines (1 for an
     empty group), q = 2f / gcd(|w|^2, 2f) the least q that makes the
     power of f an integer (1 on ex1-ex3), and n_pi = q sum_k c_k |G_k|
-    (-4, -244 and -64 on ex1-ex3).  The groups' sums come back at
-    W = workbits + 16 bits and h is summed at p = W + 3 bits(f), so it is
-    rounded once, at workbits.
+    (-4, -244 and -64 on ex1-ex3).  The weighted sum of log Gammas is one
+    log_gamma call, m/f weighted by 2 c_(k(m)): one Horner and one log for
+    all the residues.  A weight multiplies its residue's error, the shift
+    product's rounding included, by |2 c_k| <= 2 |w|, and h divides by
+    |w|^2.  The sum comes back at W = workbits + 16 bits and h is summed
+    at p = W + 3 bits(f), so it is rounded once, at workbits.
 
     The sines come from the Chebyshev recurrence s_(m+1) = 2 c s_m - s_(m-1),
     s_m = sin(pi m/f), c = cos(pi/f), run on ints at the scale 2^-p.  It
@@ -187,13 +190,12 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     w2 = a * a + b * b
     q = 2 * f // gcd(w2, 2 * f)  # (1/2) log f = f / (q |w|^2) log f^(q |w|^2 / 2f)
     n_pi = q * sum(c * len(ms) for c, ms in zip(weights, groups))
+    lg = log_gamma([Fraction(m, f) for m in residues], ctx,
+                   [2 * weights[chi.table[m]] for m in residues])
     with mp.workprec(p):
         S = [mp.mpf((prod(ints[m] for m in ms), -p * len(ms))) for ms in groups]
         s = mp.log((S[0] / S[2]) ** (q * a) * (S[1] / S[3]) ** (q * b)
                    * mp.mpf(f) ** (q * w2 // (2 * f)) * mp.pi ** -n_pi) / q
-        for c, ms in zip(weights, groups):
-            if ms:
-                s += 2 * c * log_gamma([Fraction(m, f) for m in ms], ctx)
-        h = f * s / w2
+        h = f * (s + lg) / w2
     with ctx.work():
         return +h

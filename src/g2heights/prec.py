@@ -10,30 +10,31 @@ pairs splits over its resolvent cubic into two real quadratics, decided in
 integers (exact.cubic_integer_roots), and each pair then takes two square
 roots of sums whose cancellation is bounded in advance.
 
-log_gamma takes rationals m/f that share one denominator f and returns
-the sum of their log Gamma, with one mpmath log per call; colmez.colmez_height
-calls it once per value of its character.  Its callers halve the work by the
+log_gamma takes rationals m/f that share one denominator f, with int
+weights c_m, and returns the weighted sum of their log Gamma, with one
+mpmath log per call; colmez.colmez_height calls it once per height, each
+residue weighted by 2 Re(chi(m) conj(w)).  Its callers halve the work by the
 reflection log Gamma(1-x) = log pi - log sin(pi x) - log Gamma(x)
 (colmez_height evaluates only m/f < 1/2).  The sum is one Taylor series of
 log Gamma about a shift N = 2^a of about workbits / 5 (taylor_plan), whose
 coefficients t_1 = psi(N) and t_i = (-1)^i zeta(i, N) / i meet the exact
-power sums P_i = sum m^i of the numerators:
+weighted power sums Q_i = sum c_m m^i of the numerators:
 
-    sum_x log Gamma(x) = sum_i t_i P_i / f^i - log prod_m R_m,
+    sum_x c_x log Gamma(x) = sum_i t_i Q_i / f^i - log prod_m R_m^c_m,
     R_m = prod_(j<N) (m + j f) / (f^N (N-1)!).
 
 For x <= 1 the terms fall like N^-i and alternate in sign from i = 2 on, so
 the tail is below its first term, and the plan stops where that is below
 2^-W, W = workbits + 16, at x = 1.  Each T_i = t_i 2^W is an integer within
-1 of its value, and times P_i / f^i <= n it costs at most n ulps; the dot
-product is one Horner in 1/f on Python ints at the scale 2^-W (Brent and
-Zimmermann, Modern Computer Arithmetic, ch. 4), once per call, whatever
-the number of residues.  R_m, which lies in [x, N x], holds log Gamma(N)
-exactly in its (N-1)!, so its one log cancels nothing.  SERIES_BITS = 16
-covers the n I rounded T_i, the tails and the log's rounding (see
-log_gamma), and the plan's T_i come from Euler-Maclaurin on the exact
-B_2k, which bernoulli_numbers makes from the tangent numbers by the
-recurrence of Brent and Harvey.
+1 of its value, and times |Q_i| / f^i <= C = sum |c_m| it costs at most C
+ulps; the dot product is one Horner in 1/f on Python ints at the scale 2^-W
+(Brent and Zimmermann, Modern Computer Arithmetic, ch. 4), once per call,
+whatever the number of residues and weights.  R_m, which lies in [x, N x],
+holds log Gamma(N) exactly in its (N-1)!, so its one log cancels nothing.
+SERIES_BITS = 16 covers the C I rounded T_i, the tails and the log's
+rounding (see log_gamma), and the plan's T_i come from Euler-Maclaurin on
+the exact B_2k, which bernoulli_numbers makes from the tangent numbers by
+the recurrence of Brent and Harvey.
 """
 
 from __future__ import annotations
@@ -224,90 +225,130 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
             for k, tk in enumerate(t)]
 
 
-def log_gamma(xs, ctx: PrecisionContext):
-    """sum_{x in xs} log Gamma(x) for a non-empty sequence of rationals
+def log_gamma(xs, ctx: PrecisionContext, weights=None):
+    """sum_{x in xs} c_x log Gamma(x) for a non-empty sequence of rationals
     x = m/f in (0, 1] that share one denominator f (in lowest terms),
-    each a Fraction or an int; any other type, bool and float included,
-    raises TypeError, and an empty sequence or two denominators ValueError.
+    each a Fraction or an int, and int weights c_x, one per x (all 1 when
+    weights is None).  Any other type of x or c, bool and float included,
+    raises TypeError; an empty sequence, two denominators or weights of
+    another length than xs ValueError.
 
     With the plan of taylor_plan, N its shift, t_i its Taylor
-    coefficients, P_i = sum_m m^i the exact power sums of the numerators,
-    and R_m = prod_(j<N) (m + j f) / (f^N (N-1)!) = Gamma(N + x) /
+    coefficients, Q_i = sum_m c_m m^i the exact weighted power sums of the
+    numerators, and R_m = prod_(j<N) (m + j f) / (f^N (N-1)!) = Gamma(N + x) /
     (Gamma(N) Gamma(x)):
 
-        sum_x log Gamma(x) = sum_(i>=1) t_i P_i / f^i - log prod_m R_m.
+        sum_x c_x log Gamma(x) = sum_(i>=1) t_i Q_i / f^i - log prod_m R_m^c_m.
 
     x = m/f keeps its terms up to I_x = min(I, floor((W + a) / log2(N f/m))
     + 1), N = 2^a: past it 2^W N (m / (N f))^i, which bounds the i-th term
-    as |t_i| <= N^(1-i) for i >= 2, is below 1.  P_i sums the m with
+    as |t_i| <= N^(1-i) for i >= 2, is below 1.  Q_i sums the m with
     I_x >= i, and the dot product is one Horner in 1/f on ints at the scale
-    2^-W, acc <- floor((acc + T_i P_i) / f) from the largest I_x down to 1.
-    The last term is one mpmath log per call.  The sum is returned at W
-    bits, so that a caller that adds several rounds once.  Its errors, in
-    ulps of 2^-W, for n values of x:
+    2^-W, acc <- floor((acc + T_i Q_i) / f) from the largest I_x down to 1.
+    The m of one weight c share one exact int shift product P_c =
+    prod_m prod_(j<N) (m + j f), and the last term is one mpmath log per
+    call, of prod_c (P_c / ((N-1)! f^N)^(n_c))^c, n_c the count of weight
+    c, taken as prod_c P_c^c / ((N-1)! f^N)^s, s = sum_c c n_c; a weight 0
+    drops its x.  The sum is returned at W bits, so that a caller that adds
+    several rounds once.  Its errors, in ulps of 2^-W, with
+    C = sum_x |c_x| (n for unit weights):
 
     - The Taylor tails: for i >= 2 the terms t_i x^i alternate in sign and
       fall in size, since zeta(i+1, N) < zeta(i, N) / N and x <= 1, so the
       omitted ones of each x sum to less than its first, which is below 1
-      at I_x and, by the plan, at I: less than n in all.
-    - Each T_i is off by less than 1 and P_i / f^i <= n, so the T_i add
-      less than n I; the Horner's floors add less than
+      at I_x and, by the plan, at I; times |c_x|: less than C in all.
+    - Each T_i is off by less than 1 and |Q_i| / f^i <= C, so the T_i add
+      less than C I; the Horner's floors add less than
       sum_(j>=1) f^-j <= 1.
     - log R: each R_m lies in [x, N x], so no cancellation is left: log
       Gamma(N) is in the (N-1)! exactly, not in a log that the Taylor sum
-      must cancel.  The n N factors m + j f are multiplied exactly four at
-      a time and then in chunks whose product is below 2^W, and the running
-      product is rounded down to W + 8 bits after each chunk: fewer than
-      n N / 4 roundings, each within a factor 1 + 2^-(W+7): n N / 512 on
-      the log.  The mpf quotient at W bits by ((N-1)! f^N)^n adds less than
-      2n + 3 ulps relative: (N-1)! from the plan, f^N and their product are
-      each within an ulp, so ((N-1)! f^N)^n is within 2n + 1, and the
-      quotient and the product's rounding to W bits add one more.
-      |log prod_m R_m| <= n log(N f), so its rounding at W adds at most
-      n log(N f).
+      must cancel.  The n_c N factors m + j f of P_c are multiplied exactly
+      four at a time and then in chunks whose product is below 2^W, and
+      the running product is rounded down to W + 8 bits after each chunk:
+      fewer than n_c N / 4 roundings, each within a factor
+      1 + 2^-(W+7), which the power c multiplies by |c|: C N / 512 on the
+      log.  The mpf part adds less than 6 C + 1 ulps relative: P_c is
+      rounded to W bits and its power c is within |c| + 1 ulps, so the
+      P_c^c and their product are within sum_c (|c| + 1) + k - 1 <= 3 C,
+      k the number of weights; (N-1)! from the plan, f^N and their product
+      are each within an ulp, so ((N-1)! f^N)^s is within 3 |s| + 1 <=
+      3 C + 1, and the quotient adds one more.
+    - Roundings at W bits: of the log, of the Taylor sum when it is
+      converted, and of their difference.  Each is below C log(N f) in
+      size (|log R_m| <= log(N f), and the Taylor sum of x is
+      log(Gamma(N + x) / Gamma(N)) <= log N), so together they add less
+      than 3 C log(N f).
 
-    So the sum is off by less than n (I + log(N f) + N / 512 + 4) + 4 ulps
-    of 2^-W.  For any workbits below 2^16, I is below (W + a + 1) / a, under
-    2^12, and N / 512 at most 2^10, and log(N f) is below 2^10 for f below
-    2^1400, so that is below n 2^13 ulps: SERIES_BITS = 16 keeps it below
-    n 2^-workbits / 8.
+    So the sum is off by less than C (I + 3 log(N f) + N / 512 + 8) + 2
+    ulps of 2^-W.  For any workbits below 2^16, I is below (W + a + 1) / a,
+    under 2^12, and N / 512 at most 2^10, and log(N f) is below 983 for f
+    below 2^1400, so that is below C 2^13 ulps: SERIES_BITS = 16 keeps it
+    below C 2^-workbits / 8.  A weight thus multiplies each x's error, the
+    shift product's rounding included, by |c_x|: colmez_height's weights
+    2 Re(chi(m) conj(w)) are at most 2 |w|, and it divides by |w|^2.
     """
     xs = [_rational(x) for x in xs]
     if not xs:
         raise ValueError("log_gamma takes a non-empty sequence")
+    if weights is None:
+        weights = [1] * len(xs)
+    else:
+        weights = list(weights)
+        for c in weights:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise TypeError(f"log_gamma takes int weights, not {type(c).__name__}")
+        if len(weights) != len(xs):
+            raise ValueError(f"log_gamma takes one weight per x: "
+                             f"{len(weights)} weights for {len(xs)} x")
     f = xs[0].denominator
     if any(x.denominator != f for x in xs):
         raise ValueError("log_gamma takes rationals with one denominator")
     ms = [x.numerator for x in xs]
     if not all(0 < m <= f for m in ms):
         raise ValueError("log_gamma requires x in (0, 1]")
-    if f == 1:
+    groups = {}  # weight c -> the m of weight c
+    for m, c in zip(ms, weights):
+        if c:
+            groups.setdefault(c, []).append(m)
+    if f == 1 or not groups:
         return mp.mpf(0)
     plan = taylor_plan(ctx)
-    N, W, n = plan.shift, ctx.workbits + SERIES_BITS, len(xs)
+    N, W = plan.shift, ctx.workbits + SERIES_BITS
     log_nf = log2(N * f)  # of ints, as f may be past a double's range
+    pairs = [(c, m) for c, ms in groups.items() for m in ms]
     cuts = [min(plan.terms, int((W + N.bit_length() - 1) / (log_nf - log2(m))) + 1)
-            for m in ms]  # I_x
-    powers = [accumulate(repeat(m, k), mul) for m, k in zip(ms, cuts)]  # m, m^2, .. m^I_x
+            for _, m in pairs]  # I_x
+    powers = [accumulate(repeat(m, k - 1), mul, initial=c * m)
+              for (c, m), k in zip(pairs, cuts)]  # c m, c m^2, .. c m^I_x
     sums = list(map(sum, zip_longest(*powers, fillvalue=0)))
     acc = 0
-    for t, p in zip(reversed(plan.coeffs[:len(sums)]), reversed(sums)):
-        acc = (acc + t * p) // f
+    for t, q in zip(reversed(plan.coeffs[:len(sums)]), reversed(sums)):
+        acc = (acc + t * q) // f
+    s = sum(c * len(ms) for c, ms in groups.items())
+    with mp.workprec(W):
+        P = math.prod(mp.mpf(_shift_product(ms, f, N, W)) ** c
+                      for c, ms in groups.items())
+        D = plan.shift_factorial * mp.mpf(f) ** N
+        return mp.ldexp(acc, -W) - mp.log(P / D ** s)
+
+
+def _shift_product(ms, f: int, N: int, W: int):
+    """prod_m prod_(j<N) (m + j f) for 4 | N, as the (mantissa, exponent)
+    of an mpf rounded down to W + 8 bits after each chunk of factors whose
+    product is below 2^W."""
     Nf, f4 = N * f, 4 * f
-    us = []  # u = y (y + 3f) for y = m + 4 f j, and 4 | N
+    us = []  # u = y (y + 3f) for y = m + 4 f j
     for m in ms:
         us += map(mul, range(m, m + Nf, f4), range(m + 3 * f, m + Nf, f4))
     # y (y + f) (y + 2f) (y + 3f) = u (u + 2f^2)
     quads = list(map(mul, us, map(add, us, repeat(2 * f * f))))
-    chunk = max(1, W // (4 * Nf.bit_length()))  # quads whose product is below 2^W
-    q_man, q_exp = 1, 0  # prod_m prod_(j<N) (m + j f), rounded down to W + 8 bits
+    chunk = max(1, W // (4 * Nf.bit_length()))
+    man, exp = 1, 0
     for k in range(0, len(quads), chunk):
-        q_man *= math.prod(quads[k:k + chunk])
-        cut = max(q_man.bit_length() - W - 8, 0)
-        q_man, q_exp = q_man >> cut, q_exp + cut
-    with mp.workprec(W):
-        R = mp.mpf((q_man, q_exp)) / (plan.shift_factorial * mp.mpf(f) ** N) ** n
-        return mp.ldexp(acc, -W) - mp.log(R)
+        man *= math.prod(quads[k:k + chunk])
+        cut = max(man.bit_length() - W - 8, 0)
+        man, exp = man >> cut, exp + cut
+    return man, exp
 
 
 def _rational(x) -> Fraction:

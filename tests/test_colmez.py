@@ -172,26 +172,29 @@ def test_height_4096_agrees_with_1024():
         assert abs(h_hi - h_lo) < lo.tol
 
 
-@pytest.mark.parametrize("f,spec,calls", [(5, CHI5, 2), (61, CHI61, 4), (16, CHI16, 2)])
-def test_reflection_halves_log_gamma_calls(ctx, monkeypatch, f, spec, calls):
-    # one call per non-empty group of chi(m) = i^k, over the residues m < f/2
+@pytest.mark.parametrize("f,spec", EXAMPLES, ids=["ex1", "ex2", "ex3"])
+def test_reflection_one_weighted_log_gamma_call(ctx, monkeypatch, f, spec):
+    # one call per height, over the residues m < f/2, each weighted by
+    # 2 Re(chi(m) conj(w)), w = sum_m chi(m) m
     seen = []
 
-    def counted(xs, c):
-        seen.append(xs)
-        return log_gamma(xs, c)
+    def counted(xs, c, weights=None):
+        seen.append((xs, weights))
+        return log_gamma(xs, c, weights)
 
     monkeypatch.setattr(colmez, "log_gamma", counted)
     chi = char_from_spec(f, spec)
     colmez_height(chi, ctx)
-    assert sorted(x for xs in seen for x in xs) == [Fraction(m, f) for m in half_residues(chi)]
-    assert all(len({chi.value(x.numerator) for x in xs}) == 1 for xs in seen)
-    assert len(seen) == calls
+    (xs, weights), = seen
+    a, b = char_weighted_sum(chi)
+    assert xs == [Fraction(m, f) for m in half_residues(chi)]
+    assert weights == [2 * (va * a + vb * b) for va, vb in map(chi.value, half_residues(chi))]
 
 
-@pytest.mark.parametrize("f,spec,limit", [(5, CHI5, 3), (61, CHI61, 5), (16, CHI16, 3)])
-def test_colmez_height_mpmath_logs(monkeypatch, f, spec, limit):
-    # warm: one log per log_gamma call, and one for all the sines and log f
+@pytest.mark.parametrize("f,spec", EXAMPLES, ids=["ex1", "ex2", "ex3"])
+def test_colmez_height_mpmath_logs(monkeypatch, f, spec):
+    # warm: one log in the weighted log_gamma call, and one for all the
+    # sines, f and pi
     ctx = PrecisionContext(256)
     chi = char_from_spec(f, spec)
     colmez_height(chi, ctx)
@@ -203,4 +206,4 @@ def test_colmez_height_mpmath_logs(monkeypatch, f, spec, limit):
 
     monkeypatch.setattr(mp, "log", counted)
     colmez_height(chi, ctx)
-    assert len(calls) <= limit
+    assert len(calls) == 2

@@ -73,12 +73,13 @@ def test_height_local_tau_order_invariant(ctx, name, monkeypatch):
         assert abs(a.total - b.total) < ctx.tol
 
 
-@pytest.mark.parametrize("name,logs", [("ex1", 4), ("ex2", 7), ("ex3", 5)])
+@pytest.mark.parametrize("name,logs", [("ex1", 3), ("ex2", 4), ("ex3", 4)],
+                         ids=["ex1", "ex2", "ex3"])
 def test_compare_mpmath_logs(name, logs, monkeypatch):
     # one warm compare, context built as the CLI builds it, which takes no
-    # log: one log per log_gamma call (a group of residues with one value of
-    # chi), one for all the sines, f and pi, the finite part's one log of
-    # 2^a 3^b D (none for ex1, where that is 1) and the arch term's one log
+    # log: one in the height's one weighted log_gamma call, one for all the
+    # sines, f and pi, the finite part's one log of 2^a 3^b D (none for
+    # ex1, where that is 1) and the arch term's one log
     job = cli.parse_job(os.path.join(JOBS, f"{name}.job"))
     args = argparse.Namespace(precision_bits=256)
 

@@ -76,6 +76,51 @@ def test_log_gamma_group_is_sum_of_singles(bits):
             assert abs(group - mp.fsum(singles)) < mp.mpf(2) ** (12 - ctx.workbits)
 
 
+# the chi-value groups of the residues m < f/2 on ex1-ex3 (chi(2^j) = i^j
+# mod 61 on ex2) and the weights 2 Re(i^k conj(w)), w = sum_m chi(m) m, that
+# colmez_height gives them: |c| = 122 on ex2
+WEIGHTED_GROUPS = {
+    "ex1": (5, [[1], [2]], [-6, -2]),
+    "ex2": (61, [sorted(m for j in range(k, 60, 4) if (m := pow(2, j, 61)) < 31)
+                 for k in range(4)], [-122, 122, 122, -122]),
+    "ex3": (16, [[1, 7], [3, 5]], [-32, -32]),
+}
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_log_gamma_weighted(name, bits):
+    # sum_c c log_gamma(group_c) and the mpmath.loggamma oracle, within the
+    # docstring's C 2^-workbits / 8, C = sum |c_x|, each unit-weight group
+    # within n_c 2^-workbits / 8; with colmez_height's weights and with
+    # mixed signs and a weight 0, which drops its group
+    ctx = PrecisionContext(bits)
+    f, groups, colmez_weights = WEIGHTED_GROUPS[name]
+    xs = [Fraction(m, f) for g in groups for m in g]
+    for cs in (colmez_weights, [3, -1, 0, 2][:len(groups)]):
+        weights = [c for c, g in zip(cs, groups) for _ in g]
+        v = log_gamma(xs, ctx, weights)
+        with mp.workprec(ctx.workbits + 96):
+            parts = mp.fsum(c * log_gamma([Fraction(m, f) for m in g], ctx)
+                            for c, g in zip(cs, groups))
+            ref = mp.fsum(c * mp.loggamma(mp.mpf(x.numerator) / f)
+                          for c, x in zip(weights, xs))
+            bound = sum(map(abs, weights)) * mp.mpf(2) ** -ctx.workbits / 8
+            assert abs(v - ref) < bound
+            assert abs(v - parts) < 2 * bound
+
+
+def test_log_gamma_weights_rejected(ctx):
+    xs = [Fraction(1, 5), Fraction(2, 5)]
+    for weights in ([1, 1.0], [Fraction(1), 1], [True, 1], [mp.mpf(2), 1]):
+        with pytest.raises(TypeError, match="takes int weights"):
+            log_gamma(xs, ctx, weights)
+    for weights in ([], [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="one weight per x"):
+            log_gamma(xs, ctx, weights)
+    assert log_gamma(xs, ctx, [0, 0]) == 0
+
+
 def test_log_gamma_precision_consistency():
     a = PrecisionContext(128)
     b = PrecisionContext(256)
