@@ -28,6 +28,7 @@ _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
 )
 _RESIDUE_RE = re.compile(r"^\s*[+-]?\d+\s*$")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 class JobError(ValueError):
@@ -64,10 +65,12 @@ def parse_job(path: str) -> dict:
 
 
 def _rat_list(key: str, s: str):
+    """The comma-separated rationals of a coefficient key: a token of ASCII
+    digits with an optional sign is read by int, any other by Fraction."""
     out = []
     for tok in map(str.strip, s.split(",")):
         try:
-            out.append(Fraction(tok))
+            out.append(int(tok) if _INT_RE.match(tok) else Fraction(tok))
         except (ValueError, ZeroDivisionError):
             raise JobError(f"{key}: bad coefficient {tok!r}") from None
     return out

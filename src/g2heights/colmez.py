@@ -32,11 +32,16 @@ class DirichletCharacter:
     """The primitive odd order-4 character mod f with chi(m) = i^k for each
     pair (m, k) of values, whose residues m must generate (Z/f)^*.
 
-    One multiplicative closure from chi(1) = 1 builds chi and is its only
-    multiplicativity check: a unit reached with two values means no
-    character takes the given values, and a unit never reached means they
-    do not generate.  The conductor of chi^k is the least d | f with chi^k
-    trivial on the units = 1 mod d; chi must be odd and have conductor f,
+    chi is built from chi(1) = 1 by one coset extension per given residue g
+    of value i^k: the subgroup H built so far becomes the union of the
+    H g^j, j < r, r the least power with g^r in H, with chi(h g^j) =
+    chi(h) i^(jk).  That is a character exactly when chi(g^r) = i^(rk), the
+    only multiplicativity check: a value that breaks it means no character
+    takes the given values, and a table smaller than phi(f) means they do
+    not generate.  The conductor of chi^k is the least d | f with chi^k
+    trivial on the units = 1 mod d; those d are closed under gcd and under
+    multiples, so it is found from f by dividing out one prime of f at a
+    time while chi^k stays trivial.  chi must be odd and have conductor f,
     and delta_F, the conductor of chi^2 (the character of the real quadratic
     subfield F, so Delta_K = f^2 delta_F), must be above 1: chi has order 4.
     table maps each unit to its power of i; chi is zero elsewhere."""
@@ -52,22 +57,21 @@ class DirichletCharacter:
             if gcd(r, f) != 1:
                 raise CharacterError(f"residue {r} is not a unit mod {f}")
             given[r] = k
-        table, frontier = {1: 0}, [1]
-        while frontier:
-            reached = []
-            for m in frontier:
-                for g, k in given.items():
-                    t, v = m * g % f, (table[m] + k) % 4
-                    if t not in table:
-                        table[t] = v
-                        reached.append(t)
-                    elif table[t] != v:
-                        raise CharacterError(f"no character mod {f} takes these values")
-            frontier = reached
-        if len(table) != sum(gcd(m, f) == 1 for m in range(1, f)):
+        table = {1: 0}
+        for g, k in given.items():
+            powers, x = [1], g
+            while x not in table:
+                powers.append(x)
+                x = x * g % f
+            if table[x] != len(powers) * k % 4:
+                raise CharacterError(f"no character mod {f} takes these values")
+            if len(powers) > 1:
+                table = {h * y % f: (v + j * k) % 4 for h, v in table.items()
+                         for j, y in enumerate(powers)}
+        primes = _prime_factors(f)
+        if len(table) != f // prod(primes) * prod(p - 1 for p in primes):
             raise CharacterError(f"the given residues do not generate (Z/{f})^*")
-        fchi, self.delta_F = (next(d for d in range(1, f + 1) if f % d == 0 and all(
-            table.get(m, 0) * k % 4 == 0 for m in range(1, f, d))) for k in (1, 2))
+        fchi, self.delta_F = (_conductor(table, f, primes, k) for k in (1, 2))
         if self.delta_F == 1:
             raise CharacterError("character order is not 4")
         if table[f - 1] != 2:
@@ -81,6 +85,30 @@ class DirichletCharacter:
         """chi(m) as a Gaussian-integer pair; (0,0) off the units."""
         k = self.table.get(m % self.f)
         return (0, 0) if k is None else _UNITS[k]
+
+
+def _prime_factors(f: int) -> list[int]:
+    """The distinct primes of f > 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= f:
+        if f % p == 0:
+            out.append(p)
+            while f % p == 0:
+                f //= p
+        p += 1
+    return out + [f] if f > 1 else out
+
+
+def _conductor(table, f: int, primes, k: int) -> int:
+    """The conductor of chi^k, chi given by its table of powers of i on the
+    units mod f, whose primes are primes: from d = f, each prime p of f
+    leaves d while chi^k is trivial on the units = 1 mod d / p."""
+    d = f
+    for p in primes:
+        while d % p == 0 and all(table.get(m, 0) * k % 4 == 0
+                                 for m in range(1 + d // p, f, d // p)):
+            d //= p
+    return d
 
 
 def char_from_spec(f: int, spec) -> DirichletCharacter:

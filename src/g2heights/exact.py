@@ -3,17 +3,19 @@ polynomials and binary forms.
 
 Everything in this module is exact; no floating point enters.  Rationals are
 Python ``fractions.Fraction`` (always stored reduced), integers are unbounded.
-Binary forms live here alone: binary_form clears a polynomial to an integer
-form, partials differentiates it, resultant is its Sylvester determinant, and
-the discriminant is Res(F_x, F_y) on the same form.  is_prime says True only
-where Miller-Rabin is a proof, below PSI13; valuation rejects p only when
-proven_not_prime finds a factor or a witness.
+An IntPolynomial holds int numerators over one least common denominator; its
+constructor is the one place where a polynomial's coefficients become
+integers.  Binary forms live here alone: binary_form pads and reverses those
+numerators, partials differentiates a form, resultant is its Sylvester
+determinant, and the discriminant is Res(F_x, F_y) on the same form.
+is_prime says True only where Miller-Rabin is a proof, below PSI13;
+valuation rejects p only when proven_not_prime finds a factor or a witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, perm
+from math import gcd, isqrt, lcm, perm
 from typing import Sequence
 
 
@@ -60,11 +62,10 @@ def valuation(x: Fraction | int, p: int) -> int:
     when it is proven not prime, so a prime at or above PSI13 is taken."""
     if proven_not_prime(p):
         raise ValueError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -75,39 +76,54 @@ def valuation(x: Fraction | int, p: int) -> int:
 
 
 class IntPolynomial:
-    """Polynomial with rational coefficients, stored lowest degree first.
+    """Polynomial with rational coefficients, lowest degree first: the int
+    numerators num over one least common denominator den > 0, so that the
+    coefficient of x^k is num[k] / den.
 
-    max_degree, when given, is checked as a bound on the degree; binary_form
-    and disc_n take the order of the binary form as their own argument.
+    The constructor takes ints as they are and any other coefficient (a
+    Fraction, or a string that Fraction reads) through Fraction, all over
+    den; it is the one place where a polynomial's coefficients become
+    integers.  max_degree, when given, is checked as a bound on the degree;
+    binary_form and disc_n take the order of the binary form as their own
+    argument.
     """
 
-    def __init__(self, coeffs: Sequence[Fraction | int | str], max_degree: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
+    def __init__(self, coeffs: Sequence[Fraction | int | str], max_degree: int | None = None,
+                 *, den: int = 1):
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        d = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (d // c.denominator) for c in cs]
+        d *= den
+        g = gcd(d, *num)
+        if g > 1:
+            num, d = [n // g for n in num], d // g
+        while len(num) > 1 and num[-1] == 0:
+            num.pop()
+        self.num, self.den = num, d
         if max_degree is not None and self.degree > max_degree:
             raise ValueError(f"degree {self.degree} above the bound {max_degree}")
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
+
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """The coefficients as Fractions, lowest degree first."""
+        return [Fraction(n, self.den) for n in self.num]
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(other.num):
                 out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(out, den=self.den * other.den)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        b = other.coeffs + [Fraction(0)] * (n - len(other.coeffs))
-        return IntPolynomial([x + y for x, y in zip(a, b)])
-
-    def scale(self, u) -> "IntPolynomial":
-        return IntPolynomial([Fraction(u) * c for c in self.coeffs])
+        a, b = self.num, other.num
+        a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+        return IntPolynomial([x * other.den + y * self.den for x, y in zip(a, b)],
+                             den=self.den * other.den)
 
 
 # ---- binary forms, on integers --------------------------------------------
@@ -115,13 +131,9 @@ class IntPolynomial:
 # c[k] that of x^(n-k) y^k.
 
 def binary_form(p: IntPolynomial, n: int) -> tuple[list[int], int]:
-    """(F, d): p, of degree at most n, homogenized to order n and cleared to
-    integers, F = d p with d > 0 the common denominator of p's coefficients.
-    This is the one place where a polynomial's coefficients become integers.
-    """
-    cs = p.coeffs + [Fraction(0)] * (n + 1 - len(p.coeffs))
-    d = lcm(*(c.denominator for c in cs))
-    return [int(c * d) for c in reversed(cs)], d
+    """(F, d): p, of degree at most n, homogenized to order n over its
+    denominator d, F = d p: p's numerators padded and reversed."""
+    return [0] * (n + 1 - len(p.num)) + p.num[::-1], p.den
 
 
 def partials(c, a, b):
@@ -169,7 +181,7 @@ def disc_n(p: IntPolynomial, n: int) -> Fraction:
     / a; one root at infinity contributes the square of the leading
     coefficient, two make it 0.  So 2^8 disc_5(P) = 2^-12 disc_6(4P) for
     monic quintics P.  Any order n >= 2."""
-    if not any(p.coeffs):
+    if not any(p.num):
         raise ValueError("discriminant of the zero form")
     if p.degree > n:
         raise ValueError("polynomial degree exceeds declared binary-form degree")

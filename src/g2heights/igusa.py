@@ -1,22 +1,27 @@
 """Igusa invariants of genus-2 Weierstrass equations y^2 + Qy = P over Q,
 and the finite-place part of the height.
 
-Invariants are taken of the sextic f = P + Q^2/4.  The Igusa-Clebsch
-quadruple (I2, I4, I6, I10) comes from transvectants of f; the constants
-below were solved for exactly against the symmetric-function definitions
-(sums over pairings of root differences) on random split sextics:
+Invariants are taken of the sextic f = P + Q^2/4, which WeierstrassEquation
+builds once on integers: with P = P'/dP and Q = Q'/dQ held as int
+numerators over their denominators, f = (4 dQ^2 P' + dP Q'^2) / (4 dP dQ^2),
+and F = d f, d its least common denominator, is the one integer form that
+the discriminant and the transvectants share.  The Igusa-Clebsch quadruple
+(I2, I4, I6, I10) comes from transvectants of f; the constants below were
+solved for exactly against the symmetric-function definitions (sums over
+pairings of root differences) on random split sextics:
     I2 = -120*(f,f)_6
     I4 = -720*A^2 + 6750*B,   B = (i,i)_4, i = (f,f)_4
     I6 = 8640*A^3 - 108000*A*B + 202500*C,   C = (i,(i,i)_2)_4
 I10 is the binary-sextic discriminant a0^10 prod (r_i - r_j)^2, which
-exact.disc_n takes as Res(F_x, F_y) on the integer form F the transvectants
-use.
+exact.disc_n takes as Res(F_x, F_y) on F.
 
 Normalisation (Liu, Math. Ann. 295, 1993): the J's are those of f itself,
 with J10 = 2^-12 disc_6(f).  The discriminant that `discriminant` returns is
 Delta_E = 2^20 J10 = 2^8 disc_6(f), the J10 of the sextic 4f.  The ratios
 J_{2i}^5 / J10^i have weight 0, so the finite part does not see this factor.
 For y^2 = x^5 - 1 it is why J10 = 5^5/2^12 while Delta_E = 2^8 5^5 = 800000.
+The finite part reads each order ord_p(J_{2i}^5 / J10^i) as
+5 ord_p(J_{2i}) - i ord_p(J10), from the J's numerators and denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from itertools import zip_longest
+from math import comb, gcd
 
 import mpmath as mp
 
@@ -47,7 +53,13 @@ class WeierstrassEquation:
             raise ValueError("deg Q > 3")
         self.P = P
         self.Q = Q
-        self.sextic = P + Q * Q.scale(Fraction(1, 4))  # f = P + Q^2/4
+        q2 = Q * Q
+        # f = P + Q^2/4 = (4 dQ^2 P' + dP Q'^2) / (4 dP dQ^2) on the
+        # numerators P' = dP P and Q' = dQ Q
+        self.sextic = IntPolynomial(
+            [4 * q2.den * a + P.den * b
+             for a, b in zip_longest(P.num, q2.num, fillvalue=0)],
+            den=4 * P.den * q2.den)
         if self.sextic.degree not in (5, 6):
             raise SingularCurveError("P + Q^2/4 must have degree 5 or 6")
         self.disc6 = disc_n(self.sextic, 6)  # disc_6(f)
@@ -91,40 +103,19 @@ class LocalContribution:
 def _transvectant(f, g, k):
     """The k-th transvectant of the forms f and g of orders m and n, times
     m! n! / ((m-k)! (n-k)!): sum_j (-1)^j C(k, j) times the product of
-    d^(k-j)/dx d^j/dy f and d^j/dx d^(k-j)/dy g, on integers."""
+    d^(k-j)/dx d^j/dy f and d^j/dx d^(k-j)/dy g, on integers.  When g is f
+    and k is even, the terms j and k - j are equal, so only j <= k/2 is
+    formed, each j < k/2 twice."""
     out = [0] * (len(f) + len(g) - 1 - 2 * k)
-    for j in range(k + 1):
-        w = (-1) ** j * comb(k, j)
+    half = g is f and k % 2 == 0
+    for j in range(k // 2 + 1 if half else k + 1):
+        w = (-1) ** j * comb(k, j) * (2 if half and 2 * j < k else 1)
         dg = partials(g, j, k - j)
         for s, u in enumerate(partials(f, k - j, j)):
+            wu = w * u
             for t, v in enumerate(dg):
-                out[s + t] += w * u * v
+                out[s + t] += wu * v
     return out
-
-
-def _prefactor(m, n, k):
-    """(m-k)! (n-k)! / (m! n!), the factor _transvectant leaves out."""
-    return Fraction(factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
-
-
-def _igusa_clebsch(sextic: IntPolynomial):
-    """(I2, I4, I6) of the sextic; I10 is its discriminant disc_6.
-
-    The transvectants run on the integer form F = d f, d the common
-    denominator; each is bilinear, so every factorial prefactor and power of
-    d enters once, as a Fraction, at the end."""
-    F, d = binary_form(sextic, 6)
-    i4 = _transvectant(F, F, 4)  # i = (f, f)_4 = p4 i4
-    p4 = _prefactor(6, 6, 4) / d ** 2
-    A = _prefactor(6, 6, 6) / d ** 2 * _transvectant(F, F, 6)[0]
-    B = _prefactor(4, 4, 4) * p4 ** 2 * _transvectant(i4, i4, 4)[0]
-    # C = (i, (i, i)_2)_4, and (i, i)_2 has order 4 like i
-    C = (_prefactor(4, 4, 4) * _prefactor(4, 4, 2) * p4 ** 3
-         * _transvectant(i4, _transvectant(i4, i4, 2), 4)[0])
-    I2 = -120 * A
-    I4 = -720 * A ** 2 + 6750 * B
-    I6 = 8640 * A ** 3 - 108000 * A * B + 202500 * C
-    return I2, I4, I6
 
 
 def discriminant(eq: WeierstrassEquation) -> Fraction:
@@ -133,13 +124,29 @@ def discriminant(eq: WeierstrassEquation) -> Fraction:
 
 
 def igusa_invariants(eq: WeierstrassEquation) -> IgusaInvariants:
-    """Invariants of the sextic f = P + Q^2/4, exact; J10 = 2^-12 disc_6(f)."""
-    I2, I4, I6 = _igusa_clebsch(eq.sextic)
-    J2 = I2 / 8
-    J4 = (4 * J2 ** 2 - I4) / 96
-    J6 = (8 * J2 ** 3 - 160 * J2 * J4 - I6) / 576
-    J8 = (J2 * J6 - J4 ** 2) / 4
-    return IgusaInvariants(J2, J4, J6, J8, eq.disc6 / 4096)
+    """Invariants of the sextic f = P + Q^2/4, exact; J10 = 2^-12 disc_6(f).
+
+    The transvectants run on the integer form F = d f, and each is bilinear:
+    with a = (F,F)_6, i = (F,F)_4, b = (i,i)_4 and c = (i,(i,i)_2)_4, each
+    as _transvectant returns it, times m! n! / ((m-k)! (n-k)!),
+    A = a / (6!^2 d^2), B = b / (4!^2 (6!^2 / 2!^2)^2 d^4) and
+    C = c / (4!^2 (4!^2 / 2!^2) (6!^2 / 2!^2)^3 d^6).  The I's above, put
+    into J2 = I2/8, J4 = (4 J2^2 - I4)/96, J6 = (8 J2^3 - 160 J2 J4 - I6)/576
+    and J8 = (J2 J6 - J4^2)/4, give the J's below, each one Fraction of an
+    int numerator in a, b, c over an int times d^(2k)."""
+    F, d = binary_form(eq.sextic, 6)
+    i = _transvectant(F, F, 4)
+    a = _transvectant(F, F, 6)[0]
+    b = _transvectant(i, i, 4)[0]
+    c = _transvectant(i, _transvectant(i, i, 2), 4)[0]
+    u = d * d
+    return IgusaInvariants(
+        Fraction(-a, 34560 * u),
+        Fraction(216 * a * a - 25 * b, 3439853568000 * u ** 2),
+        Fraction((3888 * a * a - 1350 * b) * a - 125 * c, 64195923227443200000 * u ** 3),
+        Fraction(((-202176 * a * a + 54000 * b) * a + 2000 * c) * a - 1875 * b * b,
+                 141991110831387967488000000 * u ** 4),
+        eq.disc6 / 4096)
 
 
 def iota(p: int) -> int:
@@ -160,9 +167,9 @@ def minimal_disc_order(inv: IgusaInvariants, p: int) -> int:
     Assumes good reduction of the jacobian at p (caller's hypothesis).
     """
     i = iota(p)
-    r = inv.ratio(i)
-    # r = 0 has |r|_p = 0, so log max{1, .} = 0
-    m = max(0, -valuation(r, p)) if r is not None else 0
+    J = inv.as_tuple()[i - 1]
+    # J = 0 has |J^5 / J10^i|_p = 0, so log max{1, .} = 0
+    m = max(0, i * valuation(inv.J10, p) - 5 * valuation(J, p)) if J else 0
     if m % i != 0:
         raise ArithmeticError(
             f"non-integral minimal discriminant order at p={p}: {m}/{i}"
@@ -222,7 +229,11 @@ def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
     factors D only for display, and a cofactor it cannot split appears as
     one row; its terms are taken when read."""
     orders = {p: minimal_disc_order(inv, p) for p in (2, 3)}
-    den = (inv.ratio(1) or 1).denominator
+    # J2^5 / J10 = n2^5 d10 / (d2^5 n10) on the reduced J2 = n2 / d2 and
+    # J10 = n10 / d10; J2 = 0 makes the gcd the whole denominator
+    J2, J10 = inv.J2, inv.J10
+    den = J2.denominator ** 5 * abs(J10.numerator)
+    den //= gcd(J2.numerator ** 5 * J10.denominator, den)
     fac = _factor_trial(den)
     D = den // (2 ** fac.pop(2, 0) * 3 ** fac.pop(3, 0))
     ledger = [LocalContribution(p=p, iota=iota(p) if p < 5 else 1, ord_min_disc=m)

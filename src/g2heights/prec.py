@@ -7,8 +7,9 @@ so their error behaviour is under our control.
 
 The roots need no root finder: a quartic whose roots are two conjugate
 pairs splits over its resolvent cubic into two real quadratics, decided in
-integers (exact.cubic_integer_roots), and each pair then takes two square
-roots of sums whose cancellation is bounded in advance.
+integers (exact.cubic_integer_roots), and each pair then takes integer
+square roots (math.isqrt) of sums whose cancellation is bounded in advance,
+at a scale set from bit lengths, and one rounding per part.
 
 log_gamma takes rationals m/f that share one denominator f, with int
 weights c_m, and returns the weighted sum of their log Gamma, with one
@@ -42,11 +43,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
-from math import log2
+from math import isqrt, log2
 from operator import add, floordiv, mul
 from typing import NamedTuple
 
 import mpmath as mp
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_neg, round_nearest
 
 from .exact import IntPolynomial, binary_form, cubic_integer_roots
 
@@ -383,16 +385,27 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     pair.  dT = dN = 0 makes p a square.  The order is exact: ascending T
     (T1 < T2 when dT > 0), else ascending N.
 
-    Numeric part: w_i = sigma/2 + 2 delta_i sqrt(dN) + eps_i (a3/2) sqrt(dT)
-    with eps_i = sign(T_i - T_j) and delta_i = sign(N_i - N_j).  Each term
-    is below 2^L, L taken from bit lengths, and w_i = pi / w_j >= pi / sigma,
-    so the sum cancels at most e = L + bits(sigma) - bits(pi) + 1 bits.
-    T_i = (eps_i sqrt(dT) - a3) / 2 cancels less: where it cancels,
-    2^e >~ a3^2 / w_i >= (a3 / 2 t_i)^2.  So at workbits + 32 + e the root
-    t_i / c4 in H, (T_i + i sqrt(w_i)) / (2 c4), is known to about
-    2^-(workbits+32) of its size and, but for rare ties, rounds to workbits
-    as the exact root would; the Siegel reduction, whose word on a boundary
-    follows the last bits, then does not depend on how it was computed.
+    Numeric part, on ints at the scale 2^-S: w_i = sigma/2
+    + 2 delta_i sqrt(dN) + eps_i (a3/2) sqrt(dT), with eps_i = sign(T_i - T_j)
+    and delta_i = sign(N_i - N_j).  The floor square roots
+    R_T = isqrt(dT 2^2S) and R_N = isqrt(dN 2^2S) are each less than 1 below
+    sqrt(dT) 2^S and sqrt(dN) 2^S, so V_i = sigma 2^S + 4 delta_i R_N
+    + eps_i a3 R_T is within 4 + |a3| of 2 w_i 2^S.  As w_i = pi / w_j
+    >= pi / sigma > 2^(bits(pi) - 1 - bits(sigma)), that is a relative error
+    below 2^(e_w - S), e_w = max(0, bits(4 + |a3|) + bits(sigma) - bits(pi)),
+    and Y_i = isqrt(V_i 2^(S-1)), within the same relative error and one
+    more floor of sqrt(w_i) 2^S, is off by less than 2^(e_w + 1 - S) of it.
+    X_i = eps_i R_T - a3 2^S is within 1 of 2 T_i 2^S, and exact when dT is
+    a square.  Otherwise T_i T_j = a2 - s is a nonzero integer and
+    |T_j| <= (|a3| + sqrt dT) / 2 < 2^(e_T - 1), e_T = max(bits(a3),
+    ceil(bits(dT) / 2)) + 1, so |2 T_i| > 2^(2 - e_T) and X_i is off by less
+    than 2^(e_T - 2 - S) of it.  With S = workbits + 34 + max(e_w, e_T), both
+    parts of the root t_i / c4 in H, (T_i + i sqrt(w_i)) / (2 c4), that is
+    X_i 2^-S / (4 c4) and Y_i 2^-S / (2 c4), are within 2^-(workbits+33) of
+    their size before one correctly rounded mpf division each at workbits.
+    So, but for rare ties, each rounds as the exact root would; the Siegel
+    reduction, whose word on a boundary follows the last bits, then does not
+    depend on how it was computed.
     """
     if p.degree != 4:
         raise ValueError(f"poly_roots takes a quartic, not degree {p.degree}")
@@ -413,17 +426,22 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
                          "its resolvent cubic")
     # the sign of N1 - N2, with T1 <= T2, and N1 < N2 when T1 = T2
     d = 1 if dT and 2 * a1 - a3 * s < 0 else -1
-    L = max(sigma.bit_length(), ((4 * dN).bit_length() + 1) // 2,
-            ((a3 * a3 * dT).bit_length() + 1) // 2)
-    e = L + sigma.bit_length() - pi.bit_length() + 1
-    with mp.workprec(ctx.workbits + 32 + e):
-        rT, rN = mp.sqrt(dT), mp.sqrt(dN)
-        upper = []
-        for eps, delta in ((-1, d), (1, -d)):
-            w = mp.mpf(sigma) / 2 + 2 * delta * rN + eps * a3 * rT / 2
-            upper.append(mp.mpc(eps * rT - a3, 2 * mp.sqrt(w)) / (4 * c4))
-        t1, t2 = upper
-        roots = ([mp.conj(t1), t1, mp.conj(t2), t2] if dT
-                 else [mp.conj(t2), mp.conj(t1), t1, t2])
-    with ctx.work():
-        return [+z for z in roots]
+    e_w = max(0, (4 + abs(a3)).bit_length() + sigma.bit_length() - pi.bit_length())
+    e_T = max(a3.bit_length(), (dT.bit_length() + 1) // 2) + 1
+    S = ctx.workbits + 34 + max(e_w, e_T)
+    rT, rN = isqrt(dT << 2 * S), isqrt(dN << 2 * S)
+    upper = []
+    for eps, delta in ((-1, d), (1, -d)):
+        v = (sigma << S) + 4 * delta * rN + eps * a3 * rT
+        upper.append((_scaled_quotient(eps * rT - (a3 << S), S, 4 * c4, ctx),
+                      _scaled_quotient(isqrt(v << S - 1), S, 2 * c4, ctx)))
+    (x1, y1), (x2, y2) = upper
+    parts = ([(x1, mpf_neg(y1)), (x1, y1), (x2, mpf_neg(y2)), (x2, y2)] if dT
+             else [(x2, mpf_neg(y2)), (x1, mpf_neg(y1)), (x1, y1), (x2, y2)])
+    return [mp.make_mpc(z) for z in parts]
+
+
+def _scaled_quotient(n: int, S: int, q: int, ctx: PrecisionContext):
+    """n 2^-S / q for an int q > 0, as a raw mpf: one correctly rounded
+    division of the exact operands at workbits."""
+    return mpf_div(from_man_exp(n, -S), from_int(q), ctx.workbits, round_nearest)

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import os
+import tempfile
+from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 import pytest
 
 from g2heights import heights
-from g2heights.cli import JobError, job_character, main, parse_complex, parse_job
+from g2heights.cli import (JobError, _rat_list, job_character, main, parse_complex,
+                           parse_job)
 from g2heights.prec import PrecisionContext
 
 JOBS = os.path.join(os.path.dirname(__file__), "..", "jobs")
@@ -324,6 +327,23 @@ def test_bad_coefficient_names_key_exit1(tmp_path, capsys, key, value, command,
     assert f"error: {key}: bad coefficient {token}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tok", ["7", "-7", "+7", " 7 ", "007", "1_000", "１２", "2/4",
+                                 "-3/6", "1e3", "1.5", "1.5e", "0x10", "1/0", "x", ""])
+def test_rat_list_reads_as_fraction(tok):
+    # a token of ASCII digits takes the int path, any other Fraction's; both
+    # give Fraction(tok)'s value or its error, on every Python.  int reads
+    # 1_000 everywhere but Fraction only from 3.11 on, so that token must
+    # take the Fraction path
+    try:
+        expect = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(JobError) as err:
+            _rat_list("curve_P", tok)
+        assert str(err.value) == f"curve_P: bad coefficient {tok.strip()!r}"
+    else:
+        assert _rat_list("curve_P", tok) == [expect]
+
+
 @pytest.mark.parametrize("f", [0, 1, 2, -5])
 def test_modulus_below_3_exit1(tmp_path, capsys, f):
     assert main(["height-colmez", _ex3_setting(tmp_path, "f_K", f)]) == 1
@@ -401,11 +421,33 @@ def test_golden_outputs(argv):
         assert _golden_record(argv) == fh.read()
 
 
+# the BIG curve of test_igusa.py, with a nonzero curve_Q and one coefficient
+# written as a fraction, which no shipped job has: the parser's Fraction path
+# and the integer sextic 4 dQ^2 P + dP Q^2 end to end
+BIG_JOB = """curve_P = 6, -4, -9, -16/2, 3, 3, -8
+curve_Q = -2, -3, 1
+"""
+
+
+def _big_argv(directory):
+    path = os.path.join(directory, "big.job")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(BIG_JOB)
+    return ["igusa", path]
+
+
+def test_golden_igusa_rational_curve_with_Q(tmp_path):
+    argv = _big_argv(tmp_path)
+    with open(os.path.join(GOLDEN, _golden_name(argv)), encoding="utf-8") as fh:
+        assert _golden_record(argv) == fh.read()
+
+
 if __name__ == "__main__":
     # rewrites tests/golden/ from the current code:
     #   PYTHONPATH=src python3 tests/test_cli.py
     os.makedirs(GOLDEN, exist_ok=True)
-    for argv in GOLDEN_CASES:
-        with open(os.path.join(GOLDEN, _golden_name(argv)), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_golden_record(argv))
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in GOLDEN_CASES + [_big_argv(tmp)]:
+            with open(os.path.join(GOLDEN, _golden_name(argv)), "w",
+                      encoding="utf-8") as fh:
+                fh.write(_golden_record(argv))

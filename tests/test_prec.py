@@ -323,6 +323,56 @@ def test_roots_huge_constant_term(ctx):
             assert abs(z - mp.mpc(0, e)) < ctx.tol * abs(e)
 
 
+def test_poly_roots_takes_no_mpmath_sqrt(ctx, monkeypatch):
+    # the square roots are math.isqrt on ints, and each part of a root is
+    # one mpf division
+    calls, sqrt = [], mp.sqrt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sqrt(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "sqrt", counted)
+    for cs in TAU_QUARTICS:
+        poly_roots(IntPolynomial(cs), ctx)
+    assert calls == []
+
+
+# a3 = 2^40, s = a3^2, dT = a3^2 + 4: T1 T2 = -1, so T1 = (sqrt(dT) - a3) / 2
+# cancels about 80 bits, while pi / sigma keeps w from cancelling
+_A3 = 2 ** 40
+_CANCEL_T = [(_A3 ** 4 - _A3 ** 2 - 4) // 4, (_A3 ** 3 + _A3 ** 2 + 4) // 2,
+             _A3 ** 2 - 1, _A3, 1]
+ROUNDED_CASES = {
+    "ex1": TAU_QUARTICS[0], "ex2": TAU_QUARTICS[1], "ex3": TAU_QUARTICS[2],
+    # test_roots_close_pair_resolved's (x^2 + 1)(x^2 + 2^-60 x + 1)
+    "close-pair": (IntPolynomial([1, 0, 1]) * IntPolynomial([1, Fraction(1, 2 ** 60), 1])).coeffs,
+    # test_roots_huge_constant_term's (x^2 + 10^400)(x^2 + 1)
+    "1e400": [10 ** 400, 0, 10 ** 400 + 1, 0, 1],
+    "cancel-T": _CANCEL_T,
+}
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("name", ROUNDED_CASES)
+def test_poly_roots_exactly_rounded(bits, name):
+    # each part of each root is mpmath.polyroots' root rounded once to
+    # workbits.  It is taken at workbits + 256 bits and as many more as the
+    # coefficients span, so that the coefficients enter exactly and the
+    # iteration converges on 10^400
+    ctx = PrecisionContext(bits)
+    cs = [Fraction(c) for c in ROUNDED_CASES[name]]
+    roots = poly_roots(IntPolynomial(cs), ctx)
+    span = max(abs(c.numerator).bit_length() + c.denominator.bit_length() for c in cs)
+    with mp.workprec(ctx.workbits + 256 + span):
+        ref, err = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(cs)],
+                                maxsteps=400, extraprec=64, error=True)
+        assert err < mp.ldexp(1, -(ctx.workbits + 200)) * max(abs(r) for r in ref)
+    with ctx.work():
+        ref = sorted((+r for r in ref), key=lambda z: (z.real, z.imag))
+    assert roots == ref
+
+
 def test_roots_nonsquarefree(ctx):
     with pytest.raises(ValueError, match="not squarefree"):
         poly_roots(IntPolynomial([1, 0, 2, 0, 1]), ctx)  # (x^2 + 1)^2
