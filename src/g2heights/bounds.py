@@ -2,8 +2,8 @@
 per-characteristic theta bounds (0.44 / 0.75 / 1.12 rules) and the chi10
 lower bound with c0 = 8e-5.
 
-check_bounds tests every lemma bound at one Z in F2 from a single
-theta_squares call; verify_bounds runs it over deterministic samples of F2.
+check_bounds tests every lemma bound at one Z in F2 from a single theta
+walk; verify_bounds runs it over deterministic samples of F2.
 These are theorems on F2; any violation (beyond tracked error) is an
 implementation bug, so the sampling harness treats a single failure as fatal.
 """
@@ -17,8 +17,7 @@ import mpmath as mp
 
 from . import siegel
 from .prec import PrecisionContext
-from .theta import (EVEN_CHARS, PeriodMatrix, ThetaCharacteristic,
-                    _chi10_from_squares, theta_squares)
+from .theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, _squares_of, _walk_plan
 
 CHI10_C0 = mp.mpf(8) / 10 ** 5
 
@@ -70,8 +69,9 @@ def chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
 
 
 def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:
-    """Every lemma bound at Z in F2, from one theta_squares: the ten theta
-    bounds in EVEN_CHARS order, then the sharp and the weak chi10 bound.
+    """Every lemma bound at Z in F2, from the ten squares and chi10 of one
+    theta walk: the ten theta bounds in EVEN_CHARS order, then the sharp and
+    the weak chi10 bound.
     |theta| is the real square root of |theta^2|.
 
     A value passes when it reaches its bound within its own error, relative
@@ -80,10 +80,10 @@ def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:
     product of ten squares, workbits - 12."""
     _require_f2(Z, ctx)
     with ctx.work():
-        squares = theta_squares(Z, ctx)
+        squares, chi10 = _squares_of(_walk_plan(Z, ctx), ctx)
         cases = [(mp.sqrt(abs(s)), *theta_lb(ch, Z, ctx))
                  for ch, s in zip(EVEN_CHARS, squares)]
-        c = abs(_chi10_from_squares(squares))
+        c = abs(chi10)
         sharp, weak = chi10_lb(Z, ctx)
         cases += [(c, sharp, "chi10 sharp"), (c, weak, "chi10 weak")]
         slack = 1 + mp.mpf(2) ** (12 - ctx.workbits)

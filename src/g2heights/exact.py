@@ -107,23 +107,12 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.num) - 1
 
-    @property
-    def coeffs(self) -> list[Fraction]:
-        """The coefficients as Fractions, lowest degree first."""
-        return [Fraction(n, self.den) for n in self.num]
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (len(self.num) + len(other.num) - 1)
         for i, a in enumerate(self.num):
             for j, b in enumerate(other.num):
                 out[i + j] += a * b
         return IntPolynomial(out, den=self.den * other.den)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.num, other.num
-        a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
-        return IntPolynomial([x * other.den + y * self.den for x, y in zip(a, b)],
-                             den=self.den * other.den)
 
 
 # ---- binary forms, on integers --------------------------------------------

@@ -33,8 +33,26 @@ v^-m1 w^(1-2p), and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p).  They,
 and the constants u^2, v^(+-1), w^(+-2) they are multiplied by, are block
 floats: an int pair (re, im) with one shared exponent, cut back after each
 product to prec bits of its larger part.  A row's start term and first step
-factors reach the walk's scales 2^-W and 2^-V by a shift.  The only mpc
-work is u, v, w (three expjpi), u u, w w, 1/v and 1/w^2, once per call.
+factors reach the walk's scales 2^-W and 2^-V by a shift.
+
+Constants.  u, v and w are block floats of P = prec + 8 bits built from the
+raw parts of the entries, with no mpc: exp(i pi x) = exp(-pi Im x) (cos + i
+sin)(pi Re x), the modulus from mpf_exp.  Re x first loses its nearest
+half-integer n / 2, which leaves a remainder r, |r| <= 1/4, and a turn by
+i^n.  sin(pi r) comes from mpf_sin_pi at the bits that put its error below
+2^-(F + 2), F = P + 4, and cos(pi r) >= 1/2 is isqrt(2^(2F) - sin^2), both
+at the scale 2^-F.  mpf_cos_sin(pi=True), which mpmath's expjpi calls, sizes
+its working precision from the remainder it leaves, as bitcount(man) + exp:
+in the pure-python backend bitcount of a negative int is 0, so a real part
+with |Re| mod 1/2 in (1/4, 1/2), whose nearest half-integer lies above it
+(ex3's v), ran cos and sin at about twice the precision, and a remainder
+near 0 (the half-integer real parts that the reduced ex1 and ex2 carry to
+within 2^-1050 at 1024 bits) at -log2|r| more bits.  Here the remainder is
+formed first and sized for the sine alone, so mpf_sin_pi works at F + 14
+bits at most, whatever r is.  u^2 and w^2 are one _mul each, v^-1 and w^-2
+the block-float inverse conj(x) / |x|^2, rounded down.  The ten squares are
+int pairs too, and chi10 is their int product, so mpmath takes the three
+exponentials and, in the arch term, the one log.
 
 Levels.  The same formula at 2^j Z with b = 0,
     theta[c;0](2^j Z)^2 = sum_d T'_d T'_(d+c),  T'_d = theta[d;0](2^(j+1) Z),
@@ -83,16 +101,21 @@ matrix 2^(k-1) Z:
     at prec bits, N = max m1 + the total movement of p, since s, the
     step factors and a move by one product per step of m1 or p.  Cutting
     both parts of a product to prec bits of the larger one, rounded down,
-    costs less than 2^(2 - prec) of its modulus; u and w are within about
-    2^(2 - prec) of themselves relative and the five constants, one or two
-    mpc operations further, within 2^(3 - prec).  So each of the four
-    carried values is within about (4 + 12 j) 2^-prec of itself relative
-    after j products, and s within about (6 N^2 + 2 N) 2^-prec <=
-    8 N^2 2^-prec, where a chain rounded to nearest would be within about
-    2.5 N^2 2^-prec.  n = max m1 + max(4 max |m2|, that movement) is at
-    least N and the length of a row, so with prec = workbits + 2 log2(n) + 4
-    s is within 2^-(workbits + 1) of itself relative, and within two more
-    units of 2^-W from its shift to the walk's scale.
+    costs less than 2^(3/2 - prec) of its modulus.  The constants: sin(pi r)
+    is within 2^-(F + 2) + 2^-F, and cos(pi r) within that times
+    |sin / cos| <= 1 plus the isqrt's unit, so cos + i sin is within
+    2^(2 - F) = 2^-(P + 2).  pi Im x is formed at P + 10 bits more than its
+    magnitude, so the modulus is within 2^-(P + 6) relative, and the cut to
+    P bits adds 2^(3/2 - P): u, v, w are within 2^(2 - P) of themselves
+    relative.  One _mul at P bits, and for w^-2 the inverse after it, whose
+    floor divisions add less than 2^(3/2 - P), put u^2, v^-1, w^2 and w^-2
+    within 2^(4 - P) = 2^-(prec + 4).  So each of the four carried values
+    is within about 3 j 2^-prec of itself relative after j products, and
+    s within about (1.5 N^2 + 1.5 N) 2^-prec <= 3 N^2 2^-prec.  n = max m1
+    + max(4 max |m2|, that movement) is at least N and the length of a row,
+    so with prec = workbits + 2 log2(n) + 4 s is within 2^-(workbits + 2)
+    of itself relative, and within two more units of 2^-W from its shift
+    to the walk's scale.
   - Along a row, with b the bit length of the term's larger part, so that
     |t| < 2^(b + 1/2 - W), g and w^2 are kept at V = min(W, b + 24) bits
     and cut to the current b + 24 whenever 64 or more bits can go
@@ -126,11 +149,18 @@ matrix 2^(k-1) Z:
     the walk at Z would give them, for any k.
   - Each square is a signed sum of the products T_c T_(c+a) of level 1,
     formed exactly in ints at the scale 2^-2W from the ten T_c T_d, c <= d,
-    and rounded once to working precision, so its error is a few times
-    2^-(workbits + e_1), about 2^-workbits relative to a square above
-    2^-e_1: the leading term of each square with a != 0 is that of
-    2 T_0 T_a, above 2^-e_1, and the squares with a = 0 are near T_0^2,
-    about 1.
+    so its error is a few times 2^-(workbits + e_1), about 2^-workbits
+    relative to a square above 2^-e_1: the leading term of each square
+    with a != 0 is that of 2 T_0 T_a, above 2^-e_1, and the squares with
+    a = 0 are near T_0^2, about 1.  theta_squares rounds each once to
+    working precision.
+  - chi10 is the product of the ten squares' int pairs, with each factor
+    and each partial product cut back to workbits + CHI10_GUARD_BITS bits
+    of its larger part, rounded down, and rounded once to an mpc at working
+    precision.  The twenty cuts add less than 20 2^(3/2 - workbits - 8) <
+    2^-(workbits + 2) relative and the rounding 2^-workbits, so chi10 is
+    within 2^(1 - workbits) of the exact product of the ten squares,
+    relative.
 
 The signed constants are square roots of squares, and a sign is never
 guessed.  One rule signs them all, at every level j >= 0: with m = 2n + a,
@@ -161,7 +191,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_float, from_int, fzero, mpf_shift, to_fixed
+from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_exp, mpf_mul, mpf_neg,
+                          mpf_pi, mpf_shift, mpf_sin_pi, to_fixed)
 
 from .prec import PrecisionContext
 
@@ -176,6 +207,9 @@ WALK_POINTS_MAX = 128
 ROOT_STEP_BITS = 3
 # the tail target, below workbits, of the sums that sign the root steps
 LEADING_BITS = 16
+# bits beyond workbits that chi10's int product keeps in each factor and
+# partial product
+CHI10_GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -400,20 +434,54 @@ def _leading(Z: PeriodMatrix, im, j, chars=_ROOT_CHARS):
     return out
 
 
-def _block(z, prec):
-    """The mpc z as a block float (re, im, E), z ~ (re + i im) 2^E, with
-    prec bits in the larger part, rounded down."""
-    parts = z.real._mpf_, z.imag._mpf_
-    E = max(exp + bc for _, man, exp, bc in parts if man) - prec
-    return to_fixed(parts[0], -E), to_fixed(parts[1], -E), E
-
-
 def _mul(x, y, prec):
     """The block float x y, cut back to prec bits of its larger part."""
     (ar, ai, ea), (br, bi, eb) = x, y
     re, im = ar * br - ai * bi, ar * bi + ai * br
     d = max(re.bit_length(), im.bit_length()) - prec
     return (re >> d, im >> d, ea + eb + d) if d > 0 else (re, im, ea + eb)
+
+
+def _inv(x, prec):
+    """The block float 1/x = conj(x) / |x|^2, with prec or prec + 1 bits in
+    its larger part, each part rounded down."""
+    re, im, E = x
+    n = re * re + im * im
+    k = prec + n.bit_length() - max(re.bit_length(), im.bit_length())
+    return (re << k) // n, (-im << k) // n, -E - k
+
+
+def _expjpi(z, shift, prec):
+    """The block float exp(i pi 2^shift z) of the mpc z, with prec bits in
+    its larger part, from the raw parts of z (see the module docstring)."""
+    re, im = (mpf_shift(x, shift) for x in z._mpc_)
+    _, man, exp, bc = im
+    wp = prec + 10 + max(0, exp + bc)
+    modulus = mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp), im, wp)), prec + 10)
+    F = prec + 4
+    sign, man, exp, _ = re
+    if exp < -1:
+        n = ((man >> (-exp - 2)) + 1) >> 1
+        r = from_man_exp(man - (n << (-exp - 1)), exp)
+        # |sin(pi r)| < 2^(mag + 2), mag = exp + bc of r
+        s = to_fixed(mpf_sin_pi(r, max(F + 4 + r[2] + r[3], 8)), F)
+        c = math.isqrt((1 << 2 * F) - s * s)
+    else:  # Re is a multiple of 1/2
+        n, c, s = man << (exp + 1), 1 << F, 0
+    if sign:
+        n, s = -n, -s
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
+    _, man, exp, _ = modulus
+    return _mul((c, s, -F), (man, 0, exp), prec)
+
+
+def _walk_constants(plan: _WalkPlan):
+    """u, v, w, u^2, v^-1, w^2 and w^-2 at the plan's matrix, as block floats
+    of plan.prec + 8 bits (see the module docstring)."""
+    Z, P = plan.matrix, plan.prec + 8
+    u, v, w = _expjpi(Z.z11, -1, P), _expjpi(Z.z12, 0, P), _expjpi(Z.z22, -1, P)
+    w2 = _mul(w, w, P)
+    return u, v, w, _mul(u, u, P), _inv(v, P), w2, _inv(w2, P)
 
 
 def _scaled(x, W):
@@ -437,14 +505,8 @@ def _row_starts(plan: _WalkPlan):
     step.  From row to row go s, g_up, g_down and a = u^(2 m1 + 1) v^p =
     t(m1 + 1, p) / t(m1, p), one block-float product each per step of m1 or
     of p (see the module docstring)."""
-    Z, prec, W = plan.matrix, plan.prec, plan.W
-    with mp.workprec(prec):
-        u = mp.expjpi(Z.z11 / 2)
-        v = mp.expjpi(Z.z12)
-        w = mp.expjpi(Z.z22 / 2)
-        w2 = w * w
-        u2, v, vinv, w2, w2inv, u, w = (_block(x, prec)
-                                        for x in (u * u, v, 1 / v, w2, 1 / w2, u, w))
+    prec, W = plan.prec, plan.W
+    u, v, w, u2, vinv, w2, w2inv = _walk_constants(plan)
     s, g_up, g_down, a = (1, 0, 0), w, w, u
     m1 = p = 0
     for (r, _, _), target in zip(plan.rows, plan.starts):
@@ -576,21 +638,51 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
     theta[c;0](2^k Z) of one walk and k - 1 root steps down to the four
     theta[c;0](2Z) (see the module docstring)."""
-    return _squares_of(_walk_plan(Z, ctx), ctx)
+    plan = _walk_plan(Z, ctx)
+    return _as_mpc(_square_pairs(plan, ctx), plan, ctx)
+
+
+def _square_pairs(plan: _WalkPlan, ctx: PrecisionContext):
+    """The ten squares at the Z of plan = _walk_plan(Z, ctx), in EVEN_CHARS
+    order, as int pairs at the scale 2^-2W, each within 2^8 times its error
+    bound of 0 set to (0, 0)."""
+    prods = _products(_root_steps(plan, _walk(plan)))
+    out = []
+    for ch in EVEN_CHARS:
+        sr, si = _square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2)
+        if max(abs(sr), abs(si)) >> (2 * plan.W - ctx.workbits - plan.e1 + 8) == 0:
+            sr = si = 0
+        out.append((sr, si))
+    return out
+
+
+def _as_mpc(pairs, plan: _WalkPlan, ctx: PrecisionContext):
+    """The int pairs of _square_pairs as mpc values, each rounded once to
+    working precision."""
+    with ctx.work():
+        return [mp.mpc(mp.mpf((sr, -2 * plan.W)), mp.mpf((si, -2 * plan.W)))
+                for sr, si in pairs]
+
+
+def _chi10_of(pairs, plan: _WalkPlan, ctx: PrecisionContext):
+    """chi10, the product of the ten int pairs of _square_pairs, each factor
+    and each partial product cut back to workbits + CHI10_GUARD_BITS bits,
+    rounded once to an mpc at working precision (see the module
+    docstring)."""
+    prec, x = ctx.workbits + CHI10_GUARD_BITS, (1, 0, 0)
+    for sr, si in pairs:
+        d = max(max(abs(sr), abs(si)).bit_length() - prec, 0)
+        x = _mul(x, (sr >> d, si >> d, d - 2 * plan.W), prec)
+    re, im, E = x
+    with ctx.work():
+        return mp.mpc(mp.mpf((re, E)), mp.mpf((im, E)))
 
 
 def _squares_of(plan: _WalkPlan, ctx: PrecisionContext):
-    """theta_squares at the Z of plan = _walk_plan(Z, ctx)."""
-    prods = _products(_root_steps(plan, _walk(plan)))
-    W, out = plan.W, []
-    with ctx.work():
-        for ch in EVEN_CHARS:
-            sr, si = _square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2)
-            # a square within 2^8 times its error bound of 0 is 0
-            if max(abs(sr), abs(si)) >> (2 * W - ctx.workbits - plan.e1 + 8) == 0:
-                sr = si = 0
-            out.append(mp.mpc(mp.mpf((sr, -2 * W)), mp.mpf((si, -2 * W))))
-    return out
+    """(theta_squares, chi10) at the Z of plan = _walk_plan(Z, ctx), from
+    its one walk."""
+    pairs = _square_pairs(plan, ctx)
+    return _as_mpc(pairs, plan, ctx), _chi10_of(pairs, plan, ctx)
 
 
 def _signed_roots(Z: PeriodMatrix, squares, ctx: PrecisionContext):
@@ -614,19 +706,10 @@ def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
     return _signed_roots(Z, theta_squares(Z, ctx), ctx)
 
 
-def _chi10_from_squares(squares):
-    """chi10 = prod of the ten squared even theta constants; call at the
-    working precision."""
-    p = mp.mpc(1)
-    for s in squares:
-        p *= s
-    return +p
-
-
 def chi10(Z: PeriodMatrix, ctx: PrecisionContext):
     """chi10(Z) = prod over the ten even characteristics of theta^2."""
-    with ctx.work():
-        return _chi10_from_squares(theta_squares(Z, ctx))
+    plan = _walk_plan(Z, ctx)
+    return _chi10_of(_square_pairs(plan, ctx), plan, ctx)
 
 
 # the five base characteristics for the Theta product, doubled [a1,a2,b1,b2]
@@ -677,14 +760,16 @@ def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
 
     Raises Chi10NearZeroError when |c| is not above its own error, which is
     exactly when c == 0, that is when |c|^2 == 0.  The error of a square is
-    at most a few times 2^-(workbits + e), and theta_squares returns 0 for a
-    square below 2^-(workbits + e - 8), so every nonzero square keeps
+    at most a few times 2^-(workbits + e), and a square below
+    2^-(workbits + e - 8) is taken as 0, so every nonzero square keeps
     workbits - 8 bits relative when it is above 2^-e, and is within 2^-5 of
-    itself relative in any case.  chi10 is their product rounded at workbits, so a
-    nonzero chi10 is within (1 + 2^-5)^10 - 1 < 1/2 of itself relative:
-    above its error, however small (log2|chi10| is -539 at the F2 matrix
-    (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i)).  A square returned as 0 is
-    within 2^8 times its error bound of 0, and then chi10 is 0.
+    itself relative in any case.  chi10 is their int product, within
+    2^(1 - workbits) of their exact product relative (see the module
+    docstring), so a nonzero chi10 is within (1 + 2^-5)^10 (1 +
+    2^(1 - workbits)) - 1 < 1/2 of itself relative: above its error, however
+    small (log2|chi10| is -539 at the F2 matrix (0.1 + 1.1i, 0.2 + 0.3i,
+    -0.3 + 60i)).  A square taken as 0 is within 2^8 times its error bound
+    of 0, and then chi10 is 0.
 
     ctx.pi is within 2^-workbits of pi relative, so 2^16 pi^20, its power
     rounded once, is within 21 2^-workbits; with the product's rounding the

@@ -1,7 +1,7 @@
 import mpmath as mp
 import pytest
 
-from g2heights import bounds
+from g2heights import bounds, theta
 from g2heights.bounds import (check_bounds, sample_fundamental_domain, theta_lb,
                               verify_bounds)
 from g2heights.prec import PrecisionContext
@@ -64,12 +64,13 @@ def test_chi10_lb_sampled(ctx128):
 
 def test_check_bounds_order_and_one_theta_sum(monkeypatch, ctx128):
     Z = sample_fundamental_domain(1, 42, ctx128)[0]
-    calls = []
+    calls, walk = [], theta._walk
 
     def counted(*args):
         calls.append(args)
-        return theta_squares(*args)
-    monkeypatch.setattr(bounds, "theta_squares", counted)
+        return walk(*args)
+    # the ten squares and chi10 come from one walk
+    monkeypatch.setattr(theta, "_walk", counted)
     results = check_bounds(Z, ctx128)
     assert len(calls) == 1
     assert [r.rule for r in results] == (

@@ -8,7 +8,7 @@ from math import gcd
 import mpmath as mp
 import pytest
 
-from g2heights import heights
+from g2heights import heights, theta
 from g2heights.cli import (JobError, _rat_list, job_character, main, parse_complex,
                            parse_job)
 from g2heights.prec import PrecisionContext
@@ -379,6 +379,19 @@ def test_theta_reports_truncation(capsys):
     assert "theta_radius_sq = 252.912073012\n" in out
     assert "theta_terms = 73\n" in out
     assert "arch_term = -1.4525092396456" in out
+
+
+def test_theta_report_one_walk(capsys, monkeypatch):
+    # the signed constants, chi10 and both arch terms come from one walk
+    calls, walk = [], theta._walk
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    monkeypatch.setattr(theta, "_walk", counted)
+    code, _ = run_cli(capsys, "theta", os.path.join(JOBS, "ex3.job"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_height_colmez_reports_stirling_plan(capsys):

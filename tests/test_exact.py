@@ -70,12 +70,18 @@ def test_valuation_additive():
             assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
 
 
+def _rational(p):
+    """The coefficients of p as Fractions, lowest degree first."""
+    return [F(n, p.den) for n in p.num]
+
+
 def _shift(p, c):
-    """p(x + c), by Horner's rule in x + c."""
-    out = IntPolynomial([0])
-    for a in reversed(p.coeffs):
-        out = out * IntPolynomial([c, 1]) + IntPolynomial([a])
-    return out
+    """p(x + c), by Horner's rule in x + c on Fractions."""
+    out = []
+    for a in reversed(_rational(p)):
+        out = [c * x + y for x, y in zip(out + [0], [0] + out)]  # out (x + c)
+        out[0] += a
+    return IntPolynomial(out)
 
 
 def test_binary_form_homogenizes_and_clears():

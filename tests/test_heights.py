@@ -116,7 +116,7 @@ def test_height_invariant_under_model_change(ctx):
     # P' = P - Q^2/4 with Q = 2x keeps P' + Q^2/4 = P
     Pp = IntPolynomial([-1, 0, -1, 0, 0, 1])
     eq3 = WeierstrassEquation(Pp, IntPolynomial([0, 2]))
-    assert (eq3.sextic.coeffs == eq.sextic.coeffs)
+    assert (eq3.sextic.num, eq3.sextic.den) == (eq.sextic.num, eq.sextic.den)
     h1 = height_local(eq, [Z], 1, ctx).total
     h3 = height_local(eq3, [Z], 1, ctx).total
     with ctx.work():

@@ -3,14 +3,15 @@ import os
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import libelefun
 
 from g2heights import cli, cmperiod, siegel, theta
 from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
                              ThetaCharacteristic, _ellipsoid_rows, _im_doubles, _row_starts,
-                             _squares_of, _walk_plan, archimedean_term, chi10, theta_all,
-                             theta_big, theta_squares)
+                             _square_pairs, _squares_of, _walk_constants, _walk_plan,
+                             archimedean_term, chi10, theta_all, theta_big, theta_squares)
 
 
 def theta1d(a, b, tau, R=40):
@@ -225,7 +226,7 @@ def test_fixed_point_walk_relative_error(bits):
     for name in _walk_cases(ctx):
         Z, ref = _oracle(name, bits)
         for k in range(1, 6):
-            squares = _squares_of(_walk_plan(Z, ctx, level=k), ctx)
+            squares = _squares_of(_walk_plan(Z, ctx, level=k), ctx)[0]
             with mp.workprec(ctx.workbits + 64):
                 for ch, x, y in zip(EVEN_CHARS, squares, ref):
                     assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), \
@@ -235,7 +236,7 @@ def test_fixed_point_walk_relative_error(bits):
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_chain_start_terms(bits):
     # each row's start term s = t(m1, p), carried from row to row on block
-    # floats, is within 8 N^2 2^-prec of itself relative, N the products of
+    # floats, is within 3 N^2 2^-prec of itself relative, N the products of
     # the chain so far, and within two units of 2^-W more from the shift to
     # the walk's scale (the module docstring's bound); on the cases with the
     # longest chains, walked at 2Z, as an input that stays at level 1 walks
@@ -253,7 +254,7 @@ def test_chain_start_terms(bits):
                     # t(m1, p) in units of 2^-W
                     s = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * p * Z.z12 + p * p * Z.z22) / 2) \
                         * 2 ** W
-                    assert abs(mp.mpc(tr, ti) - s) <= mp.ldexp(8 * N * N * abs(s), -prec) + 2, \
+                    assert abs(mp.mpc(tr, ti) - s) <= mp.ldexp(3 * N * N * abs(s), -prec) + 2, \
                         (bits, name, plan.level, m1)
 
 
@@ -264,25 +265,86 @@ def _job_Z(name, ctx):
         return siegel.reduce(cli.job_periods(job, ctx)[0], ctx)[1]
 
 
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+def test_walk_constants(bits, monkeypatch):
+    # u, v, w are within 2^(2 - P) of exp(i pi z) relative, P = plan.prec +
+    # 8, and u^2, v^-1, w^2, w^-2 within 2^(4 - P) (the module docstring's
+    # bound), against mpmath.expjpi at plan.prec + 64.  On ex1-ex3 the real
+    # parts 2^shift Re z leave remainders on both sides of their nearest
+    # half-integer, ex3's v below it by more than 1/8, exact half-integers,
+    # and at 1024 bits remainders near 2^-1050.  cos_sin_basecase, where
+    # mpmath sizes the bits of a cosine and a sine, never runs above
+    # plan.prec + 64 bits during theta_squares
+    ctx = PrecisionContext(bits)
+    precs, basecase = [], libelefun.cos_sin_basecase
+
+    def recorded(x, prec):
+        precs.append(prec)
+        return basecase(x, prec)
+    monkeypatch.setattr(libelefun, "cos_sin_basecase", recorded)
+    remainders = {}
+    for name in ("ex1", "ex2", "ex3"):
+        Z = _job_Z(name, ctx)
+        plan = _walk_plan(Z, ctx)
+        precs.clear()
+        theta_squares(Z, ctx)
+        assert max(precs, default=0) <= plan.prec + 64, (name, precs)
+        P = plan.prec + 8
+        z11, z12, z22 = plan.matrix.entries()
+        with mp.workprec(plan.prec + 64):
+            args = (z11 / 2, z12, z22 / 2, z11, -z12, z22, -z22)
+            for k, ((re, im, E), x) in enumerate(zip(_walk_constants(plan), args)):
+                ref = mp.expjpi(x)
+                assert abs(mp.mpc(mp.ldexp(re, E), mp.ldexp(im, E)) - ref) \
+                    <= mp.ldexp(abs(ref), (2 if k < 3 else 4) - P), (name, k)
+            remainders[name] = [2 * x.real - mp.nint(2 * x.real) for x in args[:3]]
+    assert remainders["ex3"][1] < -mp.mpf(1) / 4
+    assert 0 in remainders["ex2"]
+    if bits == 1024:
+        assert 0 < abs(remainders["ex1"][1]) < mp.mpf(2) ** -1000
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+def test_chi10_int_product(bits):
+    # chi10, the int product of the ten squares cut back to workbits + 8
+    # bits per factor and rounded once, is within 2^(1 - workbits) of the
+    # mpc product of the ten squares, the int pairs that theta_squares
+    # rounds, taken at workbits + 64 (the module docstring's bound); on
+    # ex1-ex3 and on the matrix with log2|chi10| = -539 of
+    # test_arch_term_tiny_chi10
+    ctx = PrecisionContext(bits)
+    cases = {name: _job_Z(name, ctx) for name in ("ex1", "ex2", "ex3")}
+    cases["im z22 = 60"] = _truncation_cases(ctx)["im z22 = 60"]
+    for name, Z in cases.items():
+        plan = _walk_plan(Z, ctx)
+        pairs = _square_pairs(plan, ctx)
+        c = chi10(Z, ctx)
+        with mp.workprec(ctx.workbits + 64):
+            ref = mp.fprod(mp.mpc(mp.ldexp(sr, -2 * plan.W), mp.ldexp(si, -2 * plan.W))
+                           for sr, si in pairs)
+            assert abs(c - ref) <= mp.ldexp(abs(ref), 1 - ctx.workbits), (bits, name)
+            if name == "im z22 = 60":
+                assert -540 < mp.log(abs(ref), 2) < -539
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_theta_squares_mpc_products(bits, monkeypatch):
-    # the chain from row to row runs on ints: one theta_squares makes two mpc
-    # products (u^2 and w^2) at any precision and however many rows it walks
+    # the walk constants, the chain from row to row and the squares run on
+    # ints: one theta_squares makes no mpc product or quotient at any
+    # precision and however many rows it walks
     ctx = PrecisionContext(bits)
     cases = {name: _job_Z(name, ctx) for name in ("ex1", "ex2", "ex3")}
     cases["im z22 = 95"] = _walk_cases(ctx)["im z22 = 95"]
-    mul, calls = mp.mpc.__mul__, []
-
-    def counted(x, y):
-        calls.append(1)
-        return mul(x, y)
-    monkeypatch.setattr(mp.mpc, "__mul__", counted)
+    calls = []
+    for op in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(mp.mpc, op, functools.partialmethod(
+            lambda x, y, f: calls.append(1) or f(x, y), f=getattr(mp.mpc, op)))
     counts = []
     for Z in cases.values():
         calls.clear()
         theta_squares(Z, ctx)
         counts.append(len(calls))
-    assert counts == [2] * len(cases), counts
+    assert counts == [0] * len(cases), counts
 
 
 def test_arch_term_tiny_chi10(ctx):
@@ -438,5 +500,5 @@ def test_walk_level_stays_below_a_vanishing_theta(z12, level):
     assert abs(_walk_plan(Z, ctx, level=level + 1).leading[level - 1][3]) < 1e-12
     ref = _box_oracle(Z, ctx.workbits + 64 + 12)
     with mp.workprec(ctx.workbits + 64):
-        for ch, x, y in zip(EVEN_CHARS, _squares_of(plan, ctx), ref):
+        for ch, x, y in zip(EVEN_CHARS, _squares_of(plan, ctx)[0], ref):
             assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), ch
