@@ -21,8 +21,8 @@ from .exact import IntPolynomial, disc_n, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext, taylor_plan
-from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _signed_roots, _squares_of,
-                    _walk_plan)
+from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_of, _signed_roots,
+                    _square_pairs, _walk_plan)
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
@@ -166,9 +166,10 @@ def cmd_theta(args):
         print("theta_level =", plan.level)
         print("theta_radius_sq =", _fmt(mp.mpf(plan.radius_sq), 12))
         print("theta_terms =", plan.terms)
-        squares, c = _squares_of(plan, ctx)
-        for ch, v in zip(EVEN_CHARS, _signed_roots(zred, squares, ctx)):
-            print(f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}] =", _fmt(v))
+        pairs = _square_pairs(plan, ctx)
+        for ch, v in zip(EVEN_CHARS, _signed_roots(zred, plan, pairs, ctx)):
+            print(f"{ch} =", _fmt(v))
+        c = _chi10_of(pairs, plan, ctx)
         print("chi10 =", _fmt(c))
         print("arch_term_bare =", _fmt(_arch_from_chi10(c, zred, ctx, bare=True)))
         print("arch_term =", _fmt(_arch_from_chi10(c, zred, ctx, bare=False)))

@@ -17,6 +17,7 @@ from math import gcd, prod
 
 import mpmath as mp
 
+from .exact import factor
 from .prec import SERIES_BITS, PrecisionContext, log_gamma
 
 # the four units of Z[i], index = power of i
@@ -38,13 +39,19 @@ class DirichletCharacter:
     chi(h) i^(jk).  That is a character exactly when chi(g^r) = i^(rk), the
     only multiplicativity check: a value that breaks it means no character
     takes the given values, and a table smaller than phi(f) means they do
-    not generate.  The conductor of chi^k is the least d | f with chi^k
-    trivial on the units = 1 mod d; those d are closed under gcd and under
-    multiples, so it is found from f by dividing out one prime of f at a
-    time while chi^k stays trivial.  chi must be odd and have conductor f,
-    and delta_F, the conductor of chi^2 (the character of the real quadratic
-    subfield F, so Delta_K = f^2 delta_F), must be above 1: chi has order 4.
-    table maps each unit to its power of i; chi is zero elsewhere."""
+    not generate.  phi(f) and the conductors take the primes of f from
+    exact.factor, which finds all of them for any f whose table can be
+    built: such an f is below 10^9, so what trial division below 1000
+    leaves has at most two prime factors, each above 1000.  One is a prime,
+    and rho splits two; a composite left unsplit would only make phi(f) too
+    large, and the build raise.  The conductor of chi^k is the least d | f
+    with chi^k trivial on the units = 1 mod d; those d are closed under gcd
+    and under multiples, so it is found from f by dividing out one prime of
+    f at a time while chi^k stays trivial.  chi must be odd and have
+    conductor f, and delta_F, the conductor of chi^2 (the character of the
+    real quadratic subfield F, so Delta_K = f^2 delta_F), must be above 1:
+    chi has order 4.  table maps each unit to its power of i; chi is zero
+    elsewhere."""
 
     def __init__(self, f: int, values):
         if f < 3:
@@ -68,7 +75,7 @@ class DirichletCharacter:
             if len(powers) > 1:
                 table = {h * y % f: (v + j * k) % 4 for h, v in table.items()
                          for j, y in enumerate(powers)}
-        primes = _prime_factors(f)
+        primes = sorted(factor(f))
         if len(table) != f // prod(primes) * prod(p - 1 for p in primes):
             raise CharacterError(f"the given residues do not generate (Z/{f})^*")
         fchi, self.delta_F = (_conductor(table, f, primes, k) for k in (1, 2))
@@ -85,18 +92,6 @@ class DirichletCharacter:
         """chi(m) as a Gaussian-integer pair; (0,0) off the units."""
         k = self.table.get(m % self.f)
         return (0, 0) if k is None else _UNITS[k]
-
-
-def _prime_factors(f: int) -> list[int]:
-    """The distinct primes of f > 1, ascending, by trial division."""
-    out, p = [], 2
-    while p * p <= f:
-        if f % p == 0:
-            out.append(p)
-            while f % p == 0:
-                f //= p
-        p += 1
-    return out + [f] if f > 1 else out
 
 
 def _conductor(table, f: int, primes, k: int) -> int:

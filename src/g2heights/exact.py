@@ -10,10 +10,13 @@ numerators, partials differentiates a form, resultant is its Sylvester
 determinant, and the discriminant is Res(F_x, F_y) on the same form.
 is_prime says True only where Miller-Rabin is a proof, below PSI13;
 valuation rejects p only when proven_not_prime finds a factor or a witness.
+factor is the one integer factorizer, for the finite part's ledger and the
+primes of a character's modulus: trial division, then Pollard-Brent rho.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm, perm
 from typing import Sequence
@@ -55,6 +58,48 @@ def is_prime(n: int) -> bool:
     2..41 is a proof below PSI13, the least strong pseudoprime to all of
     them; at or above PSI13 no proof is made, and the answer is False."""
     return n < PSI13 and not proven_not_prime(n)
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n by Pollard-Brent rho, or 1 when
+    none shows within about 2^19 steps."""
+    for c in (1, 2, 3):
+        y, r, g = 2, 1, 1
+        while g == 1 and r <= 1 << 18:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g < n:
+            return g
+    return 1
+
+
+def factor(n: int) -> Counter:
+    """{p: e} with prod p^e = n > 0 by trial division below 1000, then
+    Pollard-Brent rho; a composite that rho cannot split stays one key.
+    Trial division stops at the first d with d^2 > n, or after d = 999.  No
+    prime below d, nor d = 999 itself, then divides what is left, so a
+    factor of it below (d + 1)^2 is a prime, taken with no primality test."""
+    out = Counter()
+    for d in range(2, 1000):
+        if d * d > n:
+            break
+        while n % d == 0:
+            n //= d
+            out[d] += 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        g = 1 if m < (d + 1) ** 2 or is_prime(m) else _rho(m)
+        if g == 1:
+            out[m] += 1
+        else:
+            stack += [g, m // g]
+    return out
 
 
 def valuation(x: Fraction | int, p: int) -> int:

@@ -26,7 +26,6 @@ The finite part reads each order ord_p(J_{2i}^5 / J10^i) as
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -34,8 +33,8 @@ from math import comb, gcd
 
 import mpmath as mp
 
-from .exact import (IntPolynomial, binary_form, disc_n, is_prime, partials,
-                    proven_not_prime, valuation)
+from .exact import (IntPolynomial, binary_form, disc_n, factor, partials, proven_not_prime,
+                    valuation)
 from .prec import PrecisionContext
 
 
@@ -177,47 +176,6 @@ def minimal_disc_order(inv: IgusaInvariants, p: int) -> int:
     return m // i
 
 
-def _rho(n: int) -> int:
-    """A proper divisor of the composite n by Pollard-Brent rho, or 1 when
-    none shows within about 2^19 steps."""
-    for c in (1, 2, 3):
-        y, r, g = 2, 1, 1
-        while g == 1 and r <= 1 << 18:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-                g = gcd(x - y, n)
-                if g != 1:
-                    break
-            r *= 2
-        if g < n:
-            return g
-    return 1
-
-
-def _factor_trial(n: int) -> Counter:
-    """{p: e} with prod p^e = n > 0 by trial division below 1000, then
-    Pollard-Brent rho; a composite that rho cannot split stays one key.
-    Trial division stops early once d^2 > n: what is left is then 1 or a
-    prime."""
-    out = Counter()
-    for d in range(2, 1000):
-        if d * d > n:
-            break
-        while n % d == 0:
-            n //= d
-            out[d] += 1
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        g = 1 if is_prime(m) else _rho(m)
-        if g == 1:
-            out[m] += 1
-        else:
-            stack += [g, m // g]
-    return out
-
-
 def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
     """(1/60) sum_p (1/iota(p)) max{0, -ord_p(J10^-iota J_{2iota}^5)} log p,
     returned with the per-prime ledger.
@@ -234,7 +192,7 @@ def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
     J2, J10 = inv.J2, inv.J10
     den = J2.denominator ** 5 * abs(J10.numerator)
     den //= gcd(J2.numerator ** 5 * J10.denominator, den)
-    fac = _factor_trial(den)
+    fac = factor(den)
     D = den // (2 ** fac.pop(2, 0) * 3 ** fac.pop(3, 0))
     ledger = [LocalContribution(p=p, iota=iota(p) if p < 5 else 1, ord_min_disc=m)
               for p, m in sorted({**orders, **fac}.items()) if m]

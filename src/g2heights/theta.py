@@ -60,8 +60,9 @@ takes the four constants of level j + 1 to the squares of those of level
 j.  So theta_squares walks once, at 2^(k-1) Z, for the four
 theta[c;0](2^k Z), and comes back down to level 1 by k - 1 root steps:
 each forms the four b = 0 squares exactly in ints from the ten products of
-the level above, takes their roots with math.isqrt at the walk's scale
-(_isqrt) and signs them by the rule at the end.  A level up halves the
+the level above, and _roots takes their roots with math.isqrt at the walk's
+scale (_isqrt) and signs them by the rule at the end, as it does the ten
+roots of level 0 for theta_all.  A level up halves the
 walk's lattice for one root step.  k is the least level whose ellipsoid
 holds at most WALK_POINTS_MAX = 128 half-lattice points: on ex1-ex3 one
 root step and the plan of its level cost about as much as walking 40 to 70
@@ -153,7 +154,9 @@ matrix 2^(k-1) Z:
     relative to a square above 2^-e_1: the leading term of each square
     with a != 0 is that of 2 T_0 T_a, above 2^-e_1, and the squares with
     a = 0 are near T_0^2, about 1.  theta_squares rounds each once to
-    working precision.
+    working precision.  theta_all takes their roots by _roots, as a root
+    step does: each carries its square's error over twice its modulus, and
+    the isqrt two units of 2^-W, and is rounded once to working precision.
   - chi10 is the product of the ten squares' int pairs, with each factor
     and each partial product cut back to workbits + CHI10_GUARD_BITS bits
     of its larger part, rounded down, and rounded once to an mpc at working
@@ -162,8 +165,9 @@ matrix 2^(k-1) Z:
     within 2^(1 - workbits) of the exact product of the ten squares,
     relative.
 
-The signed constants are square roots of squares, and a sign is never
-guessed.  One rule signs them all, at every level j >= 0: with m = 2n + a,
+Every signed constant, at every level j >= 0, is the root that _isqrt takes
+of an exact int square, and a sign is never guessed.  One rule signs them
+all: with m = 2n + a,
     theta[a;b](2^j Z) = sum_{m = a mod 2} exp(i pi 2^j m^T Z m / 4) i^(m.b),
 and i^(m.b) = +-1, since m.b = a.b mod 2 is even.  The sign of each root
 is the one with Re(root conj L) > 0, where L (_leading) sums these terms
@@ -219,6 +223,10 @@ class ThetaCharacteristic:
     a2: int
     b1: int
     b2: int
+
+    def __str__(self):
+        """The constant's name, theta[a1a2;b1b2], in reports and errors."""
+        return f"theta[{self.a1}{self.a2};{self.b1}{self.b2}]"
 
 
 THETA1 = [ThetaCharacteristic(0, 0, 0, 0), ThetaCharacteristic(0, 0, 0, 1),
@@ -616,21 +624,31 @@ def _sign(r, L, name):
     return 1 if cos > 0 else -1
 
 
+def _roots(squares, leading, names):
+    """The roots of the int-pair squares at the scale 2^-2W, as int pairs at
+    the scale 2^-W: each by _isqrt, signed by _sign against the leading
+    terms L of its constant, whose name an error gives (see the module
+    docstring)."""
+    out = []
+    for (sr, si), L, name in zip(squares, leading, names):
+        x, y = _isqrt(sr, si)
+        if x or y:
+            m = max(abs(x), abs(y))
+            if _sign(complex(x / m, y / m), L, name) < 0:
+                x, y = -x, -y
+        out.append((x, y))
+    return out
+
+
 def _root_steps(plan: _WalkPlan, th):
     """The four theta[c;0](2Z) from the four theta[c;0](2^k Z) th of the
     plan's walk, by k - 1 root steps, all as int pairs at the scale 2^-W:
-    each theta[c;0](2^j Z) is the root of its square, signed by its leading
-    terms (see the module docstring)."""
+    each theta[c;0](2^j Z) is taken from its square by _roots (see the
+    module docstring)."""
     for j in range(plan.level - 1, 0, -1):
         prods = _products(th)
-        th = []
-        for c, L in enumerate(plan.leading[j - 1]):
-            x, y = _isqrt(*_square(prods, c, 0))
-            if x or y:
-                m = max(abs(x), abs(y))
-                if _sign(complex(x / m, y / m), L, f"theta[{c >> 1}{c & 1};00](2^{j} Z)") < 0:
-                    x, y = -x, -y
-            th.append((x, y))
+        th = _roots([_square(prods, c, 0) for c in range(4)], plan.leading[j - 1],
+                    [f"{ch}(2^{j} Z)" for ch in _ROOT_CHARS])
     return th
 
 
@@ -639,7 +657,7 @@ def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     theta[c;0](2^k Z) of one walk and k - 1 root steps down to the four
     theta[c;0](2Z) (see the module docstring)."""
     plan = _walk_plan(Z, ctx)
-    return _as_mpc(_square_pairs(plan, ctx), plan, ctx)
+    return _as_mpc(_square_pairs(plan, ctx), -2 * plan.W, ctx)
 
 
 def _square_pairs(plan: _WalkPlan, ctx: PrecisionContext):
@@ -656,12 +674,11 @@ def _square_pairs(plan: _WalkPlan, ctx: PrecisionContext):
     return out
 
 
-def _as_mpc(pairs, plan: _WalkPlan, ctx: PrecisionContext):
-    """The int pairs of _square_pairs as mpc values, each rounded once to
+def _as_mpc(pairs, E, ctx: PrecisionContext):
+    """The int pairs at the scale 2^E as mpc values, each rounded once to
     working precision."""
     with ctx.work():
-        return [mp.mpc(mp.mpf((sr, -2 * plan.W)), mp.mpf((si, -2 * plan.W)))
-                for sr, si in pairs]
+        return [mp.mpc(mp.mpf((re, E)), mp.mpf((im, E))) for re, im in pairs]
 
 
 def _chi10_of(pairs, plan: _WalkPlan, ctx: PrecisionContext):
@@ -682,28 +699,23 @@ def _squares_of(plan: _WalkPlan, ctx: PrecisionContext):
     """(theta_squares, chi10) at the Z of plan = _walk_plan(Z, ctx), from
     its one walk."""
     pairs = _square_pairs(plan, ctx)
-    return _as_mpc(pairs, plan, ctx), _chi10_of(pairs, plan, ctx)
+    return _as_mpc(pairs, -2 * plan.W, ctx), _chi10_of(pairs, plan, ctx)
 
 
-def _signed_roots(Z: PeriodMatrix, squares, ctx: PrecisionContext):
-    """The ten theta[a;b](Z) from their squares, each sign chosen by the
-    _leading terms of level 0 and checked (see the module docstring)."""
+def _signed_roots(Z: PeriodMatrix, plan: _WalkPlan, pairs, ctx: PrecisionContext):
+    """The ten theta[a;b](Z) in EVEN_CHARS order from pairs, the
+    _square_pairs of plan = _walk_plan(Z, ctx): the _roots of the squares,
+    signed by the _leading terms of level 0, each rounded once to working
+    precision (see the module docstring)."""
     leading = _leading(Z, _im_doubles(Z, ctx), 0, EVEN_CHARS)
-    out = []
-    with ctx.work():
-        for ch, sq, L in zip(EVEN_CHARS, squares, leading):
-            r = mp.sqrt(sq)
-            name = f"theta[{ch.a1}{ch.a2};{ch.b1}{ch.b2}]"
-            if sq and _sign(complex(r / abs(r)), L, name) < 0:
-                r = -r
-            out.append(r)
-    return out
+    return _as_mpc(_roots(pairs, leading, map(str, EVEN_CHARS)), -plan.W, ctx)
 
 
 def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
     """All ten even theta constants in the fixed EVEN_CHARS order: the
-    signed square roots of theta_squares."""
-    return _signed_roots(Z, theta_squares(Z, ctx), ctx)
+    signed roots of the squares of one walk."""
+    plan = _walk_plan(Z, ctx)
+    return _signed_roots(Z, plan, _square_pairs(plan, ctx), ctx)
 
 
 def chi10(Z: PeriodMatrix, ctx: PrecisionContext):
@@ -712,31 +724,15 @@ def chi10(Z: PeriodMatrix, ctx: PrecisionContext):
     return _chi10_of(_square_pairs(plan, ctx), plan, ctx)
 
 
-# the five base characteristics for the Theta product, doubled [a1,a2,b1,b2]
-_M_BASE = [(1, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 1, 1), (0, 0, 1, 1)]
-_U_SET = frozenset({1, 3, 5})
-
-
-def _sym_diff_char(T):
-    idx = frozenset(T) ^ _U_SET
-    q = [0, 0, 0, 0]
-    for i in idx:
-        m = _M_BASE[i - 1]
-        q = [(a + b) % 2 for a, b in zip(q, m)]
-    return ThetaCharacteristic(*q)
-
-
 def theta_big(Z: PeriodMatrix, ctx: PrecisionContext):
-    """Theta(Z) = prod over 3-subsets T of {1..5} of theta_{m_(T o {1,3,5})}^8;
-    equals chi10(Z)^4."""
-    from itertools import combinations
+    """Theta(Z) = prod over the 3-subsets T of {1..5} of theta_(m_(T o U))^8,
+    U = {1, 3, 5}, with m_S the sum mod 2 of the doubled m_i, i in S, of
+    m_1..m_5 = [10;00], [10;10], [01;10], [01;11], [00;11].  T -> m_(T o U)
+    takes the ten 3-subsets onto the ten even characteristics, each once, so
+    Theta is the fourth power of the product of the ten theta_squares,
+    chi10(Z)^4."""
     with ctx.work():
-        squares = theta_squares(Z, ctx)
-        p = mp.mpc(1)
-        for T in combinations(range(1, 6), 3):
-            ch = _sym_diff_char(T)
-            p *= squares[EVEN_CHARS.index(ch)] ** 4
-        return +p
+        return mp.fprod(theta_squares(Z, ctx)) ** 4
 
 
 class Chi10NearZeroError(ArithmeticError):

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from g2heights import exact
 from g2heights.cli import parse_job
 from g2heights.exact import (PSI13, IntPolynomial, binary_form, cubic_integer_roots,
-                             disc_n, is_prime, proven_not_prime, valuation)
+                             disc_n, factor, is_prime, proven_not_prime, valuation)
 
 # OEIS A014233: psi_n, the least strong pseudoprime to the first n prime bases
 A014233 = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
@@ -45,6 +46,58 @@ def test_proven_not_prime_is_sound():
             assert not sympy.isprime(n), n
     assert not proven_not_prime(PSI13)
     assert valuation(F(7, 3) * sympy.nextprime(PSI13) ** 3, sympy.nextprime(PSI13)) == 3
+
+
+def test_factor_best_effort():
+    assert factor(18518681089 ** 3) == {18518681089: 3}
+    assert factor(2 ** 8 * 10007 ** 2 * 10009) == {2: 8, 10007: 2, 10009: 1}
+    # two primes of 27 and 33 digits: rho gives up and keeps the product
+    hard = (2 ** 89 - 1) * (2 ** 107 - 1)
+    assert factor(hard) == {hard: 1}
+    # psi_12 (OEIS A014233) is a strong pseudoprime to the bases 2..37, so it
+    # must not be taken for a prime
+    psi12 = 318665857834031151167461
+    assert factor(psi12) == {399165290221: 1, 798330580441: 1}
+
+
+def _trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 0) + 1
+        d += 1
+    return {**out, n: 1} if n > 1 else out
+
+
+def test_factor_takes_what_trial_division_leaves(monkeypatch):
+    # once trial division reaches d^2 > n, or passes 999 with n below 10^6,
+    # what is left is 1 or a prime, and no primality test is made: a
+    # character's modulus is factored with no Miller-Rabin power
+    calls = []
+    monkeypatch.setattr(exact, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert factor(61) == {61: 1}
+    assert factor(999983) == {999983: 1}
+    assert factor(2 ** 4 * 61) == {2: 4, 61: 1}
+    assert calls == []
+    for n in range(1, 20000):
+        assert factor(n) == _trial_division(n), n
+    assert calls == []
+
+
+def test_factor_splits_what_trial_division_leaves_below_1e9():
+    # below 10^9, what trial division below 1000 leaves has at most two
+    # prime factors, each above 1000: rho splits every square of a prime
+    # and a sample of products of two, which DirichletCharacter relies on
+    primes = [p for p in range(1009, 31623) if is_prime(p)]
+    rng = random.Random(8)
+    cases = [p * p for p in primes]
+    while len(cases) < len(primes) + 2000:
+        p, q = rng.choice(primes), rng.randrange(1009, 10 ** 6)
+        if p * q < 10 ** 9 and is_prime(q):
+            cases.append(p * q)
+    for n in cases:
+        assert all(is_prime(p) for p in factor(n)), n
 
 
 def test_valuation_examples():

@@ -7,9 +7,8 @@ import pytest
 
 from g2heights.exact import (PSI13, IntPolynomial, binary_form, disc_n, is_prime,
                              partials, resultant)
-from g2heights.igusa import (SingularCurveError, WeierstrassEquation,
-                             _factor_trial, discriminant, finite_height_part,
-                             igusa_invariants, iota, minimal_disc_order)
+from g2heights.igusa import (SingularCurveError, WeierstrassEquation, discriminant,
+                             finite_height_part, igusa_invariants, iota, minimal_disc_order)
 
 EX1 = WeierstrassEquation(IntPolynomial([-1, 0, 0, 0, 0, 1]), IntPolynomial([0]))
 EX2 = WeierstrassEquation(
@@ -181,18 +180,6 @@ def test_finite_part_large_cofactor(ctx):
     with ctx.work():
         target = mp.fsum(mp.log(p) for p in (13, 53, 353, 18518681089)) / 60
         assert abs(f - target) < ctx.tol
-
-
-def test_factor_best_effort():
-    assert _factor_trial(18518681089 ** 3) == {18518681089: 3}
-    assert _factor_trial(2 ** 8 * 10007 ** 2 * 10009) == {2: 8, 10007: 2, 10009: 1}
-    # two primes of 27 and 33 digits: rho gives up and keeps the product
-    hard = (2 ** 89 - 1) * (2 ** 107 - 1)
-    assert _factor_trial(hard) == {hard: 1}
-    # psi_12 (OEIS A014233) is a strong pseudoprime to the bases 2..37, so it
-    # must not be taken for a prime
-    psi12 = 318665857834031151167461
-    assert _factor_trial(psi12) == {399165290221: 1, 798330580441: 1}
 
 
 def test_finite_part_corpus(ctx):

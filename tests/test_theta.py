@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 
 import mpmath as mp
@@ -420,7 +421,8 @@ def test_signed_roots_one_exponential_per_point(ctx, name, monkeypatch):
     # the ten signs of theta_all come from one cmath.exp per point of the
     # level-0 ellipsoid of _leading, shared by every b of a class a
     Z = _job_Z(name, ctx)
-    squares = theta_squares(Z, ctx)
+    plan = _walk_plan(Z, ctx)
+    pairs = _square_pairs(plan, ctx)
     points = theta._terms(_ellipsoid_rows(_im_doubles(Z, ctx), theta.LEADING_BITS, -1)[2])
     exp, calls = theta.cmath.exp, []
 
@@ -429,8 +431,38 @@ def test_signed_roots_one_exponential_per_point(ctx, name, monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(theta.cmath, "exp", counted)
-    theta._signed_roots(Z, squares, ctx)
+    theta._signed_roots(Z, plan, pairs, ctx)
     assert len(calls) == points
+
+
+def test_no_mp_sqrt(ctx, monkeypatch):
+    # every root, level 0 included, is _isqrt of an exact int square: neither
+    # theta_all nor the theta report takes an mpmath square root
+    path = os.path.join(os.path.dirname(__file__), "..", "jobs", "ex3.job")
+    periods, Z = cli.job_periods(cli.parse_job(path), ctx), _job_Z("ex3", ctx)
+    # the period matrix itself takes square roots (cmperiod), so it is
+    # built before the count
+    monkeypatch.setattr(cli, "job_periods", lambda job, ctx: periods)
+    calls, sqrt = [], mp.sqrt
+    monkeypatch.setattr(mp, "sqrt", lambda *args: calls.append(args) or sqrt(*args))
+    theta_all(Z, ctx)
+    assert cli.main(["theta", path]) == 0
+    assert calls == []
+
+
+def test_theta_big_subsets_are_the_even_characteristics():
+    # the construction of Theta: T -> m_(T o {1,3,5}) on the ten 3-subsets T
+    # of {1..5}, m_S the sum mod 2 of the doubled base characteristics m_i,
+    # i in S, gives each even characteristic once, so theta_big is the
+    # fourth power of the product of the ten squares
+    base = [(1, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 1, 1), (0, 0, 1, 1)]
+    chars = []
+    for T in itertools.combinations(range(1, 6), 3):
+        q = [0, 0, 0, 0]
+        for i in set(T) ^ {1, 3, 5}:
+            q = [(x + y) % 2 for x, y in zip(q, base[i - 1])]
+        chars.append(ThetaCharacteristic(*q))
+    assert sorted(chars, key=EVEN_CHARS.index) == EVEN_CHARS
 
 
 def test_period_matrix_keeps_its_bits(ctx):
