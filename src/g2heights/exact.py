@@ -179,30 +179,62 @@ def partials(c, a, b):
 
 def resultant(P: list[int], Q: list[int]) -> int:
     """Res(P, Q) of two integer binary forms at their orders m and n: the
-    determinant of their Sylvester matrix, by fraction-free Bareiss
-    elimination.  It vanishes exactly when P and Q share a root on P^1,
-    infinity (both leading coefficients 0) included."""
+    determinant of their Sylvester matrix.  It vanishes exactly when P and
+    Q share a root on P^1, infinity (both leading coefficients 0)
+    included.
+
+    A root at infinity of one form comes out first: with P = (0, P') of
+    order m - 1, Res_{m,n}(P, Q) = (-1)^n Q[0] Res_{m-1,n}(P', Q), and with
+    Q = (0, Q'), Res_{m,n}(P, Q) = P[0] Res_{m,n-1}(P, Q') (expand the
+    Sylvester determinant along its first column).  What is left is the
+    resultant of P(x, 1) and Q(x, 1) at their degrees, taken by the
+    subresultant sequence (Collins, J. ACM 14, 1967; Brown and Traub,
+    J. ACM 18, 1971; Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 3.3.7): O(m n) int steps, each division exact."""
     m, n = len(P) - 1, len(Q) - 1
-    size = m + n
-    mat = [[0] * row + P + [0] * (n - 1 - row) for row in range(n)]
-    mat += [[0] * row + Q + [0] * (m - 1 - row) for row in range(m)]
-    # Bareiss: after step k every entry below row k is a k+1 minor, and the
-    # division by the previous pivot is exact
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if mat[k][k] == 0:
-            r = next((r for r in range(k + 1, size) if mat[r][k]), None)
-            if r is None:
-                return 0
-            mat[k], mat[r] = mat[r], mat[k]
-            sign = -sign
-        pivot, top = mat[k][k], mat[k]
-        for row in mat[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, size):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * mat[-1][-1]
+    scale = 1
+    while m and n and not (P[0] and Q[0]):
+        if not (P[0] or Q[0]):
+            return 0
+        if not P[0]:
+            P, m, scale = P[1:], m - 1, scale * (-1) ** n * Q[0]
+        else:
+            Q, n, scale = Q[1:], n - 1, scale * P[0]
+    if not (m and n):  # Res_{0,n}(c, Q) = c^n, Res_{m,0}(P, c) = c^m
+        return scale * (P[0] ** n if not m else Q[0] ** m)
+    return scale * _subresultant(P, Q)
+
+
+def _subresultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of two integer polynomials of degree at least 1, highest
+    coefficient first and nonzero, at their degrees."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        s = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        # the pseudo-remainder: lc(b)^(delta + 1) a = q b + r
+        r, lb = list(a), b[0]
+        for i in range(delta + 1):
+            c = r[i]
+            r = [lb * v for v in r]
+            for j, v in enumerate(b):
+                r[i + j] -= c * v
+        r = r[delta + 1:]
+        while r and not r[0]:
+            r.pop(0)
+        if not r:
+            return 0
+        a, div = b, g * h ** delta
+        b = [v // div for v in r]
+        g = a[0]
+        h = g ** delta // h ** (delta - 1) if delta else h
+    return s * (b[0] ** (len(a) - 1) // h ** (len(a) - 2))
 
 
 def disc_n(p: IntPolynomial, n: int) -> Fraction:

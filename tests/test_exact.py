@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from g2heights import exact
-from g2heights.cli import parse_job
+from g2heights.cli import job_curve, parse_job
 from g2heights.exact import (PSI13, IntPolynomial, binary_form, cubic_integer_roots,
-                             disc_n, factor, is_prime, proven_not_prime, valuation)
+                             disc_n, factor, is_prime, partials, proven_not_prime, resultant,
+                             valuation)
 
 # OEIS A014233: psi_n, the least strong pseudoprime to the first n prime bases
 A014233 = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
@@ -154,6 +155,63 @@ def test_disc6_degree_drop():
 
 def test_disc_singular():
     assert disc_n(IntPolynomial([0, 0, 0, 0, 0, 1], 5), 5) == 0
+
+
+def _bareiss_resultant(P, Q):
+    """The determinant of the Sylvester matrix of the forms P and Q, by
+    fraction-free Bareiss elimination: after step k every entry below row
+    k is a k+1 minor, and the division by the previous pivot is exact."""
+    m, n = len(P) - 1, len(Q) - 1
+    size = m + n
+    mat = [[0] * row + P + [0] * (n - 1 - row) for row in range(n)]
+    mat += [[0] * row + Q + [0] * (m - 1 - row) for row in range(m)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if mat[k][k] == 0:
+            r = next((r for r in range(k + 1, size) if mat[r][k]), None)
+            if r is None:
+                return 0
+            mat[k], mat[r] = mat[r], mat[k]
+            sign = -sign
+        pivot, top = mat[k][k], mat[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * mat[-1][-1]
+
+
+def test_resultant_is_the_sylvester_determinant():
+    # the subresultant sequence against Bareiss elimination: random forms
+    # of orders 0 to 7 with up to three leading coefficients 0 (roots at
+    # infinity, on one form or both), a quarter of them zero resultants;
+    # and the partials of the jobs' sextics and of their tau quartics
+    rng = random.Random(25)
+    zero = 0
+    for _ in range(6000):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        if m + n == 0:
+            continue
+        P, Q = ([rng.randint(-5, 5) for _ in range(k + 1)] for k in (m, n))
+        for form in (P, Q):
+            k = rng.randint(0, 3)
+            form[:k] = [0] * len(form[:k])
+        ref = _bareiss_resultant(P, Q)
+        assert resultant(P, Q) == ref, (P, Q)
+        zero += ref == 0
+    assert 1500 < zero < 5000, zero
+    jobs = os.path.join(os.path.dirname(__file__), "..", "jobs")
+    for name in ("ex1", "ex2", "ex3"):
+        job = parse_job(os.path.join(jobs, f"{name}.job"))
+        quartic = IntPolynomial(job["tau_poly"].split(","))
+        for p, order in ((job_curve(job).sextic, 6), (quartic, 4)):
+            form = binary_form(p, order)[0]
+            Fx, Fy = partials(form, 1, 0), partials(form, 0, 1)
+            assert resultant(Fx, Fy) == _bareiss_resultant(Fx, Fy) != 0, name
+            # with the roots at infinity of x^2 F and of y^3 F
+            for P, Q in ((Fx + [0, 0], Fy + [0, 0]), ([0, 0, 0] + Fx, Fy + [0])):
+                assert resultant(P, Q) == _bareiss_resultant(P, Q), name
 
 
 @pytest.mark.parametrize("name,disc", [

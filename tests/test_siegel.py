@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from g2heights import bounds, cli, cmperiod, siegel
 from g2heights.prec import PrecisionContext
@@ -36,6 +38,19 @@ def random_word(rng, n):
     for _ in range(n):
         g = g * rng.choice(GENS)
     return g
+
+
+def _blocks(g):
+    """The blocks A, B, C, D of g = [[A, B], [C, D]], each as rows."""
+    m = g.m
+    return ([r[:2] for r in m[:2]], [r[2:] for r in m[:2]],
+            [r[:2] for r in m[2:]], [r[2:] for r in m[2:]])
+
+
+def _view(Z):
+    """The view that _step reads at Z: its correctly rounded doubles, and Z
+    as its exact image."""
+    return siegel._View.read(siegel._Image(siegel._Ints(Z), siegel._IDENTITY), 256)
 
 
 def test_symplectic_check():
@@ -79,23 +94,6 @@ def test_gottschling_all_symplectic():
         assert g._is_symplectic()
 
 
-def _act_general(gamma, Z):
-    """(alpha Z + beta)(lam Z + mu)^-1 for every gamma, with no shape taken
-    apart: the formula whose bits act must give."""
-    a, b, c, d = gamma.blocks()
-    n11, n12, n21, n22 = siegel._cz_plus_d(a, b, Z.entries())
-    m11, m12, m21, m22 = siegel._cz_plus_d(c, d, Z.entries())
-    det = m11 * m22 - m12 * m21
-    if abs(det) == 0:
-        raise ZeroDivisionError("lam Z + mu is singular")
-    i11, i12, i21, i22 = m22 / det, -m12 / det, -m21 / det, m11 / det
-    w11 = n11 * i11 + n12 * i21
-    w12 = n11 * i12 + n12 * i22
-    w21 = n21 * i11 + n22 * i21
-    w22 = n21 * i12 + n22 * i22
-    return PeriodMatrix(w11, (w12 + w21) / 2, w22)
-
-
 def _act_shapes(rng):
     """Every Gottschling matrix, the translations with entries in -2..2,
     GL2 changes, and general words."""
@@ -113,12 +111,37 @@ def _act_shapes(rng):
     return out
 
 
+def _cz_plus_d(c, d, z):
+    """The entries m11, m12, m21, m22 of C Z + D, Z = (z11, z12, z22), and
+    so of A Z + B.  On |C|, |D| and |z| they are the sums of the absolute
+    values of the terms."""
+    z11, z12, z22 = z
+    return (c[0][0] * z11 + c[0][1] * z12 + d[0][0], c[0][0] * z12 + c[0][1] * z22 + d[0][1],
+            c[1][0] * z11 + c[1][1] * z12 + d[1][0], c[1][0] * z12 + c[1][1] * z22 + d[1][1])
+
+
+def _act_hi(gamma, Z, bits):
+    """(alpha Z + beta)(lam Z + mu)^-1 at bits, from all of Z's bits."""
+    with mp.workprec(bits):
+        a, b, c, d = _blocks(gamma)
+        n11, n12, n21, n22 = _cz_plus_d(a, b, Z.entries())
+        m11, m12, m21, m22 = _cz_plus_d(c, d, Z.entries())
+        det = m11 * m22 - m12 * m21
+        return [(n11 * m22 - n12 * m21) / det, (n12 * m11 - n11 * m12) / det,
+                (n22 * m11 - n21 * m12) / det]
+
+
 @pytest.mark.parametrize("bits", [256, 1024, 4096, "workbits + 64"])
-def test_act_by_shape_is_the_general_formula_bit_for_bit(bits, monkeypatch):
+def test_act_rounds_the_exact_image(bits):
+    # every part of act(g, Z) is the exact part of g Z rounded once to
+    # nearest at the working precision: within half an ulp of it, by
+    # mpmath at 256 more bits, whose own error is below 2^-(workbits + 200)
+    # of the entries; a part is 0 only where that reference is 0 to within
+    # its error.  On every shape, a translation, a GL2 change, the full and
+    # the partial inversions, and random words
     rng = random.Random(11)
     if bits == "workbits + 64":
-        # more input bits than the working precision: the first product
-        # must round them, also a product by 1
+        # more input bits than the working precision: act reads all of them
         c = PrecisionContext(256)
         with mp.workprec(c.workbits + 64):
             base = PeriodMatrix(mp.mpc(mp.mpf(1) / 3, mp.mpf(8) / 7),
@@ -130,17 +153,22 @@ def test_act_by_shape_is_the_general_formula_bit_for_bit(bits, monkeypatch):
         Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
               for name in ("ex1", "ex2", "ex3")]
     shapes = _act_shapes(rng)
-    with c.work():
-        for Z in Zs:
-            for g in shapes:
-                assert act(g, Z).entries() == _act_general(g, Z).entries(), g
-    # the shapes take no C Z + D: the 29 Gottschling matrices, the two
-    # partial inversions among them, the translations and the GL2 changes
-    monkeypatch.setattr(siegel, "_cz_plus_d", None)
-    with c.work():
-        for Z in Zs:
-            for g in shapes[:len(GOTTSCHLING) + 125 + 17]:
-                act(g, Z)
+    hi = c.workbits + 256
+    for Z in Zs:
+        for g in shapes:
+            with c.work():
+                W = act(g, Z)
+            ref = _act_hi(g, Z, hi)
+            with mp.workprec(hi):
+                err = mp.mpf(2) ** -(c.workbits + 200) * max(1, *(abs(w) for w in ref))
+                for w, r in zip(W.entries(), ref):
+                    for part, exact in ((w.real, r.real), (w.imag, r.imag)):
+                        assert part._mpf_[3] <= c.workbits, g
+                        if not part:
+                            assert abs(exact) <= err, g
+                        else:
+                            ulp = mp.mpf(2) ** (part._mpf_[2] + part._mpf_[3] - c.workbits)
+                            assert abs(part - exact) <= ulp / 2 + err, g
 
 
 def test_act_identity(ctx):
@@ -284,23 +312,28 @@ def test_reduce_preserves_chi10_invariant(ctx):
         assert abs(a - b) / a < mp.mpf(2) ** (-ctx.prec + 40)
 
 
-# the reduction words of the shipped jobs, by (job, precision).  ex2's
-# reduced matrix has Re z11 = Re z12 = 1/2 exactly, and at 1024 bits the
-# rounding noise puts Re z12 at -1/2, one translation away; ex1's word
-# changes on the same tie between 256 and 512 bits.
+# the reduction words of the shipped jobs, by (job, precision).  Their
+# reduced matrices lie on ties of F2, and each tie falls on the side that
+# the exact image of Z, with Z's own rounding, puts it: ex2's Re z11 =
+# Re z12 = 1/2, where at 1024 bits Re z12 lands at -1/2, one translation
+# away; and ex1's Re z12 = 1/2, which at 512 bits is 1/2 - 2^-548 after
+# the partial inversion (Z's rounding noise, below the ulp of a move at the
+# working precision, which rounding each move made a tie), and which its
+# word at 1024 bits reaches from the other side, at -1/2.
 _W_EX1 = [[1, 0, 0, 0], [3, 1, 0, 0], [2, 1, 1, -3], [-2, -1, 0, 1]]
-_W_EX1_512 = [[1, 0, -1, 2], [2, 1, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1]]
+_W_EX1_512 = [[1, 0, -1, 3], [3, 1, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1]]
+_W_EX1_1024 = [[1, 0, -1, 2], [2, 1, 0, -1], [1, 0, 0, 0], [0, 0, 0, 1]]
 _W_EX2 = [[1, 0, 0, -2], [-34, -1, 2, -56], [0, 0, 1, -34], [0, 0, 0, -1]]
 _W_EX2_1024 = [[1, 0, 0, -1], [-34, -1, 1, -22], [0, 0, 1, -34], [0, 0, 0, -1]]
 _W_EX3 = [[0, 0, -1, 5], [5, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
-EX_WORDS = {("ex1", 256): _W_EX1, ("ex1", 512): _W_EX1_512, ("ex1", 1024): _W_EX1_512,
+EX_WORDS = {("ex1", 256): _W_EX1, ("ex1", 512): _W_EX1_512, ("ex1", 1024): _W_EX1_1024,
             ("ex2", 256): _W_EX2, ("ex2", 512): _W_EX2, ("ex2", 1024): _W_EX2_1024,
             ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3}
 
 
-def test_reduce_applies_every_move_through_act(monkeypatch):
-    # the benchmark's tracer counts moves by wrapping the module attribute
-    # siegel.act: reduce must reach every move through it
+def test_reduce_z_red_is_act_of_gamma():
+    # Z_red is gamma Z rounded once at the working precision, bit for bit
+    # act(gamma, Z), whenever gamma != I; with gamma = I it is Z itself
     c = PrecisionContext(256)
     rng = random.Random(4)
     Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
@@ -308,22 +341,15 @@ def test_reduce_applies_every_move_through_act(monkeypatch):
     with mp.workprec(c.workbits + 64):
         base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
         Zs += [act(random_word(rng, 8), base) for _ in range(4)]
-    moves = []
-
-    def recorder(g, Z):
-        moves.append((g, act(g, Z)))
-        return moves[-1][1]
-
-    monkeypatch.setattr(siegel, "act", recorder)
+    Zs += [base]
     for k, Z in enumerate(Zs):
-        moves.clear()
         gamma, zr = reduce(Z, c)
-        assert moves, k
-        product = SymplecticMatrix.identity()
-        for g, _ in moves:
-            product = g * product
-        assert product == gamma, k
-        assert moves[-1][1] is zr, k
+        if gamma == SymplecticMatrix.identity():
+            assert zr is Z, k
+            continue
+        with c.work():
+            assert act(gamma, Z).entries() == zr.entries(), k
+    assert k == 7 and zr is base
 
 
 def test_reduce_checks_only_z_red(monkeypatch):
@@ -374,75 +400,205 @@ def test_reduce_word_stable_across_precision(ctx):
             assert all(abs(u - v) < ctx.tol for u, v in zip(z.entries(), zr.entries()))
 
 
-# ---- the decisions on doubles against a working-precision oracle ----------
+# ---- the decisions on doubles against an exact oracle ----------------------
 
-def _oracle_minkowski(Z, tol):
-    o11, o12, o22 = Z.im_entries()
+def _frac(x):
+    """The mpf x as a Fraction, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
-    def transformed(U):
-        a, b = U[0]
-        c, d = U[1]
-        return (a * a * o11 + 2 * a * b * o12 + b * b * o22,
-                a * c * o11 + (a * d + b * c) * o12 + b * d * o22,
-                c * c * o11 + 2 * c * d * o12 + d * d * o22)
 
-    U = [[1, 0], [0, 1]]
-    changed = False
-    for _ in range(200):
-        y11, y12, y22 = transformed(U)
-        t = int(mp.nint(y12 / y11))
+def _cmul(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _csub(u, v):
+    return u[0] - v[0], u[1] - v[1]
+
+
+def _cdiv(u, v):
+    n = v[0] * v[0] + v[1] * v[1]
+    return (u[0] * v[0] + u[1] * v[1]) / n, (u[1] * v[0] - u[0] * v[1]) / n
+
+
+def _exact_image(gamma, Z):
+    """gamma Z = (AZ + B)(CZ + D)^-1 on Fractions, from all of Z's bits:
+    (w11, w12, w22), each a (re, im) pair."""
+    z = [(_frac(v.real), _frac(v.imag)) for v in Z.entries()]
+    zm = [[z[0], z[1]], [z[1], z[2]]]
+
+    def affine(p, q):  # p Z + q
+        return [[(p[i][0] * zm[0][j][0] + p[i][1] * zm[1][j][0] + q[i][j],
+                  p[i][0] * zm[0][j][1] + p[i][1] * zm[1][j][1]) for j in (0, 1)] for i in (0, 1)]
+
+    a, b, c, d = _blocks(gamma)
+    n, m = affine(a, b), affine(c, d)
+    det = _csub(_cmul(m[0][0], m[1][1]), _cmul(m[0][1], m[1][0]))
+    return (_cdiv(_csub(_cmul(n[0][0], m[1][1]), _cmul(n[0][1], m[1][0])), det),
+            _cdiv(_csub(_cmul(n[0][1], m[0][0]), _cmul(n[0][0], m[0][1])), det),
+            _cdiv(_csub(_cmul(n[1][1], m[0][0]), _cmul(n[1][0], m[0][1])), det))
+
+
+def _oracle_step(w, tol):
+    """The reduction step with every comparison exact, on the Fractions w
+    of an exact image and tol: the reference that the decisions on doubles
+    must reproduce.  Fraction rounds ties half to even, as mp.nint does."""
+    (x11, y11), (x12, y12), (x22, y22) = w
+
+    def gram(U):
+        (a, b), (c, d) = U
+        return (a * a * y11 + 2 * a * b * y12 + b * b * y22,
+                a * c * y11 + (a * d + b * c) * y12 + b * d * y22,
+                c * c * y11 + 2 * c * d * y12 + d * d * y22)
+
+    U, changed = [[1, 0], [0, 1]], False
+    while True:
+        g11, g12, g22 = gram(U)
+        t = round(g12 / g11)
         if t != 0:
             U = [U[0], [U[1][0] - t * U[0][0], U[1][1] - t * U[0][1]]]
-            changed = True
-            continue
-        if y22 < y11:
+        elif g22 < g11:
             U = [U[1], U[0]]
-            changed = True
-            continue
-        break
-    y11, y12, y22 = transformed(U)
-    if y12 < -tol:
-        U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
+        else:
+            break
         changed = True
-    return U if changed else None
-
-
-def _oracle_step(Z, tol):
-    """The reduction step with every comparison on the working-precision
-    values: the reference that the decisions on doubles must reproduce."""
-    U = _oracle_minkowski(Z, tol)
-    if U is not None:
+    if gram(U)[1] < -tol:
+        U, changed = [U[0], [-U[1][0], -U[1][1]]], True
+    if changed:
         return SymplecticMatrix.embed_gl2(U)
-    b = [-int(mp.nint(mp.re(z))) for z in Z.entries()]
+    b = [-round(x) for x in (x11, x12, x22)]
     if any(b):
         return SymplecticMatrix.translation(*b)
-    z11, z12, z22 = Z.entries()
+    wm = [[w[0], w[1]], [w[1], w[2]]]
     dets = []
     for g in GOTTSCHLING:
-        _, _, c, d = g.blocks()
-        m11 = c[0][0] * z11 + c[0][1] * z12 + d[0][0]
-        m12 = c[0][0] * z12 + c[0][1] * z22 + d[0][1]
-        m21 = c[1][0] * z11 + c[1][1] * z12 + d[1][0]
-        m22 = c[1][0] * z12 + c[1][1] * z22 + d[1][1]
-        dets.append(abs(m11 * m22 - m12 * m21))
+        _, _, c, d = _blocks(g)
+        m = [[(c[i][0] * wm[0][j][0] + c[i][1] * wm[1][j][0] + d[i][j],
+               c[i][0] * wm[0][j][1] + c[i][1] * wm[1][j][1]) for j in (0, 1)] for i in (0, 1)]
+        det = _csub(_cmul(m[0][0], m[1][1]), _cmul(m[0][1], m[1][0]))
+        dets.append(det[0] ** 2 + det[1] ** 2)
     least = min(range(len(dets)), key=dets.__getitem__)
-    if dets[least] < 1 - tol:
+    if dets[least] < (1 - tol) ** 2:
         return GOTTSCHLING[least]
-    if abs(mp.im(z12)) <= tol and mp.re(z12) < -tol:
+    if abs(y12) <= tol and x12 < -tol:
         return SymplecticMatrix.embed_gl2([[1, 0], [0, -1]])
     return None
 
 
 def _oracle_reduce(Z, ctx):
+    """Each move decided on the exact image of Z under the word so far, and
+    Z_red that image rounded once to nearest at the working precision."""
+    tol = _frac(f2_tol(ctx))
+    total = SymplecticMatrix.identity()
+    w = _exact_image(total, Z)
+    while (g := _oracle_step(w, tol)) is not None:
+        total = g * total
+        w = _exact_image(total, Z)
+    if total == SymplecticMatrix.identity():
+        return total, Z
+    return total, PeriodMatrix._of(*(mp.make_mpc(tuple(
+        from_rational(v.numerator, v.denominator, ctx.workbits, round_nearest) for v in e))
+        for e in w))
+
+
+def _scrambles(ctx, n, seed):
+    """n matrices gamma Z0 for Z0 in F2 and random words gamma, built at
+    ctx's working precision."""
+    rng = random.Random(seed)
+    out = []
     with ctx.work():
-        tol = f2_tol(ctx)
-        total, cur = SymplecticMatrix.identity(), Z
-        while True:
-            g = _oracle_step(cur, tol)
-            if g is None:
-                return total, cur
-            cur = act(g, cur)
-            total = g * total
+        for _ in range(n):
+            y11 = rng.uniform(0.9, 2)
+            Z0 = PeriodMatrix(mp.mpc(rng.uniform(-0.5, 0.5), y11),
+                              mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0, y11 / 2)),
+                              mp.mpc(rng.uniform(-0.5, 0.5), y11 * rng.uniform(1, 20)))
+            out.append(act(random_word(rng, rng.randint(2, 12)), Z0))
+    return out
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_reduce_mpc_products(bits, monkeypatch):
+    # no move is applied at the working precision: the image is exact in
+    # ints and rounded once, so a reduction makes no mpc product or
+    # quotient, on ex1-ex3 and on scrambles alike
+    c = PrecisionContext(bits)
+    Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
+          for name in ("ex1", "ex2", "ex3")] + _scrambles(c, 6, bits)
+    calls = []
+    for op in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(mp.mpc, op, functools.partialmethod(
+            lambda x, y, f: calls.append(1) or f(x, y), f=getattr(mp.mpc, op)))
+    counts = []
+    for Z in Zs:
+        calls.clear()
+        gamma, _ = reduce(Z, c)
+        assert gamma != SymplecticMatrix.identity()
+        counts.append(len(calls))
+    assert counts == [0] * len(Zs), counts
+
+
+def _inverse(g):
+    """g^-1 = [[D^T, -B^T], [-C^T, A^T]] for g = [[A, B], [C, D]]."""
+    a, b, c, d = ([list(r) for r in zip(*m)] for m in _blocks(g))
+    return SymplecticMatrix.from_blocks(d, [[-v for v in r] for r in b],
+                                        [[-v for v in r] for r in c], a)
+
+
+def test_reduce_reads_the_image_again_when_the_doubles_drift(monkeypatch):
+    # ex2's word: a GL2 change with the entry 34, then a translation.  On
+    # Z = g^-1 Z0 with Re z22 of Z0 at 1/2 - 2^-52, the GL2 change takes
+    # Re z22 to 12 + 1/2 - 2^-52, and the doubles it moves land on the
+    # other side of the tie, at 12 + 1/2 + 2^-49.  Their drift bound leaves
+    # that nint open, so the image is read again mid-way; its doubles round
+    # to 12 + 1/2, and the exact image decides.  The moved view keeps each
+    # part within DRIFT of its magnitude of the exact part, the bound that
+    # _sure rests on, and its magnitudes grow by about 2^8 past the parts.  A reduction that took nint on the moved doubles would
+    # translate by -13, not by the oracle's -12
+    c = PrecisionContext(256)
+    w2 = SymplecticMatrix(_W_EX2)
+    with mp.workprec(c.workbits + 64):
+        Z0 = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"),
+                          mp.mpc(mp.mpf(1) / 2 - mp.mpf(2) ** -52, "1.5"))
+        Z = act(_inverse(w2), Z0)
+    moved, reads, steps = [], [], []
+    move, read, step = siegel._moved, siegel._View.read, siegel._step
+
+    def recorded_move(g, view):
+        out = move(g, view)
+        moved.append((g, out))
+        return out
+
+    def recorded_step(view, tol):
+        steps.append(view.image is None)
+        try:
+            return step(view, tol)
+        except siegel._Reread:
+            steps.append("reread")
+            raise
+
+    monkeypatch.setattr(siegel, "_moved", recorded_move)
+    monkeypatch.setattr(siegel._View, "read",
+                        staticmethod(lambda im, bits: reads.append(im) or read(im, bits)))
+    monkeypatch.setattr(siegel, "_step", recorded_step)
+    gamma, zr = reduce(Z, c)
+    assert gamma.m == _W_EX2
+    assert (gamma.m, zr.entries()) == (lambda g, z: (g.m, z.entries()))(*_oracle_reduce(Z, c))
+    # the GL2 change is the one move made on moved doubles: the
+    # translation, decided on the exact image, is read again after it
+    assert [g.m for g, _ in moved] == [[[1, 0, 0, 0], [-34, -1, 0, 0], [0, 0, 1, -34], [0, 0, 0, -1]]]
+    (g, view), = moved
+    half = Fraction(25, 2)
+    assert view.z[2].real > half > _exact_image(g, Z)[2][0]
+    past = 0
+    for w, m, e in zip(view.z, view.mag, _exact_image(g, Z)):
+        for part, mag, exact in ((w.real, m.real, e[0]), (w.imag, m.imag, e[1])):
+            assert abs(Fraction(part) - exact) <= Fraction(siegel.DRIFT) * Fraction(mag)
+            past += mag > 2 ** 8 * abs(part)
+    assert past
+    # read at Z, again after the GL2 change, and after the translation,
+    # where the last "no move" is decided
+    assert len(reads) == 3
+    assert steps == [False, True, "reread", False, False], steps
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -456,30 +612,32 @@ def test_gottschling_dets_from_the_table_are_cz_plus_d(bits):
         Zs = [Z for _, Z in _boundary_points(c)]
         Zs += [act(random_word(rng, rng.randint(1, 10)), base) for _ in range(40)]
     for Z in Zs:
-        zd = siegel._doubles(Z)
+        zd = _view(Z).z
         if zd is siegel._NAN3:
             continue
         za = [abs(w) for w in zd]
         expected = []
-        for cc, dd, ca, da in siegel._GOTTSCHLING_CD:
-            m11, m12, m21, m22 = siegel._cz_plus_d(cc, dd, zd)
-            a11, a12, a21, a22 = siegel._cz_plus_d(ca, da, za)
+        for g in GOTTSCHLING:
+            cc, dd = _blocks(g)[2:]
+            m11, m12, m21, m22 = _cz_plus_d(cc, dd, zd)
+            a11, a12, a21, a22 = _cz_plus_d(siegel._abs2(cc), siegel._abs2(dd), za)
             expected.append((abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21))
-        assert siegel._gottschling_dets(zd) == expected, Z
+        assert siegel._gottschling_dets(zd, za) == expected, Z
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_gottschling_move_pruned_is_the_full_scan(bits):
-    # when the doubles leave the move undecided, the working precision takes
-    # only the least candidate and those the doubles cannot separate from
-    # it; with _NAN3 it takes all 29 determinants.  ex1's Z_red lies on
-    # several |det(CZ + D)| = 1 walls
+    # when the doubles leave the move undecided, the exact image takes only
+    # the least candidate and those the doubles cannot separate from it;
+    # with _NAN3 it takes all 29 determinants.  ex1's Z_red lies on several
+    # |det(CZ + D)| = 1 walls
     c = PrecisionContext(bits)
     rng = random.Random(bits + 2)
     Zs = [Z for _, Z in _boundary_points(c)]
     Zs += [reduce(cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0], c)[1]
            for name in ("ex1", "ex2", "ex3")]
-    walls = sum(abs(v - 1) < 1e-9 for v, _ in siegel._gottschling_dets(siegel._doubles(Zs[-3])))
+    zd = _view(Zs[-3]).z
+    walls = sum(abs(v - 1) < 1e-9 for v, _ in siegel._gottschling_dets(zd, [abs(w) for w in zd]))
     assert walls >= 2, walls
     with c.work():
         base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
@@ -487,8 +645,10 @@ def test_gottschling_move_pruned_is_the_full_scan(bits):
         tol = f2_tol(c)
         td = float(tol)
         for Z in Zs:
-            pruned = siegel._gottschling_move(Z, siegel._doubles(Z), tol, td)
-            assert pruned is siegel._gottschling_move(Z, siegel._NAN3, tol, td), Z
+            view = _view(Z)
+            pruned = siegel._gottschling_move(view, tol, td)
+            full = view._replace(z=siegel._NAN3, mag=siegel._NAN3)
+            assert pruned is siegel._gottschling_move(full, tol, td), Z
 
 
 def _assert_same_as_oracle(Z, ctx, label):
@@ -558,8 +718,8 @@ def test_reduce_matches_oracle_on_boundaries(bits):
 
 def test_reduce_far_entries_decided_at_working_precision():
     # Im z22 = 10^400 has no double: every decision of such a step is made
-    # on the working-precision values.  z12 = 10^-400 (1 + i) underflows to
-    # 0, off by less than 2^-1075, and the doubles decide where they can
+    # on the exact image.  z12 = 10^-400 (1 + i) underflows to 0, off by
+    # less than 2^-1075, and the doubles decide where they can
     c = PrecisionContext(1024)
     with c.work():
         huge = PeriodMatrix(mp.mpc("0.1", "1.2"), 0, mp.mpc("0.3", mp.mpf(10) ** 400))
@@ -569,10 +729,10 @@ def test_reduce_far_entries_decided_at_working_precision():
         scramble = (J_MAT * SymplecticMatrix.translation(1, 0, 2)
                     * SymplecticMatrix.embed_gl2([[0, 1], [1, 0]]))
         for label, Z in (("huge", huge), ("huge scrambled", act(scramble, huge))):
-            assert all(mp.isnan(w) for w in siegel._doubles(Z)), label
+            assert _view(Z).z is siegel._NAN3, label
             _assert_same_as_oracle(Z, c, label)
         for label, Z in (("tiny", tiny), ("tiny scrambled", act(scramble, tiny))):
-            zd = siegel._doubles(Z)
+            zd = _view(Z).z
             assert zd[1] == 0 and zd == [complex(z) for z in Z.entries()], label
             _assert_same_as_oracle(Z, c, label)
         _, zr = reduce(act(scramble, tiny), c)
@@ -592,14 +752,16 @@ def test_reduce_ex3_with_underflowed_doubles(bits):
 
 
 def test_step_subnormal_parts_decided_at_working_precision(ctx):
-    # as doubles, y12 / y11 is 1012 / 2025 < 1/2, but it is above 1/2
+    # as doubles, y12 / y11 is 1012 / 2025 < 1/2, but it is above 1/2: the
+    # subnormal parts send the step to the exact image
     with ctx.work():
         e = mp.mpf(2) ** -1074
         Z = PeriodMatrix(mp.mpc("0.1", e * mp.mpf("2024.6")), mp.mpc(0, e * mp.mpf("1012.45")),
                          mp.mpc("0.2", "1.5"))
         tol = f2_tol(ctx)
-        assert siegel._step(Z, tol) == _oracle_step(Z, tol)
-        assert siegel._step(Z, tol) == SymplecticMatrix.embed_gl2([[1, 0], [-1, 1]])
+        move = siegel._step(_view(Z), tol)
+        assert move == _oracle_step(_exact_image(SymplecticMatrix.identity(), Z), _frac(tol))
+        assert move == SymplecticMatrix.embed_gl2([[1, 0], [-1, 1]])
 
 
 # ---- the invariant volume of F2 --------------------------------------------
@@ -636,6 +798,7 @@ def test_f2_volume_is_siegels(monkeypatch):
     vol, se = _f2_volume(8000, 1)
     assert abs(vol - target) < 4 * se, (vol, se)
     dets = siegel._gottschling_dets
-    monkeypatch.setattr(siegel, "_gottschling_dets", lambda zd: [(math.inf, 0.0)] + dets(zd)[1:])
+    monkeypatch.setattr(siegel, "_gottschling_dets",
+                        lambda zd, za: [(math.inf, 0.0)] + dets(zd, za)[1:])
     vol, se = _f2_volume(8000, 1)
     assert abs(vol - target) > 4 * se, (vol, se)
