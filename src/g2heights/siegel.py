@@ -22,15 +22,13 @@ precision for every gamma.
 A move is chosen by sign and rounding decisions: the Minkowski conditions
 on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
 and the signs of Im z12 and Re z12.  _step states them once, on doubles,
-and each is made in one of three ways (see _View and _sure):
-- on doubles that each move updates on doubles (_moved), while the drift
-  bound that _moved tracks keeps the decision clear of its threshold;
-- on doubles read again from the exact image (each part correctly
-  rounded, or read from the top bits of p and q with their error added to
-  the magnitudes) when a decision on moved doubles is not sure, after a
-  move that an exact decision chose, and always before the last "no move";
-- by exact int comparison on the image, when even those doubles do not
-  clear the threshold, as on the |det(CZ + D)| = 1 walls of ex1.
+and each is made in one of two ways (see _View and _sure):
+- on doubles read from the exact image of the word so far, before every
+  step (each part correctly rounded, or read from the top bits of p and q
+  with their error added to the magnitudes), when they clear the
+  decision's threshold by a margin;
+- by exact int comparison on the image, when they do not, as on the
+  |det(CZ + D)| = 1 walls of ex1.
 So the word is the one exact decisions on Z give, and Z_red is rounded
 from it once.  Exact nint ties go half to even, as mp.nint does.
 
@@ -54,7 +52,6 @@ Fundamentalbereiches der Modulgruppe zweiten Grades." Math. Ann. 138 (1959).
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -178,13 +175,15 @@ GOTTSCHLING = _gottschling_set()
 
 class _Ints:
     """The parts of Z as ints at one scale: z_ij = (x_ij + i y_ij) 2^-S,
-    with -S the least exponent of a nonzero part, so no part is rounded."""
+    with -S the least exponent of a nonzero part, or S = 0 when no
+    exponent is negative, so no part is rounded and no shift by S is
+    negative."""
 
     def __init__(self, Z: PeriodMatrix):
         parts = [p for z in Z.entries() for p in z._mpc_]
         if any(bc and not man for _, man, _, bc in parts):
             raise ValueError("Z has an entry that is not finite")
-        S = -min((exp for _, man, exp, _ in parts if man), default=0)
+        S = max(0, -min((exp for _, man, exp, _ in parts if man), default=0))
         v = [(-man if sign else man) << (exp + S) for sign, man, exp, _ in parts]
         self.x, self.y, self.S = v[0::2], v[1::2], S
         self._det = None
@@ -257,8 +256,9 @@ class _Image:
         re, im = ([u * x11 + v * x12 + w * x22 for u, v, w in coef] for x11, x12, x22 in (z.x, z.y))
         re = [lv + (ev << z.S) if ev else lv for lv, ev in zip(re, e)]
         # with C = 0 the terms in det X vanish, and p and q drop a 2^S
-        s1 = z.S if c11 or c12 or c21 or c22 else 0
-        if s1:
+        has_c = c11 or c12 or c21 or c22
+        s1 = z.S if has_c else 0
+        if has_c:
             re = [(lv << s1) + dr * kv for kv, lv in zip(k, re)]
             im = [(lv << s1) + di * kv for kv, lv in zip(k, im)]
         self.p = re, im
@@ -267,7 +267,6 @@ class _Image:
             raise ZeroDivisionError("lam Z + mu is singular")
         self.z, self.rows = z, rows
         self._parts, self._Q = [None] * 6, None
-        self.used = False  # whether a decision was made on it exactly
 
     def den(self):
         """Q, the denominator of the real form."""
@@ -288,18 +287,22 @@ class _Image:
         return [self.part(k) for k in range(6)], self.den()
 
     def doubles(self, bits):
-        """(w, eps): w11, w12, w22 as complex doubles, each part within
-        2^-53 of the exact part relatively and eps absolutely; or (_NAN3,
-        0.0) when a part overflows or Im w11 or Im w22 is below the normal
-        doubles (see _View.read).
+        """(w, eps): w11, w12, w22 as complex doubles, each part the
+        correctly rounded part of an entry w' that is within eps of the
+        exact entry w; or (_NAN3, 0.0) when a part overflows or Im w11 or
+        Im w22 is below the normal doubles (see _View.read).
 
         A real or imaginary q gives the real form, whose parts each take
-        one correctly rounded division, with eps = 0.  Otherwise p and q
-        are cut to their top bits bits (p', q'), and w' = p' / q' is
-        rounded the same way: with |p - p'|, |q - q'| below 2^(1/2 - bits)
-        of the largest part of each, and |p| <= |w| |q|,
-        |w - w'| <= (|w| |q - q'| + |p - p'|) / |q - q'| <= 12 2^-bits
-        max |w|, so eps = 16 2^-bits max |w'| covers it."""
+        one correctly rounded division: w' = w and eps = 0.  Otherwise p
+        and q are cut to their top bits bits (p', q'), and w' = p' / q' is
+        rounded the same way.  Each part of p' and q' is off by less than
+        2^(1 - bits) of the largest part, so, as complex numbers,
+        |q - q'| < 2^(3/2 - bits) |q| and |p - p'| < 2^(3/2 - bits) max |p|
+        <= 2^(3/2 - bits) max |w| |q|.  Since w - w' = (w (q' - q) + p - p')
+        / q', |w - w'| <= (|w| |q - q'| + |p - p'|) / |q'| < 2^(5/2 - bits)
+        max |w| / (1 - 2^(3/2 - bits)) < 5.8 2^-bits max |w|, which is below
+        6 2^-bits max |w'| for bits >= 8.  So eps = 16 2^-bits max |w'|, on
+        the doubles of w', covers it."""
         (pr, pi), (qr, qi) = self.p, self.q
         if qr and qi:
             kp = max(0, max(map(abs, pr + pi)).bit_length() - bits)
@@ -469,40 +472,30 @@ _IDENTITY = SymplecticMatrix.identity().m
 
 # A decision is made on doubles when its double clears the threshold by
 # MARGIN times the sum of the absolute values of its terms (see _sure),
-# taken on magnitudes that each double is within DRIFT of (see _View)
+# taken on magnitudes that each double is within _U of (see _View)
 MARGIN = 2.0 ** -40
-DRIFT = 2.0 ** -44
 # that sum must exceed _SIZE_MIN, far above the subnormal doubles
 _SIZE_MIN = 2.0 ** -960
 _NAN3 = (complex(math.nan, math.nan),) * 3
 _U = 2.0 ** -53
 
 
-class _Reread(Exception):
-    """A decision on moved doubles is not sure: read them again from the
-    exact image."""
-
-
 class _View(NamedTuple):
     """The doubles z = (z11, z12, z22) of an image W = gamma Z that _step
-    decides on, and their magnitudes mag: each part of z is within DRIFT
-    times the same part of mag of the part of W, and at most that part of
-    mag in absolute value (or, for a subnormal, within 2^-1075).  Each
-    entry of z is within eps of W's, or, when z was read from the image,
-    within eps and 2^-53 of each part relatively; mag is |z| + eps / DRIFT
-    part by part.  image is the _Image that z was read from, or None when
-    z was moved on doubles; then a decision that the doubles leave open
-    raises _Reread."""
+    decides on, their magnitudes mag, and the image itself: each part of z
+    is within _U times the same part of mag of the part of W, and at most
+    that part of mag in absolute value (or, for a subnormal, within
+    2^-1075).  A decision that the doubles leave open is made on image."""
     z: object
     mag: object
-    image: object
-    eps: float
+    image: _Image
 
     @staticmethod
     def read(image: _Image, bits) -> "_View":
-        """The doubles of the image (_Image.doubles at bits), each part
-        within 2^-53 of its exact value relatively and within eps: so
-        within DRIFT of |part| + eps / DRIFT.
+        """The doubles of the image (_Image.doubles at bits): each part is
+        the correctly rounded part of an entry w', so within _U times its
+        own absolute value of it, and w' is within eps of the image.  So
+        mag = |z| + eps / _U, part by part.
 
         A part that underflows is off by less than 2^-1075.  It enters a
         decision only next to 1/2 (nint), next to tol (the flip), with a
@@ -516,19 +509,9 @@ class _View(NamedTuple):
         decision of the step is exact."""
         z, eps = image.doubles(bits)
         if z is _NAN3:
-            return _View(_NAN3, _NAN3, image, 0.0)
-        return _View(z, _magnitudes(z, eps), image, eps)
-
-    def exact(self) -> _Image:
-        if self.image is None:
-            raise _Reread
-        self.image.used = True
-        return self.image
-
-
-def _magnitudes(z, eps):
-    k = eps / DRIFT
-    return [complex(abs(w.real) + k, abs(w.imag) + k) for w in z]
+            return _View(_NAN3, _NAN3, image)
+        k = eps / _U
+        return _View(z, [complex(abs(w.real) + k, abs(w.imag) + k) for w in z], image)
 
 
 def _sure(v, size):
@@ -537,16 +520,16 @@ def _sure(v, size):
     integer coefficients whose terms, on the magnitudes of the view, have
     absolute values summing to at most size: |v| > MARGIN size.
 
-    The argument: each input double is within DRIFT of the magnitude it
-    enters with, and the exact input within DRIFT of it too, so the inputs'
-    errors move v* by at most ((1 + 2 DRIFT)^2 - 1) size < 2^-41.9 size.
-    v is formed from the doubles by at most 16 rounded operations, each
-    adding an error of at most 2^-53 times the sum of the absolute values
-    of the terms it combines (2^-51.5 for a complex product); these add up
-    to less than 2^-48.9 size.  So when |v| > 2^-40 size, v and v* have one
-    sign.  A rounding in the subnormal range adds at most 2^-1075, far
-    below 2^-49 size once size > _SIZE_MIN.  A nan or an infinity passes
-    no test."""
+    The argument: each input double is within _U times the magnitude it
+    enters with of the exact input, which is at most 1 + _U times it, so the
+    inputs' errors move v* by at most ((1 + _U)^2 - 1) size < 2^-51.9
+    size.  v is formed from the doubles by at most 16 rounded operations,
+    each adding an error of at most 2^-53 times the sum of the absolute
+    values of the terms it combines (2^-51.5 for a complex product); these
+    add up to less than 2^-48.9 size.  So when |v| > 2^-40 size, v and v*
+    have one sign.  A rounding in the subnormal range adds at most
+    2^-1075, far below 2^-49 size once size > _SIZE_MIN.  A nan or an
+    infinity passes no test."""
     return abs(v) > MARGIN * size and size > _SIZE_MIN
 
 
@@ -586,7 +569,7 @@ def _step(view: _View, tol):
     U = _minkowski_unimodular(view, tol, td)
     if U is not None:
         return _symplectic(_gl2_rows(U))
-    b = [-_nint(w.real, m.real, lambda k=k: view.exact().nint(2 * k))
+    b = [-_nint(w.real, m.real, lambda k=k: view.image.nint(2 * k))
          for k, (w, m) in enumerate(zip(zd, mag))]
     if any(b):
         return _symplectic(_translation_rows(*b))
@@ -595,8 +578,8 @@ def _step(view: _View, tol):
         return g
     x12, y12 = zd[1].real, zd[1].imag
     if (_decide(td - abs(y12), td + mag[1].imag,
-                lambda: view.exact().cmp(abs(view.exact().part(3)), tol) <= 0)
-            and _decide(-td - x12, td + mag[1].real, lambda: view.exact().cmp(view.exact().part(2), -tol) < 0)):
+                lambda: view.image.cmp(abs(view.image.part(3)), tol) <= 0)
+            and _decide(-td - x12, td + mag[1].real, lambda: view.image.cmp(view.image.part(2), -tol) < 0)):
         return _FLIP_Z12
     return None
 
@@ -618,8 +601,8 @@ MAX_ITER = 2000
 
 def _read_bits(ctx: PrecisionContext):
     """The top bits from which _Image.doubles reads a complex quotient:
-    its eps / DRIFT stays far below tol = 2^-(prec/2) times MARGIN, so that
-    a part that is exactly 0, as Im z12 of ex3, still clears tol."""
+    its eps / _U stays far below tol = 2^-(prec/2) times MARGIN, so that a
+    part that is exactly 0, as Im z12 of ex3, still clears tol."""
     return ctx.workbits // 2 + 128
 
 
@@ -629,104 +612,37 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
     the exact image of Z and applied until none is left.  So Z itself comes
     back, with the identity word, exactly when it is in F2 at that tol.
     Where Im z12 is zero within tol, Re z12 >= -tol is chosen, so the word
-    does not follow the rounding noise in Im z12.
+    does not follow the rounding noise in Im z12.  At most MAX_ITER steps
+    are taken, the last "no move" among them.
 
     No move is applied at the working precision.  Each move updates the
-    word, an int matrix, and the doubles of the image (_moved), with a
-    bound eps on their drift from the exact image: eps |M'^-1|_1 |M^-1|_1
-    carried through the move plus 32 2^-53 of its terms' absolute values,
-    M = CW + D.  Every magnitude that a decision's margin is taken on
-    grows by eps / DRIFT, so a decision on moved doubles is sure only when
-    the drift cannot move it across its threshold (see _View and _sure).
-    A decision that the moved doubles leave open reads the doubles again
-    from the exact image of the word (_View.read), and so does every "no
-    move" found on moved doubles, so that the last step is decided on
-    doubles read from the image.  A move that an exact decision chose is
-    followed by a read too: the doubles it would move sit on the same tie
-    or wall, where they would leave the next decision open again.  Z_red is that image with each part
-    rounded once (_quotient): within half an ulp of gamma Z, part by part,
-    however ill-conditioned the word, and bit for bit act(gamma, Z).  It is
-    built unchecked (see act) and checked once, by
+    word, an int matrix, and each step reads the doubles of the exact image
+    of the word so far (_View.read), with their error in the magnitudes that
+    a decision's margin is taken on (see _View and _sure); a decision that
+    they leave open is made on the image exactly.  Z_red is that image with
+    each part rounded once (_quotient): within half an ulp of gamma Z, part
+    by part, however ill-conditioned the word, and bit for bit
+    act(gamma, Z).  It is built unchecked (see act) and checked once, by
     PeriodMatrix.check_im_positive, before it is returned.
     """
     with ctx.work():
         tol = f2_tol(ctx)
         z = _Ints(Z)
-        rows, view, bits = _IDENTITY, None, _read_bits(ctx)
+        rows, bits = _IDENTITY, _read_bits(ctx)
         for _ in range(MAX_ITER):
-            if view is None:
-                view = _View.read(_Image(z, rows), bits)
-            try:
-                g = _step(view, tol)
-            except _Reread:
-                view = None
-                continue
+            image = _Image(z, rows)
+            g = _step(_View.read(image, bits), tol)
             if g is None:
-                if view.image is None:
-                    view = None
-                    continue
                 break
             rows = _mat4_mul(g.m, rows)
-            view = None if view.image and view.image.used else _moved(g, view)
         else:
             raise ArithmeticError("reduction did not terminate; raise precision")
         if rows == _IDENTITY:
             Z.check_im_positive()
             return SymplecticMatrix.identity(), Z
-        zred = view.image.rounded()
+        zred = image.rounded()
         zred.check_im_positive()
         return _symplectic(rows), zred
-
-
-def _moved(g: SymplecticMatrix, view: _View):
-    """The view of g W on doubles, for the view of W whose entries are
-    within eps = view.eps of W's (as complex numbers), with the bound eps'
-    on the new entries' errors; None when the move is too ill-conditioned
-    on doubles, so that the image is read again.
-
-    The bound: for symmetric W' and W, gW' - gW = M'^-T (W' - W) M^-1 with
-    M' = CW' + D and M = CW + D, so the doubles W' carry an error of at
-    most eps |M'^-1|_1 |M^-1|_1 into the exact gW' (|.|_1 the largest
-    column sum of absolute values), and |M^-1|_1 <= k / (1 - 2 k |C|_1 eps)
-    for k = |M'^-1|_1.  The doubles of gW' are then formed by the general
-    formula (N adj M) / det M, N = AW' + B, whose rounding error is at
-    most 32 2^-53 (s_ij + |w_ij| s_det) / |det M|, s the sums of the
-    absolute values of the terms of N adj M and of det M (N and M on
-    absolute values), while det M is larger than 2^-30 s_det, so that its
-    own relative error stays below 2^-19.  A subnormal result adds at most
-    2^-1060.  Each part of an entry is within eps' of the exact part, so
-    with magnitudes |part| + eps' / DRIFT the new view satisfies _View's
-    bound."""
-    z = view.z
-    if z is _NAN3:
-        return None
-    z11, z12, z22 = z
-    r11, r12, r22 = abs(z11), abs(z12), abs(z22)
-    # the 2^-53 of each part of read doubles, as an error of the entry
-    eps = view.eps + (2.0 ** -52 * max(r11, r12, r22) if view.image else 0.0)
-    # N = A W + B and M = C W + D by rows, and the same on absolute values
-    # (a.. and b..), the sums of the absolute values of their terms
-    (n11, n12, a11, a12), (n21, n22, a21, a22), (m11, m12, b11, b12), (m21, m22, b21, b22) = (
-        (u * z11 + v * z12 + x, u * z12 + v * z22 + y,
-         abs(u) * r11 + abs(v) * r12 + abs(x), abs(u) * r12 + abs(v) * r22 + abs(y))
-        for u, v, x, y in g.m)
-    det = m11 * m22 - m12 * m21
-    s_det = b11 * b22 + b12 * b21
-    if not (cmath.isfinite(det) and abs(det) > 2.0 ** -30 * s_det):
-        return None
-    w = [(n11 * m22 - n12 * m21) / det, (n12 * m11 - n11 * m12) / det,
-         (n22 * m11 - n21 * m12) / det]
-    s = (a11 * b22 + a12 * b21, a12 * b11 + a11 * b12, a22 * b11 + a21 * b12)
-    if not all(map(cmath.isfinite, w)):
-        return None
-    k = max(b22 + b21, b12 + b11) / abs(det) * (1 + 2.0 ** -15)
-    (c11, c12, _, _), (c21, c22, _, _) = g.m[2:]
-    t = 2 * k * max(abs(c11) + abs(c21), abs(c12) + abs(c22)) * eps
-    eps = (eps * k * k / (1 - t) + 2.0 ** -1060
-           + 32 * _U * max(si + abs(wi) * s_det for si, wi in zip(s, w)) / abs(det))
-    if not (t < 0.5 and eps < 2.0 ** 900):
-        return None
-    return _View(w, _magnitudes(w, eps), None, eps)
 
 
 def _gottschling_move(view: _View, tol, td):
@@ -764,7 +680,7 @@ def _gottschling_move(view: _View, tol, td):
         near = [i for i, w, t in cands if i == least or not _sure(w - v, s + t)]
         if len(near) == 1 and v < one and _sure(v - one, s + 1 + td):
             return GOTTSCHLING[least]
-    image = view.exact()
+    image = view.image
     exact = image.dets(near)
     least = min(exact, key=exact.__getitem__)
     return GOTTSCHLING[least] if image.det_below(exact[least], 1 - tol) else None
@@ -815,7 +731,7 @@ def _minkowski_unimodular(view: _View, tol, td):
         less entry sub."""
         rows = list(zip(*(_gram(U, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
         c = rows[k] if sub is None else [u - v for u, v in zip(rows[k], rows[sub])]
-        return view.exact().im_comb(c)
+        return view.image.im_comb(c)
 
     def exact_nint():
         return _nint_ratio(exact_gram(1), exact_gram(0))
@@ -842,7 +758,7 @@ def _minkowski_unimodular(view: _View, tol, td):
         break
     (_, y12, _), (_, s12, _) = _gram(U, od), _gram(_abs2(U), oa)
     if _decide(-td - y12, s12 + td,
-               lambda: view.exact().cmp(exact_gram(1), -tol) < 0):
+               lambda: view.image.cmp(exact_gram(1), -tol) < 0):
         U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
         changed = True
     return U if changed else None

@@ -69,6 +69,19 @@ def test_reduce_identity(tmp_path, capsys):
     assert "gamma = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]" in out
 
 
+def test_reduce_integral_entries(tmp_path, capsys):
+    # parts with no fraction bits: Z's ints take the scale 2^0
+    f = tmp_path / "m.mat"
+    f.write_text("0.0+2.0*i\n0.0+0.0*i\n0.0+2.0*i\n")
+    code, out = run_cli(capsys, "reduce", "--matrix", str(f))
+    assert code == 0
+    assert "gamma = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]" in out
+    f.write_text("4.0+2.0*i\n0.0+0.0*i\n2.0+8.0*i\n")
+    code, out = run_cli(capsys, "reduce", "--matrix", str(f))
+    assert code == 0
+    assert "gamma = [[1, 0, -4, 0], [0, 1, 0, -2], [0, 0, 1, 0], [0, 0, 0, 1]]" in out
+
+
 def test_reduce_not_positive_definite_exit1(tmp_path, capsys):
     # det Im Z = 1 - 4 < 0: the matrix is refused where it enters
     f = tmp_path / "m.mat"

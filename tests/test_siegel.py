@@ -152,7 +152,12 @@ def test_act_rounds_the_exact_image(bits):
         c = PrecisionContext(bits)
         Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
               for name in ("ex1", "ex2", "ex3")]
-    shapes = _act_shapes(rng)
+    _assert_act_rounds(c, Zs, _act_shapes(rng))
+
+
+def _assert_act_rounds(c, Zs, shapes):
+    """Every part of act(g, Z) at c's working precision is within half an
+    ulp of mpmath's g Z at 256 more bits, for each Z and shape g."""
     hi = c.workbits + 256
     for Z in Zs:
         for g in shapes:
@@ -169,6 +174,28 @@ def test_act_rounds_the_exact_image(bits):
                         else:
                             ulp = mp.mpf(2) ** (part._mpf_[2] + part._mpf_[3] - c.workbits)
                             assert abs(part - exact) <= ulp / 2 + err, g
+
+
+def test_reduce_and_act_with_no_fraction_bits():
+    # every part of these Z is an int, most with trailing zero bits, so Z's
+    # ints take the scale 2^0: no shift by it may go negative, and the
+    # terms in det X still enter every word with C != 0, the partial
+    # inversions (A != 0) among them
+    c = PrecisionContext(256)
+    with c.work():
+        Zs = [PeriodMatrix(mp.mpc(0, 2), 0, mp.mpc(0, 2)),
+              PeriodMatrix(mp.mpc(4, 2), 0, mp.mpc(2, 8)),
+              PeriodMatrix(mp.mpc(3, 1), 0, mp.mpc(0, 1)),
+              PeriodMatrix(mp.mpc(0, 4), mp.mpc(0, 2), mp.mpc(0, 4))]
+    assert [siegel._Ints(Z).S for Z in Zs] == [0] * len(Zs)
+    words = []
+    for k, Z in enumerate(Zs):
+        _assert_same_as_oracle(Z, c, k)
+        gamma, _ = reduce(Z, c)
+        words.append(gamma == SymplecticMatrix.identity())
+        assert in_fundamental_domain(Z, c) == words[-1], k
+    assert words == [True, False, False, True]
+    _assert_act_rounds(c, Zs, _act_shapes(random.Random(12)))
 
 
 def test_act_identity(ctx):
@@ -386,13 +413,15 @@ def test_reduce_checks_only_z_red(monkeypatch):
 
 def test_reduce_word_stable_across_precision(ctx):
     # ex3's reduced matrix has Im z12 = 0 exactly: the word must not follow
-    # the rounding noise in it
+    # the rounding noise in it.  Each pinned word, and its Z_red, is the
+    # one that exact decisions on the job's Z give, by the Fraction oracle
     reduced = {}
     for (name, bits), word in EX_WORDS.items():
         c = PrecisionContext(bits)
-        job = cli.parse_job(os.path.join(JOBS, f"{name}.job"))
-        gamma, reduced[name, bits] = reduce(cli.job_periods(job, c)[0], c)
+        Z = cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
+        gamma, reduced[name, bits] = reduce(Z, c)
         assert gamma.m == word, (name, bits)
+        _assert_same_as_oracle(Z, c, (name, bits))
     zr = reduced["ex3", 256]
     with ctx.work():
         for bits in (512, 1024):
@@ -544,61 +573,44 @@ def _inverse(g):
                                         [[-v for v in r] for r in c], a)
 
 
-def test_reduce_reads_the_image_again_when_the_doubles_drift(monkeypatch):
-    # ex2's word: a GL2 change with the entry 34, then a translation.  On
-    # Z = g^-1 Z0 with Re z22 of Z0 at 1/2 - 2^-52, the GL2 change takes
-    # Re z22 to 12 + 1/2 - 2^-52, and the doubles it moves land on the
-    # other side of the tie, at 12 + 1/2 + 2^-49.  Their drift bound leaves
-    # that nint open, so the image is read again mid-way; its doubles round
-    # to 12 + 1/2, and the exact image decides.  The moved view keeps each
-    # part within DRIFT of its magnitude of the exact part, the bound that
-    # _sure rests on, and its magnitudes grow by about 2^8 past the parts.  A reduction that took nint on the moved doubles would
-    # translate by -13, not by the oracle's -12
+def _act_doubles(g, zd):
+    """g W on the complex doubles zd = (w11, w12, w22), by the general
+    formula: the doubles that moving W by g on doubles would give."""
+    a, b, c, d = _blocks(g)
+    n11, n12, n21, n22 = _cz_plus_d(a, b, zd)
+    m11, m12, m21, m22 = _cz_plus_d(c, d, zd)
+    det = m11 * m22 - m12 * m21
+    return [(n11 * m22 - n12 * m21) / det, (n12 * m11 - n11 * m12) / det,
+            (n22 * m11 - n21 * m12) / det]
+
+
+def test_reduce_reads_the_image_after_each_move(monkeypatch):
+    # a GL2 change with the entry 2000 on Z = g^-1 Z0, Re z22 of Z0 at
+    # 1/2 - 2^-45.  Moved on doubles, Re z22 lands at 1/2 + 2^-35.4, past
+    # the 2^-40 margin, where nint on them would translate by -1, while the
+    # exact nint is 0.  Each step reads the exact image of the word so far
+    # instead, so the word is the oracle's: the GL2 change alone.  (With
+    # ex2's entry 34 the moved doubles stay within the margin of the
+    # exact image, and the exact image decides the tie either way.)
     c = PrecisionContext(256)
-    w2 = SymplecticMatrix(_W_EX2)
+    g = SymplecticMatrix.embed_gl2([[1, 0], [-2000, -1]])
     with mp.workprec(c.workbits + 64):
         Z0 = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"),
-                          mp.mpc(mp.mpf(1) / 2 - mp.mpf(2) ** -52, "1.5"))
-        Z = act(_inverse(w2), Z0)
-    moved, reads, steps = [], [], []
-    move, read, step = siegel._moved, siegel._View.read, siegel._step
-
-    def recorded_move(g, view):
-        out = move(g, view)
-        moved.append((g, out))
-        return out
-
-    def recorded_step(view, tol):
-        steps.append(view.image is None)
-        try:
-            return step(view, tol)
-        except siegel._Reread:
-            steps.append("reread")
-            raise
-
-    monkeypatch.setattr(siegel, "_moved", recorded_move)
-    monkeypatch.setattr(siegel._View, "read",
-                        staticmethod(lambda im, bits: reads.append(im) or read(im, bits)))
-    monkeypatch.setattr(siegel, "_step", recorded_step)
+                          mp.mpc(mp.mpf(1) / 2 - mp.mpf(2) ** -45, "1.5"))
+        Z = act(_inverse(g), Z0)
+    x = _act_doubles(g, _view(Z).z)[2].real
+    assert siegel._nint(x, abs(x), lambda: None) == 1
+    assert _exact_image(g, Z)[2][0] < Fraction(1, 2)
+    reads = []
+    read = siegel._View.read
+    monkeypatch.setattr(siegel._View, "read", staticmethod(
+        lambda im, bits: (lambda v: reads.append(v) or v)(read(im, bits))))
     gamma, zr = reduce(Z, c)
-    assert gamma.m == _W_EX2
+    assert gamma == g
     assert (gamma.m, zr.entries()) == (lambda g, z: (g.m, z.entries()))(*_oracle_reduce(Z, c))
-    # the GL2 change is the one move made on moved doubles: the
-    # translation, decided on the exact image, is read again after it
-    assert [g.m for g, _ in moved] == [[[1, 0, 0, 0], [-34, -1, 0, 0], [0, 0, 1, -34], [0, 0, 0, -1]]]
-    (g, view), = moved
-    half = Fraction(25, 2)
-    assert view.z[2].real > half > _exact_image(g, Z)[2][0]
-    past = 0
-    for w, m, e in zip(view.z, view.mag, _exact_image(g, Z)):
-        for part, mag, exact in ((w.real, m.real, e[0]), (w.imag, m.imag, e[1])):
-            assert abs(Fraction(part) - exact) <= Fraction(siegel.DRIFT) * Fraction(mag)
-            past += mag > 2 ** 8 * abs(part)
-    assert past
-    # read at Z, again after the GL2 change, and after the translation,
-    # where the last "no move" is decided
-    assert len(reads) == 3
-    assert steps == [False, True, "reread", False, False], steps
+    # read at Z, and after the GL2 change, where the last "no move" is
+    # decided
+    assert [v.image.rows for v in reads] == [siegel._IDENTITY, g.m]
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
