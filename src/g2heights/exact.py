@@ -128,13 +128,10 @@ class IntPolynomial:
     The constructor takes ints as they are and any other coefficient (a
     Fraction, or a string that Fraction reads) through Fraction, all over
     den; it is the one place where a polynomial's coefficients become
-    integers.  max_degree, when given, is checked as a bound on the degree;
-    binary_form and disc_n take the order of the binary form as their own
-    argument.
+    integers.
     """
 
-    def __init__(self, coeffs: Sequence[Fraction | int | str], max_degree: int | None = None,
-                 *, den: int = 1):
+    def __init__(self, coeffs: Sequence[Fraction | int | str], *, den: int = 1):
         cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         d = lcm(*(c.denominator for c in cs))
         num = [c.numerator * (d // c.denominator) for c in cs]
@@ -145,8 +142,6 @@ class IntPolynomial:
         while len(num) > 1 and num[-1] == 0:
             num.pop()
         self.num, self.den = num, d
-        if max_degree is not None and self.degree > max_degree:
-            raise ValueError(f"degree {self.degree} above the bound {max_degree}")
 
     @property
     def degree(self) -> int:

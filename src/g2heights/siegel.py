@@ -21,20 +21,20 @@ precision for every gamma.
 
 A move is chosen by sign and rounding decisions: the Minkowski conditions
 on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
-and the signs of Im z12 and Re z12.  _step states them once, on doubles,
-and each is made in one of two ways (see _View and _sure):
-- on doubles read from the exact image of the word so far, before every
-  step (each part correctly rounded, or read from the top bits of p and q
-  with their error added to the magnitudes), when they clear the
-  decision's threshold by a margin;
-- by exact int comparison on the image, when they do not, as on the
-  |det(CZ + D)| = 1 walls of ex1.
-So the word is the one exact decisions on Z give, and Z_red is rounded
-from it once.  Exact nint ties go half to even, as mp.nint does.
+and the signs of Im z12 and Re z12.  _step states them once, on doubles
+that _Image.read takes from the exact image of the word so far, before
+every step, with their error in their magnitudes.  A decision is made on
+the doubles when they clear its threshold by a margin (_sure), else by
+exact int comparison on the image, as on the |det(CZ + D)| = 1 walls of
+ex1.  So the word is the one exact decisions on Z give, and Z_red is
+rounded from it once.  Exact nint ties go half to even, as mp.nint does.
 
 Each move keeps Z in H2: Im gamma Z = (CZ + D)^-* Im Z (CZ + D)^-1, so
 det Im gamma Z = det Im Z / |det(CZ + D)|^2 and Im gamma Z is positive
-definite with Im Z.  So act builds its images unchecked, and positivity is
+definite with Im Z.  So act builds its images unchecked, with
+PeriodMatrix._of.  The rounded image can leave H2 only where Im gamma Z is
+within its rounding error of a singular matrix, that is, where the
+precision cannot tell the point from the boundary of H2.  So positivity is
 checked where a matrix enters the package (the PeriodMatrix constructor:
 cmperiod.period_matrix, the CLI, a matrix built by a caller) and once on
 the Z_red that reduce returns.
@@ -53,7 +53,6 @@ Fundamentalbereiches der Modulgruppe zweiten Grades." Math. Ann. 138 (1959).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero, round_nearest
@@ -216,13 +215,6 @@ class _Ints:
                 dc * di + ((y22 * k11 - y12 * k + y11 * k22) << s1))
 
 
-def _ratio(x):
-    """The mpf x as (num, den), ints with x = num / den and den a power of 2."""
-    sign, man, exp, _ = x._mpf_
-    man = -man if sign else man
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
-
-
 def _nint_ratio(n, d):
     """nint(n / d) for ints n and d > 0, ties to even as mp.nint."""
     q, r = divmod(2 * n + d, 2 * d)
@@ -236,8 +228,8 @@ class _Image:
     0..5 for Re w11, Im w11, Re w12, Im w12, Re w22, Im w22), is
     p conj(q) / |q|^2, or +-p / |q| or +-i p / |q| when q is real or
     imaginary, as it is for every word with C = 0.  Each entry's two parts
-    are formed once, when an exact comparison, the rounding or the doubles
-    of a real or imaginary q first ask for them."""
+    are formed once, when an exact comparison or the rounding first asks
+    for them.  read sets wd and mag, the doubles that _step decides on."""
 
     def __init__(self, z: _Ints, rows):
         (a11, a12, b11, b12), (a21, a22, b21, b22), (c11, c12, d11, d12), (c21, c22, d21, d22) = rows
@@ -282,65 +274,67 @@ class _Image:
             parts[j:j + 2] = _real_parts(self.p[0][j // 2], self.p[1][j // 2], *self.q)
         return parts[k]
 
-    def real(self):
-        """(parts, Q), the real form."""
-        return [self.part(k) for k in range(6)], self.den()
+    def read(self, bits):
+        """Sets wd, the doubles (w11, w12, w22) of W = gamma Z, and mag,
+        their magnitudes, and returns the image: each part of wd is within
+        _U times the same part of mag of the part of W, and at most that
+        part of mag in absolute value (or, for a subnormal, within
+        2^-1075).
 
-    def doubles(self, bits):
-        """(w, eps): w11, w12, w22 as complex doubles, each part the
-        correctly rounded part of an entry w' that is within eps of the
-        exact entry w; or (_NAN3, 0.0) when a part overflows or Im w11 or
-        Im w22 is below the normal doubles (see _View.read).
-
-        A real or imaginary q gives the real form, whose parts each take
-        one correctly rounded division: w' = w and eps = 0.  Otherwise p
-        and q are cut to their top bits bits (p', q'), and w' = p' / q' is
-        rounded the same way.  Each part of p' and q' is off by less than
-        2^(1 - bits) of the largest part, so, as complex numbers,
+        p and q are cut by one shift (p', q'), the least of the two that
+        keep the top bits bits of each, and each part of wd is the correctly
+        rounded part of w' = p' / q', so within _U times its own absolute
+        value of it.  Each part of p' and q' is off by less than
+        2^(1 - bits) of its largest part, so, as complex numbers,
         |q - q'| < 2^(3/2 - bits) |q| and |p - p'| < 2^(3/2 - bits) max |p|
         <= 2^(3/2 - bits) max |w| |q|.  Since w - w' = (w (q' - q) + p - p')
         / q', |w - w'| <= (|w| |q - q'| + |p - p'|) / |q'| < 2^(5/2 - bits)
         max |w| / (1 - 2^(3/2 - bits)) < 5.8 2^-bits max |w|, which is below
         6 2^-bits max |w'| for bits >= 8.  So eps = 16 2^-bits max |w'|, on
-        the doubles of w', covers it."""
+        the doubles of w', covers it, and mag = |wd| + eps / _U, part by
+        part.
+
+        A part that underflows is off by less than 2^-1075.  It enters a
+        decision only next to 1/2 (nint), next to tol (the flip), with a
+        small integer coefficient in a Gram entry of Im W, or in
+        |det(CW + D)|: there it is part of w11 + d or w22 + d, whose moduli
+        are at least the normal Im w11 and Im w22, or of w12 + d, which
+        enters squared.  So its error is below 2^-53 of the sum of the
+        absolute values of the terms, or below 2^-1075 against a sum above
+        _SIZE_MIN.  When a part overflows, or Im w11 or Im w22 is below the
+        normal doubles, wd and mag are _NAN3: no margin test passes, and
+        every decision of the step is exact."""
         (pr, pi), (qr, qi) = self.p, self.q
-        if qr and qi:
-            kp = max(0, max(map(abs, pr + pi)).bit_length() - bits)
-            kq = max(0, max(abs(qr), abs(qi)).bit_length() - bits)
-            qr, qi = qr >> kq, qi >> kq
-            parts = [v for u, w in zip(pr, pi) for v in _real_parts(u >> kp, w >> kp, qr, qi)]
-            Q, shift = _real_den(qr, qi), kp - kq
-            if shift >= 0:
-                parts = [v << shift for v in parts]
-            else:
-                Q <<= -shift
-        else:
-            parts, Q = self.real()
-            bits = None
+        n = min(max(map(abs, pr + pi)).bit_length(), max(abs(qr), abs(qi)).bit_length())
+        k = max(0, n - bits)
+        qr, qi = qr >> k, qi >> k
+        parts = [v for u, w in zip(pr, pi) for v in _real_parts(u >> k, w >> k, qr, qi)]
+        Q = _real_den(qr, qi)
+        self.wd = self.mag = _NAN3
         try:
             v = [u / Q for u in parts]
+            wd = [complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])]
+            e = math.ldexp(16 / _U * max(map(abs, wd)), -bits)  # eps / _U
         except OverflowError:
-            return _NAN3, 0.0
-        if min(v[1], v[5]) < 2.0 ** -1022:
-            return _NAN3, 0.0
-        w = [complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])]
-        return w, 0.0 if bits is None else 16 * 2.0 ** -bits * max(map(abs, w))
+            return self
+        if min(v[1], v[5]) >= 2.0 ** -1022:
+            self.wd, self.mag = wd, [complex(abs(w.real) + e, abs(w.imag) + e) for w in wd]
+        return self
 
     def rounded(self) -> PeriodMatrix:
         """gamma Z with each part rounded once to nearest at the ambient
-        precision (_quotient), built unchecked (see act)."""
-        parts, Q = self.real()
-        v = [_quotient(u, Q, mp.mp.prec) for u in parts]
+        precision (_quotient), built unchecked (see the module docstring)."""
+        Q, prec = self.den(), mp.mp.prec
+        v = [_quotient(self.part(k), Q, prec) for k in range(6)]
         return PeriodMatrix._of(*(mp.make_mpc((v[k], v[k + 1])) for k in (0, 2, 4)))
 
     def nint(self, k):
         """nint of part k, ties to even."""
         return _nint_ratio(self.part(k), self.den())
 
-    def cmp(self, num, x):
-        """The sign of num / Q - x, for the mpf x."""
-        n, d = _ratio(x)
-        v = num * d - n * self.den()
+    def cmp(self, num, t):
+        """The sign of num / Q - 2^-t."""
+        v = (num << t) - self.den()
         return (v > 0) - (v < 0)
 
     def im_comb(self, c):
@@ -363,13 +357,12 @@ class _Image:
             out[i] = re * re + im * im
         return out
 
-    def det_below(self, e, x):
-        """e / |2^2S det(CZ + D)|^2 < x^2 for e from dets and the mpf
-        x >= 0: |det| < x."""
-        n, d = _ratio(x)
+    def det_below(self, e, t):
+        """e / |2^2S det(CZ + D)|^2 < (1 - 2^-t)^2 for e from dets:
+        |det| < 1 - 2^-t."""
         qr, qi = self.q
         norm = self.den() if qr and qi else self.den() ** 2  # |q|^2
-        return e * d * d < n * n * norm << 2 * (self.z.S - self.s1)
+        return e << 2 * t < ((1 << t) - 1) ** 2 * norm << 2 * (self.z.S - self.s1)
 
 
 def _real_parts(u, w, qr, qi):
@@ -435,35 +428,25 @@ def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     """gamma Z = (AZ + B)(CZ + D)^-1, each part of it the exact value
     rounded once to nearest (ties to even) at the ambient precision, for
     every gamma, with one path: the image of Z's parts as ints (_Image),
-    exact, then one rounding per part (_quotient).  Z may carry more bits
-    than the ambient precision; all of them are read.
+    exact, then one correct rounding per part (_quotient, which mpmath at
+    256 more bits confirms in test_act_rounds_the_exact_image).  Z may
+    carry more bits than the ambient precision; all of them are read.
 
-    The rounding: each part is n / Q for ints n and Q > 0.  A power of 2 Q
-    (every word with C = 0) is one exact rounding.  Otherwise the quotient
-    of the top prec + 66 bits of Q into the matching top bits of n is
-    within 4 of its units of n / Q, and when it is more than 16 units from
-    a midpoint of the prec-bit numbers it rounds as n / Q does; near a tie
-    one full division with a sticky bit decides.  So the result is the
-    correctly rounded part, which mpmath at 256 more bits confirms
-    (test_act_rounds_the_exact_image).
-
-    The image is built with PeriodMatrix._of: no re-wrap, and no
-    positivity check.  gamma Z stays in H2: Im gamma Z = (CZ + D)^-* Im Z
-    (CZ + D)^-1, so det Im gamma Z = det Im Z / |det(CZ + D)|^2 > 0, and
-    Im gamma Z is positive definite with Im Z.  The rounded image can leave
-    H2 only where Im gamma Z is within its rounding error of a singular
-    matrix, that is, where the precision cannot tell the point from the
-    boundary of H2.  So positivity is checked where a matrix enters the
-    package (the PeriodMatrix constructor, which cmperiod.period_matrix and
-    the CLI call) and once on the Z_red that reduce returns.
+    The image is built with PeriodMatrix._of, unchecked (see the module
+    docstring).
     """
     return _Image(_Ints(Z), gamma.m).rounded()
 
 
 def f2_tol(ctx: PrecisionContext):
-    """The tolerance of the F2 conditions at ctx: 2^-(prec/2), exactly
-    2^((-prec) // 2)."""
-    return mp.make_mpf((0, 1, -ctx.prec // 2, 1))
+    """The tolerance of the F2 conditions at ctx: 2^-t, t = _tol_bits(ctx)."""
+    return mp.make_mpf((0, 1, -_tol_bits(ctx), 1))
+
+
+def _tol_bits(ctx: PrecisionContext):
+    """t = ceil(prec / 2), with f2_tol(ctx) = 2^-t: the reduction takes tol
+    as t, an int shift on the exact side."""
+    return (ctx.prec + 1) // 2
 
 
 # Z -> diag(1, -1) Z diag(1, -1): flips the sign of z12 and keeps Z in F2
@@ -472,7 +455,7 @@ _IDENTITY = SymplecticMatrix.identity().m
 
 # A decision is made on doubles when its double clears the threshold by
 # MARGIN times the sum of the absolute values of its terms (see _sure),
-# taken on magnitudes that each double is within _U of (see _View)
+# taken on magnitudes that each double is within _U of (see _Image.read)
 MARGIN = 2.0 ** -40
 # that sum must exceed _SIZE_MIN, far above the subnormal doubles
 _SIZE_MIN = 2.0 ** -960
@@ -480,44 +463,10 @@ _NAN3 = (complex(math.nan, math.nan),) * 3
 _U = 2.0 ** -53
 
 
-class _View(NamedTuple):
-    """The doubles z = (z11, z12, z22) of an image W = gamma Z that _step
-    decides on, their magnitudes mag, and the image itself: each part of z
-    is within _U times the same part of mag of the part of W, and at most
-    that part of mag in absolute value (or, for a subnormal, within
-    2^-1075).  A decision that the doubles leave open is made on image."""
-    z: object
-    mag: object
-    image: _Image
-
-    @staticmethod
-    def read(image: _Image, bits) -> "_View":
-        """The doubles of the image (_Image.doubles at bits): each part is
-        the correctly rounded part of an entry w', so within _U times its
-        own absolute value of it, and w' is within eps of the image.  So
-        mag = |z| + eps / _U, part by part.
-
-        A part that underflows is off by less than 2^-1075.  It enters a
-        decision only next to 1/2 (nint), next to tol (the flip), with a
-        small integer coefficient in a Gram entry of Im Z, or in
-        |det(CZ + D)|: there it is part of z11 + d or z22 + d, whose moduli
-        are at least the normal Im z11 and Im z22, or of z12 + d, which
-        enters squared.  So its error is below 2^-53 of the sum of the
-        absolute values of the terms, or below 2^-1075 against a sum above
-        _SIZE_MIN.  When a part overflows, or Im z11 or Im z22 is below the
-        normal doubles, z is _NAN3: no margin test passes, and every
-        decision of the step is exact."""
-        z, eps = image.doubles(bits)
-        if z is _NAN3:
-            return _View(_NAN3, _NAN3, image)
-        k = eps / _U
-        return _View(z, [complex(abs(w.real) + k, abs(w.imag) + k) for w in z], image)
-
-
 def _sure(v, size):
     """Whether the double v has the sign of the exact value v* it stands
     for, a polynomial of degree at most 2 in the entries of W with small
-    integer coefficients whose terms, on the magnitudes of the view, have
+    integer coefficients whose terms, on the magnitudes of the read, have
     absolute values summing to at most size: |v| > MARGIN size.
 
     The argument: each input double is within _U times the magnitude it
@@ -552,34 +501,32 @@ def _nint(x, size, exact):
     return exact()
 
 
-def _step(view: _View, tol):
-    """The next move of the reduction at the view's image, or None when it
-    is in F2.
+def _step(image: _Image, t):
+    """The next move of the reduction at the image, read, or None when it
+    is in F2 at tol = 2^-t.
 
     In order: the GL2 change that Minkowski-reduces Im Z; the translation
     by -nint(Re Z); the Gottschling matrix with the smallest |det(CZ + D)|
     below 1 - tol; and, when Im z12 is zero within tol, the z12 flip that
-    makes Re z12 >= -tol.  Each comparison is made on the view's doubles
-    when they decide it with a margin, else on its exact image (see the
+    makes Re z12 >= -tol.  Each comparison is made on the image's doubles
+    when they decide it with a margin, else on the image exactly (see the
     module docstring).  The GL2 change (its U is unimodular) and the
     translation are symplectic by construction and built unchecked.
     """
-    zd, mag = view.z, view.mag
-    td = float(tol)
-    U = _minkowski_unimodular(view, tol, td)
+    wd, mag, td = image.wd, image.mag, 2.0 ** -t
+    U = _minkowski_unimodular(image, t)
     if U is not None:
         return _symplectic(_gl2_rows(U))
-    b = [-_nint(w.real, m.real, lambda k=k: view.image.nint(2 * k))
-         for k, (w, m) in enumerate(zip(zd, mag))]
+    b = [-_nint(w.real, m.real, lambda k=k: image.nint(2 * k))
+         for k, (w, m) in enumerate(zip(wd, mag))]
     if any(b):
         return _symplectic(_translation_rows(*b))
-    g = _gottschling_move(view, tol, td)
+    g = _gottschling_move(image, t)
     if g is not None:
         return g
-    x12, y12 = zd[1].real, zd[1].imag
-    if (_decide(td - abs(y12), td + mag[1].imag,
-                lambda: view.image.cmp(abs(view.image.part(3)), tol) <= 0)
-            and _decide(-td - x12, td + mag[1].real, lambda: view.image.cmp(view.image.part(2), -tol) < 0)):
+    x12, y12 = wd[1].real, wd[1].imag
+    if (_decide(td - abs(y12), td + mag[1].imag, lambda: image.cmp(abs(image.part(3)), t) <= 0)
+            and _decide(-td - x12, td + mag[1].real, lambda: image.cmp(-image.part(2), t) > 0)):
         return _FLIP_Z12
     return None
 
@@ -592,17 +539,17 @@ def in_fundamental_domain(Z: PeriodMatrix, ctx: PrecisionContext) -> bool:
     Re z11 = 1/2 + eps and y22 = y11 - eps are outside F2 for every eps > 0,
     however small against tol."""
     with ctx.work():
-        view = _View.read(_Image(_Ints(Z), _IDENTITY), _read_bits(ctx))
-        return _step(view, f2_tol(ctx)) is None
+        image = _Image(_Ints(Z), _IDENTITY).read(_read_bits(ctx))
+        return _step(image, _tol_bits(ctx)) is None
 
 
 MAX_ITER = 2000
 
 
 def _read_bits(ctx: PrecisionContext):
-    """The top bits from which _Image.doubles reads a complex quotient:
-    its eps / _U stays far below tol = 2^-(prec/2) times MARGIN, so that a
-    part that is exactly 0, as Im z12 of ex3, still clears tol."""
+    """The top bits of p and q that _Image.read takes: its eps / _U stays
+    far below tol = 2^-(prec/2) times MARGIN, so that a part that is
+    exactly 0, as Im z12 of ex3, still clears tol."""
     return ctx.workbits // 2 + 128
 
 
@@ -617,21 +564,19 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
 
     No move is applied at the working precision.  Each move updates the
     word, an int matrix, and each step reads the doubles of the exact image
-    of the word so far (_View.read), with their error in the magnitudes that
-    a decision's margin is taken on (see _View and _sure); a decision that
-    they leave open is made on the image exactly.  Z_red is that image with
-    each part rounded once (_quotient): within half an ulp of gamma Z, part
-    by part, however ill-conditioned the word, and bit for bit
-    act(gamma, Z).  It is built unchecked (see act) and checked once, by
-    PeriodMatrix.check_im_positive, before it is returned.
+    of the word so far (_Image.read), with their error in the magnitudes
+    that a decision's margin is taken on (see _sure); a decision that they
+    leave open is made on the image exactly.  Z_red is that image with each
+    part rounded once (_quotient): within half an ulp of gamma Z, part by
+    part, however ill-conditioned the word, and bit for bit act(gamma, Z).
+    It is built unchecked and checked once (see the module docstring).
     """
     with ctx.work():
-        tol = f2_tol(ctx)
-        z = _Ints(Z)
+        z, t = _Ints(Z), _tol_bits(ctx)
         rows, bits = _IDENTITY, _read_bits(ctx)
         for _ in range(MAX_ITER):
-            image = _Image(z, rows)
-            g = _step(_View.read(image, bits), tol)
+            image = _Image(z, rows).read(bits)
+            g = _step(image, t)
             if g is None:
                 break
             rows = _mat4_mul(g.m, rows)
@@ -645,10 +590,9 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
         return _symplectic(rows), zred
 
 
-def _gottschling_move(view: _View, tol, td):
+def _gottschling_move(image: _Image, t):
     """The Gottschling matrix with the smallest |det(CW + D)|, the first of
-    equal ones, when that is below 1 - tol; else None.  td is the double of
-    tol.
+    equal ones, when that is below 1 - tol, tol = 2^-t; else None.
 
     On the doubles, a determinant surely at least 1 - tol is never the
     move, and one surely above the least double v is not the least: _sure
@@ -665,12 +609,12 @@ def _gottschling_move(view: _View, tol, td):
     exact; the doubles are not touched, since abs of a nan complex raises
     OverflowError when errno is left at ERANGE by an underflow in the
     conversion of another part."""
-    zd = view.z
+    wd, td = image.wd, 2.0 ** -t
     near = range(len(GOTTSCHLING))
-    if zd is not _NAN3:
+    if wd is not _NAN3:
         one = 1 - td
         cands = []  # (index, |det|, the sum of the absolute values of its terms)
-        for i, (v, s) in enumerate(_gottschling_dets(zd, [abs(m) for m in view.mag])):
+        for i, (v, s) in enumerate(_gottschling_dets(wd, [abs(m) for m in image.mag])):
             if not (v > one and _sure(v - one, s + 1 + td)):
                 cands.append((i, v, s))
         # the others are surely at least 1 - tol, so none of them is the move
@@ -680,10 +624,9 @@ def _gottschling_move(view: _View, tol, td):
         near = [i for i, w, t in cands if i == least or not _sure(w - v, s + t)]
         if len(near) == 1 and v < one and _sure(v - one, s + 1 + td):
             return GOTTSCHLING[least]
-    image = view.image
     exact = image.dets(near)
     least = min(exact, key=exact.__getitem__)
-    return GOTTSCHLING[least] if image.det_below(exact[least], 1 - tol) else None
+    return GOTTSCHLING[least] if image.det_below(exact[least], t) else None
 
 
 def _gottschling_dets(zd, za):
@@ -717,13 +660,13 @@ def _gram(U, o):
             c * c * o11 + 2 * c * d * o12 + d * d * o22)
 
 
-def _minkowski_unimodular(view: _View, tol, td):
+def _minkowski_unimodular(image: _Image, t):
     """Unimodular U with U (Im W) U^T Minkowski-reduced and the transformed
-    Im w12 >= -tol; None if W is already in shape.  td is the double of
-    tol; Im W itself is read only by the exact fallbacks, each entry of
-    U (Im W) U^T they compare as one numerator over the image's Q."""
-    od = [w.imag for w in view.z]
-    oa = [m.imag for m in view.mag]
+    Im w12 >= -tol, tol = 2^-t; None if W is already in shape.  Im W itself
+    is read only by the exact fallbacks, each entry of U (Im W) U^T they
+    compare as one numerator over the image's Q."""
+    od = [w.imag for w in image.wd]
+    oa = [m.imag for m in image.mag]
     U = [[1, 0], [0, 1]]
 
     def exact_gram(k, sub=None):
@@ -731,7 +674,7 @@ def _minkowski_unimodular(view: _View, tol, td):
         less entry sub."""
         rows = list(zip(*(_gram(U, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
         c = rows[k] if sub is None else [u - v for u, v in zip(rows[k], rows[sub])]
-        return view.image.im_comb(c)
+        return image.im_comb(c)
 
     def exact_nint():
         return _nint_ratio(exact_gram(1), exact_gram(0))
@@ -745,10 +688,10 @@ def _minkowski_unimodular(view: _View, tol, td):
         if not (y11 > 0 and _sure(y11, s11)):
             y11 = math.nan  # so that the error of y12 / y11 stays first order
         q = y12 / y11
-        t = _nint(q, (s12 + abs(q) * s11) / y11, exact_nint)
-        if t != 0:
-            # row op: e2 -> e2 - t e1
-            U = [U[0], [U[1][0] - t * U[0][0], U[1][1] - t * U[0][1]]]
+        n = _nint(q, (s12 + abs(q) * s11) / y11, exact_nint)
+        if n != 0:
+            # row op: e2 -> e2 - n e1
+            U = [U[0], [U[1][0] - n * U[0][0], U[1][1] - n * U[0][1]]]
             changed = True
             continue
         if _decide(y11 - y22, s11 + s22, exact_swap):
@@ -757,8 +700,8 @@ def _minkowski_unimodular(view: _View, tol, td):
             continue
         break
     (_, y12, _), (_, s12, _) = _gram(U, od), _gram(_abs2(U), oa)
-    if _decide(-td - y12, s12 + td,
-               lambda: view.image.cmp(exact_gram(1), -tol) < 0):
+    td = 2.0 ** -t
+    if _decide(-td - y12, s12 + td, lambda: image.cmp(-exact_gram(1), t) > 0):
         U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
         changed = True
     return U if changed else None

@@ -190,8 +190,8 @@ def test_criterion_7_property_suite():
     # disc identity on 50 random quintics, exact
     for _ in range(50):
         cs = [rng.randint(-9, 9) for _ in range(5)] + [1]
-        P = IntPolynomial(cs, 5)
-        P4 = IntPolynomial([4 * c for c in cs], 6)
+        P = IntPolynomial(cs)
+        P4 = IntPolynomial([4 * c for c in cs])
         assert 2 ** 8 * disc_n(P, 5) == F(disc_n(P4, 6), 2 ** 12)
 
 

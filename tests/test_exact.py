@@ -145,16 +145,16 @@ def test_binary_form_homogenizes_and_clears():
 
 
 def test_disc5_quintic():
-    assert disc_n(IntPolynomial([-1, 0, 0, 0, 0, 1], 5), 5) == 3125
+    assert disc_n(IntPolynomial([-1, 0, 0, 0, 0, 1]), 5) == 3125
 
 
 def test_disc6_degree_drop():
     # disc6 of 4(x^5 - 1): one root at infinity
-    assert disc_n(IntPolynomial([-4, 0, 0, 0, 0, 4], 6), 6) == 2 ** 20 * 3125
+    assert disc_n(IntPolynomial([-4, 0, 0, 0, 0, 4]), 6) == 2 ** 20 * 3125
 
 
 def test_disc_singular():
-    assert disc_n(IntPolynomial([0, 0, 0, 0, 0, 1], 5), 5) == 0
+    assert disc_n(IntPolynomial([0, 0, 0, 0, 0, 1]), 5) == 0
 
 
 def _bareiss_resultant(P, Q):
@@ -228,8 +228,8 @@ def test_disc_identity_quintics():
     rng = random.Random(11)
     for _ in range(50):
         cs = [rng.randint(-8, 8) for _ in range(5)] + [1]
-        P = IntPolynomial(cs, 5)
-        P4 = IntPolynomial([4 * c for c in cs], 6)
+        P = IntPolynomial(cs)
+        P4 = IntPolynomial([4 * c for c in cs])
         assert 2 ** 8 * disc_n(P, 5) == F(disc_n(P4, 6), 2 ** 12)
 
 
@@ -237,7 +237,7 @@ def test_disc_shift_invariance():
     rng = random.Random(5)
     for _ in range(10):
         cs = [rng.randint(-6, 6) for _ in range(6)] + [rng.randint(1, 4)]
-        p = IntPolynomial(cs, 6)
+        p = IntPolynomial(cs)
         c = rng.randint(-3, 3)
         assert disc_n(_shift(p, c), 6) == disc_n(p, 6)
 

@@ -47,10 +47,9 @@ def _blocks(g):
             [r[:2] for r in m[2:]], [r[2:] for r in m[2:]])
 
 
-def _view(Z):
-    """The view that _step reads at Z: its correctly rounded doubles, and Z
-    as its exact image."""
-    return siegel._View.read(siegel._Image(siegel._Ints(Z), siegel._IDENTITY), 256)
+def _read(Z):
+    """Z as the exact image that _step reads, its doubles read at 256 bits."""
+    return siegel._Image(siegel._Ints(Z), siegel._IDENTITY).read(256)
 
 
 def test_symplectic_check():
@@ -354,7 +353,9 @@ _W_EX2 = [[1, 0, 0, -2], [-34, -1, 2, -56], [0, 0, 1, -34], [0, 0, 0, -1]]
 _W_EX2_1024 = [[1, 0, 0, -1], [-34, -1, 1, -22], [0, 0, 1, -34], [0, 0, 0, -1]]
 _W_EX3 = [[0, 0, -1, 5], [5, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
 EX_WORDS = {("ex1", 256): _W_EX1, ("ex1", 512): _W_EX1_512, ("ex1", 1024): _W_EX1_1024,
+            ("ex1", 4096): _W_EX1_1024,
             ("ex2", 256): _W_EX2, ("ex2", 512): _W_EX2, ("ex2", 1024): _W_EX2_1024,
+            ("ex2", 4096): _W_EX2,
             ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3}
 
 
@@ -598,19 +599,18 @@ def test_reduce_reads_the_image_after_each_move(monkeypatch):
         Z0 = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"),
                           mp.mpc(mp.mpf(1) / 2 - mp.mpf(2) ** -45, "1.5"))
         Z = act(_inverse(g), Z0)
-    x = _act_doubles(g, _view(Z).z)[2].real
+    x = _act_doubles(g, _read(Z).wd)[2].real
     assert siegel._nint(x, abs(x), lambda: None) == 1
     assert _exact_image(g, Z)[2][0] < Fraction(1, 2)
     reads = []
-    read = siegel._View.read
-    monkeypatch.setattr(siegel._View, "read", staticmethod(
-        lambda im, bits: (lambda v: reads.append(v) or v)(read(im, bits))))
+    read = siegel._Image.read
+    monkeypatch.setattr(siegel._Image, "read", lambda im, bits: reads.append(im) or read(im, bits))
     gamma, zr = reduce(Z, c)
     assert gamma == g
     assert (gamma.m, zr.entries()) == (lambda g, z: (g.m, z.entries()))(*_oracle_reduce(Z, c))
     # read at Z, and after the GL2 change, where the last "no move" is
     # decided
-    assert [v.image.rows for v in reads] == [siegel._IDENTITY, g.m]
+    assert [im.rows for im in reads] == [siegel._IDENTITY, g.m]
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -624,7 +624,7 @@ def test_gottschling_dets_from_the_table_are_cz_plus_d(bits):
         Zs = [Z for _, Z in _boundary_points(c)]
         Zs += [act(random_word(rng, rng.randint(1, 10)), base) for _ in range(40)]
     for Z in Zs:
-        zd = _view(Z).z
+        zd = _read(Z).wd
         if zd is siegel._NAN3:
             continue
         za = [abs(w) for w in zd]
@@ -648,19 +648,18 @@ def test_gottschling_move_pruned_is_the_full_scan(bits):
     Zs = [Z for _, Z in _boundary_points(c)]
     Zs += [reduce(cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0], c)[1]
            for name in ("ex1", "ex2", "ex3")]
-    zd = _view(Zs[-3]).z
+    zd = _read(Zs[-3]).wd
     walls = sum(abs(v - 1) < 1e-9 for v, _ in siegel._gottschling_dets(zd, [abs(w) for w in zd]))
     assert walls >= 2, walls
     with c.work():
         base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
         Zs += [act(random_word(rng, rng.randint(1, 10)), base) for _ in range(40)]
-        tol = f2_tol(c)
-        td = float(tol)
+        t = siegel._tol_bits(c)
         for Z in Zs:
-            view = _view(Z)
-            pruned = siegel._gottschling_move(view, tol, td)
-            full = view._replace(z=siegel._NAN3, mag=siegel._NAN3)
-            assert pruned is siegel._gottschling_move(full, tol, td), Z
+            image = _read(Z)
+            pruned = siegel._gottschling_move(image, t)
+            image.wd = image.mag = siegel._NAN3
+            assert pruned is siegel._gottschling_move(image, t), Z
 
 
 def _assert_same_as_oracle(Z, ctx, label):
@@ -730,8 +729,9 @@ def test_reduce_matches_oracle_on_boundaries(bits):
 
 def test_reduce_far_entries_decided_at_working_precision():
     # Im z22 = 10^400 has no double: every decision of such a step is made
-    # on the exact image.  z12 = 10^-400 (1 + i) underflows to 0, off by
-    # less than 2^-1075, and the doubles decide where they can
+    # on the exact image.  z12 = 10^-400 (1 + i) is far below the read's
+    # error, its doubles are within the read's bound, and the doubles decide
+    # where they can
     c = PrecisionContext(1024)
     with c.work():
         huge = PeriodMatrix(mp.mpc("0.1", "1.2"), 0, mp.mpc("0.3", mp.mpf(10) ** 400))
@@ -741,14 +741,48 @@ def test_reduce_far_entries_decided_at_working_precision():
         scramble = (J_MAT * SymplecticMatrix.translation(1, 0, 2)
                     * SymplecticMatrix.embed_gl2([[0, 1], [1, 0]]))
         for label, Z in (("huge", huge), ("huge scrambled", act(scramble, huge))):
-            assert _view(Z).z is siegel._NAN3, label
+            assert _read(Z).wd is siegel._NAN3, label
             _assert_same_as_oracle(Z, c, label)
         for label, Z in (("tiny", tiny), ("tiny scrambled", act(scramble, tiny))):
-            zd = _view(Z).z
-            assert zd[1] == 0 and zd == [complex(z) for z in Z.entries()], label
+            _assert_read_bound(_read(Z), _exact_image(SymplecticMatrix.identity(), Z), label)
             _assert_same_as_oracle(Z, c, label)
         _, zr = reduce(act(scramble, tiny), c)
         assert 0 < abs(zr.z12) < mp.mpf(10) ** -399
+
+
+def _assert_read_bound(image, w, label):
+    """Each part of the doubles that image.read set is within _U times the
+    same part of their magnitudes of the part of the exact image w, and at
+    most that magnitude; a subnormal part may be 2^-1075 farther."""
+    assert image.wd is not siegel._NAN3, label
+    for d, m, e in zip(image.wd, image.mag, w):
+        for dv, mv, ev in ((d.real, m.real, e[0]), (d.imag, m.imag, e[1])):
+            slack = Fraction(1, 2 ** 1075) if abs(dv) < 2.0 ** -1022 else 0
+            assert abs(Fraction(dv) - ev) <= Fraction(mv) * Fraction(siegel._U) + slack, label
+            assert abs(dv) <= mv, label
+
+
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_read_within_its_bound(bits):
+    # every decision on doubles rests on the read's bound: each part of the
+    # doubles is within _U times its magnitude of the exact part.  Checked
+    # on every word shape, on random words and on ex1-ex3, at the read bits
+    # of the reduction and at 53 and 16, where the cut of p and q, not the
+    # rounding to doubles, makes most of the error
+    c = PrecisionContext(bits)
+    rng = random.Random(bits + 3)
+    Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
+          for name in ("ex1", "ex2", "ex3")] + _scrambles(c, 2, bits + 3)
+    words = ([SymplecticMatrix.translation(*b) for b in ((1, 0, 0), (0, -1, 0), (2, 1, -3))]
+             + [SymplecticMatrix.embed_gl2(U) for U in ([[1, 1], [0, 1]], [[0, 1], [1, 0]],
+                                                        [[1, 0], [0, -1]], [[2, 1], [1, 1]])]
+             + GOTTSCHLING + [random_word(rng, rng.randint(2, 12)) for _ in range(8)])
+    for i, Z in enumerate(Zs):
+        z = siegel._Ints(Z)
+        for j, g in enumerate(words):
+            w = _exact_image(g, Z)
+            for b in (siegel._read_bits(c), 53, 16):
+                _assert_read_bound(siegel._Image(z, g.m).read(b), w, (i, j, b))
 
 
 @pytest.mark.parametrize("bits", [3072, 4096])
@@ -770,9 +804,8 @@ def test_step_subnormal_parts_decided_at_working_precision(ctx):
         e = mp.mpf(2) ** -1074
         Z = PeriodMatrix(mp.mpc("0.1", e * mp.mpf("2024.6")), mp.mpc(0, e * mp.mpf("1012.45")),
                          mp.mpc("0.2", "1.5"))
-        tol = f2_tol(ctx)
-        move = siegel._step(_view(Z), tol)
-        assert move == _oracle_step(_exact_image(SymplecticMatrix.identity(), Z), _frac(tol))
+        move = siegel._step(_read(Z), siegel._tol_bits(ctx))
+        assert move == _oracle_step(_exact_image(SymplecticMatrix.identity(), Z), _frac(f2_tol(ctx)))
         assert move == SymplecticMatrix.embed_gl2([[1, 0], [-1, 1]])
 
 
