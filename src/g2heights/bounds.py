@@ -17,7 +17,7 @@ import mpmath as mp
 
 from . import siegel
 from .prec import PrecisionContext
-from .theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, _squares_of, _walk_plan
+from .theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, ThetaWalk
 
 CHI10_C0 = mp.mpf(8) / 10 ** 5
 
@@ -80,10 +80,10 @@ def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:
     product of ten squares, workbits - 12."""
     _require_f2(Z, ctx)
     with ctx.work():
-        squares, chi10 = _squares_of(_walk_plan(Z, ctx), ctx)
+        walk = ThetaWalk(Z, ctx)
         cases = [(mp.sqrt(abs(s)), *theta_lb(ch, Z, ctx))
-                 for ch, s in zip(EVEN_CHARS, squares)]
-        c = abs(chi10)
+                 for ch, s in zip(EVEN_CHARS, walk.squares())]
+        c = abs(walk.chi10)
         sharp, weak = chi10_lb(Z, ctx)
         cases += [(c, sharp, "chi10 sharp"), (c, weak, "chi10 weak")]
         slack = 1 + mp.mpf(2) ** (12 - ctx.workbits)

@@ -21,8 +21,7 @@ from .exact import IntPolynomial, disc_n, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext, taylor_plan
-from .theta import (EVEN_CHARS, PeriodMatrix, _arch_from_chi10, _chi10_of, _signed_roots,
-                    _square_pairs, _walk_plan)
+from .theta import EVEN_CHARS, PeriodMatrix, ThetaWalk
 
 _COMPLEX_RE = re.compile(
     r"^([+-]?\d+(?:\.\d*)?)([+-]\d+(?:\.\d*)?)\*i$"
@@ -162,17 +161,15 @@ def cmd_theta(args):
     Z = job_periods(job, ctx)[0]
     with ctx.work():
         _, zred = siegel.reduce(Z, ctx)
-        plan = _walk_plan(zred, ctx)
-        print("theta_level =", plan.level)
-        print("theta_radius_sq =", _fmt(mp.mpf(plan.radius_sq), 12))
-        print("theta_terms =", plan.terms)
-        pairs = _square_pairs(plan, ctx)
-        for ch, v in zip(EVEN_CHARS, _signed_roots(zred, plan, pairs, ctx)):
+        walk = ThetaWalk(zred, ctx)
+        print("theta_level =", walk.plan.level)
+        print("theta_radius_sq =", _fmt(mp.mpf(walk.plan.radius_sq), 12))
+        print("theta_terms =", walk.plan.terms)
+        for ch, v in zip(EVEN_CHARS, walk.roots()):
             print(f"{ch} =", _fmt(v))
-        c = _chi10_of(pairs, plan, ctx)
-        print("chi10 =", _fmt(c))
-        print("arch_term_bare =", _fmt(_arch_from_chi10(c, zred, ctx, bare=True)))
-        print("arch_term =", _fmt(_arch_from_chi10(c, zred, ctx, bare=False)))
+        print("chi10 =", _fmt(walk.chi10))
+        print("arch_term_bare =", _fmt(walk.arch(bare=True)))
+        print("arch_term =", _fmt(walk.arch(bare=False)))
     return 0
 
 

@@ -11,7 +11,7 @@ the full ring of integers of the CM field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -33,7 +33,7 @@ class HeightBreakdown:
     finite_part: object
     arch_terms: list  # (label, value) pairs; values include 2^8 pi^10
     total: object
-    local_ledger: list = field(default_factory=list)
+    local_ledger: list
 
 
 def height_local(curve: WeierstrassEquation, periods, degree: int,

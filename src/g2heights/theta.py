@@ -192,6 +192,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
@@ -355,13 +356,13 @@ def _doubled(Z: PeriodMatrix, j):
 
 
 class _WalkPlan(NamedTuple):
-    """The walk of theta_squares at Z (see the module docstring): at level k
-    it runs at matrix = 2^(k-1) Z over the ellipsoid of 2^k Z of radius^2
-    radius_sq, row by row from each row's peak, with a chain at prec bits
-    and terms at the scale 2^-W.  e1 is the e of 2Z, which the squares'
-    zero test reads, and leading[j - 1][c] = _leading(Z, im, j)[c], the
-    leading terms L of theta[c;0](2^j Z), j < k, which sign the root steps
-    by the rule that signs theta_all at level 0."""
+    """The walk at Z (see the module docstring): at level k it runs at
+    matrix = 2^(k-1) Z over the ellipsoid of 2^k Z of radius^2 radius_sq,
+    row by row from each row's peak, with a chain at prec bits and terms at
+    the scale 2^-W.  e1 is the e of 2Z, which the squares' zero test reads,
+    and leading[j - 1][c] = _leading(Z, im, j)[c], the leading terms L of
+    theta[c;0](2^j Z), j < k, which sign the root steps by the rule that
+    signs theta_all at level 0."""
     level: int
     matrix: PeriodMatrix
     radius_sq: float
@@ -377,12 +378,13 @@ class _WalkPlan(NamedTuple):
         return _terms(self.rows)
 
 
-def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level=None):
-    """The plan of theta_squares at Z.  Its level k is the least one whose
+def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level):
+    """The plan of the walk at Z.  Its level k is the least one whose
     ellipsoid holds at most WALK_POINTS_MAX half-lattice points, not one
     whose e is above workbits, and not one above a level j where the
     leading terms of some theta[c;0](2^j Z) sum to less than half of the
-    largest (see the module docstring).  level forces k, for tests."""
+    largest (see the module docstring); a level other than None forces k
+    (see ThetaWalk)."""
     im = _im_doubles(Z, ctx)
     # (R^2, e, rows) of the walk at 2^j Z, whose tail target carries the
     # bits of its j root steps, as the scale does
@@ -640,40 +642,6 @@ def _roots(squares, leading, names):
     return out
 
 
-def _root_steps(plan: _WalkPlan, th):
-    """The four theta[c;0](2Z) from the four theta[c;0](2^k Z) th of the
-    plan's walk, by k - 1 root steps, all as int pairs at the scale 2^-W:
-    each theta[c;0](2^j Z) is taken from its square by _roots (see the
-    module docstring)."""
-    for j in range(plan.level - 1, 0, -1):
-        prods = _products(th)
-        th = _roots([_square(prods, c, 0) for c in range(4)], plan.leading[j - 1],
-                    [f"{ch}(2^{j} Z)" for ch in _ROOT_CHARS])
-    return th
-
-
-def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
-    """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
-    theta[c;0](2^k Z) of one walk and k - 1 root steps down to the four
-    theta[c;0](2Z) (see the module docstring)."""
-    plan = _walk_plan(Z, ctx)
-    return _as_mpc(_square_pairs(plan, ctx), -2 * plan.W, ctx)
-
-
-def _square_pairs(plan: _WalkPlan, ctx: PrecisionContext):
-    """The ten squares at the Z of plan = _walk_plan(Z, ctx), in EVEN_CHARS
-    order, as int pairs at the scale 2^-2W, each within 2^8 times its error
-    bound of 0 set to (0, 0)."""
-    prods = _products(_root_steps(plan, _walk(plan)))
-    out = []
-    for ch in EVEN_CHARS:
-        sr, si = _square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2)
-        if max(abs(sr), abs(si)) >> (2 * plan.W - ctx.workbits - plan.e1 + 8) == 0:
-            sr = si = 0
-        out.append((sr, si))
-    return out
-
-
 def _as_mpc(pairs, E, ctx: PrecisionContext):
     """The int pairs at the scale 2^E as mpc values, each rounded once to
     working precision."""
@@ -681,47 +649,112 @@ def _as_mpc(pairs, E, ctx: PrecisionContext):
         return [mp.mpc(mp.mpf((re, E)), mp.mpf((im, E))) for re, im in pairs]
 
 
-def _chi10_of(pairs, plan: _WalkPlan, ctx: PrecisionContext):
-    """chi10, the product of the ten int pairs of _square_pairs, each factor
-    and each partial product cut back to workbits + CHI10_GUARD_BITS bits,
-    rounded once to an mpc at working precision (see the module
-    docstring)."""
-    prec, x = ctx.workbits + CHI10_GUARD_BITS, (1, 0, 0)
-    for sr, si in pairs:
-        d = max(max(abs(sr), abs(si)).bit_length() - prec, 0)
-        x = _mul(x, (sr >> d, si >> d, d - 2 * plan.W), prec)
-    re, im, E = x
-    with ctx.work():
-        return mp.mpc(mp.mpf((re, E)), mp.mpf((im, E)))
+class Chi10NearZeroError(ArithmeticError):
+    pass
 
 
-def _squares_of(plan: _WalkPlan, ctx: PrecisionContext):
-    """(theta_squares, chi10) at the Z of plan = _walk_plan(Z, ctx), from
-    its one walk."""
-    pairs = _square_pairs(plan, ctx)
-    return _as_mpc(pairs, -2 * plan.W, ctx), _chi10_of(pairs, plan, ctx)
+class ThetaWalk:
+    """The one walk at Z, the only way into its ten squares: plan is
+    _walk_plan(Z, ctx, level), where level forces the walk's level k, for
+    tests, and pairs are the ten theta[a;b](Z)^2 in EVEN_CHARS order, as int
+    pairs at the scale 2^-2W, each within 2^8 times its error bound of 0 set
+    to (0, 0) (see the module docstring)."""
+
+    def __init__(self, Z: PeriodMatrix, ctx: PrecisionContext, level=None):
+        self.Z, self.ctx = Z, ctx
+        self.plan = plan = _walk_plan(Z, ctx, level)
+        # the four theta[c;0](2^k Z) of the walk, and k - 1 root steps down
+        # to the four theta[c;0](2Z), all as int pairs at the scale 2^-W:
+        # each theta[c;0](2^j Z) is taken from its square by _roots
+        th = _walk(plan)
+        for j in range(plan.level - 1, 0, -1):
+            prods = _products(th)
+            th = _roots([_square(prods, c, 0) for c in range(4)], plan.leading[j - 1],
+                        [f"{ch}(2^{j} Z)" for ch in _ROOT_CHARS])
+        prods = _products(th)
+        self.pairs = []
+        for ch in EVEN_CHARS:
+            sr, si = _square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2)
+            if max(abs(sr), abs(si)) >> (2 * plan.W - ctx.workbits - plan.e1 + 8) == 0:
+                sr = si = 0
+            self.pairs.append((sr, si))
+
+    def squares(self):
+        """The ten squares, each rounded once to working precision."""
+        return _as_mpc(self.pairs, -2 * self.plan.W, self.ctx)
+
+    def roots(self):
+        """The ten theta[a;b](Z) in EVEN_CHARS order: the _roots of the
+        squares, signed by the _leading terms of level 0, each rounded once
+        to working precision (see the module docstring)."""
+        leading = _leading(self.Z, _im_doubles(self.Z, self.ctx), 0, EVEN_CHARS)
+        return _as_mpc(_roots(self.pairs, leading, map(str, EVEN_CHARS)), -self.plan.W, self.ctx)
+
+    @cached_property
+    def chi10(self):
+        """chi10(Z), the product of the ten pairs, each factor and each
+        partial product cut back to workbits + CHI10_GUARD_BITS bits, rounded
+        once to an mpc at working precision (see the module docstring)."""
+        prec, x = self.ctx.workbits + CHI10_GUARD_BITS, (1, 0, 0)
+        for sr, si in self.pairs:
+            d = max(max(abs(sr), abs(si)).bit_length() - prec, 0)
+            x = _mul(x, (sr >> d, si >> d, d - 2 * self.plan.W), prec)
+        re, im, E = x
+        return _as_mpc([(re, im)], E, self.ctx)[0]
+
+    def arch(self, bare):
+        """archimedean_term(Z, ctx, bare), taken from c = chi10 as
+        -log(2^16 pi^20 |c|^2 det(Im Z)^10) / 20: the formula squared, in
+        one log, with no square root for |c| and no log of a constant;
+        bare=True leaves out the 2^16 pi^20.
+
+        Raises Chi10NearZeroError when |c| is not above its own error, which is
+        exactly when c == 0, that is when |c|^2 == 0.  The error of a square is
+        at most a few times 2^-(workbits + e), and a square below 2^-(workbits
+        + e - 8) is taken as 0, so every nonzero square keeps workbits - 8 bits
+        relative when it is above 2^-e, and is within 2^-5 of itself relative
+        in any case.  chi10 is their int product, within 2^(1 - workbits) of
+        their exact product relative (see the module docstring), so a nonzero
+        chi10 is within (1 + 2^-5)^10 (1 + 2^(1 - workbits)) - 1 < 1/2 of
+        itself relative: above its error, however small (log2|chi10| is -539 at
+        the F2 matrix (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i)).  A square taken as
+        0 is within 2^8 times its error bound of 0, and then chi10 is 0.
+
+        ctx.pi is within 2^-workbits of pi relative, so 2^16 pi^20, its power
+        rounded once, is within 21 2^-workbits; with the product's rounding the
+        log's argument moves by less than 23 2^-workbits relative, and the term
+        by less than 2^-(workbits - 1).
+        """
+        c, ctx = self.chi10, self.ctx
+        with ctx.work():
+            c2 = c.real * c.real + c.imag * c.imag
+            if not c2:
+                raise Chi10NearZeroError(
+                    "chi10 indistinguishable from 0: raise precision, or Z is on "
+                    "the product-of-elliptic-curves locus"
+                )
+            x = c2 * self.Z.det_im() ** 10
+            if not bare:
+                x *= mp.ldexp(ctx.pi ** 20, 16)
+            return -mp.log(x) / 20
 
 
-def _signed_roots(Z: PeriodMatrix, plan: _WalkPlan, pairs, ctx: PrecisionContext):
-    """The ten theta[a;b](Z) in EVEN_CHARS order from pairs, the
-    _square_pairs of plan = _walk_plan(Z, ctx): the _roots of the squares,
-    signed by the _leading terms of level 0, each rounded once to working
-    precision (see the module docstring)."""
-    leading = _leading(Z, _im_doubles(Z, ctx), 0, EVEN_CHARS)
-    return _as_mpc(_roots(pairs, leading, map(str, EVEN_CHARS)), -plan.W, ctx)
+def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
+    """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
+    theta[c;0](2^k Z) of one walk and k - 1 root steps down to the four
+    theta[c;0](2Z) (see the module docstring)."""
+    return ThetaWalk(Z, ctx).squares()
 
 
 def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
     """All ten even theta constants in the fixed EVEN_CHARS order: the
     signed roots of the squares of one walk."""
-    plan = _walk_plan(Z, ctx)
-    return _signed_roots(Z, plan, _square_pairs(plan, ctx), ctx)
+    return ThetaWalk(Z, ctx).roots()
 
 
 def chi10(Z: PeriodMatrix, ctx: PrecisionContext):
     """chi10(Z) = prod over the ten even characteristics of theta^2."""
-    plan = _walk_plan(Z, ctx)
-    return _chi10_of(_square_pairs(plan, ctx), plan, ctx)
+    return ThetaWalk(Z, ctx).chi10
 
 
 def theta_big(Z: PeriodMatrix, ctx: PrecisionContext):
@@ -735,51 +768,10 @@ def theta_big(Z: PeriodMatrix, ctx: PrecisionContext):
         return mp.fprod(theta_squares(Z, ctx)) ** 4
 
 
-class Chi10NearZeroError(ArithmeticError):
-    pass
-
-
 def archimedean_term(Z: PeriodMatrix, ctx: PrecisionContext, bare: bool = False):
     """-(1/10) log(2^8 pi^10 |chi10(Z)| det(Im Z)^5).
 
     With bare=True the 2^8 pi^10 normalization is dropped (the raw invariant
     -(1/10) log(|chi10| det(Im Z)^5)).
     """
-    return _arch_from_chi10(chi10(Z, ctx), Z, ctx, bare)
-
-
-def _arch_from_chi10(c, Z: PeriodMatrix, ctx: PrecisionContext, bare: bool):
-    """archimedean_term(Z, ctx, bare) given c = chi10(Z), taken as
-    -log(2^16 pi^20 |c|^2 det(Im Z)^10) / 20: the docstring's formula
-    squared, in one log, with no square root for |c| and no log of a
-    constant; bare=True leaves out the 2^16 pi^20.
-
-    Raises Chi10NearZeroError when |c| is not above its own error, which is
-    exactly when c == 0, that is when |c|^2 == 0.  The error of a square is
-    at most a few times 2^-(workbits + e), and a square below
-    2^-(workbits + e - 8) is taken as 0, so every nonzero square keeps
-    workbits - 8 bits relative when it is above 2^-e, and is within 2^-5 of
-    itself relative in any case.  chi10 is their int product, within
-    2^(1 - workbits) of their exact product relative (see the module
-    docstring), so a nonzero chi10 is within (1 + 2^-5)^10 (1 +
-    2^(1 - workbits)) - 1 < 1/2 of itself relative: above its error, however
-    small (log2|chi10| is -539 at the F2 matrix (0.1 + 1.1i, 0.2 + 0.3i,
-    -0.3 + 60i)).  A square taken as 0 is within 2^8 times its error bound
-    of 0, and then chi10 is 0.
-
-    ctx.pi is within 2^-workbits of pi relative, so 2^16 pi^20, its power
-    rounded once, is within 21 2^-workbits; with the product's rounding the
-    log's argument moves by less than 23 2^-workbits relative, and the term
-    by less than 2^-(workbits - 1).
-    """
-    with ctx.work():
-        c2 = c.real * c.real + c.imag * c.imag
-        if not c2:
-            raise Chi10NearZeroError(
-                "chi10 indistinguishable from 0: raise precision, or Z is on "
-                "the product-of-elliptic-curves locus"
-            )
-        x = c2 * Z.det_im() ** 10
-        if not bare:
-            x *= mp.ldexp(ctx.pi ** 20, 16)
-        return -mp.log(x) / 20
+    return ThetaWalk(Z, ctx).arch(bare)

@@ -33,6 +33,40 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _foreign_privates(path):
+    """`path:line: mod._x` for each private name _x of a package module mod
+    that path imports from mod, or reads as an attribute of mod imported as
+    a module."""
+    tree = ast.parse(path.read_text())
+    package = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and (n.level == 1 or (n.module or "").split(".")[0] == "g2heights")]
+    modules, hits = set(), []
+    for n in package:
+        mod = (n.module or "").removeprefix("g2heights").lstrip(".")
+        if mod:
+            hits += [(n.lineno, f"{mod}.{a.name}") for a in n.names if _private(a.name)]
+        else:
+            modules |= {a.asname or a.name for a in n.names}
+    hits += [(n.lineno, f"{n.value.id}.{n.attr}") for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+             and n.value.id in modules and _private(n.attr)]
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for line, name in sorted(hits)]
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its module's own: a format or a step that another
+    # module drives by hand is known in two places.  The scan covers names
+    # imported from a package module and attributes of a package module;
+    # the attributes of a class, such as PeriodMatrix._of, are out of its
+    # scope
+    paths = sorted((ROOT / "src" / "g2heights").glob("*.py"))
+    assert [hit for p in paths for hit in _foreign_privates(p)] == []
+
+
 def _literal_workprecs(path):
     """`path:line` for each workprec(...) call in path whose precision is a
     literal."""
@@ -86,9 +120,25 @@ def test_every_module_function_has_a_caller():
     assert uncalled == []
 
 
+def _calls(paths):
+    """The calls in paths, by the name of the function or attribute called."""
+    calls = {}
+    for p in paths:
+        for n in ast.walk(ast.parse(p.read_text())):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(n.func, "id", getattr(n.func, "attr", None)), []).append(n)
+    return calls
+
+
+def _sets(call, param, i):
+    """Whether call passes param by keyword, or by position as its i-th
+    argument (i is None for a keyword-only param)."""
+    return any(k.arg == param for k in call.keywords) or (i is not None and len(call.args) > i)
+
+
 # the defaulted parameters that no caller sets, each kept for its reason
 _UNSET_DEFAULTS = {
-    "theta._walk_plan(level=)": "the unit tests' reference for the root steps",
+    "theta.ThetaWalk.__init__(level=)": "the unit tests' reference for the root steps",
     "cli.main(argv=)": "the console script calls main() with no argument",
 }
 
@@ -100,11 +150,7 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     # keyword or by position, self aside; an __init__ is called through its
     # class.  The scan works on names, as that test's does
     src, callers = _callers()
-    calls = {}
-    for p in callers:
-        for n in ast.walk(ast.parse(p.read_text())):
-            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
-                calls.setdefault(getattr(n.func, "id", getattr(n.func, "attr", None)), []).append(n)
+    calls = _calls(callers)
     # (path, def, its name in the report, the name it is called by, the
     # leading parameters that a call does not pass)
     defs = []
@@ -128,10 +174,39 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
             x.arg for x, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
         for param in defaulted:
             i = pos.index(param) - skip if param in pos else None
-            if not any(any(k.arg == param for k in c.keywords)
-                       or (i is not None and len(c.args) > i) for c in calls.get(called, [])):
+            if not any(_sets(c, param, i) for c in calls.get(called, [])):
                 unset.append(f"{p.stem}.{name}({param}=)")
     assert sorted(unset) == sorted(_UNSET_DEFAULTS)
+
+
+def _is_record(node):
+    """Whether the class node is a dataclass or a NamedTuple."""
+    return (any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+                for d in node.decorator_list)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
+
+
+def test_every_field_default_is_both_taken_and_overridden():
+    # the field defaults of a dataclass or NamedTuple: as a parameter's,
+    # one that no caller overrides is an option nobody takes, and since the
+    # package builds its records itself, one that every caller overrides is
+    # dead.  So each defaulted field needs a caller that sets it, by keyword
+    # or by position, and one that leaves it out.  The callers are those of
+    # test_every_module_function_has_a_caller
+    src, callers = _callers()
+    calls = _calls(callers)
+    odd = []
+    for p in src:
+        for node in ast.parse(p.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and _is_record(node)):
+                continue
+            fields = [f for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            for i, f in enumerate(fields):
+                sets = {_sets(c, f.target.id, i) for c in calls.get(node.name, [])}
+                if f.value is not None and sets != {True, False}:
+                    odd.append(f"{p.stem}.{node.name}({f.target.id}=)")
+    assert odd == []
 
 
 def test_readme_lists_the_job_keys():

@@ -10,9 +10,9 @@ from g2heights import cli, cmperiod, siegel, theta
 from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
-                             ThetaCharacteristic, _ellipsoid_rows, _im_doubles, _row_starts,
-                             _square_pairs, _squares_of, _walk_constants, _walk_plan,
-                             archimedean_term, chi10, theta_all, theta_big, theta_squares)
+                             ThetaCharacteristic, ThetaWalk, _ellipsoid_rows, _im_doubles,
+                             _row_starts, _walk_constants, _walk_plan, archimedean_term, chi10,
+                             theta_all, theta_big, theta_squares)
 
 
 def theta1d(a, b, tau, R=40):
@@ -227,7 +227,7 @@ def test_fixed_point_walk_relative_error(bits):
     for name in _walk_cases(ctx):
         Z, ref = _oracle(name, bits)
         for k in range(1, 6):
-            squares = _squares_of(_walk_plan(Z, ctx, level=k), ctx)[0]
+            squares = ThetaWalk(Z, ctx, level=k).squares()
             with mp.workprec(ctx.workbits + 64):
                 for ch, x, y in zip(EVEN_CHARS, squares, ref):
                     assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), \
@@ -245,7 +245,7 @@ def test_chain_start_terms(bits):
     ctx = PrecisionContext(bits)
     cases = _truncation_cases(ctx)
     for name in ("ex1 unreduced", "scrambled"):
-        for plan in (_walk_plan(cases[name], ctx, level=1), _walk_plan(cases[name], ctx)):
+        for plan in (_walk_plan(cases[name], ctx, 1), _walk_plan(cases[name], ctx, None)):
             Z, prec, W = plan.matrix, plan.prec, plan.W
             N = last_m1 = last_p = 0
             for m1, p, (tr, ti), *_ in _row_starts(plan):
@@ -286,7 +286,7 @@ def test_walk_constants(bits, monkeypatch):
     remainders = {}
     for name in ("ex1", "ex2", "ex3"):
         Z = _job_Z(name, ctx)
-        plan = _walk_plan(Z, ctx)
+        plan = _walk_plan(Z, ctx, None)
         precs.clear()
         theta_squares(Z, ctx)
         assert max(precs, default=0) <= plan.prec + 64, (name, precs)
@@ -312,17 +312,17 @@ def test_chi10_int_product(bits):
     # mpc product of the ten squares, the int pairs that theta_squares
     # rounds, taken at workbits + 64 (the module docstring's bound); on
     # ex1-ex3 and on the matrix with log2|chi10| = -539 of
-    # test_arch_term_tiny_chi10
+    # test_arch_term_tiny_chi10.  A walk takes its chi10 once
     ctx = PrecisionContext(bits)
     cases = {name: _job_Z(name, ctx) for name in ("ex1", "ex2", "ex3")}
     cases["im z22 = 60"] = _truncation_cases(ctx)["im z22 = 60"]
     for name, Z in cases.items():
-        plan = _walk_plan(Z, ctx)
-        pairs = _square_pairs(plan, ctx)
-        c = chi10(Z, ctx)
+        walk = ThetaWalk(Z, ctx)
+        c, W = walk.chi10, walk.plan.W
+        assert walk.chi10 is c
         with mp.workprec(ctx.workbits + 64):
-            ref = mp.fprod(mp.mpc(mp.ldexp(sr, -2 * plan.W), mp.ldexp(si, -2 * plan.W))
-                           for sr, si in pairs)
+            ref = mp.fprod(mp.mpc(mp.ldexp(sr, -2 * W), mp.ldexp(si, -2 * W))
+                           for sr, si in walk.pairs)
             assert abs(c - ref) <= mp.ldexp(abs(ref), 1 - ctx.workbits), (bits, name)
             if name == "im z22 = 60":
                 assert -540 < mp.log(abs(ref), 2) < -539
@@ -417,12 +417,11 @@ def test_theta_all_undecided_sign_raises(ctx, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
-def test_signed_roots_one_exponential_per_point(ctx, name, monkeypatch):
+def test_roots_one_exponential_per_point(ctx, name, monkeypatch):
     # the ten signs of theta_all come from one cmath.exp per point of the
     # level-0 ellipsoid of _leading, shared by every b of a class a
     Z = _job_Z(name, ctx)
-    plan = _walk_plan(Z, ctx)
-    pairs = _square_pairs(plan, ctx)
+    walk = ThetaWalk(Z, ctx)
     points = theta._terms(_ellipsoid_rows(_im_doubles(Z, ctx), theta.LEADING_BITS, -1)[2])
     exp, calls = theta.cmath.exp, []
 
@@ -431,7 +430,7 @@ def test_signed_roots_one_exponential_per_point(ctx, name, monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(theta.cmath, "exp", counted)
-    theta._signed_roots(Z, plan, pairs, ctx)
+    walk.roots()
     assert len(calls) == points
 
 
@@ -504,7 +503,7 @@ def test_root_step_undecided_sign_raises(ctx, monkeypatch):
     leading = theta._leading
     monkeypatch.setattr(theta, "_leading", lambda *args: [1j * L for L in leading(*args)])
     with pytest.raises(ArithmeticError, match=r"theta\[..;00\]\(2\^1 Z\): the sign"):
-        _squares_of(_walk_plan(Z, ctx, level=2), ctx)
+        ThetaWalk(Z, ctx, level=2)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -514,9 +513,9 @@ def test_walk_level(bits):
     # 1024; ex2 and ex3 172 and 181 -> 89 and 100, and 563 and 608 -> ... ->
     # 79 and 85.  Im z22 = 95 walks 40 and 96 points, and stays at 2Z
     ctx = PrecisionContext(bits)
-    levels = [_walk_plan(_job_Z(name, ctx), ctx).level for name in ("ex1", "ex2", "ex3")]
+    levels = [_walk_plan(_job_Z(name, ctx), ctx, None).level for name in ("ex1", "ex2", "ex3")]
     assert levels == ([3, 2, 2] if bits == 256 else [4, 4, 4])
-    assert _walk_plan(_walk_cases(ctx)["im z22 = 95"], ctx).level == 1
+    assert _walk_plan(_walk_cases(ctx)["im z22 = 95"], ctx, None).level == 1
 
 
 @pytest.mark.parametrize("z12, level", [("0.5", 1), ("0.25", 2)])
@@ -527,10 +526,10 @@ def test_walk_level_stays_below_a_vanishing_theta(z12, level):
     # take it to 16Z, and the squares keep workbits - 8 bits
     ctx = PrecisionContext(1024)
     Z = PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc(z12), mp.mpc("-0.3", "1.3"))
-    plan = _walk_plan(Z, ctx)
-    assert plan.level == level
-    assert abs(_walk_plan(Z, ctx, level=level + 1).leading[level - 1][3]) < 1e-12
+    walk = ThetaWalk(Z, ctx)
+    assert walk.plan.level == level
+    assert abs(_walk_plan(Z, ctx, level + 1).leading[level - 1][3]) < 1e-12
     ref = _box_oracle(Z, ctx.workbits + 64 + 12)
     with mp.workprec(ctx.workbits + 64):
-        for ch, x, y in zip(EVEN_CHARS, _squares_of(plan, ctx)[0], ref):
+        for ch, x, y in zip(EVEN_CHARS, walk.squares(), ref):
             assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), ch
