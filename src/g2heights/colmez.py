@@ -18,7 +18,7 @@ from math import gcd, prod
 import mpmath as mp
 
 from .exact import factor
-from .prec import SERIES_BITS, PrecisionContext, log_gamma
+from .prec import SERIES_BITS, PrecisionContext, cut_mul, log_gamma
 
 # the four units of Z[i], index = power of i
 _UNITS = [(1, 0), (0, 1), (-1, 0), (0, -1)]
@@ -182,12 +182,13 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     2.1 m^2/2 + 0.51 m < 1.05 m^2 + m ulps.  For m < f/2,
     sin(pi m/f) >= 2m/f, so each sine keeps a relative error below
     (1.05 m + 1) f/2 < f^2 ulps, that is 2^-(W + bits(f)), and the logs of
-    the at most f/2 sines sum to within 2^-(W+1).  S_k is their running int
-    product, cut back to p bits, rounded down, after each factor: each cut
-    moves it by less than 2^(1-p) relative, so the |G_k| cuts add less
-    than 2 |G_k| ulps of 2^-p to log S_k, far inside the f^2 ulps budgeted
-    per sine.  The fold weights group k's by |c_k| <= |w|,
-    and h divides by |w|^2: the same f / |w| that the quotient by w gave.
+    the at most f/2 sines sum to within 2^-(W+1).  S_k is their running
+    product, a real block float times each sine by one prec.cut_mul at p
+    bits, whose bound for a real product gives each cut less than 2^(1-p)
+    relative, so the |G_k| cuts add less than 2 |G_k| ulps of 2^-p to
+    log S_k, far inside the f^2 ulps budgeted per sine.  The fold weights
+    group k's by |c_k| <= |w|, and h divides by |w|^2: the same f / |w|
+    that the quotient by w gave.
     pi at p bits is within 2^-p relative, so pi^(-n_pi) is within
     (|n_pi| + 2) 2^-p, and |n_pi| <= q |w| f/2 (|c_k| <= |w|, at most f/2
     residues).  The powers, their product and the log, taken at p bits, add
@@ -219,14 +220,12 @@ def colmez_height(chi: DirichletCharacter, ctx: PrecisionContext):
     lg = log_gamma([Fraction(m, f) for m in residues], ctx,
                    [2 * weights[chi.table[m]] for m in residues])
     with mp.workprec(p):
-        S = []  # each S_k a running int product, cut back to p bits per factor
+        S = []  # each S_k a running real block float, one cut_mul per factor
         for ms in groups:
-            man, exp = 1, 0
+            x = (1, 0, 0)
             for m in ms:
-                man, exp = man * ints[m], exp - p
-                d = max(man.bit_length() - p, 0)
-                man, exp = man >> d, exp + d
-            S.append(mp.mpf((man, exp)))
+                x = cut_mul(x, (ints[m], 0, -p), p)
+            S.append(mp.mpf((x[0], x[2])))
         s = mp.log((S[0] / S[2]) ** (q * a) * (S[1] / S[3]) ** (q * b)
                    * mp.mpf(f) ** (q * w2 // (2 * f)) * mp.pi ** -n_pi) / q
         h = f * (s + lg) / w2

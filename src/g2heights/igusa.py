@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd
+from math import comb, prod
 
 import mpmath as mp
 
@@ -180,22 +180,18 @@ def finite_height_part(inv: IgusaInvariants, ctx: PrecisionContext):
     """(1/60) sum_p (1/iota(p)) max{0, -ord_p(J10^-iota J_{2iota}^5)} log p,
     returned with the per-prime ledger.
 
-    iota(p) = 1 for p >= 5, so those terms add up to log D, where D is the
-    denominator of the ratio J2^5/J10 with its factors 2 and 3 removed (D = 1
-    when J2 = 0): the total is one log of 2^a 3^b D, a and b the orders at
-    2 and 3, and none when that is 1, and needs no factoring.  The ledger
-    factors D only for display, and a cofactor it cannot split appears as
-    one row; its terms are taken when read."""
+    iota(p) = 1 for p >= 5, so there ord_min_disc is the order of p in the
+    denominator of J2^5/J10, inv.ratio(1) (1 when J2 = 0).  The ledger
+    factors that denominator, takes minimal_disc_order at 2 and 3, and
+    shows a cofactor that factor cannot split as one row.  The total is one
+    log of the product of p^ord_min_disc over the ledger, the same int
+    however the denominator splits, and none when that is 1.  The ledger's
+    terms are taken when read."""
     orders = {p: minimal_disc_order(inv, p) for p in (2, 3)}
-    # J2^5 / J10 = n2^5 d10 / (d2^5 n10) on the reduced J2 = n2 / d2 and
-    # J10 = n10 / d10; J2 = 0 makes the gcd the whole denominator
-    J2, J10 = inv.J2, inv.J10
-    den = J2.denominator ** 5 * abs(J10.numerator)
-    den //= gcd(J2.numerator ** 5 * J10.denominator, den)
-    fac = factor(den)
-    D = den // (2 ** fac.pop(2, 0) * 3 ** fac.pop(3, 0))
+    ratio = inv.ratio(1)
+    fac = factor(ratio.denominator if ratio is not None else 1)
     ledger = [LocalContribution(p=p, iota=iota(p) if p < 5 else 1, ord_min_disc=m)
-              for p, m in sorted({**orders, **fac}.items()) if m]
+              for p, m in sorted({**fac, **orders}.items()) if m]
     with ctx.work():
-        n = 2 ** orders[2] * 3 ** orders[3] * D
+        n = prod(c.p ** c.ord_min_disc for c in ledger)
         return (mp.log(n) / 60 if n > 1 else mp.mpf(0)), ledger

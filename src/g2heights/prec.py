@@ -36,6 +36,10 @@ SERIES_BITS = 16 covers the C I rounded T_i, the tails and the log's
 rounding (see log_gamma), and the plan's T_i come from Euler-Maclaurin on
 the exact B_2k, which bernoulli_numbers makes from the tangent numbers by
 the recurrence of Brent and Harvey.
+
+round_quotient (the tau roots, each part of gamma Z) and cut_mul (the theta
+walk, chi10, the Colmez sines, the shift products) take the engines' exact
+ints to floats, each with the one statement of its error.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from operator import add, floordiv, mul
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_neg, round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
 from .exact import IntPolynomial, binary_form, cubic_integer_roots
 
@@ -64,7 +68,7 @@ class PrecisionContext:
     takes no log: each engine folds pi and 2 into its own one log.
     """
 
-    def __init__(self, prec_bits: int = 256):
+    def __init__(self, prec_bits: int):
         if isinstance(prec_bits, bool) or not isinstance(prec_bits, int):
             raise TypeError(f"precision takes an int, not {type(prec_bits).__name__}")
         if prec_bits < 64:
@@ -266,12 +270,13 @@ def log_gamma(xs, ctx: PrecisionContext, weights=None):
       Gamma(N) is in the (N-1)! exactly, not in a log that the Taylor sum
       must cancel.  The n_c N factors m + j f of P_c are multiplied exactly
       four at a time and then in chunks whose product is below 2^W, and
-      the running product is rounded down to W + 8 bits after each chunk:
-      fewer than n_c N / 4 roundings, each within a factor
-      1 + 2^-(W+7), which the power c multiplies by |c|: C N / 512 on the
-      log.  The mpf part adds less than 6 C + 1 ulps relative: P_c is
-      rounded to W bits and its power c is within |c| + 1 ulps, so the
-      P_c^c and their product are within sum_c (|c| + 1) + k - 1 <= 3 C,
+      the running product takes each chunk by one cut_mul at W + 8 bits:
+      fewer than n_c N / 4 cuts, each within a factor 1 + 2^-(W+7) by
+      cut_mul's bound for a real product, which the power c multiplies by
+      |c|: C N / 512 on the log.  The mpf part adds less than 6 C + 1 ulps
+      relative: P_c is rounded to W bits and its power c is within
+      |c| + 1 ulps, so the P_c^c and their product are within
+      sum_c (|c| + 1) + k - 1 <= 3 C,
       k the number of weights; (N-1)! from the plan, f^N and their product
       are each within an ulp, so ((N-1)! f^N)^s is within 3 |s| + 1 <=
       3 C + 1, and the quotient adds one more.
@@ -336,8 +341,8 @@ def log_gamma(xs, ctx: PrecisionContext, weights=None):
 
 def _shift_product(ms, f: int, N: int, W: int):
     """prod_m prod_(j<N) (m + j f) for 4 | N, as the (mantissa, exponent)
-    of an mpf rounded down to W + 8 bits after each chunk of factors whose
-    product is below 2^W."""
+    of an mpf: the running product is a real block float, times each chunk
+    of factors whose product is below 2^W by one cut_mul at W + 8 bits."""
     Nf, f4 = N * f, 4 * f
     us = []  # u = y (y + 3f) for y = m + 4 f j
     for m in ms:
@@ -345,12 +350,25 @@ def _shift_product(ms, f: int, N: int, W: int):
     # y (y + f) (y + 2f) (y + 3f) = u (u + 2f^2)
     quads = list(map(mul, us, map(add, us, repeat(2 * f * f))))
     chunk = max(1, W // (4 * Nf.bit_length()))
-    man, exp = 1, 0
+    x = (1, 0, 0)
     for k in range(0, len(quads), chunk):
-        man *= math.prod(quads[k:k + chunk])
-        cut = max(man.bit_length() - W - 8, 0)
-        man, exp = man >> cut, exp + cut
-    return man, exp
+        x = cut_mul(x, (math.prod(quads[k:k + chunk]), 0, 0), W + 8)
+    return x[0], x[2]
+
+
+def cut_mul(x, y, bits):
+    """The product of the block floats x and y (int pairs (re, im) with one
+    shared exponent), cut back to bits bits of its larger part, each part
+    rounded down: the one statement of the cut's error (Brent and
+    Zimmermann, Modern Computer Arithmetic, ch. 4).  The larger part keeps
+    at least 2^(bits - 1) units and each part loses less than one, so the
+    product moves by less than sqrt(2) 2^(1 - bits) < 2^(3/2 - bits) of its
+    modulus, and a real product (imaginary parts 0) by less than
+    2^(1 - bits) of itself."""
+    (ar, ai, ea), (br, bi, eb) = x, y
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    d = max(re.bit_length(), im.bit_length()) - bits
+    return (re >> d, im >> d, ea + eb + d) if d > 0 else (re, im, ea + eb)
 
 
 def _rational(x) -> Fraction:
@@ -402,10 +420,10 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     than 2^(e_T - 2 - S) of it.  With S = workbits + 34 + max(e_w, e_T), both
     parts of the root t_i / c4 in H, (T_i + i sqrt(w_i)) / (2 c4), that is
     X_i 2^-S / (4 c4) and Y_i 2^-S / (2 c4), are within 2^-(workbits+33) of
-    their size before one correctly rounded mpf division each at workbits.
-    So, but for rare ties, each rounds as the exact root would; the Siegel
-    reduction, whose word on a boundary follows the last bits, then does not
-    depend on how it was computed.
+    their size before one correct rounding each at workbits, round_quotient
+    of the exact ints.  So, but for rare ties, each rounds as the exact root
+    would; the Siegel reduction, whose word on a boundary follows the last
+    bits, then does not depend on how it was computed.
     """
     if p.degree != 4:
         raise ValueError(f"poly_roots takes a quartic, not degree {p.degree}")
@@ -433,15 +451,50 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     upper = []
     for eps, delta in ((-1, d), (1, -d)):
         v = (sigma << S) + 4 * delta * rN + eps * a3 * rT
-        upper.append((_scaled_quotient(eps * rT - (a3 << S), S, 4 * c4, ctx),
-                      _scaled_quotient(isqrt(v << S - 1), S, 2 * c4, ctx)))
+        upper.append((round_quotient(eps * rT - (a3 << S), 4 * c4 << S, ctx.workbits),
+                      round_quotient(isqrt(v << S - 1), 2 * c4 << S, ctx.workbits)))
     (x1, y1), (x2, y2) = upper
     parts = ([(x1, mpf_neg(y1)), (x1, y1), (x2, mpf_neg(y2)), (x2, y2)] if dT
              else [(x2, mpf_neg(y2)), (x1, mpf_neg(y1)), (x1, y1), (x2, y2)])
     return [mp.make_mpc(z) for z in parts]
 
 
-def _scaled_quotient(n: int, S: int, q: int, ctx: PrecisionContext):
-    """n 2^-S / q for an int q > 0, as a raw mpf: one correctly rounded
-    division of the exact operands at workbits."""
-    return mpf_div(from_man_exp(n, -S), from_int(q), ctx.workbits, round_nearest)
+def round_quotient(n, d, bits):
+    """n / d rounded to nearest at bits bits, ties to even, as a raw mpf,
+    for ints n and d > 0: the one correctly rounded quotient of the package.
+
+    A power of 2 d takes one exact rounding.  Otherwise the top bits do
+    it: with d' = d cut to bits + 66 bits and n' = n cut or padded to
+    bits + 66 bits more, t = floor(n' / d') has bits + 65 to bits + 67
+    bits, and the exact quotient, in units of t, is in (t - 4, t + 2).
+    When t is more than 16 units from the midpoint of its bits-bit
+    rounding, no midpoint lies between them, and rounding t rounds n / d;
+    near a power of 2 the midpoints of the next length are still farther.
+    Otherwise, near a tie, one full division with a sticky bit decides
+    it."""
+    if not n:
+        return fzero
+    if not d & (d - 1):
+        return _rounded(n, 1 - d.bit_length(), bits)
+    an = abs(n)
+    kd = max(0, d.bit_length() - bits - 66)
+    dt = d >> kd
+    e = an.bit_length() - dt.bit_length() - bits - 66
+    t = (an >> e if e >= 0 else an << -e) // dt
+    g = t.bit_length() - bits - 1
+    if abs((t & ((2 << g) - 1)) - (1 << g)) > 16:
+        return _rounded(-t if n < 0 else t, e - kd, bits)
+    e = an.bit_length() - d.bit_length() - bits - 3
+    t, r = divmod(an << -e, d) if e < 0 else divmod(an, d << e)
+    t = 2 * t + (r != 0)
+    return _rounded(-t if n < 0 else t, e - 1, bits)
+
+
+def _rounded(man, exp, bits):
+    """man 2^exp rounded to nearest at bits bits, ties to even, as a raw
+    mpf.  Its trailing zero bits go first, in one shift: mpmath strips
+    them 8 at a time, which an exact 1/2 at 4096 bits makes 500 shifts."""
+    if not man & 255:
+        k = (man & -man).bit_length() - 1
+        man, exp = man >> k, exp + k
+    return from_man_exp(man, exp, bits, round_nearest)

@@ -17,7 +17,7 @@ Z adj Z = det Z, so
 small-int combinations of the ints of X and of det X, which is taken once
 per Z (_Image).  Z_red is gamma Z with each part rounded once to nearest at
 the working precision, and act(gamma, Z) is that rounding at the ambient
-precision for every gamma.
+precision for every gamma: prec.round_quotient of the exact ints.
 
 A move is chosen by sign and rounding decisions: the Minkowski conditions
 on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
@@ -55,9 +55,8 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, round_nearest
 
-from .prec import PrecisionContext
+from .prec import PrecisionContext, round_quotient
 from .theta import PeriodMatrix
 
 
@@ -323,9 +322,10 @@ class _Image:
 
     def rounded(self) -> PeriodMatrix:
         """gamma Z with each part rounded once to nearest at the ambient
-        precision (_quotient), built unchecked (see the module docstring)."""
+        precision (prec.round_quotient), built unchecked (see the module
+        docstring)."""
         Q, prec = self.den(), mp.mp.prec
-        v = [_quotient(self.part(k), Q, prec) for k in range(6)]
+        v = [round_quotient(self.part(k), Q, prec) for k in range(6)]
         return PeriodMatrix._of(*(mp.make_mpc((v[k], v[k + 1])) for k in (0, 2, 4)))
 
     def nint(self, k):
@@ -383,54 +383,13 @@ def _real_den(qr, qi):
     return qr * qr + qi * qi if qr and qi else abs(qr + qi)
 
 
-def _quotient(n, d, prec):
-    """n / d rounded to nearest at prec bits, ties to even, as a raw mpf,
-    for ints n and d > 0.
-
-    A power of 2 d takes one exact rounding.  Otherwise the top bits do
-    it: with d' = d cut to prec + 66 bits and n' = n cut or padded to
-    prec + 66 bits more, t = floor(n' / d') has prec + 65 to prec + 67
-    bits, and the exact quotient, in units of t, is in (t - 4, t + 2).
-    When t is more than 16 units from the midpoint of its prec-bit
-    rounding, no midpoint lies between them, and rounding t rounds n / d;
-    near a power of 2 the midpoints of the next length are still farther.
-    Otherwise, near a tie, one full division with a sticky bit decides
-    it."""
-    if not n:
-        return fzero
-    if not d & (d - 1):
-        return _rounded(n, 1 - d.bit_length(), prec)
-    an = abs(n)
-    kd = max(0, d.bit_length() - prec - 66)
-    dt = d >> kd
-    e = an.bit_length() - dt.bit_length() - prec - 66
-    t = (an >> e if e >= 0 else an << -e) // dt
-    g = t.bit_length() - prec - 1
-    if abs((t & ((2 << g) - 1)) - (1 << g)) > 16:
-        return _rounded(-t if n < 0 else t, e - kd, prec)
-    e = an.bit_length() - d.bit_length() - prec - 3
-    t, r = divmod(an << -e, d) if e < 0 else divmod(an, d << e)
-    t = 2 * t + (r != 0)
-    return _rounded(-t if n < 0 else t, e - 1, prec)
-
-
-def _rounded(man, exp, prec):
-    """man 2^exp rounded to nearest at prec bits, ties to even, as a raw
-    mpf.  Its trailing zero bits go first, in one shift: mpmath strips
-    them 8 at a time, which an exact 1/2 at 4096 bits makes 500 shifts."""
-    if not man & 255:
-        k = (man & -man).bit_length() - 1
-        man, exp = man >> k, exp + k
-    return from_man_exp(man, exp, prec, round_nearest)
-
-
 def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
     """gamma Z = (AZ + B)(CZ + D)^-1, each part of it the exact value
     rounded once to nearest (ties to even) at the ambient precision, for
     every gamma, with one path: the image of Z's parts as ints (_Image),
-    exact, then one correct rounding per part (_quotient, which mpmath at
-    256 more bits confirms in test_act_rounds_the_exact_image).  Z may
-    carry more bits than the ambient precision; all of them are read.
+    exact, then one correct rounding per part (prec.round_quotient, which
+    mpmath at 256 more bits confirms in test_act_rounds_the_exact_image).
+    Z may carry more bits than the ambient precision; all of them are read.
 
     The image is built with PeriodMatrix._of, unchecked (see the module
     docstring).
@@ -567,9 +526,10 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
     of the word so far (_Image.read), with their error in the magnitudes
     that a decision's margin is taken on (see _sure); a decision that they
     leave open is made on the image exactly.  Z_red is that image with each
-    part rounded once (_quotient): within half an ulp of gamma Z, part by
-    part, however ill-conditioned the word, and bit for bit act(gamma, Z).
-    It is built unchecked and checked once (see the module docstring).
+    part rounded once (prec.round_quotient): within half an ulp of gamma Z,
+    part by part, however ill-conditioned the word, and bit for bit
+    act(gamma, Z).  It is built unchecked and checked once (see the module
+    docstring).
     """
     with ctx.work():
         z, t = _Ints(Z), _tol_bits(ctx)

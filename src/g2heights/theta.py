@@ -31,9 +31,10 @@ row to row, each moved by one product per step of m1 or of p: the start
 term s = t(m1, p), the two first step factors v^m1 w^(2p+1) and
 v^-m1 w^(1-2p), and a = u^(2 m1 + 1) v^p = t(m1 + 1, p) / t(m1, p).  They,
 and the constants u^2, v^(+-1), w^(+-2) they are multiplied by, are block
-floats: an int pair (re, im) with one shared exponent, cut back after each
-product to prec bits of its larger part.  A row's start term and first step
-factors reach the walk's scales 2^-W and 2^-V by a shift.
+floats: an int pair (re, im) with one shared exponent, and each product is
+prec.cut_mul, cut back to prec bits of its larger part.  A row's start
+term and first step factors reach the walk's scales 2^-W and 2^-V by a
+shift.
 
 Constants.  u, v and w are block floats of P = prec + 8 bits built from the
 raw parts of the entries, with no mpc: exp(i pi x) = exp(-pi Im x) (cos + i
@@ -49,10 +50,10 @@ with |Re| mod 1/2 in (1/4, 1/2), whose nearest half-integer lies above it
 near 0 (the half-integer real parts that the reduced ex1 and ex2 carry to
 within 2^-1050 at 1024 bits) at -log2|r| more bits.  Here the remainder is
 formed first and sized for the sine alone, so mpf_sin_pi works at F + 14
-bits at most, whatever r is.  u^2 and w^2 are one _mul each, v^-1 and w^-2
-the block-float inverse conj(x) / |x|^2, rounded down.  The ten squares are
-int pairs too, and chi10 is their int product, so mpmath takes the three
-exponentials and, in the arch term, the one log.
+bits at most, whatever r is.  u^2 and w^2 are one cut_mul each, v^-1 and
+w^-2 the block-float inverse conj(x) / |x|^2, rounded down.  The ten
+squares are int pairs too, and chi10 is their int product, so mpmath takes
+the three exponentials and, in the arch term, the one log.
 
 Levels.  The same formula at 2^j Z with b = 0,
     theta[c;0](2^j Z)^2 = sum_d T'_d T'_(d+c),  T'_d = theta[d;0](2^(j+1) Z),
@@ -85,8 +86,8 @@ least e^(-pi y / 4) > 2^-e in modulus.  The tail target and the scale both
 go down by e + ROOT_STEP_BITS (k - 1), so that every constant of the walk
 keeps workbits + ROOT_STEP_BITS (k - 1) bits relative to its leading term,
 and the root steps, which spend up to ROOT_STEP_BITS bits each, leave
-workbits at level 1.  In the three items on the walk, Z stands for its
-matrix 2^(k-1) Z:
+workbits at level 1.  In the three items on the walk, Z stands for
+2^(k-1) Z, whose entries _expjpi reaches by an exact exponent shift:
   - R makes the terms outside the ellipsoid sum to less than
     2^-(workbits + 16 + e + ROOT_STEP_BITS (k - 1)).  R and the row
     bounds c +- h are doubles, from Im Z, from det(Im Z), which can cancel
@@ -100,19 +101,20 @@ matrix 2^(k-1) Z:
     level.
   - The start term of a row comes from a chain of N block-float products
     at prec bits, N = max m1 + the total movement of p, since s, the
-    step factors and a move by one product per step of m1 or p.  Cutting
-    both parts of a product to prec bits of the larger one, rounded down,
-    costs less than 2^(3/2 - prec) of its modulus.  The constants: sin(pi r)
+    step factors and a move by one product per step of m1 or p.  Each
+    cut_mul at prec bits costs less than 2^(3/2 - prec) of the product's
+    modulus (the bound stated in prec.cut_mul).  The constants: sin(pi r)
     is within 2^-(F + 2) + 2^-F, and cos(pi r) within that times
     |sin / cos| <= 1 plus the isqrt's unit, so cos + i sin is within
     2^(2 - F) = 2^-(P + 2).  pi Im x is formed at P + 10 bits more than its
     magnitude, so the modulus is within 2^-(P + 6) relative, and the cut to
-    P bits adds 2^(3/2 - P): u, v, w are within 2^(2 - P) of themselves
-    relative.  One _mul at P bits, and for w^-2 the inverse after it, whose
-    floor divisions add less than 2^(3/2 - P), put u^2, v^-1, w^2 and w^-2
-    within 2^(4 - P) = 2^-(prec + 4).  So each of the four carried values
-    is within about 3 j 2^-prec of itself relative after j products, and
-    s within about (1.5 N^2 + 1.5 N) 2^-prec <= 3 N^2 2^-prec.  n = max m1
+    P bits, a cut_mul, adds 2^(3/2 - P): u, v, w are within 2^(2 - P) of
+    themselves relative.  One cut_mul at P bits, and for w^-2 the inverse
+    after it, whose floor divisions add less than 2^(3/2 - P), put u^2,
+    v^-1, w^2 and w^-2 within 2^(4 - P) = 2^-(prec + 4).  So each of the
+    four carried values is within about 3 j 2^-prec of itself relative
+    after j products, and s within about (1.5 N^2 + 1.5 N) 2^-prec
+    <= 3 N^2 2^-prec.  n = max m1
     + max(4 max |m2|, that movement) is at least N and the length of a row,
     so with prec = workbits + 2 log2(n) + 4 s is within 2^-(workbits + 2)
     of itself relative, and within two more units of 2^-W from its shift
@@ -158,12 +160,12 @@ matrix 2^(k-1) Z:
     step does: each carries its square's error over twice its modulus, and
     the isqrt two units of 2^-W, and is rounded once to working precision.
   - chi10 is the product of the ten squares' int pairs, with each factor
-    and each partial product cut back to workbits + CHI10_GUARD_BITS bits
-    of its larger part, rounded down, and rounded once to an mpc at working
-    precision.  The twenty cuts add less than 20 2^(3/2 - workbits - 8) <
-    2^-(workbits + 2) relative and the rounding 2^-workbits, so chi10 is
-    within 2^(1 - workbits) of the exact product of the ten squares,
-    relative.
+    (as its cut_mul by 1) and each partial product cut back by cut_mul to
+    workbits + CHI10_GUARD_BITS bits, and rounded once to an mpc at working
+    precision.  By cut_mul's bound the twenty cuts add less than
+    20 2^(3/2 - workbits - 8) < 2^-(workbits + 2) relative and the rounding
+    2^-workbits, so chi10 is within 2^(1 - workbits) of the exact product
+    of the ten squares, relative.
 
 Every signed constant, at every level j >= 0, is the root that _isqrt takes
 of an exact int square, and a sign is never guessed.  One rule signs them
@@ -199,7 +201,7 @@ import mpmath as mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_exp, mpf_mul, mpf_neg,
                           mpf_pi, mpf_shift, mpf_sin_pi, to_fixed)
 
-from .prec import PrecisionContext
+from .prec import PrecisionContext, cut_mul
 
 # bits of a step factor below its term's lowest bit, and the least number of
 # bits worth dropping from a step factor at once (see the module docstring)
@@ -347,24 +349,17 @@ def _terms(rows):
     return sum(hi - lo + 1 for _, lo, hi in rows)
 
 
-def _doubled(Z: PeriodMatrix, j):
-    """2^j Z, exactly."""
-    if not j:
-        return Z
-    return PeriodMatrix._of(*(mp.make_mpc((mpf_shift(re, j), mpf_shift(im, j)))
-                              for re, im in (z._mpc_ for z in Z.entries())))
-
-
 class _WalkPlan(NamedTuple):
     """The walk at Z (see the module docstring): at level k it runs at
-    matrix = 2^(k-1) Z over the ellipsoid of 2^k Z of radius^2 radius_sq,
-    row by row from each row's peak, with a chain at prec bits and terms at
-    the scale 2^-W.  e1 is the e of 2Z, which the squares' zero test reads,
+    2^(k-1) Z, whose constants _walk_constants takes from Z by the exponent
+    shift, over the ellipsoid of 2^k Z of radius^2 radius_sq, row by row
+    from each row's peak, with a chain at prec bits and terms at the scale
+    2^-W.  e1 is the e of 2Z, which the squares' zero test reads,
     and leading[j - 1][c] = _leading(Z, im, j)[c], the leading terms L of
     theta[c;0](2^j Z), j < k, which sign the root steps by the rule that
     signs theta_all at level 0."""
     level: int
-    matrix: PeriodMatrix
+    Z: PeriodMatrix
     radius_sq: float
     rows: list
     starts: list
@@ -404,16 +399,15 @@ def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level):
         leading.append(L)
     k = len(leading) + 1
     R2, e, rows = levels[k - 1]
-    Zk = _doubled(Z, k - 1)
-    _, y12, y22 = Zk.im_entries()
-    peak = float(-y12 / y22)
+    _, y12, y22 = Z.im_entries()
+    peak = float(-y12 / y22)  # the same ratio at 2^(k-1) Z
     starts = [min(max(round(peak * m1), lo), hi) for m1, lo, hi in rows]
     K = max(max(-lo, hi) for _, lo, hi in rows)  # largest |m2|
     # the longest chain of rounded products: the steps of m1 and p that
     # carry the start values, or a walk along a row
     n = rows[-1][0] + max(4 * K, sum(abs(q - p) for p, q in zip([0] + starts, starts)))
     prec = ctx.workbits + 2 * n.bit_length() + 4
-    return _WalkPlan(k, Zk, R2, rows, starts, levels[0][1], prec,
+    return _WalkPlan(k, Z, R2, rows, starts, levels[0][1], prec,
                      prec + e + ROOT_STEP_BITS * (k - 1), leading)
 
 
@@ -442,14 +436,6 @@ def _leading(Z: PeriodMatrix, im, j, chars=_ROOT_CHARS):
                 for m1, m2, t in terms[2 * ch.a1 + ch.a2])
         out.append(2 * L - (ch.a1 == ch.a2 == 0))
     return out
-
-
-def _mul(x, y, prec):
-    """The block float x y, cut back to prec bits of its larger part."""
-    (ar, ai, ea), (br, bi, eb) = x, y
-    re, im = ar * br - ai * bi, ar * bi + ai * br
-    d = max(re.bit_length(), im.bit_length()) - prec
-    return (re >> d, im >> d, ea + eb + d) if d > 0 else (re, im, ea + eb)
 
 
 def _inv(x, prec):
@@ -482,16 +468,18 @@ def _expjpi(z, shift, prec):
         n, s = -n, -s
     c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
     _, man, exp, _ = modulus
-    return _mul((c, s, -F), (man, 0, exp), prec)
+    return cut_mul((c, s, -F), (man, 0, exp), prec)
 
 
 def _walk_constants(plan: _WalkPlan):
-    """u, v, w, u^2, v^-1, w^2 and w^-2 at the plan's matrix, as block floats
-    of plan.prec + 8 bits (see the module docstring)."""
-    Z, P = plan.matrix, plan.prec + 8
-    u, v, w = _expjpi(Z.z11, -1, P), _expjpi(Z.z12, 0, P), _expjpi(Z.z22, -1, P)
-    w2 = _mul(w, w, P)
-    return u, v, w, _mul(u, u, P), _inv(v, P), w2, _inv(w2, P)
+    """u, v, w, u^2, v^-1, w^2 and w^-2 at 2^(k-1) Z, k the plan's level,
+    as block floats of plan.prec + 8 bits (see the module docstring): u and
+    w take the exponent shift k - 2 of z11 and z22, v the shift k - 1 of
+    z12, each exact."""
+    Z, P, k = plan.Z, plan.prec + 8, plan.level
+    u, v, w = _expjpi(Z.z11, k - 2, P), _expjpi(Z.z12, k - 1, P), _expjpi(Z.z22, k - 2, P)
+    w2 = cut_mul(w, w, P)
+    return u, v, w, cut_mul(u, u, P), _inv(v, P), w2, _inv(w2, P)
 
 
 def _scaled(x, W):
@@ -521,16 +509,16 @@ def _row_starts(plan: _WalkPlan):
     m1 = p = 0
     for (r, _, _), target in zip(plan.rows, plan.starts):
         while m1 < r:
-            s, a = _mul(s, a, prec), _mul(a, u2, prec)
-            g_up, g_down = _mul(g_up, v, prec), _mul(g_down, vinv, prec)
+            s, a = cut_mul(s, a, prec), cut_mul(a, u2, prec)
+            g_up, g_down = cut_mul(g_up, v, prec), cut_mul(g_down, vinv, prec)
             m1 += 1
         while p < target:
-            s, a = _mul(s, g_up, prec), _mul(a, v, prec)
-            g_up, g_down = _mul(g_up, w2, prec), _mul(g_down, w2inv, prec)
+            s, a = cut_mul(s, g_up, prec), cut_mul(a, v, prec)
+            g_up, g_down = cut_mul(g_up, w2, prec), cut_mul(g_down, w2inv, prec)
             p += 1
         while p > target:
-            s, a = _mul(s, g_down, prec), _mul(a, vinv, prec)
-            g_up, g_down = _mul(g_up, w2inv, prec), _mul(g_down, w2, prec)
+            s, a = cut_mul(s, g_down, prec), cut_mul(a, vinv, prec)
+            g_up, g_down = cut_mul(g_up, w2inv, prec), cut_mul(g_down, w2, prec)
             p -= 1
         tr, ti = _scaled(s, W)
         V = min(W, max(tr.bit_length(), ti.bit_length()) + STEP_GUARD_BITS)
@@ -697,8 +685,7 @@ class ThetaWalk:
         once to an mpc at working precision (see the module docstring)."""
         prec, x = self.ctx.workbits + CHI10_GUARD_BITS, (1, 0, 0)
         for sr, si in self.pairs:
-            d = max(max(abs(sr), abs(si)).bit_length() - prec, 0)
-            x = _mul(x, (sr >> d, si >> d, d - 2 * self.plan.W), prec)
+            x = cut_mul(x, cut_mul((sr, si, -2 * self.plan.W), (1, 0, 0), prec), prec)
         re, im, E = x
         return _as_mpc([(re, im)], E, self.ctx)[0]
 

@@ -93,6 +93,22 @@ def test_sampling_membership_and_determinism(ctx128):
         sample_fundamental_domain(0, 1, ctx128)
 
 
+def test_sampling_raises_a_failing_reduction(monkeypatch, ctx128):
+    # a sample whose reduction raises stops the sampling with its error: a
+    # reduction bug must not vanish from verify-bounds by a redraw, and a
+    # reduce that always raised would make a redraw loop spin forever
+    reduce, calls = bounds.siegel.reduce, []
+
+    def failing_once(Z, ctx):
+        calls.append(Z)
+        if len(calls) == 1:
+            raise ArithmeticError("reduction failed")
+        return reduce(Z, ctx)
+    monkeypatch.setattr(bounds.siegel, "reduce", failing_once)
+    with pytest.raises(ArithmeticError, match="reduction failed"):
+        sample_fundamental_domain(3, 1, ctx128)
+
+
 def test_verify_bounds_small(ctx128):
     failures, checks = verify_bounds(10, 3, ctx128)
     assert failures == []

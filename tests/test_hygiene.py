@@ -143,6 +143,38 @@ _UNSET_DEFAULTS = {
 }
 
 
+def _defaulted_params(src):
+    """(report, called, param, i) for each defaulted parameter of the
+    functions and methods of src: report names it, as `mod.f(param=)`,
+    called is the name it is called by (a class for an __init__), and i
+    is its position in a call, self aside (None for a keyword-only one)."""
+    out = []
+    for p in src:
+        # (def, its name in the report, the name it is called by, the
+        # leading parameters that a call does not pass)
+        defs = []
+        for node in ast.parse(p.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node, node.name, node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                    called = node.name if m.name == "__init__" else m.name
+                    if m.name == "__init__" or not m.name.startswith("__"):
+                        defs.append((m, f"{node.name}.{m.name}", called, 0 if static else 1))
+        for d, name, called, skip in defs:
+            a = d.args
+            pos = [x.arg for x in a.posonlyargs + a.args]
+            defaulted = pos[len(pos) - len(a.defaults):] + [
+                x.arg for x, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+            for param in defaulted:
+                i = pos.index(param) - skip if param in pos else None
+                out.append((f"{p.stem}.{name}({param}=)", called, param, i))
+    return out
+
+
 def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     # a default that no caller overrides is an option nobody takes.  The
     # callers and the functions are those of
@@ -151,32 +183,21 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     # class.  The scan works on names, as that test's does
     src, callers = _callers()
     calls = _calls(callers)
-    # (path, def, its name in the report, the name it is called by, the
-    # leading parameters that a call does not pass)
-    defs = []
-    for p in src:
-        for node in ast.parse(p.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                defs.append((p, node, node.name, node.name, 0))
-            elif isinstance(node, ast.ClassDef):
-                for m in node.body:
-                    if not isinstance(m, ast.FunctionDef):
-                        continue
-                    static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
-                    called = node.name if m.name == "__init__" else m.name
-                    if m.name == "__init__" or not m.name.startswith("__"):
-                        defs.append((p, m, f"{node.name}.{m.name}", called, 0 if static else 1))
-    unset = []
-    for p, d, name, called, skip in defs:
-        a = d.args
-        pos = [x.arg for x in a.posonlyargs + a.args]
-        defaulted = pos[len(pos) - len(a.defaults):] + [
-            x.arg for x, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
-        for param in defaulted:
-            i = pos.index(param) - skip if param in pos else None
-            if not any(_sets(c, param, i) for c in calls.get(called, [])):
-                unset.append(f"{p.stem}.{name}({param}=)")
+    unset = [report for report, called, param, i in _defaulted_params(src)
+             if not any(_sets(c, param, i) for c in calls.get(called, []))]
     assert sorted(unset) == sorted(_UNSET_DEFAULTS)
+
+
+def test_every_defaulted_parameter_has_a_caller_that_leaves_it_out():
+    # a default that every call overrides is never taken: the parameter
+    # should have none.  The callers are those of
+    # test_every_module_function_has_a_caller and the tests, since a
+    # default kept for the tests alone is taken there
+    src, callers = _callers()
+    calls = _calls(callers + sorted((ROOT / "tests").glob("*.py")))
+    always = [report for report, called, param, i in _defaulted_params(src)
+              if all(_sets(c, param, i) for c in calls.get(called, []))]
+    assert always == []
 
 
 def _is_record(node):

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from g2heights.exact import IntPolynomial
 from g2heights.prec import (SERIES_BITS, PrecisionContext, _euler_maclaurin_counts,
                             _shift_bits, bernoulli_numbers, log_gamma, poly_roots,
-                            taylor_plan)
+                            round_quotient, taylor_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -371,6 +372,36 @@ def test_poly_roots_exactly_rounded(bits, name):
     with ctx.work():
         ref = sorted((+r for r in ref), key=lambda z: (z.real, z.imag))
     assert roots == ref
+
+
+@pytest.mark.parametrize("bits", [64, 256, 4096])
+def test_round_quotient_at_its_ties(bits):
+    # round_quotient is mpmath's correctly rounded division of the two ints,
+    # ties to even.  The midpoints x0 = (2k + 1) 2^-bits in [1, 2) are
+    # written n / d with d = D 2^(bits + s), D = 3 or an odd D of bits + 100
+    # bits (which round_quotient cuts to its top bits), and n = D ((2k + 1)
+    # 2^s + o): o = 0 is x0 itself, for an even k (it rounds down) and an
+    # odd k (up), and o = +-1 puts n / d at 2^-(bits + s) either side of it.
+    # The top-bits quotient t has bits + 66 or bits + 67 bits here, so the
+    # ulp of x0 at bits bits is 2^66 or 2^67 units of t, and 2^-(bits + s)
+    # is 2^(65 - s) or 2^(66 - s) units: 32 or 64 at s = 60, where t alone
+    # decides; 4 or 8 at s = 63, where t lies within 16 units of the
+    # midpoint and the full division with a sticky bit decides; and at most
+    # 2^-4 at s = 70, where t can be the midpoint itself and only the
+    # sticky bit tells the side.  Negative n, n = 0 and a power-of-two d
+    # complete it
+    rng = random.Random(bits)
+    ks = [1 << bits - 1, (1 << bits - 1) + 1, rng.getrandbits(bits - 1) | 1 << bits - 1]
+    cases = [(0, 3), (0, 1 << bits)] + [(2 * k + 1, 1 << bits) for k in ks]
+    for D in (3, rng.getrandbits(bits + 100) | 1 << bits + 99 | 1):
+        for k in ks:
+            cases.append((D * (2 * k + 1), D << bits))
+            for s in (60, 63, 70):
+                cases += [(D * (((2 * k + 1) << s) + o), D << bits + s) for o in (-1, 1)]
+    for n, d in cases:
+        for m in (n, -n):
+            assert round_quotient(m, d, bits) == mpf_div(from_int(m), from_int(d), bits,
+                                                         round_nearest), (m, d)
 
 
 def test_roots_nonsquarefree(ctx):

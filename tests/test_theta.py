@@ -4,7 +4,7 @@ import os
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import libelefun
+from mpmath.libmp import libelefun, mpf_shift
 
 from g2heights import cli, cmperiod, siegel, theta
 from g2heights.prec import PrecisionContext
@@ -234,6 +234,13 @@ def test_fixed_point_walk_relative_error(bits):
                         (bits, name, k, ch)
 
 
+def _walk_matrix(plan):
+    """2^(k-1) Z, the matrix that the plan walks at, k its level: each part
+    of the plan's Z shifted exactly."""
+    return [mp.make_mpc(tuple(mpf_shift(x, plan.level - 1) for x in z._mpc_))
+            for z in plan.Z.entries()]
+
+
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_chain_start_terms(bits):
     # each row's start term s = t(m1, p), carried from row to row on block
@@ -246,14 +253,14 @@ def test_chain_start_terms(bits):
     cases = _truncation_cases(ctx)
     for name in ("ex1 unreduced", "scrambled"):
         for plan in (_walk_plan(cases[name], ctx, 1), _walk_plan(cases[name], ctx, None)):
-            Z, prec, W = plan.matrix, plan.prec, plan.W
+            (z11, z12, z22), prec, W = _walk_matrix(plan), plan.prec, plan.W
             N = last_m1 = last_p = 0
             for m1, p, (tr, ti), *_ in _row_starts(plan):
                 N += m1 - last_m1 + abs(p - last_p)
                 last_m1, last_p = m1, p
                 with mp.workprec(ctx.workbits + 64):
                     # t(m1, p) in units of 2^-W
-                    s = mp.expjpi((m1 * m1 * Z.z11 + 2 * m1 * p * Z.z12 + p * p * Z.z22) / 2) \
+                    s = mp.expjpi((m1 * m1 * z11 + 2 * m1 * p * z12 + p * p * z22) / 2) \
                         * 2 ** W
                     assert abs(mp.mpc(tr, ti) - s) <= mp.ldexp(3 * N * N * abs(s), -prec) + 2, \
                         (bits, name, plan.level, m1)
@@ -291,7 +298,7 @@ def test_walk_constants(bits, monkeypatch):
         theta_squares(Z, ctx)
         assert max(precs, default=0) <= plan.prec + 64, (name, precs)
         P = plan.prec + 8
-        z11, z12, z22 = plan.matrix.entries()
+        z11, z12, z22 = _walk_matrix(plan)
         with mp.workprec(plan.prec + 64):
             args = (z11 / 2, z12, z22 / 2, z11, -z12, z22, -z22)
             for k, ((re, im, E), x) in enumerate(zip(_walk_constants(plan), args)):
