@@ -109,12 +109,14 @@ def _conductor(table, f: int, primes, k: int) -> int:
 def char_from_spec(f: int, spec) -> DirichletCharacter:
     """spec: {'table': {m: v}} or {'gen': {g: v}} with v one of the names
     '1', 'i', '-1', '-i'.  Both are built by DirichletCharacter; a table
-    must also give every unit of (Z/f)^*."""
-    kind = next((k for k in ("table", "gen") if k in spec), None)
-    if kind is None:
-        raise CharacterError("spec must contain 'table' or 'gen'")
+    must also give every unit of (Z/f)^*.  Any other key, or both, is
+    refused: neither is dropped unread."""
+    if set(spec) not in ({"table"}, {"gen"}):
+        raise CharacterError("spec must have one key, 'table' or 'gen', "
+                             f"not {sorted(map(str, spec))}")
+    (kind, pairs), = spec.items()
     values = []
-    for m, v in spec[kind].items():
+    for m, v in pairs.items():
         try:
             values.append((int(m), _UNIT_NAMES[v.strip()]))
         except (KeyError, AttributeError):

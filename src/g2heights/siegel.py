@@ -21,13 +21,16 @@ precision for every gamma: prec.round_quotient of the exact ints.
 
 A move is chosen by sign and rounding decisions: the Minkowski conditions
 on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
-and the signs of Im z12 and Re z12.  _step states them once, on doubles
-that _Image.read takes from the exact image of the word so far, before
-every step, with their error in their magnitudes.  A decision is made on
-the doubles when they clear its threshold by a margin (_sure), else by
-exact int comparison on the image, as on the |det(CZ + D)| = 1 walls of
-ex1.  So the word is the one exact decisions on Z give, and Z_red is
-rounded from it once.  Exact nint ties go half to even, as mp.nint does.
+and the signs of Im z12 and Re z12.  _step states them once, on the real
+form of the exact image of the word so far, each part of gamma Z an int
+over one int Q (_Image).  So the Minkowski move is Gauss reduction on the
+ints of Im gamma Z, the translation is the nint of a ratio of ints, and the
+z12 flip is two int comparisons.  Only the Gottschling scan, 29
+determinants of degree 2, reads doubles first (_Image.read): it prunes the
+determinants that they decide with a margin (_sure) and compares the rest
+as ints, as on the |det(CZ + D)| = 1 walls of ex1.  So the word is the one
+exact decisions on Z give, and Z_red is rounded from it once.  Exact nint
+ties go half to even, as mp.nint does.
 
 Each move keeps Z in H2: Im gamma Z = (CZ + D)^-* Im Z (CZ + D)^-1, so
 det Im gamma Z = det Im Z / |det(CZ + D)|^2 and Im gamma Z is positive
@@ -145,10 +148,6 @@ def _mat4_mul(a, b):
             for r1, r2, r3, r4 in a]
 
 
-def _abs2(M):
-    return [[abs(v) for v in row] for row in M]
-
-
 def _gottschling_set():
     out = []
     # partial inversions: invert one variable
@@ -222,13 +221,12 @@ def _nint_ratio(n, d):
 
 class _Image:
     """gamma Z exactly, for Z read by _Ints and the rows of gamma: w_ij =
-    p_ij / q for Gaussian ints p_ij, q (see the module docstring).  Its
-    real form, each part of w_ij as parts[k] / Q with one int Q > 0 (k =
-    0..5 for Re w11, Im w11, Re w12, Im w12, Re w22, Im w22), is
-    p conj(q) / |q|^2, or +-p / |q| or +-i p / |q| when q is real or
-    imaginary, as it is for every word with C = 0.  Each entry's two parts
-    are formed once, when an exact comparison or the rounding first asks
-    for them.  read sets wd and mag, the doubles that _step decides on."""
+    p_ij / q for Gaussian ints p_ij, q (see the module docstring), held in
+    its real form, each part of w_ij as parts[k] / Q with one int Q > 0 (k =
+    0..5 for Re w11, Im w11, Re w12, Im w12, Re w22, Im w22): p conj(q) /
+    |q|^2, or +-p / |q| or +-i p / |q| when q is real or imaginary, as it is
+    for every word with C = 0.  _step decides on parts and Q as ints, and
+    read gives the Gottschling scan its doubles."""
 
     def __init__(self, z: _Ints, rows):
         (a11, a12, b11, b12), (a21, a22, b21, b22), (c11, c12, d11, d12), (c21, c22, d21, d22) = rows
@@ -252,99 +250,51 @@ class _Image:
         if has_c:
             re = [(lv << s1) + dr * kv for kv, lv in zip(k, re)]
             im = [(lv << s1) + di * kv for kv, lv in zip(k, im)]
-        self.p = re, im
-        self.q, self.s1 = z.den(rows[2:], s1), s1
-        if self.q == (0, 0):
+        qr, qi = self.q = z.den(rows[2:], s1)
+        if not (qr or qi):
             raise ZeroDivisionError("lam Z + mu is singular")
-        self.z, self.rows = z, rows
-        self._parts, self._Q = [None] * 6, None
+        self.parts = [v for u, w in zip(re, im) for v in _real_parts(u, w, qr, qi)]
+        self.Q = qr * qr + qi * qi if qr and qi else abs(qr + qi)
+        self.z, self.rows, self.s1 = z, rows, s1
 
-    def den(self):
-        """Q, the denominator of the real form."""
-        if self._Q is None:
-            self._Q = _real_den(*self.q)
-        return self._Q
+    def read(self):
+        """(wd, mag): the doubles (w11, w12, w22) of W = gamma Z, which the
+        Gottschling scan prunes its determinants on (_sure), and their
+        magnitudes.  Each part of wd is parts[k] / Q, which Python's int
+        division rounds correctly: within half an ulp of the exact part.
+        mag is |wd| (1 + 2 _U), part by part; rounded, it is at least |wd|
+        plus an ulp, so at least the exact part's absolute value, and _U
+        times it covers the rounding.
 
-    def part(self, k):
-        """parts[k], the numerator of part k in the real form."""
-        parts = self._parts
-        if parts[k] is None:
-            j = k & ~1
-            parts[j:j + 2] = _real_parts(self.p[0][j // 2], self.p[1][j // 2], *self.q)
-        return parts[k]
-
-    def read(self, bits):
-        """Sets wd, the doubles (w11, w12, w22) of W = gamma Z, and mag,
-        their magnitudes, and returns the image: each part of wd is within
-        _U times the same part of mag of the part of W, and at most that
-        part of mag in absolute value (or, for a subnormal, within
-        2^-1075).
-
-        p and q are cut by one shift (p', q'), the least of the two that
-        keep the top bits bits of each, and each part of wd is the correctly
-        rounded part of w' = p' / q', so within _U times its own absolute
-        value of it.  Each part of p' and q' is off by less than
-        2^(1 - bits) of its largest part, so, as complex numbers,
-        |q - q'| < 2^(3/2 - bits) |q| and |p - p'| < 2^(3/2 - bits) max |p|
-        <= 2^(3/2 - bits) max |w| |q|.  Since w - w' = (w (q' - q) + p - p')
-        / q', |w - w'| <= (|w| |q - q'| + |p - p'|) / |q'| < 2^(5/2 - bits)
-        max |w| / (1 - 2^(3/2 - bits)) < 5.8 2^-bits max |w|, which is below
-        6 2^-bits max |w'| for bits >= 8.  So eps = 16 2^-bits max |w'|, on
-        the doubles of w', covers it, and mag = |wd| + eps / _U, part by
-        part.
-
-        A part that underflows is off by less than 2^-1075.  It enters a
-        decision only next to 1/2 (nint), next to tol (the flip), with a
-        small integer coefficient in a Gram entry of Im W, or in
-        |det(CW + D)|: there it is part of w11 + d or w22 + d, whose moduli
-        are at least the normal Im w11 and Im w22, or of w12 + d, which
-        enters squared.  So its error is below 2^-53 of the sum of the
-        absolute values of the terms, or below 2^-1075 against a sum above
-        _SIZE_MIN.  When a part overflows, or Im w11 or Im w22 is below the
-        normal doubles, wd and mag are _NAN3: no margin test passes, and
-        every decision of the step is exact."""
-        (pr, pi), (qr, qi) = self.p, self.q
-        n = min(max(map(abs, pr + pi)).bit_length(), max(abs(qr), abs(qi)).bit_length())
-        k = max(0, n - bits)
-        qr, qi = qr >> k, qi >> k
-        parts = [v for u, w in zip(pr, pi) for v in _real_parts(u >> k, w >> k, qr, qi)]
-        Q = _real_den(qr, qi)
-        self.wd = self.mag = _NAN3
+        A part that underflows is off by at most 2^-1075.  It enters the
+        scan only in |det(CW + D)|: as part of w11 + d or w22 + d, whose
+        moduli are at least the normal Im w11 and Im w22, or of w12 + d,
+        which enters squared.  So its error is below 2^-53 of the sum of
+        the absolute values of the terms, or below 2^-1075 against a sum
+        above _SIZE_MIN.  When a part overflows, or Im w11 or Im w22 is
+        below the normal doubles, wd and mag are _NAN3: no margin test
+        passes, and the scan is exact."""
         try:
-            v = [u / Q for u in parts]
-            wd = [complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])]
-            e = math.ldexp(16 / _U * max(map(abs, wd)), -bits)  # eps / _U
+            v = [u / self.Q for u in self.parts]
         except OverflowError:
-            return self
-        if min(v[1], v[5]) >= 2.0 ** -1022:
-            self.wd, self.mag = wd, [complex(abs(w.real) + e, abs(w.imag) + e) for w in wd]
-        return self
+            return _NAN3, _NAN3
+        if min(v[1], v[5]) < 2.0 ** -1022:
+            return _NAN3, _NAN3
+        wd, s = [complex(v[k], v[k + 1]) for k in (0, 2, 4)], 1 + 2 * _U
+        return wd, [complex(abs(w.real) * s, abs(w.imag) * s) for w in wd]
 
     def rounded(self) -> PeriodMatrix:
         """gamma Z with each part rounded once to nearest at the ambient
         precision (prec.round_quotient), built unchecked (see the module
         docstring)."""
-        Q, prec = self.den(), mp.mp.prec
-        v = [round_quotient(self.part(k), Q, prec) for k in range(6)]
+        Q, prec = self.Q, mp.mp.prec
+        v = [round_quotient(n, Q, prec) for n in self.parts]
         return PeriodMatrix._of(*(mp.make_mpc((v[k], v[k + 1])) for k in (0, 2, 4)))
-
-    def nint(self, k):
-        """nint of part k, ties to even."""
-        return _nint_ratio(self.part(k), self.den())
 
     def cmp(self, num, t):
         """The sign of num / Q - 2^-t."""
-        v = (num << t) - self.den()
+        v = (num << t) - self.Q
         return (v > 0) - (v < 0)
-
-    def im_comb(self, c):
-        """The numerator over Q of c[0] Im w11 + c[1] Im w12 + c[2] Im w22
-        for ints c: the real form of one combination of the p_ij."""
-        (pr, pi), (u, w) = self.p, (0, 0)
-        for ck, vr, vi in zip(c, pr, pi):
-            if ck:
-                u, w = u + ck * vr, w + ck * vi
-        return _real_parts(u, w, *self.q)[1]
 
     def dets(self, indices):
         """|det(C W + D)|^2 |q|^2 for the Gottschling matrices of indices,
@@ -361,7 +311,7 @@ class _Image:
         """e / |2^2S det(CZ + D)|^2 < (1 - 2^-t)^2 for e from dets:
         |det| < 1 - 2^-t."""
         qr, qi = self.q
-        norm = self.den() if qr and qi else self.den() ** 2  # |q|^2
+        norm = self.Q if qr and qi else self.Q ** 2  # |q|^2
         return e << 2 * t < ((1 << t) - 1) ** 2 * norm << 2 * (self.z.S - self.s1)
 
 
@@ -375,12 +325,6 @@ def _real_parts(u, w, qr, qi):
         return (w, -u) if qi > 0 else (-w, u)
     m1, m2 = u * qr, w * qi
     return m1 + m2, (u + w) * (qr - qi) - m1 + m2
-
-
-def _real_den(qr, qi):
-    """Q of the real form for the denominator q = qr + i qi (see _Image):
-    |q|^2, or |q| when q is real or imaginary."""
-    return qr * qr + qi * qi if qr and qi else abs(qr + qi)
 
 
 def act(gamma: SymplecticMatrix, Z: PeriodMatrix) -> PeriodMatrix:
@@ -412,9 +356,10 @@ def _tol_bits(ctx: PrecisionContext):
 _FLIP_Z12 = SymplecticMatrix.embed_gl2([[1, 0], [0, -1]])
 _IDENTITY = SymplecticMatrix.identity().m
 
-# A decision is made on doubles when its double clears the threshold by
-# MARGIN times the sum of the absolute values of its terms (see _sure),
-# taken on magnitudes that each double is within _U of (see _Image.read)
+# A Gottschling determinant is decided on doubles when its double clears
+# the threshold by MARGIN times the sum of the absolute values of its terms
+# (see _sure), taken on magnitudes that each double is within _U of (see
+# _Image.read)
 MARGIN = 2.0 ** -40
 # that sum must exceed _SIZE_MIN, far above the subnormal doubles
 _SIZE_MIN = 2.0 ** -960
@@ -429,63 +374,41 @@ def _sure(v, size):
     absolute values summing to at most size: |v| > MARGIN size.
 
     The argument: each input double is within _U times the magnitude it
-    enters with of the exact input, which is at most 1 + _U times it, so the
-    inputs' errors move v* by at most ((1 + _U)^2 - 1) size < 2^-51.9
-    size.  v is formed from the doubles by at most 16 rounded operations,
-    each adding an error of at most 2^-53 times the sum of the absolute
-    values of the terms it combines (2^-51.5 for a complex product); these
-    add up to less than 2^-48.9 size.  So when |v| > 2^-40 size, v and v*
-    have one sign.  A rounding in the subnormal range adds at most
-    2^-1075, far below 2^-49 size once size > _SIZE_MIN.  A nan or an
-    infinity passes no test."""
+    enters with of the exact input, which is at most that magnitude
+    (_Image.read), so the inputs' errors move v* by at most
+    ((1 + _U)^2 - 1) size < 2^-51.9 size.  v is formed from the doubles by
+    at most 16 rounded operations, each adding an error of at most 2^-53
+    times the sum of the absolute values of the terms it combines (2^-51.5
+    for a complex product); these add up to less than 2^-48.9 size.  So
+    when |v| > 2^-40 size, v and v* have one sign.  A rounding in the
+    subnormal range adds at most 2^-1075, far below 2^-49 size once
+    size > _SIZE_MIN.  A nan or an infinity passes no test."""
     return abs(v) > MARGIN * size and size > _SIZE_MIN
 
 
-def _decide(v, size, exact):
-    """v* > 0: decided on the double v when _sure(v, size), else exact(),
-    the same comparison on the exact image."""
-    return v > 0 if _sure(v, size) else exact()
-
-
-def _nint(x, size, exact):
-    """nint(x*) for the value x* the double x stands for, whose terms have
-    absolute values summing to at most size.  round(x) when x - t +- 1/2,
-    t = round(x), clears 0 by MARGIN times its terms, size + |t| + 1/2; the
-    subtraction is exact, so _sure's argument applies.  Otherwise exact(),
-    the rounding on the exact image."""
-    if size < 2.0 ** 40:  # False for nan and infinity
-        t = round(x)
-        if abs(x - t) + MARGIN * (size + abs(t) + 0.5) < 0.5:
-            return t
-    return exact()
-
-
 def _step(image: _Image, t):
-    """The next move of the reduction at the image, read, or None when it
-    is in F2 at tol = 2^-t.
+    """The next move of the reduction at the image, or None when it is in
+    F2 at tol = 2^-t.
 
     In order: the GL2 change that Minkowski-reduces Im Z; the translation
     by -nint(Re Z); the Gottschling matrix with the smallest |det(CZ + D)|
     below 1 - tol; and, when Im z12 is zero within tol, the z12 flip that
-    makes Re z12 >= -tol.  Each comparison is made on the image's doubles
-    when they decide it with a margin, else on the image exactly (see the
+    makes Re z12 >= -tol.  Each comparison is exact, on the image's parts
+    over Q; only the Gottschling scan first prunes on doubles (see the
     module docstring).  The GL2 change (its U is unimodular) and the
     translation are symplectic by construction and built unchecked.
     """
-    wd, mag, td = image.wd, image.mag, 2.0 ** -t
     U = _minkowski_unimodular(image, t)
     if U is not None:
         return _symplectic(_gl2_rows(U))
-    b = [-_nint(w.real, m.real, lambda k=k: image.nint(2 * k))
-         for k, (w, m) in enumerate(zip(wd, mag))]
+    parts = image.parts
+    b = [-_nint_ratio(parts[k], image.Q) for k in (0, 2, 4)]
     if any(b):
         return _symplectic(_translation_rows(*b))
     g = _gottschling_move(image, t)
     if g is not None:
         return g
-    x12, y12 = wd[1].real, wd[1].imag
-    if (_decide(td - abs(y12), td + mag[1].imag, lambda: image.cmp(abs(image.part(3)), t) <= 0)
-            and _decide(-td - x12, td + mag[1].real, lambda: image.cmp(-image.part(2), t) > 0)):
+    if image.cmp(abs(parts[3]), t) <= 0 and image.cmp(-parts[2], t) > 0:
         return _FLIP_Z12
     return None
 
@@ -497,19 +420,10 @@ def in_fundamental_domain(Z: PeriodMatrix, ctx: PrecisionContext) -> bool:
     within tol.  |Re| <= 1/2, 2 |y12| <= y11 and y11 <= y22 are exact, so
     Re z11 = 1/2 + eps and y22 = y11 - eps are outside F2 for every eps > 0,
     however small against tol."""
-    with ctx.work():
-        image = _Image(_Ints(Z), _IDENTITY).read(_read_bits(ctx))
-        return _step(image, _tol_bits(ctx)) is None
+    return _step(_Image(_Ints(Z), _IDENTITY), _tol_bits(ctx)) is None
 
 
 MAX_ITER = 2000
-
-
-def _read_bits(ctx: PrecisionContext):
-    """The top bits of p and q that _Image.read takes: its eps / _U stays
-    far below tol = 2^-(prec/2) times MARGIN, so that a part that is
-    exactly 0, as Im z12 of ex3, still clears tol."""
-    return ctx.workbits // 2 + 128
 
 
 def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
@@ -522,20 +436,16 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
     are taken, the last "no move" among them.
 
     No move is applied at the working precision.  Each move updates the
-    word, an int matrix, and each step reads the doubles of the exact image
-    of the word so far (_Image.read), with their error in the magnitudes
-    that a decision's margin is taken on (see _sure); a decision that they
-    leave open is made on the image exactly.  Z_red is that image with each
-    part rounded once (prec.round_quotient): within half an ulp of gamma Z,
-    part by part, however ill-conditioned the word, and bit for bit
-    act(gamma, Z).  It is built unchecked and checked once (see the module
-    docstring).
+    word, an int matrix, and each step decides on the exact image of the
+    word so far (_Image).  Z_red is that image with each part rounded once
+    (prec.round_quotient): within half an ulp of gamma Z, part by part,
+    however ill-conditioned the word, and bit for bit act(gamma, Z).  It is
+    built unchecked and checked once (see the module docstring).
     """
     with ctx.work():
-        z, t = _Ints(Z), _tol_bits(ctx)
-        rows, bits = _IDENTITY, _read_bits(ctx)
+        z, t, rows = _Ints(Z), _tol_bits(ctx), _IDENTITY
         for _ in range(MAX_ITER):
-            image = _Image(z, rows).read(bits)
+            image = _Image(z, rows)
             g = _step(image, t)
             if g is None:
                 break
@@ -554,27 +464,27 @@ def _gottschling_move(image: _Image, t):
     """The Gottschling matrix with the smallest |det(CW + D)|, the first of
     equal ones, when that is below 1 - tol, tol = 2^-t; else None.
 
-    On the doubles, a determinant surely at least 1 - tol is never the
-    move, and one surely above the least double v is not the least: _sure
-    gives the sign of |det_i| - |det_least| as it gives the sign of
-    |det| - (1 - tol).  So when the doubles leave the move undecided, the
-    exact image takes only the least and the candidates not surely above
-    it: the exact argmin is among them, and so is every determinant equal
-    to it, so the first of equal ones is found in index order.  When the
-    least over them is at least 1 - tol, so is every determinant.  The
-    exact determinants are ratios |q'| / |q| of the image's denominators
-    (_Image.dets), compared as ints.
+    On the image's doubles (_Image.read), a determinant surely at least
+    1 - tol is never the move, and one surely above the least double v is
+    not the least: _sure gives the sign of |det_i| - |det_least| as it
+    gives the sign of |det| - (1 - tol).  So when the doubles leave the
+    move undecided, the exact image takes only the least and the
+    candidates not surely above it: the exact argmin is among them, and so
+    is every determinant equal to it, so the first of equal ones is found
+    in index order.  When the least over them is at least 1 - tol, so is
+    every determinant.  The exact determinants are ratios |q'| / |q| of
+    the image's denominators (_Image.dets), compared as ints.
 
     Nan doubles (_NAN3) decide nothing, so every determinant is then
     exact; the doubles are not touched, since abs of a nan complex raises
     OverflowError when errno is left at ERANGE by an underflow in the
     conversion of another part."""
-    wd, td = image.wd, 2.0 ** -t
+    (wd, mag), td = image.read(), 2.0 ** -t
     near = range(len(GOTTSCHLING))
     if wd is not _NAN3:
         one = 1 - td
         cands = []  # (index, |det|, the sum of the absolute values of its terms)
-        for i, (v, s) in enumerate(_gottschling_dets(wd, [abs(m) for m in image.mag])):
+        for i, (v, s) in enumerate(_gottschling_dets(wd, [abs(m) for m in mag])):
             if not (v > one and _sure(v - one, s + 1 + td)):
                 cands.append((i, v, s))
         # the others are surely at least 1 - tol, so none of them is the move
@@ -610,58 +520,24 @@ def _gottschling_dets(zd, za):
     return out
 
 
-def _gram(U, o):
-    """The entries (y11, y12, y22) of U Y U^T, Y = (o11 o12; o12 o22).  On
-    |U| and |o| they are the sums of the absolute values of the terms."""
-    (a, b), (c, d) = U
-    o11, o12, o22 = o
-    return (a * a * o11 + 2 * a * b * o12 + b * b * o22,
-            a * c * o11 + (a * d + b * c) * o12 + b * d * o22,
-            c * c * o11 + 2 * c * d * o12 + d * d * o22)
-
-
 def _minkowski_unimodular(image: _Image, t):
     """Unimodular U with U (Im W) U^T Minkowski-reduced and the transformed
-    Im w12 >= -tol, tol = 2^-t; None if W is already in shape.  Im W itself
-    is read only by the exact fallbacks, each entry of U (Im W) U^T they
-    compare as one numerator over the image's Q."""
-    od = [w.imag for w in image.wd]
-    oa = [m.imag for m in image.mag]
-    U = [[1, 0], [0, 1]]
-
-    def exact_gram(k, sub=None):
-        """The numerator over the image's Q of entry k of U (Im W) U^T,
-        less entry sub."""
-        rows = list(zip(*(_gram(U, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
-        c = rows[k] if sub is None else [u - v for u, v in zip(rows[k], rows[sub])]
-        return image.im_comb(c)
-
-    def exact_nint():
-        return _nint_ratio(exact_gram(1), exact_gram(0))
-
-    def exact_swap():
-        return exact_gram(2, 0) < 0
-
-    changed = False
+    Im w12 >= -tol, tol = 2^-t; None if W is already in shape.  Gauss
+    reduction on the numerators of Im W over the image's Q, which are
+    ints, so each comparison is exact."""
+    y11, y12, y22 = image.parts[1::2]
+    U, changed = [[1, 0], [0, 1]], False
     for _ in range(200):
-        (y11, y12, y22), (s11, s12, s22) = _gram(U, od), _gram(_abs2(U), oa)
-        if not (y11 > 0 and _sure(y11, s11)):
-            y11 = math.nan  # so that the error of y12 / y11 stays first order
-        q = y12 / y11
-        n = _nint(q, (s12 + abs(q) * s11) / y11, exact_nint)
-        if n != 0:
+        n = _nint_ratio(y12, y11)
+        if n:
             # row op: e2 -> e2 - n e1
             U = [U[0], [U[1][0] - n * U[0][0], U[1][1] - n * U[0][1]]]
-            changed = True
-            continue
-        if _decide(y11 - y22, s11 + s22, exact_swap):
-            U = [U[1], U[0]]
-            changed = True
-            continue
-        break
-    (_, y12, _), (_, s12, _) = _gram(U, od), _gram(_abs2(U), oa)
-    td = 2.0 ** -t
-    if _decide(-td - y12, s12 + td, lambda: image.cmp(-exact_gram(1), t) > 0):
-        U = [[U[0][0], U[0][1]], [-U[1][0], -U[1][1]]]
+            y12, y22 = y12 - n * y11, y22 - n * (2 * y12 - n * y11)
+        elif y11 > y22:
+            U, y11, y22 = [U[1], U[0]], y22, y11
+        else:
+            break
         changed = True
+    if image.cmp(-y12, t) > 0:
+        U, changed = [U[0], [-U[1][0], -U[1][1]]], True
     return U if changed else None

@@ -52,6 +52,17 @@ def test_char_invalid_specs():
         char_from_spec(5, {"table": {1: "1", 2: "i", 3: "-i", 4: "-1", 0: "1"}})
 
 
+def test_char_spec_takes_exactly_one_key():
+    # a conflicting gen next to a table, or a misspelled extra key, is
+    # refused rather than dropped
+    table = CHI5["table"]
+    for spec in ({"table": table, "gen": {2: "-i"}}, {"table": table, "gens": {2: "-i"}},
+                 {"gen": {2: "i"}, "tabel": table}, {}, {"tabel": table}):
+        with pytest.raises(CharacterError, match="spec must have one key, 'table' or 'gen'"):
+            char_from_spec(5, spec)
+    assert char_from_spec(5, CHI5).table == char_from_spec(5, {"gen": {2: "i"}}).table
+
+
 def test_two_generators_give_ex3_table():
     # (Z/16)^* = <3> x <15> is not cyclic, so a gen spec needs both
     chi = char_from_spec(16, {"gen": {3: "i", 15: "-1"}})

@@ -85,10 +85,11 @@ def test_every_precision_derives_from_ctx():
 
 
 def _used_names(path):
-    """Every identifier that path reads, as a Name or as an attribute."""
+    """Every identifier that path reads (loads), as a Name or as an
+    attribute: an assignment's own target does not count."""
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(ast.parse(path.read_text()))
-            if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
 
 
 def _callers():
@@ -118,6 +119,21 @@ def test_every_module_function_has_a_caller():
     uncalled = [f"{p.relative_to(ROOT)}:{d.lineno}: {name}"
                 for p, d, name in tops + methods if d.name not in used]
     assert uncalled == []
+
+
+def test_every_module_constant_is_read():
+    # a module-level constant that no caller reads is left over from code
+    # that is gone, such as a margin or a unit roundoff whose test was
+    # removed.  The callers are those of
+    # test_every_module_function_has_a_caller
+    src, callers = _callers()
+    read = set().union(*map(_used_names, callers))
+    unread = [f"{p.relative_to(ROOT)}:{node.lineno}: {n.id}" for p in src
+              for node in ast.parse(p.read_text()).body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              for n in ast.walk(target) if isinstance(n, ast.Name) and n.id not in read]
+    assert unread == []
 
 
 def _calls(paths):

@@ -1,8 +1,10 @@
 import functools
+import importlib.util
 import itertools
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -48,8 +50,8 @@ def _blocks(g):
 
 
 def _read(Z):
-    """Z as the exact image that _step reads, its doubles read at 256 bits."""
-    return siegel._Image(siegel._Ints(Z), siegel._IDENTITY).read(256)
+    """Z as the exact image that _step decides on."""
+    return siegel._Image(siegel._Ints(Z), siegel._IDENTITY)
 
 
 def test_symplectic_check():
@@ -430,7 +432,7 @@ def test_reduce_word_stable_across_precision(ctx):
             assert all(abs(u - v) < ctx.tol for u, v in zip(z.entries(), zr.entries()))
 
 
-# ---- the decisions on doubles against an exact oracle ----------------------
+# ---- the decisions against an exact oracle ---------------------------------
 
 def _frac(x):
     """The mpf x as a Fraction, exactly."""
@@ -471,8 +473,9 @@ def _exact_image(gamma, Z):
 
 def _oracle_step(w, tol):
     """The reduction step with every comparison exact, on the Fractions w
-    of an exact image and tol: the reference that the decisions on doubles
-    must reproduce.  Fraction rounds ties half to even, as mp.nint does."""
+    of an exact image and tol: the reference that _step's decisions, on
+    ints and on the Gottschling scan's doubles, must reproduce.  Fraction
+    rounds ties half to even, as mp.nint does."""
     (x11, y11), (x12, y12), (x22, y22) = w
 
     def gram(U):
@@ -588,9 +591,9 @@ def _act_doubles(g, zd):
 def test_reduce_reads_the_image_after_each_move(monkeypatch):
     # a GL2 change with the entry 2000 on Z = g^-1 Z0, Re z22 of Z0 at
     # 1/2 - 2^-45.  Moved on doubles, Re z22 lands at 1/2 + 2^-35.4, past
-    # the 2^-40 margin, where nint on them would translate by -1, while the
-    # exact nint is 0.  Each step reads the exact image of the word so far
-    # instead, so the word is the oracle's: the GL2 change alone.  (With
+    # a 2^-40 margin, where nint on them would translate by -1, while the
+    # exact nint is 0.  Each step decides on the exact image of the word so
+    # far instead, so the word is the oracle's: the GL2 change alone.  (With
     # ex2's entry 34 the moved doubles stay within the margin of the
     # exact image, and the exact image decides the tie either way.)
     c = PrecisionContext(256)
@@ -599,18 +602,70 @@ def test_reduce_reads_the_image_after_each_move(monkeypatch):
         Z0 = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"),
                           mp.mpc(mp.mpf(1) / 2 - mp.mpf(2) ** -45, "1.5"))
         Z = act(_inverse(g), Z0)
-    x = _act_doubles(g, _read(Z).wd)[2].real
-    assert siegel._nint(x, abs(x), lambda: None) == 1
+    x = _act_doubles(g, _read(Z).read()[0])[2].real
+    assert round(x) == 1 and x - 0.5 > siegel.MARGIN * (abs(x) + 1.5)
     assert _exact_image(g, Z)[2][0] < Fraction(1, 2)
-    reads = []
-    read = siegel._Image.read
-    monkeypatch.setattr(siegel._Image, "read", lambda im, bits: reads.append(im) or read(im, bits))
+    steps, reads = [], []
+    step, read = siegel._step, siegel._Image.read
+    monkeypatch.setattr(siegel, "_step", lambda im, t: steps.append(im) or step(im, t))
+    monkeypatch.setattr(siegel._Image, "read", lambda im: reads.append(im) or read(im))
     gamma, zr = reduce(Z, c)
     assert gamma == g
     assert (gamma.m, zr.entries()) == (lambda g, z: (g.m, z.entries()))(*_oracle_reduce(Z, c))
-    # read at Z, and after the GL2 change, where the last "no move" is
-    # decided
-    assert [im.rows for im in reads] == [siegel._IDENTITY, g.m]
+    # a step at Z, which the Minkowski move decides without doubles, and
+    # one after the GL2 change, where the Gottschling scan reads them and
+    # the last "no move" is decided
+    assert [im.rows for im in steps] == [siegel._IDENTITY, g.m]
+    assert reads == steps[1:]
+
+
+def _benchmark_scrambles(monkeypatch, tmp_path):
+    """The inputs of the benchmark's scrambled-domain workload, seed 1: the
+    words on its job, isotropic and anisotropic bases, at 256 bits."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", os.path.join(os.path.dirname(__file__), "..", "benchmarks", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    monkeypatch.setattr(run, "OUT", tmp_path)  # its job files
+    wl = run.Scrambled(run.load_program(), 256, 1)
+    return wl.ctx, [op[1] for op in wl.ops]
+
+
+def test_reduce_reads_doubles_only_for_the_gottschling_scan(monkeypatch, tmp_path):
+    # the Minkowski move, the translation and the z12 flip decide on ints:
+    # a step reads its image's doubles once, when it reaches the Gottschling
+    # scan, and never when a Minkowski or translation move decides it.  On
+    # the words of the benchmark's scrambled-domain bases and on ex1-ex3
+    ctx, scrambles = _benchmark_scrambles(monkeypatch, tmp_path)
+    runs = [(ctx, Z) for Z in scrambles]
+    for bits in (256, 1024, 4096):
+        c = PrecisionContext(bits)
+        runs += [(c, cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0])
+                 for name in ("ex1", "ex2", "ex3")]
+    steps, scans, reads = [], [], []
+    step, scan, read = siegel._step, siegel._gottschling_move, siegel._Image.read
+
+    def counted_step(im, t):
+        g = step(im, t)
+        steps.append((im, g))
+        return g
+
+    monkeypatch.setattr(siegel, "_step", counted_step)
+    monkeypatch.setattr(siegel, "_gottschling_move", lambda im, t: scans.append(im) or scan(im, t))
+    monkeypatch.setattr(siegel._Image, "read", lambda im: reads.append(im) or read(im))
+    for c, Z in runs:
+        reduce(Z, c)
+    assert len(reads) == len(scans) and all(r is s for r, s in zip(reads, scans))
+    early = 0
+    for im, g in steps:
+        scanned = sum(im is s for s in scans)
+        if g is None or g is siegel._FLIP_Z12 or any(g is h for h in GOTTSCHLING):
+            assert scanned == 1, g
+        else:
+            assert scanned == 0, g
+            early += 1
+    assert early > len(runs) and len(scans) >= len(runs), (early, len(scans))
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -623,8 +678,11 @@ def test_gottschling_dets_from_the_table_are_cz_plus_d(bits):
         base = PeriodMatrix(mp.mpc("0.1", "1.2"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "1.5"))
         Zs = [Z for _, Z in _boundary_points(c)]
         Zs += [act(random_word(rng, rng.randint(1, 10)), base) for _ in range(40)]
+    def abs2(M):
+        return [[abs(v) for v in row] for row in M]
+
     for Z in Zs:
-        zd = _read(Z).wd
+        zd, _ = _read(Z).read()
         if zd is siegel._NAN3:
             continue
         za = [abs(w) for w in zd]
@@ -632,7 +690,7 @@ def test_gottschling_dets_from_the_table_are_cz_plus_d(bits):
         for g in GOTTSCHLING:
             cc, dd = _blocks(g)[2:]
             m11, m12, m21, m22 = _cz_plus_d(cc, dd, zd)
-            a11, a12, a21, a22 = _cz_plus_d(siegel._abs2(cc), siegel._abs2(dd), za)
+            a11, a12, a21, a22 = _cz_plus_d(abs2(cc), abs2(dd), za)
             expected.append((abs(m11 * m22 - m12 * m21), a11 * a22 + a12 * a21))
         assert siegel._gottschling_dets(zd, za) == expected, Z
 
@@ -648,7 +706,7 @@ def test_gottschling_move_pruned_is_the_full_scan(bits):
     Zs = [Z for _, Z in _boundary_points(c)]
     Zs += [reduce(cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0], c)[1]
            for name in ("ex1", "ex2", "ex3")]
-    zd = _read(Zs[-3]).wd
+    zd, _ = _read(Zs[-3]).read()
     walls = sum(abs(v - 1) < 1e-9 for v, _ in siegel._gottschling_dets(zd, [abs(w) for w in zd]))
     assert walls >= 2, walls
     with c.work():
@@ -658,7 +716,7 @@ def test_gottschling_move_pruned_is_the_full_scan(bits):
         for Z in Zs:
             image = _read(Z)
             pruned = siegel._gottschling_move(image, t)
-            image.wd = image.mag = siegel._NAN3
+            image.read = lambda: (siegel._NAN3, siegel._NAN3)
             assert pruned is siegel._gottschling_move(image, t), Z
 
 
@@ -728,10 +786,10 @@ def test_reduce_matches_oracle_on_boundaries(bits):
 
 
 def test_reduce_far_entries_decided_at_working_precision():
-    # Im z22 = 10^400 has no double: every decision of such a step is made
-    # on the exact image.  z12 = 10^-400 (1 + i) is far below the read's
-    # error, its doubles are within the read's bound, and the doubles decide
-    # where they can
+    # Im z22 = 10^400 has no double: the Gottschling scan of such a step is
+    # made on the exact image alone.  z12 = 10^-400 (1 + i) underflows
+    # to 0 in doubles, within the read's bound, and the doubles prune the
+    # scan where they can
     c = PrecisionContext(1024)
     with c.work():
         huge = PeriodMatrix(mp.mpc("0.1", "1.2"), 0, mp.mpc("0.3", mp.mpf(10) ** 400))
@@ -741,7 +799,7 @@ def test_reduce_far_entries_decided_at_working_precision():
         scramble = (J_MAT * SymplecticMatrix.translation(1, 0, 2)
                     * SymplecticMatrix.embed_gl2([[0, 1], [1, 0]]))
         for label, Z in (("huge", huge), ("huge scrambled", act(scramble, huge))):
-            assert _read(Z).wd is siegel._NAN3, label
+            assert _read(Z).read()[0] is siegel._NAN3, label
             _assert_same_as_oracle(Z, c, label)
         for label, Z in (("tiny", tiny), ("tiny scrambled", act(scramble, tiny))):
             _assert_read_bound(_read(Z), _exact_image(SymplecticMatrix.identity(), Z), label)
@@ -751,24 +809,26 @@ def test_reduce_far_entries_decided_at_working_precision():
 
 
 def _assert_read_bound(image, w, label):
-    """Each part of the doubles that image.read set is within _U times the
+    """Each part of the doubles that image.read gives is within _U times the
     same part of their magnitudes of the part of the exact image w, and at
-    most that magnitude; a subnormal part may be 2^-1075 farther."""
-    assert image.wd is not siegel._NAN3, label
-    for d, m, e in zip(image.wd, image.mag, w):
+    most that magnitude; a subnormal part may be 2^-1075 farther.  Returns
+    the doubles."""
+    wd, mag = image.read()
+    assert wd is not siegel._NAN3, label
+    for d, m, e in zip(wd, mag, w):
         for dv, mv, ev in ((d.real, m.real, e[0]), (d.imag, m.imag, e[1])):
             slack = Fraction(1, 2 ** 1075) if abs(dv) < 2.0 ** -1022 else 0
             assert abs(Fraction(dv) - ev) <= Fraction(mv) * Fraction(siegel._U) + slack, label
             assert abs(dv) <= mv, label
+    return wd
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_read_within_its_bound(bits):
-    # every decision on doubles rests on the read's bound: each part of the
-    # doubles is within _U times its magnitude of the exact part.  Checked
-    # on every word shape, on random words and on ex1-ex3, at the read bits
-    # of the reduction and at 53 and 16, where the cut of p and q, not the
-    # rounding to doubles, makes most of the error
+    # every pruning of the Gottschling scan on doubles rests on the read's
+    # bound: each part of the doubles is within _U times its magnitude of
+    # the exact part, and is that part correctly rounded.  Checked on every
+    # word shape, on random words and on ex1-ex3
     c = PrecisionContext(bits)
     rng = random.Random(bits + 3)
     Zs = [cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0]
@@ -781,8 +841,9 @@ def test_read_within_its_bound(bits):
         z = siegel._Ints(Z)
         for j, g in enumerate(words):
             w = _exact_image(g, Z)
-            for b in (siegel._read_bits(c), 53, 16):
-                _assert_read_bound(siegel._Image(z, g.m).read(b), w, (i, j, b))
+            wd = _assert_read_bound(siegel._Image(z, g.m), w, (i, j))
+            parts = [v for d in wd for v in (d.real, d.imag)]
+            assert parts == [float(v) for e in w for v in e], (i, j)
 
 
 @pytest.mark.parametrize("bits", [3072, 4096])
@@ -799,7 +860,8 @@ def test_reduce_ex3_with_underflowed_doubles(bits):
 
 def test_step_subnormal_parts_decided_at_working_precision(ctx):
     # as doubles, y12 / y11 is 1012 / 2025 < 1/2, but it is above 1/2: the
-    # subnormal parts send the step to the exact image
+    # Minkowski move decides on the exact image's ints, not on the
+    # subnormal doubles
     with ctx.work():
         e = mp.mpf(2) ** -1074
         Z = PeriodMatrix(mp.mpc("0.1", e * mp.mpf("2024.6")), mp.mpc(0, e * mp.mpf("1012.45")),
