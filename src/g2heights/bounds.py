@@ -75,7 +75,10 @@ def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:
     |theta| is the real square root of |theta^2|.
 
     A value passes when it reaches its bound within its own error, relative
-    to its size: on F2 every square is above 2^-e (see the theta module
+    to its size: on F2 the walk plans from these lemmas' floor, which puts
+    every square above 2^-(e_1 + L + 1) for the leading-term exponent e_1
+    of 2Z and the locus bits L of z12, and each keeps about workbits bits
+    relative to its own size (the lemma floor of the theta module
     docstring), so |theta| keeps workbits - 9 bits relative and chi10, a
     product of ten squares, workbits - 12."""
     _require_f2(Z, ctx)

@@ -39,7 +39,9 @@ the recurrence of Brent and Harvey.
 
 round_quotient (the tau roots, each part of gamma Z) and cut_mul (the theta
 walk, chi10, the Colmez sines, the shift products) take the engines' exact
-ints to floats, each with the one statement of its error.
+ints to floats, each with the one statement of its error, and nint_ratio
+(the Siegel reduction's translations and Gauss steps, the Taylor plan's
+coefficients) takes a ratio of ints to its nearest int, ties to even.
 """
 
 from __future__ import annotations
@@ -207,12 +209,15 @@ def taylor_plan(ctx: PrecisionContext) -> TaylorPlan:
 
 
 def _round_ratio(n: int, d: int, e: int) -> int:
-    """n 2^e / d rounded to nearest, d > 0."""
-    if e < 0:
-        d <<= -e
-    else:
-        n <<= e
-    return (2 * n + d) // (2 * d)
+    """n 2^e / d rounded to nearest, ties to even, d > 0."""
+    return nint_ratio(n << e, d) if e >= 0 else nint_ratio(n, d << -e)
+
+
+def nint_ratio(n: int, d: int) -> int:
+    """nint(n / d) for ints n and d > 0, ties to even as mp.nint: the one
+    nearest-integer quotient of the package."""
+    q, r = divmod(2 * n + d, 2 * d)
+    return q - 1 if not r and q & 1 else q
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:

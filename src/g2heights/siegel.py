@@ -59,7 +59,7 @@ import math
 
 import mpmath as mp
 
-from .prec import PrecisionContext, round_quotient
+from .prec import PrecisionContext, nint_ratio, round_quotient
 from .theta import PeriodMatrix
 
 
@@ -211,12 +211,6 @@ class _Ints:
         return (dc * dr + ((x22 * k11 - x12 * k + x11 * k22) << s1)
                 + ((d11 * d22 - d12 * d21) << s1 + self.S),
                 dc * di + ((y22 * k11 - y12 * k + y11 * k22) << s1))
-
-
-def _nint_ratio(n, d):
-    """nint(n / d) for ints n and d > 0, ties to even as mp.nint."""
-    q, r = divmod(2 * n + d, 2 * d)
-    return q - 1 if not r and q & 1 else q
 
 
 class _Image:
@@ -402,7 +396,7 @@ def _step(image: _Image, t):
     if U is not None:
         return _symplectic(_gl2_rows(U))
     parts = image.parts
-    b = [-_nint_ratio(parts[k], image.Q) for k in (0, 2, 4)]
+    b = [-nint_ratio(parts[k], image.Q) for k in (0, 2, 4)]
     if any(b):
         return _symplectic(_translation_rows(*b))
     g = _gottschling_move(image, t)
@@ -528,7 +522,7 @@ def _minkowski_unimodular(image: _Image, t):
     y11, y12, y22 = image.parts[1::2]
     U, changed = [[1, 0], [0, 1]], False
     for _ in range(200):
-        n = _nint_ratio(y12, y11)
+        n = nint_ratio(y12, y11)
         if n:
             # row op: e2 -> e2 - n e1
             U = [U[0], [U[1][0] - n * U[0][0], U[1][1] - n * U[0][1]]]

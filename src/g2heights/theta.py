@@ -73,23 +73,26 @@ about twice that.  Measured on theta_squares, best of 15 to 40 runs on a
 -> 88 points saves 15 % at 256 bits, 134 -> 67 13 %, 88 -> 47 nothing;
 163 -> 85 saves 7 % at 1024 bits, 77 -> 42 nothing; 223 -> 112 saves 19 %
 at 4096 bits, 143 -> 77 nothing.  Two things stop the climb earlier: a
-level whose e is above workbits, where the scale grows by e per level while
-the walk no longer halves (Im z22 far above Im z11 leaves about
-sqrt(y22 / y11) rows of one point each), and a theta[c;0](2^j Z) that
-nearly vanishes (see the sign rule).  An input that stays at k = 1 plans
+level whose e is above the plan's bits, where the scale grows by e per
+level while the walk no longer halves (Im z22 far above Im z11 leaves
+about sqrt(y22 / y11) rows of one point each), and a theta[c;0](2^j Z)
+that nearly vanishes (see the sign rule).  An input that stays at k = 1 plans
 one level and takes no root step and no sum on doubles.
 
-Error argument.  Let e_j = ceil(pi y / (4 log 2)) + 1 with y = max(y11,
-y22, y11 + y22 - 2 |y12|) taken on Im 2^j Z, and e = e_k for the walk's
-level: the leading term of each T_c = theta[c;0](2^k Z), c != 0, is at
-least e^(-pi y / 4) > 2^-e in modulus.  The tail target and the scale both
-go down by e + ROOT_STEP_BITS (k - 1), so that every constant of the walk
-keeps workbits + ROOT_STEP_BITS (k - 1) bits relative to its leading term,
-and the root steps, which spend up to ROOT_STEP_BITS bits each, leave
-workbits at level 1.  In the three items on the walk, Z stands for
-2^(k-1) Z, whose entries _expjpi reaches by an exact exponent shift:
+Error argument.  The plan runs at bits = workbits + L bits, where L =
+_locus_bits(z12) = ceil(2 log2(1 / min(1, pi |z12|))), 0 at z12 = 0, is
+the locus factor of the lemmas (see the last item).  Let e_j =
+ceil(pi y / (4 log 2)) + 1 with y = max(y11, y22, y11 + y22 - 2 |y12|)
+taken on Im 2^j Z, and e = e_k for the walk's level: the leading term of
+each T_c = theta[c;0](2^k Z), c != 0, is at least e^(-pi y / 4) > 2^-e in
+modulus.  The tail target and the scale both go down by e +
+ROOT_STEP_BITS (k - 1), so that every constant of the walk keeps bits +
+ROOT_STEP_BITS (k - 1) bits relative to its leading term, and the root
+steps, which spend up to ROOT_STEP_BITS bits each, leave bits at level 1.
+In the three items on the walk, Z stands for 2^(k-1) Z, whose entries
+_expjpi reaches by an exact exponent shift:
   - R makes the terms outside the ellipsoid sum to less than
-    2^-(workbits + 16 + e + ROOT_STEP_BITS (k - 1)).  R and the row
+    2^-(bits + 16 + e + ROOT_STEP_BITS (k - 1)).  R and the row
     bounds c +- h are doubles, from Im Z, from det(Im Z), which can cancel
     and is taken at the working precision, and from lambda_min(Im Z) =
     det / lambda_max, which does not; each is within a few units of 2^-52
@@ -116,7 +119,7 @@ workbits at level 1.  In the three items on the walk, Z stands for
     after j products, and s within about (1.5 N^2 + 1.5 N) 2^-prec
     <= 3 N^2 2^-prec.  n = max m1
     + max(4 max |m2|, that movement) is at least N and the length of a row,
-    so with prec = workbits + 2 log2(n) + 4 s is within 2^-(workbits + 2)
+    so with prec = bits + 2 log2(n) + 4 s is within 2^-(bits + 2)
     of itself relative, and within two more units of 2^-W from its shift
     to the walk's scale.
   - Along a row, with b the bit length of the term's larger part, so that
@@ -130,10 +133,10 @@ workbits at level 1.  In the three items on the walk, Z stands for
     full scale, and j units of 2^-(W + 23) once the term is below 2^-24.
     With the rounding of t itself, a row of at most n steps is within order
     n^2 units of 2^-W, and W = prec + e + ROOT_STEP_BITS (k - 1) makes each
-    T_c within about 2^-(workbits + e + ROOT_STEP_BITS (k - 1)).
+    T_c within about 2^-(bits + e + ROOT_STEP_BITS (k - 1)).
   - Root steps.  Let d_j bound the error of the four constants of level j,
     all at the one scale 2^-W, so d_k is the walk's, rounding and tail,
-    with d_k 2^e_k about 2^-(workbits + ROOT_STEP_BITS (k - 1)).  The
+    with d_k 2^e_k about 2^-(bits + ROOT_STEP_BITS (k - 1)).  The
     b = 0 square S_c = theta[c;0](2^(j-1) Z)^2 is formed exactly from
     products whose factors sum to about 3/2 in modulus at most (the
     constant with c = 0 is near 1, the others are small), so it is within
@@ -148,17 +151,41 @@ workbits at level 1.  In the three items on the walk, Z stands for
     2^-W: d_(j-1) <= 3 d_j 2^(e_j / 2) + 2^(1 - W).  As e_(j-1) <= e_j / 2
     + 1, d_(j-1) 2^e_(j-1) <= 6 d_j 2^e_j: a step costs at most
     log2(6) < ROOT_STEP_BITS bits of the scale and of the tail alike, and
-    the four constants of level 1 are within about 2^-(workbits + e_1), as
+    the four constants of level 1 are within about 2^-(bits + e_1), as
     the walk at Z would give them, for any k.
   - Each square is a signed sum of the products T_c T_(c+a) of level 1,
     formed exactly in ints at the scale 2^-2W from the ten T_c T_d, c <= d,
-    so its error is a few times 2^-(workbits + e_1), about 2^-workbits
-    relative to a square above 2^-e_1: the leading term of each square
-    with a != 0 is that of 2 T_0 T_a, above 2^-e_1, and the squares with
-    a = 0 are near T_0^2, about 1.  theta_squares rounds each once to
-    working precision.  theta_all takes their roots by _roots, as a root
-    step does: each carries its square's error over twice its modulus, and
-    the isqrt two units of 2^-W, and is rounded once to working precision.
+    so its error is a few times 2^-(bits + e_1).  theta_squares rounds each
+    once to working precision.  theta_all takes their roots by _roots, as a
+    root step does: each carries its square's error over twice its
+    modulus, and the isqrt two units of 2^-W, and is rounded once to
+    working precision.
+  - The lemma floor.  On F2, 0 <= 2 y12 <= y11 <= y22, so y11 + y22 - 2 y12
+    is the y of e_1, and 2^-e_1 < e^(-pi (y11 + y22 - 2 y12) / 2) / 2.  The
+    lemmas that bounds.theta_lb states give |theta| >= 0.44 for a = 0,
+    0.75 e^(-pi a^T Y a) for a half, and 1.12 |1 +- e^(i pi z12)|
+    e^(-pi (a^T Y a - y12)) for a = (1/2, 1/2); so every square is above
+    2^-e_1 but theta[11;11]^2, which is above 2.5 |1 - e^(i pi z12)|^2
+    2^-e_1 (theta[11;00]^2 is above 2.5 2^-e_1, as |1 + e^(i pi z12)| >= 1).
+    With z12 = x + i y, |1 - e^(i pi z12)|^2 = (1 - e^(-pi y))^2
+    + 4 e^(-pi y) sin^2(pi x / 2): for pi y <= 1 that is at least
+    (pi y / 2)^2 + 8 x^2 / e >= (pi |z12| / 2)^2, as sin(pi x / 2) >=
+    sqrt(2) |x| on |x| <= 1/2, and for pi y > 1 at least (1 - 1/e)^2 > 1/4.
+    So theta[11;11]^2 is above 2.5 min(1, pi |z12|)^2 2^-e_1 / 4 >
+    2^-(e_1 + L + 1), and that is the floor of every square.  L, the locus
+    factor's bits, comes from z12's raw parts on doubles, within 2^-50 of
+    its value before it is rounded up.  The margin is the floor's one
+    further bit, from the lemmas' constants: it is the bit by which
+    theta[11;11]^2 may sit below 2^-e_1 away from the locus as well, where
+    L = 0, so the plan needs none for it.  A few times 2^-(bits + e_1) is a
+    few times 2^(1 - workbits) of the floor: every square on F2 keeps about
+    workbits bits relative to its own size, however near z12 is to 0, and
+    a Z with pi |z12| >= 1, such as the reduced ex1-ex3 (pi |z12| >= 1.3),
+    gets the plan of workbits.  The lemmas hold on F2 only.  Off F2 the plan is the
+    same, from z12 and Im Z, and each square is within a few times
+    2^-(bits + e_1) <= 2^-(workbits + e_1) absolutely, with no relative
+    bound: a square can be far below 2^-e_1, or vanish at an Sp4(Z) image
+    of the locus.
   - chi10 is the product of the ten squares' int pairs, with each factor
     (as its cut_mul by 1) and each partial product cut back by cut_mul to
     workbits + CHI10_GUARD_BITS bits, and rounded once to an mpc at working
@@ -183,10 +210,14 @@ b = 0 sums of level j.  The plan takes the root steps' L before the walk,
 and stops at level j when some |L| is below 1/2: that constant is then
 within a factor 2 of cancelling its leading terms, and its root would lose
 the bits it cancels.  At Im z12 = 0 the terms m and (m1, -m2) of
-theta[11;0](2^j Z) cancel exactly where 2^j Re z12 is odd.  theta_squares
-returns 0 for a square below 2^-(workbits + e_1 - 8), which is within 2^8
-times its error bound of 0, and its root is 0: near a zero, the root of a
-square is known only to about 2^-(workbits + e_1)/2.
+theta[11;0](2^j Z) cancel exactly where 2^j Re z12 is odd.  The L of
+theta[11;11] adds those two terms at once, through tanh of the part of
+the exponent that z12 contributes (see _leading), so it keeps its relative
+accuracy as z12 -> 0 and signs the root however near Z is to the locus.
+Only a theorem sets a square to 0: theta[11;11](Z) = theta[1;1](z11)
+theta[1;1](z22) = 0 when z12 = 0, and on F2 the lemma floor keeps every
+square above 0 otherwise.  So ThetaWalk takes theta[11;11]^2 as 0 exactly
+when z12 = 0, its root is 0 with no sign to choose, and chi10 is 0.
 """
 
 from __future__ import annotations
@@ -199,7 +230,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (from_float, from_int, from_man_exp, fzero, mpf_exp, mpf_mul, mpf_neg,
-                          mpf_pi, mpf_shift, mpf_sin_pi, to_fixed)
+                          mpf_pi, mpf_shift, mpf_sin_pi, to_fixed, to_float)
 
 from .prec import PrecisionContext, cut_mul
 
@@ -240,6 +271,8 @@ THETA2 = [ThetaCharacteristic(1, 0, 0, 0), ThetaCharacteristic(0, 1, 0, 0),
 EVEN_CHARS = THETA1 + THETA2
 # the four theta[c;0], c = 2 c1 + c2, of a root step
 _ROOT_CHARS = [ThetaCharacteristic(c >> 1, c & 1, 0, 0) for c in range(4)]
+# the one even constant that vanishes on F2, exactly on z12 = 0
+_THETA_11_11 = ThetaCharacteristic(1, 1, 1, 1)
 
 
 def _exact(z):
@@ -354,16 +387,14 @@ class _WalkPlan(NamedTuple):
     2^(k-1) Z, whose constants _walk_constants takes from Z by the exponent
     shift, over the ellipsoid of 2^k Z of radius^2 radius_sq, row by row
     from each row's peak, with a chain at prec bits and terms at the scale
-    2^-W.  e1 is the e of 2Z, which the squares' zero test reads,
-    and leading[j - 1][c] = _leading(Z, im, j)[c], the leading terms L of
-    theta[c;0](2^j Z), j < k, which sign the root steps by the rule that
-    signs theta_all at level 0."""
+    2^-W.  leading[j - 1][c] = _leading(Z, im, j)[c], the leading terms L
+    of theta[c;0](2^j Z), j < k, sign the root steps by the rule that signs
+    theta_all at level 0."""
     level: int
     Z: PeriodMatrix
     radius_sq: float
     rows: list
     starts: list
-    e1: int
     prec: int
     W: int
     leading: list
@@ -373,22 +404,34 @@ class _WalkPlan(NamedTuple):
         return _terms(self.rows)
 
 
+def _locus_bits(z12):
+    """2 log2(1 / min(1, pi |z12|)), rounded up, from the raw parts of z12
+    on doubles, each part scaled by the same exact power of 2 so that
+    nothing underflows; 0 at z12 = 0 (see the module docstring)."""
+    if not z12:
+        return 0
+    top = max(x[2] + x[3] for x in z12._mpc_ if x[1])
+    r = math.hypot(*(to_float(mpf_shift(x, -top)) for x in z12._mpc_))
+    return max(0, math.ceil(-2 * (top + math.log2(math.pi * r))))
+
+
 def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level):
-    """The plan of the walk at Z.  Its level k is the least one whose
+    """The plan of the walk at Z, at workbits plus the _locus_bits of z12
+    (see the module docstring).  Its level k is the least one whose
     ellipsoid holds at most WALK_POINTS_MAX half-lattice points, not one
-    whose e is above workbits, and not one above a level j where the
+    whose e is above those bits, and not one above a level j where the
     leading terms of some theta[c;0](2^j Z) sum to less than half of the
-    largest (see the module docstring); a level other than None forces k
-    (see ThetaWalk)."""
+    largest; a level other than None forces k (see ThetaWalk)."""
     im = _im_doubles(Z, ctx)
+    bits = ctx.workbits + _locus_bits(Z.z12)
     # (R^2, e, rows) of the walk at 2^j Z, whose tail target carries the
     # bits of its j root steps, as the scale does
-    levels = [_ellipsoid_rows(im, ctx.workbits)]
+    levels = [_ellipsoid_rows(im, bits)]
     while (len(levels) < level if level
            else _terms(levels[-1][2]) > WALK_POINTS_MAX):
         j = len(levels)
-        up = _ellipsoid_rows(im, ctx.workbits + ROOT_STEP_BITS * j, j)
-        if not level and up[1] > ctx.workbits:
+        up = _ellipsoid_rows(im, bits + ROOT_STEP_BITS * j, j)
+        if not level and up[1] > bits:
             break
         levels.append(up)
     leading = []
@@ -406,9 +449,8 @@ def _walk_plan(Z: PeriodMatrix, ctx: PrecisionContext, level):
     # the longest chain of rounded products: the steps of m1 and p that
     # carry the start values, or a walk along a row
     n = rows[-1][0] + max(4 * K, sum(abs(q - p) for p, q in zip([0] + starts, starts)))
-    prec = ctx.workbits + 2 * n.bit_length() + 4
-    return _WalkPlan(k, Z, R2, rows, starts, levels[0][1], prec,
-                     prec + e + ROOT_STEP_BITS * (k - 1), leading)
+    prec = bits + 2 * n.bit_length() + 4
+    return _WalkPlan(k, Z, R2, rows, starts, prec, prec + e + ROOT_STEP_BITS * (k - 1), leading)
 
 
 def _leading(Z: PeriodMatrix, im, j, chars=_ROOT_CHARS):
@@ -417,7 +459,17 @@ def _leading(Z: PeriodMatrix, im, j, chars=_ROOT_CHARS):
     _im_doubles(Z, ctx): the terms exp(i pi 2^j m^T Z m / 4) i^(m.b),
     m = a mod 2, of the ellipsoid whose tail is below 2^-(LEADING_BITS + 16)
     of each leading term, on complex doubles, each class a divided by the
-    modulus of its largest.  One exponential per point serves every b."""
+    modulus of its largest.  One exponential per point serves every b.
+
+    theta[11;11] adds each pair m, (m1, -m2) at once, since their terms
+    cancel as z12 -> 0: with s = i pi 2^(j-1) m1 m2 z12, the part of m's
+    exponent that changes sign, they are E e^s and -E e^-s for a shared E,
+    and the pair is t (1 - e^(-2s)) = 2 t tanh(s) / (1 + tanh(s)), t = E e^s
+    the term of m, with no second exponential.  The pair is taken at its
+    member with Re s > 0 (m2 > 0 when Re s = 0), the larger term: there
+    Re tanh(s) >= 0, so 1 + tanh(s) does not cancel, and tanh(s) is s to
+    double precision as s -> 0.  A pair whose larger term is outside the
+    ellipsoid is in its tail."""
     z11, z12, z22 = (2.0 ** (j - 2) * complex(x) for x in Z.entries())
     xs = [[], [], [], []]
     for m1, lo, hi in _ellipsoid_rows(im, LEADING_BITS, j - 1)[2]:
@@ -432,8 +484,11 @@ def _leading(Z: PeriodMatrix, im, j, chars=_ROOT_CHARS):
     # half-lattice term also stands for -m, except the origin
     out = []
     for ch in chars:
-        L = sum(-t if (m1 * ch.b1 + m2 * ch.b2) & 2 else t
-                for m1, m2, t in terms[2 * ch.a1 + ch.a2])
+        pts = terms[2 * ch.a1 + ch.a2]
+        if ch == _THETA_11_11:
+            pts = [(m1, m2, 2 * t * (h := cmath.tanh(s)) / (1 + h)) for m1, m2, t in pts
+                   if (s := 2j * cmath.pi * m1 * m2 * z12).real > 0 or (s.real == 0 and m2 > 0)]
+        L = sum(-t if (m1 * ch.b1 + m2 * ch.b2) & 2 else t for m1, m2, t in pts)
         out.append(2 * L - (ch.a1 == ch.a2 == 0))
     return out
 
@@ -645,8 +700,8 @@ class ThetaWalk:
     """The one walk at Z, the only way into its ten squares: plan is
     _walk_plan(Z, ctx, level), where level forces the walk's level k, for
     tests, and pairs are the ten theta[a;b](Z)^2 in EVEN_CHARS order, as int
-    pairs at the scale 2^-2W, each within 2^8 times its error bound of 0 set
-    to (0, 0) (see the module docstring)."""
+    pairs at the scale 2^-2W; theta[11;11]^2 is (0, 0) when z12 = 0 (see the
+    module docstring)."""
 
     def __init__(self, Z: PeriodMatrix, ctx: PrecisionContext, level=None):
         self.Z, self.ctx = Z, ctx
@@ -660,12 +715,10 @@ class ThetaWalk:
             th = _roots([_square(prods, c, 0) for c in range(4)], plan.leading[j - 1],
                         [f"{ch}(2^{j} Z)" for ch in _ROOT_CHARS])
         prods = _products(th)
-        self.pairs = []
-        for ch in EVEN_CHARS:
-            sr, si = _square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2)
-            if max(abs(sr), abs(si)) >> (2 * plan.W - ctx.workbits - plan.e1 + 8) == 0:
-                sr = si = 0
-            self.pairs.append((sr, si))
+        self.pairs = [_square(prods, 2 * ch.a1 + ch.a2, 2 * ch.b1 + ch.b2) for ch in EVEN_CHARS]
+        if not Z.z12:
+            # theta[11;11] = theta[1;1](z11) theta[1;1](z22) = 0 on z12 = 0
+            self.pairs[EVEN_CHARS.index(_THETA_11_11)] = (0, 0)
 
     def squares(self):
         """The ten squares, each rounded once to working precision."""
@@ -695,17 +748,18 @@ class ThetaWalk:
         one log, with no square root for |c| and no log of a constant;
         bare=True leaves out the 2^16 pi^20.
 
-        Raises Chi10NearZeroError when |c| is not above its own error, which is
-        exactly when c == 0, that is when |c|^2 == 0.  The error of a square is
-        at most a few times 2^-(workbits + e), and a square below 2^-(workbits
-        + e - 8) is taken as 0, so every nonzero square keeps workbits - 8 bits
-        relative when it is above 2^-e, and is within 2^-5 of itself relative
-        in any case.  chi10 is their int product, within 2^(1 - workbits) of
-        their exact product relative (see the module docstring), so a nonzero
-        chi10 is within (1 + 2^-5)^10 (1 + 2^(1 - workbits)) - 1 < 1/2 of
-        itself relative: above its error, however small (log2|chi10| is -539 at
-        the F2 matrix (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i)).  A square taken as
-        0 is within 2^8 times its error bound of 0, and then chi10 is 0.
+        Raises Chi10NearZeroError when c == 0, that is when |c|^2 == 0.  On
+        F2 that is exactly when z12 = 0, the product-of-elliptic-curves
+        locus: there theta[11;11]^2 is set to 0, and otherwise every square
+        is above the lemma floor 2^-(e_1 + L + 1) and keeps about workbits
+        bits relative (see the module docstring), so chi10 is within about
+        10 times that of itself relative, however small it is (log2|chi10|
+        is -539 at the F2 matrix (0.1 + 1.1i, 0.2 + 0.3i, -0.3 + 60i), and
+        -1000 at z12 = 10^-150 (1 + i)), and so is never 0.  Off F2 c is 0
+        at z12 = 0 as well; otherwise the squares keep only the absolute
+        bound of the module docstring, and the term is returned, also at an
+        Sp4(Z) image of the locus, where chi10 vanishes; siegel.reduce takes
+        Z to F2 first.
 
         ctx.pi is within 2^-workbits of pi relative, so 2^16 pi^20, its power
         rounded once, is within 21 2^-workbits; with the product's rounding the
@@ -717,8 +771,8 @@ class ThetaWalk:
             c2 = c.real * c.real + c.imag * c.imag
             if not c2:
                 raise Chi10NearZeroError(
-                    "chi10 indistinguishable from 0: raise precision, or Z is on "
-                    "the product-of-elliptic-curves locus"
+                    "chi10(Z) = 0: Z is on the product-of-elliptic-curves locus (z12 = 0), "
+                    "where the archimedean term is not defined"
                 )
             x = c2 * self.Z.det_im() ** 10
             if not bare:
@@ -729,18 +783,25 @@ class ThetaWalk:
 def theta_squares(Z: PeriodMatrix, ctx: PrecisionContext):
     """The ten theta[a;b](Z)^2 in the fixed EVEN_CHARS order, from the four
     theta[c;0](2^k Z) of one walk and k - 1 root steps down to the four
-    theta[c;0](2Z) (see the module docstring)."""
+    theta[c;0](2Z) (see the module docstring).  On F2 each keeps about
+    workbits bits relative to its own size; off F2 the plan is the same and
+    each is within about 2^-(workbits + e) absolutely, e the leading-term
+    exponent of 2Z (see the module docstring's lemma floor)."""
     return ThetaWalk(Z, ctx).squares()
 
 
 def theta_all(Z: PeriodMatrix, ctx: PrecisionContext):
     """All ten even theta constants in the fixed EVEN_CHARS order: the
-    signed roots of the squares of one walk."""
+    signed roots of the squares of one walk, with theta_squares' bounds on
+    their squares, on F2 and off it."""
     return ThetaWalk(Z, ctx).roots()
 
 
 def chi10(Z: PeriodMatrix, ctx: PrecisionContext):
-    """chi10(Z) = prod over the ten even characteristics of theta^2."""
+    """chi10(Z) = prod over the ten even characteristics of theta^2: on F2
+    within about workbits bits of itself relative, and 0 exactly when
+    z12 = 0; off F2 the product of squares that are each within about
+    2^-(workbits + e) absolutely (see theta_squares)."""
     return ThetaWalk(Z, ctx).chi10
 
 
@@ -759,6 +820,10 @@ def archimedean_term(Z: PeriodMatrix, ctx: PrecisionContext, bare: bool = False)
     """-(1/10) log(2^8 pi^10 |chi10(Z)| det(Im Z)^5).
 
     With bare=True the 2^8 pi^10 normalization is dropped (the raw invariant
-    -(1/10) log(|chi10| det(Im Z)^5)).
+    -(1/10) log(|chi10| det(Im Z)^5)).  On F2 it is within a few times
+    2^-workbits of the term, and Chi10NearZeroError is raised exactly when
+    z12 = 0.  Off F2 the squares have only an absolute bound,
+    2^-(workbits + e) (see theta_squares), and the term is as good as
+    chi10's relative accuracy; reduce Z to F2 first (siegel.reduce).
     """
     return ThetaWalk(Z, ctx).arch(bare)

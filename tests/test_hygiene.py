@@ -246,6 +246,23 @@ def test_every_field_default_is_both_taken_and_overridden():
     assert odd == []
 
 
+def test_every_record_field_is_read():
+    # a field of a dataclass or NamedTuple that no caller reads as an
+    # attribute is carried for nothing, such as a threshold's input left
+    # behind by the test that read it.  The callers are those of
+    # test_every_module_function_has_a_caller; no record of the package is
+    # unpacked or turned into a dict, so an attribute read is the only read
+    src, callers = _callers()
+    read = {n.attr for p in callers for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{p.stem}.{node.name}.{f.target.id}" for p in src
+              for node in ast.parse(p.read_text()).body
+              if isinstance(node, ast.ClassDef) and _is_record(node)
+              for f in node.body if isinstance(f, ast.AnnAssign)
+              and isinstance(f.target, ast.Name) and f.target.id not in read]
+    assert unread == []
+
+
 def test_readme_lists_the_job_keys():
     # each bullet of README's "Job files" opens with the keys it describes,
     # `key`, `key`: ...; they must be exactly the keys parse_job takes

@@ -7,8 +7,8 @@ from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from g2heights.exact import IntPolynomial
 from g2heights.prec import (SERIES_BITS, PrecisionContext, _euler_maclaurin_counts,
-                            _shift_bits, bernoulli_numbers, log_gamma, poly_roots,
-                            round_quotient, taylor_plan)
+                            _shift_bits, bernoulli_numbers, log_gamma, nint_ratio,
+                            poly_roots, round_quotient, taylor_plan)
 
 # frozen from an independent oracle at 60 dps
 LG_1_5 = "1.5240638224307845248810564939263021925659337374064"
@@ -372,6 +372,16 @@ def test_poly_roots_exactly_rounded(bits, name):
     with ctx.work():
         ref = sorted((+r for r in ref), key=lambda z: (z.real, z.imag))
     assert roots == ref
+
+
+def test_nint_ratio_rounds_ties_to_even():
+    # the nearest int to n / d, ties to even, as mp.nint and Python's round
+    # of a Fraction: at the ties of both parities and both signs, off them,
+    # and on ints far beyond doubles
+    big = 3 ** 700
+    for n, d in [(5, 2), (7, 2), (-5, 2), (-7, 2), (1, 2), (-1, 2), (0, 7), (9, 4),
+                 (-9, 4), (11, 4), (2 * big + 1, 2), (big, 3 ** 699 + 1), (-big, 7)]:
+        assert nint_ratio(n, d) == round(Fraction(n, d)), (n, d)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 4096])

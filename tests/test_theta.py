@@ -11,8 +11,8 @@ from g2heights.prec import PrecisionContext
 from g2heights.siegel import SymplecticMatrix
 from g2heights.theta import (EVEN_CHARS, Chi10NearZeroError, PeriodMatrix,
                              ThetaCharacteristic, ThetaWalk, _ellipsoid_rows, _im_doubles,
-                             _row_starts, _walk_constants, _walk_plan, archimedean_term, chi10,
-                             theta_all, theta_big, theta_squares)
+                             _locus_bits, _row_starts, _walk_constants, _walk_plan,
+                             archimedean_term, chi10, theta_all, theta_big, theta_squares)
 
 
 def theta1d(a, b, tau, R=40):
@@ -120,13 +120,20 @@ def _box_oracle(Z, bits):
         while (16 * (M + 1) * mp.exp(-a * (M + 1) ** 2) >= mp.mpf(2) ** -bits
                or (M + 2) * mp.exp(-a * (2 * M + 3)) > (M + 1) / 2):
             M += 1
+    return _box_sum(Z, bits, M, M)
+
+
+def _box_sum(Z, bits, M1, M2):
+    """The ten theta constants summed over the box |m1| <= M1, |m2| <= M2
+    of m = 2n + a, at bits + 16 bits, from exponentials taken per row."""
+    with mp.workprec(bits + 16):
         S = [[mp.mpc(0)] * 4 for _ in range(4)]
-        W = [mp.expjpi(k * k * Z.z22 / 4) for k in range(M + 1)]
-        for m1 in range(-M, M + 1):
+        W = [mp.expjpi(k * k * Z.z22 / 4) for k in range(M2 + 1)]
+        for m1 in range(-M1, M1 + 1):
             um = mp.expjpi(m1 * m1 * Z.z11 / 4)
             vm = mp.expjpi(m1 * Z.z12 / 2)
-            vpow = mp.expjpi(-M * m1 * Z.z12 / 2)  # v^(m1 m2) at m2 = -M
-            for m2 in range(-M, M + 1):
+            vpow = mp.expjpi(-M2 * m1 * Z.z12 / 2)  # v^(m1 m2) at m2 = -M2
+            for m2 in range(-M2, M2 + 1):
                 S[m1 % 4][m2 % 4] += um * W[abs(m2)] * vpow
                 vpow *= vm
         return [mp.fsum(mp.expjpi(mp.mpf(r1 * ch.b1 + r2 * ch.b2) / 2) * S[r1][r2]
@@ -395,7 +402,7 @@ def test_arch_term_mpmath_logs(bits, monkeypatch):
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_theta_all_signs(bits):
     # the signed roots match the box oracle, sign included, to ctx.tol; on
-    # the diagonal cases theta[11;11]^2 is within its error of 0, so
+    # the diagonal cases z12 = 0, so theta[11;11]^2 is 0 by the theorem,
     # theta_squares gives 0 and theta_all gives 0 with no sign to choose
     ctx = PrecisionContext(bits)
     for name in _sign_cases(ctx):
@@ -540,3 +547,121 @@ def test_walk_level_stays_below_a_vanishing_theta(z12, level):
     with mp.workprec(ctx.workbits + 64):
         for ch, x, y in zip(EVEN_CHARS, walk.squares(), ref):
             assert abs(x - y * y) <= mp.mpf(2) ** (-ctx.workbits + 8) * abs(y * y), ch
+
+
+# the k of the near-locus family that each precision takes
+LOCUS_FAMILY = {256: (20, 40, 80, 150), 512: (20, 40, 80, 150), 1024: (20, 150)}
+
+
+def _near_locus(k):
+    """(0.1 + 1.1i, 10^-k (1 + i), -0.3 + 1.2i), in F2 for every k: as k
+    grows, z12 goes to 0 and theta[11;11] with it, like pi |z12|."""
+    return PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpf(10) ** -k * mp.mpc(1, 1),
+                        mp.mpc("-0.3", "1.2"))
+
+
+@functools.lru_cache(maxsize=None)
+def _locus_oracle(k):
+    """(Z, the box oracle's ten constants) for _near_locus(k), for every
+    precision of LOCUS_FAMILY that takes k: as _oracle, the tail is below
+    2^-(workbits + 64 + k_e), 2^-k_e below the leading term of every square,
+    and below that by the locus bits 2 log2(1 / (pi |z12|)) as well, by
+    which theta[11;11]^2 falls below its leading term (the lemma of
+    bounds.theta_lb), so each square is known to 2^-(workbits + 64)
+    relative at the largest of those precisions."""
+    ctx = PrecisionContext(max(bits for bits, ks in LOCUS_FAMILY.items() if k in ks))
+    Z = _near_locus(k)
+    y11, y12, y22 = Z.im_entries()
+    k_e = int(mp.pi * (y11 + y22 + 2 * abs(y12)) / (2 * mp.ln2)) + 1
+    locus = int(-2 * mp.log(mp.pi * abs(Z.z12), 2)) + 1
+    return Z, _box_oracle(Z, ctx.workbits + 64 + k_e + locus)
+
+
+def _assert_within_tol(Z, ref, ctx, label):
+    """archimedean_term within ctx.tol of the one of the oracle's constants
+    ref, and each of theta_squares and theta_all, sign included, within
+    ctx.tol of the oracle's relative to its own size."""
+    arch, squares, roots = archimedean_term(Z, ctx), theta_squares(Z, ctx), theta_all(Z, ctx)
+    with mp.workprec(4 * ctx.workbits):
+        c = mp.fprod(y * y for y in ref)
+        oracle = -(mp.log(2 ** 8 * mp.pi ** 10 * abs(c)) + 5 * mp.log(Z.det_im())) / 10
+        assert abs(arch - oracle) < ctx.tol, label
+        for ch, x, r, y in zip(EVEN_CHARS, squares, roots, ref):
+            assert abs(x - y * y) < ctx.tol * abs(y * y), (label, ch)
+            assert abs(r - y) < ctx.tol * abs(y), (label, ch)
+
+
+@pytest.mark.parametrize("bits", sorted(LOCUS_FAMILY))
+def test_near_product_locus(bits):
+    # near the product locus: as z12 -> 0 on F2, theta[11;11] cancels its
+    # leading terms like pi |z12|, down to 2^-498 at k = 150; the plan
+    # carries those bits, so the term, the squares and the signed roots keep
+    # their accuracy and nothing raises.  The root's sign comes from the
+    # paired leading sum of _leading: the plain sum on doubles cancels as
+    # the value does
+    ctx = PrecisionContext(bits)
+    for k in LOCUS_FAMILY[bits]:
+        Z, ref = _locus_oracle(k)
+        assert siegel.in_fundamental_domain(Z, ctx)
+        _assert_within_tol(Z, ref, ctx, (bits, k))
+
+
+def test_on_product_locus_raises(ctx):
+    # z12 = 0 exactly, and only there on F2, chi10 is 0: theta[11;11]^2 is
+    # 0 by the theorem, and the term raises, naming the locus
+    Z = PeriodMatrix(mp.mpc("0.1", "1.1"), 0, mp.mpc("-0.3", "1.2"))
+    assert siegel.in_fundamental_domain(Z, ctx)
+    walk = ThetaWalk(Z, ctx)
+    assert walk.pairs[EVEN_CHARS.index(ThetaCharacteristic(1, 1, 1, 1))] == (0, 0)
+    assert walk.chi10 == 0
+    with pytest.raises(Chi10NearZeroError, match="product-of-elliptic-curves locus") as err:
+        archimedean_term(Z, ctx)
+    assert "raise precision" not in str(err.value)
+
+
+def test_locus_bits():
+    # ceil(2 log2(1 / min(1, pi |z12|))) from the raw parts of z12 on
+    # doubles, against mpmath: 0 at z12 = 0 and at the reduced ex1-ex3
+    # (pi |z12| >= 1.3), whose plans stay those of workbits, and parts far
+    # below the doubles' range, as at z12 = 10^-400 (1 + i), do not underflow
+    ctx = PrecisionContext(256)
+    assert _locus_bits(mp.mpc(0)) == 0
+    assert [_locus_bits(_job_Z(name, ctx).z12) for name in ("ex1", "ex2", "ex3")] == [0, 0, 0]
+    for z12 in [mp.mpf(10) ** -k * mp.mpc(1, 1) for k in (1, 20, 150, 400)] + [
+            mp.mpc("0.3", 0), mp.mpc(0, "1e-500"), mp.mpc("-2e-600", "1e-650")]:
+        with mp.workprec(64):
+            exact = -2 * mp.log(mp.pi * abs(z12), 2)
+        assert _locus_bits(z12) == max(0, int(mp.ceil(exact))), z12
+
+
+def _cusp_oracle(Z, bits):
+    """The ten theta constants of a Z in F2 with delta = det(Im Z) / y11 >=
+    999, each within 2^-bits of itself relative, from the box |m1| <= M,
+    |m2| <= 2.  The terms have modulus e^(-pi delta m2^2 / 4) e^(-a (m1 +
+    r m2)^2), a = pi y11 / 4, r = y12 / y11 in [0, 1/2].  The rows
+    |m2| >= 3 are below e^(-2 pi delta) < 2^-9000 of each class's largest
+    term.  In a row |m2| <= 2, |r m2| <= 1, so the row's largest term of a
+    parity of m1 is at least e^(-a) of its factor e^(-pi delta m2^2 / 4),
+    and the terms |m1| > M, where |m1 + r m2| >= M, sum to at most
+    4 e^(-a M^2) of it: 4 e^(-a (M^2 - 1)) of the largest, and for the at
+    most three rows of a class 12 e^(-a (M^2 - 1)) of the class's largest.
+    On F2 the lemmas of bounds.theta_lb keep each |theta| above a quarter
+    of its largest term at the cusp family's z12, so M^2 >= 1 + ((bits + 2)
+    log 2 + log 12) / a makes the box within 2^-bits relative."""
+    with mp.workprec(bits + 16):
+        y11, y12, y22 = Z.im_entries()
+        assert (y11 * y22 - y12 * y12) / y11 >= 999
+        a = mp.pi * y11 / 4
+        M = int(mp.sqrt(1 + ((bits + 2) * mp.ln2 + mp.log(12)) / a)) + 1
+    return _box_sum(Z, bits, M, 2)
+
+
+@pytest.mark.parametrize("y", [10 ** 3, 10 ** 4])
+def test_toward_the_cusp(y):
+    # toward the cusp: Im z22 / Im z11 up to 10^4, where the squares with
+    # a2 = 1/2 fall to about 2^-22660; accuracy only, since the walk's cost
+    # grows about like y^2 here, at every class's scale 2^-W
+    ctx = PrecisionContext(256)
+    Z = PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", y))
+    assert siegel.in_fundamental_domain(Z, ctx)
+    _assert_within_tol(Z, _cusp_oracle(Z, ctx.workbits + 64), ctx, y)
