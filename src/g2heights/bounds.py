@@ -19,8 +19,6 @@ from . import siegel
 from .prec import PrecisionContext
 from .theta import EVEN_CHARS, PeriodMatrix, ThetaCharacteristic, ThetaWalk
 
-CHI10_C0 = mp.mpf(8) / 10 ** 5
-
 
 @dataclass
 class BoundCheck:
@@ -60,12 +58,21 @@ def theta_lb(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):
 
 
 def chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
-    """The (sharp, weak) lemma lower bounds for |chi10(Z)| on F2."""
+    """The (sharp, weak) lemma lower bounds for |chi10(Z)| on F2, c0 = 8e-5,
+    each within an ulp of 2^-workbits relative.  Their exponents are below
+    2^e, e = bits(y11 + y22) + 3, so they are formed with e + 4 more bits,
+    at which their rounding moves each exponential by less than
+    2^-(workbits + 1); each bound is then rounded once to workbits.  At
+    workbits alone that rounding would move them by up to 2^e ulps."""
+    y11, y12, y22 = Z.im_entries()
     with ctx.work():
-        y11, y12, y22 = Z.im_entries()
-        pref = CHI10_C0 * min(mp.mpf(1), ctx.pi * abs(Z.z12)) ** 2
-        return (pref * mp.exp(-2 * ctx.pi * (y11 + y22 - y12)),
-                pref * mp.exp(-2 * ctx.pi * (y11 + y22)))
+        extra = int(y11 + y22).bit_length() + 7
+    with mp.workprec(ctx.workbits + extra):
+        pref = mp.mpf(8) / 10 ** 5 * min(mp.mpf(1), mp.pi * abs(Z.z12)) ** 2
+        sharp = pref * mp.exp(-2 * mp.pi * (y11 + y22 - y12))
+        weak = pref * mp.exp(-2 * mp.pi * (y11 + y22))
+    with ctx.work():
+        return +sharp, +weak
 
 
 def check_bounds(Z: PeriodMatrix, ctx: PrecisionContext) -> list[BoundCheck]:

@@ -23,9 +23,13 @@ A move is chosen by sign and rounding decisions: the Minkowski conditions
 on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
 and the signs of Im z12 and Re z12.  _step states them once, on the real
 form of the exact image of the word so far, each part of gamma Z an int
-over one int Q (_Image).  So the Minkowski move is Gauss reduction on the
-ints of Im gamma Z, the translation is the nint of a ratio of ints, and the
-z12 flip is two int comparisons.  Only the Gottschling scan, 29
+over one int Q (_Image).  reduce forms that image from Z's ints once, and
+again after each Gottschling move.  A move with C = 0, a GL2 change, the
+z12 flip or a translation, acts linearly, W' = A W A^T + B A^T, and
+carries the image over the same Q (_Image.moved), int for int the image
+formed afresh.  So the Minkowski move is Gauss reduction on the ints of
+Im gamma Z, the translation is the nint of a ratio of ints, and the z12
+flip is two int comparisons.  Only the Gottschling scan, 29
 determinants of degree 2, reads doubles first (_Image.read): it prunes the
 determinants that they decide with a margin (_sure) and compares the rest
 as ints, as on the |det(CZ + D)| = 1 walls of ex1.  So the word is the one
@@ -220,7 +224,9 @@ class _Image:
     0..5 for Re w11, Im w11, Re w12, Im w12, Re w22, Im w22): p conj(q) /
     |q|^2, or +-p / |q| or +-i p / |q| when q is real or imaginary, as it is
     for every word with C = 0.  _step decides on parts and Q as ints, and
-    read gives the Gottschling scan its doubles."""
+    read gives the Gottschling scan its doubles.  reduce forms an image
+    from Z's ints once and after each Gottschling move; moved carries it
+    through a move with C = 0."""
 
     def __init__(self, z: _Ints, rows):
         (a11, a12, b11, b12), (a21, a22, b21, b22), (c11, c12, d11, d12), (c21, c22, d21, d22) = rows
@@ -250,6 +256,35 @@ class _Image:
         self.parts = [v for u, w in zip(re, im) for v in _real_parts(u, w, qr, qi)]
         self.Q = qr * qr + qi * qi if qr and qi else abs(qr + qi)
         self.z, self.rows, self.s1 = z, rows, s1
+
+    def moved(self, m):
+        """The image of the word m gamma for a move m = [[A, B], [0, A^-T]],
+        C = 0: a GL2 change, the z12 flip or a translation.  Such a move
+        acts linearly, W' = A W A^T + B A^T, so each part moves over the
+        same Q: Re W' Q = A (Re W Q) A^T + Q B A^T and Im W' Q = A (Im W Q)
+        A^T.  The bottom rows of m gamma are A^-T [C D], so q' = det A q,
+        det A = +-1: |q|, Q and s1 are unchanged, and parts = W' Q are the
+        ints that _Image(z, m gamma) forms."""
+        (a11, a12, b11, b12), (a21, a22, b21, b22) = m[:2]
+        x11, y11, x12, y12, x22, y22 = self.parts
+        Q = self.Q
+        # the rows of the map (w11, w12, w22) -> the entries 11, 12, 22 of
+        # A W A^T
+        u1, u2, u3 = a11 * a11, 2 * a11 * a12, a12 * a12
+        v1, v2, v3 = a11 * a21, a11 * a22 + a12 * a21, a12 * a22
+        w1, w2, w3 = a21 * a21, 2 * a21 * a22, a22 * a22
+        new = object.__new__(_Image)
+        # B A^T times Q enters the real parts
+        new.parts = [u1 * x11 + u2 * x12 + u3 * x22 + (b11 * a11 + b12 * a12) * Q,
+                     u1 * y11 + u2 * y12 + u3 * y22,
+                     v1 * x11 + v2 * x12 + v3 * x22 + (b11 * a21 + b12 * a22) * Q,
+                     v1 * y11 + v2 * y12 + v3 * y22,
+                     w1 * x11 + w2 * x12 + w3 * x22 + (b21 * a21 + b22 * a22) * Q,
+                     w1 * y11 + w2 * y12 + w3 * y22]
+        det = a11 * a22 - a12 * a21
+        new.q = (det * self.q[0], det * self.q[1])
+        new.Q, new.z, new.rows, new.s1 = Q, self.z, _mat4_mul(m, self.rows), self.s1
+        return new
 
     def read(self):
         """(wd, mag): the doubles (w11, w12, w22) of W = gamma Z, which the
@@ -431,27 +466,31 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
 
     No move is applied at the working precision.  Each move updates the
     word, an int matrix, and each step decides on the exact image of the
-    word so far (_Image).  Z_red is that image with each part rounded once
-    (prec.round_quotient): within half an ulp of gamma Z, part by part,
-    however ill-conditioned the word, and bit for bit act(gamma, Z).  It is
-    built unchecked and checked once (see the module docstring).
+    word so far (_Image): formed from Z's ints once and after each
+    Gottschling move, and carried linearly over the same Q by each move
+    with C = 0 (_Image.moved).  Z_red is that image with each part rounded
+    once (prec.round_quotient): within half an ulp of gamma Z, part by
+    part, however ill-conditioned the word, and bit for bit act(gamma, Z).
+    It is built unchecked and checked once (see the module docstring).
     """
     with ctx.work():
-        z, t, rows = _Ints(Z), _tol_bits(ctx), _IDENTITY
+        z, t = _Ints(Z), _tol_bits(ctx)
+        image = _Image(z, _IDENTITY)
         for _ in range(MAX_ITER):
-            image = _Image(z, rows)
             g = _step(image, t)
             if g is None:
                 break
-            rows = _mat4_mul(g.m, rows)
+            (c11, c12, _, _), (c21, c22, _, _) = g.m[2:]
+            image = (_Image(z, _mat4_mul(g.m, image.rows)) if c11 or c12 or c21 or c22
+                     else image.moved(g.m))
         else:
             raise ArithmeticError("reduction did not terminate; raise precision")
-        if rows == _IDENTITY:
+        if image.rows == _IDENTITY:
             Z.check_im_positive()
             return SymplecticMatrix.identity(), Z
         zred = image.rounded()
         zred.check_im_positive()
-        return _symplectic(rows), zred
+        return _symplectic(image.rows), zred
 
 
 def _gottschling_move(image: _Image, t):

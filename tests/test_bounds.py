@@ -62,6 +62,28 @@ def test_chi10_lb_sampled(ctx128):
         assert weak.bound <= sharp.bound + ctx128.tol
 
 
+@pytest.mark.parametrize("bits", [256, 1024])
+def test_chi10_lb_within_a_few_units_of_the_oracle(bits):
+    # both bounds keep workbits bits at every precision: c0 = 8e-5 is
+    # rounded at the working precision, not once at import, and the
+    # exponents' rounding moves them by less than an ulp however large
+    # Im Z.  Against mpmath at 64 more bits, on samples of F2 and on an
+    # anisotropic matrix
+    c = PrecisionContext(bits)
+    with c.work():
+        Zs = sample_fundamental_domain(12, 3, c) + [
+            PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "60"))]
+    for Z in Zs:
+        got = bounds.chi10_lb(Z, c)
+        with mp.workprec(c.workbits + 64):
+            y11, y12, y22 = Z.im_entries()
+            pref = mp.mpf(8) / 10 ** 5 * min(1, mp.pi * abs(Z.z12)) ** 2
+            want = (pref * mp.exp(-2 * mp.pi * (y11 + y22 - y12)),
+                    pref * mp.exp(-2 * mp.pi * (y11 + y22)))
+            for g, w in zip(got, want):
+                assert abs(g / w - 1) < mp.mpf(2) ** (4 - c.workbits), Z
+
+
 def test_check_bounds_order_and_one_theta_sum(monkeypatch, ctx128):
     Z = sample_fundamental_domain(1, 42, ctx128)[0]
     calls, walk = [], theta._walk

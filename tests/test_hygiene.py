@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from g2heights.cli import JOB_KEYS
@@ -261,6 +264,40 @@ def test_every_record_field_is_read():
               for f in node.body if isinstance(f, ast.AnnAssign)
               and isinstance(f.target, ast.Name) and f.target.id not in read]
     assert unread == []
+
+
+_MP_MODULE_VALUES = """
+import importlib, pathlib, sys
+import mpmath as mp
+
+def holds(value):
+    if isinstance(value, (mp.mpf, mp.mpc)):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (tuple, list, set, frozenset)) and any(map(holds, value))
+
+src = pathlib.Path(sys.argv[1])
+for p in sorted((src / "g2heights").glob("*.py")):
+    m = importlib.import_module("g2heights." + p.stem)
+    for k, v in vars(m).items():
+        if holds(v):
+            print(p.stem + "." + k)
+"""
+
+
+def test_no_module_value_is_an_mpmath_number():
+    # an mpf or mpc built at import is rounded at whatever precision is in
+    # force then, 53 bits by default, and keeps those bits at every working
+    # precision; a constant is held exactly and rounded where it is used.
+    # The package is imported afresh, so that the caches that calls fill
+    # at their own precision, such as prec._plans, are empty; a tuple, list,
+    # set or dict value is searched too
+    src = ROOT / "src"
+    out = subprocess.run([sys.executable, "-c", _MP_MODULE_VALUES, str(src)],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
 
 
 def test_readme_lists_the_job_keys():

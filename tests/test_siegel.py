@@ -358,7 +358,8 @@ EX_WORDS = {("ex1", 256): _W_EX1, ("ex1", 512): _W_EX1_512, ("ex1", 1024): _W_EX
             ("ex1", 4096): _W_EX1_1024,
             ("ex2", 256): _W_EX2, ("ex2", 512): _W_EX2, ("ex2", 1024): _W_EX2_1024,
             ("ex2", 4096): _W_EX2,
-            ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3}
+            ("ex3", 256): _W_EX3, ("ex3", 512): _W_EX3, ("ex3", 1024): _W_EX3,
+            ("ex3", 4096): _W_EX3}
 
 
 def test_reduce_z_red_is_act_of_gamma():
@@ -666,6 +667,47 @@ def test_reduce_reads_doubles_only_for_the_gottschling_scan(monkeypatch, tmp_pat
             assert scanned == 0, g
             early += 1
     assert early > len(runs) and len(scans) >= len(runs), (early, len(scans))
+
+
+def test_reduce_carries_the_image_through_moves_with_c_zero(monkeypatch, tmp_path):
+    # a GL2 change, the z12 flip or a translation moves the exact image
+    # linearly over the same Q; the image each step decides on is, int for
+    # int, the one formed afresh from Z's ints and the word.  Z's ints are
+    # read into an image once per reduce and once after each Gottschling
+    # move.  On the benchmark's scrambled-domain words and on ex1-ex3
+    ctx, scrambles = _benchmark_scrambles(monkeypatch, tmp_path)
+    runs = [(ctx, Z) for Z in scrambles]
+    for bits in (256, 1024, 4096):
+        c = PrecisionContext(bits)
+        runs += [(c, cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0])
+                 for name in ("ex1", "ex2", "ex3")]
+    steps, builds = [], []
+    step, init = siegel._step, siegel._Image.__init__
+
+    def counted_step(im, t):
+        g = step(im, t)
+        steps.append((im, g))
+        return g
+
+    monkeypatch.setattr(siegel, "_step", counted_step)
+    monkeypatch.setattr(siegel._Image, "__init__",
+                        lambda im, *args: builds.append(im) or init(im, *args))
+    for c, Z in runs:
+        reduce(Z, c)
+    moves = [g for _, g in steps if g is not None]
+    gottschling = sum(any(g is h for h in GOTTSCHLING) for g in moves)
+    assert len(builds) == len(runs) + gottschling
+    # the moves with C = 0 carried the image: GL2 changes, flips and
+    # translations all occur
+    kinds = {"flip" if g is siegel._FLIP_Z12 else
+             "translation" if g.m[0][:2] == [1, 0] and g.m[1][:2] == [0, 1] else "gl2"
+             for g in moves if not any(g is h for h in GOTTSCHLING)}
+    assert kinds == {"gl2", "flip", "translation"}
+    monkeypatch.undo()
+    for im, _ in steps:
+        fresh = siegel._Image(im.z, im.rows)
+        assert (im.parts, im.Q, im.q, im.s1, im.rows) == (
+            fresh.parts, fresh.Q, fresh.q, fresh.s1, fresh.rows)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
