@@ -41,33 +41,44 @@ def _a_quadform(ch: ThetaCharacteristic, Z: PeriodMatrix):
     return a1 * a1 * y11 + 2 * a1 * a2 * y12 + a2 * a2 * y22
 
 
-def theta_lb(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):
-    """The applicable lemma bound for |theta_ch(0, Z)| on F2."""
+def _exponent_work(Z: PeriodMatrix, ctx: PrecisionContext):
+    """The precision at which the lemma bounds are formed, each then rounded
+    once to workbits, so that each is within an ulp of 2^-workbits
+    relative.  Their exponents are below 2^e, e = bits(y11 + y22) + 3, so
+    at e + 4 bits beyond workbits their rounding moves each exponential by
+    less than 2^-(workbits + 1).  At workbits alone it would move them by
+    up to 2^e ulps."""
+    y11, _, y22 = Z.im_entries()
     with ctx.work():
-        if (ch.a1, ch.a2) == (0, 0):
+        extra = int(y11 + y22).bit_length() + 7
+    return mp.workprec(ctx.workbits + extra)
+
+
+def theta_lb(ch: ThetaCharacteristic, Z: PeriodMatrix, ctx: PrecisionContext):
+    """The applicable lemma bound for |theta_ch(0, Z)| on F2, formed as
+    _exponent_work says."""
+    if (ch.a1, ch.a2) == (0, 0):
+        with ctx.work():
             return mp.mpf("0.44"), "a=0"
+    if (ch.a1, ch.a2) == (1, 1) and ch.b1 != ch.b2:
+        raise ValueError("no lemma covers a=(1/2,1/2) with b1 != b2")
+    with _exponent_work(Z, ctx):
         if (ch.a1, ch.a2) != (1, 1):
-            return mp.mpf("0.75") * mp.exp(-ctx.pi * _a_quadform(ch, Z)), "a half"
-        # a = (1/2, 1/2); b = (nu/2, nu/2)
-        if ch.b1 != ch.b2:
-            raise ValueError("no lemma covers a=(1/2,1/2) with b1 != b2")
-        nu = ch.b1
-        factor = abs(1 + (-1) ** nu * mp.expjpi(Z.z12))
-        expo = mp.exp(-ctx.pi * (_a_quadform(ch, Z) - mp.im(Z.z12)))
-        return mp.mpf("1.12") * factor * expo, "a=(1/2,1/2)"
+            bound, rule = mp.mpf("0.75") * mp.exp(-mp.pi * _a_quadform(ch, Z)), "a half"
+        else:
+            # a = (1/2, 1/2); b = (nu/2, nu/2)
+            factor = abs(1 + (-1) ** ch.b1 * mp.expjpi(Z.z12))
+            expo = mp.exp(-mp.pi * (_a_quadform(ch, Z) - mp.im(Z.z12)))
+            bound, rule = mp.mpf("1.12") * factor * expo, "a=(1/2,1/2)"
+    with ctx.work():
+        return +bound, rule
 
 
 def chi10_lb(Z: PeriodMatrix, ctx: PrecisionContext):
     """The (sharp, weak) lemma lower bounds for |chi10(Z)| on F2, c0 = 8e-5,
-    each within an ulp of 2^-workbits relative.  Their exponents are below
-    2^e, e = bits(y11 + y22) + 3, so they are formed with e + 4 more bits,
-    at which their rounding moves each exponential by less than
-    2^-(workbits + 1); each bound is then rounded once to workbits.  At
-    workbits alone that rounding would move them by up to 2^e ulps."""
+    formed as _exponent_work says."""
     y11, y12, y22 = Z.im_entries()
-    with ctx.work():
-        extra = int(y11 + y22).bit_length() + 7
-    with mp.workprec(ctx.workbits + extra):
+    with _exponent_work(Z, ctx):
         pref = mp.mpf(8) / 10 ** 5 * min(mp.mpf(1), mp.pi * abs(Z.z12)) ** 2
         sharp = pref * mp.exp(-2 * mp.pi * (y11 + y22 - y12))
         weak = pref * mp.exp(-2 * mp.pi * (y11 + y22))

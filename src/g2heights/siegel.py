@@ -23,18 +23,22 @@ A move is chosen by sign and rounding decisions: the Minkowski conditions
 on Im Z, nint(Re z), |det(CZ + D)| against 1 - tol and against each other,
 and the signs of Im z12 and Re z12.  _step states them once, on the real
 form of the exact image of the word so far, each part of gamma Z an int
-over one int Q (_Image).  reduce forms that image from Z's ints once, and
-again after each Gottschling move.  A move with C = 0, a GL2 change, the
-z12 flip or a translation, acts linearly, W' = A W A^T + B A^T, and
-carries the image over the same Q (_Image.moved), int for int the image
-formed afresh.  So the Minkowski move is Gauss reduction on the ints of
-Im gamma Z, the translation is the nint of a ratio of ints, and the z12
-flip is two int comparisons.  Only the Gottschling scan, 29
-determinants of degree 2, reads doubles first (_Image.read): it prunes the
-determinants that they decide with a margin (_sure) and compares the rest
-as ints, as on the |det(CZ + D)| = 1 walls of ex1.  So the word is the one
-exact decisions on Z give, and Z_red is rounded from it once.  Exact nint
-ties go half to even, as mp.nint does.
+over one int Q (_Image).  reduce starts from the identity word's image,
+Z's own ints x_ij, y_ij over Q = 2^S (_Image.identity).  A move with
+C = 0, a GL2 change, the z12 flip or a translation, acts linearly,
+W' = A W A^T + B A^T, and carries the image over the same Q
+(_Image.moved).  Every other image, after a Gottschling move or in act, is
+formed from Z's ints by the one formula above, at the one scale 2^2S
+(_Image).  Of q = 2^2S det(CZ + D) only |q| is read, in the Gottschling
+scan's exact comparisons, so a move need not track its sign.  So the
+Minkowski move is Gauss reduction on the ints of Im gamma Z, the
+translation is the nint of a ratio of ints, and the z12 flip is two int
+comparisons.  Only the Gottschling scan, 29 determinants of degree 2,
+reads doubles first (_Image.read): it prunes the determinants that they
+decide with a margin (_sure) and compares the rest as ints, as on the
+|det(CZ + D)| = 1 walls of ex1.  So the word is the one exact decisions on
+Z give, and Z_red is rounded from it once.  Exact nint ties go half to
+even, as mp.nint does.
 
 Each move keeps Z in H2: Im gamma Z = (CZ + D)^-* Im Z (CZ + D)^-1, so
 det Im gamma Z = det Im Z / |det(CZ + D)|^2 and Im gamma Z is positive
@@ -199,22 +203,20 @@ class _Ints:
                          x11 * y22 + y11 * x22 - 2 * x12 * y12)
         return self._det
 
-    def den(self, bottom, s1=None):
+    def den(self, bottom):
         """2^2S det(CZ + D) = det C det X + 2^S tr(adj X adj C D)
-        + 2^2S det D, as (re, im), for the bottom rows [C D] of a word; over
-        2^(S - s1) for s1 = 0, when C = 0."""
+        + 2^2S det D, as (re, im), for the bottom rows [C D] of a word."""
         (c11, c12, d11, d12), (c21, c22, d21, d22) = bottom
         # K = adj C D
         k11, k12 = c22 * d11 - c12 * d21, c22 * d12 - c12 * d22
         k21, k22 = c11 * d21 - c21 * d11, c11 * d22 - c21 * d12
         dc = c11 * c22 - c12 * c21
         dr, di = self.det() if dc else (0, 0)
-        (x11, x12, x22), (y11, y12, y22) = self.x, self.y
-        s1 = self.S if s1 is None else s1
+        (x11, x12, x22), (y11, y12, y22), S = self.x, self.y, self.S
         k = k12 + k21
-        return (dc * dr + ((x22 * k11 - x12 * k + x11 * k22) << s1)
-                + ((d11 * d22 - d12 * d21) << s1 + self.S),
-                dc * di + ((y22 * k11 - y12 * k + y11 * k22) << s1))
+        return (dc * dr + ((x22 * k11 - x12 * k + x11 * k22) << S)
+                + ((d11 * d22 - d12 * d21) << 2 * S),
+                dc * di + ((y22 * k11 - y12 * k + y11 * k22) << S))
 
 
 class _Image:
@@ -223,10 +225,15 @@ class _Image:
     its real form, each part of w_ij as parts[k] / Q with one int Q > 0 (k =
     0..5 for Re w11, Im w11, Re w12, Im w12, Re w22, Im w22): p conj(q) /
     |q|^2, or +-p / |q| or +-i p / |q| when q is real or imaginary, as it is
-    for every word with C = 0.  _step decides on parts and Q as ints, and
-    read gives the Gottschling scan its doubles.  reduce forms an image
-    from Z's ints once and after each Gottschling move; moved carries it
-    through a move with C = 0."""
+    for every word with C = 0 and for ex3's partial inversions.  _step
+    decides on parts and Q as ints, read gives the Gottschling scan its
+    doubles, and det_below compares its exact determinants against |q|,
+    the only use of q.
+
+    Three ways make an image: identity gives the identity word's, Z's ints
+    over 2^S; moved carries an image through a move with C = 0 over the same
+    Q; and __init__ forms every other word's, after a Gottschling move or in
+    act, at the scale 2^2S whatever C is."""
 
     def __init__(self, z: _Ints, rows):
         (a11, a12, b11, b12), (a21, a22, b21, b22), (c11, c12, d11, d12), (c21, c22, d21, d22) = rows
@@ -243,19 +250,25 @@ class _Image:
                 (b22 * c11 - a21 * d12, a21 * d11 - a22 * d12 + b22 * c12 - b21 * c11,
                  a22 * d11 - b21 * c12))
         re, im = ([u * x11 + v * x12 + w * x22 for u, v, w in coef] for x11, x12, x22 in (z.x, z.y))
-        re = [lv + (ev << z.S) if ev else lv for lv, ev in zip(re, e)]
-        # with C = 0 the terms in det X vanish, and p and q drop a 2^S
-        has_c = c11 or c12 or c21 or c22
-        s1 = z.S if has_c else 0
-        if has_c:
-            re = [(lv << s1) + dr * kv for kv, lv in zip(k, re)]
-            im = [(lv << s1) + di * kv for kv, lv in zip(k, im)]
-        qr, qi = self.q = z.den(rows[2:], s1)
+        S = z.S
+        re = [(lv << S) + dr * kv + (ev << 2 * S) for kv, lv, ev in zip(k, re, e)]
+        im = [(lv << S) + di * kv for kv, lv in zip(k, im)]
+        qr, qi = self.q = z.den(rows[2:])
         if not (qr or qi):
             raise ZeroDivisionError("lam Z + mu is singular")
         self.parts = [v for u, w in zip(re, im) for v in _real_parts(u, w, qr, qi)]
         self.Q = qr * qr + qi * qi if qr and qi else abs(qr + qi)
-        self.z, self.rows, self.s1 = z, rows, s1
+        self.z, self.rows = z, rows
+
+    @classmethod
+    def identity(cls, z: _Ints):
+        """The image of the identity word: Z itself, the ints of X = 2^S Z
+        over Q = 2^S, with q = 2^2S det(0 Z + I) = 2^2S."""
+        self = object.__new__(cls)
+        self.parts = [v for u, w in zip(z.x, z.y) for v in (u, w)]
+        self.Q, self.q = 1 << z.S, (1 << 2 * z.S, 0)
+        self.z, self.rows = z, _IDENTITY
+        return self
 
     def moved(self, m):
         """The image of the word m gamma for a move m = [[A, B], [0, A^-T]],
@@ -263,8 +276,10 @@ class _Image:
         acts linearly, W' = A W A^T + B A^T, so each part moves over the
         same Q: Re W' Q = A (Re W Q) A^T + Q B A^T and Im W' Q = A (Im W Q)
         A^T.  The bottom rows of m gamma are A^-T [C D], so q' = det A q,
-        det A = +-1: |q|, Q and s1 are unchanged, and parts = W' Q are the
-        ints that _Image(z, m gamma) forms."""
+        det A = +-1: |q| is unchanged, and q, whose sign is never read, is
+        kept.  parts = W' Q are, int for int, those of m gamma's image made
+        as gamma's was: _Image(z, m gamma) after __init__, and
+        identity(z).moved(m gamma) after identity."""
         (a11, a12, b11, b12), (a21, a22, b21, b22) = m[:2]
         x11, y11, x12, y12, x22, y22 = self.parts
         Q = self.Q
@@ -281,9 +296,7 @@ class _Image:
                      v1 * y11 + v2 * y12 + v3 * y22,
                      w1 * x11 + w2 * x12 + w3 * x22 + (b21 * a21 + b22 * a22) * Q,
                      w1 * y11 + w2 * y12 + w3 * y22]
-        det = a11 * a22 - a12 * a21
-        new.q = (det * self.q[0], det * self.q[1])
-        new.Q, new.z, new.rows, new.s1 = Q, self.z, _mat4_mul(m, self.rows), self.s1
+        new.Q, new.q, new.z, new.rows = Q, self.q, self.z, _mat4_mul(m, self.rows)
         return new
 
     def read(self):
@@ -337,11 +350,11 @@ class _Image:
         return out
 
     def det_below(self, e, t):
-        """e / |2^2S det(CZ + D)|^2 < (1 - 2^-t)^2 for e from dets:
-        |det| < 1 - 2^-t."""
+        """e / |q|^2 < (1 - 2^-t)^2 for e from dets, q = 2^2S det(CZ + D)
+        up to sign: |det| < 1 - 2^-t.  |q|^2 is formed here, in the exact
+        scan, the one place it is read."""
         qr, qi = self.q
-        norm = self.Q if qr and qi else self.Q ** 2  # |q|^2
-        return e << 2 * t < ((1 << t) - 1) ** 2 * norm << 2 * (self.z.S - self.s1)
+        return e << 2 * t < ((1 << t) - 1) ** 2 * (qr * qr + qi * qi)
 
 
 def _real_parts(u, w, qr, qi):
@@ -449,7 +462,7 @@ def in_fundamental_domain(Z: PeriodMatrix, ctx: PrecisionContext) -> bool:
     within tol.  |Re| <= 1/2, 2 |y12| <= y11 and y11 <= y22 are exact, so
     Re z11 = 1/2 + eps and y22 = y11 - eps are outside F2 for every eps > 0,
     however small against tol."""
-    return _step(_Image(_Ints(Z), _IDENTITY), _tol_bits(ctx)) is None
+    return _step(_Image.identity(_Ints(Z)), _tol_bits(ctx)) is None
 
 
 MAX_ITER = 2000
@@ -466,16 +479,17 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
 
     No move is applied at the working precision.  Each move updates the
     word, an int matrix, and each step decides on the exact image of the
-    word so far (_Image): formed from Z's ints once and after each
-    Gottschling move, and carried linearly over the same Q by each move
-    with C = 0 (_Image.moved).  Z_red is that image with each part rounded
-    once (prec.round_quotient): within half an ulp of gamma Z, part by
-    part, however ill-conditioned the word, and bit for bit act(gamma, Z).
+    word so far (_Image): Z's own ints at the start (_Image.identity),
+    carried linearly over the same Q by each move with C = 0
+    (_Image.moved), and formed from Z's ints after each Gottschling move.
+    Z_red is that image with each part rounded once (prec.round_quotient):
+    within half an ulp of gamma Z, part by part, however ill-conditioned
+    the word, and bit for bit act(gamma, Z).
     It is built unchecked and checked once (see the module docstring).
     """
     with ctx.work():
         z, t = _Ints(Z), _tol_bits(ctx)
-        image = _Image(z, _IDENTITY)
+        image = _Image.identity(z)
         for _ in range(MAX_ITER):
             g = _step(image, t)
             if g is None:
@@ -484,7 +498,8 @@ def reduce(Z: PeriodMatrix, ctx: PrecisionContext):
             image = (_Image(z, _mat4_mul(g.m, image.rows)) if c11 or c12 or c21 or c22
                      else image.moved(g.m))
         else:
-            raise ArithmeticError("reduction did not terminate; raise precision")
+            raise ArithmeticError(
+                f"reduction did not terminate within MAX_ITER = {MAX_ITER} steps")
         if image.rows == _IDENTITY:
             Z.check_im_positive()
             return SymplecticMatrix.identity(), Z

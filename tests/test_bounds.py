@@ -64,24 +64,36 @@ def test_chi10_lb_sampled(ctx128):
 
 @pytest.mark.parametrize("bits", [256, 1024])
 def test_chi10_lb_within_a_few_units_of_the_oracle(bits):
-    # both bounds keep workbits bits at every precision: c0 = 8e-5 is
-    # rounded at the working precision, not once at import, and the
-    # exponents' rounding moves them by less than an ulp however large
-    # Im Z.  Against mpmath at 64 more bits, on samples of F2 and on an
-    # anisotropic matrix
+    # the ten theta bounds and both chi10 bounds keep workbits bits at every
+    # precision: c0 = 8e-5 is rounded at the working precision, not once at
+    # import, and the exponents' rounding moves them by less than an ulp
+    # however large Im Z.  Against mpmath at 64 more bits, on samples of F2
+    # and on an anisotropic matrix, where at workbits alone the "a half"
+    # and "a=(1/2,1/2)" bounds were off by up to 2^4.8 ulps
     c = PrecisionContext(bits)
     with c.work():
         Zs = sample_fundamental_domain(12, 3, c) + [
             PeriodMatrix(mp.mpc("0.1", "1.1"), mp.mpc("0.2", "0.3"), mp.mpc("-0.3", "60"))]
     for Z in Zs:
-        got = bounds.chi10_lb(Z, c)
+        got = [theta_lb(ch, Z, c)[0] for ch in EVEN_CHARS] + list(bounds.chi10_lb(Z, c))
         with mp.workprec(c.workbits + 64):
             y11, y12, y22 = Z.im_entries()
+            want = []
+            for ch in EVEN_CHARS:
+                a1, a2 = mp.mpf(ch.a1) / 2, mp.mpf(ch.a2) / 2
+                quad = a1 * a1 * y11 + 2 * a1 * a2 * y12 + a2 * a2 * y22
+                if (ch.a1, ch.a2) == (0, 0):
+                    want.append(mp.mpf("0.44"))
+                elif (ch.a1, ch.a2) != (1, 1):
+                    want.append(mp.mpf("0.75") * mp.exp(-mp.pi * quad))
+                else:
+                    want.append(mp.mpf("1.12") * abs(1 + (-1) ** ch.b1 * mp.expjpi(Z.z12))
+                                * mp.exp(-mp.pi * (quad - y12)))
             pref = mp.mpf(8) / 10 ** 5 * min(1, mp.pi * abs(Z.z12)) ** 2
-            want = (pref * mp.exp(-2 * mp.pi * (y11 + y22 - y12)),
-                    pref * mp.exp(-2 * mp.pi * (y11 + y22)))
-            for g, w in zip(got, want):
-                assert abs(g / w - 1) < mp.mpf(2) ** (4 - c.workbits), Z
+            want += [pref * mp.exp(-2 * mp.pi * (y11 + y22 - y12)),
+                     pref * mp.exp(-2 * mp.pi * (y11 + y22))]
+            for k, (g, w) in enumerate(zip(got, want)):
+                assert abs(g / w - 1) < mp.mpf(2) ** (1 - c.workbits), (k, Z)
 
 
 def test_check_bounds_order_and_one_theta_sum(monkeypatch, ctx128):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import itertools
 import math
@@ -51,7 +52,7 @@ def _blocks(g):
 
 def _read(Z):
     """Z as the exact image that _step decides on."""
-    return siegel._Image(siegel._Ints(Z), siegel._IDENTITY)
+    return siegel._Image.identity(siegel._Ints(Z))
 
 
 def test_symplectic_check():
@@ -671,18 +672,21 @@ def test_reduce_reads_doubles_only_for_the_gottschling_scan(monkeypatch, tmp_pat
 
 def test_reduce_carries_the_image_through_moves_with_c_zero(monkeypatch, tmp_path):
     # a GL2 change, the z12 flip or a translation moves the exact image
-    # linearly over the same Q; the image each step decides on is, int for
-    # int, the one formed afresh from Z's ints and the word.  Z's ints are
-    # read into an image once per reduce and once after each Gottschling
-    # move.  On the benchmark's scrambled-domain words and on ex1-ex3
+    # linearly over the same Q.  A reduce starts from Z's own ints
+    # (_Image.identity) and forms an image by the one formula (__init__)
+    # only after each Gottschling move; in_fundamental_domain forms none.
+    # The image each step decides on is, int for int, the one those give
+    # afresh for its word: identity(z).moved(word) when C = 0, else
+    # _Image(z, word), with the same |q|.  On the benchmark's
+    # scrambled-domain words and on ex1-ex3
     ctx, scrambles = _benchmark_scrambles(monkeypatch, tmp_path)
     runs = [(ctx, Z) for Z in scrambles]
     for bits in (256, 1024, 4096):
         c = PrecisionContext(bits)
         runs += [(c, cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0])
                  for name in ("ex1", "ex2", "ex3")]
-    steps, builds = [], []
-    step, init = siegel._step, siegel._Image.__init__
+    steps, builds, starts = [], [], []
+    step, init, identity = siegel._step, siegel._Image.__init__, siegel._Image.identity
 
     def counted_step(im, t):
         g = step(im, t)
@@ -692,11 +696,16 @@ def test_reduce_carries_the_image_through_moves_with_c_zero(monkeypatch, tmp_pat
     monkeypatch.setattr(siegel, "_step", counted_step)
     monkeypatch.setattr(siegel._Image, "__init__",
                         lambda im, *args: builds.append(im) or init(im, *args))
+    monkeypatch.setattr(siegel._Image, "identity",
+                        classmethod(lambda cls, z: starts.append(z) or identity(z)))
     for c, Z in runs:
         reduce(Z, c)
     moves = [g for _, g in steps if g is not None]
     gottschling = sum(any(g is h for h in GOTTSCHLING) for g in moves)
-    assert len(builds) == len(runs) + gottschling
+    assert (len(starts), len(builds)) == (len(runs), gottschling)
+    for c, Z in runs:
+        in_fundamental_domain(Z, c)
+    assert (len(starts), len(builds)) == (2 * len(runs), gottschling)
     # the moves with C = 0 carried the image: GL2 changes, flips and
     # translations all occur
     kinds = {"flip" if g is siegel._FLIP_Z12 else
@@ -704,10 +713,66 @@ def test_reduce_carries_the_image_through_moves_with_c_zero(monkeypatch, tmp_pat
              for g in moves if not any(g is h for h in GOTTSCHLING)}
     assert kinds == {"gl2", "flip", "translation"}
     monkeypatch.undo()
+
+    def norm(q):
+        return q[0] ** 2 + q[1] ** 2
+
+    carried, t = 0, 128
     for im, _ in steps:
-        fresh = siegel._Image(im.z, im.rows)
-        assert (im.parts, im.Q, im.q, im.s1, im.rows) == (
-            fresh.parts, fresh.Q, fresh.q, fresh.s1, fresh.rows)
+        if any(v for row in im.rows[2:] for v in row[:2]):
+            fresh = siegel._Image(im.z, im.rows)
+        else:
+            fresh = siegel._Image.identity(im.z).moved(im.rows)
+            carried += 1
+        assert (im.parts, im.Q, im.rows, norm(im.q)) == (
+            fresh.parts, fresh.Q, fresh.rows, norm(fresh.q))
+        # |q| is |det(C X + 2^S D)|, X = 2^S Z, on Gaussian ints, and
+        # det_below(e, t) is e < (1 - 2^-t)^2 |q|^2
+        (c11, c12, d11, d12), (c21, c22, d21, d22) = im.rows[2:]
+        x = [[(im.z.x[i + j], im.z.y[i + j]) for j in (0, 1)] for i in (0, 1)]
+        m = [[(c[0] * x[0][j][0] + c[1] * x[1][j][0] + (d[j] << im.z.S),
+               c[0] * x[0][j][1] + c[1] * x[1][j][1]) for j in (0, 1)]
+             for c, d in (((c11, c12), (d11, d12)), ((c21, c22), (d21, d22)))]
+        n = norm(_csub(_cmul(m[0][0], m[1][1]), _cmul(m[0][1], m[1][0])))
+        assert norm(im.q) == n
+        e = ((1 << t) - 1) ** 2 * n >> 2 * t
+        assert im.det_below(e - 1, t) and not im.det_below(e + 1, t)
+    assert len(runs) < carried < len(steps)
+
+
+def test_reduce_names_its_step_bound(monkeypatch):
+    # every decision is exact, so a higher precision cannot make a
+    # reduction terminate: the error names the step bound, not a precision
+    c = PrecisionContext(256)
+    Z = _scrambles(c, 1, 1)[0]
+    assert reduce(Z, c)[0] != SymplecticMatrix.identity()
+    monkeypatch.setattr(siegel, "MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match="MAX_ITER = 1 steps") as err:
+        reduce(Z, c)
+    assert "precision" not in str(err.value)
+
+
+# the value of test_reduce_bits_are_pinned
+REDUCE_SHA256 = "7d10dce8070ef7653890716d7502e8174dd1c3e4577e24817dd3484b862fa941"
+
+
+def test_reduce_bits_are_pinned(monkeypatch, tmp_path):
+    # one sha256 over the word and Z_red's raw parts, as Python ints, on the
+    # benchmark's scrambled-domain words and on ex1-ex3 at four precisions.
+    # A change that means to move a word or a bit of Z_red updates the value
+    # and says why
+    ctx, scrambles = _benchmark_scrambles(monkeypatch, tmp_path)
+    runs = [(ctx, Z) for Z in scrambles]
+    for bits in (256, 512, 1024, 4096):
+        c = PrecisionContext(bits)
+        runs += [(c, cli.job_periods(cli.parse_job(os.path.join(JOBS, f"{name}.job")), c)[0])
+                 for name in ("ex1", "ex2", "ex3")]
+    h = hashlib.sha256()
+    for c, Z in runs:
+        gamma, zr = reduce(Z, c)
+        raw = [int(v) for z in zr.entries() for part in z._mpc_ for v in part]
+        h.update(repr((gamma.m, raw)).encode())
+    assert (len(runs), h.hexdigest()) == (69, REDUCE_SHA256)
 
 
 @pytest.mark.parametrize("bits", [256, 1024])
@@ -825,6 +890,75 @@ def test_reduce_matches_oracle_on_boundaries(bits):
     c = PrecisionContext(bits)
     for label, Z in _boundary_points(c):
         _assert_same_as_oracle(Z, c, label)
+
+
+# for each full inversion [[0, -I], [I, D]] of GOTTSCHLING, D = (d11, d12,
+# d22), a Z with dyadic entries on its wall: det(Z + D) is 1, -1, i or -i.
+# Where a point of F2 with denominators up to 8 lies on the wall, Z is one
+# (the corners where Re z_ij = +-1/2, y11 = y22 = 2 y12 lie on several
+# walls); else Z has reduced real parts, no point of F2 was found, and Z
+# is off the Sp4(Z) orbit of the product locus
+_WALLS = {
+    (0, 0, 0): (-0.5 + 1j, -0.5 + 0.5j, 1j),
+    (-1, -1, 0): (0.5 + 1j, 0.5 + 0.5j, 1j),
+    (-1, 0, 0): (0.5 + 1j, -0.5 + 0.5j, 1j),
+    (-1, 0, 1): (0.5 + 1j, 0.5j, -0.5 + 1j),
+    (0, -1, -1): (1j, 0.5 + 0.5j, 0.5 + 1j),
+    (0, -1, 0): (-0.5 + 1j, 0.5 + 0.5j, 1j),
+    (0, 0, -1): (1j, -0.5 + 0.5j, 0.5 + 1j),
+    (0, 0, 1): (-0.5 + 1j, 0.5j, -0.5 + 1j),
+    (0, 1, 0): (1j, -0.5 + 0.5j, 0.5 + 1j),
+    (0, 1, 1): (1j, -0.5 + 0.5j, -0.5 + 1j),
+    (1, 0, -1): (-0.5 + 1j, 0.5j, 0.5 + 1j),
+    (1, 0, 0): (-0.5 + 1j, 0.5j, -0.5 + 1j),
+    (1, 1, 0): (-0.5 + 1j, -0.5 + 0.5j, 1j),
+    (-1, -1, -1): (0.5 + 0.5j, 0.5 + 0.25j, -0.4375 + 1.0625j),
+    (-1, -1, 1): (0.5 + 0.5j, 0.5 + 0.25j, -0.4375 + 1.0625j),
+    (-1, 0, -1): (0.5 + 0.5j, -0.25 + 0.25j, -0.125 + 1.125j),
+    (-1, 1, -1): (0.5 + 0.5j, -0.5 + 0.25j, 0.0625 + 0.5625j),
+    (-1, 1, 0): (1j, -0.5 - 0.5j, 0.25 + 0.75j),
+    (-1, 1, 1): (0.5 + 0.5j, -0.5 + 0.25j, 0.0625 + 0.5625j),
+    (0, -1, 1): (-0.5 + 0.5j, 0.5 + 0.25j, -0.4375 + 1.0625j),
+    (0, 1, -1): (-0.5 + 0.5j, -0.5 + 0.25j, 0.0625 + 0.5625j),
+    (1, -1, -1): (-0.5 + 0.5j, 0.5 + 0.25j, -0.0625 + 0.5625j),
+    (1, -1, 0): (1j, 0.5 - 0.5j, -0.25 + 0.75j),
+    (1, -1, 1): (-0.5 + 0.5j, 0.5 + 0.25j, -0.0625 + 0.5625j),
+    (1, 0, 1): (-0.5 + 0.5j, -0.25 + 0.25j, -0.125 + 0.875j),
+    (1, 1, -1): (-0.5 + 0.5j, -0.5 + 0.25j, 0.4375 + 1.0625j),
+    (1, 1, 1): (-0.5 + 0.5j, -0.5 + 0.25j, 0.4375 + 1.0625j),
+}
+
+
+def test_reduce_and_the_term_on_the_full_inversion_walls():
+    # ROADMAP item 28, region (iii): on each wall |det(Z + D)| = 1, and at
+    # Z + eps (Z + D), eps = +-2^-200, where |det(Z + D)| = (1 + eps)^2, the
+    # word and Z_red are the Fraction oracle's, and the archimedean term of
+    # Z_red, with the ten theta constants, is the box oracle's within
+    # ctx.tol, taken once per Z_red, which points of one Sp4(Z) orbit share
+    from test_theta import _assert_within_tol, _box_oracle
+    c = PrecisionContext(256)
+    seen = set()
+    fulls = {(g.m[2][2], g.m[2][3], g.m[3][3]) for g in GOTTSCHLING
+             if g.m[2][:2] == [1, 0] and g.m[3][:2] == [0, 1]}
+    assert set(_WALLS) == fulls
+    in_f2 = 0
+    for D, z in _WALLS.items():
+        w = [(Fraction(v.real), Fraction(v.imag)) for v in z]
+        w11, w12, w22 = ((x + d, y) for (x, y), d in zip(w, D))
+        det = _csub(_cmul(w11, w22), _cmul(w12, w12))
+        assert det[0] ** 2 + det[1] ** 2 == 1, D
+        in_f2 += _oracle_step(w, 0) is None
+        with mp.workprec(1024):
+            z0 = [mp.mpc(v) for v in z]
+            Zs = [PeriodMatrix(*(v + eps * (v + d) for v, d in zip(z0, D)))
+                  for eps in (0, mp.mpf(2) ** -200, -mp.mpf(2) ** -200)]
+        for Z in Zs:
+            _assert_same_as_oracle(Z, c, D)
+            _, zr = reduce(Z, c)
+            if zr.entries() not in seen:
+                seen.add(zr.entries())
+                _assert_within_tol(zr, _box_oracle(zr, c.prec), c, D)
+    assert in_f2 == 13
 
 
 def test_reduce_far_entries_decided_at_working_precision():
