@@ -14,7 +14,7 @@ from .theta import (EVEN_CHARS, PeriodMatrix, ThetaCharacteristic,
                     archimedean_term, chi10, theta_all, theta_big,
                     theta_squares)
 from .siegel import SymplecticMatrix, act, in_fundamental_domain, reduce
-from .cmperiod import check_lemma_easy, period_matrix, select_tau
+from .cmperiod import check_order, period_matrix, select_tau
 from .colmez import (DirichletCharacter, char_from_spec, char_weighted_sum,
                      colmez_height)
 from .heights import HeightBreakdown, compare, height_local

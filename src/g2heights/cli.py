@@ -11,13 +11,12 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from math import isqrt
 
 import mpmath as mp
 
 from . import bounds, cmperiod, siegel
 from .colmez import char_from_spec, char_weighted_sum, colmez_height, half_residues
-from .exact import IntPolynomial, disc_n, is_prime
+from .exact import IntPolynomial, is_prime
 from .heights import HYPOTHESES, compare, height_local
 from .igusa import (WeierstrassEquation, discriminant, igusa_invariants)
 from .prec import PrecisionContext, taylor_plan
@@ -119,21 +118,16 @@ def job_character(job):
     return char_from_spec(f, {key.removeprefix("character_"): _char_pairs(job, key)})
 
 
-def job_periods(job, ctx):
-    """The period matrix of the job's tau pair, over delta_F, the conductor
-    of chi^2.  tau_poly must fit chi: its discriminant is [O_K : Z[tau]]^2
-    Delta_K for an integral tau, and Delta_K = f_K^2 delta_F, so the
-    quotient must be a rational square (necessary, not sufficient)."""
-    chi = job_character(job)
+def job_periods(job, ctx, chi=None):
+    """[the period matrix of the job's tau pair] over delta_F, the conductor
+    of chi^2, when cmperiod.check_order finds its lattice's order O_K."""
+    if chi is None:
+        chi = job_character(job)
     if "tau_poly" not in job:
         raise JobError("job lacks tau_poly")
     poly = IntPolynomial(_rat_list("tau_poly", job["tau_poly"]))
     taus = cmperiod.select_tau(poly, ctx)
-    disc_K = chi.f ** 2 * chi.delta_F
-    q = disc_n(poly, 4) / disc_K
-    if q <= 0 or any(isqrt(n) ** 2 != n for n in (q.numerator, q.denominator)):
-        raise JobError(f"tau_poly does not fit f_K = {chi.f}: its discriminant over "
-                       f"f_K^2 delta_F = {disc_K} is not a rational square")
+    cmperiod.check_order(poly, chi.f, chi.delta_F)
     return [cmperiod.period_matrix(*taus, chi.delta_F, ctx)]
 
 
@@ -239,7 +233,7 @@ def cmd_compare(args):
     ctx = job_ctx(job, args)
     eq = job_curve(job)
     chi = job_character(job)
-    periods = job_periods(job, ctx)
+    periods = job_periods(job, ctx, chi)
     rep = compare(eq, periods, len(periods), chi, ctx)
     print("engine=local   total =", _fmt(rep.local.total))
     print("engine=colmez  total =", _fmt(rep.colmez))

@@ -12,6 +12,7 @@ is_prime says True only where Miller-Rabin is a proof, below PSI13;
 valuation rejects p only when proven_not_prime finds a factor or a witness.
 factor is the one integer factorizer, for the finite part's ledger and the
 primes of a character's modulus: trial division, then Pollard-Brent rho.
+quartic_split factors a CM quartic into two real quadratics, in integers.
 """
 
 from __future__ import annotations
@@ -287,3 +288,47 @@ def cubic_integer_roots(b2: int, b1: int, b0: int) -> list[int]:
         if g(lo) == 0:
             roots.add(lo)
     return sorted(roots)
+
+
+def quartic_split(p: IntPolynomial):
+    """(c4, a3, s, dT, dN, sigma, pi, d) for a quartic p whose roots are two
+    conjugate pairs of non-real numbers; ValueError for any other p.  With
+    denominators cleared and c4 > 0, y = c4 x turns p into the monic
+    integer quartic y^4 + a3 y^3 + a2 y^2 + a1 y + a0, a3 = c3,
+    a2 = c2 c4, a1 = c1 c4^2, a0 = c0 c4^3.  Its roots are {t1, t1'} and
+    {t2, t2'}, so it factors as (y^2 - T1 y + N1)(y^2 - T2 y + N2) with
+    T_i = t_i + t_i' and N_i = t_i t_i' real, and the pairing is stable
+    under the Galois group.  So s = N1 + N2 is a rational, hence integer,
+    root of the resolvent cubic y^3 - a2 y^2 + (a1 a3 - 4 a0) y
+    + 4 a0 a2 - a1^2 - a0 a3^2 (Kappe and Warren, Amer. Math. Monthly 96,
+    1989).  The T_i are the roots of t^2 + a3 t + (a2 - s), of discriminant
+    dT, the N_i those of n^2 - s n + a0, of discriminant dN, and
+    (T1 - T2)(N1 - N2) = 2 a1 - a3 s, whose square is dT dN.  The roots are
+    non-real when w_i = 4 N_i - T_i^2 > 0, that is when sigma = w1 + w2
+    = 2 (s + a2) - a3^2 and pi = w1 w2 = 16 a0 - 4 (a1 a3 - (a2 - s) s)
+    + (a2 - s)^2 are both positive.  Exactly one integer resolvent root s
+    gives dT >= 0, dN >= 0, sigma > 0 and pi > 0: real T_i and N_i make
+    real factors, and a real factor with non-real roots holds a conjugate
+    pair.  dT = dN = 0 makes p a square.  The order is exact: ascending T
+    (T1 < T2 when dT > 0), else ascending N; d is the sign of N1 - N2, so
+    that T1 = (-a3 - sqrt dT) / 2 and N1 = (s + d sqrt dN) / 2.
+    """
+    if p.degree != 4:
+        raise ValueError(f"quartic_split takes a quartic, not degree {p.degree}")
+    F, _ = binary_form(p, 4)
+    c4, c3, c2, c1, c0 = F if F[0] > 0 else [-c for c in F]
+    a3, a2, a1, a0 = c3, c2 * c4, c1 * c4 ** 2, c0 * c4 ** 3
+    for s in cubic_integer_roots(-a2, a1 * a3 - 4 * a0,
+                                 4 * a0 * a2 - a1 * a1 - a0 * a3 * a3):
+        dT, dN = a3 * a3 - 4 * (a2 - s), s * s - 4 * a0
+        if dT == dN == 0:
+            raise ValueError("polynomial is not squarefree")
+        sigma = 2 * (s + a2) - a3 * a3
+        pi = 16 * a0 - 4 * (a1 * a3 - (a2 - s) * s) + (a2 - s) ** 2
+        if dT >= 0 and dN >= 0 and sigma > 0 and pi > 0:
+            break
+    else:
+        raise ValueError("quartic is not two conjugate pairs split over "
+                         "its resolvent cubic")
+    d = 1 if dT and 2 * a1 - a3 * s < 0 else -1
+    return c4, a3, s, dT, dN, sigma, pi, d

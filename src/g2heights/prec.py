@@ -56,7 +56,7 @@ from typing import NamedTuple
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero, mpf_neg, round_nearest
 
-from .exact import IntPolynomial, binary_form, cubic_integer_roots
+from .exact import IntPolynomial, quartic_split
 
 GUARD_BITS = 32
 
@@ -389,24 +389,8 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     non-real numbers, sorted by (Re, Im).  Raises ValueError for any other
     polynomial.
 
-    Exact part: with denominators cleared and c4 > 0, y = c4 x turns p into
-    the monic integer quartic y^4 + a3 y^3 + a2 y^2 + a1 y + a0, a3 = c3,
-    a2 = c2 c4, a1 = c1 c4^2, a0 = c0 c4^3.  Its roots are {t1, t1'} and
-    {t2, t2'}, so it factors as (y^2 - T1 y + N1)(y^2 - T2 y + N2) with
-    T_i = t_i + t_i' and N_i = t_i t_i' real, and the pairing is stable
-    under the Galois group.  So s = N1 + N2 is a rational, hence integer,
-    root of the resolvent cubic y^3 - a2 y^2 + (a1 a3 - 4 a0) y
-    + 4 a0 a2 - a1^2 - a0 a3^2 (Kappe and Warren, Amer. Math. Monthly 96,
-    1989).  The T_i are the roots of t^2 + a3 t + (a2 - s), of discriminant
-    dT, the N_i those of n^2 - s n + a0, of discriminant dN, and
-    (T1 - T2)(N1 - N2) = 2 a1 - a3 s, whose square is dT dN.  The roots are
-    non-real when w_i = 4 N_i - T_i^2 > 0, that is when sigma = w1 + w2
-    = 2 (s + a2) - a3^2 and pi = w1 w2 = 16 a0 - 4 (a1 a3 - (a2 - s) s)
-    + (a2 - s)^2 are both positive.  Exactly one integer resolvent root s
-    gives dT >= 0, dN >= 0, sigma > 0 and pi > 0: real T_i and N_i make
-    real factors, and a real factor with non-real roots holds a conjugate
-    pair.  dT = dN = 0 makes p a square.  The order is exact: ascending T
-    (T1 < T2 when dT > 0), else ascending N.
+    Exact part: exact.quartic_split, which splits p into two real
+    quadratics, orders them exactly and gives the ints below.
 
     Numeric part, on ints at the scale 2^-S: w_i = sigma/2
     + 2 delta_i sqrt(dN) + eps_i (a3/2) sqrt(dT), with eps_i = sign(T_i - T_j)
@@ -430,25 +414,7 @@ def poly_roots(p: IntPolynomial, ctx: PrecisionContext):
     would; the Siegel reduction, whose word on a boundary follows the last
     bits, then does not depend on how it was computed.
     """
-    if p.degree != 4:
-        raise ValueError(f"poly_roots takes a quartic, not degree {p.degree}")
-    F, _ = binary_form(p, 4)
-    c4, c3, c2, c1, c0 = F if F[0] > 0 else [-c for c in F]
-    a3, a2, a1, a0 = c3, c2 * c4, c1 * c4 ** 2, c0 * c4 ** 3
-    for s in cubic_integer_roots(-a2, a1 * a3 - 4 * a0,
-                                 4 * a0 * a2 - a1 * a1 - a0 * a3 * a3):
-        dT, dN = a3 * a3 - 4 * (a2 - s), s * s - 4 * a0
-        if dT == dN == 0:
-            raise ValueError("polynomial is not squarefree")
-        sigma = 2 * (s + a2) - a3 * a3
-        pi = 16 * a0 - 4 * (a1 * a3 - (a2 - s) * s) + (a2 - s) ** 2
-        if dT >= 0 and dN >= 0 and sigma > 0 and pi > 0:
-            break
-    else:
-        raise ValueError("quartic is not two conjugate pairs split over "
-                         "its resolvent cubic")
-    # the sign of N1 - N2, with T1 <= T2, and N1 < N2 when T1 = T2
-    d = 1 if dT and 2 * a1 - a3 * s < 0 else -1
+    c4, a3, _, dT, dN, sigma, pi, d = quartic_split(p)
     e_w = max(0, (4 + abs(a3)).bit_length() + sigma.bit_length() - pi.bit_length())
     e_T = max(a3.bit_length(), (dT.bit_length() + 1) // 2) + 1
     S = ctx.workbits + 34 + max(e_w, e_T)

@@ -10,7 +10,7 @@ import mpmath as mp
 
 from g2heights import bounds, cmperiod, siegel
 from g2heights.colmez import char_from_spec, colmez_height
-from g2heights.exact import IntPolynomial, disc_n
+from g2heights.exact import IntPolynomial, disc_n, quartic_split
 from g2heights.heights import compare
 from g2heights.igusa import (SingularCurveError, WeierstrassEquation,
                              finite_height_part, igusa_invariants)
@@ -204,10 +204,13 @@ def test_criterion_8_bounds_suite():
     assert dt < 120.0
 
 
-def test_criterion_9_lemma_easy_residual():
-    with CTX.work():
-        zeta = mp.expjpi(mp.mpf(2) / 5)
-        s5 = mp.sqrt(5)
-        r = cmperiod.check_lemma_easy(
-            1, (mp.im(s5 * zeta), mp.im(-s5 * zeta ** 3)), 1, 125, CTX)
-        assert r < mp.mpf("1e-20")
+def test_criterion_9_lemma_exact_identity():
+    # the norm identity of the paper's lemma, squared and exact:
+    # N(c)^2 pi = Delta_K c4^4 for the order O_F + c tau/sqrt 5 of the
+    # period lattice.  On ex1, N(c) = 1 and pi = 125 = Delta_K; on its image
+    # tau/(sqrt 5 tau + 1), c4 = N(c) = 521 and pi = 125 * 521^2
+    for cs, n in (([25, -25, 15, -5, 1], 1), ([25, -25, -210, 120, 521], 521)):
+        poly = IntPolynomial(cs)
+        c4, *_, pi, _ = quartic_split(poly)
+        assert (c4, pi) == (n, 125 * n * n)
+        assert cmperiod.check_order(poly, 5, 5) == n

@@ -175,16 +175,20 @@ def test_unknown_job_key(tmp_path, capsys):
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
-def _job_with_tau_poly(tmp_path, name, donor):
-    """jobs/<name>.job with the tau_poly line of jobs/<donor>.job."""
-    def lines(n):
-        with open(os.path.join(JOBS, f"{n}.job")) as fh:
-            return fh.readlines()
-    tau, = (line for line in lines(donor) if line.startswith("tau_poly"))
-    path = tmp_path / f"{name}_tau_{donor}.job"
-    path.write_text("".join(tau if line.startswith("tau_poly") else line
-                            for line in lines(name)))
+def _job_with_tau(tmp_path, name, tau_poly):
+    """jobs/<name>.job with tau_poly = <tau_poly>."""
+    with open(os.path.join(JOBS, f"{name}.job")) as fh:
+        text = "".join(f"tau_poly = {tau_poly}\n" if line.startswith("tau_poly") else line
+                       for line in fh)
+    path = tmp_path / f"{name}.job"
+    path.write_text(text)
     return str(path)
+
+
+def _job_with_tau_poly(tmp_path, name, donor):
+    """jobs/<name>.job with the tau_poly of jobs/<donor>.job."""
+    tau_poly = parse_job(os.path.join(JOBS, f"{donor}.job"))["tau_poly"]
+    return _job_with_tau(tmp_path, name, tau_poly)
 
 
 @pytest.mark.parametrize("name,donor", [
@@ -200,6 +204,50 @@ def test_swapped_tau_poly_exit1(tmp_path, capsys, name, donor):
     for command in ("height-local", "theta", "compare"):
         assert main([command, path]) == 1
         assert f"tau_poly does not fit f_K = {f}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,tau_poly", [
+    ("ex1", "25, -25, -210, 120, 521"),  # tau/(sqrt 5 tau + 1)
+    ("ex2", "889319, -137677, -109469502, 8472656, 3369108691"),  # tau/(sqrt 61 tau + 1)
+    ("ex3", "128, -512, 800, -576, 161"),  # tau/(tau + 1)
+    ("ex3", "128, 0, -480, -64, 577"),
+])
+def test_hilbert_modular_image_compares_as_its_job(tmp_path, capsys, name, tau_poly):
+    # an image of the tau pair under the Hilbert modular group has the same
+    # lattice up to isomorphism, so the same order O_K and the same heights,
+    # though pi is not Delta_K c4^4 (N(c) = c4 here)
+    code, out = run_cli(capsys, "compare", _job_with_tau(tmp_path, name, tau_poly))
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"compare_{name}.txt")) as fh:
+        want = [line for line in fh if line.startswith("engine=")]
+    assert want and all(line in out.splitlines(keepends=True) for line in want)
+
+
+@pytest.mark.parametrize("name,tau_poly", [
+    ("ex1", "400, -200, 60, -10, 1"),  # 2 tau
+    ("ex1", "25, -50, 60, -40, 16"),  # tau/2
+    ("ex1", "2025, -675, 135, -15, 1"),  # 3 tau
+    ("ex1", "521, -600, 390, -125, 25"),  # tau + 1/sqrt 5
+    ("ex1", "671, -2861, 2951, 219, 11"),
+    ("ex2", "14229104, -1101416, 24156, -122, 1"),
+    ("ex2", "3369108691, -516832016, 22474718, -226981, 3721"),  # tau + 1/sqrt 61
+    ("ex3", "2048, 0, 128, 0, 1"),
+    ("ex3", "2177, -520, 536, -32, 16"),  # tau + 1/2
+    ("ex3", "8, 0, 8, 0, 1"),
+])
+def test_tau_poly_of_a_smaller_order_exit1(tmp_path, capsys, name, tau_poly):
+    # each job's tau lies in the field of chi, with disc(tau_poly) over
+    # Delta_K a rational square, but its lattice's order is not O_K: before
+    # cmperiod.check_order, height-local and theta printed a wrong total
+    path = _job_with_tau(tmp_path, name, tau_poly)
+    f = int(parse_job(path)["f_K"])
+    delta = {5: 5, 61: 61, 16: 8}[f]
+    c4 = int(tau_poly.rsplit(",", 1)[1])
+    for command in ("height-local", "theta", "compare"):
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert f"tau_poly does not fit f_K = {f}: N(c)^2 pi = " in err
+        assert f" is not Delta_K c4^4 = {f * f * delta} * {c4}^4" in err
 
 
 @pytest.mark.parametrize("argv", [

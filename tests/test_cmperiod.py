@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from g2heights.cli import parse_job
-from g2heights.cmperiod import check_lemma_easy, period_matrix, select_tau
+from g2heights.cmperiod import check_order, period_matrix, select_tau
 from g2heights.exact import IntPolynomial
 from g2heights.prec import PrecisionContext
 
@@ -95,21 +95,53 @@ def test_period_matrix_rejects_tau_outside_h(ctx):
             period_matrix(*pair, 5, ctx)
 
 
-def test_lemma_easy_example1(ctx):
-    with ctx.work():
-        zeta = mp.expjpi(mp.mpf(2) / 5)
-        s5 = mp.sqrt(5)
-        im1 = mp.im(s5 * zeta)
-        im2 = mp.im(-s5 * zeta ** 3)
-        r = check_lemma_easy(1, (im1, im2), 1, 125, ctx)
-        assert r < mp.mpf(1e-20)
+# (tau_poly, f_K, N(c)): the order of period_matrix's lattice is
+# O_F + c tau/sqrt(delta_F), and it is O_K exactly when
+# N(c)^2 pi = Delta_K c4^4.  The shipped jobs and four Hilbert modular
+# images of them pass: ex1's tau/(sqrt 5 tau + 1), ex2's tau/(sqrt 61 tau + 1)
+# and ex3's tau/(tau + 1) and the image of tau_poly 128, 0, -480, -64, 577
+DELTA = {5: 5, 61: 61, 16: 8}
+VALID_ORDERS = [
+    ([25, -25, 15, -5, 1], 5, 1),
+    ([889319, -137677, 6039, -61, 1], 61, 1),
+    ([128, 0, 32, 0, 1], 16, 1),
+    ([25, -25, -210, 120, 521], 5, 521),
+    ([889319, -137677, -109469502, 8472656, 3369108691], 61, 3369108691),
+    ([128, -512, 800, -576, 161], 16, 161),
+    ([128, 0, -480, -64, 577], 16, 577),
+]
+# ex1's tau/2 and tau + 1/sqrt 5, and ex3's tau + 1/2: lattices whose order
+# is not O_K
+SMALL_ORDERS = [
+    ([25, -50, 60, -40, 16], 5, 16),
+    ([521, -600, 390, -125, 25], 5, 625),
+    ([2177, -520, 536, -32, 16], 16, 1024),
+]
 
 
-def test_lemma_easy_detects_violation(ctx):
-    with ctx.work():
-        zeta = mp.expjpi(mp.mpf(2) / 5)
-        s5 = mp.sqrt(5)
-        im1 = mp.im(s5 * zeta)
-        im2 = mp.im(-s5 * zeta ** 3)
-        r = check_lemma_easy(1, (im1, im2), 2, 125, ctx)
-        assert abs(r - mp.sqrt(125)) < mp.mpf(1e-20)
+@pytest.mark.parametrize("cs,f,n", VALID_ORDERS)
+def test_check_order_passes_o_k(cs, f, n):
+    assert check_order(IntPolynomial(cs), f, DELTA[f]) == n
+
+
+@pytest.mark.parametrize("cs,f,n", SMALL_ORDERS)
+def test_check_order_rejects_a_smaller_order(cs, f, n):
+    # the message names N(c) and both sides of the identity
+    disc_K, c4 = f * f * DELTA[f], cs[-1]
+    with pytest.raises(ValueError, match=rf"^tau_poly does not fit f_K = {f}: N\(c\)\^2 pi = "
+                                         rf"{n}\^2 \* \d+ is not Delta_K c4\^4 = {disc_K} \* {c4}\^4$"):
+        check_order(IntPolynomial(cs), f, DELTA[f])
+
+
+@pytest.mark.parametrize("cs", [["1", "-1", "3/5", "-1/5", "1/25"], [50, -50, 30, -10, 2]],
+                         ids=["rational", "not-primitive"])
+def test_check_order_reads_any_form_of_the_quartic(cs):
+    # ex1's tau_poly over 25, and times 2: the same tau pair
+    assert check_order(IntPolynomial(cs), 5, 5) == 1
+
+
+def test_check_order_rejects_another_real_subfield():
+    # ex2's tau_poly over Q(sqrt 5): 4 dT is not 5 times a square
+    with pytest.raises(ValueError, match=r"^tau_poly does not fit f_K = 5: its real "
+                                         r"subfield is not Q\(sqrt 5\)"):
+        check_order(IntPolynomial([889319, -137677, 6039, -61, 1]), 5, 5)
